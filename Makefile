@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint fmt race vulncheck fuzz-smoke bench-smoke bench-baseline bench-record allocbudget-check check bench chaos chaos-straggler
+.PHONY: all build test vet lint fmt race vulncheck fuzz-smoke bench-smoke bench-baseline bench-record bench-e2e allocbudget-check check bench chaos chaos-straggler
 
 # The checked-in per-PR benchmark record (bench-record writes BENCH_$(PR).json).
 PR ?= 10
@@ -92,6 +92,12 @@ bench-baseline: build
 # the running history of what each stacked PR did to the smoke workload.
 bench-record: build
 	$(GO) run ./cmd/mcebench -smoke -out BENCH_$(PR).json
+
+# The repository benchmark (BENCHMARK.json): four end-to-end workloads,
+# built and run from this checkout; see bench/README.md. Takes minutes, so
+# it is not part of `check`.
+bench-e2e:
+	bash bench/run.sh
 
 check: build fmt lint allocbudget-check test race vulncheck bench-smoke
 

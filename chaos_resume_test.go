@@ -65,27 +65,15 @@ type throttledExecutor struct {
 	delay time.Duration
 }
 
-func (e *throttledExecutor) AnalyzeBlocks(blocks []decomp.Block, combos []mcealg.Combo) ([][][]int32, error) {
-	return e.AnalyzeBlocksCheckpoint(context.Background(), blocks, combos, nil, nil)
-}
-
-func (e *throttledExecutor) AnalyzeBlocksContext(ctx context.Context, blocks []decomp.Block, combos []mcealg.Combo) ([][][]int32, error) {
-	return e.AnalyzeBlocksCheckpoint(ctx, blocks, combos, nil, nil)
-}
-
-func (e *throttledExecutor) AnalyzeBlocksCheckpoint(ctx context.Context, blocks []decomp.Block, combos []mcealg.Combo, ids []runlog.BlockID, obs runlog.BatchObserver) ([][][]int32, error) {
+func (e *throttledExecutor) Analyze(ctx context.Context, blocks []decomp.Block, combos []mcealg.Combo, ids []runlog.BlockID, obs runlog.BatchObserver) ([][][]int32, error) {
 	out := make([][][]int32, len(blocks))
 	for i := range blocks {
 		time.Sleep(e.delay)
-		var (
-			res [][][]int32
-			err error
-		)
+		var id []runlog.BlockID
 		if ids != nil {
-			res, err = e.inner.AnalyzeBlocksCheckpoint(ctx, blocks[i:i+1], combos[i:i+1], ids[i:i+1], obs)
-		} else {
-			res, err = e.inner.AnalyzeBlocksContext(ctx, blocks[i:i+1], combos[i:i+1])
+			id = ids[i : i+1]
 		}
+		res, err := e.inner.Analyze(ctx, blocks[i:i+1], combos[i:i+1], id, obs)
 		if err != nil {
 			return nil, err
 		}

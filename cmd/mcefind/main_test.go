@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"encoding/gob"
+	"net"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -196,6 +198,64 @@ func TestStreamAndFormats(t *testing.T) {
 	}
 	if code, _, _ := runCmd(t, "-stream", "-communities", "3", p); code != 2 {
 		t.Fatal("stream+communities accepted")
+	}
+}
+
+// hangUpWorker is a worker that completes the handshake and then hangs up
+// on the first task it is sent — every block shipped to it is a failed
+// round trip. The handshake structs mirror cluster's wire types (gob
+// matches fields by name).
+func hangUpWorker(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				var hello struct {
+					Version  int
+					Compress bool
+				}
+				if gob.NewDecoder(conn).Decode(&hello) != nil {
+					return
+				}
+				if gob.NewEncoder(conn).Encode(struct{ Version int }{hello.Version}) != nil {
+					return
+				}
+				conn.Read(make([]byte, 1)) // the first task's first byte
+			}()
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// TestSkipPoisonExitCode pins exit 3 on both output routes: the graph is a
+// single block, its one round trip dies, -task-retries 1 makes that a
+// poison verdict, and -skip-poison completes the run without it (the second
+// worker is the spare that keeps the cluster alive).
+func TestSkipPoisonExitCode(t *testing.T) {
+	p := writeTriangleTail(t)
+	for _, route := range [][]string{nil, {"-stream"}} {
+		workers := hangUpWorker(t) + "," + hangUpWorker(t)
+		args := append(route, "-m", "100", "-workers", workers, "-task-retries", "1", "-skip-poison", p)
+		code, out, errs := runCmd(t, args...)
+		if code != exitIncomplete {
+			t.Fatalf("%v: code=%d, want %d; errs=%q", route, code, exitIncomplete, errs)
+		}
+		if out != "" {
+			t.Fatalf("%v: the only block was skipped but cliques were printed: %q", route, out)
+		}
+		if !strings.Contains(errs, "poison task skipped: block 0") || !strings.Contains(errs, "completed with 1 poison-task skip(s)") {
+			t.Fatalf("%v: verdicts missing from stderr: %q", route, errs)
+		}
 	}
 }
 

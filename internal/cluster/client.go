@@ -156,8 +156,7 @@ func (o *ClientOptions) hedgeMax() int {
 }
 
 // Client is a coordinator attached to a fixed set of workers. It implements
-// the core.Executor and core.ContextExecutor interfaces, so it can be
-// plugged directly into FindMaxCliques.
+// core.Executor, so it can be plugged directly into FindMaxCliques.
 type Client struct {
 	opts   ClientOptions
 	health *healthRegistry
@@ -700,39 +699,15 @@ type corruptResultError struct{ msg string }
 
 func (e *corruptResultError) Error() string { return e.msg }
 
-// AnalyzeBlocks ships every block to some worker and gathers the cliques,
-// indexed like blocks. It implements core.Executor; see
-// AnalyzeBlocksContext for the failure semantics.
+// AnalyzeBlocks is AnalyzeBlocksContext without cancellation.
 func (c *Client) AnalyzeBlocks(blocks []decomp.Block, combos []mcealg.Combo) ([][][]int32, error) {
 	return c.AnalyzeBlocksContext(context.Background(), blocks, combos)
 }
 
-// AnalyzeBlocksContext is AnalyzeBlocks with cancellation. A worker that
-// fails or times out mid-flight has its task requeued to the surviving
-// workers, bounded by the per-task retry budget (TaskRetries); capacity
-// revived by AutoReconnect joins the batch while it runs. The call fails
-// when a task is rejected by the application (deterministic failure), when
-// a task exhausts its retry budget (*PoisonTaskError), when every worker
-// has died (after AllDeadGrace under AutoReconnect), or when ctx is
-// cancelled — cancellation retires connections with a round trip in
-// flight, because the wire protocol has no way to abandon a pending
-// response. It implements core.ContextExecutor.
+// AnalyzeBlocksContext is Analyze for a plain batch (no block IDs, no
+// observer).
 func (c *Client) AnalyzeBlocksContext(ctx context.Context, blocks []decomp.Block, combos []mcealg.Combo) ([][][]int32, error) {
-	return c.analyzeBlocks(ctx, blocks, combos, nil, nil)
-}
-
-// AnalyzeBlocksCheckpoint is AnalyzeBlocksContext with per-block
-// durability: every block carries its stable checkpoint identity on the
-// wire (journaled by the coordinator, echoed by the worker), and obs is
-// told the moment each block is dispatched and the moment its cliques are
-// safely back — not at batch end — so a coordinator killed mid-batch
-// resumes with every completed block already durable. ids must index like
-// blocks. It implements core.CheckpointExecutor.
-func (c *Client) AnalyzeBlocksCheckpoint(ctx context.Context, blocks []decomp.Block, combos []mcealg.Combo, ids []runlog.BlockID, obs runlog.BatchObserver) ([][][]int32, error) {
-	if len(ids) != len(blocks) {
-		return nil, fmt.Errorf("cluster: %d blocks but %d block IDs", len(blocks), len(ids))
-	}
-	return c.analyzeBlocks(ctx, blocks, combos, ids, obs)
+	return c.Analyze(ctx, blocks, combos, nil, nil)
 }
 
 // attempt is one dispatch-queue entry: a block index plus whether this
@@ -768,8 +743,25 @@ func (c *Client) hedgeThreshold(rtt *telemetry.Histogram) time.Duration {
 	return th
 }
 
-// analyzeBlocks is the shared batch engine behind both executor shapes.
-// ids/obs are nil for plain batches.
+// Analyze ships every block to some worker and gathers the cliques,
+// indexed like blocks. It implements core.Executor.
+//
+// A worker that fails or times out mid-flight has its task requeued to the
+// surviving workers, bounded by the per-task retry budget (TaskRetries);
+// capacity revived by AutoReconnect joins the batch while it runs. The
+// call fails when a task is rejected by the application (deterministic
+// failure), when a task exhausts its retry budget (*PoisonTaskError), when
+// every worker has died (after AllDeadGrace under AutoReconnect), or when
+// ctx is cancelled — cancellation retires connections with a round trip in
+// flight, because the wire protocol has no way to abandon a pending
+// response.
+//
+// ids and obs are nil for plain batches. With them, every block carries
+// its stable checkpoint identity on the wire (journaled by the
+// coordinator, echoed by the worker), and obs is told the moment each
+// block is dispatched and the moment its cliques are safely back — not at
+// batch end — so a coordinator killed mid-batch resumes with every
+// completed block already durable. ids must index like blocks.
 //
 // Connections are leased to the batch for its duration: the batch returns
 // the moment every block has an answer (first-wins under hedging), while a
@@ -778,7 +770,10 @@ func (c *Client) hedgeThreshold(rtt *telemetry.Histogram) time.Duration {
 // hedged dispatch — are discarded by a compare-and-swap per block, which
 // is sound because Lemma 1 determinism makes every copy's answer
 // identical.
-func (c *Client) analyzeBlocks(ctx context.Context, blocks []decomp.Block, combos []mcealg.Combo, ids []runlog.BlockID, obs runlog.BatchObserver) ([][][]int32, error) {
+func (c *Client) Analyze(ctx context.Context, blocks []decomp.Block, combos []mcealg.Combo, ids []runlog.BlockID, obs runlog.BatchObserver) ([][][]int32, error) {
+	if (ids != nil || obs != nil) && len(ids) != len(blocks) {
+		return nil, fmt.Errorf("cluster: %d blocks but %d block IDs", len(blocks), len(ids))
+	}
 	if len(blocks) != len(combos) {
 		return nil, fmt.Errorf("cluster: %d blocks but %d combos", len(blocks), len(combos))
 	}

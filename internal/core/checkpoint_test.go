@@ -131,7 +131,7 @@ func TestResumeServesEveryBlockFromSegments(t *testing.T) {
 // forbiddenExecutor fails the test if a resumed run dispatches anything.
 type forbiddenExecutor struct{}
 
-func (forbiddenExecutor) AnalyzeBlocks(blocks []decomp.Block, combos []mcealg.Combo) ([][][]int32, error) {
+func (forbiddenExecutor) Analyze(context.Context, []decomp.Block, []mcealg.Combo, []runlog.BlockID, runlog.BatchObserver) ([][][]int32, error) {
 	return nil, errors.New("executor invoked on a fully-journaled resume")
 }
 
@@ -157,32 +157,13 @@ func (f *flakyExecutor) take() bool {
 	return true
 }
 
-func (f *flakyExecutor) AnalyzeBlocks(blocks []decomp.Block, combos []mcealg.Combo) ([][][]int32, error) {
-	return f.AnalyzeBlocksContext(context.Background(), blocks, combos)
-}
-
-func (f *flakyExecutor) AnalyzeBlocksContext(ctx context.Context, blocks []decomp.Block, combos []mcealg.Combo) ([][][]int32, error) {
+func (f *flakyExecutor) Analyze(ctx context.Context, blocks []decomp.Block, combos []mcealg.Combo, ids []runlog.BlockID, obs runlog.BatchObserver) ([][][]int32, error) {
 	out := make([][][]int32, len(blocks))
 	for i := range blocks {
 		if !f.take() {
 			return nil, errInjected
 		}
-		res, err := f.inner.AnalyzeBlocksContext(ctx, blocks[i:i+1], combos[i:i+1])
-		if err != nil {
-			return nil, err
-		}
-		out[i] = res[0]
-	}
-	return out, nil
-}
-
-func (f *flakyExecutor) AnalyzeBlocksCheckpoint(ctx context.Context, blocks []decomp.Block, combos []mcealg.Combo, ids []runlog.BlockID, obs runlog.BatchObserver) ([][][]int32, error) {
-	out := make([][][]int32, len(blocks))
-	for i := range blocks {
-		if !f.take() {
-			return nil, errInjected
-		}
-		res, err := f.inner.AnalyzeBlocksCheckpoint(ctx, blocks[i:i+1], combos[i:i+1], ids[i:i+1], obs)
+		res, err := f.inner.Analyze(ctx, blocks[i:i+1], combos[i:i+1], ids[i:i+1], obs)
 		if err != nil {
 			return nil, err
 		}
@@ -256,7 +237,7 @@ func TestStreamRejectsCheckpoint(t *testing.T) {
 
 // TestCheckpointIdentitySensitivity pins which options are plan-affecting:
 // the identity must move when they change and hold still when transport or
-// filter options change.
+// scheduling options change.
 func TestCheckpointIdentitySensitivity(t *testing.T) {
 	g := gen.ErdosRenyi(60, 0.2, 5)
 	base := Options{BlockSize: 12}
@@ -275,7 +256,6 @@ func TestCheckpointIdentitySensitivity(t *testing.T) {
 	}
 
 	same := []Options{
-		{BlockSize: 12, UseExtensionFilter: true},
 		{BlockSize: 12, Schedule: ScheduleLPT},
 		{BlockSize: 12, Parallelism: 7},
 	}

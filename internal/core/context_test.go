@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"sync/atomic"
 	"testing"
 
 	"mce/internal/decomp"
@@ -46,31 +45,6 @@ func TestLocalExecutorContextCancelled(t *testing.T) {
 	exec := &LocalExecutor{}
 	if _, err := exec.AnalyzeBlocksContext(ctx, blocks, combos); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-}
-
-// countingContextExecutor proves the engine prefers the context-aware
-// interface when the executor implements it.
-type countingContextExecutor struct {
-	LocalExecutor
-	calls int32
-}
-
-func (e *countingContextExecutor) AnalyzeBlocksContext(ctx context.Context, blocks []decomp.Block, combos []mcealg.Combo) ([][][]int32, error) {
-	atomic.AddInt32(&e.calls, 1)
-	return e.LocalExecutor.AnalyzeBlocksContext(ctx, blocks, combos)
-}
-
-func TestContextExecutorPreferred(t *testing.T) {
-	g := gen.HolmeKim(150, 4, 0.6, 43)
-	exec := &countingContextExecutor{}
-	res, err := FindMaxCliquesContext(context.Background(), g, Options{Executor: exec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertComplete(t, g, res)
-	if atomic.LoadInt32(&exec.calls) == 0 {
-		t.Fatal("ContextExecutor implementation was never used")
 	}
 }
 

@@ -41,30 +41,18 @@ import (
 // Executor runs BLOCK-ANALYSIS for a batch of blocks. combos[i] is the
 // data-structure/algorithm combination chosen for blocks[i]; the return
 // value holds the cliques of each block (global node IDs), indexed like
-// blocks. Implementations: LocalExecutor (in-process pool) and
-// cluster.Client (TCP workers).
+// blocks, as slices the caller owns. Cancelling ctx stops the batch — work
+// already shipped to remote workers included — and fails the call with
+// ctx.Err().
+//
+// ids and obs are nil for plain batches. On a checkpointing run
+// (Options.Checkpoint) ids[i] is blocks[i]'s stable identity in the run
+// plan and obs is told the moment each block is dispatched and the moment
+// its result is complete, so a coordinator killed mid-batch loses at most
+// the blocks still in flight. Implementations: LocalExecutor (in-process
+// pool) and cluster.Client (TCP workers).
 type Executor interface {
-	AnalyzeBlocks(blocks []decomp.Block, combos []mcealg.Combo) ([][][]int32, error)
-}
-
-// ContextExecutor is implemented by executors that support cancelling an
-// in-flight block batch. FindMaxCliquesContext uses it when available, so
-// a caller's cancellation reaches work already shipped to remote workers
-// instead of only taking effect between batches. Both LocalExecutor and
-// cluster.Client implement it.
-type ContextExecutor interface {
-	AnalyzeBlocksContext(ctx context.Context, blocks []decomp.Block, combos []mcealg.Combo) ([][][]int32, error)
-}
-
-// CheckpointExecutor is implemented by executors that can report per-block
-// progress while a batch runs: ids[i] is blocks[i]'s stable identity in the
-// run plan, and obs is told the moment each block is dispatched and the
-// moment its result is complete. A checkpointing run (Options.Checkpoint)
-// prefers this path, so a coordinator killed mid-batch loses at most the
-// blocks still in flight; executors without it fall back to journaling at
-// batch granularity. Both LocalExecutor and cluster.Client implement it.
-type CheckpointExecutor interface {
-	AnalyzeBlocksCheckpoint(ctx context.Context, blocks []decomp.Block, combos []mcealg.Combo, ids []runlog.BlockID, obs runlog.BatchObserver) ([][][]int32, error)
+	Analyze(ctx context.Context, blocks []decomp.Block, combos []mcealg.Combo, ids []runlog.BlockID, obs runlog.BatchObserver) ([][][]int32, error)
 }
 
 // Options configures FindMaxCliques.
@@ -104,12 +92,6 @@ type Options struct {
 	// The cap triggers the same direct-core fallback as a stalled
 	// recursion, so results stay complete.
 	MaxLevels int
-	// UseExtensionFilter swaps the Lemma 1 containment filter (the paper's
-	// filter(Ch, Cf), which needs only the clique families) for the
-	// equivalent extension test against the graph: a hub clique is dropped
-	// iff some feasible node neighbours all its members. Output is
-	// identical; the extension test is usually faster when Cf is large.
-	UseExtensionFilter bool
 	// Schedule orders the blocks before dispatch; see the Schedule
 	// constants. Results are identical either way.
 	Schedule Schedule
@@ -248,36 +230,30 @@ type LocalExecutor struct {
 	IntraBlockParallelism int
 }
 
-// AnalyzeBlocks implements Executor.
+// AnalyzeBlocks is AnalyzeBlocksContext without cancellation.
 func (e *LocalExecutor) AnalyzeBlocks(blocks []decomp.Block, combos []mcealg.Combo) ([][][]int32, error) {
 	return e.AnalyzeBlocksContext(context.Background(), blocks, combos)
 }
 
-// AnalyzeBlocksContext implements ContextExecutor: cancellation stops the
-// pool from starting new blocks (blocks already being analysed run to
-// completion — block analysis has no preemption points) and the call
-// returns ctx.Err().
+// AnalyzeBlocksContext is Analyze for a plain batch (no block IDs, no
+// observer).
 func (e *LocalExecutor) AnalyzeBlocksContext(ctx context.Context, blocks []decomp.Block, combos []mcealg.Combo) ([][][]int32, error) {
-	return e.analyze(ctx, blocks, combos, nil, nil)
+	return e.Analyze(ctx, blocks, combos, nil, nil)
 }
 
-// AnalyzeBlocksCheckpoint implements CheckpointExecutor: each block's
-// completion is reported to obs as it happens, so a checkpointing run can
-// make it durable before the batch finishes.
-func (e *LocalExecutor) AnalyzeBlocksCheckpoint(ctx context.Context, blocks []decomp.Block, combos []mcealg.Combo, ids []runlog.BlockID, obs runlog.BatchObserver) ([][][]int32, error) {
-	if len(ids) != len(blocks) {
-		return nil, fmt.Errorf("core: %d blocks but %d block IDs", len(blocks), len(ids))
-	}
-	return e.analyze(ctx, blocks, combos, ids, obs)
-}
-
-// analyze is the pool shared by both executor shapes; ids/obs are nil for
-// plain batches.
+// Analyze implements Executor. Cancellation stops the pool from starting
+// new blocks (blocks already being analysed run to completion — block
+// analysis has no preemption points) and the call returns ctx.Err(). With
+// an observer, each block's completion is reported as it happens, so a
+// checkpointing run can make it durable before the batch finishes.
 //
 //mce:hotpath block-analysis worker pool
-func (e *LocalExecutor) analyze(ctx context.Context, blocks []decomp.Block, combos []mcealg.Combo, ids []runlog.BlockID, obs runlog.BatchObserver) ([][][]int32, error) {
+func (e *LocalExecutor) Analyze(ctx context.Context, blocks []decomp.Block, combos []mcealg.Combo, ids []runlog.BlockID, obs runlog.BatchObserver) ([][][]int32, error) {
+	if obs != nil && len(ids) != len(blocks) {
+		return nil, arityMismatch(len(blocks), len(ids), "block IDs")
+	}
 	if len(blocks) != len(combos) {
-		return nil, arityMismatch(len(blocks), len(combos))
+		return nil, arityMismatch(len(blocks), len(combos), "combos")
 	}
 	workers := e.Parallelism
 	if workers <= 0 {
@@ -382,13 +358,15 @@ func (e *LocalExecutor) analyze(ctx context.Context, blocks []decomp.Block, comb
 	return out, nil
 }
 
-// arityMismatch formats the blocks/combos length error of analyze. It is a
-// separate function so the fmt machinery stays off the hot path: analyze is
-// a hot-path root and the mismatch fires at most once per batch.
+// arityMismatch formats the length errors of Analyze. It is a separate,
+// never-inlined function so the fmt machinery and its boxed arguments stay
+// off the hot path: Analyze is a hot-path root and a mismatch fires at most
+// once per batch.
 //
 //mce:coldpath error formatting, at most once per batch
-func arityMismatch(blocks, combos int) error {
-	return fmt.Errorf("core: %d blocks but %d combos", blocks, combos)
+//go:noinline
+func arityMismatch(blocks, n int, what string) error {
+	return fmt.Errorf("core: %d blocks but %d %s", blocks, n, what)
 }
 
 // ErrNoNodes is returned for a graph with no nodes at all; the empty graph
@@ -404,43 +382,78 @@ func FindMaxCliques(g *graph.Graph, opts Options) (*Result, error) {
 }
 
 // FindMaxCliquesContext is FindMaxCliques with cancellation: ctx is
-// checked between recursion levels and handed to the executor's
-// ContextExecutor path when it has one, so cancelling stops an in-flight
-// distributed run rather than waiting for the current batch to finish.
+// checked between recursion levels and handed to the executor, so
+// cancelling stops an in-flight distributed run rather than waiting for
+// the current batch to finish.
 func FindMaxCliquesContext(ctx context.Context, g *graph.Graph, opts Options) (*Result, error) {
+	res := &Result{}
+	stats, err := enumerate(ctx, g, opts, func(c []int32, level int) {
+		res.Cliques = append(res.Cliques, c)
+		res.Level = append(res.Level, level)
+	})
+	if err != nil {
+		return nil, err
+	}
+	res.Stats = *stats
+	return res, nil
+}
+
+// sink receives each maximal clique of the level that owns it, ascending
+// and in that level's node IDs, with the recursion depth it was found at.
+// The slice is the receiver's: it may keep it or overwrite it.
+type sink func(c []int32, level int)
+
+// run is what every recursion level of one FIND-MAX-CLIQUES run shares.
+type run struct {
+	opts  Options
+	m     int
+	sel   func(*decomp.Block) mcealg.Combo
+	exec  Executor
+	stats *Stats
+}
+
+// enumerate drives Algorithm 1 over g and hands every maximal clique to
+// out, in the engine's deterministic order. It is the whole engine behind
+// both FindMaxCliquesContext (a collecting sink) and StreamContext (the
+// caller's emit).
+func enumerate(ctx context.Context, g *graph.Graph, opts Options, out sink) (*Stats, error) {
 	if g.N() == 0 {
 		return nil, ErrNoNodes
 	}
 	maxDeg := g.MaxDegree()
 	m := resolveBlockSize(maxDeg, opts)
-	sel := selector(opts)
-	exec := opts.Executor
-	if exec == nil {
-		exec = &LocalExecutor{Parallelism: opts.Parallelism, Metrics: opts.Metrics, MemoryBudget: opts.MemoryBudget, IntraBlockParallelism: opts.IntraBlockParallelism}
+	r := &run{
+		opts:  opts,
+		m:     m,
+		sel:   selector(opts),
+		exec:  opts.Executor,
+		stats: &Stats{BlockSize: m, MaxDegree: maxDeg},
 	}
-
-	res := &Result{Stats: Stats{BlockSize: m, MaxDegree: maxDeg}}
-	if err := findRecursive(ctx, g, m, sel, exec, opts, res, 0); err != nil {
+	if r.exec == nil {
+		r.exec = &LocalExecutor{Parallelism: opts.Parallelism, Metrics: opts.Metrics, MemoryBudget: opts.MemoryBudget, IntraBlockParallelism: opts.IntraBlockParallelism}
+	}
+	err := r.level(ctx, g, 0, func(c []int32, level int) {
+		r.stats.TotalCliques++
+		if level >= 1 {
+			r.stats.HubCliques++
+		}
+		out(c, level)
+	})
+	if err != nil {
 		return nil, err
 	}
 	if cp := opts.Checkpoint; cp != nil {
 		if err := cp.FinishRun(); err != nil {
 			return nil, err
 		}
-		res.Stats.ResumedBlocks = int(cp.SkippedBlocks())
-		res.Stats.CheckpointDegraded = cp.Degraded()
-	}
-	res.Stats.TotalCliques = len(res.Cliques)
-	for _, lvl := range res.Level {
-		if lvl >= 1 {
-			res.Stats.HubCliques++
-		}
+		r.stats.ResumedBlocks = int(cp.SkippedBlocks())
+		r.stats.CheckpointDegraded = cp.Degraded()
 	}
 	if opts.Metrics != nil {
 		snap := opts.Metrics.Snapshot()
-		res.Stats.Telemetry = &snap
+		r.stats.Telemetry = &snap
 	}
-	return res, nil
+	return r.stats, nil
 }
 
 // resolveBlockSize resolves m from the options exactly as the engine will
@@ -533,30 +546,30 @@ func baseSelector(opts Options) func(*decomp.Block) mcealg.Combo {
 	}
 }
 
-// findRecursive appends the maximal cliques of g (in the ID space of g,
-// translated by the caller) and their discovery levels to res. It implements
-// the body of Algorithm 1 at recursion depth level.
-func findRecursive(ctx context.Context, g *graph.Graph, m int, sel func(*decomp.Block) mcealg.Combo, exec Executor, opts Options, res *Result, level int) error {
+// level is the body of Algorithm 1 at recursion depth: it hands the maximal
+// cliques of g (in g's node IDs) to out — the feasible side's first, block
+// by block, then the hub side's survivors of the Lemma 1 filter.
+func (r *run) level(ctx context.Context, g *graph.Graph, depth int, out sink) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	met := opts.Metrics
+	opts, met := &r.opts, r.opts.Metrics
 	start := time.Now()
-	feasible, hubs := decomp.Cut(g, m)
+	feasible, hubs := decomp.Cut(g, r.m)
 
 	// Stalled recursion (Theorem 1 precondition violated: every remaining
 	// node is a hub, so the induced subgraph equals g) or depth cap: the
 	// remaining graph is the terminal (m+1)-core. Enumerate it directly —
 	// Lemma 1 still applies with C2 = all maximal cliques of this subgraph.
-	if len(feasible) == 0 || (opts.MaxLevels > 0 && level >= opts.MaxLevels && len(hubs) > 0) {
-		return enumerateCore(g, sel, opts, res, level, start)
+	if len(feasible) == 0 || (opts.MaxLevels > 0 && depth >= opts.MaxLevels && len(hubs) > 0) {
+		return r.terminalCore(g, depth, start, out)
 	}
 
-	blocks := decomp.Blocks(g, feasible, m, opts.Block)
+	blocks := decomp.Blocks(g, feasible, r.m, opts.Block)
 	combos := make([]mcealg.Combo, len(blocks))
 	var kernelSum, borderSum, visitedSum int
 	for i := range blocks {
-		combos[i] = sel(&blocks[i])
+		combos[i] = r.sel(&blocks[i])
 		kernelSum += len(blocks[i].Kernel)
 		borderSum += len(blocks[i].Border)
 		visitedSum += len(blocks[i].Visited)
@@ -577,97 +590,81 @@ func findRecursive(ctx context.Context, g *graph.Graph, m int, sel func(*decomp.
 	var perBlock [][][]int32
 	var err error
 	if cp := opts.Checkpoint; cp != nil {
-		perBlock, err = analyzeCheckpointed(ctx, cp, exec, blocks, combos, opts.Schedule, level)
+		perBlock, err = analyzeCheckpointed(ctx, cp, r.exec, blocks, combos, opts.Schedule, depth)
 	} else {
-		perBlock, err = analyzeScheduled(ctx, exec, blocks, combos, opts.Schedule, nil, nil)
+		perBlock, err = analyzeScheduled(ctx, r.exec, blocks, combos, opts.Schedule, nil, nil)
 	}
 	if err != nil {
 		return err
 	}
-	cfStart := len(res.Cliques)
+	found := 0
 	for _, cliques := range perBlock {
 		for _, c := range cliques {
-			res.Cliques = append(res.Cliques, c)
-			res.Level = append(res.Level, level)
+			out(c, depth)
 		}
+		found += len(cliques)
 	}
-	analysisTime := time.Since(start)
-
-	res.Stats.Levels = append(res.Stats.Levels, LevelStats{
+	ls := LevelStats{
 		Nodes: g.N(), Edges: g.M(),
 		Feasible: len(feasible), Hubs: len(hubs),
 		Blocks: len(blocks),
 		Kernel: kernelSum, Border: borderSum, Visited: visitedSum,
-		Cliques: len(res.Cliques) - cfStart,
-		Decomp:  decompTime, Analysis: analysisTime,
-	})
-	if met != nil {
-		met.CliquesFound.Add(int64(len(res.Cliques) - cfStart))
-		met.LevelsCompleted.Inc()
+		Cliques: found,
+		Decomp:  decompTime, Analysis: time.Since(start),
 	}
+	r.levelDone(ls)
 	if opts.OnLevel != nil {
-		opts.OnLevel(res.Stats.Levels[len(res.Stats.Levels)-1])
+		opts.OnLevel(ls)
 	}
 
 	if len(hubs) == 0 {
 		return nil
 	}
 
-	// Recursive call on the hub-induced subgraph (Algorithm 1, line 6).
+	// Recursive call on the hub-induced subgraph (Algorithm 1, line 6). Its
+	// cliques are translated to this level's IDs in place and filtered
+	// against this level's feasible side (line 7) as they arrive. Lemma 1's
+	// case analysis makes the filter an extension test: a clique that is
+	// maximal among the hubs is non-maximal in g exactly when some feasible
+	// node neighbours all its members, so no feasible-side clique has to
+	// be retained for it.
 	sub, orig := graph.Induced(g, hubs)
-	subRes := &Result{}
-	if err := findRecursive(ctx, sub, m, sel, exec, opts, subRes, level+1); err != nil {
-		return err
-	}
-	res.Stats.Levels = append(res.Stats.Levels, subRes.Stats.Levels...)
-	res.Stats.CoreFallback = res.Stats.CoreFallback || subRes.Stats.CoreFallback
-	res.Stats.FilterTime += subRes.Stats.FilterTime
-
-	// Translate hub-side cliques to this level's IDs, then filter against
-	// this level's feasible-side cliques (Algorithm 1, line 7; Lemma 1).
-	ch := make([][]int32, len(subRes.Cliques))
-	for i, c := range subRes.Cliques {
-		t := make([]int32, len(c))
+	feasSet := bitset.FromSlice(g.N(), feasible)
+	isFeasible := func(v int32) bool { return feasSet.Has(v) }
+	return r.level(ctx, sub, depth+1, func(c []int32, level int) {
 		for j, v := range c {
-			t[j] = orig[v]
+			c[j] = orig[v] // stays ascending: orig is ascending
 		}
-		ch[i] = t // already ascending: orig is ascending and c is ascending
-	}
-	start = time.Now()
-	var drop func(c []int32) bool
-	if opts.UseExtensionFilter {
-		feasSet := bitset.FromSlice(g.N(), feasible)
-		isFeasible := func(v int32) bool { return feasSet.Has(v) }
-		drop = func(c []int32) bool { return filter.Extensible(g, c, isFeasible) }
-	} else {
-		ix := filter.NewIndex(res.Cliques[cfStart:])
-		drop = ix.ContainedIn
-	}
-	dropped := 0
-	for i, c := range ch {
-		if drop(c) {
-			dropped++
-			continue
+		start := time.Now()
+		drop := filter.Extensible(g, c, isFeasible)
+		elapsed := time.Since(start)
+		r.stats.FilterTime += elapsed
+		if met != nil {
+			met.FilterNs.Add(int64(elapsed))
 		}
-		res.Cliques = append(res.Cliques, c)
-		// subRes was built with level+1, so its Level entries are
-		// already absolute recursion depths.
-		res.Level = append(res.Level, subRes.Level[i])
+		if !drop {
+			out(c, level)
+		} else if met != nil {
+			met.HubCliquesFiltered.Inc()
+		}
+	})
+}
+
+// levelDone records one completed recursion level.
+func (r *run) levelDone(ls LevelStats) {
+	r.stats.Levels = append(r.stats.Levels, ls)
+	if met := r.opts.Metrics; met != nil {
+		met.CliquesFound.Add(int64(ls.Cliques))
+		met.LevelsCompleted.Inc()
 	}
-	res.Stats.FilterTime += time.Since(start)
-	if met != nil {
-		met.FilterNs.Add(int64(time.Since(start)))
-		met.HubCliquesFiltered.Add(int64(dropped))
-	}
-	return nil
 }
 
 // analyzeCheckpointed runs one level's batch against the checkpoint: the
 // level's block plan is journaled (and validated against a resumed journal),
 // blocks the journal records as done are served from their segments, and
-// only the remainder is dispatched — with per-block durability when the
-// executor supports it. Results come back indexed like blocks, so resumed
-// and fresh runs produce identical output.
+// only the remainder is dispatched, each block made durable by the executor
+// the moment it completes. Results come back indexed like blocks, so
+// resumed and fresh runs produce identical output.
 func analyzeCheckpointed(ctx context.Context, cp *runlog.Checkpoint, exec Executor, blocks []decomp.Block, combos []mcealg.Combo, sched Schedule, level int) ([][][]int32, error) {
 	if err := cp.BeginLevel(level, len(blocks)); err != nil {
 		return nil, err
@@ -706,48 +703,14 @@ func analyzeCheckpointed(ctx context.Context, cp *runlog.Checkpoint, exec Execut
 
 // analyzeScheduled dispatches the blocks in the configured order and
 // returns the results in the original block order, so scheduling never
-// changes the output. The context reaches the executor when it implements
-// ContextExecutor; otherwise it is checked once before dispatch. When
-// obs is non-nil (checkpointing run), ids index like blocks and block
-// completions are reported — per block through a CheckpointExecutor, or at
-// batch granularity for executors without one.
+// changes the output. ids and obs are nil for plain batches; on a
+// checkpointing run ids index like blocks and travel with them.
 func analyzeScheduled(ctx context.Context, exec Executor, blocks []decomp.Block, combos []mcealg.Combo, sched Schedule, ids []runlog.BlockID, obs runlog.BatchObserver) ([][][]int32, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	plain := func(b []decomp.Block, cb []mcealg.Combo) ([][][]int32, error) {
-		if ce, ok := exec.(ContextExecutor); ok {
-			return ce.AnalyzeBlocksContext(ctx, b, cb)
-		}
-		return exec.AnalyzeBlocks(b, cb)
-	}
-	analyze := func(b []decomp.Block, cb []mcealg.Combo, bids []runlog.BlockID) ([][][]int32, error) {
-		if obs == nil {
-			return plain(b, cb)
-		}
-		if ce, ok := exec.(CheckpointExecutor); ok {
-			return ce.AnalyzeBlocksCheckpoint(ctx, b, cb, bids, obs)
-		}
-		// Batch-granularity fallback: the journal still records every
-		// completion, just only after the whole batch returns — a crash
-		// mid-batch re-runs the batch, which the idempotent segments make
-		// safe.
-		for _, id := range bids {
-			obs.BlockDispatched(id)
-		}
-		out, err := plain(b, cb)
-		if err != nil {
-			return nil, err
-		}
-		for i, id := range bids {
-			if err := obs.BlockDone(id, out[i]); err != nil {
-				return nil, err
-			}
-		}
-		return out, nil
-	}
 	if sched != ScheduleLPT || len(blocks) < 2 {
-		return analyze(blocks, combos, ids)
+		return exec.Analyze(ctx, blocks, combos, ids, obs)
 	}
 	perm := make([]int, len(blocks))
 	for i := range perm {
@@ -775,7 +738,7 @@ func analyzeScheduled(ctx context.Context, exec Executor, blocks []decomp.Block,
 			orderedIDs[pos] = ids[idx]
 		}
 	}
-	permuted, err := analyze(ordered, orderedCombos, orderedIDs)
+	permuted, err := exec.Analyze(ctx, ordered, orderedCombos, orderedIDs, obs)
 	if err != nil {
 		return nil, err
 	}
@@ -786,68 +749,65 @@ func analyzeScheduled(ctx context.Context, exec Executor, blocks []decomp.Block,
 	return out, nil
 }
 
-// enumerateCore handles the terminal core directly with a single MCE run.
-// Under a checkpoint it is journaled as a one-block level, so a resumed run
-// loads the terminal core's cliques from its segment too. This is exactly
-// where intra-block parallelism matters most: the terminal hub core is one
-// dense enumeration with no block-level parallelism to hide behind.
-func enumerateCore(g *graph.Graph, sel func(*decomp.Block) mcealg.Combo, opts Options, res *Result, level int, start time.Time) error {
-	cp, met := opts.Checkpoint, opts.Metrics
-	id := runlog.BlockID{Level: level, Plan: 0}
+// terminalCore handles the terminal core directly with a single MCE run —
+// a one-block level that bypasses the executor. This is exactly where
+// intra-block parallelism matters most: the terminal hub core is one dense
+// enumeration with no block-level parallelism to hide behind.
+//
+// Under a checkpoint the level is journaled like any other, so a resumed
+// run loads the terminal core's cliques from its segment too. Receivers up
+// the recursion translate the slices they are handed in place, so the
+// family is journaled (in this level's IDs) before any of it is handed up;
+// without a checkpoint nothing is buffered.
+func (r *run) terminalCore(g *graph.Graph, depth int, start time.Time, out sink) error {
+	cp, met := r.opts.Checkpoint, r.opts.Metrics
+	id := runlog.BlockID{Level: depth, Plan: 0}
+	var cliques [][]int32
+	resumed := false
 	if cp != nil {
-		if err := cp.BeginLevel(level, 1); err != nil {
+		if err := cp.BeginLevel(depth, 1); err != nil {
 			return err
 		}
-		if cliques, ok := cp.DoneCliques(id); ok {
-			res.Cliques = append(res.Cliques, cliques...)
-			for range cliques {
-				res.Level = append(res.Level, level)
-			}
-			res.Stats.CoreFallback = true
-			res.Stats.Levels = append(res.Stats.Levels, LevelStats{
-				Nodes: g.N(), Edges: g.M(), Hubs: g.N(),
-				Cliques: len(cliques), Analysis: time.Since(start),
-			})
-			if met != nil {
-				met.LevelsCompleted.Inc()
-			}
-			return cp.EndLevel(level)
+		cliques, resumed = cp.DoneCliques(id)
+	}
+	found := len(cliques)
+	if !resumed {
+		combo := r.sel(wholeGraphBlock(g))
+		if met != nil {
+			met.ComboPicked(combo.Index(), combo.Label())
 		}
-	}
-	blk := wholeGraphBlock(g)
-	combo := sel(blk)
-	if met != nil {
-		met.ComboPicked(combo.Index(), combo.Label())
-	}
-	n := 0
-	first := len(res.Cliques)
-	err := mcealg.EnumeratePar(g, combo, corePar(opts), func(c []int32) {
-		dup := make([]int32, len(c))
-		copy(dup, c)
-		res.Cliques = append(res.Cliques, dup)
-		res.Level = append(res.Level, level)
-		n++
-	})
-	if err != nil {
-		return err
+		err := mcealg.EnumeratePar(g, combo, corePar(r.opts), func(c []int32) {
+			found++
+			dup := make([]int32, len(c))
+			copy(dup, c)
+			if cp != nil {
+				cliques = append(cliques, dup)
+			} else {
+				out(dup, depth)
+			}
+		})
+		if err != nil {
+			return err
+		}
+		if cp != nil {
+			if err := cp.BlockDone(id, cliques); err != nil {
+				return err
+			}
+		}
 	}
 	if cp != nil {
-		if err := cp.BlockDone(id, res.Cliques[first:]); err != nil {
-			return err
-		}
-		if err := cp.EndLevel(level); err != nil {
+		if err := cp.EndLevel(depth); err != nil {
 			return err
 		}
 	}
-	res.Stats.CoreFallback = true
-	res.Stats.Levels = append(res.Stats.Levels, LevelStats{
+	for _, c := range cliques {
+		out(c, depth)
+	}
+	r.stats.CoreFallback = true
+	r.levelDone(LevelStats{
 		Nodes: g.N(), Edges: g.M(), Hubs: g.N(),
-		Cliques: n, Analysis: time.Since(start),
+		Cliques: found, Analysis: time.Since(start),
 	})
-	if met != nil {
-		met.CliquesFound.Add(int64(n))
-		met.LevelsCompleted.Inc()
-	}
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -13,6 +14,7 @@ import (
 	"mce/internal/graph"
 	"mce/internal/kcore"
 	"mce/internal/mcealg"
+	"mce/internal/runlog"
 )
 
 func key(c []int32) string {
@@ -412,29 +414,6 @@ func BenchmarkFindMaxCliques(b *testing.B) {
 	}
 }
 
-func TestExtensionFilterEquivalent(t *testing.T) {
-	g := gen.BarabasiAlbert(400, 5, 23)
-	for _, ratio := range []float64{0.5, 0.2} {
-		a, err := FindMaxCliques(g, Options{BlockRatio: ratio})
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := FindMaxCliques(g, Options{BlockRatio: ratio, UseExtensionFilter: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(a.Cliques) != len(b.Cliques) {
-			t.Fatalf("ratio %v: containment %d vs extension %d cliques", ratio, len(a.Cliques), len(b.Cliques))
-		}
-		for i := range a.Cliques {
-			if key(a.Cliques[i]) != key(b.Cliques[i]) || a.Level[i] != b.Level[i] {
-				t.Fatalf("ratio %v: results diverge at %d", ratio, i)
-			}
-		}
-		assertComplete(t, g, b)
-	}
-}
-
 func TestLPTScheduleSameOutput(t *testing.T) {
 	g := gen.HolmeKim(600, 5, 0.7, 29)
 	fifo, err := FindMaxCliques(g, Options{BlockRatio: 0.4})
@@ -462,11 +441,11 @@ type trackingExecutor struct {
 	sizes []int64
 }
 
-func (e *trackingExecutor) AnalyzeBlocks(blocks []decomp.Block, combos []mcealg.Combo) ([][][]int32, error) {
+func (e *trackingExecutor) Analyze(ctx context.Context, blocks []decomp.Block, combos []mcealg.Combo, ids []runlog.BlockID, obs runlog.BatchObserver) ([][][]int32, error) {
 	for i := range blocks {
 		e.sizes = append(e.sizes, int64(blocks[i].Graph.M()+1)*int64(len(blocks[i].Kernel)+1))
 	}
-	return e.inner.AnalyzeBlocks(blocks, combos)
+	return e.inner.Analyze(ctx, blocks, combos, ids, obs)
 }
 
 func TestLPTDispatchesHeaviestFirst(t *testing.T) {
@@ -551,7 +530,7 @@ func TestOnLevelProgressHook(t *testing.T) {
 // failingExecutor returns an error on every batch.
 type failingExecutor struct{}
 
-func (failingExecutor) AnalyzeBlocks([]decomp.Block, []mcealg.Combo) ([][][]int32, error) {
+func (failingExecutor) Analyze(context.Context, []decomp.Block, []mcealg.Combo, []runlog.BlockID, runlog.BatchObserver) ([][][]int32, error) {
 	return nil, fmt.Errorf("synthetic executor failure")
 }
 

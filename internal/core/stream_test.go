@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"testing"
-	"testing/quick"
 
 	"mce/internal/gen"
 	"mce/internal/graph"
@@ -25,35 +24,6 @@ func collectStream(t *testing.T, g *graph.Graph, opts Options) ([][]int32, []int
 		t.Fatal(err)
 	}
 	return cliques, levels, stats
-}
-
-func TestStreamMatchesBatch(t *testing.T) {
-	g := gen.HolmeKim(500, 5, 0.7, 37)
-	for _, ratio := range []float64{0.9, 0.4, 0.1} {
-		batch, err := FindMaxCliques(g, Options{BlockRatio: ratio, UseExtensionFilter: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cliques, levels, stats := collectStream(t, g, Options{BlockRatio: ratio})
-		if len(cliques) != len(batch.Cliques) {
-			t.Fatalf("ratio %v: stream %d cliques, batch %d", ratio, len(cliques), len(batch.Cliques))
-		}
-		for i := range cliques {
-			if key(cliques[i]) != key(batch.Cliques[i]) || levels[i] != batch.Level[i] {
-				t.Fatalf("ratio %v: stream diverges at %d: %v/%d vs %v/%d",
-					ratio, i, cliques[i], levels[i], batch.Cliques[i], batch.Level[i])
-			}
-		}
-		if stats.TotalCliques != len(cliques) {
-			t.Fatalf("stats.TotalCliques = %d, emitted %d", stats.TotalCliques, len(cliques))
-		}
-		if stats.HubCliques != batch.Stats.HubCliques {
-			t.Fatalf("HubCliques: stream %d, batch %d", stats.HubCliques, batch.Stats.HubCliques)
-		}
-		if len(stats.Levels) != len(batch.Stats.Levels) {
-			t.Fatalf("level counts differ: %d vs %d", len(stats.Levels), len(batch.Stats.Levels))
-		}
-	}
 }
 
 func TestStreamEmptyGraph(t *testing.T) {
@@ -109,37 +79,5 @@ func TestStreamEmitBufferReused(t *testing.T) {
 	}
 	if count != len(batch.Cliques) {
 		t.Fatalf("hostile caller broke the stream: %d vs %d", count, len(batch.Cliques))
-	}
-}
-
-// Property: streaming equals batch for random graphs and ratios.
-func TestQuickStreamEqualsBatch(t *testing.T) {
-	f := func(seed int64, rawRatio uint8) bool {
-		g := gen.BarabasiAlbert(int(seed%70)+15, 3, seed)
-		ratio := 0.1 + float64(rawRatio%9)*0.1
-		batch, err := FindMaxCliques(g, Options{BlockRatio: ratio})
-		if err != nil {
-			return false
-		}
-		got := map[string]bool{}
-		n := 0
-		_, err = Stream(g, Options{BlockRatio: ratio}, func(c []int32, _ int) {
-			cp := make([]int32, len(c))
-			copy(cp, c)
-			got[key(cp)] = true
-			n++
-		})
-		if err != nil || n != len(batch.Cliques) || len(got) != n {
-			return false
-		}
-		for _, c := range batch.Cliques {
-			if !got[key(c)] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
 	}
 }

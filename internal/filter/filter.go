@@ -4,14 +4,17 @@
 // member of Ch contained in some member of Cf. What survives is exactly the
 // set of maximal cliques of the whole graph made of hub nodes only.
 //
-// Two implementations are provided. Filter is the paper-faithful containment
-// test against an inverted index over Cf. ByExtension exploits Lemma 1's
-// case analysis: a clique c that is maximal in the hub-induced subgraph is
-// non-maximal in G exactly when some feasible node is adjacent to every node
-// of c — no index over Cf needed. Both are exposed because the first matches
-// the paper's data flow (workers only ship cliques, not the graph), while
-// the second is faster when the full graph is at hand; tests assert they
-// agree.
+// Two forms are provided. The engine (package core) runs the extension test
+// — Extensible, and ByExtension over a whole family — which exploits
+// Lemma 1's case analysis: a clique c that is maximal in the hub-induced
+// subgraph is non-maximal in G exactly when some feasible node is adjacent
+// to every node of c. It needs the level's graph, which the coordinator
+// always has, and no index over Cf, so streaming and accumulating runs share
+// it. Filter is the paper's own form, the containment test against an
+// inverted index over Cf (its data flow: workers ship cliques, not the
+// graph). The engine no longer calls it; it is kept as the reference the
+// tests prove the extension test against, and the benchmark trace and the
+// filter ablation time it.
 package filter
 
 import (
@@ -112,9 +115,8 @@ func ByExtension(g *graph.Graph, ch [][]int32, feasible func(int32) bool) [][]in
 }
 
 // Extensible reports whether some node accepted by feasible is adjacent to
-// every member of c — the Lemma 1 predicate behind ByExtension, exported so
-// callers that need per-clique bookkeeping (package core) can drive the
-// loop themselves.
+// every member of c — the Lemma 1 predicate behind ByExtension, and the one
+// test package core applies to each hub-side clique as it arrives.
 func Extensible(g *graph.Graph, c []int32, feasible func(int32) bool) bool {
 	return extendableByFeasible(g, c, feasible)
 }

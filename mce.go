@@ -218,15 +218,6 @@ func WithHeaviestFirst() Option {
 	}
 }
 
-// WithExtensionFilter switches the Lemma 1 filter to the extension test
-// against the graph; output is identical, speed differs with workload.
-func WithExtensionFilter() Option {
-	return func(c *config) error {
-		c.core.UseExtensionFilter = true
-		return nil
-	}
-}
-
 // WithWorkers distributes block analysis over mceworker processes at the
 // given TCP addresses.
 func WithWorkers(addrs ...string) Option {
@@ -528,6 +519,36 @@ func Enumerate(g *Graph, opts ...Option) (*Result, error) {
 // the run between recursion levels and cancels block batches already in
 // flight, locally and on remote workers.
 func EnumerateContext(ctx context.Context, g *Graph, opts ...Option) (*Result, error) {
+	var res *Result
+	_, err := run(ctx, opts, func(cfg *config) (*Stats, error) {
+		if cfg.checkpointDir != "" {
+			// The checkpoint opens here, not in setup: its identity needs the
+			// graph, which options never see.
+			cp, err := runlog.Open(cfg.checkpointDir, core.CheckpointIdentity(g, cfg.core), runlog.Options{Metrics: cfg.core.Metrics, OnDegrade: cfg.checkpointWarn})
+			if err != nil {
+				return nil, err
+			}
+			defer cp.Close()
+			cfg.core.Checkpoint = cp
+		}
+		var err error
+		if res, err = core.FindMaxCliquesContext(ctx, g, cfg.core); err != nil {
+			return nil, err
+		}
+		return &res.Stats, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// run is the wrapper every enumeration route shares: it resolves the
+// options, dials the workers, runs enumerate between the progress ticker's
+// start and stop, folds the poison-task verdicts into the Stats enumerate
+// returned (and returns them), and closes the workers after delivering the
+// health report.
+func run(ctx context.Context, opts []Option, enumerate func(*config) (*Stats, error)) (*Stats, error) {
 	cfg, client, err := setup(ctx, opts)
 	if err != nil {
 		return nil, err
@@ -541,30 +562,20 @@ func EnumerateContext(ctx context.Context, g *Graph, opts ...Option) (*Result, e
 			defer func() { cfg.healthReport(client.HealthReport()) }()
 		}
 	}
-	if cfg.checkpointDir != "" {
-		// The checkpoint opens here, not in setup: its identity needs the
-		// graph, which options never see.
-		cp, err := runlog.Open(cfg.checkpointDir, core.CheckpointIdentity(g, cfg.core), runlog.Options{Metrics: cfg.core.Metrics, OnDegrade: cfg.checkpointWarn})
-		if err != nil {
-			return nil, err
-		}
-		defer cp.Close()
-		cfg.core.Checkpoint = cp
-	}
 	defer cfg.startProgress()()
-	res, err := core.FindMaxCliquesContext(ctx, g, cfg.core)
+	stats, err := enumerate(cfg)
 	if err != nil {
 		return nil, err
 	}
 	if client != nil {
 		if vs := client.PoisonVerdicts(); len(vs) > 0 {
-			res.Stats.SkippedBlocks = len(vs)
+			stats.SkippedBlocks = len(vs)
 			if cfg.poisonReport != nil {
 				cfg.poisonReport(vs)
 			}
 		}
 	}
-	return res, nil
+	return stats, nil
 }
 
 // startProgress launches the WithProgress ticker goroutine and returns its
@@ -643,7 +654,8 @@ func CountMaxCliques(g *Graph, opts ...Option) (int, error) {
 // each maximal clique as soon as its block batch completes (ascending node
 // IDs, slice reused — copy to retain) together with the hub recursion level
 // it was found at. Use it when the clique family may not fit in memory.
-// Order and content match Enumerate exactly.
+// Order and content match Enumerate exactly, and every option but
+// WithCheckpoint applies as it does there.
 func EnumerateStream(g *Graph, emit func(clique []int32, hubLevel int), opts ...Option) (*Stats, error) {
 	return EnumerateStreamContext(context.Background(), g, emit, opts...)
 }
@@ -651,21 +663,12 @@ func EnumerateStream(g *Graph, emit func(clique []int32, hubLevel int), opts ...
 // EnumerateStreamContext is EnumerateStream with cancellation, mirroring
 // EnumerateContext.
 func EnumerateStreamContext(ctx context.Context, g *Graph, emit func(clique []int32, hubLevel int), opts ...Option) (*Stats, error) {
-	cfg, client, err := setup(ctx, opts)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.checkpointDir != "" {
-		if client != nil {
-			client.Close()
+	return run(ctx, opts, func(cfg *config) (*Stats, error) {
+		if cfg.checkpointDir != "" {
+			return nil, fmt.Errorf("mce: WithCheckpoint is not supported with streaming enumeration (a resume would re-emit cliques already delivered); use Enumerate")
 		}
-		return nil, fmt.Errorf("mce: WithCheckpoint is not supported with streaming enumeration (a resume would re-emit cliques already delivered); use Enumerate")
-	}
-	if client != nil {
-		defer client.Close()
-	}
-	defer cfg.startProgress()()
-	return core.StreamContext(ctx, g, cfg.core, emit)
+		return core.StreamContext(ctx, g, cfg.core, emit)
+	})
 }
 
 // StartLocalWorkers launches n block-analysis workers on ephemeral

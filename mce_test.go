@@ -178,13 +178,13 @@ func TestParseCombo(t *testing.T) {
 	}
 }
 
-func TestSchedulingAndFilterOptions(t *testing.T) {
+func TestSchedulingOption(t *testing.T) {
 	g := GenerateSocialNetwork(400, 5, 0.7, 21)
 	base, err := Enumerate(g, WithBlockRatio(0.3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tuned, err := Enumerate(g, WithBlockRatio(0.3), WithHeaviestFirst(), WithExtensionFilter())
+	tuned, err := Enumerate(g, WithBlockRatio(0.3), WithHeaviestFirst())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestSchedulingAndFilterOptions(t *testing.T) {
 
 func TestEnumerateStreamPublicAPI(t *testing.T) {
 	g := GenerateSocialNetwork(300, 4, 0.6, 33)
-	batch, err := Enumerate(g, WithBlockRatio(0.3), WithExtensionFilter())
+	batch, err := Enumerate(g, WithBlockRatio(0.3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,6 +223,58 @@ func TestEnumerateStreamPublicAPI(t *testing.T) {
 	}
 	if _, err := EnumerateStream(g, func([]int32, int) {}, WithBlockRatio(9)); err == nil {
 		t.Fatal("bad option accepted")
+	}
+}
+
+// TestStreamHonoursMaxLevels pins that the depth cap counts absolute
+// recursion depth on both routes: a graph that needs ≥ 3 levels, capped at
+// one, runs level 0 plus the terminal core whether accumulated or streamed.
+func TestStreamHonoursMaxLevels(t *testing.T) {
+	g := GenerateSocialNetwork(600, 5, 0.7, 37)
+	uncapped, err := Enumerate(g, WithBlockSize(10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(uncapped.Stats.Levels); n < 3 {
+		t.Fatalf("fixture needs only %d levels, want ≥ 3", n)
+	}
+	batch, err := Enumerate(g, WithBlockSize(10), WithMaxLevels(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	streamed, err := EnumerateStream(g, func([]int32, int) {}, WithBlockSize(10), WithMaxLevels(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(batch.Stats.Levels) != 2 || !batch.Stats.CoreFallback {
+		t.Fatalf("Enumerate ran %d levels, fallback %v; want 2 and true", len(batch.Stats.Levels), batch.Stats.CoreFallback)
+	}
+	if len(streamed.Levels) != 2 || !streamed.CoreFallback {
+		t.Fatalf("EnumerateStream ran %d levels, fallback %v; want 2 and true", len(streamed.Levels), streamed.CoreFallback)
+	}
+	if streamed.TotalCliques != len(uncapped.Cliques) {
+		t.Fatalf("capped stream emitted %d cliques, want %d", streamed.TotalCliques, len(uncapped.Cliques))
+	}
+}
+
+// TestStreamWorkerHealthReport pins that a streamed distributed run goes
+// through the same run wrapper as Enumerate: the health report fires once.
+func TestStreamWorkerHealthReport(t *testing.T) {
+	addrs, stop, err := StartLocalWorkers(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+	g := GenerateSocialNetwork(250, 4, 0.6, 51)
+	var reports []HealthReport
+	_, err = EnumerateStream(g, func([]int32, int) {},
+		WithWorkers(addrs...),
+		WithWorkerHealthReport(func(r HealthReport) { reports = append(reports, r) }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(reports) != 1 || len(reports[0].Workers) != 1 {
+		t.Fatalf("health reports = %+v, want one report on one worker", reports)
 	}
 }
 
