@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint fmt race vulncheck fuzz-smoke bench-smoke bench-baseline bench-record bench-e2e allocbudget-check check bench chaos chaos-straggler
+.PHONY: all build test vet lint fmt race vulncheck fuzz-smoke bench-smoke bench-baseline bench-record bench-e2e bench-decomp allocbudget-check check bench chaos chaos-straggler
 
 # The checked-in per-PR benchmark record (bench-record writes BENCH_$(PR).json).
 PR ?= 10
@@ -98,6 +98,12 @@ bench-record: build
 # it is not part of `check`.
 bench-e2e:
 	bash bench/run.sh
+
+# The decomposition's own Go benchmarks: the induction kernel and BLOCKS on
+# a Holme–Kim graph, n = 20 000, m = 56 (one package per run).
+bench-decomp:
+	$(GO) test -run '^$$' -bench 'BenchmarkInduced$$' -benchmem ./internal/graph
+	$(GO) test -run '^$$' -bench 'BenchmarkBlocks$$' -benchmem ./internal/decomp
 
 check: build fmt lint allocbudget-check test race vulncheck bench-smoke
 

@@ -152,6 +152,11 @@ type LevelStats struct {
 	Cliques int
 	// Decomp and Analysis measure the wall time of the two phases.
 	Decomp, Analysis time.Duration
+	// CutTime, BlocksTime and SelectTime split Decomp, which is their sum,
+	// into its three steps: CUT (Algorithm 2), BLOCKS with its induced
+	// subgraphs (Algorithm 3), and the per-block combo choice with the
+	// features it measures.
+	CutTime, BlocksTime, SelectTime time.Duration
 }
 
 // Stats aggregates a FindMaxCliques run.
@@ -556,16 +561,24 @@ func (r *run) level(ctx context.Context, g *graph.Graph, depth int, out sink) er
 	opts, met := &r.opts, r.opts.Metrics
 	start := time.Now()
 	feasible, hubs := decomp.Cut(g, r.m)
+	cutTime := time.Since(start)
+	if met != nil {
+		met.CutNs.Add(int64(cutTime))
+	}
 
 	// Stalled recursion (Theorem 1 precondition violated: every remaining
 	// node is a hub, so the induced subgraph equals g) or depth cap: the
 	// remaining graph is the terminal (m+1)-core. Enumerate it directly —
 	// Lemma 1 still applies with C2 = all maximal cliques of this subgraph.
 	if len(feasible) == 0 || (opts.MaxLevels > 0 && depth >= opts.MaxLevels && len(hubs) > 0) {
-		return r.terminalCore(g, depth, start, out)
+		return r.terminalCore(g, depth, cutTime, out)
 	}
 
+	start = time.Now()
 	blocks := decomp.Blocks(g, feasible, r.m, opts.Block)
+	blocksTime := time.Since(start)
+
+	start = time.Now()
 	combos := make([]mcealg.Combo, len(blocks))
 	var kernelSum, borderSum, visitedSum int
 	for i := range blocks {
@@ -578,13 +591,15 @@ func (r *run) level(ctx context.Context, g *graph.Graph, depth int, out sink) er
 			met.ComboPicked(idx, combos[i].Label())
 		}
 	}
+	selectTime := time.Since(start)
 	if met != nil {
 		met.BlocksBuilt.Add(int64(len(blocks)))
 		met.KernelNodes.Add(int64(kernelSum))
 		met.BorderNodes.Add(int64(borderSum))
 		met.VisitedNodes.Add(int64(visitedSum))
+		met.BlocksNs.Add(int64(blocksTime))
+		met.SelectNs.Add(int64(selectTime))
 	}
-	decompTime := time.Since(start)
 
 	start = time.Now()
 	var perBlock [][][]int32
@@ -610,7 +625,8 @@ func (r *run) level(ctx context.Context, g *graph.Graph, depth int, out sink) er
 		Blocks: len(blocks),
 		Kernel: kernelSum, Border: borderSum, Visited: visitedSum,
 		Cliques: found,
-		Decomp:  decompTime, Analysis: time.Since(start),
+		Decomp:  cutTime + blocksTime + selectTime, Analysis: time.Since(start),
+		CutTime: cutTime, BlocksTime: blocksTime, SelectTime: selectTime,
 	}
 	r.levelDone(ls)
 	if opts.OnLevel != nil {
@@ -759,8 +775,9 @@ func analyzeScheduled(ctx context.Context, exec Executor, blocks []decomp.Block,
 // the recursion translate the slices they are handed in place, so the
 // family is journaled (in this level's IDs) before any of it is handed up;
 // without a checkpoint nothing is buffered.
-func (r *run) terminalCore(g *graph.Graph, depth int, start time.Time, out sink) error {
+func (r *run) terminalCore(g *graph.Graph, depth int, cutTime time.Duration, out sink) error {
 	cp, met := r.opts.Checkpoint, r.opts.Metrics
+	start := time.Now()
 	id := runlog.BlockID{Level: depth, Plan: 0}
 	var cliques [][]int32
 	resumed := false
@@ -807,6 +824,7 @@ func (r *run) terminalCore(g *graph.Graph, depth int, start time.Time, out sink)
 	r.levelDone(LevelStats{
 		Nodes: g.N(), Edges: g.M(), Hubs: g.N(),
 		Cliques: found, Analysis: time.Since(start),
+		Decomp: cutTime, CutTime: cutTime,
 	})
 	return nil
 }

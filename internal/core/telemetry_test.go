@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"time"
 
 	"mce/internal/decomp"
 	"mce/internal/gen"
@@ -108,7 +109,16 @@ func TestLevelStatsAggregation(t *testing.T) {
 		t.Fatalf("want a multi-level run, got %d levels", len(res.Stats.Levels))
 	}
 	var levelCliques int64
+	var cut, blocks, sel time.Duration
 	for i, lvl := range res.Stats.Levels {
+		if lvl.Decomp != lvl.CutTime+lvl.BlocksTime+lvl.SelectTime {
+			t.Fatalf("level %d: Decomp %v ≠ cut %v + blocks %v + select %v",
+				i, lvl.Decomp, lvl.CutTime, lvl.BlocksTime, lvl.SelectTime)
+		}
+		if lvl.Blocks > 0 && (lvl.BlocksTime <= 0 || lvl.SelectTime <= 0) {
+			t.Fatalf("level %d: %d blocks but blocks=%v select=%v", i, lvl.Blocks, lvl.BlocksTime, lvl.SelectTime)
+		}
+		cut, blocks, sel = cut+lvl.CutTime, blocks+lvl.BlocksTime, sel+lvl.SelectTime
 		if lvl.Blocks > 0 && lvl.Kernel != lvl.Feasible {
 			t.Fatalf("level %d: Kernel %d ≠ Feasible %d", i, lvl.Kernel, lvl.Feasible)
 		}
@@ -121,6 +131,10 @@ func TestLevelStatsAggregation(t *testing.T) {
 		levelCliques += int64(lvl.Cliques)
 	}
 	s := res.Stats.Telemetry
+	if s.CutNs != int64(cut) || s.BlocksNs != int64(blocks) || s.SelectNs != int64(sel) {
+		t.Fatalf("telemetry cut/blocks/select = %d/%d/%d ns, levels sum to %d/%d/%d",
+			s.CutNs, s.BlocksNs, s.SelectNs, cut, blocks, sel)
+	}
 	if levelCliques != s.CliquesFound {
 		t.Fatalf("sum(Levels.Cliques) = %d, telemetry CliquesFound = %d", levelCliques, s.CliquesFound)
 	}

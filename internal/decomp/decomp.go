@@ -15,7 +15,6 @@ package decomp
 import (
 	"math/rand"
 	"slices"
-	"sort"
 
 	"mce/internal/bitset"
 	"mce/internal/graph"
@@ -26,7 +25,16 @@ import (
 // Cut performs the first-level decomposition: it splits the nodes of g into
 // feasible nodes (degree < m) and hub nodes (degree ≥ m), both ascending.
 func Cut(g *graph.Graph, m int) (feasible, hubs []int32) {
-	for v := int32(0); v < int32(g.N()); v++ {
+	n := int32(g.N())
+	nHubs := 0
+	for v := int32(0); v < n; v++ {
+		if !IsFeasible(g, v, m) {
+			nHubs++
+		}
+	}
+	feasible = make([]int32, 0, int(n)-nHubs)
+	hubs = make([]int32, 0, nHubs)
+	for v := int32(0); v < n; v++ {
 		if IsFeasible(g, v, m) {
 			feasible = append(feasible, v)
 		} else {
@@ -109,54 +117,57 @@ func Blocks(g *graph.Graph, feasible []int32, m int, opts Options) []Block {
 	assigned := bitset.New(n) // feasible nodes already kernels anywhere
 	var blocks []Block
 
+	// Per-block state, shared by every block and reset after each over the
+	// nodes that block touched: a block costs Σ deg over its cover nodes,
+	// with no term in n.
 	cover := bitset.New(n)       // K ∪ N(K) of the block under construction
 	inKernel := bitset.New(n)    // K of the block under construction
 	adjCount := make([]int32, n) // edges from candidate to current kernels
+	inducer := graph.NewInducer(g)
+	var kernels []int32
+	var touched []int32 // N(K): the nodes with adjCount > 0
+
+	coverSize := 0
+	addKernel := func(v int32) {
+		inKernel.Add(v)
+		assigned.Add(v)
+		kernels = append(kernels, v)
+		if !cover.Has(v) {
+			cover.Add(v)
+			coverSize++
+		}
+		for _, u := range g.Neighbors(v) {
+			if !cover.Has(u) {
+				cover.Add(u)
+				coverSize++
+			}
+			if adjCount[u] == 0 {
+				touched = append(touched, u)
+			}
+			adjCount[u]++
+		}
+	}
+
+	// growthOf returns |{v} ∪ N(v) \ cover|, the cover increase of
+	// adopting v as a kernel (the incremental isfeasible test).
+	growthOf := func(v int32) int {
+		grow := 0
+		if !cover.Has(v) {
+			grow++
+		}
+		for _, u := range g.Neighbors(v) {
+			if !cover.Has(u) {
+				grow++
+			}
+		}
+		return grow
+	}
 
 	for _, start := range order {
 		if assigned.Has(start) {
 			continue
 		}
-		cover.Clear()
-		inKernel.Clear()
-		var kernels []int32
-		var touched []int32 // nodes whose adjCount must be reset afterwards
-
-		coverSize := 0
-		addKernel := func(v int32) {
-			inKernel.Add(v)
-			assigned.Add(v)
-			kernels = append(kernels, v)
-			if !cover.Has(v) {
-				cover.Add(v)
-				coverSize++
-			}
-			for _, u := range g.Neighbors(v) {
-				if !cover.Has(u) {
-					cover.Add(u)
-					coverSize++
-				}
-				if adjCount[u] == 0 {
-					touched = append(touched, u)
-				}
-				adjCount[u]++
-			}
-		}
-
-		// growthOf returns |{v} ∪ N(v) \ cover|, the cover increase of
-		// adopting v as a kernel (the incremental isfeasible test).
-		growthOf := func(v int32) int {
-			grow := 0
-			if !cover.Has(v) {
-				grow++
-			}
-			for _, u := range g.Neighbors(v) {
-				if !cover.Has(u) {
-					grow++
-				}
-			}
-			return grow
-		}
+		kernels, touched, coverSize = kernels[:0], touched[:0], 0
 
 		// Seed the block. A feasible start always fits: |{v} ∪ N(v)| ≤ m.
 		addKernel(start)
@@ -183,10 +194,22 @@ func Blocks(g *graph.Graph, feasible []int32, m int, opts Options) []Block {
 			addKernel(best)
 		}
 
-		blocks = append(blocks, assemble(g, kernels, cover, inKernel, assigned, isFeasible))
+		// touched becomes the cover: N(K) plus the kernels that no other
+		// kernel neighbours.
+		for _, k := range kernels {
+			if adjCount[k] == 0 {
+				touched = append(touched, k)
+			}
+		}
+		slices.Sort(touched) // ascending: kernels, borders and visited mixed
+		blocks = append(blocks, assemble(inducer, touched, len(kernels), inKernel, assigned, isFeasible))
 
 		for _, v := range touched {
 			adjCount[v] = 0
+			cover.Remove(v)
+		}
+		for _, k := range kernels {
+			inKernel.Remove(k)
 		}
 	}
 	return blocks
@@ -198,30 +221,51 @@ func seedOrder(g *graph.Graph, feasible []int32, opts Options) []int32 {
 	copy(order, feasible)
 	switch opts.Order {
 	case OrderID:
-		sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
+		slices.Sort(order)
 	case OrderRandom:
 		rng := rand.New(rand.NewSource(opts.Seed))
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 	default: // OrderDegreeAsc
-		sort.Slice(order, func(i, j int) bool {
-			di, dj := g.Degree(order[i]), g.Degree(order[j])
-			if di != dj {
-				return di < dj
-			}
-			return order[i] < order[j]
-		})
+		return byDegreeThenID(g, order)
 	}
 	return order
 }
 
-// assemble builds the Block record for the chosen kernels. assigned must
-// already include the new kernels; a neighbour is Visited when it was a
-// kernel of an earlier block, i.e. assigned but not in the current kernel
-// set.
-func assemble(g *graph.Graph, kernels []int32, cover, inKernel, assigned, isFeasible *bitset.Set) Block {
-	nodes := cover.Slice() // ascending: kernels, borders and visited mixed
-	sub, orig := graph.Induced(g, nodes)
-	blk := Block{Graph: sub, Orig: orig}
+// byDegreeThenID returns nodes ordered by (degree, ID), in O(len(nodes) +
+// max degree): a stable counting sort on degree over the ID-ascending list.
+// CUT hands the nodes over ascending already, so the ID sort is a scan.
+func byDegreeThenID(g *graph.Graph, nodes []int32) []int32 {
+	if !slices.IsSorted(nodes) {
+		slices.Sort(nodes)
+	}
+	maxDeg := 0
+	for _, v := range nodes {
+		maxDeg = max(maxDeg, g.Degree(v))
+	}
+	// next[d] becomes the output position of the next node of degree d.
+	next := make([]int32, maxDeg+2)
+	for _, v := range nodes {
+		next[g.Degree(v)+1]++
+	}
+	for d := 1; d < len(next); d++ {
+		next[d] += next[d-1]
+	}
+	out := make([]int32, len(nodes))
+	for _, v := range nodes {
+		d := g.Degree(v)
+		out[next[d]] = v
+		next[d]++
+	}
+	return out
+}
+
+// assemble builds the Block record over the block's cover nodes (ascending),
+// nKernels of which are its kernels. assigned must already include the new
+// kernels; a neighbour is Visited when it was a kernel of an earlier block,
+// i.e. assigned but not in the current kernel set.
+func assemble(inducer *graph.Inducer, nodes []int32, nKernels int, inKernel, assigned, isFeasible *bitset.Set) Block {
+	sub, orig := inducer.Induced(nodes)
+	blk := Block{Graph: sub, Orig: orig, Kernel: make([]int32, 0, nKernels)}
 	for local, global := range orig {
 		switch {
 		case inKernel.Has(global):

@@ -3,6 +3,8 @@ package decomp
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -459,5 +461,197 @@ func TestDenseOrderingYieldsDenserBlocks(t *testing.T) {
 	random := avgDensity(Blocks(g, feasible, m, Options{Order: OrderRandom, Seed: 1}))
 	if greedy < random*0.8 {
 		t.Fatalf("greedy blocks much sparser than random: %.4f vs %.4f", greedy, random)
+	}
+}
+
+// referenceBlocks is BLOCKS as it stood before the induction kernel, kept as
+// the oracle for the block plan: reflection-sorted seed order, full-bitset
+// clears and scan per block, and an induced subgraph relabelled through a
+// map and rebuilt by a graph.Builder.
+func referenceBlocks(g *graph.Graph, feasible []int32, m int, opts Options) []Block {
+	minAdj := max(opts.MinAdjacency, 1)
+	n := g.N()
+
+	order := slices.Clone(feasible)
+	switch opts.Order {
+	case OrderID:
+		sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
+	case OrderRandom:
+		rng := rand.New(rand.NewSource(opts.Seed))
+		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+	default:
+		sort.Slice(order, func(i, j int) bool {
+			di, dj := g.Degree(order[i]), g.Degree(order[j])
+			if di != dj {
+				return di < dj
+			}
+			return order[i] < order[j]
+		})
+	}
+
+	isFeasible := bitset.FromSlice(n, feasible)
+	assigned := bitset.New(n)
+	cover := bitset.New(n)
+	inKernel := bitset.New(n)
+	adjCount := make([]int32, n)
+	var blocks []Block
+	for _, start := range order {
+		if assigned.Has(start) {
+			continue
+		}
+		cover.Clear()
+		inKernel.Clear()
+		var touched []int32
+		addKernel := func(v int32) {
+			inKernel.Add(v)
+			assigned.Add(v)
+			cover.Add(v)
+			for _, u := range g.Neighbors(v) {
+				cover.Add(u)
+				if adjCount[u] == 0 {
+					touched = append(touched, u)
+				}
+				adjCount[u]++
+			}
+		}
+		growthOf := func(v int32) int {
+			grow := 0
+			if !cover.Has(v) {
+				grow++
+			}
+			for _, u := range g.Neighbors(v) {
+				if !cover.Has(u) {
+					grow++
+				}
+			}
+			return grow
+		}
+		addKernel(start)
+		for {
+			best, bestAdj := int32(-1), int32(0)
+			for _, v := range touched {
+				if adjCount[v] >= bestAdj && isFeasible.Has(v) && !assigned.Has(v) {
+					if adjCount[v] > bestAdj || (best >= 0 && v < best) || best < 0 {
+						best, bestAdj = v, adjCount[v]
+					}
+				}
+			}
+			if best < 0 || int(bestAdj) < minAdj || cover.Count()+growthOf(best) > m {
+				break
+			}
+			addKernel(best)
+		}
+
+		nodes := cover.Slice()
+		newID := make(map[int32]int32, len(nodes))
+		for local, v := range nodes {
+			newID[v] = int32(local)
+		}
+		b := graph.NewBuilder(len(nodes))
+		for nu, u := range nodes {
+			for _, w := range g.Neighbors(u) {
+				if nw, ok := newID[w]; ok {
+					b.AddEdge(int32(nu), nw)
+				}
+			}
+		}
+		blk := Block{Graph: b.Build(), Orig: nodes}
+		for local, global := range nodes {
+			switch {
+			case inKernel.Has(global):
+				blk.Kernel = append(blk.Kernel, int32(local))
+			case assigned.Has(global):
+				blk.Visited = append(blk.Visited, int32(local))
+			default:
+				blk.Border = append(blk.Border, int32(local))
+			}
+		}
+		blocks = append(blocks, blk)
+		for _, v := range touched {
+			adjCount[v] = 0
+		}
+	}
+	return blocks
+}
+
+// The block plan is pinned field by field: Orig, Kernel, Border, Visited and
+// every row of Graph, for every seeding order and adjacency threshold.
+func TestBlocksMatchReference(t *testing.T) {
+	graphs := map[string]*graph.Graph{
+		"er":        gen.ErdosRenyi(250, 0.06, 21),
+		"holme-kim": gen.HolmeKim(1500, 6, 0.7, 22),
+		"ba":        gen.BarabasiAlbert(600, 4, 23),
+	}
+	for name, g := range graphs {
+		for _, m := range []int{g.MaxDegree()/3 + 2, g.MaxDegree() + 1} {
+			feasible, _ := Cut(g, m)
+			for _, order := range []Order{OrderDegreeAsc, OrderID, OrderRandom} {
+				for _, minAdj := range []int{1, 3} {
+					opts := Options{Order: order, MinAdjacency: minAdj, Seed: 5}
+					what := fmt.Sprintf("%s m=%d order=%d minAdj=%d", name, m, order, minAdj)
+					got, want := Blocks(g, feasible, m, opts), referenceBlocks(g, feasible, m, opts)
+					if len(got) != len(want) {
+						t.Fatalf("%s: %d blocks, want %d", what, len(got), len(want))
+					}
+					for i := range want {
+						requireSameBlock(t, fmt.Sprintf("%s block %d", what, i), &got[i], &want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+func requireSameBlock(t *testing.T, what string, got, want *Block) {
+	t.Helper()
+	for _, f := range []struct {
+		name      string
+		got, want []int32
+	}{
+		{"Orig", got.Orig, want.Orig}, {"Kernel", got.Kernel, want.Kernel},
+		{"Border", got.Border, want.Border}, {"Visited", got.Visited, want.Visited},
+	} {
+		if !slices.Equal(f.got, f.want) {
+			t.Fatalf("%s: %s = %v, want %v", what, f.name, f.got, f.want)
+		}
+	}
+	if got.Graph.N() != want.Graph.N() || got.Graph.M() != want.Graph.M() {
+		t.Fatalf("%s: Graph = %v, want %v", what, got.Graph, want.Graph)
+	}
+	for v := int32(0); v < int32(want.Graph.N()); v++ {
+		if !slices.Equal(got.Graph.Neighbors(v), want.Graph.Neighbors(v)) {
+			t.Fatalf("%s: row %d = %v, want %v", what, v, got.Graph.Neighbors(v), want.Graph.Neighbors(v))
+		}
+	}
+}
+
+// The seed order does not depend on the order feasible arrives in.
+func TestSeedOrderDegreeAscUnsortedInput(t *testing.T) {
+	g := gen.HolmeKim(300, 4, 0.6, 31)
+	feasible, _ := Cut(g, g.MaxDegree()/2+2)
+	want := seedOrder(g, feasible, Options{})
+	for i := 1; i < len(want); i++ {
+		a, b := want[i-1], want[i]
+		if g.Degree(a) > g.Degree(b) || (g.Degree(a) == g.Degree(b) && a >= b) {
+			t.Fatalf("seed order not (degree, id) ascending at %d: %d then %d", i, a, b)
+		}
+	}
+	shuffled := slices.Clone(feasible)
+	rand.New(rand.NewSource(1)).Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	if got := seedOrder(g, shuffled, Options{}); !slices.Equal(got, want) {
+		t.Fatalf("seed order differs for a shuffled feasible list")
+	}
+}
+
+var benchBlocks []Block
+
+func BenchmarkBlocks(b *testing.B) {
+	g := gen.HolmeKim(20000, 8, 0.7, 42)
+	const m = 56
+	feasible, _ := Cut(g, m)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchBlocks = Blocks(g, feasible, m, Options{})
 	}
 }

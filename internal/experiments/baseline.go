@@ -52,6 +52,7 @@ func NeglectHubs(g *graph.Graph, m int) ([][]int32, error) {
 	})
 
 	visited := bitset.New(n)
+	inducer := graph.NewInducer(g) // one scratch for all n blocks
 	var out [][]int32
 	seen := map[string]bool{}
 	for _, v := range order {
@@ -74,7 +75,7 @@ func NeglectHubs(g *graph.Graph, m int) ([][]int32, error) {
 		nodes := make([]int32, 0, len(nbrs)+1)
 		nodes = append(nodes, v)
 		nodes = append(nodes, nbrs...)
-		sub, orig := graph.Induced(g, nodes)
+		sub, orig := inducer.Induced(nodes)
 
 		// Local sets: R = {v}, P = unvisited neighbours, X = visited ones.
 		P := bitset.New(sub.N())

@@ -9,7 +9,9 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -154,11 +156,11 @@ func (b *Builder) N() int { return b.n }
 // Build constructs the normalised Graph. The builder may be reused afterwards;
 // further AddEdge calls do not affect the returned graph.
 func (b *Builder) Build() *Graph {
-	sort.Slice(b.edges, func(i, j int) bool {
-		if b.edges[i].U != b.edges[j].U {
-			return b.edges[i].U < b.edges[j].U
+	slices.SortFunc(b.edges, func(a, c Edge) int {
+		if a.U != c.U {
+			return cmp.Compare(a.U, c.U)
 		}
-		return b.edges[i].V < b.edges[j].V
+		return cmp.Compare(a.V, c.V)
 	})
 	// Deduplicate in place.
 	uniq := b.edges[:0]
@@ -189,14 +191,13 @@ func (b *Builder) Build() *Graph {
 		flat[cursor[e.V]] = e.U
 		cursor[e.V]++
 	}
-	g := &Graph{offsets: offsets, flat: flat}
-	// Each list was filled in two passes (smaller endpoints first from the
-	// sorted edge order, then larger); sort per node to guarantee order.
-	for v := int32(0); v < int32(b.n); v++ {
-		adj := g.flat[offsets[v]:offsets[v+1]]
-		sort.Slice(adj, func(i, j int) bool { return adj[i] < adj[j] })
-	}
-	return g
+	// No per-row sort: the edges are in (U, V) order with U < V, so row v
+	// first receives the smaller endpoint of every edge (u, v), u < v, in
+	// ascending u (U is the major key, and every such edge precedes the
+	// edges whose U is v), and then the larger endpoint of every edge (v, w)
+	// in ascending w. All smaller neighbours ascending, then all larger
+	// ascending, is a sorted row; the dedup above makes it strictly so.
+	return &Graph{offsets: offsets, flat: flat}
 }
 
 // FromEdges builds a graph with n nodes from an edge list, normalising as
@@ -223,29 +224,4 @@ func Complete(n int) *Graph {
 		}
 	}
 	return b.Build()
-}
-
-// Induced returns the subgraph of g induced by nodes, relabelled to dense
-// IDs 0..len(nodes)-1 in the order given, together with origIDs such that
-// origIDs[newID] is the node's identifier in g. Duplicate entries in nodes
-// are ignored after the first occurrence.
-func Induced(g *Graph, nodes []int32) (sub *Graph, origIDs []int32) {
-	newID := make(map[int32]int32, len(nodes))
-	origIDs = make([]int32, 0, len(nodes))
-	for _, v := range nodes {
-		if _, dup := newID[v]; dup {
-			continue
-		}
-		newID[v] = int32(len(origIDs))
-		origIDs = append(origIDs, v)
-	}
-	b := NewBuilder(len(origIDs))
-	for nu, u := range origIDs {
-		for _, w := range g.Neighbors(u) {
-			if nw, ok := newID[w]; ok && int32(nu) < nw {
-				b.AddEdge(int32(nu), nw)
-			}
-		}
-	}
-	return b.Build(), origIDs
 }

@@ -151,6 +151,20 @@ func TestInducedEmptySelection(t *testing.T) {
 	}
 }
 
+// Every call leaves the relabel array as it found it: all zero.
+func TestInducerUnstamps(t *testing.T) {
+	g := Complete(9)
+	in := NewInducer(g)
+	for _, nodes := range [][]int32{{0, 3, 8}, {8, 8, 1, 0}, nil, {4}} {
+		in.Induced(nodes)
+		for v, l := range in.local {
+			if l != 0 {
+				t.Fatalf("after Induced(%v): local[%d] = %d, want 0", nodes, v, l)
+			}
+		}
+	}
+}
+
 func TestGrow(t *testing.T) {
 	b := NewBuilder(2)
 	b.Grow(5)

@@ -39,6 +39,9 @@ type Engine struct {
 	LevelsCompleted    Counter // first-level recursion levels finished
 	CliquesFound       Counter // cliques emitted by block analysis (pre-filter)
 	HubCliquesFiltered Counter // hub-side cliques dropped by the Lemma 1 filter
+	CutNs              Counter // total CUT (Algorithm 2) time, nanoseconds
+	BlocksNs           Counter // total BLOCKS (Algorithm 3) time incl. induced subgraphs, nanoseconds
+	SelectNs           Counter // total per-block combo selection time, nanoseconds
 	FilterNs           Counter // total Lemma 1 filter time, nanoseconds
 	QueueDepth         Gauge   // blocks queued for analysis right now
 
@@ -189,6 +192,9 @@ type Snapshot struct {
 	LevelsCompleted    int64 `json:"levels_completed"`
 	CliquesFound       int64 `json:"cliques_found"`
 	HubCliquesFiltered int64 `json:"hub_cliques_filtered"`
+	CutNs              int64 `json:"cut_ns"`
+	BlocksNs           int64 `json:"blocks_ns"`
+	SelectNs           int64 `json:"select_ns"`
 	FilterNs           int64 `json:"filter_ns"`
 	QueueDepth         int64 `json:"queue_depth"`
 
@@ -253,6 +259,9 @@ func (e *Engine) Snapshot() Snapshot {
 		LevelsCompleted:    e.LevelsCompleted.Load(),
 		CliquesFound:       e.CliquesFound.Load(),
 		HubCliquesFiltered: e.HubCliquesFiltered.Load(),
+		CutNs:              e.CutNs.Load(),
+		BlocksNs:           e.BlocksNs.Load(),
+		SelectNs:           e.SelectNs.Load(),
 		FilterNs:           e.FilterNs.Load(),
 		QueueDepth:         e.QueueDepth.Load(),
 		BlocksAnalyzed:     e.BlocksAnalyzed.Load(),
