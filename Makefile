@@ -23,8 +23,8 @@ vet:
 	$(GO) vet ./...
 
 # Repo-specific invariants (context plumbing, lock balance and ordering,
-# sorted adjacency, goroutine lifecycle, channel discipline, CAS loops, gob
-# wire safety, map-order determinism, telemetry nil guards, hot-path
+# sorted adjacency, goroutine lifecycle, channel discipline, CAS loops,
+# map-order determinism, telemetry nil guards, hot-path
 # allocation/boxing/defer/preallocation discipline, suppression hygiene).
 # Test files are part of the unit (-tests defaults to on). See DESIGN.md
 # §9, §11, §14 + §16 and `go run ./cmd/mcevet -list`.
@@ -61,6 +61,9 @@ fuzz-smoke:
 	$(GO) test -run=Fuzz -fuzz=FuzzLoadBoundedAgreesWithLoad -fuzztime=10s ./internal/gio
 	$(GO) test -run=Fuzz -fuzz=FuzzJournalReplay -fuzztime=10s ./internal/runlog
 	$(GO) test -run=Fuzz -fuzz=FuzzIndexOpen -fuzztime=10s ./internal/cliqdb
+	$(GO) test -run=Fuzz -fuzz=FuzzFrameReader -fuzztime=10s ./internal/durable
+	$(GO) test -run=Fuzz -fuzz=FuzzDecodeAscending -fuzztime=10s ./internal/durable
+	$(GO) test -run=Fuzz -fuzz=FuzzDecodeBlock -fuzztime=10s ./internal/durable
 
 # Crash-recovery chaos: the coordinator is SIGKILLed at randomized points and
 # must resume to the exact clique set (chaos_resume_test.go), and the index

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/gob"
 	"net"
 	"os"
 	"path/filepath"
@@ -12,6 +11,7 @@ import (
 
 	"mce"
 	"mce/internal/cliqdb"
+	"mce/internal/durable"
 )
 
 func runCmd(t *testing.T, args ...string) (int, string, string) {
@@ -203,8 +203,9 @@ func TestStreamAndFormats(t *testing.T) {
 
 // hangUpWorker is a worker that completes the handshake and then hangs up
 // on the first task it is sent — every block shipped to it is a failed
-// round trip. The handshake structs mirror cluster's wire types (gob
-// matches fields by name).
+// round trip. The handshake mirrors cluster's wire format: one durable frame
+// each way, whose payload is a kind byte (1 hello, 2 ack), the version
+// (u32le, echoed back here) and a compress byte.
 func hangUpWorker(t *testing.T) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -220,14 +221,12 @@ func hangUpWorker(t *testing.T) string {
 			}
 			go func() {
 				defer conn.Close()
-				var hello struct {
-					Version  int
-					Compress bool
-				}
-				if gob.NewDecoder(conn).Decode(&hello) != nil {
+				hello, err := durable.NewFrameReader(conn, 64).Next()
+				if err != nil || len(hello) != 6 {
 					return
 				}
-				if gob.NewEncoder(conn).Encode(struct{ Version int }{hello.Version}) != nil {
+				ack := []byte{2, hello[1], hello[2], hello[3], hello[4], 0}
+				if _, err := conn.Write(durable.AppendFrame(nil, ack)); err != nil {
 					return
 				}
 				conn.Read(make([]byte, 1)) // the first task's first byte

@@ -33,7 +33,7 @@ func TestListExitsZero(t *testing.T) {
 		t.Fatalf("run(-list) = %d, want 0 (stderr: %s)", code, errb.String())
 	}
 	for _, name := range []string{
-		"ctxplumb", "lockbalance", "sortedadj", "wiretypes",
+		"ctxplumb", "lockbalance", "sortedadj",
 		"maporder", "telemetryguard",
 		"lockorder", "golifecycle", "chandiscipline", "casloop",
 		"hotalloc", "hotbox", "hotdefer", "hotslice",

@@ -4,22 +4,22 @@ package cliqdb
 // in, one verified index file out. The compile is deterministic — cliques
 // are sorted into canonical order and duplicates dropped, so the same
 // segment set always produces byte-identical output — and atomic: the
-// index is assembled in memory, written to a temp file in the destination
-// directory, fsynced, then renamed over the live name. A crash at any
-// point leaves either the previous index or the new one, never a torn
-// file; the SIGKILL chaos suite (chaos_compile_test.go) kills compiles at
-// randomized points to hold the compiler to that.
+// index is assembled in memory and landed by durable.AtomicReplace. A crash
+// at any point leaves either the previous index or the new one, never a
+// torn file; the SIGKILL chaos suite (chaos_compile_test.go) kills compiles
+// at randomized points to hold the compiler to that.
 
 import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
-	"os"
-	"path/filepath"
+	"slices"
 	"sort"
 
 	"mce/internal/cliqstore"
+	"mce/internal/durable"
 	"mce/internal/runlog"
 )
 
@@ -91,12 +91,33 @@ func CheckServingSegments(segDir string) error {
 // (lexicographic over ascending members) with exact duplicates removed.
 // Every clique must have strictly ascending, non-negative members.
 func Build(cliques [][]int32, path string) (*BuildStats, error) {
+	return build(durable.OSFS{}, cliques, path)
+}
+
+// build is Build over an injectable filesystem. The image is written in
+// bounded chunks (with the chaos throttle between them) so a kill mid-write
+// is exercised against a partially written temp file, never a partially
+// written live index.
+func build(fs durable.FS, cliques [][]int32, path string) (*BuildStats, error) {
 	image, st, err := encode(cliques)
 	if err != nil {
 		return nil, err
 	}
-	if err := writeAtomic(path, image); err != nil {
-		return nil, err
+	err = durable.AtomicReplace(fs, path, func(w io.Writer) error {
+		for rest := image; len(rest) > 0; {
+			chunk := rest[:min(len(rest), writeChunk)]
+			if _, err := w.Write(chunk); err != nil {
+				return err
+			}
+			rest = rest[len(chunk):]
+			if compileThrottle != nil {
+				compileThrottle()
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("cliqdb: write index: %w", err)
 	}
 	st.Bytes = int64(len(image))
 	return st, nil
@@ -114,13 +135,8 @@ func encode(cliques [][]int32) ([]byte, *BuildStats, error) {
 		if len(c) == 0 {
 			return nil, nil, fmt.Errorf("cliqdb: empty clique")
 		}
-		prev := int32(-1)
-		for _, v := range c {
-			if v < 0 || v <= prev {
-				return nil, nil, fmt.Errorf("cliqdb: clique %v not strictly ascending and non-negative", c)
-			}
-			prev = v
-		}
+		// The last member is the largest: the encoder below refuses any
+		// clique that does not ascend.
 		if c[len(c)-1] >= nVerts {
 			nVerts = c[len(c)-1] + 1
 		}
@@ -138,37 +154,21 @@ func encode(cliques [][]int32) ([]byte, *BuildStats, error) {
 	var (
 		cliq    []byte
 		coff    = make([]byte, 0, (n+1)*4)
-		counts  = make([]uint32, nVerts)
-		crc     = crc32.NewIEEE()
-		hbuf    [4]byte
-		varbuf  [binary.MaxVarintLen64]byte
+		start   = make([]int, int(nVerts)+1) // start[v+1] counts v's cliques, then prefix-summed
+		digest  cliqstore.Digester
 		sizeIdx = make([]uint32, n)
+		err     error
 	)
-	putU32 := func(dst []byte, v uint32) []byte {
-		binary.LittleEndian.PutUint32(hbuf[:], v)
-		return append(dst, hbuf[:4]...)
-	}
-	uv := func(dst []byte, v uint64) []byte {
-		k := binary.PutUvarint(varbuf[:], v)
-		return append(dst, varbuf[:k]...)
-	}
+	putU32 := binary.LittleEndian.AppendUint32
 	for id, c := range kept {
 		coff = putU32(coff, uint32(len(cliq)))
-		cliq = uv(cliq, uint64(len(c)))
-		prev := int32(0)
-		binary.LittleEndian.PutUint32(hbuf[:], uint32(len(c)))
-		crc.Write(hbuf[:])
-		for i, v := range c {
-			delta := uint64(v - prev)
-			if i == 0 {
-				delta = uint64(v)
-			}
-			cliq = uv(cliq, delta)
-			prev = v
-			counts[v]++
-			binary.LittleEndian.PutUint32(hbuf[:], uint32(v))
-			crc.Write(hbuf[:])
+		if cliq, err = durable.AppendAscending(cliq, c); err != nil {
+			return nil, nil, fmt.Errorf("cliqdb: clique %v: %w", c, err)
 		}
+		for _, v := range c {
+			start[v+1]++
+		}
+		digest.Add(c)
 		sizeIdx[id] = uint32(id)
 		if compileThrottle != nil && id%throttleCliques == throttleCliques-1 {
 			compileThrottle()
@@ -181,35 +181,29 @@ func encode(cliques [][]int32) ([]byte, *BuildStats, error) {
 		return nil, nil, fmt.Errorf("cliqdb: CLIQ section is %d bytes, past the 4 GiB uint32 offset limit", len(cliq))
 	}
 	coff = putU32(coff, uint32(len(cliq)))
-	digest := crc.Sum32()
 
-	// VPST + VOFF: walk cliques in ID order, appending each ID to the
-	// posting of every member — each posting comes out ascending. Encoded
-	// with a count prefix so lookups can preallocate.
-	type postingState struct {
-		buf  []byte
-		last uint32
-		n    uint32
+	// VPST + VOFF: invert the cliques into one array of clique IDs grouped
+	// by vertex. Walking cliques in ID order fills every vertex's group
+	// ascending, so each group is encoded as one run (its count prefix lets
+	// lookups preallocate).
+	for v := range start[1:] {
+		start[v+1] += start[v]
 	}
-	posts := make([]postingState, nVerts)
+	ids := make([]int32, start[nVerts])
+	fill := slices.Clone(start[:nVerts])
 	for id, c := range kept {
 		for _, v := range c {
-			p := &posts[v]
-			delta := uint32(id) - p.last
-			if p.n == 0 {
-				delta = uint32(id)
-			}
-			p.buf = uv(p.buf, uint64(delta))
-			p.last = uint32(id)
-			p.n++
+			ids[fill[v]] = int32(id)
+			fill[v]++
 		}
 	}
 	var vpst []byte
 	voff := make([]byte, 0, (int(nVerts)+1)*4)
 	for v := int32(0); v < nVerts; v++ {
 		voff = putU32(voff, uint32(len(vpst)))
-		vpst = uv(vpst, uint64(posts[v].n))
-		vpst = append(vpst, posts[v].buf...)
+		if vpst, err = durable.AppendAscending(vpst, ids[start[v]:start[v+1]]); err != nil {
+			return nil, nil, fmt.Errorf("cliqdb: posting of vertex %d: %w", v, err)
+		}
 	}
 	if len(vpst) > math.MaxUint32 {
 		return nil, nil, fmt.Errorf("cliqdb: VPST section is %d bytes, past the 4 GiB uint32 offset limit", len(vpst))
@@ -233,96 +227,29 @@ func encode(cliques [][]int32) ([]byte, *BuildStats, error) {
 	binary.LittleEndian.PutUint32(meta[0:], formatVersion)
 	binary.LittleEndian.PutUint32(meta[4:], uint32(nVerts))
 	binary.LittleEndian.PutUint64(meta[8:], uint64(n))
-	binary.LittleEndian.PutUint32(meta[16:], digest)
+	binary.LittleEndian.PutUint32(meta[16:], digest.Sum32())
 
-	// Frame the sections, then the footer, then the trailer.
+	// Frame the sections (tag, length, payload, CRC), listing each in the
+	// footer's table; then the footer, framed alike, then the trailer.
+	putU64 := binary.LittleEndian.AppendUint64
 	image := append([]byte(nil), headMagic[:]...)
-	type entry struct {
-		tag [4]byte
-		off uint64
-		ln  uint64
-		crc uint32
+	frame := func(tag [4]byte, payload []byte) {
+		image = putU64(append(image, tag[:]...), uint64(len(payload)))
+		image = putU32(append(image, payload...), crc32.ChecksumIEEE(payload))
 	}
-	var entries []entry
-	writeSection := func(tag [4]byte, payload []byte) {
-		entries = append(entries, entry{tag: tag, off: uint64(len(image)), ln: uint64(len(payload)), crc: crc32.ChecksumIEEE(payload)})
-		image = append(image, tag[:]...)
-		var l [8]byte
-		binary.LittleEndian.PutUint64(l[:], uint64(len(payload)))
-		image = append(image, l[:]...)
-		image = append(image, payload...)
-		image = putU32(image, crc32.ChecksumIEEE(payload))
-	}
-	writeSection(tagMeta, meta)
-	writeSection(tagCliq, cliq)
-	writeSection(tagCoff, coff)
-	writeSection(tagVpst, vpst)
-	writeSection(tagVoff, voff)
-	writeSection(tagSize, size)
-
-	foot := make([]byte, 0, 4+len(entries)*24)
-	foot = putU32(foot, uint32(len(entries)))
-	for _, e := range entries {
-		foot = append(foot, e.tag[:]...)
-		var l [8]byte
-		binary.LittleEndian.PutUint64(l[:], e.off)
-		foot = append(foot, l[:]...)
-		binary.LittleEndian.PutUint64(l[:], e.ln)
-		foot = append(foot, l[:]...)
-		foot = putU32(foot, e.crc)
+	sections := []struct {
+		tag     [4]byte
+		payload []byte
+	}{{tagMeta, meta}, {tagCliq, cliq}, {tagCoff, coff}, {tagVpst, vpst}, {tagVoff, voff}, {tagSize, size}}
+	foot := putU32(nil, uint32(len(sections)))
+	for _, sec := range sections {
+		foot = putU64(append(foot, sec.tag[:]...), uint64(len(image)))
+		foot = putU32(putU64(foot, uint64(len(sec.payload))), crc32.ChecksumIEEE(sec.payload))
+		frame(sec.tag, sec.payload)
 	}
 	footOff := uint64(len(image))
-	image = append(image, tagFtr[:]...)
-	var l [8]byte
-	binary.LittleEndian.PutUint64(l[:], uint64(len(foot)))
-	image = append(image, l[:]...)
-	image = append(image, foot...)
-	image = putU32(image, crc32.ChecksumIEEE(foot))
-	binary.LittleEndian.PutUint64(l[:], footOff)
-	image = append(image, l[:]...)
-	image = append(image, tailMagic[:]...)
+	frame(tagFtr, foot)
+	image = append(putU64(image, footOff), tailMagic[:]...)
 
-	return image, &BuildStats{Cliques: n, Vertices: nVerts, Digest: digest}, nil
-}
-
-// writeAtomic lands the index image under path via temp + fsync + rename,
-// writing in bounded chunks (with the chaos throttle between them) so a
-// kill mid-write is exercised against a partially written temp file, never
-// a partially written live index.
-func writeAtomic(path string, image []byte) error {
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("cliqdb: write index: %w", err)
-	}
-	tmp := f.Name()
-	fail := func(err error) error {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("cliqdb: write index: %w", err)
-	}
-	for off := 0; off < len(image); off += writeChunk {
-		end := off + writeChunk
-		if end > len(image) {
-			end = len(image)
-		}
-		if _, err := f.Write(image[off:end]); err != nil {
-			return fail(err)
-		}
-		if compileThrottle != nil {
-			compileThrottle()
-		}
-	}
-	if err := f.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("cliqdb: write index: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("cliqdb: write index: %w", err)
-	}
-	return nil
+	return image, &BuildStats{Cliques: n, Vertices: nVerts, Digest: digest.Sum32()}, nil
 }

@@ -37,11 +37,11 @@
 // Sections, in file order:
 //
 //	META  version[4] nverts[4] ncliques[8] digest[4]
-//	CLIQ  per clique: uvarint size, uvarint first member, uvarint gaps
-//	      (the cliqstore delta encoding), cliques in canonical order
+//	CLIQ  per clique: its members as one ascending run (internal/durable,
+//	      the cliqstore clique encoding), cliques in canonical order
 //	      (lexicographic over ascending members, exact duplicates removed)
 //	COFF  (ncliques+1) uint32 LE offsets into CLIQ
-//	VPST  per vertex: uvarint count, uvarint first clique ID, uvarint gaps
+//	VPST  per vertex: the IDs of its cliques as one ascending run
 //	VOFF  (nverts+1) uint32 LE offsets into VPST
 //	SIZE  ncliques uint32 LE clique IDs ordered by (size desc, id asc)
 //
@@ -58,6 +58,9 @@ import (
 	"hash/crc32"
 	"os"
 	"sort"
+
+	"mce/internal/cliqstore"
+	"mce/internal/durable"
 )
 
 // File-format constants.
@@ -149,62 +152,15 @@ func (db *DB) CliqueSize(id uint32) int { return int(db.sizes[id]) }
 //
 //mce:hotpath clique materialisation on every query response
 func (db *DB) AppendClique(dst []int32, id uint32) []int32 {
-	span := db.cliq[u32(db.coff, int(id)):u32(db.coff, int(id)+1)]
-	size, n := binary.Uvarint(span)
-	span = span[n:]
-	if cap(dst)-len(dst) < int(size) {
-		grown := make([]int32, len(dst), len(dst)+int(size))
-		copy(grown, dst)
-		dst = grown
-	}
-	prev := int32(0)
-	for i := uint64(0); i < size; i++ {
-		delta, n := binary.Uvarint(span)
-		span = span[n:]
-		v := prev + int32(delta)
-		if i == 0 {
-			v = int32(delta)
-		}
-		dst = append(dst, v)
-		prev = v
-	}
-	return dst
+	return durable.AppendRun(dst, db.cliq[u32(db.coff, int(id)):u32(db.coff, int(id)+1)])
 }
 
-// postingCursor streams one vertex's posting list (ascending clique IDs).
-type postingCursor struct {
-	b    []byte
-	left uint64
-	last uint32
-	head bool
-}
-
-// posting positions a cursor at vertex v's posting list.
+// posting positions a cursor at vertex v's posting list (ascending clique
+// IDs, which fit int32: an index holds at most 2^31 cliques).
 //
 //mce:hotpath posting-list access on every vertex query
-func (db *DB) posting(v int32) postingCursor {
-	span := db.vpst[u32(db.voff, int(v)):u32(db.voff, int(v)+1)]
-	count, n := binary.Uvarint(span)
-	return postingCursor{b: span[n:], left: count, head: true}
-}
-
-// next yields the next clique ID; ok is false when the posting is drained.
-//
-//mce:hotpath posting-list decode on every vertex query
-func (c *postingCursor) next() (uint32, bool) {
-	if c.left == 0 {
-		return 0, false
-	}
-	c.left--
-	delta, n := binary.Uvarint(c.b)
-	c.b = c.b[n:]
-	if c.head {
-		c.head = false
-		c.last = uint32(delta)
-	} else {
-		c.last += uint32(delta)
-	}
-	return c.last, true
+func (db *DB) posting(v int32) durable.Run {
+	return durable.OpenRun(db.vpst[u32(db.voff, int(v)):u32(db.voff, int(v)+1)])
 }
 
 // CliqueCount returns how many cliques contain vertex v, without decoding
@@ -215,9 +171,8 @@ func (db *DB) CliqueCount(v int32) int {
 	if v < 0 || v >= db.nVerts {
 		return 0
 	}
-	span := db.vpst[u32(db.voff, int(v)):u32(db.voff, int(v)+1)]
-	count, _ := binary.Uvarint(span)
-	return int(count)
+	cur := db.posting(v)
+	return cur.Len()
 }
 
 // AppendCliquesOf appends the IDs of every clique containing v to dst
@@ -230,17 +185,17 @@ func (db *DB) AppendCliquesOf(dst []uint32, v int32) []uint32 {
 		return dst
 	}
 	cur := db.posting(v)
-	if cap(dst)-len(dst) < int(cur.left) {
-		grown := make([]uint32, len(dst), len(dst)+int(cur.left))
+	if n := cur.Len(); cap(dst)-len(dst) < n {
+		grown := make([]uint32, len(dst), len(dst)+n)
 		copy(grown, dst)
 		dst = grown
 	}
 	for {
-		id, ok := cur.next()
+		id, ok := cur.Next()
 		if !ok {
 			return dst
 		}
-		dst = append(dst, id)
+		dst = append(dst, uint32(id))
 	}
 }
 
@@ -254,18 +209,18 @@ func (db *DB) AppendCommonCliques(dst []uint32, u, v int32) []uint32 {
 		return dst
 	}
 	a, b := db.posting(u), db.posting(v)
-	x, okA := a.next()
-	y, okB := b.next()
+	x, okA := a.Next()
+	y, okB := b.Next()
 	for okA && okB {
 		switch {
 		case x == y:
-			dst = append(dst, x)
-			x, okA = a.next()
-			y, okB = b.next()
+			dst = append(dst, uint32(x))
+			x, okA = a.Next()
+			y, okB = b.Next()
 		case x < y:
-			x, okA = a.next()
+			x, okA = a.Next()
 		default:
-			y, okB = b.next()
+			y, okB = b.Next()
 		}
 	}
 	return dst
@@ -469,16 +424,16 @@ func parseFooter(p []byte) ([]section, error) {
 	return secs, nil
 }
 
-// minUvarint decodes one uvarint and additionally rejects non-minimal
-// encodings, so a verified index is the one canonical byte encoding of its
-// content — the property that makes self-healing rebuilds byte-identical
-// and is pinned by FuzzIndexOpen's round-trip check.
-func minUvarint(b []byte) (v uint64, n int) {
-	v, n = binary.Uvarint(b)
-	if n > 1 && v < 1<<(7*(n-1)) {
-		return 0, 0 // value had a shorter encoding
+// exactRun decodes span as one canonical ascending run that fills it: the
+// shape of every clique and every posting list. Canonical bytes are what
+// make a verified index the one encoding of its content — the property
+// self-healing rebuilds rely on and FuzzIndexOpen pins.
+func exactRun(dst []int32, span []byte, bound int64) ([]int32, error) {
+	run, rest, err := durable.DecodeAscending(dst, span, bound)
+	if err == nil && len(rest) != 0 {
+		err = fmt.Errorf("%d undecoded bytes left in its span", len(rest))
 	}
-	return v, n
+	return run, err
 }
 
 // verify cross-checks the decoded sections against each other and builds
@@ -521,13 +476,13 @@ func verify(payloads [][]byte) (*DB, error) {
 		sizes:    make([]uint32, nCliques),
 	}
 
-	// Pass 1 — cliques: each must decode exactly within its span, members
-	// strictly ascending inside the vertex space, spans contiguous and
-	// exhaustive, canonical (lexicographic, duplicate-free) global order,
-	// and the whole family must hash to the header digest. Per-vertex
-	// posting counts are accumulated for pass 2.
-	crc := crc32.NewIEEE()
-	var hbuf [4]byte
+	// Pass 1 — cliques: each must be exactly one canonical run within its
+	// span (durable.DecodeAscending: minimal varints, strictly ascending,
+	// inside the vertex space), spans contiguous and exhaustive, canonical
+	// (lexicographic, duplicate-free) global order, and the whole family
+	// must hash to the header digest. Per-vertex posting counts are
+	// accumulated for pass 2.
+	var content cliqstore.Digester
 	counts := make([]uint32, nVerts)
 	prevClique := []int32(nil)
 	scratch := make([]int32, 0, 64)
@@ -536,94 +491,50 @@ func verify(payloads [][]byte) (*DB, error) {
 		if lo > hi || uint64(hi) > uint64(len(cliq)) {
 			return nil, fmt.Errorf("%w: clique %d has offset span [%d,%d)", ErrCorrupt, id, lo, hi)
 		}
-		span := cliq[lo:hi]
-		sz, n := minUvarint(span)
-		if n <= 0 || sz == 0 || sz > uint64(nVerts) {
-			return nil, fmt.Errorf("%w: clique %d has size %d", ErrCorrupt, id, sz)
+		clique, err := exactRun(scratch[:0], cliq[lo:hi], nVerts)
+		if err == nil && len(clique) == 0 {
+			err = errors.New("no members")
 		}
-		span = span[n:]
-		scratch = scratch[:0]
-		prev := int64(-1)
-		for i := uint64(0); i < sz; i++ {
-			delta, n := minUvarint(span)
-			if n <= 0 {
-				return nil, fmt.Errorf("%w: clique %d truncated mid-member", ErrCorrupt, id)
-			}
-			span = span[n:]
-			v := prev + int64(delta)
-			if i == 0 {
-				v = int64(delta)
-			} else if delta == 0 {
-				return nil, fmt.Errorf("%w: clique %d repeats member %d", ErrCorrupt, id, prev)
-			}
-			if v >= nVerts {
-				return nil, fmt.Errorf("%w: clique %d member %d outside vertex space %d", ErrCorrupt, id, v, nVerts)
-			}
+		if err != nil {
+			return nil, fmt.Errorf("%w: clique %d: %v", ErrCorrupt, id, err)
+		}
+		for _, v := range clique {
 			counts[v]++
-			scratch = append(scratch, int32(v))
-			prev = v
 		}
-		if len(span) != 0 {
-			return nil, fmt.Errorf("%w: clique %d leaves %d undecoded bytes in its span", ErrCorrupt, id, len(span))
-		}
-		if id > 0 && compareCliques(prevClique, scratch) >= 0 {
+		if id > 0 && compareCliques(prevClique, clique) >= 0 {
 			return nil, fmt.Errorf("%w: clique %d out of canonical order", ErrCorrupt, id)
 		}
-		db.sizes[id] = uint32(sz)
-		binary.LittleEndian.PutUint32(hbuf[:], uint32(sz))
-		crc.Write(hbuf[:])
-		for _, v := range scratch {
-			binary.LittleEndian.PutUint32(hbuf[:], uint32(v))
-			crc.Write(hbuf[:])
-		}
-		prevClique = append(prevClique[:0], scratch...)
+		db.sizes[id] = uint32(len(clique))
+		content.Add(clique)
+		prevClique, scratch = clique, prevClique
 	}
 	if u32(coff, 0) != 0 || u32(coff, int(nCliques)) != uint32(len(cliq)) {
 		return nil, fmt.Errorf("%w: COFF does not cover CLIQ exactly", ErrCorrupt)
 	}
-	if crc.Sum32() != digest {
-		return nil, fmt.Errorf("%w: content digest %#x, header promises %#x", ErrCorrupt, crc.Sum32(), digest)
+	if content.Sum32() != digest {
+		return nil, fmt.Errorf("%w: content digest %#x, header promises %#x", ErrCorrupt, content.Sum32(), digest)
 	}
 
-	// Pass 2 — postings: every vertex's list must decode exactly within its
-	// span with the promised count, IDs strictly ascending and in range.
-	// Then pass 3 replays the cliques through per-vertex cursors, so each
-	// posting is proven to name exactly the cliques containing its vertex.
-	cursors := make([]postingCursor, nVerts)
+	// Pass 2 — postings: every vertex's list must be exactly one canonical
+	// run within its span, of the promised count, IDs below the clique
+	// count. Then pass 3 replays the cliques through per-vertex cursors, so
+	// each posting is proven to name exactly the cliques containing its
+	// vertex.
+	cursors := make([]durable.Run, nVerts)
 	for v := int64(0); v < nVerts; v++ {
 		lo, hi := u32(voff, int(v)), u32(voff, int(v)+1)
 		if lo > hi || uint64(hi) > uint64(len(vpst)) {
 			return nil, fmt.Errorf("%w: vertex %d has posting span [%d,%d)", ErrCorrupt, v, lo, hi)
 		}
-		span := vpst[lo:hi]
-		count, n := minUvarint(span)
-		if n <= 0 || count != uint64(counts[v]) {
-			return nil, fmt.Errorf("%w: vertex %d posting claims %d cliques, cliques hold it %d times", ErrCorrupt, v, count, counts[v])
+		ids, err := exactRun(scratch[:0], vpst[lo:hi], int64(nCliques))
+		if err != nil {
+			return nil, fmt.Errorf("%w: vertex %d posting: %v", ErrCorrupt, v, err)
 		}
-		cur := postingCursor{b: span[n:], left: count, head: true}
-		rest := span[n:]
-		last := int64(-1)
-		for i := uint64(0); i < count; i++ {
-			delta, n := minUvarint(rest)
-			if n <= 0 {
-				return nil, fmt.Errorf("%w: vertex %d posting truncated", ErrCorrupt, v)
-			}
-			rest = rest[n:]
-			id := last + int64(delta)
-			if i == 0 {
-				id = int64(delta)
-			} else if delta == 0 {
-				return nil, fmt.Errorf("%w: vertex %d posting not ascending at %d", ErrCorrupt, v, id)
-			}
-			if uint64(id) >= nCliques {
-				return nil, fmt.Errorf("%w: vertex %d posting names clique %d of %d", ErrCorrupt, v, id, nCliques)
-			}
-			last = id
+		if len(ids) != int(counts[v]) {
+			return nil, fmt.Errorf("%w: vertex %d posting claims %d cliques, cliques hold it %d times", ErrCorrupt, v, len(ids), counts[v])
 		}
-		if len(rest) != 0 {
-			return nil, fmt.Errorf("%w: vertex %d posting leaves %d undecoded bytes", ErrCorrupt, v, len(rest))
-		}
-		cursors[v] = cur
+		scratch = ids
+		cursors[v] = durable.OpenRun(vpst[lo:hi])
 	}
 	if int64(u32(voff, 0)) != 0 || u32(voff, int(nVerts)) != uint32(len(vpst)) {
 		return nil, fmt.Errorf("%w: VOFF does not cover VPST exactly", ErrCorrupt)
@@ -631,7 +542,7 @@ func verify(payloads [][]byte) (*DB, error) {
 	for id := uint64(0); id < nCliques; id++ {
 		scratch = db.AppendClique(scratch[:0], uint32(id))
 		for _, v := range scratch {
-			got, ok := cursors[v].next()
+			got, ok := cursors[v].Next()
 			if !ok || uint64(got) != id {
 				return nil, fmt.Errorf("%w: vertex %d posting disagrees with clique %d", ErrCorrupt, v, id)
 			}

@@ -257,16 +257,7 @@ func writeSegment(t testing.TB, path string, cliques [][]int32) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := cliqstore.NewWriter(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range cliques {
-		if err := w.Write(c); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Finish(); err != nil {
+	if _, _, err := cliqstore.WriteAll(f, cliques); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {

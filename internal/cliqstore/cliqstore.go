@@ -1,20 +1,21 @@
-// Package cliqstore persists clique families compactly: each clique is
-// delta-encoded (ascending members, gaps as uvarints) behind a small
-// header. On social networks the members of a clique are often close in ID
-// space, so the encoding lands well under half of a naive int32 dump — the
-// difference between a result that fits on disk and one that does not when
-// enumerating the billions of cliques the paper's Figure 9 y-axis reaches.
+// Package cliqstore persists clique families compactly: each clique is one
+// ascending run (internal/durable: uvarint count, first member, gaps)
+// behind a small header. On social networks the members of a clique are
+// often close in ID space, so the encoding lands well under half of a naive
+// int32 dump — the difference between a result that fits on disk and one
+// that does not when enumerating the billions of cliques the paper's
+// Figure 9 y-axis reaches.
 //
 // The format is streamable in both directions, pairing with the engine's
 // EnumerateStream: cliques go to disk as they are found and come back one
 // at a time.
 //
-// Version 2 ("MCE2") seals every store with a trailer carrying the clique
-// count and a CRC-32 content digest, so a segment whose tail was lost to a
-// crash — even one truncated exactly on a clique boundary, which version 1
-// could not tell from a complete store — is reported as ErrTruncated
-// instead of silently dropping trailing cliques. Version 1 stores remain
-// readable; they simply end at EOF with no tail verification.
+// A store ("MCE2") is sealed by a trailer carrying the clique count and a
+// CRC-32 content digest, so a segment whose tail was lost to a crash — even
+// one truncated exactly on a clique boundary — is reported as ErrTruncated
+// instead of silently dropping trailing cliques. The trailer-less version 1
+// ("MCE1"), which could not tell such a store from a complete one, is
+// refused.
 package cliqstore
 
 import (
@@ -22,52 +23,81 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash"
 	"hash/crc32"
 	"io"
+	"slices"
+
+	"mce/internal/durable"
 )
 
-// magic guards against feeding arbitrary files to the reader. magicV1 is
-// the legacy trailer-less format, kept readable.
-var (
-	magic   = [4]byte{'M', 'C', 'E', '2'}
-	magicV1 = [4]byte{'M', 'C', 'E', '1'}
-)
+// magic guards against feeding arbitrary files to the reader; its last byte
+// is the format version.
+var magic = [4]byte{'M', 'C', 'E', '2'}
 
-// trailerSentinel marks the trailer in the clique stream. Clique sizes are
-// capped at 2^31, so the sentinel can never be read as a valid size.
+// trailerSentinel marks the trailer in the clique stream, in the place of a
+// clique's member count. Clique sizes are capped at 2^31, so the sentinel
+// can never be read as a valid size.
 const trailerSentinel = uint64(1) << 32
 
 var (
-	// ErrTruncated reports a version-2 store that ended before its trailer:
-	// the tail of the segment (possibly whole cliques) is missing.
+	// ErrTruncated reports a store that ended before its trailer: the tail
+	// of the segment (possibly whole cliques) is missing.
 	ErrTruncated = errors.New("cliqstore: truncated store (no trailer; the segment tail is missing)")
 	// ErrCorrupt reports a store whose trailer does not match its content
 	// (count or CRC-32 mismatch).
 	ErrCorrupt = errors.New("cliqstore: corrupt store")
 )
 
-// digestClique folds one clique into a running content digest. The digest
-// covers decoded content (length + members), so it is independent of the
-// delta encoding and can be recomputed from an in-memory clique family.
-func digestClique(h hash.Hash32, clique []int32) {
-	var buf [4]byte
-	binary.LittleEndian.PutUint32(buf[:], uint32(len(clique)))
-	h.Write(buf[:])
-	for _, v := range clique {
-		binary.LittleEndian.PutUint32(buf[:], uint32(v))
-		h.Write(buf[:])
-	}
+// Digester accumulates the content digest of a clique family, one clique at
+// a time: CRC-32 (IEEE) over each clique's length and members as uint32
+// little endian. It covers decoded content, so it is independent of the
+// encoding and can be recomputed from an in-memory family. The zero value
+// is ready; the trailer, the checkpoint journal (internal/runlog) and the
+// index header (internal/cliqdb) all carry this digest.
+type Digester struct {
+	sum uint32
+	buf []byte // one clique as the bytes the CRC covers, reused
 }
 
-// Digest returns the content digest of a clique family, as stored in the
-// version-2 trailer and in checkpoint journals (internal/runlog).
-func Digest(cliques [][]int32) uint32 {
-	h := crc32.NewIEEE()
-	for _, c := range cliques {
-		digestClique(h, c)
+// Add folds one clique into the digest. The clique is laid out in the
+// reused buffer and checksummed in one call: crc32.Update takes its input
+// through a function variable, so a buffer local to Add would be allocated
+// on every call, and four bytes at a time never reach the table-sliced or
+// hardware CRC.
+func (d *Digester) Add(clique []int32) {
+	buf := binary.LittleEndian.AppendUint32(d.buf[:0], uint32(len(clique)))
+	for _, v := range clique {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
 	}
-	return h.Sum32()
+	d.sum = crc32.Update(d.sum, crc32.IEEETable, buf)
+	d.buf = buf
+}
+
+// Sum32 returns the digest of the cliques added so far.
+func (d *Digester) Sum32() uint32 { return d.sum }
+
+// Digest returns the content digest of a clique family.
+func Digest(cliques [][]int32) uint32 {
+	var d Digester
+	for _, c := range cliques {
+		d.Add(c)
+	}
+	return d.Sum32()
+}
+
+// WriteAll writes cliques to w as one sealed store and reports its clique
+// count and content digest.
+func WriteAll(w io.Writer, cliques [][]int32) (count int64, digest uint32, err error) {
+	sw, err := NewWriter(w)
+	if err != nil {
+		return 0, 0, err
+	}
+	for _, c := range cliques {
+		if err := sw.Write(c); err != nil {
+			return 0, 0, err
+		}
+	}
+	return sw.Count(), sw.Digest(), sw.Finish()
 }
 
 // Writer streams cliques into an io.Writer. Create with NewWriter; call
@@ -77,7 +107,7 @@ type Writer struct {
 	w        *bufio.Writer
 	buf      []byte
 	count    int64
-	crc      hash.Hash32
+	digest   Digester
 	finished bool
 	err      error
 }
@@ -88,7 +118,7 @@ func NewWriter(w io.Writer) (*Writer, error) {
 	if _, err := bw.Write(magic[:]); err != nil {
 		return nil, fmt.Errorf("cliqstore: %w", err)
 	}
-	return &Writer{w: bw, buf: make([]byte, binary.MaxVarintLen64), crc: crc32.NewIEEE()}, nil
+	return &Writer{w: bw}, nil
 }
 
 // Write appends one clique; members must be ascending and non-negative.
@@ -100,32 +130,23 @@ func (w *Writer) Write(clique []int32) error {
 		w.err = errors.New("cliqstore: write after Finish")
 		return w.err
 	}
-	if err := w.writeUvarint(uint64(len(clique))); err != nil {
+	buf, err := durable.AppendAscending(w.buf[:0], clique)
+	if err != nil {
+		w.err = fmt.Errorf("cliqstore: %w", err)
+		return w.err
+	}
+	w.buf = buf
+	if err := w.flushBuf(); err != nil {
 		return err
 	}
-	prev := int32(0)
-	for i, v := range clique {
-		if v < 0 || (i > 0 && v <= prev) {
-			w.err = fmt.Errorf("cliqstore: clique not strictly ascending at member %d", i)
-			return w.err
-		}
-		delta := uint64(v - prev)
-		if i == 0 {
-			delta = uint64(v)
-		}
-		if err := w.writeUvarint(delta); err != nil {
-			return err
-		}
-		prev = v
-	}
-	digestClique(w.crc, clique)
+	w.digest.Add(clique)
 	w.count++
 	return nil
 }
 
-func (w *Writer) writeUvarint(x uint64) error {
-	n := binary.PutUvarint(w.buf, x)
-	if _, err := w.w.Write(w.buf[:n]); err != nil {
+// flushBuf hands w.buf to the buffered writer.
+func (w *Writer) flushBuf() error {
+	if _, err := w.w.Write(w.buf); err != nil {
 		w.err = fmt.Errorf("cliqstore: %w", err)
 		return w.err
 	}
@@ -137,7 +158,7 @@ func (w *Writer) Count() int64 { return w.count }
 
 // Digest reports the running content digest of the cliques written so far;
 // after Finish it equals the digest sealed into the trailer.
-func (w *Writer) Digest() uint32 { return w.crc.Sum32() }
+func (w *Writer) Digest() uint32 { return w.digest.Sum32() }
 
 // Finish seals the store: it writes the trailer (clique count + content
 // CRC-32) and drains the buffer. No cliques can be written afterwards;
@@ -150,13 +171,10 @@ func (w *Writer) Finish() error {
 		return nil
 	}
 	w.finished = true
-	if err := w.writeUvarint(trailerSentinel); err != nil {
-		return err
-	}
-	if err := w.writeUvarint(uint64(w.count)); err != nil {
-		return err
-	}
-	if err := w.writeUvarint(uint64(w.crc.Sum32())); err != nil {
+	w.buf = binary.AppendUvarint(w.buf[:0], trailerSentinel)
+	w.buf = binary.AppendUvarint(w.buf, uint64(w.count))
+	w.buf = binary.AppendUvarint(w.buf, uint64(w.digest.Sum32()))
+	if err := w.flushBuf(); err != nil {
 		return err
 	}
 	return w.Flush()
@@ -175,117 +193,135 @@ func (w *Writer) Flush() error {
 	return nil
 }
 
-// Reader streams cliques back from a store.
+// Reader streams cliques back from a store. It decodes from a window over
+// the input that is refilled, and grown for a clique larger than it, only
+// as bytes arrive.
 type Reader struct {
-	r          *bufio.Reader
+	src        io.Reader
+	win        []byte // input read so far; win[off:] is not yet decoded
+	off        int
+	eof        bool // src is exhausted
 	buf        []int32
-	crc        hash.Hash32
+	digest     Digester
 	count      int64
-	legacy     bool // version-1 store: no trailer to verify
 	sawTrailer bool
 }
 
-// NewReader validates the header and returns a ready Reader.
+// NewReader validates the header and returns a ready Reader. A version-1
+// store is refused: it has no trailer, so its completeness cannot be
+// verified.
 func NewReader(r io.Reader) (*Reader, error) {
-	br := bufio.NewReader(r)
 	var got [4]byte
-	if _, err := io.ReadFull(br, got[:]); err != nil {
+	if _, err := io.ReadFull(r, got[:]); err != nil {
 		return nil, fmt.Errorf("cliqstore: reading header: %w", err)
 	}
-	if got != magic && got != magicV1 {
+	if got == [4]byte{'M', 'C', 'E', '1'} {
+		return nil, errors.New("cliqstore: version 1 store (MCE1) has no trailer to verify and is no longer read; re-run the enumeration to rewrite it as MCE2")
+	}
+	if got != magic {
 		return nil, errors.New("cliqstore: not a clique store (bad magic)")
 	}
-	return &Reader{r: br, crc: crc32.NewIEEE(), legacy: got == magicV1}, nil
+	return &Reader{src: r}, nil
 }
 
 // Count reports how many cliques have been read so far.
 func (r *Reader) Count() int64 { return r.count }
 
 // Digest reports the running content digest of the cliques read so far.
-// After a successful drain of a version-2 store it equals the trailer
-// digest.
-func (r *Reader) Digest() uint32 { return r.crc.Sum32() }
+// After a successful drain it equals the trailer digest.
+func (r *Reader) Digest() uint32 { return r.digest.Sum32() }
 
 // Next returns the next clique, or io.EOF when the store is exhausted. The
 // returned slice is reused by subsequent calls; copy to retain.
 //
-// For version-2 stores, a clean end of input before the trailer returns
-// ErrTruncated (wrapped) instead of io.EOF, and a trailer that disagrees
-// with the content returns ErrCorrupt (wrapped); io.EOF therefore
-// guarantees the store was read back complete and intact.
+// A clean end of input before the trailer returns ErrTruncated (wrapped)
+// instead of io.EOF, and a trailer that disagrees with the content returns
+// ErrCorrupt (wrapped); io.EOF therefore guarantees the store was read back
+// complete and intact.
 func (r *Reader) Next() ([]int32, error) {
 	if r.sawTrailer {
 		return nil, io.EOF
 	}
-	size, err := binary.ReadUvarint(r.r)
-	if err != nil {
-		if errors.Is(err, io.EOF) && r.legacy {
-			return nil, io.EOF
+	for {
+		clique, err := r.decode()
+		if !errors.Is(err, durable.ErrShort) {
+			return clique, err
 		}
-		if !r.legacy && (errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF)) {
+		if r.eof {
 			return nil, fmt.Errorf("%w (read %d cliques)", ErrTruncated, r.count)
 		}
-		return nil, fmt.Errorf("cliqstore: %w", err)
-	}
-	if size == trailerSentinel && !r.legacy {
-		return nil, r.readTrailer()
-	}
-	if size > 1<<31 {
-		return nil, fmt.Errorf("cliqstore: implausible clique size %d", size)
-	}
-	r.buf = r.buf[:0]
-	prev := int64(0)
-	for i := uint64(0); i < size; i++ {
-		delta, err := binary.ReadUvarint(r.r)
-		if err != nil {
-			if !r.legacy && (errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF)) {
-				return nil, fmt.Errorf("%w (mid-clique, after %d cliques)", ErrTruncated, r.count)
-			}
-			return nil, fmt.Errorf("cliqstore: truncated clique: %w", err)
+		if err := r.fill(); err != nil {
+			return nil, fmt.Errorf("cliqstore: %w", err)
 		}
-		v := prev + int64(delta)
-		if i == 0 {
-			v = int64(delta)
-		} else if delta == 0 {
-			// Writers emit strictly ascending members, so a zero delta can
-			// only come from corruption.
-			return nil, fmt.Errorf("cliqstore: corrupt clique: duplicate member %d", prev)
-		}
-		if v > 1<<31-1 {
-			return nil, fmt.Errorf("cliqstore: member %d overflows int32", v)
-		}
-		r.buf = append(r.buf, int32(v))
-		prev = v
 	}
-	digestClique(r.crc, r.buf)
-	r.count++
-	return r.buf, nil
 }
 
-// readTrailer validates the trailer against the content read so far and
-// returns io.EOF on success.
-func (r *Reader) readTrailer() error {
-	count, err := binary.ReadUvarint(r.r)
-	if err != nil {
-		return fmt.Errorf("%w (torn trailer: %v)", ErrTruncated, err)
+// fill reads more input behind the undecoded window, doubling the buffer
+// when one undecoded value already fills it.
+func (r *Reader) fill() error {
+	r.win = r.win[:copy(r.win, r.win[r.off:])]
+	r.off = 0
+	if len(r.win) == cap(r.win) {
+		r.win = slices.Grow(r.win, max(len(r.win), 4096))
 	}
-	sum, err := binary.ReadUvarint(r.r)
-	if err != nil {
-		return fmt.Errorf("%w (torn trailer: %v)", ErrTruncated, err)
+	n, err := io.ReadAtLeast(r.src, r.win[len(r.win):cap(r.win)], 1)
+	r.win = r.win[:len(r.win)+n]
+	if err == io.EOF {
+		r.eof, err = true, nil
 	}
+	return err
+}
+
+// decode takes the next clique — or the trailer, which sits where a
+// clique's member count would — off the window. durable.ErrShort means the
+// window ends inside it.
+func (r *Reader) decode() ([]int32, error) {
+	b := r.win[r.off:]
+	if size, n := binary.Uvarint(b); n > 0 && size == trailerSentinel {
+		return nil, r.readTrailer(b[n:])
+	}
+	clique, rest, err := durable.DecodeAscending(r.buf[:0], b, 1<<31)
+	if err != nil {
+		if !errors.Is(err, durable.ErrShort) {
+			err = fmt.Errorf("cliqstore: corrupt clique after %d cliques: %w", r.count, err)
+		}
+		return nil, err
+	}
+	r.off = len(r.win) - len(rest)
+	r.buf = clique
+	r.digest.Add(clique)
+	r.count++
+	return clique, nil
+}
+
+// readTrailer validates the trailer (count and digest, after the sentinel)
+// against the content read so far and returns io.EOF on success.
+func (r *Reader) readTrailer(b []byte) error {
+	var field [2]uint64
+	for i := range field {
+		v, n := binary.Uvarint(b)
+		if n == 0 {
+			return durable.ErrShort
+		}
+		if n < 0 {
+			return fmt.Errorf("%w: unreadable trailer", ErrCorrupt)
+		}
+		field[i], b = v, b[n:]
+	}
+	count, sum := field[0], field[1]
 	if count != uint64(r.count) {
 		return fmt.Errorf("%w: trailer promises %d cliques, store holds %d", ErrCorrupt, count, r.count)
 	}
-	if sum > 1<<32-1 || uint32(sum) != r.crc.Sum32() {
-		return fmt.Errorf("%w: content digest mismatch (trailer %#x, content %#x)", ErrCorrupt, sum, r.crc.Sum32())
+	if sum > 1<<32-1 || uint32(sum) != r.digest.Sum32() {
+		return fmt.Errorf("%w: content digest mismatch (trailer %#x, content %#x)", ErrCorrupt, sum, r.digest.Sum32())
 	}
 	r.sawTrailer = true
 	return io.EOF
 }
 
-// ForEach drains the store, calling fn per clique (slice reused). For
-// version-2 stores it fails with ErrTruncated / ErrCorrupt (wrapped) when
-// the store does not verify against its trailer.
+// ForEach drains the store, calling fn per clique (slice reused). It fails
+// with ErrTruncated / ErrCorrupt (wrapped) when the store does not verify
+// against its trailer.
 func (r *Reader) ForEach(fn func(clique []int32) error) error {
 	for {
 		c, err := r.Next()

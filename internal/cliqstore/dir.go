@@ -11,11 +11,14 @@ package cliqstore
 import (
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
+
+	"mce/internal/durable"
 )
 
 // SegmentExt is the filename extension of sealed clique segments as written
@@ -28,7 +31,7 @@ const FamilySegment = "family" + SegmentExt
 
 // WriteDir writes cliques as a canonical serving segment directory at dir
 // (created if missing): one sealed segment holding the entire family,
-// landed temp + fsync + rename so a crash never leaves a torn segment
+// landed by durable.AtomicReplace so a crash never leaves a torn segment
 // under the live name, with any stale segments from a previous family
 // removed after the rename. This is the directory to back index
 // self-healing with (mced -segments): unlike a run checkpoint's segment
@@ -36,41 +39,20 @@ const FamilySegment = "family" + SegmentExt
 // IDs, before the Lemma 1 filter — it holds the final clique family in
 // the graph's own IDs.
 func WriteDir(dir string, cliques [][]int32) error {
+	return writeDir(durable.OSFS{}, dir, cliques)
+}
+
+// writeDir is WriteDir over an injectable filesystem.
+func writeDir(fsys durable.FS, dir string, cliques [][]int32) error {
 	fail := func(err error) error { return fmt.Errorf("cliqstore: write segment dir: %w", err) }
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return fail(err)
 	}
-	f, err := os.CreateTemp(dir, FamilySegment+".tmp*")
+	err := durable.AtomicReplace(fsys, filepath.Join(dir, FamilySegment), func(w io.Writer) error {
+		_, _, err := WriteAll(w, cliques)
+		return err
+	})
 	if err != nil {
-		return fail(err)
-	}
-	tmp := f.Name()
-	abort := func(err error) error {
-		f.Close()
-		os.Remove(tmp)
-		return fail(err)
-	}
-	w, err := NewWriter(f)
-	if err != nil {
-		return abort(err)
-	}
-	for _, c := range cliques {
-		if err := w.Write(c); err != nil {
-			return abort(err)
-		}
-	}
-	if err := w.Finish(); err != nil {
-		return abort(err)
-	}
-	if err := f.Sync(); err != nil {
-		return abort(err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fail(err)
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, FamilySegment)); err != nil {
-		os.Remove(tmp)
 		return fail(err)
 	}
 	// The family segment is now live; stale siblings would feed extra
@@ -81,7 +63,7 @@ func WriteDir(dir string, cliques [][]int32) error {
 	}
 	for _, p := range files {
 		if filepath.Base(p) != FamilySegment {
-			if err := os.Remove(p); err != nil {
+			if err := fsys.Remove(p); err != nil {
 				return fail(err)
 			}
 		}

@@ -14,16 +14,7 @@ func writeSegmentFile(t *testing.T, path string, cliques [][]int32) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := NewWriter(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range cliques {
-		if err := w.Write(c); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Finish(); err != nil {
+	if _, _, err := WriteAll(f, cliques); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"strings"
 	"testing"
 )
 
@@ -119,19 +120,14 @@ func TestCorruptTrailerCount(t *testing.T) {
 	}
 }
 
-// TestLegacyV1StillReadable pins backward compatibility: a version-1 store
-// (no trailer) reads to io.EOF without complaint.
-func TestLegacyV1StillReadable(t *testing.T) {
+// TestLegacyV1Refused pins the end of the version-1 read path: a store with
+// the MCE1 magic (no trailer) is refused at NewReader, by version.
+func TestLegacyV1Refused(t *testing.T) {
 	data, bodyLen := sealed(t, [][]int32{{1, 4}, {2, 6, 9}})
-	legacy := append([]byte(nil), data[:bodyLen]...)
-	copy(legacy[:4], magicV1[:])
-	r, err := NewReader(bytes.NewReader(legacy))
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := drain(r)
-	if err != nil || n != 2 {
-		t.Fatalf("legacy store: %d cliques, err %v; want 2, nil", n, err)
+	legacy := append([]byte("MCE1"), data[4:bodyLen]...)
+	_, err := NewReader(bytes.NewReader(legacy))
+	if err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("legacy store: err %v, want a refusal naming version 1", err)
 	}
 }
 

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/gob"
 	"errors"
 	"net"
 	"strings"
@@ -12,6 +11,7 @@ import (
 
 	"mce/internal/cluster/faultconn"
 	"mce/internal/core"
+	"mce/internal/durable"
 	"mce/internal/gen"
 	"mce/internal/mcealg"
 )
@@ -68,7 +68,7 @@ func TestChaosCompleteness(t *testing.T) {
 		CorruptProb: 0.02,
 		DelayProb:   0.05,
 		Delay:       500 * time.Microsecond,
-		SkipOps:     6, // let the handshake through
+		SkipOps:     3, // let the handshake through: hello header, hello payload, ack
 	})
 	client, err := Dial(addrs, ClientOptions{
 		DialTimeout:      2 * time.Second,
@@ -109,14 +109,14 @@ func TestChaosCompleteness(t *testing.T) {
 // deadline, and the batch must complete on the healthy worker — in bounded
 // time, where without deadlines it would block forever.
 func TestChaosHungWorker(t *testing.T) {
-	// SkipOps covers the handshake (up to two reads for hello, two writes
-	// for the ack — gob may split one message across ops); whichever op of
-	// the first round trip lands after the exemption hangs, so no round
-	// trip can ever complete.
+	// SkipOps covers the handshake (two reads for the hello frame — header,
+	// then payload — and one write for the ack); whichever op of the first
+	// round trip lands after the exemption hangs, so no round trip can ever
+	// complete.
 	hungAddrs := startFaultyWorkers(t, 1, faultconn.Options{
 		Seed:     1,
 		HangProb: 1.0,
-		SkipOps:  4,
+		SkipOps:  3,
 	})
 	okAddrs, stop, err := StartLocal(1)
 	if err != nil {
@@ -230,12 +230,7 @@ func fakeWorker(t *testing.T, handle func(net.Conn)) string {
 func TestDialVersionMismatch(t *testing.T) {
 	addr := fakeWorker(t, func(conn net.Conn) {
 		defer conn.Close()
-		dec, enc := gob.NewDecoder(conn), gob.NewEncoder(conn)
-		var h hello
-		if dec.Decode(&h) != nil {
-			return
-		}
-		_ = enc.Encode(helloAck{Version: 99})
+		newPeer(conn).acceptHello(hello{Version: 99})
 	})
 	_, err := Dial([]string{addr}, ClientOptions{DialTimeout: time.Second})
 	if err == nil || !strings.Contains(err.Error(), "version 99") {
@@ -246,12 +241,7 @@ func TestDialVersionMismatch(t *testing.T) {
 func TestDialCompressionRefused(t *testing.T) {
 	addr := fakeWorker(t, func(conn net.Conn) {
 		defer conn.Close()
-		dec, enc := gob.NewDecoder(conn), gob.NewEncoder(conn)
-		var h hello
-		if dec.Decode(&h) != nil {
-			return
-		}
-		_ = enc.Encode(helloAck{Version: protocolVersion, Compress: false})
+		newPeer(conn).acceptHello(hello{Version: protocolVersion, Compress: false})
 	})
 	_, err := Dial([]string{addr}, ClientOptions{DialTimeout: time.Second, Compress: true})
 	if err == nil || !strings.Contains(err.Error(), "refused compression") {
@@ -293,19 +283,7 @@ func TestDialHandshakeHang(t *testing.T) {
 // per-attempt causes attached.
 func TestPoisonTask(t *testing.T) {
 	// Workers that handshake correctly and then hang up on the first task.
-	handle := func(conn net.Conn) {
-		defer conn.Close()
-		dec, enc := gob.NewDecoder(conn), gob.NewEncoder(conn)
-		var h hello
-		if dec.Decode(&h) != nil {
-			return
-		}
-		if enc.Encode(helloAck{Version: protocolVersion}) != nil {
-			return
-		}
-		var task blockTask
-		_ = dec.Decode(&task) // swallow the task, answer nothing
-	}
+	handle := swallowOneTask
 	addrs := []string{fakeWorker(t, handle), fakeWorker(t, handle), fakeWorker(t, handle)}
 	client, err := Dial(addrs, ClientOptions{DialTimeout: time.Second, TaskRetries: 2})
 	if err != nil {
@@ -330,19 +308,7 @@ func TestPoisonTask(t *testing.T) {
 // fails the batch — the block's slot stays nil, the verdict is recorded for
 // the caller, and the batch completes.
 func TestPoisonTaskSkipped(t *testing.T) {
-	handle := func(conn net.Conn) {
-		defer conn.Close()
-		dec, enc := gob.NewDecoder(conn), gob.NewEncoder(conn)
-		var h hello
-		if dec.Decode(&h) != nil {
-			return
-		}
-		if enc.Encode(helloAck{Version: protocolVersion}) != nil {
-			return
-		}
-		var task blockTask
-		_ = dec.Decode(&task) // swallow the task, answer nothing
-	}
+	handle := swallowOneTask
 	// Each swallowed task costs one connection for good, so the worker pool
 	// must cover blocks × retries deaths with one spare to stay alive.
 	addrs := []string{fakeWorker(t, handle), fakeWorker(t, handle), fakeWorker(t, handle)}
@@ -383,19 +349,7 @@ func TestPoisonTaskSkipped(t *testing.T) {
 // retrying until capacity runs out, and fails with the all-dead error
 // instead of a poison verdict.
 func TestPoisonTaskUnlimitedRetries(t *testing.T) {
-	handle := func(conn net.Conn) {
-		defer conn.Close()
-		dec, enc := gob.NewDecoder(conn), gob.NewEncoder(conn)
-		var h hello
-		if dec.Decode(&h) != nil {
-			return
-		}
-		if enc.Encode(helloAck{Version: protocolVersion}) != nil {
-			return
-		}
-		var task blockTask
-		_ = dec.Decode(&task)
-	}
+	handle := swallowOneTask
 	addrs := []string{fakeWorker(t, handle), fakeWorker(t, handle)}
 	client, err := Dial(addrs, ClientOptions{DialTimeout: time.Second, TaskRetries: -1})
 	if err != nil {
@@ -412,104 +366,35 @@ func TestPoisonTaskUnlimitedRetries(t *testing.T) {
 	}
 }
 
-// TestWorkerPanicIsolation: a malformed task that panics inside
-// BLOCK-ANALYSIS must come back as an in-band error, and the same
-// connection must keep serving afterwards.
-func TestWorkerPanicIsolation(t *testing.T) {
-	cl, sv := net.Pipe()
-	done := make(chan error, 1)
-	go func() { done <- ServeConn(sv) }()
-
-	enc, dec := gob.NewEncoder(cl), gob.NewDecoder(cl)
-	if err := enc.Encode(hello{Version: protocolVersion}); err != nil {
-		t.Fatal(err)
-	}
-	var ack helloAck
-	if err := dec.Decode(&ack); err != nil {
-		t.Fatal(err)
-	}
-
-	// Kernel node 200 is far outside the 3-node block; blockFromTask cannot
-	// see that, so AnalyzeBlock panics on the out-of-range bitset word. The
-	// checksum is valid — the task is malformed, not corrupted.
-	bad := blockTask{
-		ID: 1, Nodes: 3,
-		Edges:  [][2]int32{{0, 1}},
-		Kernel: []int32{200},
-		Orig:   []int32{10, 11, 12},
-		Alg:    uint8(mcealg.Tomita), Struct: uint8(mcealg.BitSets),
-	}
-	bad.Sum = bad.payloadSum()
-	if err := enc.Encode(&bad); err != nil {
-		t.Fatal(err)
-	}
-	var res blockResult
-	if err := dec.Decode(&res); err != nil {
-		t.Fatal(err)
-	}
-	if res.ID != 1 || !strings.Contains(res.Err, "panic") {
-		t.Fatalf("result = %+v, want in-band panic report", res)
-	}
-
-	// The worker survived: a valid task on the same connection still works.
-	good := blockTask{
-		ID: 2, Nodes: 3,
-		Edges:  [][2]int32{{0, 1}, {1, 2}, {0, 2}},
-		Kernel: []int32{0, 1, 2},
-		Orig:   []int32{10, 11, 12},
-		Alg:    uint8(mcealg.Tomita), Struct: uint8(mcealg.BitSets),
-	}
-	good.Sum = good.payloadSum()
-	if err := enc.Encode(&good); err != nil {
-		t.Fatal(err)
-	}
-	// Decode into a fresh value: gob omits zero fields, so reusing res
-	// would leave the previous Err in place and fake a failure.
-	var res2 blockResult
-	if err := dec.Decode(&res2); err != nil {
-		t.Fatal(err)
-	}
-	if res2.ID != 2 || res2.Err != "" || len(res2.Cliques) != 1 {
-		t.Fatalf("post-panic result = %+v", res2)
-	}
-	cl.Close()
-	if err := <-done; err != nil {
-		t.Fatalf("ServeConn returned %v", err)
-	}
-}
-
-// TestWorkerChecksumRejectsTamperedTask: a task whose payload does not match
-// its checksum is answered with the Corrupt verdict, not executed.
+// TestWorkerChecksumRejectsTamperedTask: a task frame whose payload does
+// not match its checksum is answered with the Corrupt verdict, not executed,
+// and the connection stays in sync for the next task.
 func TestWorkerChecksumRejectsTamperedTask(t *testing.T) {
-	cl, sv := net.Pipe()
-	go func() { _ = ServeConn(sv) }()
+	p, cl, _ := dialPipe(t)
 	defer cl.Close()
 
-	enc, dec := gob.NewEncoder(cl), gob.NewDecoder(cl)
-	if err := enc.Encode(hello{Version: protocolVersion}); err != nil {
+	task := triangleTask(3)
+	payload, err := task.appendTo(nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	var ack helloAck
-	if err := dec.Decode(&ack); err != nil {
+	frame := durable.AppendFrame(nil, payload)
+	frame[len(frame)-1] ^= 0x01 // a class byte flips in flight
+	if _, err := cl.Write(frame); err != nil {
 		t.Fatal(err)
 	}
-	task := blockTask{
-		ID: 3, Nodes: 3,
-		Edges:  [][2]int32{{0, 1}},
-		Kernel: []int32{0},
-		Orig:   []int32{10, 11, 12},
-		Alg:    uint8(mcealg.Tomita), Struct: uint8(mcealg.BitSets),
-	}
-	task.Sum = task.payloadSum() ^ 0xdeadbeef
-	if err := enc.Encode(&task); err != nil {
-		t.Fatal(err)
-	}
-	var res blockResult
-	if err := dec.Decode(&res); err != nil {
+	res, err := p.recvResult()
+	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Corrupt || res.Err != "" || len(res.Cliques) != 0 {
 		t.Fatalf("result = %+v, want Corrupt verdict", res)
+	}
+	if err := p.sendTask(&task); err != nil {
+		t.Fatal(err)
+	}
+	if res, err := p.recvResult(); err != nil || res.ID != 3 || res.Corrupt || len(res.Cliques) != 1 {
+		t.Fatalf("result after the corrupt frame = %+v, %v", res, err)
 	}
 }
 
@@ -593,14 +478,14 @@ func TestWorkerMaxConns(t *testing.T) {
 		return c
 	}
 	handshake := func(c net.Conn, deadline time.Duration) error {
-		enc, dec := gob.NewEncoder(c), gob.NewDecoder(c)
-		if err := enc.Encode(hello{Version: protocolVersion}); err != nil {
+		p := newPeer(c)
+		if err := p.sendHello(hello{Version: protocolVersion}, kindHello); err != nil {
 			return err
 		}
 		c.SetReadDeadline(time.Now().Add(deadline))
 		defer c.SetReadDeadline(time.Time{})
-		var ack helloAck
-		return dec.Decode(&ack)
+		_, err := p.recvHello(kindAck)
+		return err
 	}
 
 	first := dial()
@@ -616,8 +501,8 @@ func TestWorkerMaxConns(t *testing.T) {
 	// already buffered, so only the ack read remains.
 	first.Close()
 	second.SetReadDeadline(time.Now().Add(5 * time.Second))
-	var ack helloAck
-	if err := gob.NewDecoder(second).Decode(&ack); err != nil {
+	ack, err := newPeer(second).recvHello(kindAck)
+	if err != nil {
 		t.Fatalf("queued connection never served after slot freed: %v", err)
 	}
 	if ack.Version != protocolVersion {
@@ -659,28 +544,31 @@ func TestDialReportDegraded(t *testing.T) {
 }
 
 func TestTaskDeadlineResolution(t *testing.T) {
-	task := blockTask{Nodes: 100, Edges: make([][2]int32, 400)}
+	const nodes, edges, size = 100, 400, 2048
 
 	c := &Client{opts: ClientOptions{TaskTimeout: -1}}
-	if d := c.taskDeadline(&task); d != 0 {
+	if d := c.taskDeadline(nodes, edges, size); d != 0 {
 		t.Fatalf("negative TaskTimeout gave deadline %v, want disabled", d)
 	}
 	c = &Client{opts: ClientOptions{TaskTimeout: 7 * time.Second}}
-	if d := c.taskDeadline(&task); d != 7*time.Second {
+	if d := c.taskDeadline(nodes, edges, size); d != 7*time.Second {
 		t.Fatalf("explicit TaskTimeout gave %v", d)
 	}
 	c = &Client{}
-	base := c.taskDeadline(&task)
+	base := c.taskDeadline(nodes, edges, size)
 	if base < 30*time.Second {
 		t.Fatalf("derived deadline %v below the 30s floor", base)
 	}
 	c = &Client{opts: ClientOptions{Latency: time.Second}}
-	if d := c.taskDeadline(&task); d < base+2*time.Second {
+	if d := c.taskDeadline(nodes, edges, size); d < base+2*time.Second {
 		t.Fatalf("derived deadline %v ignores simulated latency (base %v)", d, base)
 	}
-	big := blockTask{Nodes: 1_000_000}
-	if c.taskDeadline(&big) <= c.taskDeadline(&task) {
+	if c.taskDeadline(1_000_000, 0, size) <= c.taskDeadline(nodes, edges, size) {
 		t.Fatal("derived deadline does not scale with block size")
+	}
+	c = &Client{opts: ClientOptions{BandwidthBytesPerSec: 1024}}
+	if d := c.taskDeadline(nodes, edges, size); d < base+4*time.Second {
+		t.Fatalf("derived deadline %v ignores the frame's transfer time (base %v)", d, base)
 	}
 }
 

@@ -1,9 +1,7 @@
 package cluster
 
 import (
-	"compress/flate"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -14,6 +12,7 @@ import (
 	"time"
 
 	"mce/internal/decomp"
+	"mce/internal/durable"
 	"mce/internal/mcealg"
 	"mce/internal/resguard"
 	"mce/internal/runlog"
@@ -201,9 +200,7 @@ func (c *Client) recordPoison(v PoisonTaskError) {
 type workerConn struct {
 	addr   string
 	conn   net.Conn
-	enc    *gob.Encoder
-	dec    *gob.Decoder
-	flush  func() error // non-nil when the stream is compressed
+	link   *link
 	dead   bool
 	leased bool // owned by a batch runner (possibly a straggler of a returned batch)
 	tasks  int
@@ -365,13 +362,13 @@ func dialWorkerContext(ctx context.Context, addr string, timeout time.Duration, 
 	}
 	conn.SetDeadline(deadline)
 	defer conn.SetDeadline(time.Time{})
-	wc := &workerConn{addr: addr, conn: conn, enc: gob.NewEncoder(conn), dec: gob.NewDecoder(conn)}
-	if err := wc.enc.Encode(hello{Version: protocolVersion, Compress: compress}); err != nil {
+	wc := &workerConn{addr: addr, conn: conn, link: newLink(conn)}
+	if err := wc.link.sendHello(hello{Version: protocolVersion, Compress: compress}, kindHello); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("cluster: handshake with %s: %w", addr, err)
 	}
-	var ack helloAck
-	if err := wc.dec.Decode(&ack); err != nil {
+	ack, err := recvHello(durable.NewFrameReader(conn, maxHandshakeLen), kindAck)
+	if err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("cluster: handshake ack from %s: %w", addr, err)
 	}
@@ -384,15 +381,10 @@ func dialWorkerContext(ctx context.Context, addr string, timeout time.Duration, 
 			conn.Close()
 			return nil, fmt.Errorf("cluster: worker %s refused compression", addr)
 		}
-		fr := flate.NewReader(conn)
-		fw, err := flate.NewWriter(conn, flate.BestSpeed)
-		if err != nil {
+		if err := wc.link.deflate(conn); err != nil {
 			conn.Close()
-			return nil, fmt.Errorf("cluster: compression: %w", err)
+			return nil, err
 		}
-		wc.enc = gob.NewEncoder(fw)
-		wc.dec = gob.NewDecoder(fr)
-		wc.flush = fw.Flush
 	}
 	return wc, nil
 }
@@ -1228,8 +1220,9 @@ func (c *Client) Analyze(ctx context.Context, blocks []decomp.Block, combos []mc
 	return out, nil
 }
 
-// taskDeadline resolves the round-trip envelope for one task.
-func (c *Client) taskDeadline(t *blockTask) time.Duration {
+// taskDeadline resolves the round-trip envelope for one task: a block of
+// the given node and edge count whose task frame is size bytes.
+func (c *Client) taskDeadline(nodes, edges int, size int64) time.Duration {
 	if c.opts.TaskTimeout < 0 {
 		return 0
 	}
@@ -1239,65 +1232,75 @@ func (c *Client) taskDeadline(t *blockTask) time.Duration {
 	// Derived default: a generous per-block compute allowance that scales
 	// with the block, so the envelope only catches genuinely hung
 	// workers, never slow ones.
-	d := 30*time.Second + time.Duration(int64(t.Nodes)+int64(len(t.Edges)))*time.Millisecond
+	d := 30*time.Second + time.Duration(nodes+edges)*time.Millisecond
 	d += 2 * c.opts.Latency
 	if c.opts.BandwidthBytesPerSec > 0 {
-		d += time.Duration(float64(2*t.wireSize()) / float64(c.opts.BandwidthBytesPerSec) * float64(time.Second))
+		d += time.Duration(float64(2*size) / float64(c.opts.BandwidthBytesPerSec) * float64(time.Second))
 	}
 	return d
 }
 
 // roundTrip sends one task and waits for its result, applying the simulated
 // link costs and the task deadline. bid is the block's stable checkpoint
-// identity (zero for non-checkpointed runs); the worker must echo it.
+// identity (zero for non-checkpointed runs); the worker must echo it. The
+// task is encoded first, so the link is paced, the deadline sized and the
+// telemetry charged by the bytes the frame really has.
 func (c *Client) roundTrip(ctx context.Context, wc *workerConn, id int, bid runlog.BlockID, b *decomp.Block, combo mcealg.Combo) ([][]int32, error) {
-	t := taskFromBlock(id, bid.Level, bid.Plan, b, combo)
-	if err := c.simulateLink(ctx, t.wireSize()); err != nil {
+	l := wc.link
+	want := taskID{ID: id, Level: bid.Level, Plan: bid.Plan}
+	var err error
+	if l.payload, err = (&blockTask{taskID: want, Block: b, Combo: combo}).appendTo(l.payload[:0]); err != nil {
+		// Not a block the wire can carry; no worker will change that.
+		return nil, &applicationError{msg: err.Error()}
+	}
+	size := frameLen(l.payload)
+	if err := c.simulateLink(ctx, size); err != nil {
 		return nil, &cleanCancelError{err: err}
 	}
-	if d := c.taskDeadline(&t); d > 0 {
+	if d := c.taskDeadline(b.Graph.N(), b.Graph.M(), size); d > 0 {
 		wc.conn.SetDeadline(time.Now().Add(d))
 		defer wc.conn.SetDeadline(time.Time{})
 	}
 	met := c.opts.Metrics
-	if err := wc.enc.Encode(&t); err != nil {
+	if err := l.send(); err != nil {
 		return nil, fmt.Errorf("cluster: send to %s: %w", wc.addr, err)
 	}
 	if met != nil {
-		met.BytesSent.Add(t.wireSize())
+		met.BytesSent.Add(size)
 	}
-	if wc.flush != nil {
-		if err := wc.flush(); err != nil {
-			return nil, fmt.Errorf("cluster: flush to %s: %w", wc.addr, err)
-		}
-	}
-	var res blockResult
-	if err := wc.dec.Decode(&res); err != nil {
+	p, err := l.in.Next()
+	if err != nil && !errors.Is(err, durable.ErrChecksum) {
 		return nil, fmt.Errorf("cluster: receive from %s: %w", wc.addr, err)
 	}
 	if met != nil {
-		met.BytesReceived.Add(res.wireSize())
+		met.BytesReceived.Add(frameLen(p))
 	}
-	if res.ID != id || res.Level != bid.Level || res.Plan != bid.Plan {
-		return nil, fmt.Errorf("cluster: worker %s answered task %d (block L%d/B%d), want %d (L%d/B%d)",
-			wc.addr, res.ID, res.Level, res.Plan, id, bid.Level, bid.Plan)
+	corrupt := func(format string) error {
+		if met != nil {
+			met.CorruptResults.Inc()
+		}
+		return &corruptResultError{msg: fmt.Sprintf("cluster: "+format+" (checksum mismatch)", id, wc.addr)}
+	}
+	if err != nil {
+		return nil, corrupt("result %d from %s corrupted in flight")
+	}
+	res, err := parseResult(p)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: receive from %s: %w", wc.addr, err)
 	}
 	if res.Corrupt {
-		if met != nil {
-			met.CorruptResults.Inc()
-		}
-		return nil, &corruptResultError{msg: fmt.Sprintf("cluster: task %d corrupted in flight to %s", id, wc.addr)}
+		// The worker could not trust the task frame, its identity included,
+		// so the verdict is matched to this round trip by position alone.
+		return nil, corrupt("task %d corrupted in flight to %s")
 	}
-	if res.Sum != res.payloadSum() {
-		if met != nil {
-			met.CorruptResults.Inc()
-		}
-		return nil, &corruptResultError{msg: fmt.Sprintf("cluster: result %d from %s corrupted in flight (checksum mismatch)", id, wc.addr)}
+	if res.taskID != want {
+		return nil, fmt.Errorf("cluster: worker %s answered task %d (block L%d/B%d), want %d (L%d/B%d)",
+			wc.addr, res.ID, res.Level, res.Plan, id, bid.Level, bid.Plan)
 	}
 	if res.Err != "" {
 		return nil, &applicationError{msg: fmt.Sprintf("cluster: worker %s: %s", wc.addr, res.Err)}
 	}
-	if err := c.simulateLink(ctx, res.wireSize()); err != nil {
+	if err := c.simulateLink(ctx, frameLen(p)); err != nil {
 		return nil, &cleanCancelError{err: err}
 	}
 	return res.Cliques, nil

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"encoding/gob"
 	"fmt"
 	"net"
 	"strings"
@@ -32,47 +31,6 @@ func makeBlocks(g *graph.Graph, m int) ([]decomp.Block, []mcealg.Combo) {
 		combos[i] = mcealg.Combo{Alg: mcealg.Tomita, Struct: mcealg.BitSets}
 	}
 	return blocks, combos
-}
-
-func TestTaskRoundTripConversion(t *testing.T) {
-	g := gen.ErdosRenyi(40, 0.3, 1)
-	blocks, combos := makeBlocks(g, g.MaxDegree()+1)
-	if len(blocks) == 0 {
-		t.Fatal("no blocks")
-	}
-	b := &blocks[0]
-	task := taskFromBlock(7, 2, 5, b, combos[0])
-	b2, combo2, err := blockFromTask(&task)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if combo2 != combos[0] {
-		t.Fatalf("combo changed: %v", combo2)
-	}
-	if b2.Graph.N() != b.Graph.N() || b2.Graph.M() != b.Graph.M() {
-		t.Fatalf("graph changed: %v vs %v", b2.Graph, b.Graph)
-	}
-	if len(b2.Kernel) != len(b.Kernel) || len(b2.Orig) != len(b.Orig) {
-		t.Fatalf("classes changed")
-	}
-}
-
-func TestBlockFromTaskMalformed(t *testing.T) {
-	task := blockTask{ID: 1, Nodes: 5, Orig: []int32{0, 1}}
-	if _, _, err := blockFromTask(&task); err == nil {
-		t.Fatal("malformed task accepted")
-	}
-}
-
-func TestWireSizesPositive(t *testing.T) {
-	task := blockTask{Edges: [][2]int32{{0, 1}}, Orig: []int32{0, 1}}
-	if task.wireSize() <= 0 {
-		t.Fatal("task wireSize not positive")
-	}
-	res := blockResult{Cliques: [][]int32{{0, 1}}}
-	if res.wireSize() <= 0 {
-		t.Fatal("result wireSize not positive")
-	}
 }
 
 func TestClusterAnalyzeMatchesLocal(t *testing.T) {
@@ -230,10 +188,10 @@ func TestApplicationErrorNotRetried(t *testing.T) {
 	// An oversized Matrix combo makes the worker report an application
 	// error, which must fail the batch rather than loop forever.
 	big := graph.Empty(mcealg.MatrixMaxNodes + 1)
-	kernel := make([]int32, 1)
+	kernel := make([]int32, big.N())
 	orig := make([]int32, big.N())
 	for i := range orig {
-		orig[i] = int32(i)
+		kernel[i], orig[i] = int32(i), int32(i)
 	}
 	blocks := []decomp.Block{{Graph: big, Orig: orig, Kernel: kernel}}
 	combos := []mcealg.Combo{{Alg: mcealg.Tomita, Struct: mcealg.Matrix}}
@@ -521,33 +479,14 @@ func TestReconnectRestoresCapacity(t *testing.T) {
 
 func TestServeConnOverPipe(t *testing.T) {
 	// ServeConn works over any net.Conn; drive it through an in-memory
-	// pipe with a raw gob conversation.
-	cl, sv := net.Pipe()
-	done := make(chan error, 1)
-	go func() { done <- ServeConn(sv) }()
-
-	enc := gob.NewEncoder(cl)
-	dec := gob.NewDecoder(cl)
-	if err := enc.Encode(hello{Version: protocolVersion}); err != nil {
+	// pipe with a raw frame conversation.
+	p, cl, done := dialPipe(t)
+	task := triangleTask(5)
+	if err := p.sendTask(&task); err != nil {
 		t.Fatal(err)
 	}
-	var ack helloAck
-	if err := dec.Decode(&ack); err != nil || ack.Version != protocolVersion {
-		t.Fatalf("ack = %+v, %v", ack, err)
-	}
-	task := blockTask{
-		ID: 5, Nodes: 3,
-		Edges:  [][2]int32{{0, 1}, {1, 2}, {0, 2}},
-		Kernel: []int32{0, 1, 2},
-		Orig:   []int32{10, 11, 12},
-		Alg:    uint8(mcealg.Tomita), Struct: uint8(mcealg.BitSets),
-	}
-	task.Sum = task.payloadSum()
-	if err := enc.Encode(&task); err != nil {
-		t.Fatal(err)
-	}
-	var res blockResult
-	if err := dec.Decode(&res); err != nil {
+	res, err := p.recvResult()
+	if err != nil {
 		t.Fatal(err)
 	}
 	if res.ID != 5 || len(res.Cliques) != 1 || res.Err != "" {

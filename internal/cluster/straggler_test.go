@@ -46,7 +46,7 @@ func startSlowWorker(t *testing.T, delay time.Duration) string {
 		_ = w.Serve(faultconn.Listener(ln, faultconn.Options{
 			ReadDelay:  delay,
 			WriteDelay: delay,
-			SkipOps:    6, // let the handshake through
+			SkipOps:    3, // let the handshake through: hello header, hello payload, ack
 		}))
 	}()
 	t.Cleanup(func() { _ = w.Close() })

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"encoding/gob"
 	"net"
 	"testing"
 
@@ -76,7 +75,7 @@ func TestClientAndWorkerTelemetry(t *testing.T) {
 		t.Fatalf("worker algorithm counters: nodes=%d blocks=%d", ws.RecursionNodes, ws.BlocksAnalyzed)
 	}
 	// Conservation: what the client sent is what the worker received, and
-	// vice versa (wireSize is deterministic on both sides).
+	// vice versa — both ends count the bytes of the frames themselves.
 	if cs.BytesSent != ws.BytesReceived || cs.BytesReceived != ws.BytesSent {
 		t.Fatalf("wire accounting disagrees: client %d/%d, worker %d/%d",
 			cs.BytesSent, cs.BytesReceived, ws.BytesSent, ws.BytesReceived)
@@ -91,19 +90,7 @@ func TestClientTelemetryRetryAndReconnect(t *testing.T) {
 	defer stopOK()
 
 	// Answer the handshake, swallow the first task and hang up.
-	flakyAddr := fakeWorker(t, func(conn net.Conn) {
-		defer conn.Close()
-		dec, enc := gob.NewDecoder(conn), gob.NewEncoder(conn)
-		var h hello
-		if dec.Decode(&h) != nil {
-			return
-		}
-		if enc.Encode(helloAck{Version: protocolVersion}) != nil {
-			return
-		}
-		var task blockTask
-		_ = dec.Decode(&task)
-	})
+	flakyAddr := fakeWorker(t, swallowOneTask)
 
 	eng := telemetry.NewEngine()
 	c, err := Dial([]string{flakyAddr, okAddr}, ClientOptions{Metrics: eng})

@@ -1,210 +1,307 @@
 // Package cluster is the distributed substrate of the reproduction: the
 // paper ran block analysis on a 10-node OpenMPI cluster (§6.1); here a
-// coordinator (Client) ships blocks to worker processes over TCP using
-// encoding/gob, collects their cliques, requeues work from failed workers,
-// and can simulate link latency and bandwidth so that the communication
-// overhead trends of Figures 7–8 are exercised on a single machine.
+// coordinator (Client) ships blocks to worker processes over TCP as durable
+// frames (internal/durable: length, CRC-32, payload), collects their
+// cliques, requeues work from failed workers, and can simulate link latency
+// and bandwidth so that the communication overhead trends of Figures 7–8
+// are exercised on a single machine.
 //
 // The protocol is a plain request/response stream per connection: the
-// coordinator sends blockTask messages and the worker answers one
-// blockResult per task, in order. Workers are stateless, so any task can be
-// re-sent to any worker — that is what makes the failure handling trivial
-// and matches the paper's "blocks are processed independently" design.
+// coordinator sends task frames and the worker answers one result frame per
+// task, in order. Workers are stateless, so any task can be re-sent to any
+// worker — that is what makes the failure handling trivial and matches the
+// paper's "blocks are processed independently" design.
 package cluster
 
 import (
+	"bytes"
+	"compress/flate"
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"hash"
-	"hash/crc32"
+	"io"
 
 	"mce/internal/decomp"
+	"mce/internal/durable"
 	"mce/internal/graph"
 	"mce/internal/mcealg"
 )
 
-// protocolVersion guards against mismatched coordinator/worker builds.
-// Version 2 added the CRC-32 payload checksums (Sum fields) and the
-// Corrupt verdict, so link-level byte corruption is detected and retried
-// instead of silently producing a wrong clique set. Version 3 added the
-// stable block identity (Level, Plan) to both directions, checksummed and
-// echoed, so a checkpointing coordinator can journal exactly which block a
-// result belongs to — the identity a resumed run uses to skip it.
-const protocolVersion = 3
+// protocolVersion guards against mismatched coordinator/worker builds: a
+// peer that speaks another version, or no frames at all, is refused at the
+// handshake. Version 4 replaced the gob stream of versions 1–3 with durable
+// frames, whose CRC-32 covers the bytes actually transmitted: link-level
+// corruption is detected and retried (the Corrupt verdict) instead of
+// silently producing a wrong clique set.
+const protocolVersion = 4
 
-// hello is the first message on every connection, sent by the coordinator.
+// Every frame's payload starts with its kind.
+const (
+	kindHello byte = iota + 1
+	kindAck
+	kindTask
+	kindResult
+)
+
+// Frame length limits, for the handshake and for everything after it.
+const (
+	maxHandshakeLen = 64
+	maxMessageLen   = 1 << 30
+)
+
+// Node classes of a task's block, one byte per local node. classNone marks
+// a node no class list names; no worker accepts it.
+const (
+	classKernel byte = iota
+	classBorder
+	classVisited
+	classNone = 0xff
+)
+
+// hello is the first message on every connection, sent by the coordinator;
+// the worker answers with the same shape under kindAck.
 type hello struct {
 	Version int
 	// Compress asks the worker to switch the remainder of the stream to
-	// DEFLATE in both directions after the handshake. Block tasks are
-	// mostly small integers, so compression trades CPU for the 3–5×
-	// bandwidth reduction that matters on the slow links the latency
-	// simulation models.
+	// DEFLATE in both directions after the handshake, trading CPU for
+	// bandwidth on the slow links the latency simulation models.
 	Compress bool
 }
 
-// helloAck is the worker's reply to hello.
-type helloAck struct {
-	Version  int
-	Compress bool
+// sendHello writes h as the handshake frame of the given kind: kind,
+// version u32le, compress byte.
+func (l *link) sendHello(h hello, kind byte) error {
+	l.payload = binary.LittleEndian.AppendUint32(append(l.payload[:0], kind), uint32(h.Version))
+	l.payload = append(l.payload, 0)
+	if h.Compress {
+		l.payload[5] = 1
+	}
+	return l.send()
 }
 
-// blockTask carries one second-level block and the combo to run on it.
-type blockTask struct {
-	// ID echoes back in the matching blockResult.
+// recvHello reads the handshake frame of the given kind. Dial and the
+// worker read it under maxHandshakeLen, so a peer whose first bytes are not
+// a small frame — a gob stream from a version-3 build — is refused on them.
+func recvHello(in *durable.FrameReader, kind byte) (hello, error) {
+	p, err := in.Next()
+	if err == nil && (len(p) != 6 || p[0] != kind || p[5] > 1) {
+		err = errors.New("cluster: not a handshake message")
+	}
+	if err != nil {
+		return hello{}, err
+	}
+	return hello{Version: int(binary.LittleEndian.Uint32(p[1:])), Compress: p[5] == 1}, nil
+}
+
+// taskID opens every task and result after the kind byte: ID, Level and
+// Plan as u32le.
+type taskID struct {
+	// ID numbers the task within its batch; the result echoes it.
 	ID int
 	// Level and Plan are the block's stable identity in the coordinator's
 	// run plan (hub-recursion level and index within that level's
-	// deterministic block plan). They are echoed in the result so a
-	// checkpointing coordinator can journal completions under an identity
-	// that survives restarts; both zero for non-checkpointed runs.
+	// deterministic block plan), echoed so a checkpointing coordinator
+	// journals completions under an identity that survives restarts; both
+	// zero for non-checkpointed runs.
 	Level, Plan int
-	// Nodes is the block-local node count; Edges lists block-local
-	// undirected edges.
-	Nodes int32
-	Edges [][2]int32
-	// Kernel, Border and Visited are block-local node classes.
-	Kernel, Border, Visited []int32
-	// Orig maps block-local IDs to the coordinator's global IDs; cliques
-	// come back in global IDs.
-	Orig []int32
-	// Alg and Struct encode the mcealg.Combo chosen by the coordinator's
-	// decision tree.
-	Alg, Struct uint8
-	// Sum is a CRC-32 (IEEE) over every other field. gob has no integrity
-	// check of its own, so a flipped byte that still decodes would
-	// otherwise corrupt the result silently; the worker answers a
-	// mismatch with Corrupt instead of analysing garbage.
-	Sum uint32
 }
 
-// blockResult is the worker's answer to one blockTask.
+const taskIDLen = 1 + 3*4
+
+func (t taskID) appendTo(dst []byte, kind byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(append(dst, kind), uint32(t.ID))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(t.Level))
+	return binary.LittleEndian.AppendUint32(dst, uint32(t.Plan))
+}
+
+// parseTaskID splits the identity off a payload of the given kind.
+func parseTaskID(p []byte, kind byte) (t taskID, rest []byte, err error) {
+	if len(p) < taskIDLen || p[0] != kind {
+		return t, nil, fmt.Errorf("cluster: not a message of kind %d", kind)
+	}
+	t.ID = int(binary.LittleEndian.Uint32(p[1:]))
+	t.Level = int(binary.LittleEndian.Uint32(p[5:]))
+	t.Plan = int(binary.LittleEndian.Uint32(p[9:]))
+	return t, p[taskIDLen:], nil
+}
+
+// blockTask carries one second-level block and the combo the coordinator's
+// decision tree chose for it. Encoded: the identity, the combo's Alg and
+// Struct bytes, then the block as a durable.Block — its graph's own CSR
+// arrays, Orig, and one class byte per node.
+type blockTask struct {
+	taskID
+	Block *decomp.Block
+	Combo mcealg.Combo
+}
+
+// appendTo appends the task payload. It fails, leaving dst unextended, when
+// a class list names a node twice or out of range, or durable.AppendBlock
+// refuses the block.
+func (t *blockTask) appendTo(dst []byte) ([]byte, error) {
+	b := t.Block
+	class := bytes.Repeat([]byte{classNone}, b.Graph.N())
+	for c, nodes := range [][]int32{classKernel: b.Kernel, classBorder: b.Border, classVisited: b.Visited} {
+		for _, v := range nodes {
+			if v < 0 || int(v) >= len(class) || class[v] != classNone {
+				return dst, fmt.Errorf("cluster: task %d: node %d is out of range or in two classes", t.ID, v)
+			}
+			class[v] = byte(c)
+		}
+	}
+	offsets, flat := b.Graph.CSR()
+	p := append(t.taskID.appendTo(dst, kindTask), uint8(t.Combo.Alg), uint8(t.Combo.Struct))
+	p, err := durable.AppendBlock(p, durable.Block{Offsets: offsets, Flat: flat, Orig: b.Orig, Class: class})
+	if err != nil {
+		return dst, fmt.Errorf("cluster: task %d: %w", t.ID, err)
+	}
+	return p, nil
+}
+
+// parseTask decodes a task payload on the worker side. The decoded CSR
+// arrays become the graph as they are (graph.FromCSR checks that they are
+// one), the class bytes the three node lists. The identity, once parsed, is
+// returned even with an error, so a malformed block is answered under it.
+func parseTask(p []byte) (t blockTask, err error) {
+	if t.taskID, p, err = parseTaskID(p, kindTask); err != nil {
+		return t, err
+	}
+	malformed := func(err error) (blockTask, error) {
+		return t, fmt.Errorf("cluster: malformed task %d: %w", t.ID, err)
+	}
+	if len(p) < 2 {
+		return malformed(durable.ErrShort)
+	}
+	t.Combo = mcealg.Combo{Alg: mcealg.Algorithm(p[0]), Struct: mcealg.Structure(p[1])}
+	blk, rest, err := durable.DecodeBlock(p[2:])
+	if err == nil && len(rest) != 0 {
+		err = fmt.Errorf("%d bytes after the block", len(rest))
+	}
+	if err != nil {
+		return malformed(err)
+	}
+	g, err := graph.FromCSR(blk.Offsets, blk.Flat)
+	if err != nil {
+		return malformed(err)
+	}
+	b := &decomp.Block{Graph: g, Orig: blk.Orig}
+	for v, c := range blk.Class {
+		switch c {
+		case classKernel:
+			b.Kernel = append(b.Kernel, int32(v))
+		case classBorder:
+			b.Border = append(b.Border, int32(v))
+		case classVisited:
+			b.Visited = append(b.Visited, int32(v))
+		default:
+			return malformed(fmt.Errorf("node %d has class %d", v, c))
+		}
+	}
+	t.Block = b
+	return t, nil
+}
+
+// blockResult is the worker's answer to one blockTask. Encoded: the
+// identity, the Corrupt byte, the clique count u32le, each clique as an
+// ascending run, and Err as the rest of the payload.
 type blockResult struct {
-	ID int
-	// Level and Plan echo the task's stable block identity.
-	Level, Plan int
+	taskID
 	// Cliques holds the block's maximal cliques in global node IDs.
 	Cliques [][]int32
 	// Err is a non-empty string when BLOCK-ANALYSIS failed; such failures
-	// are deterministic (e.g. an oversized Matrix request), so the
-	// coordinator does not retry them.
+	// are deterministic (an oversized Matrix request, a malformed block),
+	// so the coordinator does not retry them.
 	Err string
-	// Corrupt reports that the task arrived with a checksum mismatch.
-	// Unlike Err it is a transport-level verdict: the coordinator treats
-	// it like a failed connection and requeues the block.
+	// Corrupt reports that the task's frame failed its checksum, so nothing
+	// in it — its identity included — could be trusted. Unlike Err it is a
+	// transport-level verdict: the coordinator requeues the block.
 	Corrupt bool
-	// Sum is a CRC-32 (IEEE) over every other field, mirroring
-	// blockTask.Sum for the return path.
-	Sum uint32
 }
 
-// taskFromBlock flattens a decomp.Block for the wire. level and plan carry
-// the block's stable checkpoint identity (both zero when the run is not
-// checkpointed).
-func taskFromBlock(id int, level, plan int, b *decomp.Block, combo mcealg.Combo) blockTask {
-	edges := b.Graph.Edges()
-	wire := make([][2]int32, len(edges))
-	for i, e := range edges {
-		wire[i] = [2]int32{e.U, e.V}
-	}
-	t := blockTask{
-		ID:      id,
-		Level:   level,
-		Plan:    plan,
-		Nodes:   int32(b.Graph.N()),
-		Edges:   wire,
-		Kernel:  b.Kernel,
-		Border:  b.Border,
-		Visited: b.Visited,
-		Orig:    b.Orig,
-		Alg:     uint8(combo.Alg),
-		Struct:  uint8(combo.Struct),
-	}
-	t.Sum = t.payloadSum()
-	return t
-}
-
-// sumInt32 feeds one little-endian int32 into a running CRC.
-func sumInt32(h hash.Hash32, v int32) {
-	var buf [4]byte
-	binary.LittleEndian.PutUint32(buf[:], uint32(v))
-	h.Write(buf[:])
-}
-
-// payloadSum computes the checksum over every field except Sum itself.
-func (t *blockTask) payloadSum() uint32 {
-	h := crc32.NewIEEE()
-	sumInt32(h, int32(t.ID))
-	sumInt32(h, int32(t.Level))
-	sumInt32(h, int32(t.Plan))
-	sumInt32(h, t.Nodes)
-	sumInt32(h, int32(len(t.Edges)))
-	for _, e := range t.Edges {
-		sumInt32(h, e[0])
-		sumInt32(h, e[1])
-	}
-	for _, class := range [][]int32{t.Kernel, t.Border, t.Visited, t.Orig} {
-		sumInt32(h, int32(len(class)))
-		for _, v := range class {
-			sumInt32(h, v)
-		}
-	}
-	sumInt32(h, int32(t.Alg))
-	sumInt32(h, int32(t.Struct))
-	return h.Sum32()
-}
-
-// payloadSum computes the checksum over every field except Sum itself.
-func (r *blockResult) payloadSum() uint32 {
-	h := crc32.NewIEEE()
-	sumInt32(h, int32(r.ID))
-	sumInt32(h, int32(r.Level))
-	sumInt32(h, int32(r.Plan))
-	sumInt32(h, int32(len(r.Cliques)))
-	for _, c := range r.Cliques {
-		sumInt32(h, int32(len(c)))
-		for _, v := range c {
-			sumInt32(h, v)
-		}
-	}
-	h.Write([]byte(r.Err))
+// appendTo appends the result payload. It fails, leaving dst unextended, on
+// a clique that does not ascend.
+func (r *blockResult) appendTo(dst []byte) ([]byte, error) {
+	p := r.taskID.appendTo(dst, kindResult)
 	if r.Corrupt {
-		h.Write([]byte{1})
+		p = append(p, 1)
+	} else {
+		p = append(p, 0)
 	}
-	return h.Sum32()
-}
-
-// blockFromTask reconstructs the block and combo on the worker side.
-func blockFromTask(t *blockTask) (*decomp.Block, mcealg.Combo, error) {
-	if t.Nodes < 0 || len(t.Orig) != int(t.Nodes) {
-		return nil, mcealg.Combo{}, fmt.Errorf("cluster: malformed task %d: %d nodes, %d orig entries", t.ID, t.Nodes, len(t.Orig))
-	}
-	gb := graph.NewBuilder(int(t.Nodes))
-	for _, e := range t.Edges {
-		gb.AddEdge(e[0], e[1])
-	}
-	b := &decomp.Block{
-		Graph:   gb.Build(),
-		Orig:    t.Orig,
-		Kernel:  t.Kernel,
-		Border:  t.Border,
-		Visited: t.Visited,
-	}
-	combo := mcealg.Combo{Alg: mcealg.Algorithm(t.Alg), Struct: mcealg.Structure(t.Struct)}
-	return b, combo, nil
-}
-
-// wireSize estimates the task's on-wire footprint in bytes for the
-// bandwidth simulation: 8 bytes per edge plus 4 per node-class entry.
-func (t *blockTask) wireSize() int64 {
-	return int64(8*len(t.Edges) + 4*(len(t.Kernel)+len(t.Border)+len(t.Visited)+len(t.Orig)) + 32)
-}
-
-// wireSize estimates the result's on-wire footprint in bytes.
-func (r *blockResult) wireSize() int64 {
-	total := int64(16)
+	p = binary.LittleEndian.AppendUint32(p, uint32(len(r.Cliques)))
+	var err error
 	for _, c := range r.Cliques {
-		total += int64(4*len(c) + 8)
+		if p, err = durable.AppendAscending(p, c); err != nil {
+			return dst, fmt.Errorf("cluster: result %d: clique %v: %w", r.ID, c, err)
+		}
 	}
-	return total
+	return append(p, r.Err...), nil
 }
+
+// parseResult decodes a result payload.
+func parseResult(p []byte) (r blockResult, err error) {
+	if r.taskID, p, err = parseTaskID(p, kindResult); err != nil {
+		return r, err
+	}
+	malformed := func(what string) (blockResult, error) {
+		return r, fmt.Errorf("cluster: malformed result %d: %s", r.ID, what)
+	}
+	if len(p) < 5 || p[0] > 1 {
+		return malformed("no verdict")
+	}
+	r.Corrupt = p[0] == 1
+	count := binary.LittleEndian.Uint32(p[1:])
+	if p = p[5:]; uint64(count) > uint64(len(p)) { // a clique takes at least one byte
+		return malformed("more cliques than bytes")
+	}
+	if count > 0 {
+		r.Cliques = make([][]int32, count)
+	}
+	for i := range r.Cliques {
+		if r.Cliques[i], p, err = durable.DecodeAscending(nil, p, 1<<31); err != nil {
+			return malformed(fmt.Sprintf("clique %d: %v", i, err))
+		}
+	}
+	r.Err = string(p)
+	return r, nil
+}
+
+// link is one end of a connection: frames in, frames out, and the two
+// buffers every outgoing message is built in.
+type link struct {
+	in      *durable.FrameReader
+	out     io.Writer
+	flush   func() error // non-nil when the stream is compressed
+	payload []byte       // the message being sent, built by the caller
+	frame   []byte
+}
+
+// newLink frames messages straight over conn; deflate upgrades it.
+func newLink(conn io.ReadWriter) *link {
+	return &link{in: durable.NewFrameReader(conn, maxMessageLen), out: conn}
+}
+
+// deflate switches both directions to DEFLATE from the next frame on.
+func (l *link) deflate(conn io.ReadWriter) error {
+	fw, err := flate.NewWriter(conn, flate.BestSpeed)
+	if err != nil {
+		return fmt.Errorf("cluster: compression: %w", err)
+	}
+	l.in = durable.NewFrameReader(flate.NewReader(conn), maxMessageLen)
+	l.out, l.flush = fw, fw.Flush
+	return nil
+}
+
+// send writes l.payload as one frame in one Write.
+func (l *link) send() error {
+	l.frame = durable.AppendFrame(l.frame[:0], l.payload)
+	_, err := l.out.Write(l.frame)
+	if err == nil && l.flush != nil {
+		err = l.flush()
+	}
+	return err
+}
+
+// frameLen is the length of the frame a payload travels in: the bytes the
+// message occupies on an uncompressed wire, which is what the telemetry
+// counts and the link simulation paces.
+func frameLen(payload []byte) int64 { return int64(durable.FrameHeaderLen + len(payload)) }

@@ -1,16 +1,16 @@
 package cluster
 
 import (
-	"compress/flate"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
 	"mce/internal/decomp"
+	"mce/internal/durable"
 	"mce/internal/telemetry"
 )
 
@@ -201,8 +201,8 @@ func (w *Worker) endTask() {
 }
 
 // ServeConn answers one coordinator connection: a handshake followed by a
-// stream of blockTask messages, each answered with a blockResult. It
-// returns nil when the coordinator hangs up.
+// stream of task frames, each answered with a result frame. It returns nil
+// when the coordinator hangs up.
 func ServeConn(conn net.Conn) error {
 	w := &Worker{}
 	w.mu.Lock()
@@ -212,42 +212,32 @@ func ServeConn(conn net.Conn) error {
 }
 
 func (w *Worker) serveConn(conn net.Conn) error {
-	dec := gob.NewDecoder(conn)
-	enc := gob.NewEncoder(conn)
-
-	var h hello
-	if err := dec.Decode(&h); err != nil {
+	h, err := recvHello(durable.NewFrameReader(conn, maxHandshakeLen), kindHello)
+	if err != nil {
 		return fmt.Errorf("cluster: handshake: %w", err)
 	}
-	if err := enc.Encode(helloAck{Version: protocolVersion, Compress: h.Compress}); err != nil {
+	l := newLink(conn)
+	if err := l.sendHello(hello{Version: protocolVersion, Compress: h.Compress}, kindAck); err != nil {
 		return fmt.Errorf("cluster: handshake ack: %w", err)
 	}
 	if h.Version != protocolVersion {
 		return fmt.Errorf("cluster: coordinator speaks version %d, worker %d", h.Version, protocolVersion)
 	}
-	var flush func() error
 	if h.Compress {
-		// The handshake stays plain; everything after it is DEFLATE both
-		// ways.
-		fr := flate.NewReader(conn)
-		fw, err := flate.NewWriter(conn, flate.BestSpeed)
-		if err != nil {
-			return fmt.Errorf("cluster: compression: %w", err)
+		if err := l.deflate(conn); err != nil {
+			return err
 		}
-		defer fw.Close()
-		dec = gob.NewDecoder(fr)
-		enc = gob.NewEncoder(fw)
-		flush = fw.Flush
 	}
 
 	met := w.Metrics
 	for {
-		var t blockTask
-		if err := dec.Decode(&t); err != nil {
+		p, err := l.in.Next()
+		corrupt := errors.Is(err, durable.ErrChecksum)
+		if err != nil && !corrupt {
 			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, net.ErrClosed) {
 				return nil
 			}
-			return fmt.Errorf("cluster: decode task: %w", err)
+			return fmt.Errorf("cluster: read task: %w", err)
 		}
 		// Draining: drop the task without an answer — closing the
 		// connection makes the coordinator requeue it elsewhere.
@@ -255,40 +245,46 @@ func (w *Worker) serveConn(conn net.Conn) error {
 			return nil
 		}
 		if met != nil {
-			met.BytesReceived.Add(t.wireSize())
+			met.BytesReceived.Add(frameLen(p))
 			met.TasksInFlight.Add(1)
 		}
-		res := runTask(&t, met)
+		res := runTask(p, corrupt, met)
 		if met != nil {
 			met.TasksInFlight.Add(-1)
 		}
-		res.Sum = res.payloadSum()
-		err := enc.Encode(&res)
-		if err == nil && flush != nil {
-			err = flush()
-		}
-		if err == nil && met != nil {
-			met.BytesSent.Add(res.wireSize())
+		// BLOCK-ANALYSIS emits ascending cliques, so the result always
+		// encodes; if it ever does not, hanging up makes the coordinator
+		// retry and then name the block.
+		if l.payload, err = res.appendTo(l.payload[:0]); err == nil {
+			if met != nil {
+				// Counted before the write: once the coordinator holds the
+				// result, its bytes are already on this side's books.
+				met.BytesSent.Add(frameLen(l.payload))
+			}
+			err = l.send()
 		}
 		w.endTask()
 		if err != nil {
-			return fmt.Errorf("cluster: encode result: %w", err)
+			return fmt.Errorf("cluster: send result: %w", err)
 		}
 	}
 }
 
-// runTask executes BLOCK-ANALYSIS for one task, capturing errors in-band.
-// A panicking block (malformed task, algorithm bug) is converted into an
-// in-band error instead of killing the worker process, so one poison task
-// cannot take down a node that other coordinators share. met may be nil.
-func runTask(t *blockTask, met *telemetry.Engine) (res blockResult) {
-	res = blockResult{ID: t.ID, Level: t.Level, Plan: t.Plan}
+// runTask decodes one task and executes BLOCK-ANALYSIS for it, capturing
+// errors in-band. corrupt means the frame failed its checksum: the answer
+// is the Corrupt verdict. A task that does not decode into a block of
+// classed nodes over a simple undirected graph is answered with Err under
+// its own ID, and so is a panicking block (an algorithm bug), so one poison
+// task cannot take down a node that other coordinators share. met may be
+// nil.
+func runTask(payload []byte, corrupt bool, met *telemetry.Engine) (res blockResult) {
 	if met != nil {
 		met.TasksServed.Inc()
 	}
+	var t blockTask
 	defer func() {
 		if r := recover(); r != nil {
-			res = blockResult{ID: t.ID, Level: t.Level, Plan: t.Plan, Err: fmt.Sprintf("panic in BLOCK-ANALYSIS: %v", r)}
+			res = blockResult{taskID: t.taskID, Err: fmt.Sprintf("panic in BLOCK-ANALYSIS: %v", r)}
 			if met != nil {
 				met.TaskPanics.Inc()
 			}
@@ -297,14 +293,14 @@ func runTask(t *blockTask, met *telemetry.Engine) (res blockResult) {
 			met.TaskErrors.Inc()
 		}
 	}()
-	if t.Sum != t.payloadSum() {
-		res.Corrupt = true
+	if corrupt {
 		if met != nil {
 			met.CorruptResults.Inc()
 		}
-		return res
+		return blockResult{Corrupt: true}
 	}
-	b, combo, err := blockFromTask(t)
+	t, err := parseTask(payload)
+	res.taskID = t.taskID
 	if err != nil {
 		res.Err = err.Error()
 		return res
@@ -319,16 +315,14 @@ func runTask(t *blockTask, met *telemetry.Engine) (res blockResult) {
 	// coordinator that selected BitSetsParallel gets a work-stealing pool
 	// here sized to the worker's GOMAXPROCS (mcealg's auto default), and the
 	// pool's depth-first merge keeps the result bytes — and therefore the
-	// task checksum and checkpoint digests — identical to a sequential run.
-	// A pool-worker panic propagates to this goroutine and lands in the
-	// recover above, preserving the worker's poison-task isolation.
-	err = decomp.AnalyzeBlockInstr(b, combo, func(c []int32) {
-		cp := make([]int32, len(c))
-		copy(cp, c)
-		res.Cliques = append(res.Cliques, cp)
+	// checkpoint digests — identical to a sequential run. A pool-worker
+	// panic propagates to this goroutine and lands in the recover above,
+	// preserving the worker's poison-task isolation.
+	err = decomp.AnalyzeBlockInstr(t.Block, t.Combo, func(c []int32) {
+		res.Cliques = append(res.Cliques, slices.Clone(c))
 	}, ins)
 	if met != nil {
-		met.ComboAnalyzed(combo.Index(), combo.Label(), time.Since(t0))
+		met.ComboAnalyzed(t.Combo.Index(), t.Combo.Label(), time.Since(t0))
 		met.MergeBlockInstr(ins)
 		met.CliquesFound.Add(int64(len(res.Cliques)))
 	}

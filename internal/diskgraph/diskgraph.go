@@ -21,52 +21,39 @@ import (
 	"fmt"
 	"io"
 	"os"
-
 	"sync/atomic"
 
+	"mce/internal/durable"
 	"mce/internal/graph"
 )
 
 var magic = [4]byte{'M', 'C', 'E', 'G'}
 
-// Write serialises g to path in the disk-graph format.
+// Write serialises g to path in the disk-graph format. The file lands
+// atomically (durable.AtomicReplace): a crash leaves path absent or
+// complete, never half a graph.
 func Write(path string, g *graph.Graph) error {
-	f, err := os.Create(path)
+	err := durable.AtomicReplace(durable.OSFS{}, path, func(f io.Writer) error {
+		// The offset table is the graph's own CSR offsets in bytes into the
+		// list section rather than entries.
+		offsets, _ := g.CSR()
+		table := make([]int64, len(offsets))
+		for v, off := range offsets {
+			table[v] = 4 * int64(off)
+		}
+		w := bufio.NewWriter(f)
+		w.Write(magic[:])
+		binary.Write(w, binary.LittleEndian, int64(g.N()))
+		binary.Write(w, binary.LittleEndian, table)
+		for v := int32(0); v < int32(g.N()); v++ {
+			binary.Write(w, binary.LittleEndian, g.Neighbors(v))
+		}
+		return w.Flush() // a bufio.Writer's first write error sticks until Flush
+	})
 	if err != nil {
 		return fmt.Errorf("diskgraph: %w", err)
 	}
-	defer f.Close()
-	w := bufio.NewWriter(f)
-
-	if _, err := w.Write(magic[:]); err != nil {
-		return fmt.Errorf("diskgraph: %w", err)
-	}
-	n := int64(g.N())
-	if err := binary.Write(w, binary.LittleEndian, n); err != nil {
-		return fmt.Errorf("diskgraph: %w", err)
-	}
-	// Offsets are byte positions relative to the start of the list
-	// section.
-	pos := int64(0)
-	for v := int64(0); v <= n; v++ {
-		if err := binary.Write(w, binary.LittleEndian, pos); err != nil {
-			return fmt.Errorf("diskgraph: %w", err)
-		}
-		if v < n {
-			pos += 4 * int64(g.Degree(int32(v)))
-		}
-	}
-	for v := int32(0); v < int32(n); v++ {
-		for _, u := range g.Neighbors(v) {
-			if err := binary.Write(w, binary.LittleEndian, u); err != nil {
-				return fmt.Errorf("diskgraph: %w", err)
-			}
-		}
-	}
-	if err := w.Flush(); err != nil {
-		return fmt.Errorf("diskgraph: %w", err)
-	}
-	return f.Close()
+	return nil
 }
 
 // Graph is a read-only disk-resident graph. It is safe for concurrent
@@ -81,43 +68,62 @@ type Graph struct {
 	reads int64
 }
 
+// headerLen is the magic plus the node count.
+const headerLen = 4 + 8
+
 // Open maps a disk graph for reading; the offset table is loaded eagerly
-// (O(N) memory), neighbour lists stay on disk.
+// (O(N) memory), neighbour lists stay on disk. The header is not trusted:
+// the node count must fit the file before anything is sized by it, and the
+// offset table must tile the list section exactly — starting at 0, never
+// decreasing, 4-byte aligned, ending at the section's length — so Degree is
+// never negative and no read reaches past the file.
 func Open(path string) (*Graph, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("diskgraph: %w", err)
 	}
-	r := bufio.NewReader(f)
-	var got [4]byte
-	if _, err := io.ReadFull(r, got[:]); err != nil {
+	g, err := open(f)
+	if err != nil {
 		f.Close()
-		return nil, fmt.Errorf("diskgraph: header: %w", err)
+		return nil, fmt.Errorf("diskgraph: %s: %w", path, err)
 	}
-	if got != magic {
-		f.Close()
-		return nil, errors.New("diskgraph: not a disk graph (bad magic)")
+	return g, nil
+}
+
+func open(f *os.File) (*Graph, error) {
+	st, err := f.Stat()
+	if err != nil {
+		return nil, err
 	}
-	var n int64
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("diskgraph: header: %w", err)
+	var hdr [headerLen]byte
+	if _, err := io.ReadFull(f, hdr[:]); err != nil {
+		return nil, fmt.Errorf("header: %w", err)
 	}
-	if n < 0 || n > 1<<31 {
-		f.Close()
-		return nil, fmt.Errorf("diskgraph: implausible node count %d", n)
+	if [4]byte(hdr[:4]) != magic {
+		return nil, errors.New("not a disk graph (bad magic)")
 	}
+	n := int64(binary.LittleEndian.Uint64(hdr[4:]))
+	// Subtraction form: n comes straight from the file, and 8*(n+1) can
+	// wrap.
+	if n < 0 || n > 1<<31 || n+1 > (st.Size()-headerLen)/8 {
+		return nil, fmt.Errorf("node count %d does not fit a %d-byte file", n, st.Size())
+	}
+	listBase := headerLen + 8*(n+1)
 	offsets := make([]int64, n+1)
-	if err := binary.Read(r, binary.LittleEndian, offsets); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("diskgraph: offsets: %w", err)
+	if err := binary.Read(bufio.NewReader(f), binary.LittleEndian, offsets); err != nil {
+		return nil, fmt.Errorf("offsets: %w", err)
 	}
-	return &Graph{
-		f:        f,
-		n:        int(n),
-		offsets:  offsets,
-		listBase: int64(4 + 8 + 8*(n+1)),
-	}, nil
+	prev := int64(0)
+	for v, off := range offsets {
+		if off < prev || off%4 != 0 || (v == 0 && off != 0) {
+			return nil, fmt.Errorf("corrupt offset table at node %d (offset %d after %d)", v, off, prev)
+		}
+		prev = off
+	}
+	if prev != st.Size()-listBase {
+		return nil, fmt.Errorf("offset table ends at %d, the list section holds %d bytes", prev, st.Size()-listBase)
+	}
+	return &Graph{f: f, n: int(n), offsets: offsets, listBase: listBase}, nil
 }
 
 // Close releases the underlying file.
@@ -161,7 +167,11 @@ func (g *Graph) ReadNeighbors(v int32, buf []int32) ([]int32, error) {
 		return nil, fmt.Errorf("diskgraph: reading node %d: %w", v, err)
 	}
 	for i := range buf {
-		buf[i] = int32(binary.LittleEndian.Uint32(raw[4*i:]))
+		u := int32(binary.LittleEndian.Uint32(raw[4*i:]))
+		if u < 0 || int(u) >= g.n {
+			return nil, fmt.Errorf("diskgraph: node %d lists neighbour %d outside [0,%d)", v, u, g.n)
+		}
+		buf[i] = u
 	}
 	atomic.AddInt64(&g.reads, 1)
 	return buf, nil

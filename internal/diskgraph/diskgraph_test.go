@@ -1,6 +1,7 @@
 package diskgraph
 
 import (
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"testing"
@@ -85,6 +86,79 @@ func TestOpenRejectsGarbage(t *testing.T) {
 	if _, err := Open(short); err == nil {
 		t.Fatal("truncated header accepted")
 	}
+}
+
+// TestOpenDistrustsHeader: a file whose header or offset table lies — about
+// the node count, the order, alignment or extent of the lists — is refused
+// at Open with an error; a neighbour outside the node range is refused when
+// it is read. None of it may panic or size an allocation by the lie (the
+// 12-byte file below asks for a 16 GiB offset table).
+func TestOpenDistrustsHeader(t *testing.T) {
+	dir := t.TempDir()
+	good := filepath.Join(dir, "good")
+	// Path 0–1–2–3: offsets 0,4,12,20,24, then six neighbour entries.
+	if err := Write(good, graph.FromEdges(4, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}})); err != nil {
+		t.Fatal(err)
+	}
+	image, err := os.ReadFile(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const table = 4 + 8 // file offset of the offset table
+	put64 := func(b []byte, off int, v uint64) { binary.LittleEndian.PutUint64(b[off:], v) }
+	hugeN := append([]byte("MCEG"), make([]byte, 8)...)
+	put64(hugeN, 4, 1<<31)
+	cases := map[string][]byte{
+		"node count over the file (12 bytes)": hugeN,
+		"node count negative":                 mutated(image, func(b []byte) { put64(b, 4, 1<<63) }),
+		"node count one too many":             mutated(image, func(b []byte) { put64(b, 4, 5) }),
+		"node count bit flip":                 mutated(image, func(b []byte) { b[4+3] ^= 0x40 }),
+		"truncated inside the table":          image[:table+20],
+		"truncated inside the lists":          image[:len(image)-4],
+		"trailing bytes":                      append(append([]byte(nil), image...), 0, 0, 0, 0),
+		"first offset not zero":               mutated(image, func(b []byte) { put64(b, table, 4) }),
+		"offsets shuffled":                    mutated(image, func(b []byte) { put64(b, table+8, 12); put64(b, table+16, 4) }),
+		"offset negative":                     mutated(image, func(b []byte) { put64(b, table+8, ^uint64(3)) }),
+		"offset unaligned":                    mutated(image, func(b []byte) { put64(b, table+8, 5) }),
+		"last offset short of the lists":      mutated(image, func(b []byte) { put64(b, table+32, 20) }),
+		"last offset past the lists":          mutated(image, func(b []byte) { put64(b, table+32, 1<<40) }),
+	}
+	for name, data := range cases {
+		p := filepath.Join(dir, "bad")
+		if err := os.WriteFile(p, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if g, err := Open(p); err == nil {
+			g.Close()
+			t.Errorf("%s: opened", name)
+		}
+	}
+
+	lists := table + 8*5
+	for name, v := range map[string]uint32{"neighbour at n": 4, "neighbour negative": 1 << 31} {
+		p := filepath.Join(dir, "badlist")
+		if err := os.WriteFile(p, mutated(image, func(b []byte) { binary.LittleEndian.PutUint32(b[lists:], v) }), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		g, err := Open(p)
+		if err != nil {
+			t.Fatalf("%s: %v (the table is intact)", name, err)
+		}
+		if _, err := g.ReadNeighbors(0, nil); err == nil {
+			t.Errorf("%s: read back", name)
+		}
+		if _, _, err := g.LoadInduced([]int32{0, 1}); err == nil {
+			t.Errorf("%s: induced through the bad list", name)
+		}
+		g.Close()
+	}
+}
+
+// mutated returns a copy of image after f has edited it.
+func mutated(image []byte, f func([]byte)) []byte {
+	b := append([]byte(nil), image...)
+	f(b)
+	return b
 }
 
 func TestLoadInducedMatchesGraph(t *testing.T) {

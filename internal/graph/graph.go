@@ -75,6 +75,56 @@ func (g *Graph) Density() float64 {
 	return 2 * float64(g.M()) / (n * (n - 1))
 }
 
+// CSR returns the graph's storage: row v is flat[offsets[v]:offsets[v+1]].
+// Both slices alias the graph and must not be modified; FromCSR is the
+// inverse.
+func (g *Graph) CSR() (offsets, flat []int32) { return g.offsets, g.flat }
+
+// FromCSR adopts offsets and flat as a Graph without copying or sorting,
+// after checking that they are one: offsets tile flat, every row is strictly
+// ascending, in range and free of its own node, and every edge appears in
+// both rows. It is the constructor for adjacency from outside the process.
+func FromCSR(offsets, flat []int32) (*Graph, error) {
+	n := len(offsets) - 1
+	if n < 0 || offsets[0] != 0 || int(offsets[n]) != len(flat) {
+		return nil, fmt.Errorf("graph: CSR offsets do not tile %d row entries", len(flat))
+	}
+	for v := 0; v < n; v++ {
+		lo, hi := offsets[v], offsets[v+1]
+		if lo > hi || int(hi) > len(flat) {
+			return nil, fmt.Errorf("graph: CSR row %d spans [%d,%d)", v, lo, hi)
+		}
+		prev := int32(-1)
+		for _, u := range flat[lo:hi] {
+			if u <= prev || int(u) >= n || int(u) == v {
+				return nil, fmt.Errorf("graph: CSR row %d is not a strictly ascending list of other nodes below %d", v, n)
+			}
+			prev = u
+		}
+	}
+	// Symmetry in one pass: rows are ascending and u rises, so the edges
+	// (u, v), u < v, reach row v in the order of its own entries below v;
+	// next[v] is the entry of row v the next such edge must match.
+	next := slices.Clone(offsets[:n])
+	for u := 0; u < n; u++ {
+		for _, v := range flat[offsets[u]:offsets[u+1]] {
+			if int(v) < u {
+				continue
+			}
+			if next[v] == offsets[v+1] || int(flat[next[v]]) != u {
+				return nil, fmt.Errorf("graph: CSR edge (%d,%d) is missing from row %d", u, v, v)
+			}
+			next[v]++
+		}
+	}
+	for v := 0; v < n; v++ {
+		if next[v] < offsets[v+1] && int(flat[next[v]]) < v {
+			return nil, fmt.Errorf("graph: CSR edge (%d,%d) is missing from row %d", v, flat[next[v]], flat[next[v]])
+		}
+	}
+	return &Graph{offsets: offsets, flat: flat}, nil
+}
+
 // Edges returns all undirected edges with U < V, sorted lexicographically.
 func (g *Graph) Edges() []Edge {
 	es := make([]Edge, 0, g.M())

@@ -298,3 +298,46 @@ func BenchmarkHasEdge(b *testing.B) {
 		_ = g.HasEdge(int32(i%500), int32((i*7)%500))
 	}
 }
+
+// TestFromCSRAdoptsWhatCSRReturns: a graph's own arrays come back as the
+// same graph, without a copy.
+func TestFromCSRAdoptsWhatCSRReturns(t *testing.T) {
+	for _, g := range []*Graph{Empty(0), Empty(3), Complete(5), FromEdges(6, []Edge{{0, 3}, {3, 5}, {1, 2}, {2, 3}})} {
+		offsets, flat := g.CSR()
+		h, err := FromCSR(offsets, flat)
+		if err != nil {
+			t.Fatalf("%v: %v", g, err)
+		}
+		if _, hflat := h.CSR(); h.N() != g.N() || h.M() != g.M() || (len(flat) > 0 && &hflat[0] != &flat[0]) {
+			t.Fatalf("%v came back as %v, or copied", g, h)
+		}
+	}
+}
+
+// TestFromCSRRejects: arrays that are not a simple undirected graph in CSR
+// form are an error, never a Graph that breaks HasEdge later.
+func TestFromCSRRejects(t *testing.T) {
+	cases := []struct {
+		name          string
+		offsets, flat []int32
+	}{
+		{"no offsets", nil, nil},
+		{"offsets start late", []int32{1, 2}, []int32{0, 0}},
+		{"offsets stop short of flat", []int32{0, 1, 2}, []int32{1, 0, 0}},
+		{"offsets overrun flat", []int32{0, 1, 5}, []int32{1, 0}},
+		{"offsets decrease", []int32{0, 2, 1, 2}, []int32{1, 0}},
+		{"unsorted row", []int32{0, 2, 3, 4}, []int32{2, 1, 0, 0}},
+		{"repeated neighbour", []int32{0, 2, 4}, []int32{1, 1, 0, 0}},
+		{"self loop", []int32{0, 1, 1}, []int32{0}},
+		{"neighbour out of range", []int32{0, 1, 2}, []int32{1, 2}},
+		{"negative neighbour", []int32{0, 1, 2}, []int32{-1, 0}},
+		{"edge missing from the larger row", []int32{0, 1, 1}, []int32{1}},
+		{"edge missing from the smaller row", []int32{0, 0, 1}, []int32{0}},
+		{"rows disagree in the middle", []int32{0, 2, 4, 6, 7}, []int32{1, 2, 0, 2, 0, 3, 2}},
+	}
+	for _, tc := range cases {
+		if g, err := FromCSR(tc.offsets, tc.flat); err == nil {
+			t.Errorf("%s: accepted as %v", tc.name, g)
+		}
+	}
+}

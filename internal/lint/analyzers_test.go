@@ -9,8 +9,7 @@ import (
 // each case has at least one flagged and one clean file, and the // want
 // annotations are checked in both directions (missing and unexpected
 // findings both fail). Fixture sets in separate sublists are loaded as
-// separate packages — wiretypes needs that, because gob.Register in the
-// clean fixture would exempt the flagged one's interface field.
+// separate packages.
 func TestAnalyzersOnFixtures(t *testing.T) {
 	cases := []struct {
 		analyzer *Analyzer
@@ -19,7 +18,6 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 		{CtxPlumb, [][]string{{"ctxplumb/flagged.go", "ctxplumb/clean.go"}}},
 		{LockBalance, [][]string{{"lockbalance/flagged.go", "lockbalance/clean.go"}}},
 		{SortedAdj, [][]string{{"sortedadj/flagged.go", "sortedadj/clean.go"}}},
-		{WireTypes, [][]string{{"wiretypes/flagged.go"}, {"wiretypes/clean.go"}}},
 		{MapOrder, [][]string{{"maporder/flagged.go", "maporder/clean.go", "maporder/suppressed.go"}}},
 		{TelemetryGuard, [][]string{{"telemetryguard/flagged.go", "telemetryguard/clean.go", "telemetryguard/suppressed.go"}}},
 		{LockOrder, [][]string{{"lockorder/flagged.go", "lockorder/clean.go", "lockorder/suppressed.go"}}},
@@ -43,12 +41,13 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 }
 
 // TestSuiteIsComplete pins the advertised analyzer set: the Makefile gate
-// and the docs both promise these fifteen. goroutineleak (superseded by the
+// and the docs both promise these fourteen. goroutineleak (superseded by the
 // interprocedural golifecycle) and atomicfield (absorbed into casloop) are
-// deliberately absent.
+// deliberately absent, as is wiretypes (retired with the gob wire protocol
+// it guarded).
 func TestSuiteIsComplete(t *testing.T) {
 	want := []string{
-		"ctxplumb", "lockbalance", "sortedadj", "wiretypes",
+		"ctxplumb", "lockbalance", "sortedadj",
 		"maporder", "telemetryguard",
 		"lockorder", "golifecycle", "chandiscipline", "casloop",
 		"hotalloc", "hotbox", "hotdefer", "hotslice",

@@ -1,7 +1,7 @@
 // Package lint is a repo-specific static-analysis suite: a small, dependency
 // free re-implementation of the golang.org/x/tools/go/analysis model (the
 // builder has no network, so the real module cannot be vendored) plus
-// fifteen analyzers that machine-check invariants the engine's correctness
+// fourteen analyzers that machine-check invariants the engine's correctness
 // and performance arguments lean on.
 //
 // The PR 2 per-package analyzers:
@@ -12,9 +12,7 @@
 //     path (the cluster/core mutex discipline);
 //   - sortedadj: adjacency slices returned by graph.Neighbors are read-only
 //     outside internal/graph (the binary-search sortedness invariant behind
-//     HasEdge, hence behind Lemma 1 and Theorem 1);
-//   - wiretypes: structs crossing the gob wire protocol must survive the
-//     round trip losslessly (no silently-dropped or unencodable fields).
+//     HasEdge, hence behind Lemma 1 and Theorem 1).
 //
 // The v2 engine adds a whole-suite layer — a static call graph
 // (callgraph.go), a per-function forward dataflow pass (dataflow.go) and an
@@ -22,7 +20,7 @@
 // boundaries — and analyzers built on it:
 //
 //   - maporder: map-iteration-ordered values must not flow into seeded
-//     rand draws, gob encoding or ordered output without an intervening
+//     rand draws, wire frames or ordered output without an intervening
 //     sort (the PR 3 cross-process nondeterminism bug class, caught
 //     statically);
 //   - telemetryguard: every instrumentation site on a possibly-nil
@@ -134,7 +132,7 @@ func (d Diagnostic) String() string {
 // the staleignore meta-pass last.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		CtxPlumb, LockBalance, SortedAdj, WireTypes,
+		CtxPlumb, LockBalance, SortedAdj,
 		MapOrder, TelemetryGuard,
 		LockOrder, GoLifecycle, ChanDiscipline, CasLoop,
 		HotAlloc, HotBox, HotDefer, HotSlice,

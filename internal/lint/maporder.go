@@ -22,8 +22,8 @@ import (
 // without an intervening sort:
 //
 //   - a seeded rand draw indexing into the value (the PR 3 bug shape);
-//   - gob/wire encoding (the bytes — and the v2 CRC — become
-//     run-dependent);
+//   - a wire or journal frame (durable.AppendFrame: the bytes, and their
+//     CRC, become run-dependent);
 //   - ordered output (fmt printing), which breaks golden files and
 //     cross-run diffing.
 //
@@ -33,7 +33,7 @@ import (
 var MapOrder = &Analyzer{
 	Name: "maporder",
 	Doc: "map-iteration-ordered values must not reach seeded rand draws, " +
-		"gob encoding or ordered output without an intervening sort",
+		"wire frames or ordered output without an intervening sort",
 	Run: runMapOrder,
 }
 
@@ -298,11 +298,11 @@ func flagMapOrderSinks(pass *Pass, decl *ast.FuncDecl) {
 				return true
 			}
 			switch {
-			case fn.Pkg().Path() == "encoding/gob" && fn.Name() == "Encode":
+			case fn.Pkg().Path() == "mce/internal/durable" && fn.Name() == "AppendFrame":
 				for _, arg := range n.Args {
 					if orderSensitiveUse(pass, fl, arg, n.Pos()) {
 						report(arg.Pos(), arg,
-							"map-iteration-ordered value crosses the gob wire: encoded bytes differ per process, so checksums and golden captures cannot match (sort before encoding)")
+							"map-iteration-ordered value is framed for the wire or the journal: the bytes differ per process, so checksums and golden captures cannot match (sort before encoding)")
 					}
 				}
 			case fn.Pkg().Path() == "fmt" && isOrderedOutputFunc(fn.Name()):
@@ -325,7 +325,7 @@ func flagMapOrderSinks(pass *Pass, decl *ast.FuncDecl) {
 // is actually order-dependent, biased against false positives:
 //
 //   - a tainted slice always is — its element order is the tainted
-//     property and fmt/gob serialise it in order;
+//     property and fmt and the frame serialise it in order;
 //   - a tainted scalar is only flagged when it is a map-range key/value
 //     printed unconditionally inside its own loop (the "emit every entry in
 //     iteration order" shape); a conditional use is usually select-one

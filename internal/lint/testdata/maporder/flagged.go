@@ -1,10 +1,10 @@
 package fixture
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"math/rand"
+
+	"mce/internal/durable"
 )
 
 // ShuffleHub rebuilds the PR 3 bug shape: a neighbour slice collected from
@@ -19,16 +19,14 @@ func ShuffleHub(adj map[int32]bool, seed int64) int32 {
 	return nbrs[rng.Intn(len(nbrs))] // want `seeded rand draw indexes a map-iteration-ordered slice`
 }
 
-// Wire ships a map-ordered slice across the gob wire: the encoded bytes
-// differ per process.
-func Wire(set map[string]int) ([]byte, error) {
-	keys := make([]string, 0, len(set))
+// Wire frames a map-ordered payload for the wire: the bytes, and so the
+// frame's checksum, differ per process.
+func Wire(set map[byte]int) []byte {
+	payload := make([]byte, 0, len(set))
 	for k := range set {
-		keys = append(keys, k)
+		payload = append(payload, k)
 	}
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(keys) // want `map-iteration-ordered value crosses the gob wire`
-	return buf.Bytes(), err
+	return durable.AppendFrame(nil, payload) // want `map-iteration-ordered value is framed for the wire or the journal`
 }
 
 // Dump prints every entry in iteration order: the lines reorder per run.

@@ -4,12 +4,14 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
 	"time"
 
 	"mce/internal/cliqstore"
+	"mce/internal/durable"
 	"mce/internal/graph"
 	"mce/internal/telemetry"
 )
@@ -185,6 +187,9 @@ func Open(dir string, id Identity, opts Options) (*Checkpoint, error) {
 	if fs == nil {
 		fs = OSFS{}
 	}
+	if opts.NoSync {
+		fs = noSyncFS{fs}
+	}
 	if err := fs.MkdirAll(filepath.Join(dir, segmentsDir), 0o755); err != nil {
 		return nil, fmt.Errorf("runlog: create checkpoint dir: %w", err)
 	}
@@ -211,7 +216,7 @@ func Open(dir string, id Identity, opts Options) (*Checkpoint, error) {
 	if c.met != nil {
 		c.met.CheckpointReplayNs.Add(int64(time.Since(start)))
 	}
-	j, err := openJournalForAppend(fs, path, validOff, !opts.NoSync, opts.Metrics)
+	j, err := openJournalForAppend(fs, path, validOff, opts.Metrics)
 	if err != nil {
 		return nil, err
 	}
@@ -452,8 +457,8 @@ func (c *Checkpoint) BlockDispatched(id BlockID) {
 }
 
 // BlockDone makes one block's result durable: the cliques are written to
-// the block's segment (write-temp, fsync, rename — so a crash never leaves
-// a half segment under the live name), then the done record is journaled.
+// the block's segment (durable.AtomicReplace, so a crash never leaves a half
+// segment under the live name), then the done record is journaled.
 // A block re-executed after a crash simply overwrites its segment, which
 // is what makes retries and resumes idempotent. It implements
 // BatchObserver.
@@ -488,37 +493,15 @@ func (c *Checkpoint) BlockDone(id BlockID, cliques [][]int32) error {
 // writeSegment persists one block's cliques atomically. Callers hold c.mu.
 func (c *Checkpoint) writeSegment(id BlockID, cliques [][]int32) (digest uint32, count int, err error) {
 	final := c.segmentPath(id)
-	tmp := final + ".tmp"
-	f, err := c.fs.Create(tmp)
+	var n int64
+	err = durable.AtomicReplace(c.fs, final, func(w io.Writer) error {
+		n, digest, err = cliqstore.WriteAll(w, cliques)
+		return err
+	})
 	if err != nil {
-		return 0, 0, fmt.Errorf("runlog: segment: %w", err)
-	}
-	w, err := cliqstore.NewWriter(f)
-	if err == nil {
-		for _, cl := range cliques {
-			if err = w.Write(cl); err != nil {
-				break
-			}
-		}
-	}
-	if err == nil {
-		err = w.Finish()
-	}
-	if err == nil && c.j.sync {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		c.fs.Remove(tmp)
 		return 0, 0, fmt.Errorf("runlog: segment %s: %w", final, err)
 	}
-	if err := c.fs.Rename(tmp, final); err != nil {
-		c.fs.Remove(tmp)
-		return 0, 0, fmt.Errorf("runlog: segment: %w", err)
-	}
-	return w.Digest(), int(w.Count()), nil
+	return digest, int(n), nil
 }
 
 // EndLevel journals that every block of a level is done.

@@ -1,11 +1,13 @@
 // Package faultfs wraps the real filesystem with deterministic write-error
-// injection for chaos-testing the runlog write paths. It models a disk that
-// fills up mid-run: every write consumes a byte budget, and the write that
-// would exceed it lands only partially — a torn journal frame or a half
-// segment, exactly what a real ENOSPC leaves behind — before the injected
-// error surfaces. Reads, and writes before the budget runs out, pass
-// through untouched, so a checkpoint directory written through faultfs can
-// be reopened with the real filesystem to test recovery.
+// injection for chaos-testing the write paths behind the durable.FS seam:
+// the runlog journal and segments, the index compiler, the serving segment
+// directory. It models a disk that fills up mid-run: every write consumes a
+// byte budget, and the write that would exceed it lands only partially — a
+// torn journal frame or a half segment, exactly what a real ENOSPC leaves
+// behind — before the injected error surfaces. Reads, and writes before the
+// budget runs out, pass through untouched, so a checkpoint directory written
+// through faultfs can be reopened with the real filesystem to test
+// recovery.
 package faultfs
 
 import (
@@ -13,12 +15,14 @@ import (
 	"sync/atomic"
 	"syscall"
 
-	"mce/internal/runlog"
+	"mce/internal/durable"
 )
 
-// FS is a runlog.FS that injects a write failure once Budget bytes have
-// been written across all files opened through it.
+// FS is a durable.FS (so a runlog.FS) that injects a write failure once
+// Budget bytes have been written across all files opened through it.
+// Everything but the files it opens is the real filesystem's.
 type FS struct {
+	durable.OSFS
 	// Err is returned by the failing write and every write after it.
 	// Defaults to syscall.ENOSPC wrapped in an *os.PathError.
 	Err error
@@ -40,7 +44,7 @@ func (fs *FS) errFor(name string) error {
 	return &os.PathError{Op: "write", Path: name, Err: syscall.ENOSPC}
 }
 
-func (fs *FS) OpenFile(name string, flag int, perm os.FileMode) (runlog.File, error) {
+func (fs *FS) OpenFile(name string, flag int, perm os.FileMode) (durable.File, error) {
 	f, err := os.OpenFile(name, flag, perm)
 	if err != nil {
 		return nil, err
@@ -48,22 +52,8 @@ func (fs *FS) OpenFile(name string, flag int, perm os.FileMode) (runlog.File, er
 	return &file{File: f, fs: fs, name: name}, nil
 }
 
-func (fs *FS) Open(name string) (runlog.File, error) {
-	f, err := os.Open(name)
-	if err != nil {
-		return nil, err
-	}
-	return &file{File: f, fs: fs, name: name}, nil
-}
-
-func (fs *FS) Create(name string) (runlog.File, error) {
+func (fs *FS) Create(name string) (durable.File, error) {
 	return fs.OpenFile(name, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-}
-
-func (fs *FS) Rename(oldpath, newpath string) error { return os.Rename(oldpath, newpath) }
-func (fs *FS) Remove(name string) error             { return os.Remove(name) }
-func (fs *FS) MkdirAll(path string, perm os.FileMode) error {
-	return os.MkdirAll(path, perm)
 }
 
 // file charges every write against the shared budget. The failing write

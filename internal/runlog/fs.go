@@ -1,41 +1,31 @@
 package runlog
 
 import (
-	"io"
 	"os"
+
+	"mce/internal/durable"
 )
 
-// FS abstracts the filesystem operations runlog performs, so tests can
-// inject write failures (a full disk mid-checkpoint, a frame torn by a
-// short write) without touching a real disk. The zero-value default used
-// throughout is the real OS filesystem; see Options.FS.
-type FS interface {
-	OpenFile(name string, flag int, perm os.FileMode) (File, error)
-	Open(name string) (File, error)
-	Create(name string) (File, error)
-	Rename(oldpath, newpath string) error
-	Remove(name string) error
-	MkdirAll(path string, perm os.FileMode) error
-}
+// FS, File and OSFS are the filesystem seam of internal/durable under the
+// names checkpoint callers have always used; see Options.FS.
+type (
+	FS   = durable.FS
+	File = durable.File
+	OSFS = durable.OSFS
+)
 
-// File is the subset of *os.File the journal and segment writers rely on.
-type File interface {
-	io.ReadWriteCloser
-	io.Seeker
-	io.WriterAt
-	Stat() (os.FileInfo, error)
-	Truncate(size int64) error
-	Sync() error
-}
+// noSyncFS makes every fsync of the files it opens for writing a no-op:
+// Options.NoSync.
+type noSyncFS struct{ FS }
 
-// OSFS is the real filesystem; the default when Options.FS is nil.
-type OSFS struct{}
+type noSyncFile struct{ File }
 
-func (OSFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
-	return os.OpenFile(name, flag, perm)
+func (noSyncFile) Sync() error { return nil }
+
+func (fs noSyncFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
+	f, err := fs.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return noSyncFile{f}, nil
 }
-func (OSFS) Open(name string) (File, error)               { return os.Open(name) }
-func (OSFS) Create(name string) (File, error)             { return os.Create(name) }
-func (OSFS) Rename(oldpath, newpath string) error         { return os.Rename(oldpath, newpath) }
-func (OSFS) Remove(name string) error                     { return os.Remove(name) }
-func (OSFS) MkdirAll(path string, perm os.FileMode) error { return os.MkdirAll(path, perm) }

@@ -6,23 +6,23 @@
 // killed hours in resumes instead of re-enumerating, and resumed blocks are
 // exactly-once in the merged output.
 //
-// The journal is a length-prefixed, CRC-32-framed record log. Appends are
-// fsync'd (configurable), and replay truncates a torn tail — a record half
-// written when the process died — back to the last intact record, the
-// standard WAL recovery discipline. Record payloads are a type byte
-// followed by uvarint fields, so the format is append-only-evolvable: an
-// unknown record type is an error (newer writer), a short payload is
-// corruption.
+// The journal is a log of durable frames (internal/durable: length, CRC-32,
+// payload). Appends are fsync'd (configurable), and replay truncates a torn
+// tail — a record half written when the process died — back to the last
+// intact record, the standard WAL recovery discipline. Record payloads are
+// a type byte followed by uvarint fields, so the format is
+// append-only-evolvable: an unknown record type is an error (newer writer),
+// a short payload is corruption.
 package runlog
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 
+	"mce/internal/durable"
 	"mce/internal/telemetry"
 )
 
@@ -61,11 +61,7 @@ type rec struct {
 // encode appends the record's payload (type byte + uvarint fields).
 func (r *rec) encode(buf []byte) []byte {
 	buf = append(buf, r.kind)
-	put := func(v uint64) {
-		var tmp [binary.MaxVarintLen64]byte
-		n := binary.PutUvarint(tmp[:], v)
-		buf = append(buf, tmp[:n]...)
-	}
+	put := func(v uint64) { buf = binary.AppendUvarint(buf, v) }
 	switch r.kind {
 	case recRunBegin, recResume:
 		put(r.graph)
@@ -151,14 +147,14 @@ func decodeRec(p []byte) (rec, error) {
 	return r, nil
 }
 
-// journal is the framed record log: every Append writes
-// [len u32le][crc32 u32le][payload] and optionally fsyncs.
+// journal is the framed record log: every append writes one durable frame
+// in one Write and fsyncs it.
 type journal struct {
-	f    File
-	sync bool
-	met  *telemetry.Engine
-	buf  []byte
-	err  error // first write failure; the journal is dead afterwards
+	f       File
+	met     *telemetry.Engine
+	payload []byte
+	frame   []byte
+	err     error // first write failure; the journal is dead afterwards
 }
 
 // append frames and writes one record; failures stick so a half-written
@@ -167,28 +163,19 @@ func (j *journal) append(r *rec) error {
 	if j.err != nil {
 		return j.err
 	}
-	j.buf = j.buf[:0]
-	payload := r.encode(j.buf[:0])
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	if _, err := j.f.Write(hdr[:]); err != nil {
+	j.payload = r.encode(j.payload[:0])
+	j.frame = durable.AppendFrame(j.frame[:0], j.payload)
+	if _, err := j.f.Write(j.frame); err != nil {
 		j.err = fmt.Errorf("runlog: journal write: %w", err)
 		return j.err
 	}
-	if _, err := j.f.Write(payload); err != nil {
-		j.err = fmt.Errorf("runlog: journal write: %w", err)
+	if err := j.f.Sync(); err != nil {
+		j.err = fmt.Errorf("runlog: journal sync: %w", err)
 		return j.err
-	}
-	if j.sync {
-		if err := j.f.Sync(); err != nil {
-			j.err = fmt.Errorf("runlog: journal sync: %w", err)
-			return j.err
-		}
 	}
 	if j.met != nil {
 		j.met.CheckpointRecords.Inc()
-		j.met.CheckpointBytes.Add(int64(len(hdr) + len(payload)))
+		j.met.CheckpointBytes.Add(int64(len(j.frame)))
 	}
 	return nil
 }
@@ -234,36 +221,25 @@ func replayJournal(fs FS, path string) (recs []rec, validOff int64, err error) {
 		return nil, 0, fmt.Errorf("runlog: %s is not a run journal (bad magic)", path)
 	}
 	off := int64(len(journalMagic))
+	frames := durable.NewFrameReader(f, maxRecordLen)
 	for {
-		var hdr [8]byte
-		if _, err := io.ReadFull(f, hdr[:]); err != nil {
-			return recs, off, nil // clean end or torn frame header
-		}
-		plen := binary.LittleEndian.Uint32(hdr[0:4])
-		sum := binary.LittleEndian.Uint32(hdr[4:8])
-		if plen == 0 || plen > maxRecordLen {
-			return recs, off, nil // torn or overwritten length
-		}
-		payload := make([]byte, plen)
-		if _, err := io.ReadFull(f, payload); err != nil {
-			return recs, off, nil // torn payload
-		}
-		if crc32.ChecksumIEEE(payload) != sum {
-			return recs, off, nil // torn or bit-rotted record
+		payload, err := frames.Next()
+		if err != nil {
+			return recs, off, nil // clean end, or a torn or bit-rotted frame
 		}
 		r, err := decodeRec(payload)
 		if err != nil {
 			return recs, off, nil // undecodable: stop at the last good record
 		}
 		recs = append(recs, r)
-		off += int64(len(hdr)) + int64(plen)
+		off += int64(durable.FrameHeaderLen + len(payload))
 	}
 }
 
 // openJournalForAppend opens (creating if absent) the journal at path,
 // truncates any torn tail at validOff, and positions the write cursor at
 // the end of the valid prefix.
-func openJournalForAppend(fs FS, path string, validOff int64, syncWrites bool, met *telemetry.Engine) (*journal, error) {
+func openJournalForAppend(fs FS, path string, validOff int64, met *telemetry.Engine) (*journal, error) {
 	f, err := fs.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("runlog: open journal: %w", err)
@@ -296,5 +272,5 @@ func openJournalForAppend(fs FS, path string, validOff int64, syncWrites bool, m
 		f.Close()
 		return nil, fmt.Errorf("runlog: seek journal: %w", err)
 	}
-	return &journal{f: f, sync: syncWrites, met: met}, nil
+	return &journal{f: f, met: met}, nil
 }

@@ -62,16 +62,7 @@ func SaveCliques(path string, cliques [][]int32) error {
 		return err
 	}
 	defer f.Close()
-	w, err := cliqstore.NewWriter(f)
-	if err != nil {
-		return err
-	}
-	for _, c := range cliques {
-		if err := w.Write(c); err != nil {
-			return err
-		}
-	}
-	if err := w.Finish(); err != nil {
+	if _, _, err := cliqstore.WriteAll(f, cliques); err != nil {
 		return err
 	}
 	return f.Close()
