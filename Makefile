@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint fmt race vulncheck fuzz-smoke bench-smoke bench-baseline bench-record bench-e2e bench-decomp allocbudget-check check bench chaos chaos-straggler
+.PHONY: all build test vet lint fmt race vulncheck fuzz-smoke bench-smoke bench-baseline bench-record bench-e2e bench-decomp bench-kernel allocbudget-check check bench chaos chaos-straggler
 
 # The checked-in per-PR benchmark record (bench-record writes BENCH_$(PR).json).
 PR ?= 10
@@ -64,6 +64,7 @@ fuzz-smoke:
 	$(GO) test -run=Fuzz -fuzz=FuzzFrameReader -fuzztime=10s ./internal/durable
 	$(GO) test -run=Fuzz -fuzz=FuzzDecodeAscending -fuzztime=10s ./internal/durable
 	$(GO) test -run=Fuzz -fuzz=FuzzDecodeBlock -fuzztime=10s ./internal/durable
+	$(GO) test -run=Fuzz -fuzz=FuzzSubproblem -fuzztime=10s ./internal/mcealg
 
 # Crash-recovery chaos: the coordinator is SIGKILLed at randomized points and
 # must resume to the exact clique set (chaos_resume_test.go), and the index
@@ -107,6 +108,13 @@ bench-e2e:
 bench-decomp:
 	$(GO) test -run '^$$' -bench 'BenchmarkInduced$$' -benchmem ./internal/graph
 	$(GO) test -run '^$$' -bench 'BenchmarkBlocks$$' -benchmem ./internal/decomp
+
+# The MCE kernel's own Go benchmarks: the recursion alone on the 4×3 grid
+# (ns per recursion node), and BLOCK-ANALYSIS from one warm analyzer over a
+# social_sparse-shaped plan (one package per run).
+bench-kernel:
+	$(GO) test -run '^$$' -bench 'BenchmarkKernel$$' -benchmem ./internal/mcealg
+	$(GO) test -run '^$$' -bench 'BenchmarkAnalyzeBlocks$$' -benchmem ./internal/decomp
 
 check: build fmt lint allocbudget-check test race vulncheck bench-smoke
 

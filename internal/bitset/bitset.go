@@ -1,11 +1,12 @@
 // Package bitset implements fixed-capacity bit sets backed by []uint64 words.
 //
-// Bit sets are the workhorse of the BitSets adjacency structure used by the
-// maximal clique enumeration algorithms: candidate sets P and exclusion sets X
-// are intersected with neighbourhood rows millions of times per run, so every
-// operation here is word-parallel and allocation-conscious. A Set of capacity
-// n occupies ceil(n/64) words; all sets participating in binary operations
-// must have been created with the same capacity.
+// Bit sets carry node sets through the decomposition (BLOCKS' cover and
+// kernel marks), the maximum-clique search and the public MCE(R, P, X)
+// entry points, so every operation here is word-parallel and
+// allocation-conscious. The MCE recursion itself works on bare word windows
+// of the same layout (package mcealg; Words hands a Set over). A Set of
+// capacity n occupies ceil(n/64) words; all sets participating in binary
+// operations must have been created with the same capacity.
 package bitset
 
 import (
@@ -25,7 +26,7 @@ type Set struct {
 
 // New returns an empty Set with capacity for values in [0, n).
 //
-//mce:coldpath allocating constructor; hot callers amortise via scratch free lists
+//mce:coldpath allocating constructor
 func New(n int) *Set {
 	if n < 0 {
 		n = 0
@@ -49,6 +50,10 @@ func FromSlice(n int, vs []int32) *Set {
 
 // Cap reports the capacity of the set (the exclusive upper bound on values).
 func (s *Set) Cap() int { return s.n }
+
+// Words returns the set's backing words, ⌈Cap()/64⌉ of them, bit v of word
+// v/64 standing for value v. The slice aliases the set.
+func (s *Set) Words() []uint64 { return s.words }
 
 // Add inserts v into the set. Adding a value outside [0, Cap()) panics,
 // matching the behaviour of an out-of-range slice index.

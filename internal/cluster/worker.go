@@ -11,6 +11,7 @@ import (
 
 	"mce/internal/decomp"
 	"mce/internal/durable"
+	"mce/internal/mcealg"
 	"mce/internal/telemetry"
 )
 
@@ -230,6 +231,7 @@ func (w *Worker) serveConn(conn net.Conn) error {
 	}
 
 	met := w.Metrics
+	an := new(decomp.Analyzer) // this connection's BLOCK-ANALYSIS scratch
 	for {
 		p, err := l.in.Next()
 		corrupt := errors.Is(err, durable.ErrChecksum)
@@ -248,7 +250,7 @@ func (w *Worker) serveConn(conn net.Conn) error {
 			met.BytesReceived.Add(frameLen(p))
 			met.TasksInFlight.Add(1)
 		}
-		res := runTask(p, corrupt, met)
+		res := runTask(p, corrupt, met, an)
 		if met != nil {
 			met.TasksInFlight.Add(-1)
 		}
@@ -275,9 +277,9 @@ func (w *Worker) serveConn(conn net.Conn) error {
 // is the Corrupt verdict. A task that does not decode into a block of
 // classed nodes over a simple undirected graph is answered with Err under
 // its own ID, and so is a panicking block (an algorithm bug), so one poison
-// task cannot take down a node that other coordinators share. met may be
-// nil.
-func runTask(payload []byte, corrupt bool, met *telemetry.Engine) (res blockResult) {
+// task cannot take down a node that other coordinators share; the analyzer
+// it left mid-recursion is replaced by a fresh one. met may be nil.
+func runTask(payload []byte, corrupt bool, met *telemetry.Engine, an *decomp.Analyzer) (res blockResult) {
 	if met != nil {
 		met.TasksServed.Inc()
 	}
@@ -285,6 +287,7 @@ func runTask(payload []byte, corrupt bool, met *telemetry.Engine) (res blockResu
 	defer func() {
 		if r := recover(); r != nil {
 			res = blockResult{taskID: t.taskID, Err: fmt.Sprintf("panic in BLOCK-ANALYSIS: %v", r)}
+			*an = decomp.Analyzer{}
 			if met != nil {
 				met.TaskPanics.Inc()
 			}
@@ -318,9 +321,9 @@ func runTask(payload []byte, corrupt bool, met *telemetry.Engine) (res blockResu
 	// checkpoint digests — identical to a sequential run. A pool-worker
 	// panic propagates to this goroutine and lands in the recover above,
 	// preserving the worker's poison-task isolation.
-	err = decomp.AnalyzeBlockInstr(t.Block, t.Combo, func(c []int32) {
+	err = an.Analyze(t.Block, t.Combo, func(c []int32) {
 		res.Cliques = append(res.Cliques, slices.Clone(c))
-	}, ins)
+	}, ins, mcealg.Par{})
 	if met != nil {
 		met.ComboAnalyzed(t.Combo.Index(), t.Combo.Label(), time.Since(t0))
 		met.MergeBlockInstr(ins)

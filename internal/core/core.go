@@ -290,8 +290,11 @@ func (e *LocalExecutor) Analyze(ctx context.Context, blocks []decomp.Block, comb
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// ins is per-worker scratch: the recursion counts accumulate
-			// without atomics and merge into the engine once per block.
+			// The analyzer and ins are per-worker scratch: adjacency rows and
+			// recursion frames are reused from block to block, and the
+			// recursion counts accumulate without atomics and merge into the
+			// engine once per block.
+			an := new(decomp.Analyzer)
 			var ins *telemetry.BlockInstr
 			if met != nil {
 				ins = &telemetry.BlockInstr{}
@@ -320,7 +323,7 @@ func (e *LocalExecutor) Analyze(ctx context.Context, blocks []decomp.Block, comb
 					t0 = time.Now()
 				}
 				var cliques [][]int32 //lint:ignore hotbox the emit sink must outlive the callback; captured once per block, not per node
-				err := decomp.AnalyzeBlockPar(&blocks[i], combos[i], func(c []int32) {
+				err := an.Analyze(&blocks[i], combos[i], func(c []int32) {
 					cp := make([]int32, len(c))
 					copy(cp, c)
 					cliques = append(cliques, cp)
@@ -535,12 +538,7 @@ func selector(opts Options) func(*decomp.Block) mcealg.Combo {
 func baseSelector(opts Options) func(*decomp.Block) mcealg.Combo {
 	if opts.FixedCombo != nil {
 		c := *opts.FixedCombo
-		return func(b *decomp.Block) mcealg.Combo {
-			if c.Struct == mcealg.Matrix && b.Graph.N() > mcealg.MatrixMaxNodes {
-				return mcealg.Combo{Alg: c.Alg, Struct: mcealg.BitSets}
-			}
-			return c
-		}
+		return func(b *decomp.Block) mcealg.Combo { return c.Bounded(b.Graph.N()) }
 	}
 	tree := opts.Tree
 	if tree == nil {

@@ -215,6 +215,30 @@ func TestFixedComboPath(t *testing.T) {
 	}
 }
 
+// TestFixedComboBoundsQuadraticStores: a fixed Matrix or BitSets combo on a
+// block past the quadratic-store bound runs the same algorithm over Lists,
+// also under intra-block parallelism, which upgrades BitSets picks only.
+func TestFixedComboBoundsQuadraticStores(t *testing.T) {
+	big := wholeGraphBlock(graph.Empty(mcealg.MatrixMaxNodes + 1))
+	small := wholeGraphBlock(graph.Empty(mcealg.MatrixMaxNodes))
+	for _, s := range []mcealg.Structure{mcealg.Matrix, mcealg.BitSets, mcealg.Lists} {
+		fixed := mcealg.Combo{Alg: mcealg.Tomita, Struct: s}
+		for _, intra := range []int{0, 4} {
+			sel := selector(Options{FixedCombo: &fixed, IntraBlockParallelism: intra})
+			if got, want := sel(big), (mcealg.Combo{Alg: mcealg.Tomita, Struct: mcealg.Lists}); got != want {
+				t.Errorf("%v intra=%d above the bound: %v, want %v", fixed, intra, got, want)
+			}
+			want := fixed
+			if s == mcealg.BitSets && intra > 1 {
+				want.Struct = mcealg.BitSetsParallel
+			}
+			if got := sel(small); got != want {
+				t.Errorf("%v intra=%d at the bound: %v, want %v", fixed, intra, got, want)
+			}
+		}
+	}
+}
+
 func TestTrainedTreePath(t *testing.T) {
 	g := gen.HolmeKim(200, 4, 0.6, 16)
 	tree := dtree.Train([]dtree.Sample{

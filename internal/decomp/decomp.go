@@ -293,75 +293,114 @@ func FixedCombo(c mcealg.Combo) ComboSelector {
 // visited node, with node identifiers translated back to g's IDs. Cliques
 // are emitted exactly once per block; across blocks, the visited mechanism
 // guarantees global uniqueness. The slice passed to emit is reused.
+//
+// AnalyzeBlock and its two variants are one-shot: each call builds and
+// drops an Analyzer. A caller with many blocks keeps one Analyzer per
+// goroutine instead.
 func AnalyzeBlock(b *Block, combo mcealg.Combo, emit func(clique []int32)) error {
 	return AnalyzeBlockInstr(b, combo, emit, nil)
 }
 
-// AnalyzeBlockInstr is AnalyzeBlock with optional instrumentation: when ins
-// is non-nil, the block's MCE recursion-node and pivot-selection counts are
-// added to it after the analysis. A nil ins takes the identical code path
-// with zero extra allocations — the instrumented executors pass nil when
-// telemetry is disabled, keeping the hot loop paper-faithful.
+// AnalyzeBlockInstr is AnalyzeBlock with optional instrumentation; see
+// Analyzer.Analyze.
 func AnalyzeBlockInstr(b *Block, combo mcealg.Combo, emit func(clique []int32), ins *telemetry.BlockInstr) error {
 	return AnalyzeBlockPar(b, combo, emit, ins, mcealg.Par{})
 }
 
 // AnalyzeBlockPar is AnalyzeBlockInstr with explicit intra-block
-// parallelism: a BitSetsParallel combo (or par.Workers > 1) runs each
-// kernel subproblem on mcealg's work-stealing pool. Emission order, and
-// therefore the downstream checkpoint digests and Lemma-1 filter input, is
-// identical to the sequential path — the pool merges per-worker cliques
-// back into depth-first order before emitting (see mcealg/parallel.go).
+// parallelism; see Analyzer.Analyze.
+func AnalyzeBlockPar(b *Block, combo mcealg.Combo, emit func(clique []int32), ins *telemetry.BlockInstr, par mcealg.Par) error {
+	return new(Analyzer).Analyze(b, combo, emit, ins, par)
+}
+
+// Analyzer runs BLOCK-ANALYSIS over many blocks from one set of scratch
+// memory: the MCE runner (adjacency rows, recursion frames), the P, V̄,
+// P ∩ N_k and V̄ ∩ N_k windows of Algorithm 4 and the translation buffer
+// are sized by the largest block seen and reused, so a warm Analyzer
+// analyses a block without allocating. The zero value is ready. An
+// Analyzer serves one goroutine at a time, and one whose Analyze panicked
+// must be dropped: its scratch is mid-recursion.
+type Analyzer struct {
+	runner  mcealg.Runner
+	windows []uint64 // P | V̄ | P ∩ N_k | V̄ ∩ N_k
+	global  []int32
+	kernel  [1]int32
+
+	// The runner's emit for the block being analysed. translate is bound
+	// once, so handing it to the runner does not allocate per block.
+	orig      []int32
+	emit      func([]int32)
+	translate func([]int32)
+}
+
+// Analyze is AnalyzeBlock on the analyzer's scratch. When ins is non-nil,
+// the block's MCE recursion-node and pivot-selection counts are added to it
+// after the analysis; a nil ins takes the identical code path — the
+// instrumented executors pass nil when telemetry is disabled, keeping the
+// hot loop paper-faithful. A BitSetsParallel combo (or par.Workers > 1)
+// runs each kernel subproblem on mcealg's work-stealing pool; emission
+// order, and therefore the downstream checkpoint digests and Lemma-1 filter
+// input, is identical to the sequential path — the pool merges per-worker
+// cliques back into depth-first order before emitting (see
+// mcealg/parallel.go).
 //
 //mce:hotpath per-block Algorithm 4 kernel loop
-func AnalyzeBlockPar(b *Block, combo mcealg.Combo, emit func(clique []int32), ins *telemetry.BlockInstr, par mcealg.Par) error {
-	n := b.Graph.N()
-	// P starts as K ∪ H; V̄ starts as the visited set (line 2–3).
-	P := bitset.New(n)
-	for _, v := range b.Kernel {
-		P.Add(v)
-	}
-	for _, v := range b.Border {
-		P.Add(v)
-	}
-	vbar := bitset.New(n)
-	for _, v := range b.Visited {
-		vbar.Add(v)
-	}
-
-	runner, err := mcealg.NewRunnerPar(b.Graph, combo, par)
-	if err != nil {
+func (a *Analyzer) Analyze(b *Block, combo mcealg.Combo, emit func(clique []int32), ins *telemetry.BlockInstr, par mcealg.Par) error {
+	if err := a.runner.Reset(b.Graph, combo, par); err != nil {
 		return err
 	}
-	Pk := bitset.New(n)
-	Xk := bitset.New(n)
-	nk := bitset.New(n)
-	global := make([]int32, 0, 32)
-	translate := func(local []int32) {
-		global = global[:0]
-		for _, v := range local {
-			global = append(global, b.Orig[v])
-		}
-		slices.Sort(global) // not sort.Slice: that boxes the slice per emitted clique
-		emit(global)
+	if a.translate == nil {
+		a.translate = a.toGlobal
+	}
+	a.orig, a.emit = b.Orig, emit
+	w := (b.Graph.N() + 63) / 64
+	if cap(a.windows) < 4*w {
+		a.windows = make([]uint64, 4*w)
+	}
+	a.windows = a.windows[:4*w]
+	clear(a.windows)
+	P, vbar, Pk, Xk := a.windows[:w], a.windows[w:2*w], a.windows[2*w:3*w], a.windows[3*w:]
+	// P starts as K ∪ H; V̄ starts as the visited set (line 2–3).
+	for _, v := range b.Kernel {
+		P[v>>6] |= 1 << (uint(v) & 63)
+	}
+	for _, v := range b.Border {
+		P[v>>6] |= 1 << (uint(v) & 63)
+	}
+	for _, v := range b.Visited {
+		vbar[v>>6] |= 1 << (uint(v) & 63)
 	}
 	for _, k := range b.Kernel {
 		// N_k ← N(k); run MCE(k, P ∩ N_k, V̄ ∩ N_k) (lines 5–6).
-		nk.Clear()
+		clear(Pk)
+		clear(Xk)
 		for _, u := range b.Graph.Neighbors(k) {
-			nk.Add(u)
+			bit := uint64(1) << (uint(u) & 63)
+			Pk[u>>6] |= P[u>>6] & bit
+			Xk[u>>6] |= vbar[u>>6] & bit
 		}
-		Pk.AndInto(P, nk)
-		Xk.AndInto(vbar, nk)
-		runner.Subproblem([]int32{k}, Pk, Xk, translate)
+		a.kernel[0] = k
+		a.runner.SubproblemWindows(a.kernel[:], Pk, Xk, a.translate)
 		// k is done: all cliques through it are found (lines 7–8).
-		P.Remove(k)
-		vbar.Add(k)
+		P[k>>6] &^= 1 << (uint(k) & 63)
+		vbar[k>>6] |= 1 << (uint(k) & 63)
 	}
+	a.orig, a.emit = nil, nil
 	if ins != nil {
-		nodes, pivots := runner.Counts()
+		nodes, pivots := a.runner.Counts()
 		ins.RecursionNodes += nodes
 		ins.PivotSelections += pivots
 	}
 	return nil
+}
+
+// toGlobal hands one clique of the block, in local IDs, to the caller's
+// emit in the original graph's IDs, ascending.
+func (a *Analyzer) toGlobal(local []int32) {
+	a.global = a.global[:0]
+	for _, v := range local {
+		a.global = append(a.global, a.orig[v])
+	}
+	slices.Sort(a.global) // not sort.Slice: that boxes the slice per emitted clique
+	a.emit(a.global)
 }

@@ -10,8 +10,10 @@ import (
 	"testing/quick"
 
 	"mce/internal/bitset"
+	"mce/internal/dtree"
 	"mce/internal/gen"
 	"mce/internal/graph"
+	"mce/internal/kcore"
 	"mce/internal/mcealg"
 )
 
@@ -654,4 +656,71 @@ func BenchmarkBlocks(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		benchBlocks = Blocks(g, feasible, m, Options{})
 	}
+}
+
+// TestAnalyzerWarmAllocs: once an Analyzer has seen a block, analysing
+// another of the same size allocates nothing — for every structure, and for
+// the bucket-peeling Eppstein too.
+func TestAnalyzerWarmAllocs(t *testing.T) {
+	blocks := make([]Block, 2)
+	for i := range blocks {
+		g := gen.HolmeKim(130, 6, 0.7, int64(3+i))
+		blocks[i] = Block{Graph: g, Orig: make([]int32, g.N())}
+		for v := int32(0); v < int32(g.N()); v++ {
+			blocks[i].Orig[v] = v
+			switch {
+			case v%3 == 0:
+				blocks[i].Kernel = append(blocks[i].Kernel, v)
+			case v%7 == 0:
+				blocks[i].Visited = append(blocks[i].Visited, v)
+			default:
+				blocks[i].Border = append(blocks[i].Border, v)
+			}
+		}
+	}
+	for _, combo := range mcealg.AllCombos() {
+		var an Analyzer
+		cliques := 0
+		emit := func([]int32) { cliques++ }
+		analyze := func(b *Block) {
+			if err := an.Analyze(b, combo, emit, nil, mcealg.Par{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		analyze(&blocks[0])
+		analyze(&blocks[1]) // the deepest frames and widest buckets of either
+		if cliques == 0 {
+			t.Fatalf("%v: nothing emitted", combo)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { analyze(&blocks[0]); analyze(&blocks[1]) }); allocs != 0 {
+			t.Errorf("%v: a warm analyzer made %v allocations over two blocks, want 0", combo, allocs)
+		}
+	}
+}
+
+// BenchmarkAnalyzeBlocks is BLOCK-ANALYSIS over the plan of BenchmarkBlocks
+// — the many small blocks of the social_sparse shape, combos from the
+// published tree — from one warm Analyzer, as a LocalExecutor worker runs it.
+func BenchmarkAnalyzeBlocks(b *testing.B) {
+	g := gen.HolmeKim(20000, 8, 0.7, 42)
+	const m = 56
+	feasible, _ := Cut(g, m)
+	blocks := Blocks(g, feasible, m, Options{})
+	combos := make([]mcealg.Combo, len(blocks))
+	for i := range blocks {
+		combos[i] = dtree.SafePredict(dtree.Published(), kcore.Measure(blocks[i].Graph))
+	}
+	var an Analyzer
+	cliques := 0
+	emit := func([]int32) { cliques++ }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range blocks {
+			if err := an.Analyze(&blocks[j], combos[j], emit, nil, mcealg.Par{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(blocks)), "ns/block")
 }

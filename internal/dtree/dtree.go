@@ -356,13 +356,9 @@ func Published() *Tree {
 	}}
 }
 
-// SafePredict wraps Predict with the Matrix size guard: if the tree selects
-// a Matrix combo for a block too large for a dense matrix, it degrades to
-// the same algorithm over BitSets.
+// SafePredict wraps Predict with the quadratic-store guard: a Matrix or
+// BitSets pick for a block of more than mcealg.MatrixMaxNodes nodes degrades
+// to the same algorithm over Lists (mcealg.Combo.Bounded).
 func SafePredict(t *Tree, f kcore.Features) mcealg.Combo {
-	c := t.Predict(f)
-	if c.Struct == mcealg.Matrix && f.Nodes > mcealg.MatrixMaxNodes {
-		c.Struct = mcealg.BitSets
-	}
-	return c
+	return t.Predict(f).Bounded(f.Nodes)
 }

@@ -170,20 +170,29 @@ func TestStringRendersAllLeaves(t *testing.T) {
 	}
 }
 
+// TestSafePredictDegradesMatrix: Matrix and BitSets are one
+// n²/8-byte store, so a pick of either above the bound runs the same
+// algorithm over Lists, and nothing below the bound is touched.
 func TestSafePredictDegradesMatrix(t *testing.T) {
-	tree := Published()
-	f := feat(mcealg.MatrixMaxNodes+1, 1e6, 0.001, 30, 40)
-	got := SafePredict(tree, f)
-	if got.Struct == mcealg.Matrix {
-		t.Fatalf("SafePredict kept Matrix for %d nodes", f.Nodes)
-	}
-	if got.Alg != mcealg.XPivot {
-		t.Fatalf("SafePredict changed the algorithm: %v", got)
-	}
-	// Small block: no degradation.
-	small := feat(100, 500, 0.2, 30, 40)
-	if got := SafePredict(tree, small); got.Struct != mcealg.Matrix {
-		t.Fatalf("SafePredict degraded unnecessarily: %v", got)
+	big, small := mcealg.MatrixMaxNodes+1, mcealg.MatrixMaxNodes
+	constant := func(c mcealg.Combo) *Tree { return &Tree{root: &node{leaf: true, combo: c}} }
+	for _, tc := range []struct {
+		name  string
+		tree  *Tree
+		f     kcore.Features
+		nodes int
+		want  mcealg.Combo
+	}{
+		{"matrix pick above", Published(), feat(0, 1e6, 0.001, 30, 40), big, mcealg.Combo{Alg: mcealg.XPivot, Struct: mcealg.Lists}},
+		{"matrix pick at the bound", Published(), feat(0, 1e6, 0.001, 30, 40), small, mcealg.Combo{Alg: mcealg.XPivot, Struct: mcealg.Matrix}},
+		{"bitsets pick above", constant(comboA), kcore.Features{}, big, mcealg.Combo{Alg: mcealg.Tomita, Struct: mcealg.Lists}},
+		{"bitsets pick at the bound", constant(comboA), kcore.Features{}, small, mcealg.Combo{Alg: mcealg.Tomita, Struct: mcealg.BitSets}},
+		{"lists pick above", constant(comboB), kcore.Features{}, big, mcealg.Combo{Alg: mcealg.Eppstein, Struct: mcealg.Lists}},
+	} {
+		tc.f.Nodes = tc.nodes
+		if got := SafePredict(tc.tree, tc.f); got != tc.want {
+			t.Errorf("%s: SafePredict = %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }
 

@@ -90,7 +90,7 @@ func NeglectHubs(g *graph.Graph, m int) ([][]int32, error) {
 				P.Add(int32(local))
 			}
 		}
-		err := mcealg.EnumerateSubproblem(sub, mcealg.Combo{Alg: mcealg.Tomita, Struct: mcealg.BitSets},
+		err := mcealg.EnumerateSubproblem(sub, mcealg.Combo{Alg: mcealg.Tomita, Struct: mcealg.BitSets}.Bounded(sub.N()),
 			[]int32{0}, P, X, func(local []int32) {
 				clique := make([]int32, len(local))
 				for i, lv := range local {

@@ -18,10 +18,7 @@ func TestPaperClaims(t *testing.T) {
 	// §4 / Table 1: "None of the available algorithms outperforms the
 	// others in every possible instance of the problem."
 	t.Run("NoComboWinsEverywhere", func(t *testing.T) {
-		ms, err := MeasureCorpus(gen.Corpus(1))
-		if err != nil {
-			t.Fatal(err)
-		}
+		ms := measureQuiet(t, 3)
 		winners := map[mcealg.Combo]int{}
 		for _, m := range ms {
 			winners[m.Best]++
@@ -45,6 +42,7 @@ func TestPaperClaims(t *testing.T) {
 		eval := Figures3And4(ms)
 		best := eval.FixedTimes[0].Total
 		median := eval.FixedTimes[len(eval.FixedTimes)/2].Total
+		t.Logf("tree %v, best fixed %v, median fixed %v", eval.TreeTime, best, median)
 		if eval.TreeTime > median {
 			t.Fatalf("decision tree (%v) slower than the median fixed combo (%v)", eval.TreeTime, median)
 		}
@@ -137,4 +135,41 @@ func TestPaperClaims(t *testing.T) {
 			t.Fatalf("hard chain n=60 needed only %d iterations; want Ω(n)", points[0].Iterations)
 		}
 	})
+}
+
+// measureQuiet measures the corpus `passes` times and keeps, per graph and
+// combo, the fastest pass, with Best re-derived from those. A corpus run is
+// a few milliseconds and `go test ./...` runs packages side by side, so one
+// pass carries scheduler noise of the same order as the gaps between the
+// packed-store combos (Matrix and BitSets are one store; only the algorithm
+// separates them); the minimum is the estimate that noise cannot inflate.
+func measureQuiet(t *testing.T, passes int) []CorpusMeasurement {
+	t.Helper()
+	corpus := gen.Corpus(1)
+	var ms []CorpusMeasurement
+	for p := 0; p < passes; p++ {
+		pass, err := MeasureCorpus(corpus)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ms == nil {
+			ms = pass
+			continue
+		}
+		for i := range ms {
+			for c, d := range pass[i].Times {
+				if d < ms[i].Times[c] {
+					ms[i].Times[c] = d
+				}
+			}
+		}
+	}
+	for i := range ms {
+		for _, c := range mcealg.AllCombos() {
+			if ms[i].Times[c] < ms[i].Times[ms[i].Best] {
+				ms[i].Best = c
+			}
+		}
+	}
+	return ms
 }

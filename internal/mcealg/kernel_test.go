@@ -1,0 +1,158 @@
+package mcealg
+
+import (
+	"fmt"
+	"math/bits"
+	"slices"
+	"testing"
+
+	"mce/internal/bitset"
+	"mce/internal/gen"
+	"mce/internal/graph"
+)
+
+// collectSubproblem runs MCE(R, P, X) with c and returns the emitted
+// sequence.
+func collectSubproblem(t testing.TB, g *graph.Graph, c Combo, R, P, X []int32) [][]int32 {
+	t.Helper()
+	var got [][]int32
+	err := EnumerateSubproblem(g, c, R, bitset.FromSlice(g.N(), P), bitset.FromSlice(g.N(), X), func(k []int32) {
+		got = append(got, slices.Clone(k))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
+// TestWordBoundaries runs every combo on graphs whose node count sits on,
+// just below and just above a multiple of the 64-bit window word, as
+// Algorithm 4 does: a kernel node k, X the visited neighbours of k, P the
+// rest of N(k) — with kernel and visited nodes on the last bit of one word
+// and the first of the next. The oracle is the pivot-free reference: the
+// maximal cliques of g through k that avoid X.
+func TestWordBoundaries(t *testing.T) {
+	for _, n := range []int{1, 2, 63, 64, 65, 127, 128, 129, 191, 192, 193} {
+		g := gen.ErdosRenyi(n, 0.25, int64(n))
+		ref := ReferenceCollect(g)
+		var marked []int32 // the kernel and visited candidates
+		for _, v := range []int32{0, 63, 64, 127, 128, int32(n - 1)} {
+			if int(v) < n && !slices.Contains(marked, v) {
+				marked = append(marked, v)
+			}
+		}
+		for _, c := range AllCombos() {
+			whole, err := Collect(g, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameCliques(t, fmt.Sprintf("n=%d %v whole graph", n, c), whole, ref)
+			for _, k := range marked {
+				var P, X []int32
+				for _, u := range g.Neighbors(k) {
+					if slices.Contains(marked, u) {
+						X = append(X, u)
+					} else {
+						P = append(P, u)
+					}
+				}
+				var want [][]int32
+				for _, K := range ref {
+					if slices.Contains(K, k) && !slices.ContainsFunc(K, func(v int32) bool { return slices.Contains(X, v) }) {
+						want = append(want, K)
+					}
+				}
+				got := collectSubproblem(t, g, c, []int32{k}, P, X)
+				assertSameCliques(t, fmt.Sprintf("n=%d %v kernel %d visited %v", n, c, k, X), got, want)
+			}
+		}
+	}
+}
+
+// Fuzz geometry: twelve active nodes straddling the first word boundary of
+// a 72-node graph (nodes 58..69), everything else isolated. Bit i of a mask
+// stands for node fuzzBase+i.
+const (
+	fuzzNodes  = 72
+	fuzzActive = 12
+	fuzzBase   = 58
+)
+
+// FuzzSubproblem checks every combo's MCE(R, P, X) against a brute force
+// over the subsets of P, on a graph and sets drawn from the input: edges is
+// read as byte pairs of active-node indices, and the three masks are
+// trimmed to a valid instance (R a clique, P and X disjoint, inside the
+// common neighbourhood of R). The graph's size is fixed and the edge list
+// is read up to the complete graph's length, so memory is bounded whatever
+// the input. Within one algorithm the three structures must also agree on
+// the emission order.
+func FuzzSubproblem(f *testing.F) {
+	f.Add([]byte{0, 1, 1, 2, 0, 2, 2, 3}, uint16(0), uint16(0xfff), uint16(0))
+	f.Add([]byte{5, 6, 6, 7, 5, 7, 4, 5, 4, 6, 4, 7}, uint16(1<<5), uint16(0xfff), uint16(1<<4))
+	f.Add([]byte{}, uint16(0), uint16(0), uint16(0))
+	f.Fuzz(func(t *testing.T, edges []byte, rMask, pMask, xMask uint16) {
+		var adj [fuzzActive]uint16
+		b := graph.NewBuilder(fuzzNodes)
+		for i := 0; i+1 < len(edges) && i < fuzzActive*(fuzzActive-1); i += 2 {
+			u, v := int(edges[i])%fuzzActive, int(edges[i+1])%fuzzActive
+			if u != v {
+				b.AddEdge(int32(fuzzBase+u), int32(fuzzBase+v))
+				adj[u] |= 1 << v
+				adj[v] |= 1 << u
+			}
+		}
+		g := b.Build()
+
+		// R: the nodes of rMask that keep R a clique, in ascending order;
+		// common is what every node of R is adjacent to.
+		var r, common uint16 = 0, 1<<fuzzActive - 1
+		for i := 0; i < fuzzActive; i++ {
+			if rMask>>i&1 == 1 && common>>i&1 == 1 {
+				r |= 1 << i
+				common &= adj[i]
+			}
+		}
+		p := pMask & common
+		x := xMask & common &^ p
+
+		var want [][]int32
+		for s := uint16(0); ; s = (s - p) & p { // every subset of p
+			k := r | s
+			clique, maximal := true, true
+			for i := 0; i < fuzzActive; i++ {
+				if k>>i&1 == 1 && (k&^(1<<i))&^adj[i] != 0 {
+					clique = false
+				}
+				if (p|x)&^k>>i&1 == 1 && k&^adj[i] == 0 {
+					maximal = false
+				}
+			}
+			if clique && maximal {
+				want = append(want, nodesOf(k))
+			}
+			if s == p {
+				break
+			}
+		}
+
+		first := map[Algorithm][][]int32{}
+		for _, c := range AllCombos() {
+			got := collectSubproblem(t, g, c, nodesOf(r), nodesOf(p), nodesOf(x))
+			assertSameCliques(t, fmt.Sprintf("%v R=%012b P=%012b X=%012b", c, r, p, x), got, want)
+			if seq, ok := first[c.Alg]; !ok {
+				first[c.Alg] = got
+			} else if !slices.EqualFunc(got, seq, func(a, b []int32) bool { return slices.Equal(a, b) }) {
+				t.Fatalf("%v: emission order differs from the first structure's", c)
+			}
+		}
+	})
+}
+
+// nodesOf lists the nodes a fuzz mask stands for, ascending.
+func nodesOf(mask uint16) []int32 {
+	out := make([]int32, 0, bits.OnesCount16(mask))
+	for ; mask != 0; mask &= mask - 1 {
+		out = append(out, int32(fuzzBase+bits.TrailingZeros16(mask)))
+	}
+	return out
+}

@@ -15,7 +15,6 @@ package mcealg
 import (
 	"fmt"
 	"runtime"
-	"slices"
 
 	"mce/internal/bitset"
 	"mce/internal/graph"
@@ -51,8 +50,10 @@ func (a Algorithm) String() string {
 type Structure uint8
 
 // The three data structures of the paper's framework, plus BitSetsParallel —
-// the same word-parallel rows driven by the intra-block work-stealing
-// enumerator (parallel.go) instead of the single-goroutine recursion.
+// the same recursion handing subtrees to the intra-block work-stealing pool
+// (parallel.go). Matrix and BitSets are one packed bit-matrix (kernel.go);
+// they stay two names because the paper's tree, the telemetry cells and the
+// wire distinguish them.
 const (
 	Matrix Structure = iota
 	Lists
@@ -133,10 +134,22 @@ func AllCombos() []Combo {
 	return cs
 }
 
-// MatrixMaxNodes bounds the graphs accepted by the Matrix structure: a dense
-// boolean matrix over more nodes than this would exhaust memory for no
-// benefit, since Matrix only wins on small dense blocks (Table 1).
+// MatrixMaxNodes bounds the graphs a quadratic store is built for: the
+// packed rows behind Matrix and BitSets take n²/8 bytes, which past this
+// many nodes would exhaust memory for no benefit, since both only win on
+// small dense blocks (Table 1).
 const MatrixMaxNodes = 1 << 14
+
+// Bounded returns the combo to run on a graph of n nodes: c itself, or —
+// when c's structure is a quadratic store and n exceeds MatrixMaxNodes —
+// the same algorithm over Lists. The recursion tree does not depend on the
+// structure, so the output is the same either way.
+func (c Combo) Bounded(n int) Combo {
+	if c.Struct != Lists && n > MatrixMaxNodes {
+		c.Struct = Lists
+	}
+	return c
+}
 
 // Enumerate finds every maximal clique of g using the given combo and calls
 // emit once per clique with the member IDs in ascending order. The slice
@@ -159,11 +172,12 @@ func EnumeratePar(g *graph.Graph, c Combo, par Par, emit func(clique []int32)) e
 	if err != nil {
 		return err
 	}
-	P := bitset.New(n)
-	for v := int32(0); v < int32(n); v++ {
-		P.Add(v)
+	w := (n + 63) / 64
+	px := make([]uint64, 2*w)
+	for v := 0; v < n; v++ {
+		px[v>>6] |= 1 << (uint(v) & 63)
 	}
-	r.Subproblem(nil, P, bitset.New(n), emit)
+	r.SubproblemWindows(nil, px[:w], px[w:], emit)
 	return nil
 }
 
@@ -171,7 +185,7 @@ func EnumeratePar(g *graph.Graph, c Combo, par Par, emit func(clique []int32)) e
 // R ⊆ K ⊆ R ∪ P, K ∩ X = ∅, such that no node of P ∪ X is adjacent to all of
 // K. R must be a clique whose nodes are all adjacent to every node of P and X
 // (the caller typically intersects P and X with the common neighbourhood of
-// R, as Algorithm 4 does). P and X are consumed; pass clones to keep them.
+// R, as Algorithm 4 does). P and X are read, not modified.
 func EnumerateSubproblem(g *graph.Graph, c Combo, R []int32, P, X *bitset.Set, emit func(clique []int32)) error {
 	r, err := NewRunner(g, c)
 	if err != nil {
@@ -183,11 +197,13 @@ func EnumerateSubproblem(g *graph.Graph, c Combo, R []int32, P, X *bitset.Set, e
 
 // Runner holds the adjacency representation for one graph so that many
 // subproblems (e.g. one per kernel node of a block, as in Algorithm 4) can
-// be solved without rebuilding it.
+// be solved without rebuilding it, and the recursion's scratch memory, so
+// that a Runner Reset onto the next graph allocates nothing once warm. The
+// zero value is ready for Reset.
 type Runner struct {
 	combo Combo
-	e     *enumerator
 	par   Par
+	e     enumerator
 }
 
 // NewRunner prepares the combo's adjacency structure for g. A
@@ -199,50 +215,83 @@ func NewRunner(g *graph.Graph, c Combo) (*Runner, error) {
 
 // NewRunnerPar is NewRunner with explicit intra-enumeration parallelism.
 // par.Workers ≤ 1 always runs the sequential recursion, whatever the combo.
-//
-//mce:coldpath per-run adjacency construction
 func NewRunnerPar(g *graph.Graph, c Combo, par Par) (*Runner, error) {
+	r := &Runner{}
+	if err := r.Reset(g, c, par); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// Reset re-targets the runner at g and c, reusing its memory, and zeroes
+// Counts. It refuses a quadratic store — Matrix, BitSets or BitSetsParallel
+// — on more than MatrixMaxNodes nodes rather than allocate n²/8 bytes;
+// callers that pick combos go through Combo.Bounded and never see that.
+// On an error the runner must be Reset again before use.
+//
+//mce:coldpath per-block adjacency construction
+func (r *Runner) Reset(g *graph.Graph, c Combo, par Par) error {
 	switch c.Alg {
 	case BKPivot, Tomita, Eppstein, XPivot:
 	default:
-		return nil, fmt.Errorf("mcealg: unknown algorithm %v", c.Alg)
+		return fmt.Errorf("mcealg: unknown algorithm %v", c.Alg)
 	}
-	adj, err := newAdjacency(g, c.Struct)
-	if err != nil {
-		return nil, err
+	switch c.Struct {
+	case Lists:
+	case Matrix, BitSets, BitSetsParallel:
+		if g.N() > MatrixMaxNodes {
+			return fmt.Errorf("mcealg: %d nodes exceed the %v structure limit of %d (see Combo.Bounded)", g.N(), c.Struct, MatrixMaxNodes)
+		}
+	default:
+		return fmt.Errorf("mcealg: unknown structure %v", c.Struct)
 	}
 	if par.Workers == 0 && c.Struct == BitSetsParallel {
 		par.Workers = runtime.GOMAXPROCS(0)
 	}
-	return &Runner{combo: c, e: &enumerator{adj: adj, n: g.N()}, par: par}, nil
+	r.combo, r.par = c, par
+	r.e.reset(g, c.Struct != Lists)
+	return nil
 }
 
 // Subproblem runs MCE(R, P, X) with the runner's combo; see
-// EnumerateSubproblem for the semantics. P and X are consumed. When the
-// runner was built with Par.Workers > 1 and the candidate set is large
-// enough, the subproblem fans out over the work-stealing pool; the emitted
-// cliques and their order are identical to the sequential path either way.
+// EnumerateSubproblem for the semantics. P and X must have the graph's
+// node count as capacity.
 func (r *Runner) Subproblem(R []int32, P, X *bitset.Set, emit func(clique []int32)) {
-	if r.par.Workers > 1 && P.Count() >= r.par.minCandidates() {
+	r.SubproblemWindows(R, P.Words(), X.Words(), emit)
+}
+
+// SubproblemWindows is Subproblem with P and X given as windows of
+// ⌈n/64⌉ words, bit v of word v/64 standing for node v. When the runner was
+// built with Par.Workers > 1 and the candidate set is large enough, the
+// subproblem fans out over the work-stealing pool; the emitted cliques and
+// their order are identical to the sequential path either way.
+func (r *Runner) SubproblemWindows(R []int32, P, X []uint64, emit func(clique []int32)) {
+	if len(P) != r.e.w || len(X) != r.e.w {
+		badWindows(len(P), len(X), r.e.w)
+	}
+	if r.par.Workers > 1 && count(P) >= r.par.minCandidates() {
 		r.parallelSubproblem(R, P, X, emit)
 		return
 	}
 	r.e.emit = emit
-	base := make([]int32, len(R), len(R)+16)
-	copy(base, R)
-	if r.combo.Alg == Eppstein {
-		r.e.eppstein(base, P, X)
-	} else {
-		r.e.bk(r.combo.Alg, base, P, X)
-	}
+	r.e.run(r.combo.Alg, R, P, X)
 	r.e.emit = nil
+}
+
+// badWindows reports a caller bug: candidate sets sized for another graph
+// would be silently truncated into frame 0.
+//
+//mce:coldpath panic formatting
+//go:noinline
+func badWindows(p, x, w int) {
+	panic(fmt.Sprintf("mcealg: P and X of %d and %d words on a graph of %d", p, x, w))
 }
 
 // Counts reports how many MCE recursion-tree nodes were expanded and how
 // many pivot selections were made across every subproblem run on this
-// runner so far — the per-block work measures the telemetry layer
-// aggregates (the load-imbalance signal of the shared-memory parallel MCE
-// literature).
+// runner since its last Reset — the per-block work measures the telemetry
+// layer aggregates (the load-imbalance signal of the shared-memory parallel
+// MCE literature).
 func (r *Runner) Counts() (recursionNodes, pivotSelections int64) {
 	return r.e.nodes, r.e.pivots
 }
@@ -264,194 +313,4 @@ func Count(g *graph.Graph, c Combo) (int, error) {
 	n := 0
 	err := Enumerate(g, c, func([]int32) { n++ })
 	return n, err
-}
-
-// enumerator carries the per-run state: the adjacency structure, a free list
-// of scratch bit sets (recursion allocates two per level), and the emit sink.
-// nodes and pivots count recursion-tree expansions and pivot selections;
-// they are plain fields updated single-threaded, so the recursion pays one
-// register increment and telemetry merges them per block after the fact.
-type enumerator struct {
-	adj    adjacency
-	n      int
-	emit   func([]int32)
-	free   []*bitset.Set
-	buf    []int32 // reusable emit buffer
-	nodes  int64
-	pivots int64
-}
-
-func (e *enumerator) get() *bitset.Set {
-	if len(e.free) == 0 {
-		return bitset.New(e.n)
-	}
-	s := e.free[len(e.free)-1]
-	e.free = e.free[:len(e.free)-1]
-	return s
-}
-
-func (e *enumerator) put(s *bitset.Set) {
-	e.free = append(e.free, s)
-}
-
-// report emits a sorted copy of R. R itself is the shared recursion stack
-// and must not be reordered: ancestors still rely on their prefix.
-func (e *enumerator) report(R []int32) {
-	e.buf = append(e.buf[:0], R...)
-	slices.Sort(e.buf) // not sort.Slice: that boxes the slice per emitted clique
-	e.emit(e.buf)
-}
-
-// bk is the pivoted Bron–Kerbosch recursion shared by BKPivot, Tomita and
-// XPivot; the three differ only in pivot choice.
-//
-//mce:hotpath sequential MCE recursion
-func (e *enumerator) bk(alg Algorithm, R []int32, P, X *bitset.Set) {
-	e.nodes++
-	if P.Empty() {
-		if X.Empty() {
-			e.report(R)
-		}
-		return
-	}
-	u := e.pivot(alg, P, X)
-	cand := e.get()
-	e.adj.subtractNeighbors(cand, u, P) // cand = P \ N(u)
-	for v := cand.Next(0); v >= 0; v = cand.Next(v + 1) {
-		newP := e.get()
-		newX := e.get()
-		e.adj.intersectNeighbors(newP, v, P)
-		e.adj.intersectNeighbors(newX, v, X)
-		e.bk(alg, append(R, v), newP, newX)
-		e.put(newP)
-		e.put(newX)
-		P.Remove(v)
-		X.Add(v)
-	}
-	e.put(cand)
-}
-
-// pivot chooses the branching pivot according to the algorithm:
-//
-//   - Tomita: the node of P ∪ X maximising |N(u) ∩ P| [34];
-//   - BKPivot: the node of P with the highest degree [6];
-//   - XPivot: like Tomita but restricted to the visited set X when X is
-//     non-empty (the paper's variant), falling back to P otherwise.
-func (e *enumerator) pivot(alg Algorithm, P, X *bitset.Set) int32 {
-	e.pivots++
-	switch alg {
-	case BKPivot:
-		best, bestDeg := int32(-1), -1
-		for v := P.Next(0); v >= 0; v = P.Next(v + 1) {
-			if d := e.adj.degree(v); d > bestDeg {
-				best, bestDeg = v, d
-			}
-		}
-		return best
-	case XPivot:
-		best, bestCnt := int32(-1), -1
-		for v := X.Next(0); v >= 0; v = X.Next(v + 1) {
-			if c := e.adj.intersectCount(v, P); c > bestCnt {
-				best, bestCnt = v, c
-			}
-		}
-		if best >= 0 {
-			return best
-		}
-		fallthrough
-	case Tomita:
-		best, bestCnt := int32(-1), -1
-		for v := P.Next(0); v >= 0; v = P.Next(v + 1) {
-			if c := e.adj.intersectCount(v, P); c > bestCnt {
-				best, bestCnt = v, c
-			}
-		}
-		if alg == Tomita {
-			for v := X.Next(0); v >= 0; v = X.Next(v + 1) {
-				if c := e.adj.intersectCount(v, P); c > bestCnt {
-					best, bestCnt = v, c
-				}
-			}
-		}
-		return best
-	}
-	return P.Next(0)
-}
-
-// eppstein runs the Eppstein–Strash outer loop: process the nodes of P in a
-// degeneracy order of the subgraph induced by P, so each top-level call sees
-// a candidate set no larger than the degeneracy; recursion uses the Tomita
-// pivot, as in [17].
-//
-//mce:hotpath degeneracy-ordered MCE outer loop
-func (e *enumerator) eppstein(R []int32, P, X *bitset.Set) {
-	e.nodes++
-	if P.Empty() {
-		if X.Empty() {
-			e.report(R)
-		}
-		return
-	}
-	order := e.degeneracyOrder(P)
-	for _, v := range order {
-		newP := e.get()
-		newX := e.get()
-		e.adj.intersectNeighbors(newP, v, P)
-		e.adj.intersectNeighbors(newX, v, X)
-		e.bk(Tomita, append(R, v), newP, newX)
-		e.put(newP)
-		e.put(newX)
-		P.Remove(v)
-		X.Add(v)
-	}
-}
-
-// degeneracyOrder peels minimum-degree nodes of the subgraph induced by the
-// members of P, using degrees restricted to P.
-func (e *enumerator) degeneracyOrder(P *bitset.Set) []int32 {
-	members := P.Slice()
-	deg := make(map[int32]int, len(members))
-	for _, v := range members {
-		deg[v] = e.adj.intersectCount(v, P)
-	}
-	// Bucket peeling over the restricted degrees.
-	maxDeg := 0
-	for _, d := range deg {
-		if d > maxDeg {
-			maxDeg = d
-		}
-	}
-	buckets := make([][]int32, maxDeg+1)
-	for _, v := range members {
-		buckets[deg[v]] = append(buckets[deg[v]], v)
-	}
-	alive := P.Clone()
-	order := make([]int32, 0, len(members))
-	scratch := e.get()
-	defer e.put(scratch)
-	for cur := 0; len(order) < len(members); {
-		if cur > maxDeg {
-			break
-		}
-		if len(buckets[cur]) == 0 {
-			cur++
-			continue
-		}
-		v := buckets[cur][len(buckets[cur])-1]
-		buckets[cur] = buckets[cur][:len(buckets[cur])-1]
-		if !alive.Has(v) || deg[v] != cur {
-			continue // stale bucket entry
-		}
-		order = append(order, v)
-		alive.Remove(v)
-		e.adj.intersectNeighbors(scratch, v, alive)
-		for u := scratch.Next(0); u >= 0; u = scratch.Next(u + 1) {
-			deg[u]--
-			buckets[deg[u]] = append(buckets[deg[u]], u)
-			if deg[u] < cur {
-				cur = deg[u]
-			}
-		}
-	}
-	return order
 }

@@ -255,10 +255,17 @@ func TestSubproblemEmptyPNonEmptyX(t *testing.T) {
 }
 
 func TestMatrixTooLarge(t *testing.T) {
+	// One packed store, one guard: every quadratic structure is refused
+	// above the bound, and the error names the structure asked for.
 	g := graph.Empty(MatrixMaxNodes + 1)
-	err := Enumerate(g, Combo{Alg: BKPivot, Struct: Matrix}, func([]int32) {})
-	if err == nil {
-		t.Fatalf("oversized matrix accepted")
+	for _, s := range []Structure{Matrix, BitSets, BitSetsParallel} {
+		err := Enumerate(g, Combo{Alg: BKPivot, Struct: s}, func([]int32) {})
+		if err == nil || !strings.Contains(err.Error(), s.String()) {
+			t.Fatalf("oversized %v store: err = %v", s, err)
+		}
+	}
+	if err := Enumerate(g, Combo{Alg: BKPivot, Struct: Lists}, func([]int32) {}); err != nil {
+		t.Fatalf("Lists refused above the bound: %v", err)
 	}
 }
 

@@ -6,8 +6,8 @@
 //
 // Determinism. The Bron–Kerbosch recursion tree is a pure function of
 // (adjacency, R, P, X): the pivot choice scans P (and X) in ascending bit
-// order and every candidate iteration is over a bit set, so the tree — and
-// therefore the set of leaves — is identical no matter how execution is
+// order and every candidate iteration is over a word window, so the tree —
+// and therefore the set of leaves — is identical no matter how execution is
 // divided among workers. Splitting a node materialises exactly the child
 // subproblems the sequential loop would have recursed into, with the same
 // P/X mutation order, so parallelism only moves task boundaries, never the
@@ -21,11 +21,10 @@ package mcealg
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
-
-	"mce/internal/bitset"
 )
 
 // Par configures intra-enumeration parallelism for a Runner.
@@ -66,12 +65,12 @@ const maxSplitDepth = 64
 
 // parTask is one stealable MCE subproblem. path is the child-index route
 // from the subproblem root to this task's node — the determinism key. The
-// task owns R, P and X outright.
+// task owns R and px, the windows P | X, outright.
 type parTask struct {
 	path []uint32
 	alg  Algorithm
 	R    []int32
-	P, X *bitset.Set
+	px   []uint64
 }
 
 // cliqueRun is a maximal contiguous stretch of cliques one worker emitted
@@ -132,9 +131,6 @@ func (d *workDeque) steal() *parTask {
 // parPool coordinates one subproblem's workers. Lifetime is a single
 // Runner.Subproblem call: spawn, drain, merge, done.
 type parPool struct {
-	alg  Algorithm
-	adj  adjacency
-	n    int
 	gate func() bool
 
 	deques  []workDeque
@@ -155,15 +151,16 @@ type parPool struct {
 	wg       sync.WaitGroup
 }
 
-// parWorker is one goroutine of the pool, with its own enumerator (scratch
-// free-list and counters; the adjacency is shared read-only), its own output
-// buffer and its own DFS path stack — nothing here is touched by another
-// goroutine while the pool runs.
+// parWorker is one goroutine of the pool, with its own enumerator (frame
+// stack and counters; the graph and the packed rows are shared read-only)
+// and its own output buffer — nothing here is touched by another goroutine
+// while the pool runs. The worker is the enumerator's split hook: the one
+// recursion asks it, at every node, whether the children become tasks.
 type parWorker struct {
 	id   int
 	pool *parPool
 	e    *enumerator
-	path []uint32
+	task *parTask // the running task: its path and len(R) anchor leafPath
 	runs []cliqueRun
 	// newRun marks the next emitted clique as a run boundary: set at task
 	// start and after every donation, the two places the worker's emission
@@ -176,25 +173,22 @@ type parWorker struct {
 var testHookTaskStart func()
 
 // parallelSubproblem fans MCE(R, P, X) out over a fresh pool and emits the
-// merged cliques in sequential order. P and X are consumed, matching the
-// sequential contract.
-func (r *Runner) parallelSubproblem(R []int32, P, X *bitset.Set, emit func([]int32)) {
-	p := &parPool{
-		alg:  r.combo.Alg,
-		adj:  r.e.adj,
-		n:    r.e.n,
-		gate: r.par.SplitGate,
-	}
+// merged cliques in sequential order.
+func (r *Runner) parallelSubproblem(R []int32, P, X []uint64, emit func([]int32)) {
+	p := &parPool{gate: r.par.SplitGate}
 	p.cond = sync.NewCond(&p.mu)
 	p.deques = make([]workDeque, r.par.Workers)
 	p.workers = make([]*parWorker, r.par.Workers)
 	for i := range p.workers {
-		p.workers[i] = &parWorker{id: i, pool: p, e: &enumerator{adj: p.adj, n: p.n}}
+		w := &parWorker{id: i, pool: p}
+		w.e = &enumerator{g: r.e.g, w: r.e.w, packed: r.e.packed, rows: r.e.rows, emit: w.record, par: w}
+		p.workers[i] = w
 	}
 
-	base := make([]int32, len(R))
-	copy(base, R)
-	root := &parTask{alg: r.combo.Alg, R: base, P: P, X: X}
+	px := make([]uint64, 2*r.e.w)
+	copy(px, P)
+	copy(px[r.e.w:], X)
+	root := &parTask{alg: r.combo.Alg, R: R, px: px}
 	p.pending.Store(1)
 	p.deques[0].push(root)
 
@@ -313,144 +307,97 @@ func (p *parPool) poison(v any) {
 	p.mu.Unlock()
 }
 
-// runTask executes one subproblem. Eppstein appears only on the root task
-// (its children are Tomita-pivoted, as in the sequential recursion).
+// runTask executes one subproblem on the worker's enumerator. Eppstein
+// appears only on the root task (its children are Tomita-pivoted, as in the
+// sequential recursion).
 //
 //mce:hotpath work-stealing task body
 func (w *parWorker) runTask(t *parTask) {
 	if testHookTaskStart != nil {
 		testHookTaskStart()
 	}
-	w.path = append(w.path[:0], t.path...)
+	w.task = t
 	w.newRun = true
-	if t.alg == Eppstein {
-		w.eppsteinRoot(t)
-		return
-	}
-	w.bk(t.alg, t.R, t.P, t.X)
+	half := len(t.px) / 2
+	w.e.run(t.alg, t.R, t.px[:half], t.px[half:])
 }
 
-// bk mirrors enumerator.bk exactly, with two additions: the DFS path stack
-// (the determinism key) and the split check that can turn a node's children
-// into stealable tasks instead of recursing.
-func (w *parWorker) bk(alg Algorithm, R []int32, P, X *bitset.Set) {
-	e := w.e
-	e.nodes++
-	if P.Empty() {
-		if X.Empty() {
-			w.report(R)
-		}
-		return
+// leafPath is the child-index route from the subproblem root to the node
+// the recursion is at: the task's own path, then one index per node R has
+// gained within the task. The recursion keeps no path stack — frame j's
+// cand window is never written below its node, and the child index of the
+// candidate it descended through is the number of candidates below it.
+func (w *parWorker) leafPath() []uint32 {
+	d := len(w.e.R) - len(w.task.R)
+	path := make([]uint32, len(w.task.path), len(w.task.path)+d+1)
+	copy(path, w.task.path)
+	for j := 0; j < d; j++ {
+		cand, _, _ := w.e.frame(j * 3 * w.e.w)
+		v := w.e.R[len(w.task.R)+j]
+		idx := bits.OnesCount64(cand[v>>6] & (1<<(uint(v)&63) - 1))
+		path = append(path, uint32(idx+count(cand[:v>>6])))
 	}
-	u := e.pivot(alg, P, X)
-	cand := e.get()
-	e.adj.subtractNeighbors(cand, u, P) // cand = P \ N(u)
-	if w.shouldSplit(cand) {
-		w.split(alg, R, P, X, cand)
-		e.put(cand)
-		return
-	}
-	idx := uint32(0)
-	for v := cand.Next(0); v >= 0; v = cand.Next(v + 1) {
-		newP := e.get()
-		newX := e.get()
-		e.adj.intersectNeighbors(newP, v, P)
-		e.adj.intersectNeighbors(newX, v, X)
-		w.path = append(w.path, idx)
-		w.bk(alg, append(R, v), newP, newX)
-		w.path = w.path[:len(w.path)-1]
-		e.put(newP)
-		e.put(newX)
-		P.Remove(v)
-		X.Add(v)
-		idx++
-	}
-	e.put(cand)
+	return path
 }
 
-// eppsteinRoot is the degeneracy-ordered top level of the Eppstein runs,
-// fanning out per vertex when it can (children recurse with the Tomita
-// pivot, as in the sequential path).
-func (w *parWorker) eppsteinRoot(t *parTask) {
-	e := w.e
-	e.nodes++
-	if t.P.Empty() {
-		if t.X.Empty() {
-			w.report(t.R)
-		}
-		return
-	}
-	order := e.degeneracyOrder(t.P)
-	if len(order) >= 2 {
-		w.splitOrdered(Tomita, t.R, t.P, t.X, order)
-		return
-	}
-	idx := uint32(0)
-	for _, v := range order {
-		newP := e.get()
-		newX := e.get()
-		e.adj.intersectNeighbors(newP, v, t.P)
-		e.adj.intersectNeighbors(newX, v, t.X)
-		w.path = append(w.path, idx)
-		w.bk(Tomita, append(t.R, v), newP, newX)
-		w.path = w.path[:len(w.path)-1]
-		e.put(newP)
-		e.put(newX)
-		t.P.Remove(v)
-		t.X.Add(v)
-		idx++
-	}
-}
-
-// shouldSplit decides whether this node's children become tasks. The root
-// always fans out (the per-vertex top-level decomposition); deeper nodes
-// donate only when some worker is hungry, the subtree is shallow enough to
-// be worth sharing, and the memory gate allows more buffered work.
-func (w *parWorker) shouldSplit(cand *bitset.Set) bool {
+// split decides whether the children of the node at frame base become tasks,
+// and hands them to splitOrdered if so. The root always fans out (the
+// per-vertex top-level decomposition); deeper nodes donate only when some
+// worker is hungry, the subtree is shallow enough to be worth sharing, and
+// the memory gate allows more buffered work.
+func (w *parWorker) split(alg Algorithm, base int, cand []uint64) bool {
 	p := w.pool
-	if len(w.path) == 0 {
-		return cand.Count() >= 2
+	if depth := len(w.task.path) + len(w.e.R) - len(w.task.R); depth > 0 {
+		if p.hungry.Load() == 0 || depth >= maxSplitDepth {
+			return false
+		}
+		if p.gate != nil && !p.gate() {
+			return false
+		}
 	}
-	if p.hungry.Load() == 0 || len(w.path) >= maxSplitDepth {
+	n := count(cand)
+	if n < 2 {
 		return false
 	}
-	if p.gate != nil && !p.gate() {
-		return false
+	order := make([]int32, 0, n)
+	for i, word := range cand {
+		for ; word != 0; word &= word - 1 {
+			order = append(order, int32(i<<6+bits.TrailingZeros64(word)))
+		}
 	}
-	return cand.Count() >= 2
+	w.splitOrdered(alg, base, order)
+	return true
 }
 
-// split snapshots every child of the current node as an independent task —
-// same iteration, same P/X mutations as the sequential loop, so the
-// recursion tree is unchanged — and pushes them in reverse onto the
-// worker's own deque (pop order = depth-first order; thieves take from the
-// other end, grabbing the widest subtrees).
-func (w *parWorker) split(alg Algorithm, R []int32, P, X *bitset.Set, cand *bitset.Set) {
-	w.splitOrdered(alg, R, P, X, cand.Slice())
-}
-
-func (w *parWorker) splitOrdered(alg Algorithm, R []int32, P, X *bitset.Set, order []int32) {
-	p := w.pool
+// splitOrdered snapshots the child of frame base through each node of order
+// as an independent task — same iteration, same P/X mutations as the
+// sequential loop, so the recursion tree is unchanged — and pushes them in
+// reverse onto the worker's own deque (pop order = depth-first order;
+// thieves take from the other end, grabbing the widest subtrees).
+func (w *parWorker) splitOrdered(alg Algorithm, base int, order []int32) {
+	p, e := w.pool, w.e
+	e.reserve(base + 6*e.w)
+	_, P, X := e.frame(base)
+	next := e.stack[base+4*e.w : base+6*e.w] // the child's P | X
+	path := w.leafPath()
 	kids := make([]*parTask, 0, len(order))
 	for i, v := range order {
-		newP := bitset.New(p.n)
-		newX := bitset.New(p.n)
-		w.e.adj.intersectNeighbors(newP, v, P)
-		w.e.adj.intersectNeighbors(newX, v, X)
-		Rc := make([]int32, len(R)+1)
-		copy(Rc, R)
-		Rc[len(R)] = v
-		pc := make([]uint32, len(w.path)+1)
-		copy(pc, w.path)
-		pc[len(w.path)] = uint32(i)
-		kids = append(kids, &parTask{path: pc, alg: alg, R: Rc, P: newP, X: newX})
-		P.Remove(v)
-		X.Add(v)
+		e.child(base, v)
+		px := make([]uint64, len(next))
+		copy(px, next)
+		kids = append(kids, &parTask{
+			path: append(path[:len(path):len(path)], uint32(i)),
+			alg:  alg,
+			R:    append(e.R[:len(e.R):len(e.R)], v),
+			px:   px,
+		})
+		P[v>>6] &^= 1 << (uint(v) & 63)
+		X[v>>6] |= 1 << (uint(v) & 63)
 	}
 	p.pending.Add(int64(len(kids)))
-	d := &p.deques[w.id]
+	dq := &p.deques[w.id]
 	for i := len(kids) - 1; i >= 0; i-- {
-		d.push(kids[i])
+		dq.push(kids[i])
 	}
 	// The donated subtrees sit between this worker's past and future
 	// emissions in DFS order, so the current run ends here.
@@ -462,21 +409,16 @@ func (w *parWorker) splitOrdered(alg Algorithm, R []int32, P, X *bitset.Set, ord
 	}
 }
 
-// report records a sorted copy of R in the worker's current run, opening a
-// new run keyed by this leaf's path when the last one was closed by a task
-// switch or a donation.
-func (w *parWorker) report(R []int32) {
-	c := make([]int32, len(R))
-	copy(c, R)
-	slices.Sort(c) // not sort.Slice: that boxes the slice per emitted clique
+// record is the worker enumerator's emit: it keeps a copy of the clique in
+// the worker's current run, opening a new run keyed by this leaf's path
+// when the last one was closed by a task switch or a donation.
+func (w *parWorker) record(c []int32) {
 	if w.newRun {
-		key := make([]uint32, len(w.path))
-		copy(key, w.path)
-		w.runs = append(w.runs, cliqueRun{key: key})
+		w.runs = append(w.runs, cliqueRun{key: w.leafPath()})
 		w.newRun = false
 	}
 	run := &w.runs[len(w.runs)-1]
-	run.cliques = append(run.cliques, c)
+	run.cliques = append(run.cliques, slices.Clone(c))
 }
 
 // sanity: the grid constant and the structure enum must agree, or Index
