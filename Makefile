@@ -103,11 +103,14 @@ bench-record: build
 bench-e2e:
 	bash bench/run.sh
 
-# The decomposition's own Go benchmarks: the induction kernel and BLOCKS on
-# a Holme–Kim graph, n = 20 000, m = 56 (one package per run).
+# The decomposition's own Go benchmarks on a Holme–Kim graph, n = 20 000,
+# m = 56 (one package per run): the induction kernel; BLOCKS whole, its
+# serial grow and its worker-side materialise; and the same plan through a
+# LocalExecutor at widths 1 and 2 (blocks/s: the dispatch cost).
 bench-decomp:
 	$(GO) test -run '^$$' -bench 'BenchmarkInduced$$' -benchmem ./internal/graph
-	$(GO) test -run '^$$' -bench 'BenchmarkBlocks$$' -benchmem ./internal/decomp
+	$(GO) test -run '^$$' -bench 'Benchmark(Blocks|Grow|Materialise)$$' -benchmem ./internal/decomp
+	$(GO) test -run '^$$' -bench 'BenchmarkLocalExecutor$$' -benchmem ./internal/core
 
 # The MCE kernel's own Go benchmarks: the recursion alone on the 4×3 grid
 # (ns per recursion node), and BLOCK-ANALYSIS from one warm analyzer over a

@@ -33,7 +33,7 @@ import (
 	"mce/internal/core"
 	"mce/internal/decomp"
 	"mce/internal/gen"
-	"mce/internal/mcealg"
+	"mce/internal/graph"
 	"mce/internal/runlog"
 )
 
@@ -65,7 +65,7 @@ type throttledExecutor struct {
 	delay time.Duration
 }
 
-func (e *throttledExecutor) Analyze(ctx context.Context, blocks []decomp.Block, combos []mcealg.Combo, ids []runlog.BlockID, obs runlog.BatchObserver) ([][][]int32, error) {
+func (e *throttledExecutor) Analyze(ctx context.Context, g *graph.Graph, blocks []decomp.Block, sel core.Selector, ids []runlog.BlockID, obs runlog.BatchObserver) ([][][]int32, error) {
 	out := make([][][]int32, len(blocks))
 	for i := range blocks {
 		time.Sleep(e.delay)
@@ -73,7 +73,7 @@ func (e *throttledExecutor) Analyze(ctx context.Context, blocks []decomp.Block, 
 		if ids != nil {
 			id = ids[i : i+1]
 		}
-		res, err := e.inner.Analyze(ctx, blocks[i:i+1], combos[i:i+1], id, obs)
+		res, err := e.inner.Analyze(ctx, g, blocks[i:i+1], sel, id, obs)
 		if err != nil {
 			return nil, err
 		}

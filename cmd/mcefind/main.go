@@ -356,12 +356,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "resumed %d blocks from checkpoint\n", s.ResumedBlocks)
 		}
 		for i, lvl := range s.Levels {
-			fmt.Fprintf(stderr, "  level %d: nodes=%d feasible=%d hubs=%d blocks=%d kernel=%d border=%d visited=%d cliques=%d decomp=%v (cut=%v blocks=%v select=%v) analysis=%v\n",
+			// decomp is the serial prefix (cut + grow, wall); Σinduce and
+			// Σselect are summed over the workers inside analysis.
+			fmt.Fprintf(stderr, "  level %d: nodes=%d feasible=%d hubs=%d blocks=%d kernel=%d border=%d visited=%d cliques=%d decomp=%v (cut=%v grow=%v) analysis=%v (Σinduce=%v Σselect=%v)\n",
 				i, lvl.Nodes, lvl.Feasible, lvl.Hubs, lvl.Blocks,
 				lvl.Kernel, lvl.Border, lvl.Visited, lvl.Cliques,
 				lvl.Decomp.Round(time.Millisecond), lvl.CutTime.Round(time.Microsecond),
-				lvl.BlocksTime.Round(time.Millisecond), lvl.SelectTime.Round(time.Millisecond),
-				lvl.Analysis.Round(time.Millisecond))
+				lvl.BlocksTime.Round(time.Millisecond), lvl.Analysis.Round(time.Millisecond),
+				lvl.InduceTime.Round(time.Millisecond), lvl.SelectTime.Round(time.Millisecond))
 		}
 		printTelemetry(stderr, s.Telemetry)
 	}
@@ -451,10 +453,10 @@ func printTelemetry(w io.Writer, s *mce.TelemetrySnapshot) {
 	if s == nil {
 		return
 	}
-	fmt.Fprintf(w, "telemetry: recursion-nodes=%d pivots=%d cut=%v blocks=%v select=%v filter=%v filtered-hub-cliques=%d\n",
+	fmt.Fprintf(w, "telemetry: recursion-nodes=%d pivots=%d cut=%v grow=%v Σinduce=%v Σselect=%v filter=%v filtered-hub-cliques=%d\n",
 		s.RecursionNodes, s.PivotSelections,
 		time.Duration(s.CutNs).Round(time.Microsecond), time.Duration(s.BlocksNs).Round(time.Microsecond),
-		time.Duration(s.SelectNs).Round(time.Microsecond),
+		time.Duration(s.InduceNs).Round(time.Microsecond), time.Duration(s.SelectNs).Round(time.Microsecond),
 		time.Duration(s.FilterNs).Round(time.Microsecond), s.HubCliquesFiltered)
 	if s.BlockNs.Count > 0 {
 		fmt.Fprintf(w, "telemetry: block latency mean=%v p50=%v p95=%v max=%v\n",

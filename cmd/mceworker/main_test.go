@@ -49,11 +49,7 @@ func TestWorkerServesTasksAndDebugVars(t *testing.T) {
 	m := g.MaxDegree() + 1
 	feasible, _ := decomp.Cut(g, m)
 	blocks := decomp.Blocks(g, feasible, m, decomp.Options{})
-	combos := make([]mcealg.Combo, len(blocks))
-	for i := range combos {
-		combos[i] = mcealg.Combo{Alg: mcealg.Tomita, Struct: mcealg.BitSets}
-	}
-	out, err := client.AnalyzeBlocks(blocks, combos)
+	out, err := client.AnalyzeBlocks(blocks, mcealg.Combo{Alg: mcealg.Tomita, Struct: mcealg.BitSets})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -84,12 +84,12 @@ func TestChaosCompleteness(t *testing.T) {
 	defer client.Close()
 
 	g := gen.HolmeKim(300, 5, 0.7, 11)
-	blocks, combos := makeBlocks(g, g.MaxDegree()+1)
-	remote, err := client.AnalyzeBlocks(blocks, combos)
+	blocks, combo := makeBlocks(g, g.MaxDegree()+1)
+	remote, err := client.AnalyzeBlocks(blocks, combo)
 	if err != nil {
 		t.Fatalf("chaos run failed: %v", err)
 	}
-	local, err := (&core.LocalExecutor{}).AnalyzeBlocks(blocks, combos)
+	local, err := (&core.LocalExecutor{}).AnalyzeBlocks(blocks, combo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,9 +132,9 @@ func TestChaosHungWorker(t *testing.T) {
 	defer client.Close()
 
 	g := gen.ErdosRenyi(100, 0.1, 13)
-	blocks, combos := makeBlocks(g, g.MaxDegree()+1)
+	blocks, combo := makeBlocks(g, g.MaxDegree()+1)
 	t0 := time.Now()
-	out, err := client.AnalyzeBlocks(blocks, combos)
+	out, err := client.AnalyzeBlocks(blocks, combo)
 	elapsed := time.Since(t0)
 	if err != nil {
 		t.Fatalf("batch with hung worker failed: %v", err)
@@ -196,8 +196,8 @@ func TestChaosWorkerRestart(t *testing.T) {
 	t.Cleanup(func() { _ = w2.Close() })
 
 	g := gen.ErdosRenyi(80, 0.12, 17)
-	blocks, combos := makeBlocks(g, g.MaxDegree()+1)
-	out, err := client.AnalyzeBlocks(blocks, combos)
+	blocks, combo := makeBlocks(g, g.MaxDegree()+1)
+	out, err := client.AnalyzeBlocks(blocks, combo)
 	if err != nil {
 		t.Fatalf("batch across worker restart failed: %v", err)
 	}
@@ -292,9 +292,9 @@ func TestPoisonTask(t *testing.T) {
 	defer client.Close()
 
 	g := gen.ErdosRenyi(30, 0.3, 19)
-	blocks, combos := makeBlocks(g, g.MaxDegree()+1)
-	blocks, combos = blocks[:1], combos[:1]
-	_, err = client.AnalyzeBlocks(blocks, combos)
+	blocks, combo := makeBlocks(g, g.MaxDegree()+1)
+	blocks = blocks[:1]
+	_, err = client.AnalyzeBlocks(blocks, combo)
 	var poison *PoisonTaskError
 	if !errors.As(err, &poison) {
 		t.Fatalf("err = %v, want *PoisonTaskError", err)
@@ -323,9 +323,9 @@ func TestPoisonTaskSkipped(t *testing.T) {
 	defer client.Close()
 
 	g := gen.ErdosRenyi(30, 0.3, 19)
-	blocks, combos := makeBlocks(g, g.MaxDegree()+1)
-	blocks, combos = blocks[:2], combos[:2]
-	out, err := client.AnalyzeBlocks(blocks, combos)
+	blocks, combo := makeBlocks(g, g.MaxDegree()+1)
+	blocks = blocks[:2]
+	out, err := client.AnalyzeBlocks(blocks, combo)
 	if err != nil {
 		t.Fatalf("skip-poison batch failed: %v", err)
 	}
@@ -358,8 +358,8 @@ func TestPoisonTaskUnlimitedRetries(t *testing.T) {
 	defer client.Close()
 
 	g := gen.ErdosRenyi(30, 0.3, 19)
-	blocks, combos := makeBlocks(g, g.MaxDegree()+1)
-	_, err = client.AnalyzeBlocks(blocks[:1], combos[:1])
+	blocks, combo := makeBlocks(g, g.MaxDegree()+1)
+	_, err = client.AnalyzeBlocks(blocks[:1], combo)
 	var poison *PoisonTaskError
 	if err == nil || errors.As(err, &poison) {
 		t.Fatalf("err = %v, want all-dead failure without poison verdict", err)
@@ -587,8 +587,8 @@ func TestAnalyzeBlocksContextPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	g := gen.ErdosRenyi(40, 0.2, 23)
-	blocks, combos := makeBlocks(g, g.MaxDegree()+1)
-	if _, err := client.AnalyzeBlocksContext(ctx, blocks, combos); !errors.Is(err, context.Canceled) {
+	blocks, combo := makeBlocks(g, g.MaxDegree()+1)
+	if _, err := client.AnalyzeBlocksContext(ctx, blocks, combo); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
@@ -607,7 +607,7 @@ func TestAnalyzeBlocksContextCancelMidRun(t *testing.T) {
 	defer client.Close()
 
 	g := gen.HolmeKim(300, 5, 0.7, 29)
-	blocks, combos := makeBlocks(g, g.MaxDegree()+1)
+	blocks, combo := makeBlocks(g, g.MaxDegree()+1)
 	if len(blocks) < 4 {
 		t.Skip("not enough blocks to cancel mid-run")
 	}
@@ -620,7 +620,7 @@ func TestAnalyzeBlocksContextCancelMidRun(t *testing.T) {
 		cancel()
 	}()
 	t0 := time.Now()
-	_, err = client.AnalyzeBlocksContext(ctx, blocks, combos)
+	_, err = client.AnalyzeBlocksContext(ctx, blocks, combo)
 	elapsed := time.Since(t0)
 	wg.Wait()
 	if !errors.Is(err, context.Canceled) {

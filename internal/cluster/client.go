@@ -13,6 +13,8 @@ import (
 
 	"mce/internal/decomp"
 	"mce/internal/durable"
+	"mce/internal/graph"
+	"mce/internal/kcore"
 	"mce/internal/mcealg"
 	"mce/internal/resguard"
 	"mce/internal/runlog"
@@ -692,14 +694,15 @@ type corruptResultError struct{ msg string }
 func (e *corruptResultError) Error() string { return e.msg }
 
 // AnalyzeBlocks is AnalyzeBlocksContext without cancellation.
-func (c *Client) AnalyzeBlocks(blocks []decomp.Block, combos []mcealg.Combo) ([][][]int32, error) {
-	return c.AnalyzeBlocksContext(context.Background(), blocks, combos)
+func (c *Client) AnalyzeBlocks(blocks []decomp.Block, combo mcealg.Combo) ([][][]int32, error) {
+	return c.AnalyzeBlocksContext(context.Background(), blocks, combo)
 }
 
-// AnalyzeBlocksContext is Analyze for a plain batch (no block IDs, no
-// observer).
-func (c *Client) AnalyzeBlocksContext(ctx context.Context, blocks []decomp.Block, combos []mcealg.Combo) ([][][]int32, error) {
-	return c.Analyze(ctx, blocks, combos, nil, nil)
+// AnalyzeBlocksContext is Analyze for a plain batch of induced blocks under
+// one combo (no level graph, no block IDs, no observer).
+func (c *Client) AnalyzeBlocksContext(ctx context.Context, blocks []decomp.Block, combo mcealg.Combo) ([][][]int32, error) {
+	sel := func(*graph.Graph, *kcore.Scratch) mcealg.Combo { return combo }
+	return c.Analyze(ctx, nil, blocks, sel, nil, nil)
 }
 
 // attempt is one dispatch-queue entry: a block index plus whether this
@@ -714,7 +717,8 @@ type flight struct {
 	mu       sync.Mutex
 	started  time.Time // dispatch time of the oldest current attempt
 	inFlight int
-	hedges   int // lifetime speculative copies, capped at hedgeMax
+	hedges   int  // lifetime speculative copies, capped at hedgeMax
+	picked   bool // the block's combo pick is in the telemetry (once, however many attempts)
 }
 
 // hedgeTick is how often the hedge monitor re-examines in-flight blocks.
@@ -736,7 +740,13 @@ func (c *Client) hedgeThreshold(rtt *telemetry.Histogram) time.Duration {
 }
 
 // Analyze ships every block to some worker and gathers the cliques,
-// indexed like blocks. It implements core.Executor.
+// indexed like blocks. It implements core.Executor: blocks arrive as
+// decomp.Grow planned them over g, and the connection runner that takes an
+// attempt induces the block into its own scratch, asks sel for the combo,
+// encodes the task and lets the subgraph go — so a hedged or retried attempt
+// materialises again on whichever runner picks it up, the shared plan is
+// never written, and the coordinator holds one induced block per
+// connection, not one per block of the level.
 //
 // A worker that fails or times out mid-flight has its task requeued to the
 // surviving workers, bounded by the per-task retry budget (TaskRetries);
@@ -762,12 +772,9 @@ func (c *Client) hedgeThreshold(rtt *telemetry.Histogram) time.Duration {
 // hedged dispatch — are discarded by a compare-and-swap per block, which
 // is sound because Lemma 1 determinism makes every copy's answer
 // identical.
-func (c *Client) Analyze(ctx context.Context, blocks []decomp.Block, combos []mcealg.Combo, ids []runlog.BlockID, obs runlog.BatchObserver) ([][][]int32, error) {
+func (c *Client) Analyze(ctx context.Context, g *graph.Graph, blocks []decomp.Block, sel func(*graph.Graph, *kcore.Scratch) mcealg.Combo, ids []runlog.BlockID, obs runlog.BatchObserver) ([][][]int32, error) {
 	if (ids != nil || obs != nil) && len(ids) != len(blocks) {
 		return nil, fmt.Errorf("cluster: %d blocks but %d block IDs", len(blocks), len(ids))
-	}
-	if len(blocks) != len(combos) {
-		return nil, fmt.Errorf("cluster: %d blocks but %d combos", len(blocks), len(combos))
 	}
 	out := make([][][]int32, len(blocks))
 	if len(blocks) == 0 {
@@ -893,9 +900,10 @@ func (c *Client) Analyze(ctx context.Context, blocks []decomp.Block, combos []mc
 		c.recruitMu.Unlock()
 	}()
 
-	// process runs one attempt on one connection and reports whether the
-	// connection is still usable for further work.
-	process := func(wc *workerConn, a attempt) bool {
+	// process runs one attempt on one connection, materialising the block
+	// into the runner's scratch, and reports whether the connection is still
+	// usable for further work.
+	process := func(wc *workerConn, a attempt, mat *decomp.Materialiser) bool {
 		i := a.block
 		fl := &flights[i]
 		fl.mu.Lock()
@@ -903,6 +911,8 @@ func (c *Client) Analyze(ctx context.Context, blocks []decomp.Block, combos []mc
 		if fl.inFlight == 1 {
 			fl.started = time.Now()
 		}
+		firstPick := !fl.picked
+		fl.picked = true
 		fl.mu.Unlock()
 		if met != nil {
 			met.TasksInFlight.Add(1)
@@ -915,7 +925,18 @@ func (c *Client) Analyze(ctx context.Context, blocks []decomp.Block, combos []mc
 			obs.BlockDispatched(id)
 		}
 		t0 := time.Now()
-		cliques, err := c.roundTrip(ctx, wc, i, id, &blocks[i], combos[i])
+		blk := mat.Materialise(&blocks[i])
+		induced := time.Now()
+		combo := sel(blk.Graph, &mat.Features)
+		if met != nil {
+			met.InduceNs.Add(int64(induced.Sub(t0)))
+			met.SelectNs.Add(int64(time.Since(induced)))
+			if firstPick {
+				met.ComboPicked(combo.Index(), combo.Label())
+			}
+		}
+		t0 = time.Now() // the round trip proper starts here
+		cliques, err := c.roundTrip(ctx, wc, i, id, blk, combo)
 		if met != nil {
 			met.TasksInFlight.Add(-1)
 		}
@@ -997,6 +1018,7 @@ func (c *Client) Analyze(ctx context.Context, blocks []decomp.Block, combos []mc
 
 	runner := func(wc *workerConn) {
 		defer c.unlease(wc)
+		mat := decomp.NewMaterialiser(g)
 		for {
 			// Health gate: a quarantined address waits out its cooldown
 			// (the first dispatch after release is its re-admission probe),
@@ -1033,7 +1055,7 @@ func (c *Client) Analyze(ctx context.Context, blocks []decomp.Block, combos []mc
 				// is always admitted, so the batch degrades to serial
 				// execution, never deadlocks.
 				c.guard.Enter(done)
-				ok := process(wc, a)
+				ok := process(wc, a, mat)
 				c.guard.Exit()
 				if !ok {
 					return

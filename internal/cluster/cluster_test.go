@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"net"
 	"strings"
@@ -11,7 +12,9 @@ import (
 	"mce/internal/decomp"
 	"mce/internal/gen"
 	"mce/internal/graph"
+	"mce/internal/kcore"
 	"mce/internal/mcealg"
+	"mce/internal/runlog"
 )
 
 func key(c []int32) string {
@@ -22,15 +25,11 @@ func key(c []int32) string {
 	return strings.Join(parts, ",")
 }
 
-// makeBlocks decomposes g and returns blocks with tree-free fixed combos.
-func makeBlocks(g *graph.Graph, m int) ([]decomp.Block, []mcealg.Combo) {
+// makeBlocks decomposes g and returns its induced blocks with a tree-free
+// fixed combo.
+func makeBlocks(g *graph.Graph, m int) ([]decomp.Block, mcealg.Combo) {
 	feasible, _ := decomp.Cut(g, m)
-	blocks := decomp.Blocks(g, feasible, m, decomp.Options{})
-	combos := make([]mcealg.Combo, len(blocks))
-	for i := range combos {
-		combos[i] = mcealg.Combo{Alg: mcealg.Tomita, Struct: mcealg.BitSets}
-	}
-	return blocks, combos
+	return decomp.Blocks(g, feasible, m, decomp.Options{}), mcealg.Combo{Alg: mcealg.Tomita, Struct: mcealg.BitSets}
 }
 
 func TestClusterAnalyzeMatchesLocal(t *testing.T) {
@@ -50,13 +49,13 @@ func TestClusterAnalyzeMatchesLocal(t *testing.T) {
 	}
 
 	g := gen.HolmeKim(400, 5, 0.7, 7)
-	blocks, combos := makeBlocks(g, g.MaxDegree()+1)
+	blocks, combo := makeBlocks(g, g.MaxDegree()+1)
 
-	remote, err := client.AnalyzeBlocks(blocks, combos)
+	remote, err := client.AnalyzeBlocks(blocks, combo)
 	if err != nil {
 		t.Fatal(err)
 	}
-	local, err := (&core.LocalExecutor{}).AnalyzeBlocks(blocks, combos)
+	local, err := (&core.LocalExecutor{}).AnalyzeBlocks(blocks, combo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,8 +130,8 @@ func TestWorkerFailureRequeues(t *testing.T) {
 	client.mu.Unlock()
 
 	g := gen.ErdosRenyi(120, 0.1, 2)
-	blocks, combos := makeBlocks(g, g.MaxDegree()+1)
-	out, err := client.AnalyzeBlocks(blocks, combos)
+	blocks, combo := makeBlocks(g, g.MaxDegree()+1)
+	out, err := client.AnalyzeBlocks(blocks, combo)
 	if err != nil {
 		t.Fatalf("requeue failed: %v", err)
 	}
@@ -163,12 +162,12 @@ func TestAllWorkersDead(t *testing.T) {
 	client.mu.Unlock()
 
 	g := gen.ErdosRenyi(30, 0.2, 3)
-	blocks, combos := makeBlocks(g, g.MaxDegree()+1)
-	if _, err := client.AnalyzeBlocks(blocks, combos); err == nil {
+	blocks, combo := makeBlocks(g, g.MaxDegree()+1)
+	if _, err := client.AnalyzeBlocks(blocks, combo); err == nil {
 		t.Fatal("expected failure with all workers dead")
 	}
 	// Subsequent calls fail fast.
-	if _, err := client.AnalyzeBlocks(blocks, combos); err == nil {
+	if _, err := client.AnalyzeBlocks(blocks, combo); err == nil {
 		t.Fatal("expected fast failure on dead client")
 	}
 }
@@ -194,8 +193,7 @@ func TestApplicationErrorNotRetried(t *testing.T) {
 		kernel[i], orig[i] = int32(i), int32(i)
 	}
 	blocks := []decomp.Block{{Graph: big, Orig: orig, Kernel: kernel}}
-	combos := []mcealg.Combo{{Alg: mcealg.Tomita, Struct: mcealg.Matrix}}
-	_, err = client.AnalyzeBlocks(blocks, combos)
+	_, err = client.AnalyzeBlocks(blocks, mcealg.Combo{Alg: mcealg.Tomita, Struct: mcealg.Matrix})
 	if err == nil || !strings.Contains(err.Error(), "Matrix") {
 		t.Fatalf("err = %v, want worker Matrix failure", err)
 	}
@@ -253,7 +251,7 @@ func TestSimulatedLatencySlowsBatch(t *testing.T) {
 	defer stop()
 
 	g := gen.ErdosRenyi(80, 0.1, 5)
-	blocks, combos := makeBlocks(g, g.MaxDegree()+1)
+	blocks, combo := makeBlocks(g, g.MaxDegree()+1)
 	if len(blocks) < 3 {
 		t.Skip("not enough blocks for a timing comparison")
 	}
@@ -264,7 +262,7 @@ func TestSimulatedLatencySlowsBatch(t *testing.T) {
 	}
 	defer fast.Close()
 	t0 := time.Now()
-	if _, err := fast.AnalyzeBlocks(blocks, combos); err != nil {
+	if _, err := fast.AnalyzeBlocks(blocks, combo); err != nil {
 		t.Fatal(err)
 	}
 	fastDur := time.Since(t0)
@@ -275,7 +273,7 @@ func TestSimulatedLatencySlowsBatch(t *testing.T) {
 	}
 	defer slow.Close()
 	t0 = time.Now()
-	if _, err := slow.AnalyzeBlocks(blocks, combos); err != nil {
+	if _, err := slow.AnalyzeBlocks(blocks, combo); err != nil {
 		t.Fatal(err)
 	}
 	slowDur := time.Since(t0)
@@ -285,7 +283,8 @@ func TestSimulatedLatencySlowsBatch(t *testing.T) {
 	}
 }
 
-func TestComboMismatchRejected(t *testing.T) {
+// A batch with block identities must carry one per block.
+func TestIDMismatchRejected(t *testing.T) {
 	addrs, stop, err := StartLocal(1)
 	if err != nil {
 		t.Fatal(err)
@@ -296,7 +295,8 @@ func TestComboMismatchRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	if _, err := client.AnalyzeBlocks(make([]decomp.Block, 2), make([]mcealg.Combo, 1)); err == nil {
+	sel := func(*graph.Graph, *kcore.Scratch) mcealg.Combo { return mcealg.Combo{} }
+	if _, err := client.Analyze(context.Background(), nil, make([]decomp.Block, 2), sel, make([]runlog.BlockID, 1), nil); err == nil {
 		t.Fatal("mismatched lengths accepted")
 	}
 }
@@ -312,7 +312,7 @@ func TestEmptyBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	out, err := client.AnalyzeBlocks(nil, nil)
+	out, err := client.AnalyzeBlocks(nil, mcealg.Combo{})
 	if err != nil || len(out) != 0 {
 		t.Fatalf("empty batch: %v, %v", out, err)
 	}
@@ -331,8 +331,8 @@ func TestWorkerStatsTrackLoad(t *testing.T) {
 	defer client.Close()
 
 	g := gen.HolmeKim(300, 4, 0.6, 6)
-	blocks, combos := makeBlocks(g, g.MaxDegree()+1)
-	if _, err := client.AnalyzeBlocks(blocks, combos); err != nil {
+	blocks, combo := makeBlocks(g, g.MaxDegree()+1)
+	if _, err := client.AnalyzeBlocks(blocks, combo); err != nil {
 		t.Fatal(err)
 	}
 	stats := client.Stats()
@@ -369,8 +369,8 @@ func TestConnectionsPerWorker(t *testing.T) {
 		t.Fatalf("Workers = %d, want 3 streams", client.Workers())
 	}
 	g := gen.HolmeKim(200, 4, 0.6, 8)
-	blocks, combos := makeBlocks(g, g.MaxDegree()+1)
-	out, err := client.AnalyzeBlocks(blocks, combos)
+	blocks, combo := makeBlocks(g, g.MaxDegree()+1)
+	out, err := client.AnalyzeBlocks(blocks, combo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,8 +396,8 @@ func TestCompressedTransport(t *testing.T) {
 	defer client.Close()
 
 	g := gen.HolmeKim(300, 5, 0.7, 15)
-	blocks, combos := makeBlocks(g, g.MaxDegree()+1)
-	out, err := client.AnalyzeBlocks(blocks, combos)
+	blocks, combo := makeBlocks(g, g.MaxDegree()+1)
+	out, err := client.AnalyzeBlocks(blocks, combo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,7 +409,7 @@ func TestCompressedTransport(t *testing.T) {
 		t.Fatalf("compressed run found %d cliques, want %d", total, want)
 	}
 	// Several batches over the same compressed streams must keep working.
-	if _, err := client.AnalyzeBlocks(blocks, combos); err != nil {
+	if _, err := client.AnalyzeBlocks(blocks, combo); err != nil {
 		t.Fatalf("second compressed batch failed: %v", err)
 	}
 }
@@ -452,8 +452,8 @@ func TestReconnectRestoresCapacity(t *testing.T) {
 	client.conns[0].conn.Close()
 	client.mu.Unlock()
 	g := gen.ErdosRenyi(60, 0.15, 5)
-	blocks, combos := makeBlocks(g, g.MaxDegree()+1)
-	if _, err := client.AnalyzeBlocks(blocks, combos); err != nil {
+	blocks, combo := makeBlocks(g, g.MaxDegree()+1)
+	if _, err := client.AnalyzeBlocks(blocks, combo); err != nil {
 		t.Fatal(err)
 	}
 	if client.Workers() != 1 {
@@ -464,7 +464,7 @@ func TestReconnectRestoresCapacity(t *testing.T) {
 	if err != nil || alive != 2 {
 		t.Fatalf("Reconnect = %d, %v; want 2 alive", alive, err)
 	}
-	if _, err := client.AnalyzeBlocks(blocks, combos); err != nil {
+	if _, err := client.AnalyzeBlocks(blocks, combo); err != nil {
 		t.Fatalf("batch after reconnect failed: %v", err)
 	}
 	stats := client.Stats()

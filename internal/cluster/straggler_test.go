@@ -66,7 +66,7 @@ func TestChaosStragglerHedging(t *testing.T) {
 	const stragglerDelay = time.Second // ≥100× the healthy round trip, per op
 
 	g := gen.HolmeKim(300, 5, 0.7, 11)
-	blocks, combos := makeBlocks(g, g.MaxDegree()+1)
+	blocks, combo := makeBlocks(g, g.MaxDegree()+1)
 	opts := func(met *telemetry.Engine) ClientOptions {
 		return ClientOptions{
 			DialTimeout: 2 * time.Second,
@@ -88,7 +88,7 @@ func TestChaosStragglerHedging(t *testing.T) {
 	}
 	defer baseline.Close()
 	t0 := time.Now()
-	wantOut, err := baseline.AnalyzeBlocks(blocks, combos)
+	wantOut, err := baseline.AnalyzeBlocks(blocks, combo)
 	if err != nil {
 		t.Fatalf("baseline run failed: %v", err)
 	}
@@ -108,7 +108,7 @@ func TestChaosStragglerHedging(t *testing.T) {
 	}
 	defer hedged.Close()
 	t0 = time.Now()
-	gotOut, err := hedged.AnalyzeBlocks(blocks, combos)
+	gotOut, err := hedged.AnalyzeBlocks(blocks, combo)
 	if err != nil {
 		t.Fatalf("hedged straggler run failed: %v", err)
 	}
@@ -166,8 +166,8 @@ func TestChaosStragglerHedgeDedup(t *testing.T) {
 	defer client.Close()
 
 	g := gen.HolmeKim(200, 4, 0.6, 31)
-	blocks, combos := makeBlocks(g, g.MaxDegree()+1)
-	out, err := client.AnalyzeBlocks(blocks, combos)
+	blocks, combo := makeBlocks(g, g.MaxDegree()+1)
+	out, err := client.AnalyzeBlocks(blocks, combo)
 	if err != nil {
 		t.Fatalf("hedged run failed: %v", err)
 	}

@@ -33,11 +33,11 @@ func TestClientAndWorkerTelemetry(t *testing.T) {
 	defer c.Close()
 
 	g := gen.ErdosRenyi(60, 0.25, 2)
-	blocks, combos := makeBlocks(g, g.MaxDegree()+1)
+	blocks, combo := makeBlocks(g, g.MaxDegree()+1)
 	if len(blocks) < 2 {
 		t.Fatalf("want ≥ 2 blocks, got %d", len(blocks))
 	}
-	out, err := c.AnalyzeBlocks(blocks, combos)
+	out, err := c.AnalyzeBlocks(blocks, combo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,8 +100,8 @@ func TestClientTelemetryRetryAndReconnect(t *testing.T) {
 	defer c.Close()
 
 	g := gen.ErdosRenyi(40, 0.3, 4)
-	blocks, combos := makeBlocks(g, g.MaxDegree()+1)
-	if _, err := c.AnalyzeBlocks(blocks, combos); err != nil {
+	blocks, combo := makeBlocks(g, g.MaxDegree()+1)
+	if _, err := c.AnalyzeBlocks(blocks, combo); err != nil {
 		t.Fatal(err)
 	}
 	s := eng.Snapshot()

@@ -122,17 +122,17 @@ func routeFamilies() []struct {
 // re-encodes to the same bytes.
 func TestWireRoundTrip(t *testing.T) {
 	for _, fam := range routeFamilies() {
-		blocks, combos := makeBlocks(fam.g, fam.m)
+		blocks, combo := makeBlocks(fam.g, fam.m)
 		if len(blocks) == 0 {
 			t.Fatalf("%s: no blocks", fam.name)
 		}
-		results, err := (&core.LocalExecutor{}).AnalyzeBlocks(blocks, combos)
+		results, err := (&core.LocalExecutor{}).AnalyzeBlocks(blocks, combo)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := range blocks {
 			id := taskID{ID: i, Level: 3, Plan: i + 7}
-			task := blockTask{taskID: id, Block: &blocks[i], Combo: combos[i]}
+			task := blockTask{taskID: id, Block: &blocks[i], Combo: combo}
 			payload, err := task.appendTo(nil)
 			if err != nil {
 				t.Fatalf("%s block %d: %v", fam.name, i, err)
@@ -146,8 +146,8 @@ func TestWireRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s block %d: %v", fam.name, i, err)
 			}
-			if back.taskID != id || back.Combo != combos[i] {
-				t.Fatalf("%s block %d: identity %+v, combo %v came back %+v, %v", fam.name, i, id, combos[i], back.taskID, back.Combo)
+			if back.taskID != id || back.Combo != combo {
+				t.Fatalf("%s block %d: identity %+v, combo %v came back %+v, %v", fam.name, i, id, combo, back.taskID, back.Combo)
 			}
 			if !sameBlock(back.Block, &blocks[i]) {
 				t.Fatalf("%s block %d changed on the wire:\n got %+v\nwant %+v", fam.name, i, back.Block, blocks[i])

@@ -11,7 +11,6 @@ import (
 	"mce/internal/decomp"
 	"mce/internal/gen"
 	"mce/internal/graph"
-	"mce/internal/mcealg"
 	"mce/internal/runlog"
 	"mce/internal/telemetry"
 )
@@ -131,7 +130,7 @@ func TestResumeServesEveryBlockFromSegments(t *testing.T) {
 // forbiddenExecutor fails the test if a resumed run dispatches anything.
 type forbiddenExecutor struct{}
 
-func (forbiddenExecutor) Analyze(context.Context, []decomp.Block, []mcealg.Combo, []runlog.BlockID, runlog.BatchObserver) ([][][]int32, error) {
+func (forbiddenExecutor) Analyze(context.Context, *graph.Graph, []decomp.Block, Selector, []runlog.BlockID, runlog.BatchObserver) ([][][]int32, error) {
 	return nil, errors.New("executor invoked on a fully-journaled resume")
 }
 
@@ -157,13 +156,13 @@ func (f *flakyExecutor) take() bool {
 	return true
 }
 
-func (f *flakyExecutor) Analyze(ctx context.Context, blocks []decomp.Block, combos []mcealg.Combo, ids []runlog.BlockID, obs runlog.BatchObserver) ([][][]int32, error) {
+func (f *flakyExecutor) Analyze(ctx context.Context, g *graph.Graph, blocks []decomp.Block, sel Selector, ids []runlog.BlockID, obs runlog.BatchObserver) ([][][]int32, error) {
 	out := make([][][]int32, len(blocks))
 	for i := range blocks {
 		if !f.take() {
 			return nil, errInjected
 		}
-		res, err := f.inner.Analyze(ctx, blocks[i:i+1], combos[i:i+1], ids[i:i+1], obs)
+		res, err := f.inner.Analyze(ctx, g, blocks[i:i+1], sel, ids[i:i+1], obs)
 		if err != nil {
 			return nil, err
 		}

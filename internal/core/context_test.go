@@ -36,14 +36,11 @@ func TestLocalExecutorContextCancelled(t *testing.T) {
 	g := gen.ErdosRenyi(80, 0.15, 41)
 	feasible, _ := decomp.Cut(g, g.MaxDegree()+1)
 	blocks := decomp.Blocks(g, feasible, g.MaxDegree()+1, decomp.Options{})
-	combos := make([]mcealg.Combo, len(blocks))
-	for i := range combos {
-		combos[i] = mcealg.Combo{Alg: mcealg.Tomita, Struct: mcealg.BitSets}
-	}
+	combo := mcealg.Combo{Alg: mcealg.Tomita, Struct: mcealg.BitSets}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	exec := &LocalExecutor{}
-	if _, err := exec.AnalyzeBlocksContext(ctx, blocks, combos); !errors.Is(err, context.Canceled) {
+	if _, err := exec.AnalyzeBlocksContext(ctx, blocks, combo); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
@@ -55,16 +52,13 @@ func TestAnalyzeBlocksDelegatesToContext(t *testing.T) {
 	g := gen.HolmeKim(120, 4, 0.6, 47)
 	feasible, _ := decomp.Cut(g, g.MaxDegree()+1)
 	blocks := decomp.Blocks(g, feasible, g.MaxDegree()+1, decomp.Options{})
-	combos := make([]mcealg.Combo, len(blocks))
-	for i := range combos {
-		combos[i] = mcealg.Combo{Alg: mcealg.Tomita, Struct: mcealg.BitSets}
-	}
+	combo := mcealg.Combo{Alg: mcealg.Tomita, Struct: mcealg.BitSets}
 	exec := &LocalExecutor{}
-	plain, err := exec.AnalyzeBlocks(blocks, combos)
+	plain, err := exec.AnalyzeBlocks(blocks, combo)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctxed, err := exec.AnalyzeBlocksContext(context.Background(), blocks, combos)
+	ctxed, err := exec.AnalyzeBlocksContext(context.Background(), blocks, combo)
 	if err != nil {
 		t.Fatal(err)
 	}

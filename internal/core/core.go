@@ -24,6 +24,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"mce/internal/bitset"
@@ -38,12 +39,16 @@ import (
 	"mce/internal/telemetry"
 )
 
-// Executor runs BLOCK-ANALYSIS for a batch of blocks. combos[i] is the
-// data-structure/algorithm combination chosen for blocks[i]; the return
-// value holds the cliques of each block (global node IDs), indexed like
-// blocks, as slices the caller owns. Cancelling ctx stops the batch — work
-// already shipped to remote workers included — and fails the call with
-// ctx.Err().
+// Executor runs one level's blocks from plan to cliques. blocks are as
+// decomp.Grow planned them over g — membership only — and the goroutine that
+// takes a block does the rest: it induces the block's subgraph from g into
+// its own scratch (decomp.Materialiser), asks sel for the combo, analyses or
+// ships the block and lets the subgraph go, so a level's subgraphs are never
+// all resident and the shared plan is never written. A block that already
+// carries its Graph is taken as it is (g may then be nil). The return value
+// holds the cliques of each block (global node IDs), indexed like blocks, as
+// slices the caller owns. Cancelling ctx stops the batch — work already
+// shipped to remote workers included — and fails the call with ctx.Err().
 //
 // ids and obs are nil for plain batches. On a checkpointing run
 // (Options.Checkpoint) ids[i] is blocks[i]'s stable identity in the run
@@ -52,7 +57,17 @@ import (
 // the blocks still in flight. Implementations: LocalExecutor (in-process
 // pool) and cluster.Client (TCP workers).
 type Executor interface {
-	Analyze(ctx context.Context, blocks []decomp.Block, combos []mcealg.Combo, ids []runlog.BlockID, obs runlog.BatchObserver) ([][][]int32, error)
+	Analyze(ctx context.Context, g *graph.Graph, blocks []decomp.Block, sel Selector, ids []runlog.BlockID, obs runlog.BatchObserver) ([][][]int32, error)
+}
+
+// Selector picks the data-structure/algorithm combination for one block
+// from its induced subgraph. Executors call it from several goroutines at
+// once; s is the calling goroutine's measuring scratch.
+type Selector = func(g *graph.Graph, s *kcore.Scratch) mcealg.Combo
+
+// FixedSelector picks c for every block, as it is.
+func FixedSelector(c mcealg.Combo) Selector {
+	return func(*graph.Graph, *kcore.Scratch) mcealg.Combo { return c }
 }
 
 // Options configures FindMaxCliques.
@@ -150,13 +165,20 @@ type LevelStats struct {
 	// Cliques counts the cliques found from this level's blocks (before
 	// higher levels' results are filtered against lower ones).
 	Cliques int
-	// Decomp and Analysis measure the wall time of the two phases.
+	// Decomp and Analysis measure the wall time of the two phases: Decomp
+	// is what runs on the coordinator's goroutine before any worker sees a
+	// block, CutTime + BlocksTime; Analysis is the executor's wall, which
+	// includes inducing and selecting on the workers.
 	Decomp, Analysis time.Duration
-	// CutTime, BlocksTime and SelectTime split Decomp, which is their sum,
-	// into its three steps: CUT (Algorithm 2), BLOCKS with its induced
-	// subgraphs (Algorithm 3), and the per-block combo choice with the
-	// features it measures.
-	CutTime, BlocksTime, SelectTime time.Duration
+	// CutTime is CUT (Algorithm 2); BlocksTime is the serial grow of BLOCKS
+	// (Algorithm 3: membership only, no induced subgraph).
+	CutTime, BlocksTime time.Duration
+	// InduceTime and SelectTime sum, over the executor's goroutines, the
+	// time spent inducing block subgraphs and choosing combos (with the
+	// features the choice measures). They are CPU sums inside Analysis, not
+	// wall, and are taken only when the run has a telemetry engine
+	// (Options.Metrics); zero otherwise.
+	InduceTime, SelectTime time.Duration
 }
 
 // Stats aggregates a FindMaxCliques run.
@@ -219,8 +241,9 @@ type LocalExecutor struct {
 	// Parallelism is the worker count; 0 means GOMAXPROCS.
 	Parallelism int
 	// Metrics, when non-nil, receives per-block telemetry: queue depth,
-	// per-combo timings and the merged mcealg recursion counters. Nil
-	// keeps the worker loop allocation-free.
+	// induce and select time, combo picks, per-combo timings and the merged
+	// mcealg recursion counters. Nil keeps the worker loop allocation-free
+	// and clock-free.
 	Metrics *telemetry.Engine
 	// MemoryBudget is a heap budget in bytes: while the process heap is
 	// above it, workers pause before starting the next block instead of
@@ -236,29 +259,29 @@ type LocalExecutor struct {
 }
 
 // AnalyzeBlocks is AnalyzeBlocksContext without cancellation.
-func (e *LocalExecutor) AnalyzeBlocks(blocks []decomp.Block, combos []mcealg.Combo) ([][][]int32, error) {
-	return e.AnalyzeBlocksContext(context.Background(), blocks, combos)
+func (e *LocalExecutor) AnalyzeBlocks(blocks []decomp.Block, combo mcealg.Combo) ([][][]int32, error) {
+	return e.AnalyzeBlocksContext(context.Background(), blocks, combo)
 }
 
-// AnalyzeBlocksContext is Analyze for a plain batch (no block IDs, no
-// observer).
-func (e *LocalExecutor) AnalyzeBlocksContext(ctx context.Context, blocks []decomp.Block, combos []mcealg.Combo) ([][][]int32, error) {
-	return e.Analyze(ctx, blocks, combos, nil, nil)
+// AnalyzeBlocksContext is Analyze for a plain batch of induced blocks under
+// one combo (no level graph, no block IDs, no observer).
+func (e *LocalExecutor) AnalyzeBlocksContext(ctx context.Context, blocks []decomp.Block, combo mcealg.Combo) ([][][]int32, error) {
+	return e.Analyze(ctx, nil, blocks, FixedSelector(combo), nil, nil)
 }
 
-// Analyze implements Executor. Cancellation stops the pool from starting
-// new blocks (blocks already being analysed run to completion — block
-// analysis has no preemption points) and the call returns ctx.Err(). With
-// an observer, each block's completion is reported as it happens, so a
-// checkpointing run can make it durable before the batch finishes.
+// Analyze implements Executor. Workers claim the next block index from a
+// shared counter — the order of claims is the order of blocks — and each
+// runs materialise → select → analyse on its own scratch. Cancellation stops
+// the pool from starting new blocks (blocks already being analysed run to
+// completion — block analysis has no preemption points) and the call returns
+// ctx.Err(). With an observer, each block's completion is reported as it
+// happens, so a checkpointing run can make it durable before the batch
+// finishes.
 //
 //mce:hotpath block-analysis worker pool
-func (e *LocalExecutor) Analyze(ctx context.Context, blocks []decomp.Block, combos []mcealg.Combo, ids []runlog.BlockID, obs runlog.BatchObserver) ([][][]int32, error) {
+func (e *LocalExecutor) Analyze(ctx context.Context, g *graph.Graph, blocks []decomp.Block, sel Selector, ids []runlog.BlockID, obs runlog.BatchObserver) ([][][]int32, error) {
 	if obs != nil && len(ids) != len(blocks) {
-		return nil, arityMismatch(len(blocks), len(ids), "block IDs")
-	}
-	if len(blocks) != len(combos) {
-		return nil, arityMismatch(len(blocks), len(combos), "combos")
+		return nil, arityMismatch(len(blocks), len(ids))
 	}
 	workers := e.Parallelism
 	if workers <= 0 {
@@ -274,6 +297,7 @@ func (e *LocalExecutor) Analyze(ctx context.Context, blocks []decomp.Block, comb
 	var (
 		wg       sync.WaitGroup //lint:ignore hotbox captured once per spawned worker, not per recursion node
 		mu       sync.Mutex     //lint:ignore hotbox captured once per spawned worker, not per recursion node
+		next     atomic.Int64   //lint:ignore hotbox captured once per spawned worker, not per recursion node
 		firstErr error
 	)
 	met := e.Metrics
@@ -285,21 +309,26 @@ func (e *LocalExecutor) Analyze(ctx context.Context, blocks []decomp.Block, comb
 	// splits on the same guard keeps deque growth inside the budget. The
 	// method value is safe on a nil guard (unlimited budget → never over).
 	par := mcealg.Par{Workers: e.IntraBlockParallelism, SplitGate: guard.OverBudget}
-	next := make(chan int)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// The analyzer and ins are per-worker scratch: adjacency rows and
-			// recursion frames are reused from block to block, and the
-			// recursion counts accumulate without atomics and merge into the
-			// engine once per block.
+			// The materialiser, the analyzer and ins are per-worker scratch:
+			// the induced subgraph, adjacency rows and recursion frames are
+			// reused from block to block, and the recursion counts
+			// accumulate without atomics and merge into the engine once per
+			// block.
+			mat := decomp.NewMaterialiser(g)
 			an := new(decomp.Analyzer)
 			var ins *telemetry.BlockInstr
 			if met != nil {
 				ins = &telemetry.BlockInstr{}
 			}
-			for i := range next {
+			for {
+				i := int(next.Add(1)) - 1 // claim the next block
+				if i >= len(blocks) {
+					return
+				}
 				if met != nil {
 					met.QueueDepth.Add(-1)
 				}
@@ -322,15 +351,23 @@ func (e *LocalExecutor) Analyze(ctx context.Context, blocks []decomp.Block, comb
 					met.TasksInFlight.Add(1)
 					t0 = time.Now()
 				}
+				blk := mat.Materialise(&blocks[i])
+				if met != nil {
+					t0 = lap(&met.InduceNs, t0)
+				}
+				combo := sel(blk.Graph, &mat.Features)
+				if met != nil {
+					t0 = lap(&met.SelectNs, t0)
+					met.ComboPicked(combo.Index(), combo.Label())
+				}
 				var cliques [][]int32 //lint:ignore hotbox the emit sink must outlive the callback; captured once per block, not per node
-				err := an.Analyze(&blocks[i], combos[i], func(c []int32) {
+				err := an.Analyze(blk, combo, func(c []int32) {
 					cp := make([]int32, len(c))
 					copy(cp, c)
 					cliques = append(cliques, cp)
 				}, ins, par)
 				if met != nil {
-					idx := combos[i].Index()
-					met.ComboAnalyzed(idx, combos[i].Label(), time.Since(t0))
+					met.ComboAnalyzed(combo.Index(), combo.Label(), time.Since(t0))
 					met.MergeBlockInstr(ins)
 					met.TasksInFlight.Add(-1)
 				}
@@ -352,10 +389,6 @@ func (e *LocalExecutor) Analyze(ctx context.Context, blocks []decomp.Block, comb
 			}
 		}()
 	}
-	for i := range blocks {
-		next <- i
-	}
-	close(next)
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -366,6 +399,13 @@ func (e *LocalExecutor) Analyze(ctx context.Context, blocks []decomp.Block, comb
 	return out, nil
 }
 
+// lap adds the time since t0 to c and returns the new lap's start.
+func lap(c *telemetry.Counter, t0 time.Time) time.Time {
+	now := time.Now()
+	c.Add(int64(now.Sub(t0)))
+	return now
+}
+
 // arityMismatch formats the length errors of Analyze. It is a separate,
 // never-inlined function so the fmt machinery and its boxed arguments stay
 // off the hot path: Analyze is a hot-path root and a mismatch fires at most
@@ -373,8 +413,8 @@ func (e *LocalExecutor) Analyze(ctx context.Context, blocks []decomp.Block, comb
 //
 //mce:coldpath error formatting, at most once per batch
 //go:noinline
-func arityMismatch(blocks, n int, what string) error {
-	return fmt.Errorf("core: %d blocks but %d %s", blocks, n, what)
+func arityMismatch(blocks, ids int) error {
+	return fmt.Errorf("core: %d blocks but %d block IDs", blocks, ids)
 }
 
 // ErrNoNodes is returned for a graph with no nodes at all; the empty graph
@@ -415,7 +455,7 @@ type sink func(c []int32, level int)
 type run struct {
 	opts  Options
 	m     int
-	sel   func(*decomp.Block) mcealg.Combo
+	sel   Selector
 	exec  Executor
 	stats *Stats
 }
@@ -520,14 +560,14 @@ const parallelMinBlockNodes = 128
 // the parallel enumerator merges back into depth-first order.
 //
 //mce:hotpath per-block combo pick
-func selector(opts Options) func(*decomp.Block) mcealg.Combo {
+func selector(opts Options) Selector {
 	base := baseSelector(opts)
 	if opts.IntraBlockParallelism <= 1 {
 		return base
 	}
-	return func(b *decomp.Block) mcealg.Combo {
-		c := base(b)
-		if c.Struct == mcealg.BitSets && b.Graph.N() >= parallelMinBlockNodes {
+	return func(g *graph.Graph, s *kcore.Scratch) mcealg.Combo {
+		c := base(g, s)
+		if c.Struct == mcealg.BitSets && g.N() >= parallelMinBlockNodes {
 			c.Struct = mcealg.BitSetsParallel
 		}
 		return c
@@ -535,17 +575,17 @@ func selector(opts Options) func(*decomp.Block) mcealg.Combo {
 }
 
 //mce:hotpath per-block combo pick (decision tree)
-func baseSelector(opts Options) func(*decomp.Block) mcealg.Combo {
+func baseSelector(opts Options) Selector {
 	if opts.FixedCombo != nil {
 		c := *opts.FixedCombo
-		return func(b *decomp.Block) mcealg.Combo { return c.Bounded(b.Graph.N()) }
+		return func(g *graph.Graph, _ *kcore.Scratch) mcealg.Combo { return c.Bounded(g.N()) }
 	}
 	tree := opts.Tree
 	if tree == nil {
 		tree = dtree.Published()
 	}
-	return func(b *decomp.Block) mcealg.Combo {
-		return dtree.SafePredict(tree, kcore.Measure(b.Graph))
+	return func(g *graph.Graph, s *kcore.Scratch) mcealg.Combo {
+		return dtree.SafePredictGraph(tree, g, s)
 	}
 }
 
@@ -572,40 +612,35 @@ func (r *run) level(ctx context.Context, g *graph.Graph, depth int, out sink) er
 		return r.terminalCore(g, depth, cutTime, out)
 	}
 
+	// BLOCKS, the serial half: which nodes each block holds and in which
+	// role. Everything after it — induce, select, analyse — is a function of
+	// (g, one block) and runs on the executor's goroutines.
 	start = time.Now()
-	blocks := decomp.Blocks(g, feasible, r.m, opts.Block)
+	blocks := decomp.Grow(g, feasible, r.m, opts.Block)
 	blocksTime := time.Since(start)
-
-	start = time.Now()
-	combos := make([]mcealg.Combo, len(blocks))
 	var kernelSum, borderSum, visitedSum int
 	for i := range blocks {
-		combos[i] = r.sel(&blocks[i])
 		kernelSum += len(blocks[i].Kernel)
 		borderSum += len(blocks[i].Border)
 		visitedSum += len(blocks[i].Visited)
-		if met != nil {
-			idx := combos[i].Index()
-			met.ComboPicked(idx, combos[i].Label())
-		}
 	}
-	selectTime := time.Since(start)
+	var induceNs, selectNs int64
 	if met != nil {
 		met.BlocksBuilt.Add(int64(len(blocks)))
 		met.KernelNodes.Add(int64(kernelSum))
 		met.BorderNodes.Add(int64(borderSum))
 		met.VisitedNodes.Add(int64(visitedSum))
 		met.BlocksNs.Add(int64(blocksTime))
-		met.SelectNs.Add(int64(selectTime))
+		induceNs, selectNs = met.InduceNs.Load(), met.SelectNs.Load()
 	}
 
 	start = time.Now()
 	var perBlock [][][]int32
 	var err error
 	if cp := opts.Checkpoint; cp != nil {
-		perBlock, err = analyzeCheckpointed(ctx, cp, r.exec, blocks, combos, opts.Schedule, depth)
+		perBlock, err = r.analyzeCheckpointed(ctx, cp, g, blocks, depth)
 	} else {
-		perBlock, err = analyzeScheduled(ctx, r.exec, blocks, combos, opts.Schedule, nil, nil)
+		perBlock, err = r.analyzeScheduled(ctx, g, blocks, nil, nil)
 	}
 	if err != nil {
 		return err
@@ -623,8 +658,12 @@ func (r *run) level(ctx context.Context, g *graph.Graph, depth int, out sink) er
 		Blocks: len(blocks),
 		Kernel: kernelSum, Border: borderSum, Visited: visitedSum,
 		Cliques: found,
-		Decomp:  cutTime + blocksTime + selectTime, Analysis: time.Since(start),
-		CutTime: cutTime, BlocksTime: blocksTime, SelectTime: selectTime,
+		Decomp:  cutTime + blocksTime, Analysis: time.Since(start),
+		CutTime: cutTime, BlocksTime: blocksTime,
+	}
+	if met != nil {
+		ls.InduceTime = time.Duration(met.InduceNs.Load() - induceNs)
+		ls.SelectTime = time.Duration(met.SelectNs.Load() - selectNs)
 	}
 	r.levelDone(ls)
 	if opts.OnLevel != nil {
@@ -678,35 +717,34 @@ func (r *run) levelDone(ls LevelStats) {
 // blocks the journal records as done are served from their segments, and
 // only the remainder is dispatched, each block made durable by the executor
 // the moment it completes. Results come back indexed like blocks, so
-// resumed and fresh runs produce identical output.
-func analyzeCheckpointed(ctx context.Context, cp *runlog.Checkpoint, exec Executor, blocks []decomp.Block, combos []mcealg.Combo, sched Schedule, level int) ([][][]int32, error) {
+// resumed and fresh runs produce identical output; a block served from its
+// segment is never induced.
+func (r *run) analyzeCheckpointed(ctx context.Context, cp *runlog.Checkpoint, g *graph.Graph, blocks []decomp.Block, level int) ([][][]int32, error) {
 	if err := cp.BeginLevel(level, len(blocks)); err != nil {
 		return nil, err
 	}
 	perBlock := make([][][]int32, len(blocks))
-	var pendIdx []int
+	var pend []decomp.Block
+	var ids []runlog.BlockID
 	for i := range blocks {
-		if cliques, ok := cp.DoneCliques(runlog.BlockID{Level: level, Plan: i}); ok {
+		id := runlog.BlockID{Level: level, Plan: i}
+		if cliques, ok := cp.DoneCliques(id); ok {
 			perBlock[i] = cliques
 			continue
 		}
-		pendIdx = append(pendIdx, i)
-	}
-	if len(pendIdx) > 0 {
-		pend := make([]decomp.Block, len(pendIdx))
-		pendCombos := make([]mcealg.Combo, len(pendIdx))
-		ids := make([]runlog.BlockID, len(pendIdx))
-		for pos, i := range pendIdx {
-			pend[pos] = blocks[i]
-			pendCombos[pos] = combos[i]
-			ids[pos] = runlog.BlockID{Level: level, Plan: i}
+		if pend == nil { // sized on the first pending block: a full resume allocates neither
+			pend = make([]decomp.Block, 0, len(blocks)-i)
+			ids = make([]runlog.BlockID, 0, len(blocks)-i)
 		}
-		results, err := analyzeScheduled(ctx, exec, pend, pendCombos, sched, ids, cp)
+		pend, ids = append(pend, blocks[i]), append(ids, id)
+	}
+	if len(pend) > 0 {
+		results, err := r.analyzeScheduled(ctx, g, pend, ids, cp)
 		if err != nil {
 			return nil, err
 		}
-		for pos, i := range pendIdx {
-			perBlock[i] = results[pos]
+		for pos, id := range ids {
+			perBlock[id.Plan] = results[pos]
 		}
 	}
 	if err := cp.EndLevel(level); err != nil {
@@ -719,40 +757,42 @@ func analyzeCheckpointed(ctx context.Context, cp *runlog.Checkpoint, exec Execut
 // returns the results in the original block order, so scheduling never
 // changes the output. ids and obs are nil for plain batches; on a
 // checkpointing run ids index like blocks and travel with them.
-func analyzeScheduled(ctx context.Context, exec Executor, blocks []decomp.Block, combos []mcealg.Combo, sched Schedule, ids []runlog.BlockID, obs runlog.BatchObserver) ([][][]int32, error) {
+func (r *run) analyzeScheduled(ctx context.Context, g *graph.Graph, blocks []decomp.Block, ids []runlog.BlockID, obs runlog.BatchObserver) ([][][]int32, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if sched != ScheduleLPT || len(blocks) < 2 {
-		return exec.Analyze(ctx, blocks, combos, ids, obs)
+	if r.opts.Schedule != ScheduleLPT || len(blocks) < 2 {
+		return r.exec.Analyze(ctx, g, blocks, r.sel, ids, obs)
 	}
+	// Cost estimate, from the plan alone: block analysis is roughly linear
+	// in the per-kernel neighbourhood work, which edges × kernels tracks
+	// well enough for ordering purposes. The edges of a block nobody has
+	// induced yet are bounded by half of Σ min(deg_g(v), |block| − 1) over
+	// its nodes — exact for kernels, whose whole neighbourhood is inside —
+	// and the estimate takes that sum for them.
+	cost := make([]int64, len(blocks))
 	perm := make([]int, len(blocks))
-	for i := range perm {
-		perm[i] = i
+	for i := range blocks {
+		b := &blocks[i]
+		ends := int64(0)
+		for _, v := range b.Orig {
+			ends += int64(min(g.Degree(v), len(b.Orig)-1))
+		}
+		cost[i], perm[i] = (ends+1)*int64(len(b.Kernel)+1), i
 	}
-	// Cost estimate: block analysis is roughly linear in the per-kernel
-	// neighbourhood work, which edges × kernels tracks well enough for
-	// ordering purposes.
-	cost := func(b *decomp.Block) int64 {
-		return int64(b.Graph.M()+1) * int64(len(b.Kernel)+1)
-	}
-	sort.SliceStable(perm, func(a, b int) bool {
-		return cost(&blocks[perm[a]]) > cost(&blocks[perm[b]])
-	})
+	sort.SliceStable(perm, func(a, b int) bool { return cost[perm[a]] > cost[perm[b]] })
 	ordered := make([]decomp.Block, len(blocks))
-	orderedCombos := make([]mcealg.Combo, len(blocks))
 	var orderedIDs []runlog.BlockID
 	if ids != nil {
 		orderedIDs = make([]runlog.BlockID, len(blocks))
 	}
 	for pos, idx := range perm {
 		ordered[pos] = blocks[idx]
-		orderedCombos[pos] = combos[idx]
 		if ids != nil {
 			orderedIDs[pos] = ids[idx]
 		}
 	}
-	permuted, err := exec.Analyze(ctx, ordered, orderedCombos, orderedIDs, obs)
+	permuted, err := r.exec.Analyze(ctx, g, ordered, r.sel, orderedIDs, obs)
 	if err != nil {
 		return nil, err
 	}
@@ -787,7 +827,8 @@ func (r *run) terminalCore(g *graph.Graph, depth int, cutTime time.Duration, out
 	}
 	found := len(cliques)
 	if !resumed {
-		combo := r.sel(wholeGraphBlock(g))
+		var scratch kcore.Scratch
+		combo := r.sel(g, &scratch)
 		if met != nil {
 			met.ComboPicked(combo.Index(), combo.Label())
 		}
@@ -833,16 +874,4 @@ func (r *run) terminalCore(g *graph.Graph, depth int, cutTime time.Duration, out
 func corePar(opts Options) mcealg.Par {
 	guard := resguard.New(opts.MemoryBudget, opts.Metrics)
 	return mcealg.Par{Workers: opts.IntraBlockParallelism, SplitGate: guard.OverBudget}
-}
-
-// wholeGraphBlock wraps g as a single all-kernel block so combo selectors
-// can inspect it uniformly.
-func wholeGraphBlock(g *graph.Graph) *decomp.Block {
-	kernel := make([]int32, g.N())
-	orig := make([]int32, g.N())
-	for v := int32(0); v < int32(g.N()); v++ {
-		kernel[v] = v
-		orig[v] = v
-	}
-	return &decomp.Block{Graph: g, Orig: orig, Kernel: kernel}
 }

@@ -219,20 +219,21 @@ func TestFixedComboPath(t *testing.T) {
 // block past the quadratic-store bound runs the same algorithm over Lists,
 // also under intra-block parallelism, which upgrades BitSets picks only.
 func TestFixedComboBoundsQuadraticStores(t *testing.T) {
-	big := wholeGraphBlock(graph.Empty(mcealg.MatrixMaxNodes + 1))
-	small := wholeGraphBlock(graph.Empty(mcealg.MatrixMaxNodes))
+	big := graph.Empty(mcealg.MatrixMaxNodes + 1)
+	small := graph.Empty(mcealg.MatrixMaxNodes)
+	var scratch kcore.Scratch
 	for _, s := range []mcealg.Structure{mcealg.Matrix, mcealg.BitSets, mcealg.Lists} {
 		fixed := mcealg.Combo{Alg: mcealg.Tomita, Struct: s}
 		for _, intra := range []int{0, 4} {
 			sel := selector(Options{FixedCombo: &fixed, IntraBlockParallelism: intra})
-			if got, want := sel(big), (mcealg.Combo{Alg: mcealg.Tomita, Struct: mcealg.Lists}); got != want {
+			if got, want := sel(big, &scratch), (mcealg.Combo{Alg: mcealg.Tomita, Struct: mcealg.Lists}); got != want {
 				t.Errorf("%v intra=%d above the bound: %v, want %v", fixed, intra, got, want)
 			}
 			want := fixed
 			if s == mcealg.BitSets && intra > 1 {
 				want.Struct = mcealg.BitSetsParallel
 			}
-			if got := sel(small); got != want {
+			if got := sel(small, &scratch); got != want {
 				t.Errorf("%v intra=%d at the bound: %v, want %v", fixed, intra, got, want)
 			}
 		}
@@ -324,27 +325,28 @@ func TestStatsLevelIterationCounts(t *testing.T) {
 func TestLocalExecutorErrorPropagates(t *testing.T) {
 	// Force an error by requesting Matrix on an oversized block via a
 	// malicious selector bypassing SafePredict.
-	g := gen.ErdosRenyi(50, 0.2, 3)
-	blocks := []decomp.Block{*wholeGraphBlockForTest(graph.Empty(mcealg.MatrixMaxNodes + 1))}
-	combos := []mcealg.Combo{{Alg: mcealg.Tomita, Struct: mcealg.Matrix}}
-	_, err := (&LocalExecutor{}).AnalyzeBlocks(blocks, combos)
+	blocks := []decomp.Block{{Graph: graph.Empty(mcealg.MatrixMaxNodes + 1)}}
+	_, err := (&LocalExecutor{}).AnalyzeBlocks(blocks, mcealg.Combo{Alg: mcealg.Tomita, Struct: mcealg.Matrix})
 	if err == nil {
 		t.Fatalf("oversized matrix block did not error")
 	}
-	_ = g
 }
 
-func wholeGraphBlockForTest(g *graph.Graph) *decomp.Block { return wholeGraphBlock(g) }
-
-func TestLocalExecutorComboMismatch(t *testing.T) {
-	_, err := (&LocalExecutor{}).AnalyzeBlocks(make([]decomp.Block, 2), make([]mcealg.Combo, 1))
+// An observed batch must carry one identity per block.
+func TestLocalExecutorIDMismatch(t *testing.T) {
+	g := gen.ErdosRenyi(50, 0.2, 3)
+	feasible, _ := decomp.Cut(g, g.MaxDegree()+1)
+	blocks := decomp.Grow(g, feasible, g.MaxDegree()+1, decomp.Options{})
+	cp := openCheckpoint(t, t.TempDir(), g, Options{})
+	defer cp.Close()
+	_, err := (&LocalExecutor{}).Analyze(context.Background(), g, blocks, FixedSelector(mcealg.Combo{}), make([]runlog.BlockID, len(blocks)+1), cp)
 	if err == nil {
 		t.Fatalf("mismatched lengths accepted")
 	}
 }
 
 func TestLocalExecutorEmpty(t *testing.T) {
-	out, err := (&LocalExecutor{}).AnalyzeBlocks(nil, nil)
+	out, err := (&LocalExecutor{}).AnalyzeBlocks(nil, mcealg.Combo{})
 	if err != nil || len(out) != 0 {
 		t.Fatalf("empty batch: %v, %v", out, err)
 	}
@@ -438,6 +440,31 @@ func BenchmarkFindMaxCliques(b *testing.B) {
 	}
 }
 
+// BenchmarkLocalExecutor is the dispatch cost on its own number: the plan of
+// decomp's BenchmarkGrow (Holme–Kim n = 20 000, m = 56: ≈ 7 k blocks of a
+// few microseconds each) through a LocalExecutor at widths 1 and 2 —
+// materialise, select and analyse on the workers. Width 2 over width 1 is
+// what a second worker buys.
+func BenchmarkLocalExecutor(b *testing.B) {
+	g := gen.HolmeKim(20000, 8, 0.7, 42)
+	const m = 56
+	feasible, _ := decomp.Cut(g, m)
+	blocks := decomp.Grow(g, feasible, m, decomp.Options{})
+	sel := selector(Options{})
+	for _, width := range []int{1, 2} {
+		b.Run(fmt.Sprintf("width=%d", width), func(b *testing.B) {
+			exec := &LocalExecutor{Parallelism: width}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := exec.Analyze(context.Background(), g, blocks, sel, nil, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.N*len(blocks))/b.Elapsed().Seconds(), "blocks/s")
+		})
+	}
+}
+
 func TestLPTScheduleSameOutput(t *testing.T) {
 	g := gen.HolmeKim(600, 5, 0.7, 29)
 	fifo, err := FindMaxCliques(g, Options{BlockRatio: 0.4})
@@ -465,11 +492,13 @@ type trackingExecutor struct {
 	sizes []int64
 }
 
-func (e *trackingExecutor) Analyze(ctx context.Context, blocks []decomp.Block, combos []mcealg.Combo, ids []runlog.BlockID, obs runlog.BatchObserver) ([][][]int32, error) {
+func (e *trackingExecutor) Analyze(ctx context.Context, g *graph.Graph, blocks []decomp.Block, sel Selector, ids []runlog.BlockID, obs runlog.BatchObserver) ([][][]int32, error) {
+	inducer := graph.NewInducer(g)
 	for i := range blocks {
-		e.sizes = append(e.sizes, int64(blocks[i].Graph.M()+1)*int64(len(blocks[i].Kernel)+1))
+		sub, _ := inducer.Scratch(blocks[i].Orig)
+		e.sizes = append(e.sizes, int64(sub.M()+1)*int64(len(blocks[i].Kernel)+1))
 	}
-	return e.inner.Analyze(ctx, blocks, combos, ids, obs)
+	return e.inner.Analyze(ctx, g, blocks, sel, ids, obs)
 }
 
 func TestLPTDispatchesHeaviestFirst(t *testing.T) {
@@ -554,7 +583,7 @@ func TestOnLevelProgressHook(t *testing.T) {
 // failingExecutor returns an error on every batch.
 type failingExecutor struct{}
 
-func (failingExecutor) Analyze(context.Context, []decomp.Block, []mcealg.Combo, []runlog.BlockID, runlog.BatchObserver) ([][][]int32, error) {
+func (failingExecutor) Analyze(context.Context, *graph.Graph, []decomp.Block, Selector, []runlog.BlockID, runlog.BatchObserver) ([][][]int32, error) {
 	return nil, fmt.Errorf("synthetic executor failure")
 }
 

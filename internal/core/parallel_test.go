@@ -7,6 +7,7 @@ import (
 
 	"mce/internal/gen"
 	"mce/internal/graph"
+	"mce/internal/kcore"
 	"mce/internal/mcealg"
 	"mce/internal/telemetry"
 )
@@ -87,21 +88,22 @@ func TestIntraBlockParallelStreamEquivalence(t *testing.T) {
 // sequential; fixed non-BitSets combos must never be overridden.
 func TestParallelSelectorUpgrade(t *testing.T) {
 	sel := selector(Options{IntraBlockParallelism: 4})
-	big := wholeGraphBlock(gen.ErdosRenyi(parallelMinBlockNodes, 0.5, 1))
-	if c := sel(big); c.Struct != mcealg.BitSetsParallel {
+	var scratch kcore.Scratch
+	big := gen.ErdosRenyi(parallelMinBlockNodes, 0.5, 1)
+	if c := sel(big, &scratch); c.Struct != mcealg.BitSetsParallel {
 		t.Fatalf("large dense block selected %v, want BitSetsParallel", c)
 	}
-	small := wholeGraphBlock(gen.ErdosRenyi(32, 0.5, 2))
-	if c := sel(small); c.Struct == mcealg.BitSetsParallel {
+	small := gen.ErdosRenyi(32, 0.5, 2)
+	if c := sel(small, &scratch); c.Struct == mcealg.BitSetsParallel {
 		t.Fatalf("small block selected %v; pool overhead should keep it sequential", c)
 	}
 	lists := mcealg.Combo{Alg: mcealg.Tomita, Struct: mcealg.Lists}
 	sel = selector(Options{IntraBlockParallelism: 4, FixedCombo: &lists})
-	if c := sel(big); c.Struct != mcealg.Lists {
+	if c := sel(big, &scratch); c.Struct != mcealg.Lists {
 		t.Fatalf("fixed Lists combo was overridden to %v", c)
 	}
 	seq := selector(Options{})
-	if c := seq(big); c.Struct == mcealg.BitSetsParallel {
+	if c := seq(big, &scratch); c.Struct == mcealg.BitSetsParallel {
 		t.Fatalf("selector upgraded to BitSetsParallel without intra-block parallelism")
 	}
 }

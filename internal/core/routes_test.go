@@ -6,16 +6,21 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"sort"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"mce/internal/cluster"
+	"mce/internal/cluster/faultconn"
 	"mce/internal/core"
 	"mce/internal/decomp"
 	"mce/internal/gen"
 	"mce/internal/graph"
 	"mce/internal/mcealg"
 	"mce/internal/runlog"
+	"mce/internal/telemetry"
 )
 
 func key(c []int32) string { return fmt.Sprint(c) }
@@ -39,11 +44,35 @@ func openCheckpoint(t *testing.T, dir string, g *graph.Graph, opts core.Options)
 	return cp
 }
 
-// forbiddenExecutor fails a resumed run that dispatches anything.
-type forbiddenExecutor struct{}
+// countingExecutor is a LocalExecutor that counts the blocks it is handed
+// still planned — the blocks some worker of it will induce — and refuses
+// any that arrive induced: the engine hands executors the plan.
+type countingExecutor struct {
+	inner   core.LocalExecutor
+	planned atomic.Int64
+}
 
-func (forbiddenExecutor) Analyze(context.Context, []decomp.Block, []mcealg.Combo, []runlog.BlockID, runlog.BatchObserver) ([][][]int32, error) {
-	return nil, errors.New("executor invoked on a fully-journaled resume")
+func (e *countingExecutor) Analyze(ctx context.Context, g *graph.Graph, blocks []decomp.Block, sel core.Selector, ids []runlog.BlockID, obs runlog.BatchObserver) ([][][]int32, error) {
+	for i := range blocks {
+		if blocks[i].Graph != nil {
+			return nil, errors.New("the engine induced a block before its executor saw it")
+		}
+	}
+	e.planned.Add(int64(len(blocks)))
+	return e.inner.Analyze(ctx, g, blocks, sel, ids, obs)
+}
+
+// startFaultyWorker serves one worker behind a fault-injecting listener.
+func startFaultyWorker(t *testing.T, fopts faultconn.Options) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &cluster.Worker{DrainTimeout: 100 * time.Millisecond}
+	go func() { _ = w.Serve(faultconn.Listener(ln, fopts)) }()
+	t.Cleanup(func() { _ = w.Close() })
+	return ln.Addr().String()
 }
 
 // outcome is what a route yields, reduced to what every route must agree on.
@@ -85,12 +114,25 @@ func (o *outcome) diff(want *outcome) error {
 // sequential in-memory run, whose family is checked against the naive
 // reference enumeration. Streaming refuses a checkpoint, so those cells
 // assert the refusal instead.
+//
+// Every executor receives the level's blocks as planned and materialises
+// them on its own goroutines: local pools of 1, 2, 4 and 8 workers, cluster
+// connection runners — including ones whose attempt is hedged away from a
+// straggling worker or retried after a dropped connection, each of which
+// re-materialises the block on another runner — and checkpointed runs, where
+// a full resume must induce nothing at all.
 func TestRoutesAgree(t *testing.T) {
 	addrs, stopWorkers, err := cluster.StartLocal(2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer stopWorkers()
+	// A straggler (every read and write after the handshake stalls) and a
+	// worker that drops every connection at its first task.
+	slowAddr := startFaultyWorker(t, faultconn.Options{ReadDelay: 15 * time.Millisecond, WriteDelay: 15 * time.Millisecond, SkipOps: 3})
+	droppingAddr := startFaultyWorker(t, faultconn.Options{CloseProb: 1, SkipOps: 3})
+	wire := telemetry.NewEngine() // what the hedged and retried columns did, summed over their cells
+	var planned, resumedPlanned atomic.Int64
 
 	graphs := []struct {
 		name string
@@ -116,21 +158,31 @@ func TestRoutesAgree(t *testing.T) {
 			return func() {}
 		}
 	}
-	executors := []executor{
-		{"local-p1", false, local(1)},
-		{"local-p4", false, local(4)},
-		{"cluster-2", false, func(t *testing.T, _ *graph.Graph, opts *core.Options) func() {
-			client, err := cluster.Dial(addrs, cluster.ClientOptions{})
+	dial := func(copts cluster.ClientOptions, addrs ...string) func(*testing.T, *graph.Graph, *core.Options) func() {
+		return func(t *testing.T, _ *graph.Graph, opts *core.Options) func() {
+			client, err := cluster.Dial(addrs, copts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			opts.Executor = client
 			return func() { client.Close() }
-		}},
+		}
+	}
+	executors := []executor{
+		{"local-p1", false, local(1)},
+		{"local-p2", false, local(2)},
+		{"local-p4", false, local(4)},
+		{"local-p8", false, local(8)},
+		{"cluster-2", false, dial(cluster.ClientOptions{}, addrs...)},
+		{"cluster-hedged", false, dial(cluster.ClientOptions{
+			Hedge: true, HedgeMinDelay: 2 * time.Millisecond, HedgeMinObservations: 1, Metrics: wire,
+		}, addrs[0], addrs[1], slowAddr)},
+		{"cluster-retried", false, dial(cluster.ClientOptions{Metrics: wire}, addrs[0], addrs[1], droppingAddr)},
 		{"checkpoint-fresh", true, func(t *testing.T, g *graph.Graph, opts *core.Options) func() {
 			cp := openCheckpoint(t, t.TempDir(), g, *opts)
-			opts.Checkpoint = cp
-			return func() { cp.Close() }
+			exec := &countingExecutor{}
+			opts.Checkpoint, opts.Executor = cp, exec
+			return func() { planned.Add(exec.planned.Load()); cp.Close() }
 		}},
 		{"checkpoint-resumed", true, func(t *testing.T, g *graph.Graph, opts *core.Options) func() {
 			// A completed checkpointed run, then a resume that must answer
@@ -143,9 +195,12 @@ func TestRoutesAgree(t *testing.T) {
 			}
 			first.Checkpoint.Close()
 			cp := openCheckpoint(t, dir, g, *opts)
-			opts.Checkpoint = cp
-			opts.Executor = forbiddenExecutor{}
-			return func() { cp.Close() }
+			exec := &countingExecutor{}
+			opts.Checkpoint, opts.Executor, opts.Metrics = cp, exec, telemetry.NewEngine()
+			return func() {
+				resumedPlanned.Add(exec.planned.Load() + opts.Metrics.Snapshot().InduceNs)
+				cp.Close()
+			}
 		}},
 	}
 
@@ -215,5 +270,12 @@ func TestRoutesAgree(t *testing.T) {
 				}
 			}
 		}
+	}
+	if snap := wire.Snapshot(); snap.HedgedDispatches == 0 || snap.TaskRetries == 0 {
+		t.Fatalf("the faulty columns exercised nothing: %d hedged dispatches, %d retries", snap.HedgedDispatches, snap.TaskRetries)
+	}
+	if planned.Load() == 0 || resumedPlanned.Load() != 0 {
+		t.Fatalf("fresh checkpointed runs handed %d planned blocks to their executor, full resumes %d (want > 0 and 0: a resume induces nothing)",
+			planned.Load(), resumedPlanned.Load())
 	}
 }

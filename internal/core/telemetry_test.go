@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -109,16 +110,15 @@ func TestLevelStatsAggregation(t *testing.T) {
 		t.Fatalf("want a multi-level run, got %d levels", len(res.Stats.Levels))
 	}
 	var levelCliques int64
-	var cut, blocks, sel time.Duration
+	var cut, blocks, induce, sel time.Duration
 	for i, lvl := range res.Stats.Levels {
-		if lvl.Decomp != lvl.CutTime+lvl.BlocksTime+lvl.SelectTime {
-			t.Fatalf("level %d: Decomp %v ≠ cut %v + blocks %v + select %v",
-				i, lvl.Decomp, lvl.CutTime, lvl.BlocksTime, lvl.SelectTime)
+		if lvl.Decomp != lvl.CutTime+lvl.BlocksTime {
+			t.Fatalf("level %d: Decomp %v ≠ cut %v + grow %v", i, lvl.Decomp, lvl.CutTime, lvl.BlocksTime)
 		}
-		if lvl.Blocks > 0 && (lvl.BlocksTime <= 0 || lvl.SelectTime <= 0) {
-			t.Fatalf("level %d: %d blocks but blocks=%v select=%v", i, lvl.Blocks, lvl.BlocksTime, lvl.SelectTime)
+		if lvl.Blocks > 0 && (lvl.BlocksTime <= 0 || lvl.InduceTime <= 0 || lvl.SelectTime <= 0) {
+			t.Fatalf("level %d: %d blocks but grow=%v induce=%v select=%v", i, lvl.Blocks, lvl.BlocksTime, lvl.InduceTime, lvl.SelectTime)
 		}
-		cut, blocks, sel = cut+lvl.CutTime, blocks+lvl.BlocksTime, sel+lvl.SelectTime
+		cut, blocks, induce, sel = cut+lvl.CutTime, blocks+lvl.BlocksTime, induce+lvl.InduceTime, sel+lvl.SelectTime
 		if lvl.Blocks > 0 && lvl.Kernel != lvl.Feasible {
 			t.Fatalf("level %d: Kernel %d ≠ Feasible %d", i, lvl.Kernel, lvl.Feasible)
 		}
@@ -131,9 +131,19 @@ func TestLevelStatsAggregation(t *testing.T) {
 		levelCliques += int64(lvl.Cliques)
 	}
 	s := res.Stats.Telemetry
-	if s.CutNs != int64(cut) || s.BlocksNs != int64(blocks) || s.SelectNs != int64(sel) {
-		t.Fatalf("telemetry cut/blocks/select = %d/%d/%d ns, levels sum to %d/%d/%d",
-			s.CutNs, s.BlocksNs, s.SelectNs, cut, blocks, sel)
+	if s.CutNs != int64(cut) || s.BlocksNs != int64(blocks) || s.InduceNs != int64(induce) || s.SelectNs != int64(sel) {
+		t.Fatalf("telemetry cut/grow/induce/select = %d/%d/%d/%d ns, levels sum to %d/%d/%d/%d",
+			s.CutNs, s.BlocksNs, s.InduceNs, s.SelectNs, cut, blocks, induce, sel)
+	}
+	// Without an engine the workers read no clock: the sums stay zero.
+	plain, err := FindMaxCliques(g, Options{BlockRatio: 0.25})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, lvl := range plain.Stats.Levels {
+		if lvl.InduceTime != 0 || lvl.SelectTime != 0 {
+			t.Fatalf("level %d without telemetry: induce=%v select=%v, want 0", i, lvl.InduceTime, lvl.SelectTime)
+		}
 	}
 	if levelCliques != s.CliquesFound {
 		t.Fatalf("sum(Levels.Cliques) = %d, telemetry CliquesFound = %d", levelCliques, s.CliquesFound)
@@ -188,32 +198,23 @@ func TestAnalyzeBlockInstrNilAllocsMatch(t *testing.T) {
 }
 
 // BenchmarkAnalyzeBlocksTelemetry quantifies the telemetry overhead on the
-// block-analysis loop. The disabled case must report 0 B/op extra versus
-// never instrumenting at all — run with -benchmem to inspect.
+// worker loop — materialise, select, analyse over a planned level, one
+// worker. The disabled case reads no clock and must report no allocation
+// beyond the cliques it returns — run with -benchmem to compare.
 func BenchmarkAnalyzeBlocksTelemetry(b *testing.B) {
 	g := gen.HolmeKim(400, 5, 0.5, 3)
 	feasible, _ := decomp.Cut(g, 60)
-	blocks := decomp.Blocks(g, feasible, 60, decomp.Options{})
-	combos := make([]mcealg.Combo, len(blocks))
-	for i := range blocks {
-		combos[i] = mcealg.Combo{Alg: mcealg.Tomita, Struct: mcealg.BitSets}
-	}
-	emit := func([]int32) {}
-	run := func(b *testing.B, ins *telemetry.BlockInstr, eng *telemetry.Engine) {
+	blocks := decomp.Grow(g, feasible, 60, decomp.Options{})
+	sel := selector(Options{})
+	run := func(b *testing.B, eng *telemetry.Engine) {
+		exec := &LocalExecutor{Parallelism: 1, Metrics: eng}
 		b.ReportAllocs()
 		for n := 0; n < b.N; n++ {
-			for i := range blocks {
-				if err := decomp.AnalyzeBlockInstr(&blocks[i], combos[i], emit, ins); err != nil {
-					b.Fatal(err)
-				}
-				if eng != nil {
-					eng.MergeBlockInstr(ins)
-				}
+			if _, err := exec.Analyze(context.Background(), g, blocks, sel, nil, nil); err != nil {
+				b.Fatal(err)
 			}
 		}
 	}
-	b.Run("disabled", func(b *testing.B) { run(b, nil, nil) })
-	b.Run("enabled", func(b *testing.B) {
-		run(b, &telemetry.BlockInstr{}, telemetry.NewEngine())
-	})
+	b.Run("disabled", func(b *testing.B) { run(b, nil) })
+	b.Run("enabled", func(b *testing.B) { run(b, telemetry.NewEngine()) })
 }

@@ -18,6 +18,7 @@ import (
 
 	"mce/internal/bitset"
 	"mce/internal/graph"
+	"mce/internal/kcore"
 	"mce/internal/mcealg"
 	"mce/internal/telemetry"
 )
@@ -52,11 +53,18 @@ func IsFeasible(g *graph.Graph, v int32, m int) bool {
 
 // Block is one unit of the second-level decomposition. Node identifiers are
 // local to the block's induced subgraph; Orig maps them back to g.
+//
+// A block exists in two states. Grow plans it: Orig, Kernel, Border and
+// Visited say which nodes it holds and in which role, and Graph is nil. The
+// induced subgraph is a pure function of (g, Orig), so it is filled in
+// wherever the block is consumed — by Induce for a caller that keeps it, by
+// a Materialiser on the goroutine that analyses or ships the block and then
+// lets the subgraph go.
 type Block struct {
 	// Graph is the subgraph induced by Kernel ∪ Border ∪ Visited,
-	// with local IDs 0..Graph.N()-1.
+	// with local IDs 0..Graph.N()-1; nil while the block is only planned.
 	Graph *graph.Graph
-	// Orig maps local IDs to the original graph's IDs.
+	// Orig maps local IDs to the original graph's IDs, ascending.
 	Orig []int32
 	// Kernel lists the local IDs of the block's kernel nodes: feasible
 	// nodes owned by this block (each feasible node is kernel in exactly
@@ -100,11 +108,33 @@ type Options struct {
 	Seed int64
 }
 
-// Blocks performs the second-level decomposition (Algorithm 3): it
-// partitions the feasible nodes into kernel sets of blocks of at most m
-// nodes, growing each block greedily along dense adjacency. The input graph
-// is not modified; feasible must contain only nodes with degree < m.
+// Blocks performs the second-level decomposition (Algorithm 3) and induces
+// every block's subgraph: Grow, then Induce over each block from one
+// Inducer. It is the collect-all form — replays, experiments and tests that
+// want a whole level resident call it; the engine hands Grow's plan to its
+// executor and lets the workers materialise.
 func Blocks(g *graph.Graph, feasible []int32, m int, opts Options) []Block {
+	blocks := Grow(g, feasible, m, opts)
+	inducer := graph.NewInducer(g)
+	for i := range blocks {
+		Induce(&blocks[i], inducer)
+	}
+	return blocks
+}
+
+// Induce fills b.Graph with an exact-size induced subgraph the block owns.
+// inducer must be over the graph b was grown from.
+func Induce(b *Block, inducer *graph.Inducer) {
+	sub, _ := inducer.Scratch(b.Orig)
+	b.Graph = sub.Clone()
+}
+
+// Grow is the serial half of Algorithm 3, the part whose order the paper
+// fixes: it partitions the feasible nodes into kernel sets of blocks of at
+// most m nodes, growing each block greedily along dense adjacency, and
+// returns every block as membership only (Graph nil; see Block). The input
+// graph is not modified; feasible must contain only nodes with degree < m.
+func Grow(g *graph.Graph, feasible []int32, m int, opts Options) []Block {
 	minAdj := opts.MinAdjacency
 	if minAdj < 1 {
 		minAdj = 1
@@ -118,12 +148,11 @@ func Blocks(g *graph.Graph, feasible []int32, m int, opts Options) []Block {
 	var blocks []Block
 
 	// Per-block state, shared by every block and reset after each over the
-	// nodes that block touched: a block costs Σ deg over its cover nodes,
-	// with no term in n.
+	// nodes that block touched: a block costs Σ deg over its kernels plus a
+	// sort of its cover, with no term in n.
 	cover := bitset.New(n)       // K ∪ N(K) of the block under construction
 	inKernel := bitset.New(n)    // K of the block under construction
 	adjCount := make([]int32, n) // edges from candidate to current kernels
-	inducer := graph.NewInducer(g)
 	var kernels []int32
 	var touched []int32 // N(K): the nodes with adjCount > 0
 
@@ -202,7 +231,7 @@ func Blocks(g *graph.Graph, feasible []int32, m int, opts Options) []Block {
 			}
 		}
 		slices.Sort(touched) // ascending: kernels, borders and visited mixed
-		blocks = append(blocks, assemble(inducer, touched, len(kernels), inKernel, assigned, isFeasible))
+		blocks = append(blocks, plan(touched, len(kernels), inKernel, assigned, isFeasible))
 
 		for _, v := range touched {
 			adjCount[v] = 0
@@ -259,18 +288,36 @@ func byDegreeThenID(g *graph.Graph, nodes []int32) []int32 {
 	return out
 }
 
-// assemble builds the Block record over the block's cover nodes (ascending),
-// nKernels of which are its kernels. assigned must already include the new
+// plan records one block over its cover nodes (ascending), nKernels of
+// which are its kernels: Orig is the cover, and each node's position in it
+// goes to the class list of its role. assigned must already include the new
 // kernels; a neighbour is Visited when it was a kernel of an earlier block,
-// i.e. assigned but not in the current kernel set.
-func assemble(inducer *graph.Inducer, nodes []int32, nKernels int, inKernel, assigned, isFeasible *bitset.Set) Block {
-	sub, orig := inducer.Induced(nodes)
-	blk := Block{Graph: sub, Orig: orig, Kernel: make([]int32, 0, nKernels)}
-	for local, global := range orig {
+// i.e. assigned but not in the current kernel set. The four lists share one
+// exact-size allocation, each capped at its own length; a class nobody is
+// in stays nil.
+func plan(nodes []int32, nKernels int, inKernel, assigned, isFeasible *bitset.Set) Block {
+	visited := func(v int32) bool { return assigned.Has(v) && isFeasible.Has(v) && !inKernel.Has(v) }
+	nVisited := 0
+	for _, v := range nodes {
+		if visited(v) {
+			nVisited++
+		}
+	}
+	n, nBorder := len(nodes), len(nodes)-nKernels-nVisited
+	buf := make([]int32, 2*n)
+	copy(buf, nodes)
+	blk := Block{Orig: buf[:n:n], Kernel: buf[n : n : n+nKernels]}
+	if at := n + nKernels; nBorder > 0 {
+		blk.Border = buf[at : at : at+nBorder]
+	}
+	if at := 2*n - nVisited; nVisited > 0 {
+		blk.Visited = buf[at : at : 2*n]
+	}
+	for local, global := range nodes {
 		switch {
 		case inKernel.Has(global):
 			blk.Kernel = append(blk.Kernel, int32(local))
-		case assigned.Has(global) && isFeasible.Has(global):
+		case visited(global):
 			blk.Visited = append(blk.Visited, int32(local))
 		default:
 			blk.Border = append(blk.Border, int32(local))
@@ -279,13 +326,41 @@ func assemble(inducer *graph.Inducer, nodes []int32, nKernels int, inKernel, ass
 	return blk
 }
 
-// ComboSelector picks the MCE combo used for a block, typically the decision
-// tree's bestfit (package dtree) or a fixed combo for baselines.
-type ComboSelector func(b *Block) mcealg.Combo
+// Materialiser is the worker-side half of Algorithm 3: the scratch one
+// goroutine turns planned blocks into analysable ones with. The subgraph it
+// induces lives in its own buffers until the next call, the shared plan is
+// never written — so a hedged or retried attempt at the same block
+// materialises again, into its own goroutine's scratch — and Features is the
+// same goroutine's measuring scratch for the combo selector. Once warm, a
+// block is materialised and measured without allocating.
+type Materialiser struct {
+	g       *graph.Graph
+	inducer *graph.Inducer // built on the first planned block
+	blk     Block
+	// Features is the scratch the goroutine's selector measures with.
+	Features kcore.Scratch
+}
 
-// FixedCombo returns a selector that always picks c.
-func FixedCombo(c mcealg.Combo) ComboSelector {
-	return func(*Block) mcealg.Combo { return c }
+// NewMaterialiser returns a Materialiser for blocks grown from g. g may be
+// nil when every block it will see is already induced.
+func NewMaterialiser(g *graph.Graph) *Materialiser {
+	return &Materialiser{g: g}
+}
+
+// Materialise returns b with its induced subgraph: b itself when it already
+// has one, otherwise a copy whose Graph is valid until the next call.
+//
+//mce:hotpath per-block induce on the goroutine that consumes the block
+func (m *Materialiser) Materialise(b *Block) *Block {
+	if b.Graph != nil {
+		return b
+	}
+	if m.inducer == nil {
+		m.inducer = graph.NewInducer(m.g)
+	}
+	m.blk = *b
+	m.blk.Graph, _ = m.inducer.Scratch(b.Orig)
+	return &m.blk
 }
 
 // AnalyzeBlock implements BLOCK-ANALYSIS (Algorithm 4): it emits every

@@ -3,6 +3,7 @@ package decomp
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sort"
 	"strings"
@@ -577,7 +578,10 @@ func referenceBlocks(g *graph.Graph, feasible []int32, m int, opts Options) []Bl
 }
 
 // The block plan is pinned field by field: Orig, Kernel, Border, Visited and
-// every row of Graph, for every seeding order and adjacency threshold.
+// every row of Graph, for every seeding order and adjacency threshold — for
+// Blocks, and for its two steps on their own: Grow alone reproduces the
+// membership of the reference with no graph at all, and Grow followed by
+// Induce is Blocks.
 func TestBlocksMatchReference(t *testing.T) {
 	graphs := map[string]*graph.Graph{
 		"er":        gen.ErdosRenyi(250, 0.06, 21),
@@ -588,15 +592,27 @@ func TestBlocksMatchReference(t *testing.T) {
 		for _, m := range []int{g.MaxDegree()/3 + 2, g.MaxDegree() + 1} {
 			feasible, _ := Cut(g, m)
 			for _, order := range []Order{OrderDegreeAsc, OrderID, OrderRandom} {
-				for _, minAdj := range []int{1, 3} {
+				for _, minAdj := range []int{1, 2, 3} {
 					opts := Options{Order: order, MinAdjacency: minAdj, Seed: 5}
 					what := fmt.Sprintf("%s m=%d order=%d minAdj=%d", name, m, order, minAdj)
 					got, want := Blocks(g, feasible, m, opts), referenceBlocks(g, feasible, m, opts)
-					if len(got) != len(want) {
-						t.Fatalf("%s: %d blocks, want %d", what, len(got), len(want))
+					grown := Grow(g, feasible, m, opts)
+					if len(got) != len(want) || len(grown) != len(want) {
+						t.Fatalf("%s: %d blocks, %d grown, want %d", what, len(got), len(grown), len(want))
 					}
+					inducer := graph.NewInducer(g)
 					for i := range want {
 						requireSameBlock(t, fmt.Sprintf("%s block %d", what, i), &got[i], &want[i])
+						if grown[i].Graph != nil {
+							t.Fatalf("%s block %d: Grow induced a graph", what, i)
+						}
+						planned := want[i]
+						planned.Graph = nil
+						requireSameMembership(t, fmt.Sprintf("%s grown block %d", what, i), &grown[i], &planned)
+						Induce(&grown[i], inducer)
+					}
+					if !reflect.DeepEqual(grown, got) {
+						t.Fatalf("%s: Grow + Induce differs from Blocks", what)
 					}
 				}
 			}
@@ -604,7 +620,7 @@ func TestBlocksMatchReference(t *testing.T) {
 	}
 }
 
-func requireSameBlock(t *testing.T, what string, got, want *Block) {
+func requireSameMembership(t *testing.T, what string, got, want *Block) {
 	t.Helper()
 	for _, f := range []struct {
 		name      string
@@ -617,6 +633,11 @@ func requireSameBlock(t *testing.T, what string, got, want *Block) {
 			t.Fatalf("%s: %s = %v, want %v", what, f.name, f.got, f.want)
 		}
 	}
+}
+
+func requireSameBlock(t *testing.T, what string, got, want *Block) {
+	t.Helper()
+	requireSameMembership(t, what, got, want)
 	if got.Graph.N() != want.Graph.N() || got.Graph.M() != want.Graph.M() {
 		t.Fatalf("%s: Graph = %v, want %v", what, got.Graph, want.Graph)
 	}
@@ -658,6 +679,41 @@ func BenchmarkBlocks(b *testing.B) {
 	}
 }
 
+// BenchmarkGrow is the serial half of BenchmarkBlocks alone: the plan, no
+// induced subgraph.
+func BenchmarkGrow(b *testing.B) {
+	g := gen.HolmeKim(20000, 8, 0.7, 42)
+	const m = 56
+	feasible, _ := Cut(g, m)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchBlocks = Grow(g, feasible, m, Options{})
+	}
+}
+
+// BenchmarkMaterialise is the other half as a worker runs it: every block of
+// that plan induced into one Materialiser's buffers, nothing kept.
+func BenchmarkMaterialise(b *testing.B) {
+	g := gen.HolmeKim(20000, 8, 0.7, 42)
+	const m = 56
+	feasible, _ := Cut(g, m)
+	blocks := Grow(g, feasible, m, Options{})
+	mat := NewMaterialiser(g)
+	edges := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range blocks {
+			edges += mat.Materialise(&blocks[j]).Graph.M()
+		}
+	}
+	if edges == 0 {
+		b.Fatal("no edges induced")
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(blocks)), "ns/block")
+}
+
 // TestAnalyzerWarmAllocs: once an Analyzer has seen a block, analysing
 // another of the same size allocates nothing — for every structure, and for
 // the bucket-peeling Eppstein too.
@@ -694,6 +750,60 @@ func TestAnalyzerWarmAllocs(t *testing.T) {
 		}
 		if allocs := testing.AllocsPerRun(10, func() { analyze(&blocks[0]); analyze(&blocks[1]) }); allocs != 0 {
 			t.Errorf("%v: a warm analyzer made %v allocations over two blocks, want 0", combo, allocs)
+		}
+	}
+}
+
+// TestMaterialiseWarmAllocs: what a worker does to a planned block — induce
+// it into the materialiser's buffers, pick the combo from the published tree
+// (with the peeling, on the dense graph; from the bound alone, on the sparse
+// one), analyse it — allocates nothing once the worker has seen a block of
+// that size.
+func TestMaterialiseWarmAllocs(t *testing.T) {
+	tree := dtree.Published()
+	for name, g := range map[string]*graph.Graph{
+		"dense":  gen.ErdosRenyi(260, 0.5, 5),
+		"sparse": gen.HolmeKim(260, 2, 0.7, 5),
+	} {
+		// Two planned blocks of 130 nodes each, every role present.
+		planned := make([]Block, 2)
+		for i := range planned {
+			b := &planned[i]
+			for local := int32(0); local < 130; local++ {
+				b.Orig = append(b.Orig, int32(i)*130+local)
+				switch {
+				case local%3 == 0:
+					b.Kernel = append(b.Kernel, local)
+				case local%7 == 0:
+					b.Visited = append(b.Visited, local)
+				default:
+					b.Border = append(b.Border, local)
+				}
+			}
+		}
+		mat, an := NewMaterialiser(g), new(Analyzer)
+		cliques := 0
+		emit := func([]int32) { cliques++ }
+		work := func(b *Block) {
+			blk := mat.Materialise(b)
+			combo := dtree.SafePredictGraph(tree, blk.Graph, &mat.Features)
+			if err := an.Analyze(blk, combo, emit, nil, mcealg.Par{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		work(&planned[0])
+		work(&planned[1])
+		if cliques == 0 {
+			t.Fatalf("%s: nothing emitted", name)
+		}
+		if peeled := mat.Features.Peels > 0; peeled != (name == "dense") {
+			t.Fatalf("%s: %d peelings", name, mat.Features.Peels)
+		}
+		if planned[0].Graph != nil || planned[1].Graph != nil {
+			t.Fatalf("%s: materialising wrote to the plan", name)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { work(&planned[0]); work(&planned[1]) }); allocs != 0 {
+			t.Errorf("%s: a warm worker made %v allocations over two planned blocks, want 0", name, allocs)
 		}
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"sort"
 	"strings"
 
+	"mce/internal/graph"
 	"mce/internal/kcore"
 	"mce/internal/mcealg"
 )
@@ -243,6 +244,53 @@ func (t *Tree) Predict(f kcore.Features) mcealg.Combo {
 	return n.combo
 }
 
+// PredictGraph returns Predict(kcore.Measure(g)) while measuring only what
+// the path from the root asks for: #nodes, #edges and density are read off
+// the graph, d* is computed if a node tests it, and the degeneracy — the one
+// feature that costs a peeling of the whole block — is computed at most
+// once, and not at all while every "degeneracy > t" on the path has
+// kcore.DegeneracyBound(g) ≤ t, which already answers it false. s is the
+// calling goroutine's measuring scratch.
+//
+//mce:hotpath per-block combo pick (worker-side select)
+func (t *Tree) PredictGraph(g *graph.Graph, s *kcore.Scratch) mcealg.Combo {
+	bound, degeneracy, dstar := -1, -1, -1
+	n := t.root
+	for !n.leaf {
+		var value float64
+		switch n.feat {
+		case FeatNodes:
+			value = float64(g.N())
+		case FeatEdges:
+			value = float64(g.M())
+		case FeatDensity:
+			value = g.Density()
+		case FeatDegeneracy:
+			if degeneracy < 0 {
+				if bound < 0 {
+					bound = kcore.DegeneracyBound(g)
+				}
+				if value = float64(bound); value <= n.threshold {
+					break // degeneracy ≤ bound ≤ threshold: the bound decides
+				}
+				degeneracy = s.Degeneracy(g)
+			}
+			value = float64(degeneracy)
+		case FeatDStar:
+			if dstar < 0 {
+				dstar = s.DStar(g)
+			}
+			value = float64(dstar)
+		}
+		if value > n.threshold {
+			n = n.left
+		} else {
+			n = n.right
+		}
+	}
+	return n.combo
+}
+
 // Depth returns the height of the tree (a single leaf has depth 1).
 func (t *Tree) Depth() int { return depth(t.root) }
 
@@ -361,4 +409,11 @@ func Published() *Tree {
 // to the same algorithm over Lists (mcealg.Combo.Bounded).
 func SafePredict(t *Tree, f kcore.Features) mcealg.Combo {
 	return t.Predict(f).Bounded(f.Nodes)
+}
+
+// SafePredictGraph is SafePredict(t, kcore.Measure(g)) by PredictGraph.
+//
+//mce:hotpath per-block combo pick (worker-side select)
+func SafePredictGraph(t *Tree, g *graph.Graph, s *kcore.Scratch) mcealg.Combo {
+	return t.PredictGraph(g, s).Bounded(g.N())
 }

@@ -80,6 +80,13 @@ func (g *Graph) Density() float64 {
 // inverse.
 func (g *Graph) CSR() (offsets, flat []int32) { return g.offsets, g.flat }
 
+// Clone returns a graph over exact-size copies of g's storage — what a
+// caller keeps of a graph that lives in someone else's buffers
+// (Inducer.Scratch).
+func (g *Graph) Clone() *Graph {
+	return &Graph{offsets: slices.Clone(g.offsets), flat: slices.Clone(g.flat)}
+}
+
 // FromCSR adopts offsets and flat as a Graph without copying or sorting,
 // after checking that they are one: offsets tile flat, every row is strictly
 // ascending, in range and free of its own node, and every edge appears in

@@ -133,8 +133,10 @@ func TestInducerReuse(t *testing.T) {
 	}
 }
 
-// The kernel allocates what it returns and nothing else: origIDs, offsets,
-// flat and the Graph. The committed hot-path budget lists the same four.
+// Induced allocates what it returns and nothing else: origIDs, offsets, flat
+// and the Graph. Scratch, once its buffers have seen the selection's size,
+// allocates nothing, and hands an ascending duplicate-free list back as
+// origIDs without copying it.
 func TestInducedAllocs(t *testing.T) {
 	g := gen.HolmeKim(2000, 8, 0.7, 3)
 	in := graph.NewInducer(g)
@@ -142,6 +144,34 @@ func TestInducedAllocs(t *testing.T) {
 	slices.Sort(nodes)
 	if avg := testing.AllocsPerRun(100, func() { in.Induced(nodes) }); avg > 4 {
 		t.Fatalf("Inducer.Induced allocates %.1f times per call, want ≤ 4", avg)
+	}
+	if avg := testing.AllocsPerRun(100, func() { in.Scratch(nodes) }); avg != 0 {
+		t.Fatalf("a warm Inducer.Scratch allocates %.1f times per call, want 0", avg)
+	}
+	if _, orig := in.Scratch(nodes); &orig[0] != &nodes[0] {
+		t.Fatal("Scratch copied an ascending, duplicate-free node list")
+	}
+}
+
+// Scratch is Induced in the inducer's buffers: equal to the reference for
+// every shape of node list, and overwritten — not corrupted — by the next
+// call.
+func TestScratchMatchesReference(t *testing.T) {
+	for name, g := range inducedTestGraphs() {
+		rng := rand.New(rand.NewSource(11))
+		in := graph.NewInducer(g)
+		for call := 0; call < 300; call++ {
+			nodes := randomSelection(rng, g)
+			switch call % 3 {
+			case 1:
+				rng.Shuffle(len(nodes), func(i, j int) { nodes[i], nodes[j] = nodes[j], nodes[i] })
+			case 2:
+				nodes = append(nodes, nodes[:len(nodes)/2]...)
+			}
+			got, gotOrig := in.Scratch(nodes)
+			want, wantOrig := referenceInduced(g, nodes)
+			requireSameInduced(t, name, got, gotOrig, want, wantOrig)
+		}
 	}
 }
 

@@ -9,7 +9,11 @@
 // node; the degeneracy is the largest degree seen at removal time.
 package kcore
 
-import "mce/internal/graph"
+import (
+	"math"
+
+	"mce/internal/graph"
+)
 
 // Decomposition is the result of peeling a graph by minimum degree.
 type Decomposition struct {
@@ -32,32 +36,69 @@ func Decompose(g *graph.Graph) *Decomposition {
 		Coreness: make([]int32, n),
 		Position: make([]int32, n),
 	}
-	if n == 0 {
-		return d
-	}
+	var s Scratch
+	d.Degeneracy = s.peel(g, d)
+	return d
+}
 
-	deg := make([]int32, n)
-	maxDeg := 0
-	for v := 0; v < n; v++ {
-		deg[v] = int32(g.Degree(int32(v)))
-		if int(deg[v]) > maxDeg {
-			maxDeg = int(deg[v])
-		}
+// Degeneracy returns only the degeneracy of g.
+func Degeneracy(g *graph.Graph) int {
+	var s Scratch
+	return s.Degeneracy(g)
+}
+
+// Scratch is the working memory of the peeling and of DStar, sized by the
+// largest graph seen and reused: a goroutine that measures block after block
+// (the combo selector on an executor worker) holds one and measures without
+// allocating. The zero value is ready; a Scratch serves one goroutine.
+type Scratch struct {
+	buf []int32
+	// Peels counts the peelings run from this scratch, so a caller — or a
+	// test — can see how many a bound spared.
+	Peels int
+}
+
+// ints returns n int32s of the scratch, contents unspecified.
+func (s *Scratch) ints(n int) []int32 {
+	if cap(s.buf) < n {
+		s.buf = make([]int32, n)
 	}
+	return s.buf[:n]
+}
+
+// Degeneracy returns the degeneracy of g without recording the order, the
+// coreness or the positions Decompose builds.
+//
+//mce:hotpath per-block selector feature (worker-side select)
+func (s *Scratch) Degeneracy(g *graph.Graph) int {
+	return s.peel(g, nil)
+}
+
+// peel removes the nodes of g by minimum remaining degree and returns the
+// largest degree seen at removal time. When d is non-nil it also records
+// the removal order, each node's position in it and its coreness.
+func (s *Scratch) peel(g *graph.Graph, d *Decomposition) int {
+	s.Peels++
+	n := g.N()
+	if n == 0 {
+		return 0
+	}
+	maxDeg := g.MaxDegree()
+	buf := s.ints(3*n + 2*(maxDeg+2))
+	deg, vert, pos := buf[:n], buf[n:2*n], buf[2*n:3*n]
+	bin, fill := buf[3*n:3*n+maxDeg+2], buf[3*n+maxDeg+2:]
 
 	// Bucket sort nodes by degree: bin[d] is the start index of degree-d
 	// nodes inside vert, pos[v] is v's index in vert.
-	bin := make([]int32, maxDeg+2)
+	clear(bin)
 	for v := 0; v < n; v++ {
+		deg[v] = int32(g.Degree(int32(v)))
 		bin[deg[v]+1]++
 	}
 	for i := 1; i < len(bin); i++ {
 		bin[i] += bin[i-1]
 	}
-	vert := make([]int32, n)
-	pos := make([]int32, n)
-	fill := make([]int32, maxDeg+1)
-	copy(fill, bin[:maxDeg+1])
+	copy(fill, bin)
 	for v := 0; v < n; v++ {
 		pos[v] = fill[deg[v]]
 		vert[pos[v]] = int32(v)
@@ -65,18 +106,21 @@ func Decompose(g *graph.Graph) *Decomposition {
 	}
 
 	degeneracy := int32(0)
-	removed := make([]bool, n)
 	for i := 0; i < n; i++ {
 		v := vert[i]
 		if deg[v] > degeneracy {
 			degeneracy = deg[v]
 		}
-		d.Coreness[v] = degeneracy
-		d.Position[v] = int32(len(d.Order))
-		d.Order = append(d.Order, v)
-		removed[v] = true
+		if d != nil {
+			d.Coreness[v] = degeneracy
+			d.Position[v] = int32(len(d.Order))
+			d.Order = append(d.Order, v)
+		}
 		for _, u := range g.Neighbors(v) {
-			if removed[u] || deg[u] <= deg[v] {
+			// A removed neighbour left at a degree no larger than deg[v]
+			// (removal degrees never fall along the order), so this one
+			// test skips removed and equal-degree neighbours alike.
+			if deg[u] <= deg[v] {
 				continue
 			}
 			// Move u one degree bucket down: swap it with the first
@@ -93,32 +137,52 @@ func Decompose(g *graph.Graph) *Decomposition {
 			deg[u]--
 		}
 	}
-	d.Degeneracy = int(degeneracy)
-	return d
+	return int(degeneracy)
 }
 
-// Degeneracy returns only the degeneracy of g.
-func Degeneracy(g *graph.Graph) int {
-	return Decompose(g).Degeneracy
+// DegeneracyBound returns min(N−1, max degree, ⌊(√(8M+1)−1)/2⌋), an upper
+// bound on the degeneracy of g that costs one pass over the degrees: a
+// k-core has at least k+1 nodes of degree at least k, hence at least
+// k(k+1)/2 edges, so k ≤ N−1, k ≤ max degree and k(k+1)/2 ≤ M. A decision
+// that only needs "degeneracy ≤ t" is settled without peeling whenever the
+// bound is already ≤ t.
+func DegeneracyBound(g *graph.Graph) int {
+	if g.N() == 0 {
+		return 0
+	}
+	x := 8*g.M() + 1
+	r := int(math.Sqrt(float64(x)))
+	for r*r > x {
+		r--
+	}
+	for (r+1)*(r+1) <= x {
+		r++
+	}
+	return min(g.N()-1, g.MaxDegree(), (r-1)/2)
 }
 
 // DStar returns the h-index of the degree sequence: the maximum value d*
 // such that the graph has at least d* nodes with degree ≥ d*. The paper uses
 // it as a linear-time estimate of the size of the densest portion of a block.
 func DStar(g *graph.Graph) int {
+	var s Scratch
+	return s.DStar(g)
+}
+
+// DStar is the package-level DStar on the scratch.
+//
+//mce:hotpath per-block selector feature (worker-side select)
+func (s *Scratch) DStar(g *graph.Graph) int {
 	n := g.N()
-	// counts[d] = number of nodes with degree exactly min(d, n).
-	counts := make([]int, n+1)
+	// counts[d] = number of nodes with degree exactly d (degrees are < n).
+	counts := s.ints(n + 1)
+	clear(counts)
 	for v := int32(0); v < int32(n); v++ {
-		d := g.Degree(v)
-		if d > n {
-			d = n
-		}
-		counts[d]++
+		counts[g.Degree(v)]++
 	}
 	atLeast := 0
 	for d := n; d >= 0; d-- {
-		atLeast += counts[d]
+		atLeast += int(counts[d])
 		if atLeast >= d {
 			return d
 		}

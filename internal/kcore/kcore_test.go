@@ -287,3 +287,47 @@ func BenchmarkDecompose(b *testing.B) {
 		_ = Decompose(g)
 	}
 }
+
+// The bound is an upper bound, tight on cliques, and the scratch-backed
+// degeneracy and d* are the allocating ones.
+func TestDegeneracyBoundHolds(t *testing.T) {
+	for k := 1; k < 40; k++ {
+		if got := DegeneracyBound(graph.Complete(k)); got != k-1 {
+			t.Fatalf("bound on K%d = %d, want %d", k, got, k-1)
+		}
+	}
+	if got := DegeneracyBound(graph.Empty(0)); got != 0 {
+		t.Fatalf("bound on the empty graph = %d", got)
+	}
+	rng := rand.New(rand.NewSource(9))
+	var s Scratch
+	var last *graph.Graph
+	const rounds = 60
+	for round := 0; round < rounds; round++ {
+		n := 1 + rng.Intn(120)
+		b := graph.NewBuilder(n)
+		for e := rng.Intn(n*n/3 + 1); e > 0; e-- {
+			b.AddEdge(int32(rng.Intn(n)), int32(rng.Intn(n)))
+		}
+		g := b.Build()
+		d, bound := s.Degeneracy(g), DegeneracyBound(g)
+		if d > bound {
+			t.Fatalf("round %d: degeneracy %d above its bound %d", round, d, bound)
+		}
+		if want := Decompose(g).Degeneracy; d != want {
+			t.Fatalf("round %d: scratch degeneracy %d, Decompose %d", round, d, want)
+		}
+		if got, want := s.DStar(g), DStar(g); got != want {
+			t.Fatalf("round %d: scratch d* %d, want %d", round, got, want)
+		}
+		last = g
+	}
+	if s.Peels != rounds {
+		t.Fatalf("Peels = %d after %d peelings", s.Peels, rounds)
+	}
+	big := graph.Complete(130)
+	s.Degeneracy(big)
+	if allocs := testing.AllocsPerRun(10, func() { s.Degeneracy(last); s.DStar(big) }); allocs != 0 {
+		t.Fatalf("a warm scratch made %v allocations", allocs)
+	}
+}

@@ -40,8 +40,9 @@ type Engine struct {
 	CliquesFound       Counter // cliques emitted by block analysis (pre-filter)
 	HubCliquesFiltered Counter // hub-side cliques dropped by the Lemma 1 filter
 	CutNs              Counter // total CUT (Algorithm 2) time, nanoseconds
-	BlocksNs           Counter // total BLOCKS (Algorithm 3) time incl. induced subgraphs, nanoseconds
-	SelectNs           Counter // total per-block combo selection time, nanoseconds
+	BlocksNs           Counter // total BLOCKS (Algorithm 3) time: the serial grow, membership only, nanoseconds
+	InduceNs           Counter // total induced-subgraph build time, summed over the executor's goroutines, nanoseconds
+	SelectNs           Counter // total per-block combo selection time, summed over the executor's goroutines, nanoseconds
 	FilterNs           Counter // total Lemma 1 filter time, nanoseconds
 	QueueDepth         Gauge   // blocks queued for analysis right now
 
@@ -194,6 +195,7 @@ type Snapshot struct {
 	HubCliquesFiltered int64 `json:"hub_cliques_filtered"`
 	CutNs              int64 `json:"cut_ns"`
 	BlocksNs           int64 `json:"blocks_ns"`
+	InduceNs           int64 `json:"induce_ns"`
 	SelectNs           int64 `json:"select_ns"`
 	FilterNs           int64 `json:"filter_ns"`
 	QueueDepth         int64 `json:"queue_depth"`
@@ -261,6 +263,7 @@ func (e *Engine) Snapshot() Snapshot {
 		HubCliquesFiltered: e.HubCliquesFiltered.Load(),
 		CutNs:              e.CutNs.Load(),
 		BlocksNs:           e.BlocksNs.Load(),
+		InduceNs:           e.InduceNs.Load(),
 		SelectNs:           e.SelectNs.Load(),
 		FilterNs:           e.FilterNs.Load(),
 		QueueDepth:         e.QueueDepth.Load(),

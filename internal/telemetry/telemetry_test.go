@@ -244,13 +244,16 @@ func TestConcurrentUpdates(t *testing.T) {
 
 // TestHotPathZeroAllocs is the dynamic half of the hotalloc gate for the
 // instrumentation fast paths: the //mce:hotpath-annotated Counter.Inc/Add,
-// Gauge.Add, Histogram.Observe and the per-block MergeBlockInstr — both the
-// telemetry-disabled nil path and the enabled two-atomic-add merge — have no
+// Gauge.Add, Histogram.Observe, the per-block MergeBlockInstr — both the
+// telemetry-disabled nil path and the enabled two-atomic-add merge — and
+// what a worker records per block since induce and select moved onto it
+// (InduceNs, SelectNs, a ComboPicked whose label is already stored) have no
 // entry in .mcevet/allocbudget.json (the engine's only budgeted sites are
 // the one-time ComboPicked/ComboAnalyzed label stores), so a run must
 // observe zero allocations too.
 func TestHotPathZeroAllocs(t *testing.T) {
 	e := NewEngine()
+	e.ComboPicked(3, "[Lists/XPivot]") // the one-time label store
 	h := NewDurationHistogram()
 	var c Counter
 	var g Gauge
@@ -264,6 +267,9 @@ func TestHotPathZeroAllocs(t *testing.T) {
 		ins.PivotSelections = 2
 		e.MergeBlockInstr(ins)
 		e.MergeBlockInstr(nil) // the telemetry-disabled path
+		e.InduceNs.Add(5)
+		e.SelectNs.Add(7)
+		e.ComboPicked(3, "[Lists/XPivot]")
 	})
 	if allocs != 0 {
 		t.Fatalf("telemetry fast paths allocate %v/run, want 0", allocs)
