@@ -65,6 +65,7 @@ fuzz-smoke:
 	$(GO) test -run=Fuzz -fuzz=FuzzDecodeAscending -fuzztime=10s ./internal/durable
 	$(GO) test -run=Fuzz -fuzz=FuzzDecodeBlock -fuzztime=10s ./internal/durable
 	$(GO) test -run=Fuzz -fuzz=FuzzSubproblem -fuzztime=10s ./internal/mcealg
+	$(GO) test -run=Fuzz -fuzz=FuzzParseResult -fuzztime=10s ./internal/cluster
 
 # Crash-recovery chaos: the coordinator is SIGKILLed at randomized points and
 # must resume to the exact clique set (chaos_resume_test.go), and the index
@@ -106,11 +107,13 @@ bench-e2e:
 # The decomposition's own Go benchmarks on a Holme–Kim graph, n = 20 000,
 # m = 56 (one package per run): the induction kernel; BLOCKS whole, its
 # serial grow and its worker-side materialise; and the same plan through a
-# LocalExecutor at widths 1 and 2 (blocks/s: the dispatch cost).
+# LocalExecutor at widths 1 and 2 (blocks/s: the dispatch cost; B/op and
+# allocs/op: what carrying the cliques costs — the flat family's numbers),
+# behind the gate that a run's allocations track blocks, not cliques.
 bench-decomp:
 	$(GO) test -run '^$$' -bench 'BenchmarkInduced$$' -benchmem ./internal/graph
 	$(GO) test -run '^$$' -bench 'Benchmark(Blocks|Grow|Materialise)$$' -benchmem ./internal/decomp
-	$(GO) test -run '^$$' -bench 'BenchmarkLocalExecutor$$' -benchmem ./internal/core
+	$(GO) test -count=1 -run 'TestFindMaxCliquesAllocsTrackBlocks$$' -bench 'BenchmarkLocalExecutor$$' -benchmem ./internal/core
 
 # The MCE kernel's own Go benchmarks: the recursion alone on the 4×3 grid
 # (ns per recursion node), and BLOCK-ANALYSIS from one warm analyzer over a

@@ -32,6 +32,7 @@ import (
 	"mce/internal/cluster"
 	"mce/internal/core"
 	"mce/internal/decomp"
+	"mce/internal/family"
 	"mce/internal/gen"
 	"mce/internal/graph"
 	"mce/internal/runlog"
@@ -65,8 +66,8 @@ type throttledExecutor struct {
 	delay time.Duration
 }
 
-func (e *throttledExecutor) Analyze(ctx context.Context, g *graph.Graph, blocks []decomp.Block, sel core.Selector, ids []runlog.BlockID, obs runlog.BatchObserver) ([][][]int32, error) {
-	out := make([][][]int32, len(blocks))
+func (e *throttledExecutor) Analyze(ctx context.Context, g *graph.Graph, blocks []decomp.Block, sel core.Selector, ids []runlog.BlockID, obs runlog.BatchObserver) ([]family.Window, error) {
+	out := make([]family.Window, len(blocks))
 	for i := range blocks {
 		time.Sleep(e.delay)
 		var id []runlog.BlockID

@@ -357,10 +357,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		for i, lvl := range s.Levels {
 			// decomp is the serial prefix (cut + grow, wall); Σinduce and
-			// Σselect are summed over the workers inside analysis.
-			fmt.Fprintf(stderr, "  level %d: nodes=%d feasible=%d hubs=%d blocks=%d kernel=%d border=%d visited=%d cliques=%d decomp=%v (cut=%v grow=%v) analysis=%v (Σinduce=%v Σselect=%v)\n",
+			// Σselect are summed over the workers inside analysis. members,
+			// arena and arenas say how the level's family was held.
+			fmt.Fprintf(stderr, "  level %d: nodes=%d feasible=%d hubs=%d blocks=%d kernel=%d border=%d visited=%d cliques=%d members=%d arena=%.2fMiB arenas=%d decomp=%v (cut=%v grow=%v) analysis=%v (Σinduce=%v Σselect=%v)\n",
 				i, lvl.Nodes, lvl.Feasible, lvl.Hubs, lvl.Blocks,
 				lvl.Kernel, lvl.Border, lvl.Visited, lvl.Cliques,
+				lvl.Members, float64(lvl.ArenaBytes)/(1<<20), lvl.Arenas,
 				lvl.Decomp.Round(time.Millisecond), lvl.CutTime.Round(time.Microsecond),
 				lvl.BlocksTime.Round(time.Millisecond), lvl.Analysis.Round(time.Millisecond),
 				lvl.InduceTime.Round(time.Millisecond), lvl.SelectTime.Round(time.Millisecond))
@@ -458,6 +460,8 @@ func printTelemetry(w io.Writer, s *mce.TelemetrySnapshot) {
 		time.Duration(s.CutNs).Round(time.Microsecond), time.Duration(s.BlocksNs).Round(time.Microsecond),
 		time.Duration(s.InduceNs).Round(time.Microsecond), time.Duration(s.SelectNs).Round(time.Microsecond),
 		time.Duration(s.FilterNs).Round(time.Microsecond), s.HubCliquesFiltered)
+	fmt.Fprintf(w, "telemetry: family cliques=%d members=%d arena=%.2fMiB\n",
+		s.CliquesFound, s.FamilyMembers, float64(s.FamilyArenaBytes)/(1<<20))
 	if s.BlockNs.Count > 0 {
 		fmt.Fprintf(w, "telemetry: block latency mean=%v p50=%v p95=%v max=%v\n",
 			time.Duration(s.BlockNs.Mean()).Round(time.Microsecond),

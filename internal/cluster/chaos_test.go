@@ -12,6 +12,7 @@ import (
 	"mce/internal/cluster/faultconn"
 	"mce/internal/core"
 	"mce/internal/durable"
+	"mce/internal/family"
 	"mce/internal/gen"
 	"mce/internal/mcealg"
 )
@@ -40,11 +41,11 @@ func startFaultyWorkers(t *testing.T, n int, fopts faultconn.Options) []string {
 
 // countCliques flattens a per-block result into a clique set keyed by
 // membership, failing on duplicates.
-func cliqueSet(t *testing.T, out [][][]int32) map[string]bool {
+func cliqueSet(t *testing.T, out []family.Window) map[string]bool {
 	t.Helper()
 	set := map[string]bool{}
 	for _, cs := range out {
-		for _, c := range cs {
+		for _, c := range cs.Views(nil) {
 			k := key(c)
 			if set[k] {
 				t.Fatalf("duplicate clique {%s}", k)
@@ -330,8 +331,8 @@ func TestPoisonTaskSkipped(t *testing.T) {
 		t.Fatalf("skip-poison batch failed: %v", err)
 	}
 	for i, cliques := range out {
-		if cliques != nil {
-			t.Fatalf("skipped block %d has a non-nil result", i)
+		if cliques != (family.Window{}) {
+			t.Fatalf("skipped block %d has a non-empty result", i)
 		}
 	}
 	verdicts := client.PoisonVerdicts()
@@ -387,13 +388,13 @@ func TestWorkerChecksumRejectsTamperedTask(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Corrupt || res.Err != "" || len(res.Cliques) != 0 {
+	if !res.Corrupt || res.Err != "" || res.Cliques.Count != 0 {
 		t.Fatalf("result = %+v, want Corrupt verdict", res)
 	}
 	if err := p.sendTask(&task); err != nil {
 		t.Fatal(err)
 	}
-	if res, err := p.recvResult(); err != nil || res.ID != 3 || res.Corrupt || len(res.Cliques) != 1 {
+	if res, err := p.recvResult(); err != nil || res.ID != 3 || res.Corrupt || res.Cliques.Count != 1 {
 		t.Fatalf("result after the corrupt frame = %+v, %v", res, err)
 	}
 }

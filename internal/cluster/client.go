@@ -13,6 +13,7 @@ import (
 
 	"mce/internal/decomp"
 	"mce/internal/durable"
+	"mce/internal/family"
 	"mce/internal/graph"
 	"mce/internal/kcore"
 	"mce/internal/mcealg"
@@ -694,13 +695,13 @@ type corruptResultError struct{ msg string }
 func (e *corruptResultError) Error() string { return e.msg }
 
 // AnalyzeBlocks is AnalyzeBlocksContext without cancellation.
-func (c *Client) AnalyzeBlocks(blocks []decomp.Block, combo mcealg.Combo) ([][][]int32, error) {
+func (c *Client) AnalyzeBlocks(blocks []decomp.Block, combo mcealg.Combo) ([]family.Window, error) {
 	return c.AnalyzeBlocksContext(context.Background(), blocks, combo)
 }
 
 // AnalyzeBlocksContext is Analyze for a plain batch of induced blocks under
 // one combo (no level graph, no block IDs, no observer).
-func (c *Client) AnalyzeBlocksContext(ctx context.Context, blocks []decomp.Block, combo mcealg.Combo) ([][][]int32, error) {
+func (c *Client) AnalyzeBlocksContext(ctx context.Context, blocks []decomp.Block, combo mcealg.Combo) ([]family.Window, error) {
 	sel := func(*graph.Graph, *kcore.Scratch) mcealg.Combo { return combo }
 	return c.Analyze(ctx, nil, blocks, sel, nil, nil)
 }
@@ -740,7 +741,8 @@ func (c *Client) hedgeThreshold(rtt *telemetry.Histogram) time.Duration {
 }
 
 // Analyze ships every block to some worker and gathers the cliques,
-// indexed like blocks. It implements core.Executor: blocks arrive as
+// indexed like blocks, each the window over the family its answer was
+// decoded into. It implements core.Executor: blocks arrive as
 // decomp.Grow planned them over g, and the connection runner that takes an
 // attempt induces the block into its own scratch, asks sel for the combo,
 // encodes the task and lets the subgraph go — so a hedged or retried attempt
@@ -772,11 +774,11 @@ func (c *Client) hedgeThreshold(rtt *telemetry.Histogram) time.Duration {
 // hedged dispatch — are discarded by a compare-and-swap per block, which
 // is sound because Lemma 1 determinism makes every copy's answer
 // identical.
-func (c *Client) Analyze(ctx context.Context, g *graph.Graph, blocks []decomp.Block, sel func(*graph.Graph, *kcore.Scratch) mcealg.Combo, ids []runlog.BlockID, obs runlog.BatchObserver) ([][][]int32, error) {
+func (c *Client) Analyze(ctx context.Context, g *graph.Graph, blocks []decomp.Block, sel func(*graph.Graph, *kcore.Scratch) mcealg.Combo, ids []runlog.BlockID, obs runlog.BatchObserver) ([]family.Window, error) {
 	if (ids != nil || obs != nil) && len(ids) != len(blocks) {
 		return nil, fmt.Errorf("cluster: %d blocks but %d block IDs", len(blocks), len(ids))
 	}
-	out := make([][][]int32, len(blocks))
+	out := make([]family.Window, len(blocks))
 	if len(blocks) == 0 {
 		return out, nil
 	}
@@ -902,7 +904,10 @@ func (c *Client) Analyze(ctx context.Context, g *graph.Graph, blocks []decomp.Bl
 
 	// process runs one attempt on one connection, materialising the block
 	// into the runner's scratch, and reports whether the connection is still
-	// usable for further work.
+	// usable for further work. Every answer is decoded into a family of its
+	// own, so one that loses the claim — possibly after the batch has
+	// returned — is dropped without touching anything the caller may be
+	// reading.
 	process := func(wc *workerConn, a attempt, mat *decomp.Materialiser) bool {
 		i := a.block
 		fl := &flights[i]
@@ -936,7 +941,8 @@ func (c *Client) Analyze(ctx context.Context, g *graph.Graph, blocks []decomp.Bl
 			}
 		}
 		t0 = time.Now() // the round trip proper starts here
-		cliques, err := c.roundTrip(ctx, wc, i, id, blk, combo)
+		reply := new(family.Family)
+		err := c.roundTrip(ctx, wc, i, id, blk, combo, reply)
 		if met != nil {
 			met.TasksInFlight.Add(-1)
 		}
@@ -966,6 +972,7 @@ func (c *Client) Analyze(ctx context.Context, g *graph.Graph, blocks []decomp.Bl
 			if a.hedge && met != nil {
 				met.HedgeWins.Inc()
 			}
+			cliques := reply.Window()
 			if obs != nil {
 				// Durability before acknowledgement: the block only counts
 				// as completed once its cliques are on disk.
@@ -1266,18 +1273,19 @@ func (c *Client) taskDeadline(nodes, edges int, size int64) time.Duration {
 // link costs and the task deadline. bid is the block's stable checkpoint
 // identity (zero for non-checkpointed runs); the worker must echo it. The
 // task is encoded first, so the link is paced, the deadline sized and the
-// telemetry charged by the bytes the frame really has.
-func (c *Client) roundTrip(ctx context.Context, wc *workerConn, id int, bid runlog.BlockID, b *decomp.Block, combo mcealg.Combo) ([][]int32, error) {
+// telemetry charged by the bytes the frame really has. The block's cliques
+// are appended to reply.
+func (c *Client) roundTrip(ctx context.Context, wc *workerConn, id int, bid runlog.BlockID, b *decomp.Block, combo mcealg.Combo, reply *family.Family) error {
 	l := wc.link
 	want := taskID{ID: id, Level: bid.Level, Plan: bid.Plan}
 	var err error
 	if l.payload, err = (&blockTask{taskID: want, Block: b, Combo: combo}).appendTo(l.payload[:0]); err != nil {
 		// Not a block the wire can carry; no worker will change that.
-		return nil, &applicationError{msg: err.Error()}
+		return &applicationError{msg: err.Error()}
 	}
 	size := frameLen(l.payload)
 	if err := c.simulateLink(ctx, size); err != nil {
-		return nil, &cleanCancelError{err: err}
+		return &cleanCancelError{err: err}
 	}
 	if d := c.taskDeadline(b.Graph.N(), b.Graph.M(), size); d > 0 {
 		wc.conn.SetDeadline(time.Now().Add(d))
@@ -1285,14 +1293,14 @@ func (c *Client) roundTrip(ctx context.Context, wc *workerConn, id int, bid runl
 	}
 	met := c.opts.Metrics
 	if err := l.send(); err != nil {
-		return nil, fmt.Errorf("cluster: send to %s: %w", wc.addr, err)
+		return fmt.Errorf("cluster: send to %s: %w", wc.addr, err)
 	}
 	if met != nil {
 		met.BytesSent.Add(size)
 	}
 	p, err := l.in.Next()
 	if err != nil && !errors.Is(err, durable.ErrChecksum) {
-		return nil, fmt.Errorf("cluster: receive from %s: %w", wc.addr, err)
+		return fmt.Errorf("cluster: receive from %s: %w", wc.addr, err)
 	}
 	if met != nil {
 		met.BytesReceived.Add(frameLen(p))
@@ -1304,28 +1312,28 @@ func (c *Client) roundTrip(ctx context.Context, wc *workerConn, id int, bid runl
 		return &corruptResultError{msg: fmt.Sprintf("cluster: "+format+" (checksum mismatch)", id, wc.addr)}
 	}
 	if err != nil {
-		return nil, corrupt("result %d from %s corrupted in flight")
+		return corrupt("result %d from %s corrupted in flight")
 	}
-	res, err := parseResult(p)
+	res, err := parseResult(p, reply)
 	if err != nil {
-		return nil, fmt.Errorf("cluster: receive from %s: %w", wc.addr, err)
+		return fmt.Errorf("cluster: receive from %s: %w", wc.addr, err)
 	}
 	if res.Corrupt {
 		// The worker could not trust the task frame, its identity included,
 		// so the verdict is matched to this round trip by position alone.
-		return nil, corrupt("task %d corrupted in flight to %s")
+		return corrupt("task %d corrupted in flight to %s")
 	}
 	if res.taskID != want {
-		return nil, fmt.Errorf("cluster: worker %s answered task %d (block L%d/B%d), want %d (L%d/B%d)",
+		return fmt.Errorf("cluster: worker %s answered task %d (block L%d/B%d), want %d (L%d/B%d)",
 			wc.addr, res.ID, res.Level, res.Plan, id, bid.Level, bid.Plan)
 	}
 	if res.Err != "" {
-		return nil, &applicationError{msg: fmt.Sprintf("cluster: worker %s: %s", wc.addr, res.Err)}
+		return &applicationError{msg: fmt.Sprintf("cluster: worker %s: %s", wc.addr, res.Err)}
 	}
 	if err := c.simulateLink(ctx, frameLen(p)); err != nil {
-		return nil, &cleanCancelError{err: err}
+		return &cleanCancelError{err: err}
 	}
-	return res.Cliques, nil
+	return nil
 }
 
 // simulateLink sleeps for the configured latency plus the transfer time of

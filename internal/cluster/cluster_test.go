@@ -64,13 +64,13 @@ func TestClusterAnalyzeMatchesLocal(t *testing.T) {
 	}
 	for i := range remote {
 		rm := map[string]bool{}
-		for _, c := range remote[i] {
+		for _, c := range remote[i].Views(nil) {
 			rm[key(c)] = true
 		}
-		if len(rm) != len(local[i]) {
-			t.Fatalf("block %d: %d remote vs %d local cliques", i, len(rm), len(local[i]))
+		if len(rm) != local[i].Count {
+			t.Fatalf("block %d: %d remote vs %d local cliques", i, len(rm), local[i].Count)
 		}
-		for _, c := range local[i] {
+		for _, c := range local[i].Views(nil) {
 			if !rm[key(c)] {
 				t.Fatalf("block %d: clique {%s} missing remotely", i, key(c))
 			}
@@ -137,7 +137,7 @@ func TestWorkerFailureRequeues(t *testing.T) {
 	}
 	total := 0
 	for _, cs := range out {
-		total += len(cs)
+		total += cs.Count
 	}
 	if want := len(mcealg.ReferenceCollect(g)); total != want {
 		t.Fatalf("got %d cliques after failover, want %d", total, want)
@@ -376,7 +376,7 @@ func TestConnectionsPerWorker(t *testing.T) {
 	}
 	total := 0
 	for _, cs := range out {
-		total += len(cs)
+		total += cs.Count
 	}
 	if want := len(mcealg.ReferenceCollect(g)); total != want {
 		t.Fatalf("multi-stream run found %d cliques, want %d", total, want)
@@ -403,7 +403,7 @@ func TestCompressedTransport(t *testing.T) {
 	}
 	total := 0
 	for _, cs := range out {
-		total += len(cs)
+		total += cs.Count
 	}
 	if want := len(mcealg.ReferenceCollect(g)); total != want {
 		t.Fatalf("compressed run found %d cliques, want %d", total, want)
@@ -489,11 +489,11 @@ func TestServeConnOverPipe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ID != 5 || len(res.Cliques) != 1 || res.Err != "" {
+	if res.ID != 5 || res.Cliques.Count != 1 || res.Err != "" {
 		t.Fatalf("result = %+v", res)
 	}
-	if key(res.Cliques[0]) != "10,11,12" {
-		t.Fatalf("clique = %v (global IDs expected)", res.Cliques[0])
+	if key(res.Cliques.At(0)) != "10,11,12" {
+		t.Fatalf("clique = %v (global IDs expected)", res.Cliques.At(0))
 	}
 	cl.Close()
 	if err := <-done; err != nil {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"mce/internal/cluster/faultconn"
+	"mce/internal/family"
 	"mce/internal/gen"
 	"mce/internal/telemetry"
 )
@@ -16,7 +17,7 @@ import (
 // sortedDigest hashes the sorted clique-membership keys of a batch result —
 // the canonical "sorted output digest" two runs are compared by. Block
 // order, worker assignment and hedging races must never change it.
-func sortedDigest(t *testing.T, out [][][]int32) string {
+func sortedDigest(t *testing.T, out []family.Window) string {
 	t.Helper()
 	set := cliqueSet(t, out)
 	keys := make([]string, 0, len(set))

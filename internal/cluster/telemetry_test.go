@@ -43,7 +43,7 @@ func TestClientAndWorkerTelemetry(t *testing.T) {
 	}
 	var cliques int64
 	for _, cs := range out {
-		cliques += int64(len(cs))
+		cliques += int64(cs.Count)
 	}
 
 	cs := clientEng.Snapshot()

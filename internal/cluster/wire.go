@@ -23,6 +23,7 @@ import (
 
 	"mce/internal/decomp"
 	"mce/internal/durable"
+	"mce/internal/family"
 	"mce/internal/graph"
 	"mce/internal/mcealg"
 )
@@ -207,7 +208,7 @@ func parseTask(p []byte) (t blockTask, err error) {
 type blockResult struct {
 	taskID
 	// Cliques holds the block's maximal cliques in global node IDs.
-	Cliques [][]int32
+	Cliques family.Window
 	// Err is a non-empty string when BLOCK-ANALYSIS failed; such failures
 	// are deterministic (an oversized Matrix request, a malformed block),
 	// so the coordinator does not retry them.
@@ -218,49 +219,50 @@ type blockResult struct {
 	Corrupt bool
 }
 
-// appendTo appends the result payload. It fails, leaving dst unextended, on
-// a clique that does not ascend.
-func (r *blockResult) appendTo(dst []byte) ([]byte, error) {
-	p := r.taskID.appendTo(dst, kindResult)
-	if r.Corrupt {
-		p = append(p, 1)
-	} else {
-		p = append(p, 0)
+// appendResultHead appends what precedes a result's cliques: the identity,
+// the verdict and a clique count of zero. A worker appends the cliques
+// behind it as the kernel emits them, so it holds a block's result only as
+// the bytes it is about to send, and sets the count (the four bytes that
+// end the head) when it knows it.
+func appendResultHead(dst []byte, id taskID, corrupt bool) []byte {
+	p := append(id.appendTo(dst, kindResult), 0)
+	if corrupt {
+		p[len(p)-1] = 1
 	}
-	p = binary.LittleEndian.AppendUint32(p, uint32(len(r.Cliques)))
-	var err error
-	for _, c := range r.Cliques {
-		if p, err = durable.AppendAscending(p, c); err != nil {
-			return dst, fmt.Errorf("cluster: result %d: clique %v: %w", r.ID, c, err)
-		}
-	}
-	return append(p, r.Err...), nil
+	return append(p, 0, 0, 0, 0)
 }
 
-// parseResult decodes a result payload.
-func parseResult(p []byte) (r blockResult, err error) {
+// parseResult decodes a result payload, its cliques onto the end of dst, so
+// what it allocates grows with the bytes it has consumed and never with the
+// count the payload claims. On an error dst is as it was.
+func parseResult(p []byte, dst *family.Family) (r blockResult, err error) {
 	if r.taskID, p, err = parseTaskID(p, kindResult); err != nil {
 		return r, err
 	}
+	first := dst.Len()
 	malformed := func(what string) (blockResult, error) {
+		dst.Truncate(first)
 		return r, fmt.Errorf("cluster: malformed result %d: %s", r.ID, what)
 	}
 	if len(p) < 5 || p[0] > 1 {
 		return malformed("no verdict")
 	}
 	r.Corrupt = p[0] == 1
-	count := binary.LittleEndian.Uint32(p[1:])
-	if p = p[5:]; uint64(count) > uint64(len(p)) { // a clique takes at least one byte
+	count := int(binary.LittleEndian.Uint32(p[1:]))
+	if p = p[5:]; count < 0 || count > len(p) { // a clique takes at least one byte
 		return malformed("more cliques than bytes")
 	}
-	if count > 0 {
-		r.Cliques = make([][]int32, count)
-	}
-	for i := range r.Cliques {
-		if r.Cliques[i], p, err = durable.DecodeAscending(nil, p, 1<<31); err != nil {
+	var clique []int32
+	for i := 0; i < count; i++ {
+		if clique, p, err = durable.DecodeAscending(clique[:0], p, 1<<31); err != nil {
 			return malformed(fmt.Sprintf("clique %d: %v", i, err))
 		}
+		if len(clique) == 0 {
+			return malformed(fmt.Sprintf("clique %d is empty", i)) // a maximal clique has a member
+		}
+		dst.Append(clique)
 	}
+	r.Cliques = family.Window{F: dst, First: first, Count: count}
 	r.Err = string(p)
 	return r, nil
 }

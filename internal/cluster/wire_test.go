@@ -1,10 +1,12 @@
 package cluster
 
 import (
+	"encoding/binary"
 	"encoding/hex"
 	"io"
 	"net"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -12,6 +14,7 @@ import (
 	"mce/internal/core"
 	"mce/internal/decomp"
 	"mce/internal/durable"
+	"mce/internal/family"
 	"mce/internal/gen"
 	"mce/internal/graph"
 	"mce/internal/mcealg"
@@ -38,7 +41,25 @@ func (p peer) recvResult() (blockResult, error) {
 	if err != nil {
 		return blockResult{}, err
 	}
-	return parseResult(b)
+	return parseResult(b, new(family.Family))
+}
+
+// encodeResult is a result payload built the way a worker builds one.
+func encodeResult(r blockResult) (p []byte, err error) {
+	p = appendResultHead(nil, r.taskID, r.Corrupt)
+	binary.LittleEndian.PutUint32(p[len(p)-4:], uint32(r.Cliques.Count))
+	for i := 0; i < r.Cliques.Count; i++ {
+		if p, err = durable.AppendAscending(p, r.Cliques.At(i)); err != nil {
+			return nil, err
+		}
+	}
+	return append(p, r.Err...), nil
+}
+
+// sameResult compares results field by field; cliques by their members.
+func sameResult(a, b blockResult) bool {
+	return a.taskID == b.taskID && a.Err == b.Err && a.Corrupt == b.Corrupt &&
+		a.Cliques.Count == b.Cliques.Count && reflect.DeepEqual(a.Cliques.Views(nil), b.Cliques.Views(nil))
 }
 
 // acceptHello plays a worker's half of the handshake, answering ack.
@@ -157,16 +178,22 @@ func TestWireRoundTrip(t *testing.T) {
 			}
 
 			res := blockResult{taskID: id, Cliques: results[i]}
-			rp, err := res.appendTo(nil)
+			rp, err := encodeResult(res)
 			if err != nil {
 				t.Fatal(err)
 			}
-			rback, err := parseResult(rp)
+			// Decoded behind what the family already holds, as a connection
+			// runner's second answer is.
+			dst := family.Of([][]int32{{1, 2}})
+			rback, err := parseResult(rp, dst)
 			if err != nil {
 				t.Fatalf("%s result %d: %v", fam.name, i, err)
 			}
-			if !reflect.DeepEqual(rback, res) {
+			if !sameResult(rback, res) || rback.Cliques.First != 1 || dst.Len() != 1+res.Cliques.Count {
 				t.Fatalf("%s result %d changed on the wire:\n got %+v\nwant %+v", fam.name, i, rback, res)
+			}
+			if again, _ := encodeResult(rback); string(again) != string(rp) {
+				t.Fatalf("%s result %d: decoded result re-encodes to different bytes", fam.name, i)
 			}
 		}
 	}
@@ -174,12 +201,41 @@ func TestWireRoundTrip(t *testing.T) {
 		{taskID: taskID{ID: 9, Level: 1, Plan: 2}, Err: "matrix too large"},
 		{Corrupt: true},
 	} {
-		p, err := res.appendTo(nil)
+		p, err := encodeResult(res)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if back, err := parseResult(p); err != nil || !reflect.DeepEqual(back, res) {
+		if back, err := parseResult(p, new(family.Family)); err != nil || !sameResult(back, res) {
 			t.Fatalf("result %+v came back %+v, %v", res, back, err)
+		}
+	}
+
+	// What a result decoder must refuse, and leave the family as it found
+	// it: each payload is task 1's header, the verdict, a count and a body.
+	head := append(taskID{ID: 1}.appendTo(nil, kindResult), 0)
+	count := func(n uint32) []byte { return binary.LittleEndian.AppendUint32(slices.Clone(head), n) }
+	for name, p := range map[string][]byte{
+		"no verdict":              head[:len(head)-1],
+		"verdict 2":               append(head[:len(head)-1:len(head)-1], 2, 0, 0, 0, 0),
+		"more cliques than bytes": append(count(3), 1, 5),
+		"clique cut short":        append(count(1), 3, 5, 1),
+		"clique not ascending":    append(count(1), 2, 5, 0),
+		"empty clique":            append(count(2), 1, 5, 0),
+		// The amplification frame: a count of cliques with nothing but zero
+		// bytes behind it used to be accepted as that many empty cliques,
+		// 24 bytes of slice header each (zeroFrame, in fuzz_test.go).
+		"zero-filled frame": zeroFrame(1 << 16),
+	} {
+		dst := family.Of([][]int32{{7, 8, 9}})
+		before := dst.ArenaBytes()
+		if res, err := parseResult(p, dst); err == nil {
+			t.Errorf("%s: accepted as %+v", name, res)
+		}
+		if dst.Len() != 1 || !reflect.DeepEqual(dst.At(0), []int32{7, 8, 9}) {
+			t.Errorf("%s: the family was left holding %v", name, dst.Views(nil))
+		}
+		if grown := dst.ArenaBytes() - before; grown > 1024 {
+			t.Errorf("%s: refusing %d bytes grew the family by %d", name, len(p), grown)
 		}
 	}
 }
@@ -346,7 +402,7 @@ func TestWorkerMalformedTaskIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ID != 2 || res.Err != "" || len(res.Cliques) != 1 {
+	if res.ID != 2 || res.Err != "" || res.Cliques.Count != 1 {
 		t.Fatalf("result after malformed tasks = %+v", res)
 	}
 	cl.Close()

@@ -1,11 +1,11 @@
 package cluster
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"net"
-	"slices"
 	"sync"
 	"time"
 
@@ -250,14 +250,14 @@ func (w *Worker) serveConn(conn net.Conn) error {
 			met.BytesReceived.Add(frameLen(p))
 			met.TasksInFlight.Add(1)
 		}
-		res := runTask(p, corrupt, met, an)
+		l.payload, err = runTask(l.payload[:0], p, corrupt, met, an)
 		if met != nil {
 			met.TasksInFlight.Add(-1)
 		}
 		// BLOCK-ANALYSIS emits ascending cliques, so the result always
 		// encodes; if it ever does not, hanging up makes the coordinator
 		// retry and then name the block.
-		if l.payload, err = res.appendTo(l.payload[:0]); err == nil {
+		if err == nil {
 			if met != nil {
 				// Counted before the write: once the coordinator holds the
 				// result, its bytes are already on this side's books.
@@ -272,41 +272,44 @@ func (w *Worker) serveConn(conn net.Conn) error {
 	}
 }
 
-// runTask decodes one task and executes BLOCK-ANALYSIS for it, capturing
-// errors in-band. corrupt means the frame failed its checksum: the answer
-// is the Corrupt verdict. A task that does not decode into a block of
-// classed nodes over a simple undirected graph is answered with Err under
-// its own ID, and so is a panicking block (an algorithm bug), so one poison
-// task cannot take down a node that other coordinators share; the analyzer
-// it left mid-recursion is replaced by a fresh one. met may be nil.
-func runTask(payload []byte, corrupt bool, met *telemetry.Engine, an *decomp.Analyzer) (res blockResult) {
+// runTask decodes one task and executes BLOCK-ANALYSIS for it, the kernel's
+// emit encoding each clique straight into the result payload, which is
+// built in dst and returned; errors are captured in-band. corrupt means the
+// frame failed its checksum: the answer is the Corrupt verdict. A task that
+// does not decode into a block of classed nodes over a simple undirected
+// graph is answered with Err under its own ID, and so is a panicking block
+// (an algorithm bug), so one poison task cannot take down a node that other
+// coordinators share; the analyzer it left mid-recursion is replaced by a
+// fresh one. The only error is a clique that does not encode. met may be nil.
+func runTask(dst, payload []byte, corrupt bool, met *telemetry.Engine, an *decomp.Analyzer) (out []byte, err error) {
 	if met != nil {
 		met.TasksServed.Inc()
 	}
 	var t blockTask
+	failed := func(msg string) ([]byte, error) { // an answer is cliques or an error, never both
+		if met != nil {
+			met.TaskErrors.Inc()
+		}
+		return append(appendResultHead(dst, t.taskID, corrupt), msg...), nil
+	}
 	defer func() {
 		if r := recover(); r != nil {
-			res = blockResult{taskID: t.taskID, Err: fmt.Sprintf("panic in BLOCK-ANALYSIS: %v", r)}
+			out, err = failed(fmt.Sprintf("panic in BLOCK-ANALYSIS: %v", r))
 			*an = decomp.Analyzer{}
 			if met != nil {
 				met.TaskPanics.Inc()
 			}
-		}
-		if met != nil && (res.Err != "" || res.Corrupt) {
-			met.TaskErrors.Inc()
 		}
 	}()
 	if corrupt {
 		if met != nil {
 			met.CorruptResults.Inc()
 		}
-		return blockResult{Corrupt: true}
+		return failed("")
 	}
-	t, err := parseTask(payload)
-	res.taskID = t.taskID
-	if err != nil {
-		res.Err = err.Error()
-		return res
+	t, perr := parseTask(payload)
+	if perr != nil {
+		return failed(perr.Error())
 	}
 	var ins *telemetry.BlockInstr
 	var t0 time.Time
@@ -321,19 +324,24 @@ func runTask(payload []byte, corrupt bool, met *telemetry.Engine, an *decomp.Ana
 	// checkpoint digests — identical to a sequential run. A pool-worker
 	// panic propagates to this goroutine and lands in the recover above,
 	// preserving the worker's poison-task isolation.
-	err = an.Analyze(t.Block, t.Combo, func(c []int32) {
-		res.Cliques = append(res.Cliques, slices.Clone(c))
+	out = appendResultHead(dst, t.taskID, false)
+	countAt, cliques := len(out)-4, uint32(0)
+	aerr := an.Analyze(t.Block, t.Combo, func(c []int32) {
+		if err == nil {
+			out, err = durable.AppendAscending(out, c)
+			cliques++
+		}
 	}, ins, mcealg.Par{})
 	if met != nil {
 		met.ComboAnalyzed(t.Combo.Index(), t.Combo.Label(), time.Since(t0))
 		met.MergeBlockInstr(ins)
-		met.CliquesFound.Add(int64(len(res.Cliques)))
+		met.CliquesFound.Add(int64(cliques))
 	}
-	if err != nil {
-		res.Err = err.Error()
-		res.Cliques = nil
+	if aerr != nil {
+		return failed(aerr.Error())
 	}
-	return res
+	binary.LittleEndian.PutUint32(out[countAt:], cliques)
+	return out, err
 }
 
 // StartLocal launches n workers on ephemeral localhost ports and returns

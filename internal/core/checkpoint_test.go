@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"mce/internal/decomp"
+	"mce/internal/family"
 	"mce/internal/gen"
 	"mce/internal/graph"
 	"mce/internal/runlog"
@@ -130,7 +131,7 @@ func TestResumeServesEveryBlockFromSegments(t *testing.T) {
 // forbiddenExecutor fails the test if a resumed run dispatches anything.
 type forbiddenExecutor struct{}
 
-func (forbiddenExecutor) Analyze(context.Context, *graph.Graph, []decomp.Block, Selector, []runlog.BlockID, runlog.BatchObserver) ([][][]int32, error) {
+func (forbiddenExecutor) Analyze(context.Context, *graph.Graph, []decomp.Block, Selector, []runlog.BlockID, runlog.BatchObserver) ([]family.Window, error) {
 	return nil, errors.New("executor invoked on a fully-journaled resume")
 }
 
@@ -156,8 +157,8 @@ func (f *flakyExecutor) take() bool {
 	return true
 }
 
-func (f *flakyExecutor) Analyze(ctx context.Context, g *graph.Graph, blocks []decomp.Block, sel Selector, ids []runlog.BlockID, obs runlog.BatchObserver) ([][][]int32, error) {
-	out := make([][][]int32, len(blocks))
+func (f *flakyExecutor) Analyze(ctx context.Context, g *graph.Graph, blocks []decomp.Block, sel Selector, ids []runlog.BlockID, obs runlog.BatchObserver) ([]family.Window, error) {
+	out := make([]family.Window, len(blocks))
 	for i := range blocks {
 		if !f.take() {
 			return nil, errInjected

@@ -66,9 +66,9 @@ func TestAnalyzeBlocksDelegatesToContext(t *testing.T) {
 		t.Fatalf("AnalyzeBlocks returned %d block results, AnalyzeBlocksContext %d", len(plain), len(ctxed))
 	}
 	for i := range plain {
-		if len(plain[i]) != len(ctxed[i]) {
+		if plain[i].Count != ctxed[i].Count {
 			t.Fatalf("block %d: %d cliques without context, %d with background context",
-				i, len(plain[i]), len(ctxed[i]))
+				i, plain[i].Count, ctxed[i].Count)
 		}
 	}
 }

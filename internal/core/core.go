@@ -30,6 +30,7 @@ import (
 	"mce/internal/bitset"
 	"mce/internal/decomp"
 	"mce/internal/dtree"
+	"mce/internal/family"
 	"mce/internal/filter"
 	"mce/internal/graph"
 	"mce/internal/kcore"
@@ -46,9 +47,12 @@ import (
 // ships the block and lets the subgraph go, so a level's subgraphs are never
 // all resident and the shared plan is never written. A block that already
 // carries its Graph is taken as it is (g may then be nil). The return value
-// holds the cliques of each block (global node IDs), indexed like blocks, as
-// slices the caller owns. Cancelling ctx stops the batch — work already
-// shipped to remote workers included — and fails the call with ctx.Err().
+// holds the cliques of each block (global node IDs), indexed like blocks:
+// each a window into a family — the analysing worker's, or the one a remote
+// answer was decoded into — that becomes the caller's with the return
+// (package family has the ownership rule). Cancelling ctx stops the batch —
+// work already shipped to remote workers included — and fails the call with
+// ctx.Err().
 //
 // ids and obs are nil for plain batches. On a checkpointing run
 // (Options.Checkpoint) ids[i] is blocks[i]'s stable identity in the run
@@ -57,7 +61,7 @@ import (
 // the blocks still in flight. Implementations: LocalExecutor (in-process
 // pool) and cluster.Client (TCP workers).
 type Executor interface {
-	Analyze(ctx context.Context, g *graph.Graph, blocks []decomp.Block, sel Selector, ids []runlog.BlockID, obs runlog.BatchObserver) ([][][]int32, error)
+	Analyze(ctx context.Context, g *graph.Graph, blocks []decomp.Block, sel Selector, ids []runlog.BlockID, obs runlog.BatchObserver) ([]family.Window, error)
 }
 
 // Selector picks the data-structure/algorithm combination for one block
@@ -165,6 +169,13 @@ type LevelStats struct {
 	// Cliques counts the cliques found from this level's blocks (before
 	// higher levels' results are filtered against lower ones).
 	Cliques int
+	// Members, Arenas and ArenaBytes say how that family was held: its
+	// members over all cliques, the number of flat arenas (package family:
+	// one per local worker, one per remote answer, one per resumed level)
+	// and the heap bytes they occupy. A level streamed clique by clique (a
+	// terminal core under Stream) reports none.
+	Members, Arenas int
+	ArenaBytes      int64
 	// Decomp and Analysis measure the wall time of the two phases: Decomp
 	// is what runs on the coordinator's goroutine before any worker sees a
 	// block, CutTime + BlocksTime; Analysis is the executor's wall, which
@@ -225,7 +236,9 @@ type Stats struct {
 // Result is the outcome of FindMaxCliques.
 type Result struct {
 	// Cliques holds every maximal clique of the input graph, each sorted
-	// ascending, in deterministic order.
+	// ascending, in deterministic order. Each is a view into the arena of
+	// the level that found it; package family states what that means for a
+	// holder (in place yes, append copies, one clique retains its arena).
 	Cliques [][]int32
 	// Level[i] is the recursion depth at which Cliques[i] was found:
 	// 0 for cliques containing a feasible node of the original graph,
@@ -259,27 +272,27 @@ type LocalExecutor struct {
 }
 
 // AnalyzeBlocks is AnalyzeBlocksContext without cancellation.
-func (e *LocalExecutor) AnalyzeBlocks(blocks []decomp.Block, combo mcealg.Combo) ([][][]int32, error) {
+func (e *LocalExecutor) AnalyzeBlocks(blocks []decomp.Block, combo mcealg.Combo) ([]family.Window, error) {
 	return e.AnalyzeBlocksContext(context.Background(), blocks, combo)
 }
 
 // AnalyzeBlocksContext is Analyze for a plain batch of induced blocks under
 // one combo (no level graph, no block IDs, no observer).
-func (e *LocalExecutor) AnalyzeBlocksContext(ctx context.Context, blocks []decomp.Block, combo mcealg.Combo) ([][][]int32, error) {
+func (e *LocalExecutor) AnalyzeBlocksContext(ctx context.Context, blocks []decomp.Block, combo mcealg.Combo) ([]family.Window, error) {
 	return e.Analyze(ctx, nil, blocks, FixedSelector(combo), nil, nil)
 }
 
 // Analyze implements Executor. Workers claim the next block index from a
 // shared counter — the order of claims is the order of blocks — and each
-// runs materialise → select → analyse on its own scratch. Cancellation stops
-// the pool from starting new blocks (blocks already being analysed run to
-// completion — block analysis has no preemption points) and the call returns
-// ctx.Err(). With an observer, each block's completion is reported as it
-// happens, so a checkpointing run can make it durable before the batch
-// finishes.
+// runs materialise → select → analyse on its own scratch, the kernel's emit
+// appending to the worker's own family. Cancellation stops the pool from
+// starting new blocks (blocks already being analysed run to completion —
+// block analysis has no preemption points) and the call returns ctx.Err().
+// With an observer, each block's completion is reported as it happens, so a
+// checkpointing run can make it durable before the batch finishes.
 //
 //mce:hotpath block-analysis worker pool
-func (e *LocalExecutor) Analyze(ctx context.Context, g *graph.Graph, blocks []decomp.Block, sel Selector, ids []runlog.BlockID, obs runlog.BatchObserver) ([][][]int32, error) {
+func (e *LocalExecutor) Analyze(ctx context.Context, g *graph.Graph, blocks []decomp.Block, sel Selector, ids []runlog.BlockID, obs runlog.BatchObserver) ([]family.Window, error) {
 	if obs != nil && len(ids) != len(blocks) {
 		return nil, arityMismatch(len(blocks), len(ids))
 	}
@@ -290,7 +303,7 @@ func (e *LocalExecutor) Analyze(ctx context.Context, g *graph.Graph, blocks []de
 	if workers > len(blocks) {
 		workers = len(blocks)
 	}
-	out := make([][][]int32, len(blocks))
+	out := make([]family.Window, len(blocks))
 	if len(blocks) == 0 {
 		return out, nil
 	}
@@ -317,9 +330,12 @@ func (e *LocalExecutor) Analyze(ctx context.Context, g *graph.Graph, blocks []de
 			// the induced subgraph, adjacency rows and recursion frames are
 			// reused from block to block, and the recursion counts
 			// accumulate without atomics and merge into the engine once per
-			// block.
+			// block. fam is the worker's output: every block it analyses
+			// appends there and is handed back as a window.
 			mat := decomp.NewMaterialiser(g)
 			an := new(decomp.Analyzer)
+			fam := new(family.Family)
+			emit := fam.Append
 			var ins *telemetry.BlockInstr
 			if met != nil {
 				ins = &telemetry.BlockInstr{}
@@ -360,12 +376,9 @@ func (e *LocalExecutor) Analyze(ctx context.Context, g *graph.Graph, blocks []de
 					t0 = lap(&met.SelectNs, t0)
 					met.ComboPicked(combo.Index(), combo.Label())
 				}
-				var cliques [][]int32 //lint:ignore hotbox the emit sink must outlive the callback; captured once per block, not per node
-				err := an.Analyze(blk, combo, func(c []int32) {
-					cp := make([]int32, len(c))
-					copy(cp, c)
-					cliques = append(cliques, cp)
-				}, ins, par)
+				first := fam.Len()
+				err := an.Analyze(blk, combo, emit, ins, par)
+				cliques := family.Window{F: fam, First: first, Count: fam.Len() - first}
 				if met != nil {
 					met.ComboAnalyzed(combo.Index(), combo.Label(), time.Since(t0))
 					met.MergeBlockInstr(ins)
@@ -378,6 +391,7 @@ func (e *LocalExecutor) Analyze(ctx context.Context, g *graph.Graph, blocks []de
 				}
 				guard.Exit()
 				if err != nil {
+					fam.Truncate(first)
 					mu.Lock()
 					if firstErr == nil {
 						firstErr = err
@@ -434,22 +448,45 @@ func FindMaxCliques(g *graph.Graph, opts Options) (*Result, error) {
 // cancelling stops an in-flight distributed run rather than waiting for
 // the current batch to finish.
 func FindMaxCliquesContext(ctx context.Context, g *graph.Graph, opts Options) (*Result, error) {
-	res := &Result{}
-	stats, err := enumerate(ctx, g, opts, func(c []int32, level int) {
-		res.Cliques = append(res.Cliques, c)
-		res.Level = append(res.Level, level)
+	// The sink adopts the windows it is handed — a level's arenas move into
+	// the result, nothing is copied; survivors of the hub-side filter arrive
+	// one by one and rejoin their neighbours here — and the result's two
+	// slices are built once, at their exact size, when the recursion is back.
+	type adopted struct {
+		family.Window
+		level int
+	}
+	var kept []adopted
+	stats, err := enumerate(ctx, g, opts, true, func(w family.Window, level int) {
+		if n := len(kept) - 1; n >= 0 && kept[n].level == level && kept[n].F == w.F && kept[n].First+kept[n].Count == w.First {
+			kept[n].Count += w.Count
+			return
+		}
+		kept = append(kept, adopted{w, level})
 	})
 	if err != nil {
 		return nil, err
 	}
-	res.Stats = *stats
+	res := &Result{
+		Cliques: make([][]int32, 0, stats.TotalCliques),
+		Level:   make([]int, 0, stats.TotalCliques),
+		Stats:   *stats,
+	}
+	for _, k := range kept {
+		res.Cliques = k.Views(res.Cliques)
+		for i := 0; i < k.Count; i++ {
+			res.Level = append(res.Level, k.level)
+		}
+	}
 	return res, nil
 }
 
-// sink receives each maximal clique of the level that owns it, ascending
-// and in that level's node IDs, with the recursion depth it was found at.
-// The slice is the receiver's: it may keep it or overwrite it.
-type sink func(c []int32, level int)
+// sink receives the maximal cliques of the level that owns them as a window
+// — ascending, in that level's node IDs, in emission order — with the
+// recursion depth they were found at. Who may keep what is package family's
+// ownership rule: a collecting sink (run.collect) adopts the window, any
+// other is done with it when the call returns.
+type sink func(w family.Window, level int)
 
 // run is what every recursion level of one FIND-MAX-CLIQUES run shares.
 type run struct {
@@ -458,13 +495,17 @@ type run struct {
 	sel   Selector
 	exec  Executor
 	stats *Stats
+	// collect says the sink adopts the windows it is handed
+	// (FindMaxCliques); otherwise it is done with each when its call
+	// returns (Stream) and a level that can stream clique by clique does.
+	collect bool
 }
 
 // enumerate drives Algorithm 1 over g and hands every maximal clique to
 // out, in the engine's deterministic order. It is the whole engine behind
 // both FindMaxCliquesContext (a collecting sink) and StreamContext (the
 // caller's emit).
-func enumerate(ctx context.Context, g *graph.Graph, opts Options, out sink) (*Stats, error) {
+func enumerate(ctx context.Context, g *graph.Graph, opts Options, collect bool, out sink) (*Stats, error) {
 	if g.N() == 0 {
 		return nil, ErrNoNodes
 	}
@@ -476,16 +517,18 @@ func enumerate(ctx context.Context, g *graph.Graph, opts Options, out sink) (*St
 		sel:   selector(opts),
 		exec:  opts.Executor,
 		stats: &Stats{BlockSize: m, MaxDegree: maxDeg},
+
+		collect: collect,
 	}
 	if r.exec == nil {
 		r.exec = &LocalExecutor{Parallelism: opts.Parallelism, Metrics: opts.Metrics, MemoryBudget: opts.MemoryBudget, IntraBlockParallelism: opts.IntraBlockParallelism}
 	}
-	err := r.level(ctx, g, 0, func(c []int32, level int) {
-		r.stats.TotalCliques++
+	err := r.level(ctx, g, 0, func(w family.Window, level int) {
+		r.stats.TotalCliques += w.Count
 		if level >= 1 {
-			r.stats.HubCliques++
+			r.stats.HubCliques += w.Count
 		}
-		out(c, level)
+		out(w, level)
 	})
 	if err != nil {
 		return nil, err
@@ -635,7 +678,7 @@ func (r *run) level(ctx context.Context, g *graph.Graph, depth int, out sink) er
 	}
 
 	start = time.Now()
-	var perBlock [][][]int32
+	var perBlock []family.Window
 	var err error
 	if cp := opts.Checkpoint; cp != nil {
 		perBlock, err = r.analyzeCheckpointed(ctx, cp, g, blocks, depth)
@@ -645,22 +688,27 @@ func (r *run) level(ctx context.Context, g *graph.Graph, depth int, out sink) er
 	if err != nil {
 		return err
 	}
-	found := 0
-	for _, cliques := range perBlock {
-		for _, c := range cliques {
-			out(c, depth)
-		}
-		found += len(cliques)
-	}
 	ls := LevelStats{
 		Nodes: g.N(), Edges: g.M(),
 		Feasible: len(feasible), Hubs: len(hubs),
 		Blocks: len(blocks),
 		Kernel: kernelSum, Border: borderSum, Visited: visitedSum,
-		Cliques: found,
-		Decomp:  cutTime + blocksTime, Analysis: time.Since(start),
+		Decomp:  cutTime + blocksTime,
 		CutTime: cutTime, BlocksTime: blocksTime,
 	}
+	arenas := map[*family.Family]struct{}{} // one per local worker, one per remote answer
+	for _, w := range perBlock {
+		if w.Count == 0 {
+			continue
+		}
+		if _, seen := arenas[w.F]; !seen {
+			arenas[w.F] = struct{}{}
+			ls.held(w.F)
+		}
+		ls.Cliques += w.Count
+		out(w, depth)
+	}
+	ls.Analysis = time.Since(start)
 	if met != nil {
 		ls.InduceTime = time.Duration(met.InduceNs.Load() - induceNs)
 		ls.SelectTime = time.Duration(met.SelectNs.Load() - selectNs)
@@ -684,23 +732,33 @@ func (r *run) level(ctx context.Context, g *graph.Graph, depth int, out sink) er
 	sub, orig := graph.Induced(g, hubs)
 	feasSet := bitset.FromSlice(g.N(), feasible)
 	isFeasible := func(v int32) bool { return feasSet.Has(v) }
-	return r.level(ctx, sub, depth+1, func(c []int32, level int) {
-		for j, v := range c {
-			c[j] = orig[v] // stays ascending: orig is ascending
-		}
-		start := time.Now()
-		drop := filter.Extensible(g, c, isFeasible)
-		elapsed := time.Since(start)
-		r.stats.FilterTime += elapsed
-		if met != nil {
-			met.FilterNs.Add(int64(elapsed))
-		}
-		if !drop {
-			out(c, level)
-		} else if met != nil {
-			met.HubCliquesFiltered.Inc()
+	return r.level(ctx, sub, depth+1, func(w family.Window, level int) {
+		for i := 0; i < w.Count; i++ {
+			c := w.At(i)
+			for j, v := range c {
+				c[j] = orig[v] // stays ascending: orig is ascending
+			}
+			start := time.Now()
+			drop := filter.Extensible(g, c, isFeasible)
+			elapsed := time.Since(start)
+			r.stats.FilterTime += elapsed
+			if met != nil {
+				met.FilterNs.Add(int64(elapsed))
+			}
+			if !drop {
+				out(family.Window{F: w.F, First: w.First + i, Count: 1}, level)
+			} else if met != nil {
+				met.HubCliquesFiltered.Inc()
+			}
 		}
 	})
+}
+
+// held records one of the arenas a level's cliques are held in.
+func (ls *LevelStats) held(f *family.Family) {
+	ls.Arenas++
+	ls.Members += f.Members()
+	ls.ArenaBytes += int64(f.ArenaBytes())
 }
 
 // levelDone records one completed recursion level.
@@ -708,6 +766,8 @@ func (r *run) levelDone(ls LevelStats) {
 	r.stats.Levels = append(r.stats.Levels, ls)
 	if met := r.opts.Metrics; met != nil {
 		met.CliquesFound.Add(int64(ls.Cliques))
+		met.FamilyMembers.Add(int64(ls.Members))
+		met.FamilyArenaBytes.Add(ls.ArenaBytes)
 		met.LevelsCompleted.Inc()
 	}
 }
@@ -718,17 +778,19 @@ func (r *run) levelDone(ls LevelStats) {
 // only the remainder is dispatched, each block made durable by the executor
 // the moment it completes. Results come back indexed like blocks, so
 // resumed and fresh runs produce identical output; a block served from its
-// segment is never induced.
-func (r *run) analyzeCheckpointed(ctx context.Context, cp *runlog.Checkpoint, g *graph.Graph, blocks []decomp.Block, level int) ([][][]int32, error) {
+// segment is never induced, and all of a level's segments decode into one
+// family.
+func (r *run) analyzeCheckpointed(ctx context.Context, cp *runlog.Checkpoint, g *graph.Graph, blocks []decomp.Block, level int) ([]family.Window, error) {
 	if err := cp.BeginLevel(level, len(blocks)); err != nil {
 		return nil, err
 	}
-	perBlock := make([][][]int32, len(blocks))
+	perBlock := make([]family.Window, len(blocks))
+	resumed := new(family.Family)
 	var pend []decomp.Block
 	var ids []runlog.BlockID
 	for i := range blocks {
 		id := runlog.BlockID{Level: level, Plan: i}
-		if cliques, ok := cp.DoneCliques(id); ok {
+		if cliques, ok := cp.DoneCliques(id, resumed); ok {
 			perBlock[i] = cliques
 			continue
 		}
@@ -757,7 +819,7 @@ func (r *run) analyzeCheckpointed(ctx context.Context, cp *runlog.Checkpoint, g 
 // returns the results in the original block order, so scheduling never
 // changes the output. ids and obs are nil for plain batches; on a
 // checkpointing run ids index like blocks and travel with them.
-func (r *run) analyzeScheduled(ctx context.Context, g *graph.Graph, blocks []decomp.Block, ids []runlog.BlockID, obs runlog.BatchObserver) ([][][]int32, error) {
+func (r *run) analyzeScheduled(ctx context.Context, g *graph.Graph, blocks []decomp.Block, ids []runlog.BlockID, obs runlog.BatchObserver) ([]family.Window, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -796,7 +858,7 @@ func (r *run) analyzeScheduled(ctx context.Context, g *graph.Graph, blocks []dec
 	if err != nil {
 		return nil, err
 	}
-	out := make([][][]int32, len(blocks))
+	out := make([]family.Window, len(blocks))
 	for pos, idx := range perm {
 		out[idx] = permuted[pos]
 	}
@@ -809,23 +871,24 @@ func (r *run) analyzeScheduled(ctx context.Context, g *graph.Graph, blocks []dec
 // enumeration with no block-level parallelism to hide behind.
 //
 // Under a checkpoint the level is journaled like any other, so a resumed
-// run loads the terminal core's cliques from its segment too. Receivers up
-// the recursion translate the slices they are handed in place, so the
-// family is journaled (in this level's IDs) before any of it is handed up;
-// without a checkpoint nothing is buffered.
+// run loads the terminal core's cliques from its segment too. The family is
+// journaled (in this level's IDs) before any of it is handed up — receivers
+// up the recursion translate in place. A collecting run hands the core up as
+// one window; a streaming one hands each clique up as the kernel emits it,
+// from an arena of one, so nothing is buffered.
 func (r *run) terminalCore(g *graph.Graph, depth int, cutTime time.Duration, out sink) error {
 	cp, met := r.opts.Checkpoint, r.opts.Metrics
 	start := time.Now()
 	id := runlog.BlockID{Level: depth, Plan: 0}
-	var cliques [][]int32
+	fam := new(family.Family)
 	resumed := false
 	if cp != nil {
 		if err := cp.BeginLevel(depth, 1); err != nil {
 			return err
 		}
-		cliques, resumed = cp.DoneCliques(id)
+		_, resumed = cp.DoneCliques(id, fam)
 	}
-	found := len(cliques)
+	ls := LevelStats{Nodes: g.N(), Edges: g.M(), Hubs: g.N(), Decomp: cutTime, CutTime: cutTime}
 	if !resumed {
 		var scratch kcore.Scratch
 		combo := r.sel(g, &scratch)
@@ -833,20 +896,18 @@ func (r *run) terminalCore(g *graph.Graph, depth int, cutTime time.Duration, out
 			met.ComboPicked(combo.Index(), combo.Label())
 		}
 		err := mcealg.EnumeratePar(g, combo, corePar(r.opts), func(c []int32) {
-			found++
-			dup := make([]int32, len(c))
-			copy(dup, c)
-			if cp != nil {
-				cliques = append(cliques, dup)
-			} else {
-				out(dup, depth)
+			fam.Append(c)
+			if !r.collect {
+				ls.Cliques++
+				out(fam.Window(), depth)
+				fam.Reset()
 			}
 		})
 		if err != nil {
 			return err
 		}
 		if cp != nil {
-			if err := cp.BlockDone(id, cliques); err != nil {
+			if err := cp.BlockDone(id, fam.Window()); err != nil {
 				return err
 			}
 		}
@@ -856,15 +917,14 @@ func (r *run) terminalCore(g *graph.Graph, depth int, cutTime time.Duration, out
 			return err
 		}
 	}
-	for _, c := range cliques {
-		out(c, depth)
+	if fam.Len() > 0 {
+		ls.Cliques = fam.Len()
+		ls.held(fam)
+		out(fam.Window(), depth)
 	}
 	r.stats.CoreFallback = true
-	r.levelDone(LevelStats{
-		Nodes: g.N(), Edges: g.M(), Hubs: g.N(),
-		Cliques: found, Analysis: time.Since(start),
-		Decomp: cutTime, CutTime: cutTime,
-	})
+	ls.Analysis = time.Since(start)
+	r.levelDone(ls)
 	return nil
 }
 

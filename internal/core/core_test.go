@@ -10,6 +10,7 @@ import (
 
 	"mce/internal/decomp"
 	"mce/internal/dtree"
+	"mce/internal/family"
 	"mce/internal/gen"
 	"mce/internal/graph"
 	"mce/internal/kcore"
@@ -492,7 +493,7 @@ type trackingExecutor struct {
 	sizes []int64
 }
 
-func (e *trackingExecutor) Analyze(ctx context.Context, g *graph.Graph, blocks []decomp.Block, sel Selector, ids []runlog.BlockID, obs runlog.BatchObserver) ([][][]int32, error) {
+func (e *trackingExecutor) Analyze(ctx context.Context, g *graph.Graph, blocks []decomp.Block, sel Selector, ids []runlog.BlockID, obs runlog.BatchObserver) ([]family.Window, error) {
 	inducer := graph.NewInducer(g)
 	for i := range blocks {
 		sub, _ := inducer.Scratch(blocks[i].Orig)
@@ -583,7 +584,7 @@ func TestOnLevelProgressHook(t *testing.T) {
 // failingExecutor returns an error on every batch.
 type failingExecutor struct{}
 
-func (failingExecutor) Analyze(context.Context, *graph.Graph, []decomp.Block, Selector, []runlog.BlockID, runlog.BatchObserver) ([][][]int32, error) {
+func (failingExecutor) Analyze(context.Context, *graph.Graph, []decomp.Block, Selector, []runlog.BlockID, runlog.BatchObserver) ([]family.Window, error) {
 	return nil, fmt.Errorf("synthetic executor failure")
 }
 
@@ -594,5 +595,76 @@ func TestExecutorErrorPropagates(t *testing.T) {
 	}
 	if _, err := Stream(g, Options{Executor: failingExecutor{}}, func([]int32, int) {}); err == nil {
 		t.Fatal("stream engine swallowed executor failure")
+	}
+}
+
+// TestFindMaxCliquesAllocsTrackBlocks is the allocation gate of the enumerate
+// leg, the run-level companion of decomp's TestAnalyzerWarmAllocs: between
+// two G(n, 0.5) whose clique counts differ by tens of thousands, what a whole
+// FindMaxCliques allocates may grow with the blocks (a window each, scratch
+// warming to wider blocks) and with the chunks and index pages of the
+// arenas, one per few thousand cliques — not with the cliques. Before the
+// flat family the difference was one allocation per clique and more.
+func TestFindMaxCliquesAllocsTrackBlocks(t *testing.T) {
+	type run struct {
+		cliques, blocks int
+		allocs          float64
+	}
+	measure := func(n int) run {
+		g := gen.ErdosRenyi(n, 0.5, int64(n))
+		opts := Options{BlockSize: n / 2, Parallelism: 1}
+		res, err := FindMaxCliques(g, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := run{cliques: len(res.Cliques)}
+		for _, l := range res.Stats.Levels {
+			r.blocks += l.Blocks
+		}
+		r.allocs = testing.AllocsPerRun(5, func() {
+			if _, err := FindMaxCliques(g, opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return r
+	}
+	small, big := measure(60), measure(120)
+	if big.cliques-small.cliques < 20000 {
+		t.Fatalf("the two graphs hold %d and %d cliques: too close to tell blocks from cliques", small.cliques, big.cliques)
+	}
+	grew := big.allocs - small.allocs
+	if limit := 4*float64(big.blocks) + float64(big.cliques-small.cliques)/1000; grew > limit {
+		t.Fatalf("%d → %d cliques in %d → %d blocks took %.0f → %.0f allocations: +%.0f, over the +%.0f that blocks and arena chunks explain",
+			small.cliques, big.cliques, small.blocks, big.blocks, small.allocs, big.allocs, grew, limit)
+	}
+}
+
+// TestResultCliquesDoNotShareCapacity pins package family's ownership rule
+// at the public boundary: Result.Cliques[i] is a view clipped to its own
+// length, so appending to it copies and the next clique — its neighbour in
+// the arena — is intact.
+func TestResultCliquesDoNotShareCapacity(t *testing.T) {
+	g := gen.HolmeKim(400, 5, 0.7, 13)
+	res, err := FindMaxCliques(g, Options{BlockRatio: 0.3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Stats.Levels) < 2 || res.Stats.HubCliques == 0 {
+		t.Fatalf("want hub-level cliques in the result too (levels %d, hub cliques %d)", len(res.Stats.Levels), res.Stats.HubCliques)
+	}
+	want := make([]string, len(res.Cliques))
+	for i, c := range res.Cliques {
+		if cap(c) != len(c) {
+			t.Fatalf("clique %d has len %d but cap %d", i, len(c), cap(c))
+		}
+		want[i] = key(c)
+	}
+	for i := range res.Cliques {
+		res.Cliques[i] = append(res.Cliques[i], -1, -2, -3)
+	}
+	for i, c := range res.Cliques {
+		if got := key(c[:len(c)-3]); got != want[i] {
+			t.Fatalf("clique %d is {%s} after its neighbours were appended to, was {%s}", i, got, want[i])
+		}
 	}
 }

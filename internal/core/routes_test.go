@@ -16,6 +16,7 @@ import (
 	"mce/internal/cluster/faultconn"
 	"mce/internal/core"
 	"mce/internal/decomp"
+	"mce/internal/family"
 	"mce/internal/gen"
 	"mce/internal/graph"
 	"mce/internal/mcealg"
@@ -52,7 +53,7 @@ type countingExecutor struct {
 	planned atomic.Int64
 }
 
-func (e *countingExecutor) Analyze(ctx context.Context, g *graph.Graph, blocks []decomp.Block, sel core.Selector, ids []runlog.BlockID, obs runlog.BatchObserver) ([][][]int32, error) {
+func (e *countingExecutor) Analyze(ctx context.Context, g *graph.Graph, blocks []decomp.Block, sel core.Selector, ids []runlog.BlockID, obs runlog.BatchObserver) ([]family.Window, error) {
 	for i := range blocks {
 		if blocks[i].Graph != nil {
 			return nil, errors.New("the engine induced a block before its executor saw it")

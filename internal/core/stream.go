@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 
+	"mce/internal/family"
 	"mce/internal/graph"
 )
 
@@ -12,11 +13,12 @@ import (
 // batch plus the (small) hub-side recursion — the regime the paper targets,
 // where the clique family can dwarf main memory.
 //
-// emit receives the clique (ascending node IDs; the slice must not be
-// retained) and the recursion level it was found at. Cliques arrive in the
-// same deterministic order FindMaxCliques returns, from the same recursion:
-// every option FindMaxCliques honours is honoured here, except
-// Options.Checkpoint, which is refused.
+// emit receives the clique (ascending node IDs; a view that is valid until
+// emit returns — package family has the ownership rule) and the recursion
+// level it was found at. Cliques arrive in the same deterministic order
+// FindMaxCliques returns, from the same recursion: every option
+// FindMaxCliques honours is honoured here, except Options.Checkpoint, which
+// is refused.
 func Stream(g *graph.Graph, opts Options, emit func(clique []int32, level int)) (*Stats, error) {
 	return StreamContext(context.Background(), g, opts, emit)
 }
@@ -31,5 +33,9 @@ func StreamContext(ctx context.Context, g *graph.Graph, opts Options, emit func(
 		// duplicate cliques. Refuse rather than betray exactly-once.
 		return nil, errCheckpointStream
 	}
-	return enumerate(ctx, g, opts, emit)
+	return enumerate(ctx, g, opts, false, func(w family.Window, level int) {
+		for i := 0; i < w.Count; i++ {
+			emit(w.At(i), level)
+		}
+	})
 }

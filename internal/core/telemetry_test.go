@@ -109,7 +109,7 @@ func TestLevelStatsAggregation(t *testing.T) {
 	if len(res.Stats.Levels) < 2 {
 		t.Fatalf("want a multi-level run, got %d levels", len(res.Stats.Levels))
 	}
-	var levelCliques int64
+	var levelCliques, levelMembers, levelArena int64
 	var cut, blocks, induce, sel time.Duration
 	for i, lvl := range res.Stats.Levels {
 		if lvl.Decomp != lvl.CutTime+lvl.BlocksTime {
@@ -129,8 +129,22 @@ func TestLevelStatsAggregation(t *testing.T) {
 				i, lvl.Kernel+lvl.Border+lvl.Visited, lvl.Nodes)
 		}
 		levelCliques += int64(lvl.Cliques)
+		// How the level's family was held: at least one arena when it
+		// found a clique, and arenas no smaller than what they hold (four
+		// bytes a member, eight a clique).
+		if (lvl.Cliques > 0) != (lvl.Arenas > 0) || lvl.Members < lvl.Cliques ||
+			lvl.ArenaBytes < int64(4*lvl.Members+8*lvl.Cliques) {
+			t.Fatalf("level %d: %d cliques of %d members in %d arenas of %d bytes",
+				i, lvl.Cliques, lvl.Members, lvl.Arenas, lvl.ArenaBytes)
+		}
+		levelMembers += int64(lvl.Members)
+		levelArena += lvl.ArenaBytes
 	}
 	s := res.Stats.Telemetry
+	if s.FamilyMembers != levelMembers || s.FamilyArenaBytes != levelArena {
+		t.Fatalf("telemetry family members/arena = %d/%d, levels sum to %d/%d",
+			s.FamilyMembers, s.FamilyArenaBytes, levelMembers, levelArena)
+	}
 	if s.CutNs != int64(cut) || s.BlocksNs != int64(blocks) || s.InduceNs != int64(induce) || s.SelectNs != int64(sel) {
 		t.Fatalf("telemetry cut/grow/induce/select = %d/%d/%d/%d ns, levels sum to %d/%d/%d/%d",
 			s.CutNs, s.BlocksNs, s.InduceNs, s.SelectNs, cut, blocks, induce, sel)

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 )
 
 // The allocation budget: hot-path allocations that are understood and
@@ -155,7 +156,7 @@ func (b *allocBudget) entriesFor(pkgPath string) []string {
 // CollectAllocBudget computes the current hot-path allocation sites of the
 // loaded packages — the content `mcevet -update-allocbudget` writes. Notes
 // from prev (the previously committed entries, may be nil) are carried over
-// for keys that still exist.
+// as carryNotes decides.
 func CollectAllocBudget(pkgs []*Package, prev []BudgetEntry) ([]BudgetEntry, error) {
 	suite := newSuite(pkgs)
 	h := hotData(suite)
@@ -178,22 +179,79 @@ func CollectAllocBudget(pkgs []*Package, prev []BudgetEntry) ([]BudgetEntry, err
 			}
 		}
 	}
-	notes := make(map[string]string, len(prev))
-	for _, e := range prev {
-		if e.Note != "" {
-			notes[e.Site] = e.Note
-		}
-	}
 	keys := make([]string, 0, len(counts))
 	for k := range counts {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
+	notes := carryNotes(keys, prev)
 	entries := make([]BudgetEntry, 0, len(keys))
 	for _, k := range keys {
 		entries = append(entries, BudgetEntry{Site: k, Count: counts[k], Note: notes[k]})
 	}
 	return entries, nil
+}
+
+// carryNotes maps the current keys (sorted) to the notes they keep from
+// prev. A key prev has keeps its own. A key prev does not have takes the
+// note of a key that vanished from the same function when the two are
+// plainly one site under a reworded compiler message (a renamed type, a
+// qualified package, a different temporary): the vanished message sharing
+// the longest prefix plus suffix with the new one, if that is at least half
+// of the shorter message and no other vanished message ties it.
+func carryNotes(keys []string, prev []BudgetEntry) map[string]string {
+	notes := make(map[string]string, len(prev)) // vanished keys included: they are the candidates
+	for _, e := range prev {
+		notes[e.Site] = e.Note
+	}
+	current := make(map[string]bool, len(keys))
+	for _, k := range keys {
+		current[k] = true
+	}
+	for _, k := range keys {
+		if _, known := notes[k]; known {
+			continue
+		}
+		fn, msg := splitSite(k)
+		best, bestScore, tied := "", 0, false
+		for _, o := range prev {
+			ofn, omsg := splitSite(o.Site)
+			if ofn != fn || current[o.Site] || notes[o.Site] == "" {
+				continue
+			}
+			switch score := sharedEnds(msg, omsg); {
+			case 2*score < min(len(msg), len(omsg)):
+			case score > bestScore:
+				best, bestScore, tied = o.Site, score, false
+			case score == bestScore:
+				tied = true
+			}
+		}
+		if best != "" && !tied {
+			notes[k], notes[best] = notes[best], "" // a note has one heir
+		}
+	}
+	return notes
+}
+
+// splitSite splits a budget key into "<pkgpath>::<func>" and the compiler's
+// message without its constant tail.
+func splitSite(key string) (fn, msg string) {
+	i := strings.LastIndex(key, "::")
+	return key[:max(i, 0)], strings.TrimSuffix(key[i+2:], " escapes to heap")
+}
+
+// sharedEnds is the length of the longest common prefix of a and b plus
+// that of the longest common suffix of what the prefix leaves.
+func sharedEnds(a, b string) int {
+	n, p, s := min(len(a), len(b)), 0, 0
+	for p < n && a[p] == b[p] {
+		p++
+	}
+	for s < n-p && a[len(a)-1-s] == b[len(b)-1-s] {
+		s++
+	}
+	return p + s
 }
 
 // LoadAllocBudget reads the entries of an existing budget file; a missing

@@ -25,6 +25,8 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+
+	"mce/internal/family"
 )
 
 // Par configures intra-enumeration parallelism for a Runner.
@@ -79,10 +81,11 @@ type parTask struct {
 // donations — need a sort key: the leaf path of the run's first clique.
 // Runs are disjoint DFS intervals, so ordering them by first-leaf key and
 // concatenating reproduces the global sequential order at a cost of one key
-// per run instead of one per clique.
+// per run instead of one per clique. The cliques are a window into the
+// family of the worker that emitted them.
 type cliqueRun struct {
-	key     []uint32
-	cliques [][]int32
+	key []uint32
+	family.Window
 }
 
 // workDeque is one worker's double-ended task queue: the owner pushes and
@@ -153,7 +156,7 @@ type parPool struct {
 
 // parWorker is one goroutine of the pool, with its own enumerator (frame
 // stack and counters; the graph and the packed rows are shared read-only)
-// and its own output buffer — nothing here is touched by another goroutine
+// and its own output family — nothing here is touched by another goroutine
 // while the pool runs. The worker is the enumerator's split hook: the one
 // recursion asks it, at every node, whether the children become tasks.
 type parWorker struct {
@@ -161,6 +164,7 @@ type parWorker struct {
 	pool *parPool
 	e    *enumerator
 	task *parTask // the running task: its path and len(R) anchor leafPath
+	out  family.Family
 	runs []cliqueRun
 	// newRun marks the next emitted clique as a run boundary: set at task
 	// start and after every donation, the two places the worker's emission
@@ -217,9 +221,9 @@ func (r *Runner) parallelSubproblem(R []int32, P, X []uint64, emit func([]int32)
 		all = append(all, w.runs...)
 	}
 	slices.SortFunc(all, func(a, b cliqueRun) int { return slices.Compare(a.key, b.key) })
-	for i := range all {
-		for _, c := range all[i].cliques {
-			emit(c)
+	for _, run := range all {
+		for i := 0; i < run.Count; i++ {
+			emit(run.At(i))
 		}
 	}
 }
@@ -409,16 +413,16 @@ func (w *parWorker) splitOrdered(alg Algorithm, base int, order []int32) {
 	}
 }
 
-// record is the worker enumerator's emit: it keeps a copy of the clique in
-// the worker's current run, opening a new run keyed by this leaf's path
-// when the last one was closed by a task switch or a donation.
+// record is the worker enumerator's emit: it appends the clique to the
+// worker's family and to its current run, opening a new run keyed by this
+// leaf's path when the last one was closed by a task switch or a donation.
 func (w *parWorker) record(c []int32) {
 	if w.newRun {
-		w.runs = append(w.runs, cliqueRun{key: w.leafPath()})
+		w.runs = append(w.runs, cliqueRun{key: w.leafPath(), Window: family.Window{F: &w.out, First: w.out.Len()}})
 		w.newRun = false
 	}
-	run := &w.runs[len(w.runs)-1]
-	run.cliques = append(run.cliques, slices.Clone(c))
+	w.out.Append(c)
+	w.runs[len(w.runs)-1].Count++
 }
 
 // sanity: the grid constant and the structure enum must agree, or Index

@@ -12,6 +12,7 @@ import (
 
 	"mce/internal/cliqstore"
 	"mce/internal/durable"
+	"mce/internal/family"
 	"mce/internal/graph"
 	"mce/internal/telemetry"
 )
@@ -85,7 +86,7 @@ type BlockID struct {
 // concurrent calls. BlockDone returning an error aborts the batch.
 type BatchObserver interface {
 	BlockDispatched(id BlockID)
-	BlockDone(id BlockID, cliques [][]int32) error
+	BlockDone(id BlockID, cliques family.Window) error
 }
 
 // ErrIdentityMismatch reports a checkpoint directory that belongs to a
@@ -371,12 +372,13 @@ func (c *Checkpoint) BeginLevel(level, blocks int) error {
 	return nil
 }
 
-// DoneCliques returns the journaled result of a completed block, loaded
-// and verified from its segment. ok is false when the block is not done,
-// or when its segment is missing, truncated, or disagrees with the
-// journal's count/digest — in that case the done claim is dropped so the
-// caller re-executes the block (the segment overwrite makes that safe).
-func (c *Checkpoint) DoneCliques(id BlockID) (cliques [][]int32, ok bool) {
+// DoneCliques appends the journaled result of a completed block, loaded and
+// verified from its segment, to dst and returns the window over it. ok is
+// false, and dst as it was, when the block is not done, or when its segment
+// is missing, truncated, or disagrees with the journal's count/digest — in
+// that case the done claim is dropped so the caller re-executes the block
+// (the segment overwrite makes that safe).
+func (c *Checkpoint) DoneCliques(id BlockID, dst *family.Family) (cliques family.Window, ok bool) {
 	c.mu.Lock()
 	info, isDone := c.done[id]
 	if !isDone {
@@ -384,25 +386,27 @@ func (c *Checkpoint) DoneCliques(id BlockID) (cliques [][]int32, ok bool) {
 			c.restored++
 		}
 		c.mu.Unlock()
-		return nil, false
+		return family.Window{}, false
 	}
 	c.mu.Unlock()
 
-	cliques, err := c.loadSegment(id, info)
+	first := dst.Len()
+	err := c.loadSegment(id, info, dst)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err != nil {
 		// Self-heal: the journal says done but the bytes disagree.
 		// Dropping the claim re-executes the block, whose segment write
 		// overwrites the bad file.
+		dst.Truncate(first)
 		delete(c.done, id)
-		return nil, false
+		return family.Window{}, false
 	}
 	c.skipped++
 	if c.met != nil {
 		c.met.CheckpointBlocksSkipped.Inc()
 	}
-	return cliques, true
+	return family.Window{F: dst, First: first, Count: dst.Len() - first}, true
 }
 
 // segmentPath names a block's result segment by its stable identity.
@@ -410,31 +414,29 @@ func (c *Checkpoint) segmentPath(id BlockID) string {
 	return filepath.Join(c.dir, segmentsDir, fmt.Sprintf("L%03d-B%06d.cliq", id.Level, id.Plan))
 }
 
-// loadSegment reads one segment and verifies it against the journal claim.
-func (c *Checkpoint) loadSegment(id BlockID, info doneInfo) ([][]int32, error) {
+// loadSegment reads one segment into dst and verifies it against the
+// journal claim.
+func (c *Checkpoint) loadSegment(id BlockID, info doneInfo, dst *family.Family) error {
 	f, err := c.fs.Open(c.segmentPath(id))
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer f.Close()
 	r, err := cliqstore.NewReader(f)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	var out [][]int32
 	if err := r.ForEach(func(cl []int32) error {
-		cp := make([]int32, len(cl))
-		copy(cp, cl)
-		out = append(out, cp)
+		dst.Append(cl)
 		return nil
 	}); err != nil {
-		return nil, err
+		return err
 	}
 	if r.Count() != int64(info.count) || r.Digest() != info.digest {
-		return nil, fmt.Errorf("runlog: segment %s holds %d cliques digest %#x, journal claims %d/%#x",
+		return fmt.Errorf("runlog: segment %s holds %d cliques digest %#x, journal claims %d/%#x",
 			c.segmentPath(id), r.Count(), r.Digest(), info.count, info.digest)
 	}
-	return out, nil
+	return nil
 }
 
 // BlockDispatched journals that a block was handed to an executor. It
@@ -468,7 +470,7 @@ func (c *Checkpoint) BlockDispatched(id BlockID) {
 // session and the run continues on its in-memory results. The journal's
 // durable prefix stays intact, so a later resume replays to the last block
 // that actually hit the disk.
-func (c *Checkpoint) BlockDone(id BlockID, cliques [][]int32) error {
+func (c *Checkpoint) BlockDone(id BlockID, cliques family.Window) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, already := c.done[id]; already {
@@ -491,17 +493,25 @@ func (c *Checkpoint) BlockDone(id BlockID, cliques [][]int32) error {
 }
 
 // writeSegment persists one block's cliques atomically. Callers hold c.mu.
-func (c *Checkpoint) writeSegment(id BlockID, cliques [][]int32) (digest uint32, count int, err error) {
+func (c *Checkpoint) writeSegment(id BlockID, cliques family.Window) (digest uint32, count int, err error) {
 	final := c.segmentPath(id)
-	var n int64
 	err = durable.AtomicReplace(c.fs, final, func(w io.Writer) error {
-		n, digest, err = cliqstore.WriteAll(w, cliques)
-		return err
+		sw, err := cliqstore.NewWriter(w)
+		if err != nil {
+			return err
+		}
+		for i := 0; i < cliques.Count; i++ {
+			if err := sw.Write(cliques.At(i)); err != nil {
+				return err
+			}
+		}
+		digest = sw.Digest()
+		return sw.Finish()
 	})
 	if err != nil {
 		return 0, 0, fmt.Errorf("runlog: segment %s: %w", final, err)
 	}
-	return digest, int(n), nil
+	return digest, cliques.Count, nil
 }
 
 // EndLevel journals that every block of a level is done.

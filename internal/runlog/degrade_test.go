@@ -6,6 +6,7 @@ import (
 	"syscall"
 	"testing"
 
+	"mce/internal/family"
 	"mce/internal/runlog"
 	"mce/internal/runlog/faultfs"
 	"mce/internal/telemetry"
@@ -30,7 +31,7 @@ func driveToFirstDone(t *testing.T, dir string, fs runlog.FS, onDegrade func(err
 	for p := 0; p < 3; p++ {
 		c.BlockDispatched(runlog.BlockID{Level: 0, Plan: p})
 	}
-	if err := c.BlockDone(runlog.BlockID{Level: 0, Plan: 0}, cl0); err != nil {
+	if err := blockDone(c, runlog.BlockID{Level: 0, Plan: 0}, cl0); err != nil {
 		t.Fatal(err)
 	}
 	return c, cl0
@@ -65,7 +66,7 @@ func TestENOSPCMidCheckpointDegrades(t *testing.T) {
 	}
 	// This BlockDone's segment write (or its journal record) hits the full
 	// disk. The batch must not fail.
-	if err := c.BlockDone(runlog.BlockID{Level: 0, Plan: 1}, [][]int32{{8, 9}}); err != nil {
+	if err := blockDone(c, runlog.BlockID{Level: 0, Plan: 1}, [][]int32{{8, 9}}); err != nil {
 		t.Fatalf("BlockDone on a full disk must degrade, not fail: %v", err)
 	}
 	if !c.Degraded() {
@@ -81,7 +82,7 @@ func TestENOSPCMidCheckpointDegrades(t *testing.T) {
 		t.Fatal("CheckpointDegraded gauge not set")
 	}
 	// The rest of the run keeps going as no-ops.
-	if err := c.BlockDone(runlog.BlockID{Level: 0, Plan: 2}, [][]int32{{5}}); err != nil {
+	if err := blockDone(c, runlog.BlockID{Level: 0, Plan: 2}, [][]int32{{5}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.EndLevel(0); err != nil {
@@ -108,11 +109,11 @@ func TestENOSPCMidCheckpointDegrades(t *testing.T) {
 	if r.Completed() {
 		t.Fatal("degraded run must not be journaled as completed")
 	}
-	got, ok := r.DoneCliques(runlog.BlockID{Level: 0, Plan: 0})
+	got, ok := doneCliques(r, runlog.BlockID{Level: 0, Plan: 0})
 	if !ok || !reflect.DeepEqual(got, cl0) {
 		t.Fatalf("durable block lost: ok=%v got=%v", ok, got)
 	}
-	if _, ok := r.DoneCliques(runlog.BlockID{Level: 0, Plan: 1}); ok {
+	if _, ok := doneCliques(r, runlog.BlockID{Level: 0, Plan: 1}); ok {
 		t.Fatal("block completed after ENOSPC must not replay as done")
 	}
 }
@@ -149,14 +150,14 @@ func TestResumeAfterTornFrame(t *testing.T) {
 			if !r.Resumed() {
 				t.Fatal("torn journal did not resume")
 			}
-			got, ok := r.DoneCliques(runlog.BlockID{Level: 0, Plan: 0})
+			got, ok := doneCliques(r, runlog.BlockID{Level: 0, Plan: 0})
 			if !ok || !reflect.DeepEqual(got, cl0) {
 				t.Fatalf("last durable block lost: ok=%v got=%v", ok, got)
 			}
 			// The truncated journal must accept new appends: finish the
 			// run and check the completion survives another reopen.
 			for p := 1; p < 3; p++ {
-				if err := r.BlockDone(runlog.BlockID{Level: 0, Plan: p}, [][]int32{{int32(p)}}); err != nil {
+				if err := blockDone(r, runlog.BlockID{Level: 0, Plan: p}, [][]int32{{int32(p)}}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -182,4 +183,15 @@ func TestResumeAfterTornFrame(t *testing.T) {
 			}
 		})
 	}
+}
+
+// blockDone and doneCliques put the tests' [][]int32 literals through the
+// checkpoint's window API.
+func blockDone(c *runlog.Checkpoint, id runlog.BlockID, cliques [][]int32) error {
+	return c.BlockDone(id, family.Of(cliques).Window())
+}
+
+func doneCliques(c *runlog.Checkpoint, id runlog.BlockID) ([][]int32, bool) {
+	w, ok := c.DoneCliques(id, new(family.Family))
+	return w.Views(nil), ok
 }

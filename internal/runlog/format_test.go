@@ -38,7 +38,7 @@ func TestCheckpointBytesUnchanged(t *testing.T) {
 		c.BlockDispatched(runlog.BlockID{Level: 0, Plan: p})
 	}
 	for _, p := range []int{2, 0} {
-		if err := c.BlockDone(runlog.BlockID{Level: 0, Plan: p}, block(0, p)); err != nil {
+		if err := blockDone(c, runlog.BlockID{Level: 0, Plan: p}, block(0, p)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -46,14 +46,14 @@ func TestCheckpointBytesUnchanged(t *testing.T) {
 
 	c = open() // a resume record, then the rest of the run
 	for _, p := range []int{1, 3} {
-		if err := c.BlockDone(runlog.BlockID{Level: 0, Plan: p}, block(0, p)); err != nil {
+		if err := blockDone(c, runlog.BlockID{Level: 0, Plan: p}, block(0, p)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	c.EndLevel(0)
 	c.BeginLevel(1, 1)
 	c.BlockDispatched(runlog.BlockID{Level: 1, Plan: 0})
-	if err := c.BlockDone(runlog.BlockID{Level: 1, Plan: 0}, nil); err != nil {
+	if err := blockDone(c, runlog.BlockID{Level: 1, Plan: 0}, nil); err != nil {
 		t.Fatal(err)
 	}
 	c.EndLevel(1)

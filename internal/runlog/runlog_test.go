@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"mce/internal/family"
 	"mce/internal/telemetry"
 )
 
@@ -30,7 +31,7 @@ func TestFreshCheckpoint(t *testing.T) {
 	if c.Resumed() {
 		t.Fatal("fresh checkpoint reported as resumed")
 	}
-	if _, ok := c.DoneCliques(BlockID{0, 0}); ok {
+	if _, ok := doneCliques(c, BlockID{0, 0}); ok {
 		t.Fatal("fresh checkpoint claims a done block")
 	}
 	if err := c.Close(); err != nil {
@@ -66,10 +67,10 @@ func TestResumeRoundTrip(t *testing.T) {
 	c.BlockDispatched(BlockID{0, 0})
 	c.BlockDispatched(BlockID{0, 1})
 	c.BlockDispatched(BlockID{0, 2})
-	if err := c.BlockDone(BlockID{0, 0}, cl0); err != nil {
+	if err := blockDone(c, BlockID{0, 0}, cl0); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.BlockDone(BlockID{0, 1}, cl1); err != nil {
+	if err := blockDone(c, BlockID{0, 1}, cl1); err != nil {
 		t.Fatal(err)
 	}
 	// Block {0,2} stays dispatched-but-not-done: the "crash".
@@ -89,14 +90,14 @@ func TestResumeRoundTrip(t *testing.T) {
 	if err := r.BeginLevel(0, 3); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := r.DoneCliques(BlockID{0, 0})
+	got, ok := doneCliques(r, BlockID{0, 0})
 	if !ok || !reflect.DeepEqual(got, cl0) {
 		t.Fatalf("block {0,0}: ok=%v got %v want %v", ok, got, cl0)
 	}
-	if got, ok := r.DoneCliques(BlockID{0, 1}); !ok || !reflect.DeepEqual(got, cl1) {
+	if got, ok := doneCliques(r, BlockID{0, 1}); !ok || !reflect.DeepEqual(got, cl1) {
 		t.Fatalf("block {0,1}: ok=%v got %v", ok, got)
 	}
-	if _, ok := r.DoneCliques(BlockID{0, 2}); ok {
+	if _, ok := doneCliques(r, BlockID{0, 2}); ok {
 		t.Fatal("in-flight block {0,2} resumed as done")
 	}
 	if n := r.SkippedBlocks(); n != 2 {
@@ -117,7 +118,7 @@ func TestResumeAfterResume(t *testing.T) {
 	dir := t.TempDir()
 	c := openTest(t, dir, testID)
 	c.BeginLevel(0, 2)
-	if err := c.BlockDone(BlockID{0, 0}, [][]int32{{1, 2}}); err != nil {
+	if err := blockDone(c, BlockID{0, 0}, [][]int32{{1, 2}}); err != nil {
 		t.Fatal(err)
 	}
 	c.Close()
@@ -126,7 +127,7 @@ func TestResumeAfterResume(t *testing.T) {
 	if !c2.Resumed() {
 		t.Fatal("first resume not detected")
 	}
-	if err := c2.BlockDone(BlockID{0, 1}, [][]int32{{3, 4}}); err != nil {
+	if err := blockDone(c2, BlockID{0, 1}, [][]int32{{3, 4}}); err != nil {
 		t.Fatal(err)
 	}
 	c2.Close()
@@ -137,7 +138,7 @@ func TestResumeAfterResume(t *testing.T) {
 		t.Fatal("second resume not detected")
 	}
 	for plan := 0; plan < 2; plan++ {
-		if _, ok := c3.DoneCliques(BlockID{0, plan}); !ok {
+		if _, ok := doneCliques(c3, BlockID{0, plan}); !ok {
 			t.Fatalf("block {0,%d} lost across double resume", plan)
 		}
 	}
@@ -183,8 +184,8 @@ func TestTornTailTruncated(t *testing.T) {
 	dir := t.TempDir()
 	c := openTest(t, dir, testID)
 	c.BeginLevel(0, 2)
-	c.BlockDone(BlockID{0, 0}, [][]int32{{1, 2, 3}})
-	c.BlockDone(BlockID{0, 1}, [][]int32{{5, 6}})
+	blockDone(c, BlockID{0, 0}, [][]int32{{1, 2, 3}})
+	blockDone(c, BlockID{0, 1}, [][]int32{{5, 6}})
 	c.Close()
 
 	path := JournalPath(dir)
@@ -202,10 +203,10 @@ func TestTornTailTruncated(t *testing.T) {
 	if !r.Resumed() {
 		t.Fatal("torn journal not resumed")
 	}
-	if _, ok := r.DoneCliques(BlockID{0, 0}); !ok {
+	if _, ok := doneCliques(r, BlockID{0, 0}); !ok {
 		t.Fatal("intact record lost to torn-tail truncation")
 	}
-	if _, ok := r.DoneCliques(BlockID{0, 1}); ok {
+	if _, ok := doneCliques(r, BlockID{0, 1}); ok {
 		t.Fatal("torn done-record replayed as intact")
 	}
 	// The torn frame must be gone from disk: the re-opened journal's
@@ -226,7 +227,7 @@ func TestSegmentCorruptionSelfHeals(t *testing.T) {
 	dir := t.TempDir()
 	c := openTest(t, dir, testID)
 	c.BeginLevel(0, 1)
-	if err := c.BlockDone(BlockID{0, 0}, [][]int32{{1, 2, 3}}); err != nil {
+	if err := blockDone(c, BlockID{0, 0}, [][]int32{{1, 2, 3}}); err != nil {
 		t.Fatal(err)
 	}
 	c.Close()
@@ -243,15 +244,15 @@ func TestSegmentCorruptionSelfHeals(t *testing.T) {
 
 	r := openTest(t, dir, testID)
 	defer r.Close()
-	if _, ok := r.DoneCliques(BlockID{0, 0}); ok {
+	if _, ok := doneCliques(r, BlockID{0, 0}); ok {
 		t.Fatal("corrupt segment served as a done block")
 	}
 	// Re-execution overwrites the bad segment and the block is done again.
 	want := [][]int32{{1, 2, 3}}
-	if err := r.BlockDone(BlockID{0, 0}, want); err != nil {
+	if err := blockDone(r, BlockID{0, 0}, want); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := r.DoneCliques(BlockID{0, 0})
+	got, ok := doneCliques(r, BlockID{0, 0})
 	if !ok || !reflect.DeepEqual(got, want) {
 		t.Fatalf("re-executed block: ok=%v got %v", ok, got)
 	}
@@ -303,11 +304,11 @@ func TestDoneBeforeDispatchIdempotent(t *testing.T) {
 	c := openTest(t, dir, testID)
 	defer c.Close()
 	c.BeginLevel(0, 1)
-	if err := c.BlockDone(BlockID{0, 0}, [][]int32{{1, 2}}); err != nil {
+	if err := blockDone(c, BlockID{0, 0}, [][]int32{{1, 2}}); err != nil {
 		t.Fatal(err)
 	}
 	c.BlockDispatched(BlockID{0, 0}) // late dispatch: ignored
-	if err := c.BlockDone(BlockID{0, 0}, [][]int32{{1, 2}}); err != nil {
+	if err := blockDone(c, BlockID{0, 0}, [][]int32{{1, 2}}); err != nil {
 		t.Fatal(err)
 	}
 	if n := c.ReenqueuedBlocks(); n != 0 {
@@ -325,7 +326,7 @@ func FuzzJournalReplay(f *testing.F) {
 		f.Fatal(err)
 	}
 	c.BeginLevel(0, 2)
-	c.BlockDone(BlockID{0, 0}, [][]int32{{1, 2, 3}})
+	blockDone(c, BlockID{0, 0}, [][]int32{{1, 2, 3}})
 	c.Close()
 	seedData, err := os.ReadFile(JournalPath(dir))
 	if err != nil {
@@ -355,4 +356,15 @@ func FuzzJournalReplay(f *testing.F) {
 			}
 		}
 	})
+}
+
+// blockDone and doneCliques put the tests' [][]int32 literals through the
+// checkpoint's window API.
+func blockDone(c *Checkpoint, id BlockID, cliques [][]int32) error {
+	return c.BlockDone(id, family.Of(cliques).Window())
+}
+
+func doneCliques(c *Checkpoint, id BlockID) ([][]int32, bool) {
+	w, ok := c.DoneCliques(id, new(family.Family))
+	return w.Views(nil), ok
 }

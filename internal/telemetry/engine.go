@@ -38,6 +38,8 @@ type Engine struct {
 	VisitedNodes       Counter // total visited entries across blocks
 	LevelsCompleted    Counter // first-level recursion levels finished
 	CliquesFound       Counter // cliques emitted by block analysis (pre-filter)
+	FamilyMembers      Counter // members over those cliques: what the levels' flat arenas hold
+	FamilyArenaBytes   Counter // heap bytes of the levels' flat arenas, capacity not use
 	HubCliquesFiltered Counter // hub-side cliques dropped by the Lemma 1 filter
 	CutNs              Counter // total CUT (Algorithm 2) time, nanoseconds
 	BlocksNs           Counter // total BLOCKS (Algorithm 3) time: the serial grow, membership only, nanoseconds
@@ -192,6 +194,8 @@ type Snapshot struct {
 	VisitedNodes       int64 `json:"visited_nodes"`
 	LevelsCompleted    int64 `json:"levels_completed"`
 	CliquesFound       int64 `json:"cliques_found"`
+	FamilyMembers      int64 `json:"family_members"`
+	FamilyArenaBytes   int64 `json:"family_arena_bytes"`
 	HubCliquesFiltered int64 `json:"hub_cliques_filtered"`
 	CutNs              int64 `json:"cut_ns"`
 	BlocksNs           int64 `json:"blocks_ns"`
@@ -260,6 +264,8 @@ func (e *Engine) Snapshot() Snapshot {
 		VisitedNodes:       e.VisitedNodes.Load(),
 		LevelsCompleted:    e.LevelsCompleted.Load(),
 		CliquesFound:       e.CliquesFound.Load(),
+		FamilyMembers:      e.FamilyMembers.Load(),
+		FamilyArenaBytes:   e.FamilyArenaBytes.Load(),
 		HubCliquesFiltered: e.HubCliquesFiltered.Load(),
 		CutNs:              e.CutNs.Load(),
 		BlocksNs:           e.BlocksNs.Load(),

@@ -270,6 +270,8 @@ func TestHotPathZeroAllocs(t *testing.T) {
 		e.InduceNs.Add(5)
 		e.SelectNs.Add(7)
 		e.ComboPicked(3, "[Lists/XPivot]")
+		e.FamilyMembers.Add(40) // what a level records of its arenas
+		e.FamilyArenaBytes.Add(1 << 18)
 	})
 	if allocs != 0 {
 		t.Fatalf("telemetry fast paths allocate %v/run, want 0", allocs)

@@ -60,7 +60,10 @@ type Stats = core.Stats
 
 // Result is the outcome of Enumerate: every maximal clique (sorted node IDs,
 // deterministic order), the recursion level each was found at (level ≥ 1
-// means a clique made of hub nodes only), and run statistics.
+// means a clique made of hub nodes only), and run statistics. Cliques[i] is
+// a view into an arena shared with the cliques found beside it: overwrite it
+// in place or append to it (append copies) freely, but keeping one clique
+// keeps its arena — copy it to keep it alone. internal/family has the rule.
 type Result = core.Result
 
 // NewBuilder returns a Builder for a graph with n nodes.
@@ -652,8 +655,9 @@ func CountMaxCliques(g *Graph, opts ...Option) (int, error) {
 
 // EnumerateStream is Enumerate without result accumulation: emit receives
 // each maximal clique as soon as its block batch completes (ascending node
-// IDs, slice reused — copy to retain) together with the hub recursion level
-// it was found at. Use it when the clique family may not fit in memory.
+// IDs; a view valid until emit returns — copy to retain, as internal/family's
+// ownership rule has it) together with the hub recursion level it was found
+// at. Use it when the clique family may not fit in memory.
 // Order and content match Enumerate exactly, and every option but
 // WithCheckpoint applies as it does there.
 func EnumerateStream(g *Graph, emit func(clique []int32, hubLevel int), opts ...Option) (*Stats, error) {
