@@ -60,6 +60,7 @@ fuzz-smoke:
 	$(GO) test -run=Fuzz -fuzz=FuzzReadTriples -fuzztime=10s ./internal/gio
 	$(GO) test -run=Fuzz -fuzz=FuzzLoadBoundedAgreesWithLoad -fuzztime=10s ./internal/gio
 	$(GO) test -run=Fuzz -fuzz=FuzzJournalReplay -fuzztime=10s ./internal/runlog
+	$(GO) test -run=Fuzz -fuzz=FuzzLevelLog -fuzztime=10s ./internal/runlog
 	$(GO) test -run=Fuzz -fuzz=FuzzIndexOpen -fuzztime=10s ./internal/cliqdb
 	$(GO) test -run=Fuzz -fuzz=FuzzFrameReader -fuzztime=10s ./internal/durable
 	$(GO) test -run=Fuzz -fuzz=FuzzDecodeAscending -fuzztime=10s ./internal/durable
@@ -73,7 +74,7 @@ fuzz-smoke:
 # byte-identical, then self-heal to the control bytes
 # (internal/cliqdb/chaos_compile_test.go) — alongside the fault-injection
 # cluster chaos tests. Runs under -race; MCE_CHAOS=1 arms the kill-based
-# tests, MCE_CHAOS_ARTIFACTS collects journal+segments on failure.
+# tests, MCE_CHAOS_ARTIFACTS collects the journal and level logs on failure.
 chaos:
 	MCE_CHAOS=1 $(GO) test -race -count=1 -run 'Chaos|Resume' . ./internal/cluster ./internal/core ./internal/cliqdb ./cmd/mcefind
 

@@ -11,12 +11,13 @@ package mce
 // The kill-based tests are gated behind MCE_CHAOS=1 (`make chaos`) because
 // they fork, poll and kill processes in a loop; tier-1 runs keep the
 // in-process crash tests in internal/core instead. On failure, the journal
-// and segment directory are copied to $MCE_CHAOS_ARTIFACTS for CI upload.
+// and the level logs are copied to $MCE_CHAOS_ARTIFACTS for CI upload.
 
 import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math/rand"
@@ -32,6 +33,7 @@ import (
 	"mce/internal/cluster"
 	"mce/internal/core"
 	"mce/internal/decomp"
+	"mce/internal/durable"
 	"mce/internal/family"
 	"mce/internal/gen"
 	"mce/internal/graph"
@@ -141,14 +143,23 @@ func cliqueDigest(cliques [][]int32) [sha256.Size]byte {
 	return d
 }
 
-func countSegments(segDir string) int {
-	entries, err := os.ReadDir(segDir)
-	if err != nil {
-		return 0 // not created yet
-	}
+// countLoggedBlocks counts the frames in the checkpoint's level logs — one
+// per completed block — by walking their length prefixes. A log being
+// appended to may end mid-frame; that frame does not count.
+func countLoggedBlocks(dir string) int {
+	logs, _ := filepath.Glob(filepath.Join(dir, "L*.mcel"))
 	n := 0
-	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), ".cliq") {
+	for _, path := range logs {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			continue
+		}
+		for len(data) >= durable.FrameHeaderLen {
+			end := durable.FrameHeaderLen + int(binary.LittleEndian.Uint32(data))
+			if end > len(data) {
+				break
+			}
+			data = data[end:]
 			n++
 		}
 	}
@@ -156,10 +167,10 @@ func countSegments(segDir string) int {
 }
 
 // runChaosChild forks a coordinator session and SIGKILLs it once it has
-// produced killAfterSegments new result segments (plus a randomized extra
-// delay, so the kill lands at arbitrary points in the write/journal
+// logged killAfterBlocks new block results (plus a randomized extra delay,
+// so the kill lands at arbitrary points in the log/journal commit
 // sequence). Returns true if the session finished before the kill landed.
-func runChaosChild(t *testing.T, dir string, workers []string, killAfterSegments int, extraDelay time.Duration) bool {
+func runChaosChild(t *testing.T, dir string, workers []string, killAfterBlocks int, extraDelay time.Duration) bool {
 	t.Helper()
 	cmd := exec.Command(os.Args[0], "-test.run=^$")
 	cmd.Env = append(os.Environ(),
@@ -175,8 +186,7 @@ func runChaosChild(t *testing.T, dir string, workers []string, killAfterSegments
 	done := make(chan error, 1)
 	go func() { done <- cmd.Wait() }()
 
-	segDir := filepath.Join(dir, "segments")
-	base := countSegments(segDir) // segments left by previous sessions
+	base := countLoggedBlocks(dir) // frames left by previous sessions
 	ticker := time.NewTicker(2 * time.Millisecond)
 	defer ticker.Stop()
 	deadline := time.After(60 * time.Second)
@@ -192,7 +202,7 @@ func runChaosChild(t *testing.T, dir string, workers []string, killAfterSegments
 			<-done
 			t.Fatalf("chaos child ran past the 60s deadline\n%s", errBuf.String())
 		case <-ticker.C:
-			if countSegments(segDir)-base < killAfterSegments {
+			if countLoggedBlocks(dir)-base < killAfterBlocks {
 				continue
 			}
 			time.Sleep(extraDelay)
@@ -205,7 +215,7 @@ func runChaosChild(t *testing.T, dir string, workers []string, killAfterSegments
 	}
 }
 
-// saveChaosArtifacts copies the journal and segments to
+// saveChaosArtifacts copies the journal and the level logs to
 // $MCE_CHAOS_ARTIFACTS/<test>/ when the test failed, so CI can upload the
 // exact on-disk state that broke recovery.
 func saveChaosArtifacts(t *testing.T, dir string) {

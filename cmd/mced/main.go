@@ -15,8 +15,8 @@
 //
 //   - The index is verified end to end at open. With -segments (the
 //     serving segment directory mcefind -index-out writes beside the
-//     index — not a run checkpoint's segments, which hold level-local
-//     resume state and are refused), a torn or bit-flipped index is
+//     index — not a run checkpoint's directory, which holds level-local
+//     resume state and is refused), a torn or bit-flipped index is
 //     rebuilt automatically; the compile is deterministic, so the healed
 //     index is byte-identical to the lost one.
 //   - Every query carries a context deadline (-deadline); requests that
@@ -98,9 +98,9 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal, started 
 	met := telemetry.NewEngine()
 
 	if *segments != "" {
-		// A run checkpoint's segment directory holds resume state, not the
-		// final clique family; refuse it now rather than at the first
-		// self-heal or /v1/rebuild.
+		// A run checkpoint's directory holds resume state, not the final
+		// clique family; refuse it now rather than at the first self-heal
+		// or /v1/rebuild.
 		if err := cliqdb.CheckServingSegments(*segments); err != nil {
 			fmt.Fprintln(stderr, "mced:", err)
 			return 2

@@ -20,7 +20,7 @@ import (
 )
 
 // TestRefusesCheckpointSegments pins the startup guard: -segments pointed
-// at a run checkpoint's segment directory (resume state, not the final
+// at a run checkpoint's directory or into it (resume state, not the final
 // clique family) must fail configuration immediately, before a self-heal
 // or /v1/rebuild could bake wrong cliques into an index.
 func TestRefusesCheckpointSegments(t *testing.T) {
@@ -32,11 +32,13 @@ func TestRefusesCheckpointSegments(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(ckpt, "journal.mcej"), []byte("j"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	var out, errBuf bytes.Buffer
-	code := run([]string{"-db", filepath.Join(ckpt, "x.cliqdb"), "-segments", segDir, "-listen", "127.0.0.1:0"},
-		&out, &errBuf, make(chan os.Signal, 1), make(chan [2]string, 1))
-	if code != 2 || !strings.Contains(errBuf.String(), "checkpoint") {
-		t.Fatalf("code=%d stderr=%q, want config refusal naming the checkpoint contract", code, errBuf.String())
+	for _, dir := range []string{ckpt, segDir} {
+		var out, errBuf bytes.Buffer
+		code := run([]string{"-db", filepath.Join(ckpt, "x.cliqdb"), "-segments", dir, "-listen", "127.0.0.1:0"},
+			&out, &errBuf, make(chan os.Signal, 1), make(chan [2]string, 1))
+		if code != 2 || !strings.Contains(errBuf.String(), "checkpoint") {
+			t.Fatalf("-segments %s: code=%d stderr=%q, want config refusal naming the checkpoint contract", dir, code, errBuf.String())
+		}
 	}
 }
 

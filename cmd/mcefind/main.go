@@ -383,9 +383,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 				return 1
 			}
 			// The serving segments beside the index back mced's self-healing
-			// with the final clique family. A run checkpoint's segments can't:
-			// they hold level-local, pre-filter resume state, and cliqdb
-			// refuses to compile them.
+			// with the final clique family. A run checkpoint's level logs
+			// can't: they hold level-local, pre-filter resume state, and
+			// cliqdb refuses to compile anything out of that directory.
 			segOut := *indexOut + ".segments"
 			if err := cliqstore.WriteDir(segOut, res.Cliques); err != nil {
 				fmt.Fprintln(stderr, "mcefind:", err)
@@ -468,6 +468,11 @@ func printTelemetry(w io.Writer, s *mce.TelemetrySnapshot) {
 			time.Duration(s.BlockNs.Quantile(0.5)).Round(time.Microsecond),
 			time.Duration(s.BlockNs.Quantile(0.95)).Round(time.Microsecond),
 			time.Duration(s.BlockNs.Max).Round(time.Microsecond))
+	}
+	if s.CheckpointCommits > 0 {
+		fmt.Fprintf(w, "telemetry: checkpoint commits=%d mean-batch=%.1f log=%.2fMiB barrier-wait=%v\n",
+			s.CheckpointCommits, float64(s.CheckpointCommitBlocks)/float64(s.CheckpointCommits),
+			float64(s.CheckpointLogBytes)/(1<<20), time.Duration(s.CheckpointBarrierWaitNs).Round(time.Microsecond))
 	}
 	if s.BytesSent > 0 || s.BytesReceived > 0 {
 		fmt.Fprintf(w, "telemetry: wire sent=%dB received=%dB round-trips=%d retries=%d reconnects=%d\n",

@@ -330,9 +330,12 @@ func TestCheckpointFlagValidation(t *testing.T) {
 func TestCheckpointResumeRoundTrip(t *testing.T) {
 	p := writeTriangleTail(t)
 	dir := filepath.Join(t.TempDir(), "ck")
-	code, first, errs := runCmd(t, "-checkpoint", dir, p)
+	code, first, errs := runCmd(t, "-checkpoint", dir, "-stats", p)
 	if code != 0 {
 		t.Fatalf("checkpointed run: code %d, errs %q", code, errs)
+	}
+	if !strings.Contains(errs, "telemetry: checkpoint commits=") || !strings.Contains(errs, "mean-batch=") {
+		t.Fatalf("stats missing the checkpoint commit line: %q", errs)
 	}
 	if !mce.HasCheckpoint(dir) {
 		t.Fatal("run left no journal behind")

@@ -56,9 +56,10 @@ type BuildStats struct {
 //
 // The segments must hold the run's final clique family in the graph's own
 // vertex IDs — the directory mcefind -index-out writes beside the index.
-// A run checkpoint's segment directory is NOT that: its segments are
-// resume state (level-local IDs, pre-Lemma-1-filter), and compiling them
-// would serve wrong cliques under wrong labels, so it is refused.
+// A run checkpoint's directory is NOT that: what it holds is resume state
+// (level-local IDs, pre-Lemma-1-filter), and compiling any of it would serve
+// wrong cliques under wrong labels, so it — and anything inside it — is
+// refused.
 func CompileSegments(segDir, path string) (*BuildStats, error) {
 	if err := CheckServingSegments(segDir); err != nil {
 		return nil, err
@@ -76,12 +77,12 @@ func CompileSegments(segDir, path string) (*BuildStats, error) {
 }
 
 // CheckServingSegments rejects segment directories that cannot back a
-// serving index — today, a run checkpoint's segment directory (see
+// serving index — today, a run checkpoint's directory or one inside it (see
 // CompileSegments). mced runs this at startup so a misconfigured -segments
 // fails the daemon immediately instead of at the first self-heal.
 func CheckServingSegments(segDir string) error {
-	if runlog.IsCheckpointSegmentDir(segDir) {
-		return fmt.Errorf("cliqdb: %s is a run checkpoint's segment directory, which holds per-level resume state rather than the final clique family; point at the <index>.segments directory mcefind -index-out writes", segDir)
+	if runlog.InsideCheckpoint(segDir) {
+		return fmt.Errorf("cliqdb: %s is, or is inside, a run checkpoint's directory, which holds per-level resume state rather than the final clique family; point at the <index>.segments directory mcefind -index-out writes", segDir)
 	}
 	return nil
 }

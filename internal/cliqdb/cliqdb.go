@@ -1,8 +1,8 @@
 // Package cliqdb is the serving-side clique database: a compact, checksummed
 // on-disk index compiled offline from cliqstore segments holding a run's
 // final clique family (the serving segment directory mcefind -index-out
-// writes — a run checkpoint's own segments are level-local resume state and
-// are refused), and opened read-only by the query daemon (cmd/mced). The split mirrors the create-db / search-db shape the ROADMAP
+// writes — a run checkpoint's own level logs are level-local resume state
+// and its directory is refused), and opened read-only by the query daemon (cmd/mced). The split mirrors the create-db / search-db shape the ROADMAP
 // names: enumeration is the expensive offline build, queries are cheap
 // online lookups over a vertex → containing-cliques inverted index plus a
 // size-ordered index for top-k and community percolation.

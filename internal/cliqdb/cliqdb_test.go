@@ -313,10 +313,10 @@ func TestOpenDetectsCorruption(t *testing.T) {
 }
 
 // TestCompileSegmentsRefusesCheckpointDir pins the serving-segment
-// contract: a run checkpoint's segment directory holds level-local,
-// pre-Lemma-1-filter resume state, so compiling it would build an index
-// with non-maximal cliques under wrong vertex labels. It must be refused,
-// not compiled.
+// contract: a run checkpoint's directory holds level-local,
+// pre-Lemma-1-filter resume state, so compiling it — or anything kept
+// inside it — would build an index with non-maximal cliques under wrong
+// vertex labels. It must be refused, not compiled.
 func TestCompileSegmentsRefusesCheckpointDir(t *testing.T) {
 	ckpt := t.TempDir()
 	segDir := filepath.Join(ckpt, "segments")
@@ -328,10 +328,12 @@ func TestCompileSegmentsRefusesCheckpointDir(t *testing.T) {
 	}
 	writeSegment(t, filepath.Join(segDir, "L000-B000000.cliq"), testCliques())
 	out := filepath.Join(t.TempDir(), "out.mcdb")
-	if _, err := CompileSegments(segDir, out); err == nil {
-		t.Fatal("CompileSegments accepted a run checkpoint's segment directory")
-	} else if !strings.Contains(err.Error(), "checkpoint") {
-		t.Fatalf("refusal does not explain the checkpoint contract: %v", err)
+	for _, dir := range []string{ckpt, segDir} {
+		if _, err := CompileSegments(dir, out); err == nil {
+			t.Fatalf("CompileSegments accepted %s of a run checkpoint at %s", dir, ckpt)
+		} else if !strings.Contains(err.Error(), "checkpoint") {
+			t.Fatalf("refusal does not explain the checkpoint contract: %v", err)
+		}
 	}
 	// The same segments without a journal beside them are an ordinary
 	// serving directory and compile fine.

@@ -21,8 +21,7 @@ import (
 	"mce/internal/durable"
 )
 
-// SegmentExt is the filename extension of sealed clique segments as written
-// by internal/runlog.
+// SegmentExt is the filename extension of sealed clique segments.
 const SegmentExt = ".cliq"
 
 // FamilySegment is the filename of the canonical whole-family segment
@@ -34,10 +33,10 @@ const FamilySegment = "family" + SegmentExt
 // landed by durable.AtomicReplace so a crash never leaves a torn segment
 // under the live name, with any stale segments from a previous family
 // removed after the rename. This is the directory to back index
-// self-healing with (mced -segments): unlike a run checkpoint's segment
-// directory — which holds per-level resume state in level-local vertex
-// IDs, before the Lemma 1 filter — it holds the final clique family in
-// the graph's own IDs.
+// self-healing with (mced -segments): unlike a run checkpoint's directory
+// — which holds per-level resume state in level-local vertex IDs, before
+// the Lemma 1 filter — it holds the final clique family in the graph's
+// own IDs.
 func WriteDir(dir string, cliques [][]int32) error {
 	return writeDir(durable.OSFS{}, dir, cliques)
 }

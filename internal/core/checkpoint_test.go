@@ -80,10 +80,10 @@ func TestCheckpointedRunMatchesPlain(t *testing.T) {
 	}
 }
 
-// TestResumeServesEveryBlockFromSegments pins the full-resume path: after a
+// TestResumeServesEveryBlockFromLog pins the full-resume path: after a
 // completed checkpointed run, a resumed run must answer entirely from the
-// journal and segments — the executor must never be invoked.
-func TestResumeServesEveryBlockFromSegments(t *testing.T) {
+// journal and the level logs — the executor must never be invoked.
+func TestResumeServesEveryBlockFromLog(t *testing.T) {
 	g := gen.BarabasiAlbert(300, 3, 7)
 	opts := Options{BlockSize: 20}
 	dir := t.TempDir()

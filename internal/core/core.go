@@ -774,23 +774,22 @@ func (r *run) levelDone(ls LevelStats) {
 
 // analyzeCheckpointed runs one level's batch against the checkpoint: the
 // level's block plan is journaled (and validated against a resumed journal),
-// blocks the journal records as done are served from their segments, and
-// only the remainder is dispatched, each block made durable by the executor
-// the moment it completes. Results come back indexed like blocks, so
-// resumed and fresh runs produce identical output; a block served from its
-// segment is never induced, and all of a level's segments decode into one
-// family.
+// blocks the journal records as done are served from the level's result log,
+// and only the remainder is dispatched, each block handed to the checkpoint
+// by the executor the moment it completes and durable by EndLevel. Results
+// come back indexed like blocks, so resumed and fresh runs produce identical
+// output; a block served from the log is never induced, and the checkpoint
+// reads a level's log once, into one family.
 func (r *run) analyzeCheckpointed(ctx context.Context, cp *runlog.Checkpoint, g *graph.Graph, blocks []decomp.Block, level int) ([]family.Window, error) {
 	if err := cp.BeginLevel(level, len(blocks)); err != nil {
 		return nil, err
 	}
 	perBlock := make([]family.Window, len(blocks))
-	resumed := new(family.Family)
 	var pend []decomp.Block
 	var ids []runlog.BlockID
 	for i := range blocks {
 		id := runlog.BlockID{Level: level, Plan: i}
-		if cliques, ok := cp.DoneCliques(id, resumed); ok {
+		if cliques, ok := cp.DoneCliques(id); ok {
 			perBlock[i] = cliques
 			continue
 		}
@@ -871,25 +870,26 @@ func (r *run) analyzeScheduled(ctx context.Context, g *graph.Graph, blocks []dec
 // enumeration with no block-level parallelism to hide behind.
 //
 // Under a checkpoint the level is journaled like any other, so a resumed
-// run loads the terminal core's cliques from its segment too. The family is
-// journaled (in this level's IDs) before any of it is handed up — receivers
-// up the recursion translate in place. A collecting run hands the core up as
-// one window; a streaming one hands each clique up as the kernel emits it,
-// from an arena of one, so nothing is buffered.
+// run loads the terminal core's cliques from the level's log too. The family
+// is encoded for the log (in this level's IDs) before any of it is handed up
+// — receivers up the recursion translate in place. A collecting run hands the
+// core up as one window; a streaming one hands each clique up as the kernel
+// emits it, from an arena of one, so nothing is buffered.
 func (r *run) terminalCore(g *graph.Graph, depth int, cutTime time.Duration, out sink) error {
 	cp, met := r.opts.Checkpoint, r.opts.Metrics
 	start := time.Now()
 	id := runlog.BlockID{Level: depth, Plan: 0}
-	fam := new(family.Family)
+	var core family.Window // the level's one block
 	resumed := false
 	if cp != nil {
 		if err := cp.BeginLevel(depth, 1); err != nil {
 			return err
 		}
-		_, resumed = cp.DoneCliques(id, fam)
+		core, resumed = cp.DoneCliques(id)
 	}
 	ls := LevelStats{Nodes: g.N(), Edges: g.M(), Hubs: g.N(), Decomp: cutTime, CutTime: cutTime}
 	if !resumed {
+		fam := new(family.Family)
 		var scratch kcore.Scratch
 		combo := r.sel(g, &scratch)
 		if met != nil {
@@ -906,8 +906,9 @@ func (r *run) terminalCore(g *graph.Graph, depth int, cutTime time.Duration, out
 		if err != nil {
 			return err
 		}
+		core = fam.Window()
 		if cp != nil {
-			if err := cp.BlockDone(id, fam.Window()); err != nil {
+			if err := cp.BlockDone(id, core); err != nil {
 				return err
 			}
 		}
@@ -917,10 +918,10 @@ func (r *run) terminalCore(g *graph.Graph, depth int, cutTime time.Duration, out
 			return err
 		}
 	}
-	if fam.Len() > 0 {
-		ls.Cliques = fam.Len()
-		ls.held(fam)
-		out(fam.Window(), depth)
+	if core.Count > 0 {
+		ls.Cliques = core.Count
+		ls.held(core.F)
+		out(core, depth)
 	}
 	r.stats.CoreFallback = true
 	ls.Analysis = time.Since(start)

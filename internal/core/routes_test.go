@@ -187,7 +187,7 @@ func TestRoutesAgree(t *testing.T) {
 		}},
 		{"checkpoint-resumed", true, func(t *testing.T, g *graph.Graph, opts *core.Options) func() {
 			// A completed checkpointed run, then a resume that must answer
-			// from the journal and segments alone.
+			// from the journal and the level logs alone.
 			dir := t.TempDir()
 			first := *opts
 			first.Checkpoint = openCheckpoint(t, dir, g, *opts)

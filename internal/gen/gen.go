@@ -56,17 +56,15 @@ func BarabasiAlbert(n, k int, seed int64) *graph.Graph {
 			repeated = append(repeated, u, v)
 		}
 	}
-	targets := make(map[int32]bool, k)
+	targets := make([]int32, 0, k) // distinct, ascending
 	for v := int32(k + 1); v < int32(n); v++ {
-		for id := range targets {
-			delete(targets, id)
-		}
+		targets = targets[:0]
 		for len(targets) < k {
-			targets[repeated[rng.Intn(len(repeated))]] = true
+			targets, _ = insertAscending(targets, repeated[rng.Intn(len(repeated))])
 		}
-		// Drain the target set in sorted order: repeated is sampled by
-		// index later, so its contents must not depend on map order.
-		for _, u := range neighborsOf(targets) {
+		// The target set drains in ascending order: repeated is sampled by
+		// index later, so its contents must not depend on draw order.
+		for _, u := range targets {
 			b.AddEdge(v, u)
 			repeated = append(repeated, v, u)
 		}
@@ -125,16 +123,18 @@ func HolmeKim(n, k int, pt float64, seed int64) *graph.Graph {
 	rng := rand.New(rand.NewSource(seed))
 	b := graph.NewBuilder(n)
 	repeated := make([]int32, 0, 2*n*k)
-	adj := make([]map[int32]bool, n)
-	for i := range adj {
-		adj[i] = make(map[int32]bool)
-	}
+	// adj[u] is u's neighbours so far, ascending: a triad step draws one of
+	// them by index, so the order must be a function of the edges alone.
+	adj := make([][]int32, n)
 	addEdge := func(u, v int32) bool {
-		if u == v || adj[u][v] {
+		if u == v {
 			return false
 		}
-		adj[u][v] = true
-		adj[v][u] = true
+		var fresh bool
+		if adj[u], fresh = insertAscending(adj[u], v); !fresh {
+			return false
+		}
+		adj[v], _ = insertAscending(adj[v], u)
 		b.AddEdge(u, v)
 		repeated = append(repeated, u, v)
 		return true
@@ -150,8 +150,7 @@ func HolmeKim(n, k int, pt float64, seed int64) *graph.Graph {
 		for attempts := 0; added < k && attempts < 20*k; attempts++ {
 			if last >= 0 && rng.Float64() < pt {
 				// Triad formation: connect to a random neighbour of last.
-				nbrs := neighborsOf(adj[last])
-				if len(nbrs) > 0 {
+				if nbrs := adj[last]; len(nbrs) > 0 {
 					w := nbrs[rng.Intn(len(nbrs))]
 					if addEdge(v, w) {
 						last = w
@@ -171,16 +170,14 @@ func HolmeKim(n, k int, pt float64, seed int64) *graph.Graph {
 	return b.Build()
 }
 
-func neighborsOf(m map[int32]bool) []int32 {
-	out := make([]int32, 0, len(m))
-	for v := range m {
-		out = append(out, v)
+// insertAscending inserts v into the ascending run s and reports whether it
+// was absent.
+func insertAscending(s []int32, v int32) ([]int32, bool) {
+	i, found := slices.BinarySearch(s, v)
+	if found {
+		return s, false
 	}
-	// Map iteration order is randomized per process; sorting keeps the
-	// seeded rng draw below — and therefore the whole generated graph —
-	// identical across runs of the same binary.
-	slices.Sort(out)
-	return out
+	return slices.Insert(s, i, v), true
 }
 
 // PlantCliques overlays extra cliques on g: count cliques, each of a size

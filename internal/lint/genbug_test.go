@@ -9,11 +9,12 @@ import (
 
 // TestMapOrderCatchesReintroducedGenBug is the acceptance criterion from
 // the issue: deliberately reintroducing the PR 3 map-order bug in
-// internal/gen must make maporder fail the build. The bug was neighborsOf
-// returning a map-range slice unsorted, which HolmeKim then indexed with a
-// seeded rng draw — same-seed graphs differed across processes. The test
-// strips the fix from a copy of the real source and expects the analyzer
-// to re-find it; the unmodified source must stay clean.
+// internal/gen must make maporder fail the build. The bug was HolmeKim
+// drawing a triad neighbour, by a seeded rng index, from a slice filled by
+// ranging over a map — same-seed graphs differed across processes. The fix
+// is that a node's neighbours are an ascending slice and no map is ranged
+// over; the test puts the map back in a copy of the real source and expects
+// the analyzer to re-find it; the unmodified source must stay clean.
 func TestMapOrderCatchesReintroducedGenBug(t *testing.T) {
 	root := moduleRoot()
 	genDir := filepath.Join(root, "internal", "gen")
@@ -23,13 +24,20 @@ func TestMapOrderCatchesReintroducedGenBug(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reading gen.go: %v", err)
 	}
-	const fix = "slices.Sort(out)"
+	const fix = "if nbrs := adj[last]; len(nbrs) > 0 {"
 	if !strings.Contains(string(orig), fix) {
-		t.Fatalf("gen.go no longer contains %q; update this test to strip the current fix", fix)
+		t.Fatalf("gen.go no longer contains %q; update this test to break the current fix", fix)
 	}
-	// Clip keeps the slices import alive and the taint intact — it is the
-	// PR 3 pre-fix shape with a no-op where the sort used to be.
-	broken := strings.Replace(string(orig), fix, "out = slices.Clip(out)", 1)
+	const bug = `set := map[int32]bool{}
+				for _, u := range adj[last] {
+					set[u] = true
+				}
+				var nbrs []int32
+				for u := range set {
+					nbrs = append(nbrs, u)
+				}
+				if len(nbrs) > 0 {`
+	broken := strings.Replace(string(orig), fix, bug, 1)
 
 	dir := t.TempDir()
 	paths := make([]string, len(srcs))

@@ -1,18 +1,20 @@
 // Package runlog makes long enumeration runs crash-safe: a coordinator
 // writes a durable write-ahead journal of its run identity and per-block
-// lifecycle (planned → dispatched → done), streams every block's cliques
-// into an idempotent on-disk segment named by the block's stable identity,
-// and on restart replays the journal to skip completed work — so a run
-// killed hours in resumes instead of re-enumerating, and resumed blocks are
-// exactly-once in the merged output.
+// lifecycle (planned → dispatched → done), appends every block's cliques as
+// one frame of its recursion level's result log, and on restart replays the
+// journal to skip completed work — so a run killed hours in resumes instead
+// of re-enumerating, and resumed blocks are exactly-once in the merged
+// output.
 //
-// The journal is a log of durable frames (internal/durable: length, CRC-32,
-// payload). Appends are fsync'd (configurable), and replay truncates a torn
-// tail — a record half written when the process died — back to the last
-// intact record, the standard WAL recovery discipline. Record payloads are
-// a type byte followed by uvarint fields, so the format is
-// append-only-evolvable: an unknown record type is an error (newer writer),
-// a short payload is corruption.
+// The journal and the level logs are logs of durable frames
+// (internal/durable: length, CRC-32, payload). One committer goroutine
+// writes both, a batch of finished blocks at a time: the batch's frames to
+// the level log, one fsync, then the batch's records to the journal, one
+// fsync (DESIGN.md §12). Replay truncates a torn tail — a record half
+// written when the process died — back to the last intact record, the
+// standard WAL recovery discipline. Record payloads are a type byte followed
+// by uvarint fields, so the format is append-only-evolvable: an unknown
+// record type is an error (newer writer), a short payload is corruption.
 package runlog
 
 import (
@@ -20,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"mce/internal/durable"
@@ -27,8 +30,13 @@ import (
 )
 
 // journalMagic heads every journal file; the trailing byte is the format
-// version.
-var journalMagic = [5]byte{'M', 'C', 'E', 'J', 1}
+// version. Version 1 journaled one segment file per block and a graph digest
+// this build does not compute; it is refused by name.
+var journalMagic = [5]byte{'M', 'C', 'E', 'J', 2}
+
+// version1Refusal is what a version-1 checkpoint is told, whether it is
+// recognised by its journal or by its segments directory.
+const version1Refusal = "a version-1 checkpoint (one segment file per block), which this build cannot resume; restart the run in a fresh -checkpoint directory"
 
 // maxRecordLen bounds one record's payload; anything larger in a frame
 // header is treated as corruption (a torn or overwritten length field), not
@@ -42,7 +50,7 @@ const (
 	recResume                   // a new coordinator session attached
 	recLevel                    // one recursion level's block plan
 	recDispatch                 // block handed to an executor
-	recDone                     // block's cliques durably in its segment
+	recDone                     // block's cliques durably in its level's log
 	recLevelEnd                 // every block of the level is done
 	recRunEnd                   // the run completed
 )
@@ -54,8 +62,9 @@ type rec struct {
 	level       int    // recLevel / recDispatch / recDone / recLevelEnd
 	blocks      int    // recLevel: planned block count
 	plan        int    // recDispatch / recDone: stable block index within the level
+	off, length int    // recDone: where the block's frame lies in its level's log
 	count       int    // recDone: clique count
-	digest      uint32 // recDone: cliqstore content digest of the block's cliques
+	digest      uint32 // recDone: CRC-32 of the frame's payload
 }
 
 // encode appends the record's payload (type byte + uvarint fields).
@@ -75,6 +84,8 @@ func (r *rec) encode(buf []byte) []byte {
 	case recDone:
 		put(uint64(r.level))
 		put(uint64(r.plan))
+		put(uint64(r.off))
+		put(uint64(r.length))
 		put(uint64(r.count))
 		put(uint64(r.digest))
 	case recLevelEnd:
@@ -99,16 +110,17 @@ func decodeRec(p []byte) (rec, error) {
 		p = p[n:]
 		return v, nil
 	}
-	getInt := func(dst *int) error {
+	getUpTo := func(bound uint64) (uint64, error) {
 		v, err := get()
-		if err != nil {
-			return err
+		if err == nil && v > bound {
+			err = fmt.Errorf("runlog: implausible field value %d", v)
 		}
-		if v > 1<<40 {
-			return fmt.Errorf("runlog: implausible field value %d", v)
-		}
+		return v, err
+	}
+	getInt := func(dst *int) error {
+		v, err := getUpTo(1 << 40)
 		*dst = int(v)
-		return nil
+		return err
 	}
 	var err error
 	switch r.kind {
@@ -128,8 +140,11 @@ func decodeRec(p []byte) (rec, error) {
 			return r, err
 		}
 	case recDone:
-		var dig int
-		if err = errors.Join(getInt(&r.level), getInt(&r.plan), getInt(&r.count), getInt(&dig)); err != nil {
+		if err = errors.Join(getInt(&r.level), getInt(&r.plan), getInt(&r.off), getInt(&r.length), getInt(&r.count)); err != nil {
+			return r, err
+		}
+		dig, err := getUpTo(math.MaxUint32) // a wider field is malformed, not a digest to truncate
+		if err != nil {
 			return r, err
 		}
 		r.digest = uint32(dig)
@@ -147,25 +162,32 @@ func decodeRec(p []byte) (rec, error) {
 	return r, nil
 }
 
-// journal is the framed record log: every append writes one durable frame
-// in one Write and fsyncs it.
+// journal is the framed record log. Records are framed into a buffer by
+// add and reach the file in flush: one Write and one fsync for however many
+// records the committer's batch held.
 type journal struct {
 	f       File
 	met     *telemetry.Engine
 	payload []byte
-	frame   []byte
-	err     error // first write failure; the journal is dead afterwards
+	frames  []byte // added, not yet flushed
+	added   int64  // records in frames
+	err     error  // first write failure; the journal is dead afterwards
 }
 
-// append frames and writes one record; failures stick so a half-written
-// frame is never followed by more records in the same session.
-func (j *journal) append(r *rec) error {
-	if j.err != nil {
+// add frames one record into the buffer.
+func (j *journal) add(r *rec) {
+	j.payload = r.encode(j.payload[:0])
+	j.frames = durable.AppendFrame(j.frames, j.payload)
+	j.added++
+}
+
+// flush writes and fsyncs the buffered records; failures stick so a
+// half-written frame is never followed by more records in the same session.
+func (j *journal) flush() error {
+	if j.err != nil || len(j.frames) == 0 {
 		return j.err
 	}
-	j.payload = r.encode(j.payload[:0])
-	j.frame = durable.AppendFrame(j.frame[:0], j.payload)
-	if _, err := j.f.Write(j.frame); err != nil {
+	if _, err := j.f.Write(j.frames); err != nil {
 		j.err = fmt.Errorf("runlog: journal write: %w", err)
 		return j.err
 	}
@@ -174,9 +196,10 @@ func (j *journal) append(r *rec) error {
 		return j.err
 	}
 	if j.met != nil {
-		j.met.CheckpointRecords.Inc()
-		j.met.CheckpointBytes.Add(int64(len(j.frame)))
+		j.met.CheckpointRecords.Add(j.added)
+		j.met.CheckpointBytes.Add(int64(len(j.frames)))
 	}
+	j.frames, j.added = j.frames[:0], 0
 	return nil
 }
 
@@ -218,6 +241,9 @@ func replayJournal(fs FS, path string) (recs []rec, validOff int64, err error) {
 		return nil, int64(len(journalMagic)), nil
 	}
 	if magic != journalMagic {
+		if magic == [5]byte{'M', 'C', 'E', 'J', 1} {
+			return nil, 0, fmt.Errorf("runlog: %s is a version-1 journal: %s", path, version1Refusal)
+		}
 		return nil, 0, fmt.Errorf("runlog: %s is not a run journal (bad magic)", path)
 	}
 	off := int64(len(journalMagic))

@@ -1,12 +1,16 @@
 package runlog
 
 import (
+	"encoding/binary"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
+	"mce/internal/durable"
 	"mce/internal/family"
 	"mce/internal/telemetry"
 )
@@ -220,41 +224,62 @@ func TestTornTailTruncated(t *testing.T) {
 	}
 }
 
-// TestSegmentCorruptionSelfHeals pins the self-healing contract: a done
-// block whose segment no longer verifies is handed back as not-done so the
-// caller re-executes it, rather than failing the resume.
-func TestSegmentCorruptionSelfHeals(t *testing.T) {
-	dir := t.TempDir()
-	c := openTest(t, dir, testID)
-	c.BeginLevel(0, 1)
-	if err := blockDone(c, BlockID{0, 0}, [][]int32{{1, 2, 3}}); err != nil {
-		t.Fatal(err)
-	}
-	c.Close()
-
-	// Truncate the segment: journal says done, bytes disagree.
-	seg := filepath.Join(dir, segmentsDir, "L000-B000000.cliq")
-	data, err := os.ReadFile(seg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(seg, data[:len(data)-2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	r := openTest(t, dir, testID)
-	defer r.Close()
-	if _, ok := doneCliques(r, BlockID{0, 0}); ok {
-		t.Fatal("corrupt segment served as a done block")
-	}
-	// Re-execution overwrites the bad segment and the block is done again.
+// TestLogCorruptionSelfHeals pins the self-healing contract: a done block
+// whose frame no longer verifies — the log cut short of it, or a bit of it
+// flipped — is handed back as not-done so the caller re-executes it, rather
+// than failing the resume; the re-execution is appended and its record, the
+// later of the two, is the one the next session believes.
+func TestLogCorruptionSelfHeals(t *testing.T) {
 	want := [][]int32{{1, 2, 3}}
-	if err := blockDone(r, BlockID{0, 0}, want); err != nil {
-		t.Fatal(err)
-	}
-	got, ok := doneCliques(r, BlockID{0, 0})
-	if !ok || !reflect.DeepEqual(got, want) {
-		t.Fatalf("re-executed block: ok=%v got %v", ok, got)
+	for name, damage := range map[string]func([]byte) []byte{
+		"cut":      func(log []byte) []byte { return log[:len(log)-2] },
+		"bit-flip": func(log []byte) []byte { log[len(log)-1] ^= 0x10; return log },
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			c := openTest(t, dir, testID)
+			c.BeginLevel(0, 2)
+			if err := blockDone(c, BlockID{0, 0}, [][]int32{{4, 5}}); err != nil {
+				t.Fatal(err)
+			}
+			if err := blockDone(c, BlockID{0, 1}, want); err != nil {
+				t.Fatal(err)
+			}
+			c.Close()
+
+			// Damage the last frame: the journal says done, the bytes disagree.
+			logPath := filepath.Join(dir, "L000.mcel")
+			data, err := os.ReadFile(logPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(logPath, damage(data), 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			r := openTest(t, dir, testID)
+			if _, ok := doneCliques(r, BlockID{0, 1}); ok {
+				t.Fatal("damaged frame served as a done block")
+			}
+			if got, ok := doneCliques(r, BlockID{0, 0}); !ok || !reflect.DeepEqual(got, [][]int32{{4, 5}}) {
+				t.Fatalf("the intact frame before it: ok=%v got %v", ok, got)
+			}
+			// Re-execution appends the block again and it is done again.
+			if err := blockDone(r, BlockID{0, 1}, want); err != nil {
+				t.Fatal(err)
+			}
+			r.Close()
+
+			again := openTest(t, dir, testID)
+			defer again.Close()
+			got, ok := doneCliques(again, BlockID{0, 1})
+			if !ok || !reflect.DeepEqual(got, want) {
+				t.Fatalf("re-executed block: ok=%v got %v", ok, got)
+			}
+			if n := again.SkippedBlocks(); n != 1 {
+				t.Fatalf("SkippedBlocks = %d, want 1", n)
+			}
+		})
 	}
 }
 
@@ -281,7 +306,7 @@ func TestJournalRecordRoundTrip(t *testing.T) {
 		{kind: recResume, graph: 1, opts: 2},
 		{kind: recLevel, level: 3, blocks: 17},
 		{kind: recDispatch, level: 3, plan: 9},
-		{kind: recDone, level: 3, plan: 9, count: 12345, digest: 0xdeadbeef},
+		{kind: recDone, level: 3, plan: 9, off: 1 << 33, length: 4096, count: 12345, digest: 0xdeadbeef},
 		{kind: recLevelEnd, level: 3},
 		{kind: recRunEnd},
 	}
@@ -294,6 +319,32 @@ func TestJournalRecordRoundTrip(t *testing.T) {
 			t.Fatalf("round trip: got %+v want %+v", got, r)
 		}
 	}
+	for name, p := range map[string][]byte{
+		"empty":               {},
+		"unknown kind":        {99},
+		"short":               {recDone, 3, 9},
+		"trailing bytes":      append((&rec{kind: recLevelEnd, level: 3}).encode(nil), 0),
+		"implausible level":   binary.AppendUvarint([]byte{recLevelEnd}, 1<<41),
+		"digest over 32 bits": wideDigestRecord(),
+	} {
+		if _, err := decodeRec(p); err == nil {
+			t.Errorf("%s: decodeRec accepted %x", name, p)
+		}
+	}
+	if r, err := decodeRec((&rec{kind: recDone, digest: math.MaxUint32}).encode(nil)); err != nil || r.digest != math.MaxUint32 {
+		t.Errorf("a digest of 2^32-1 must decode: %+v, %v", r, err)
+	}
+}
+
+// wideDigestRecord is a recDone whose digest field holds 2^32 + 0xbeef: the
+// version-1 decoder read it through the 2^40 bound and truncated it to
+// 0xbeef, so a corrupt record aliased a valid claim.
+func wideDigestRecord() []byte {
+	p := []byte{recDone}
+	for _, v := range []uint64{3, 9, 0, 16, 1, 1<<32 + 0xbeef} {
+		p = binary.AppendUvarint(p, v)
+	}
+	return p
 }
 
 // TestDoneBeforeDispatchIdempotent pins observer ordering tolerance: a
@@ -336,6 +387,7 @@ func FuzzJournalReplay(f *testing.F) {
 	f.Add(seedData[:len(seedData)-1])
 	f.Add(journalMagic[:])
 	f.Add([]byte{})
+	f.Add(durable.AppendFrame(journalMagic[:len(journalMagic):len(journalMagic)], wideDigestRecord()))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "journal.mcej")
@@ -358,6 +410,82 @@ func FuzzJournalReplay(f *testing.F) {
 	})
 }
 
+// FuzzLevelLog gives a resume arbitrary bytes for a journal and for level
+// 0's log: it must not panic, must not allocate more than a small multiple
+// of what it was given (a claimed length or count is not an allocation
+// request), and must serve no block whose cliques do not re-encode to the
+// count and digest its done record claims.
+func FuzzLevelLog(f *testing.F) {
+	dir := f.TempDir()
+	c, err := Open(dir, testID, Options{NoSync: true})
+	if err != nil {
+		f.Fatal(err)
+	}
+	c.BeginLevel(0, 3)
+	blockDone(c, BlockID{0, 1}, [][]int32{{1, 2, 3}, {4, 7, 70000}})
+	blockDone(c, BlockID{0, 0}, nil)
+	blockDone(c, BlockID{0, 2}, [][]int32{{0, 5}})
+	c.Close()
+	journal, err := os.ReadFile(JournalPath(dir))
+	if err != nil {
+		f.Fatal(err)
+	}
+	log, err := os.ReadFile(c.logPath(0))
+	if err != nil {
+		f.Fatal(err)
+	}
+	flipped := append([]byte(nil), log...)
+	flipped[len(flipped)/2] ^= 0x04
+	f.Add(journal, log)
+	f.Add(journal, log[:len(log)-1])
+	f.Add(journal, flipped)
+	f.Add(journal, []byte{})
+	f.Add(journal[:len(journal)-2], log)
+	// A record claiming 1 TiB at offset 0, and one whose frame header does.
+	huge := durable.AppendFrame(journal[:len(journal):len(journal)], (&rec{kind: recDone, plan: 7, length: 1 << 40, count: 1 << 40}).encode(nil))
+	f.Add(huge, log)
+	f.Add(journal, append([]byte{0xff, 0xff, 0xff, 0x7f}, log[4:]...))
+
+	f.Fuzz(func(t *testing.T, journal, log []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(JournalPath(dir), journal, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "L000.mcel"), log, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		c, err := Open(dir, testID, Options{NoSync: true})
+		if err != nil {
+			return // another run's journal, or not one: a refusal, not a crash
+		}
+		defer c.Close()
+		claims := make(map[BlockID]doneInfo)
+		for id, info := range c.done {
+			claims[id] = info
+		}
+		for id, claim := range claims {
+			w, ok := c.DoneCliques(id)
+			if !ok {
+				continue
+			}
+			_, digest, err := encodeFrame(w)
+			if err != nil || w.Count != claim.count || digest != claim.digest {
+				t.Fatalf("block %+v served as %d cliques digest %#x (%v), its record claims %d/%#x", id, w.Count, digest, err, claim.count, claim.digest)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		// The fixed part is the read buffer, the maps and the family's first
+		// chunk; the rest is records (a few dozen bytes of state per 10-byte
+		// record) and members (4 bytes per 1-byte gap), twice over for the
+		// re-encode above.
+		if grew, most := after.TotalAlloc-before.TotalAlloc, uint64(1<<20+64*(len(journal)+len(log))); grew > most {
+			t.Fatalf("resuming %d journal and %d log bytes allocated %d bytes, over the %d allowed", len(journal), len(log), grew, most)
+		}
+	})
+}
+
 // blockDone and doneCliques put the tests' [][]int32 literals through the
 // checkpoint's window API.
 func blockDone(c *Checkpoint, id BlockID, cliques [][]int32) error {
@@ -365,6 +493,6 @@ func blockDone(c *Checkpoint, id BlockID, cliques [][]int32) error {
 }
 
 func doneCliques(c *Checkpoint, id BlockID) ([][]int32, bool) {
-	w, ok := c.DoneCliques(id, new(family.Family))
+	w, ok := c.DoneCliques(id)
 	return w.Views(nil), ok
 }

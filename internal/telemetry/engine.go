@@ -85,7 +85,11 @@ type Engine struct {
 	CheckpointRecords       Counter // journal records appended this session
 	CheckpointBytes         Counter // journal bytes appended this session
 	CheckpointReplayNs      Counter // time spent replaying the journal on open
-	CheckpointBlocksSkipped Counter // journaled-done blocks served from segments instead of re-analysed
+	CheckpointBlocksSkipped Counter // journaled-done blocks served from the level logs instead of re-analysed
+	CheckpointCommits       Counter // group commits that made at least one block durable
+	CheckpointCommitBlocks  Counter // blocks those commits carried (÷ commits = mean batch)
+	CheckpointLogBytes      Counter // frame bytes appended to the level logs this session
+	CheckpointBarrierWaitNs Counter // time EndLevel/FinishRun waited for the committer to drain
 
 	// Query serving (cmd/mced, internal/cliqdb).
 	QueriesAdmitted    Counter // requests past admission control
@@ -235,6 +239,10 @@ type Snapshot struct {
 	CheckpointBytes         int64 `json:"checkpoint_bytes"`
 	CheckpointReplayNs      int64 `json:"checkpoint_replay_ns"`
 	CheckpointBlocksSkipped int64 `json:"checkpoint_blocks_skipped"`
+	CheckpointCommits       int64 `json:"checkpoint_commits"`
+	CheckpointCommitBlocks  int64 `json:"checkpoint_commit_blocks"`
+	CheckpointLogBytes      int64 `json:"checkpoint_log_bytes"`
+	CheckpointBarrierWaitNs int64 `json:"checkpoint_barrier_wait_ns"`
 
 	QueriesAdmitted    int64 `json:"queries_admitted"`
 	QueriesShed        int64 `json:"queries_shed"`
@@ -299,6 +307,10 @@ func (e *Engine) Snapshot() Snapshot {
 		CheckpointBytes:         e.CheckpointBytes.Load(),
 		CheckpointReplayNs:      e.CheckpointReplayNs.Load(),
 		CheckpointBlocksSkipped: e.CheckpointBlocksSkipped.Load(),
+		CheckpointCommits:       e.CheckpointCommits.Load(),
+		CheckpointCommitBlocks:  e.CheckpointCommitBlocks.Load(),
+		CheckpointLogBytes:      e.CheckpointLogBytes.Load(),
+		CheckpointBarrierWaitNs: e.CheckpointBarrierWaitNs.Load(),
 		QueriesAdmitted:         e.QueriesAdmitted.Load(),
 		QueriesShed:             e.QueriesShed.Load(),
 		QueriesTimedOut:         e.QueriesTimedOut.Load(),
