@@ -58,7 +58,7 @@ fuzz-smoke:
 	$(GO) test -run=Fuzz -fuzz=FuzzReader -fuzztime=10s ./internal/cliqstore
 	$(GO) test -run=Fuzz -fuzz=FuzzReadEdgeList -fuzztime=10s ./internal/gio
 	$(GO) test -run=Fuzz -fuzz=FuzzReadTriples -fuzztime=10s ./internal/gio
-	$(GO) test -run=Fuzz -fuzz=FuzzLoadBoundedAgreesWithLoad -fuzztime=10s ./internal/gio
+	$(GO) test -run=Fuzz -fuzz=FuzzLoadMatchesReference -fuzztime=10s ./internal/gio
 	$(GO) test -run=Fuzz -fuzz=FuzzJournalReplay -fuzztime=10s ./internal/runlog
 	$(GO) test -run=Fuzz -fuzz=FuzzLevelLog -fuzztime=10s ./internal/runlog
 	$(GO) test -run=Fuzz -fuzz=FuzzIndexOpen -fuzztime=10s ./internal/cliqdb

@@ -1,7 +1,7 @@
 package gio
 
 import (
-	"os"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -55,32 +55,47 @@ func FuzzReadTriples(f *testing.F) {
 	})
 }
 
-func FuzzLoadBoundedAgreesWithLoad(f *testing.F) {
+// FuzzLoadMatchesReference: in both formats the reader makes the same
+// decision as referenceRead — accept or reject, with the same error text —
+// and on acceptance the same CSR, byte for byte, and the same label order.
+func FuzzLoadMatchesReference(f *testing.F) {
 	f.Add("0 1\n1 2\n2 0\n")
 	f.Add("a b\nb c\n")
 	f.Add("bad\n")
+	f.Add("a e0 b\r\nb e1 c\r\n")                                // CRLF
+	f.Add("a\te0\tb\n\tb \t e1\t c \n")                          // tabs
+	f.Add("a\ve0\fb\n\fb\ve1 c\v\n")                             // \v and \f
+	f.Add("a\xc2\xa0e0 b\n\xc2\xa0c e1\xc2\xa0d\n")              // NBSP
+	f.Add("a\xc2\x85e0 b\nc e1 d\xc2\x85\n")                     // U+0085
+	f.Add("a\xe2\x80\x83e0 b\n\xe2\x80\x83b e1 c\xe2\x80\x83\n") // U+2003
+	f.Add("a\xffb e0 c\n\xfe \xc3 \x80\nd e1 \xe2\x80\n")        // invalid UTF-8
+	f.Add("  # x y\n\t% a b c\n a b c\n#\n%\n\xc2\xa0# d e f\n") // comments after blanks
+	f.Add("\n\n  \n\t\na b c\n\r\n")                             // blank lines
+	f.Add("a e0 b\nb e1 c")                                      // no final newline
+	f.Add("0 1 17 2020\n1 2 3\n2 3 x y z\n")                     // extra columns
+	f.Add("a a a\nb e b\n only \n")                              // self loops, one field
 	f.Fuzz(func(t *testing.T, input string) {
-		// Both loaders must accept/reject the same inputs and agree on the
-		// resulting graph shape. Write to a temp file because the bounded
-		// loader reads twice.
-		p := t.TempDir() + "/g.txt"
-		if err := osWriteFile(p, input); err != nil {
-			t.Skip()
-		}
-		a, _, errA := LoadFile(p)
-		b, _, errB := LoadFileBounded(p)
-		if (errA == nil) != (errB == nil) {
-			t.Fatalf("loaders disagree on acceptance: %v vs %v", errA, errB)
-		}
-		if errA != nil {
-			return
-		}
-		if a.M() != b.M() {
-			t.Fatalf("edge counts differ: %d vs %d", a.M(), b.M())
+		for _, triples := range []bool{false, true} {
+			read := ReadEdgeList
+			if triples {
+				read = ReadTriples
+			}
+			g, m, err := read(strings.NewReader(input))
+			rg, rm, rerr := referenceRead(strings.NewReader(input), triples)
+			if (err == nil) != (rerr == nil) || (err != nil && err.Error() != rerr.Error()) {
+				t.Fatalf("triples=%v: error %v, reference %v", triples, err, rerr)
+			}
+			if err != nil {
+				continue
+			}
+			offsets, flat := g.CSR()
+			roffsets, rflat := rg.CSR()
+			if !slices.Equal(offsets, roffsets) || !slices.Equal(flat, rflat) {
+				t.Fatalf("triples=%v: CSR %v %v, reference %v %v", triples, offsets, flat, roffsets, rflat)
+			}
+			if !slices.Equal(m.labels, rm.labels) {
+				t.Fatalf("triples=%v: labels %q, reference %q", triples, m.labels, rm.labels)
+			}
 		}
 	})
-}
-
-func osWriteFile(p, content string) error {
-	return os.WriteFile(p, []byte(content), 0o644)
 }

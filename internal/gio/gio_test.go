@@ -2,6 +2,7 @@ package gio
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -82,12 +83,17 @@ func TestReadEdgeListExtraColumns(t *testing.T) {
 }
 
 func TestReadEdgeListMalformed(t *testing.T) {
-	_, _, err := ReadEdgeList(strings.NewReader("0 1\nonlyone\n"))
-	if err == nil {
-		t.Fatalf("malformed line accepted")
-	}
-	if !strings.Contains(err.Error(), "line 2") {
-		t.Fatalf("error lacks line number: %v", err)
+	for _, in := range []string{
+		"0 1\nonlyone\n",
+		"0 1\n" + strings.Repeat("7", maxLine+1), // past the line cap
+	} {
+		_, _, err := ReadEdgeList(strings.NewReader(in))
+		if err == nil {
+			t.Fatalf("malformed line accepted")
+		}
+		if !strings.HasPrefix(err.Error(), "gio: line 2:") {
+			t.Fatalf("error lacks line number: %v", err)
+		}
 	}
 }
 
@@ -197,6 +203,22 @@ func TestLoadFileMissing(t *testing.T) {
 	}
 }
 
+type failWriter struct{}
+
+func (failWriter) Write([]byte) (int, error) { return 0, errors.New("disk full") }
+
+// TestWriteErrorsReported: a failing writer surfaces from both writers, the
+// first write's error stuck in the buffer until Flush.
+func TestWriteErrorsReported(t *testing.T) {
+	g := graph.Complete(300) // more than one buffer's worth of lines
+	if err := WriteEdgeList(failWriter{}, g); err == nil {
+		t.Error("WriteEdgeList to a failing writer succeeded")
+	}
+	if err := WriteTriples(failWriter{}, g, nil); err == nil {
+		t.Error("WriteTriples to a failing writer succeeded")
+	}
+}
+
 func TestSaveFileBadPath(t *testing.T) {
 	if err := SaveFile(filepath.Join(t.TempDir(), "no", "such", "dir", "g.txt"), graph.Empty(1)); err == nil {
 		t.Fatalf("unwritable path accepted")
@@ -243,41 +265,13 @@ func TestQuickEdgeListRoundTrip(t *testing.T) {
 	}
 }
 
-func TestLoadFileBoundedMatchesLoadFile(t *testing.T) {
-	g := graph.Complete(8)
-	dir := t.TempDir()
-	for _, name := range []string{"g.txt", "g.triples"} {
-		p := filepath.Join(dir, name)
-		if err := SaveFile(p, g); err != nil {
-			t.Fatal(err)
-		}
-		a, ma, err := LoadFile(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, mb, err := LoadFileBounded(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.N() != b.N() || a.M() != b.M() || ma.Len() != mb.Len() {
-			t.Fatalf("%s: bounded loader diverged: n=%d/%d m=%d/%d", name, a.N(), b.N(), a.M(), b.M())
-		}
-	}
-}
-
-func TestLoadFileBoundedMissing(t *testing.T) {
-	if _, _, err := LoadFileBounded(filepath.Join(t.TempDir(), "nope")); err == nil {
-		t.Fatal("missing file accepted")
-	}
-}
-
-func TestLoadFileBoundedMalformed(t *testing.T) {
+func TestLoadFileMalformed(t *testing.T) {
 	p := filepath.Join(t.TempDir(), "bad.txt")
 	if err := os.WriteFile(p, []byte("0 1\nonlyone\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := LoadFileBounded(p); err == nil {
-		t.Fatal("malformed file accepted")
+	if _, _, err := LoadFile(p); err == nil || !strings.Contains(err.Error(), "line 2") {
+		t.Fatalf("malformed file: %v", err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package gio
 
 import (
+	"bufio"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -13,7 +14,9 @@ import (
 // part-<i>.triples inside dir, mirroring the paper's distributed input
 // layout (§6.2: each machine holds files of ⟨n1, e, n2⟩ triples with
 // hash-encoded labels). Edges are distributed round-robin so partitions are
-// balanced; dir is created if missing.
+// balanced; dir is created if missing. Node labels are the decimal IDs,
+// hash-encoded as WriteTriples does, so partition files and whole files
+// share one format; the edge label records the global edge index.
 func WritePartitioned(dir string, g *graph.Graph, parts int) error {
 	if parts < 1 {
 		return fmt.Errorf("gio: parts = %d, want ≥ 1", parts)
@@ -22,44 +25,37 @@ func WritePartitioned(dir string, g *graph.Graph, parts int) error {
 		return fmt.Errorf("gio: %w", err)
 	}
 	files := make([]*os.File, parts)
-	for i := range files {
-		f, err := os.Create(partPath(dir, i))
-		if err != nil {
-			return fmt.Errorf("gio: %w", err)
-		}
-		files[i] = f
-	}
-	closeAll := func() {
+	defer func() {
 		for _, f := range files {
 			if f != nil {
 				f.Close()
 			}
 		}
-	}
-	defer closeAll()
-
-	for i, e := range g.Edges() {
-		f := files[i%parts]
-		// Node labels are the decimal IDs; encode them as hashes like
-		// WriteTriples does, so partition files and whole files share one
-		// format. The edge label records the global edge index.
-		_, err := fmt.Fprintf(f, "%d e%d %d\n",
-			HashLabel(decLabel(e.U)), i, HashLabel(decLabel(e.V)))
+	}()
+	ws := make([]*bufio.Writer, parts)
+	for i := range files {
+		f, err := os.Create(partPath(dir, i))
 		if err != nil {
-			return fmt.Errorf("gio: writing partition %d: %w", i%parts, err)
+			return fmt.Errorf("gio: %w", err)
 		}
+		files[i], ws[i] = f, bufio.NewWriter(f)
 	}
-	for _, f := range files {
+	writeTriples(ws, g, nil)
+	for i, f := range files {
+		if err := ws[i].Flush(); err != nil {
+			return fmt.Errorf("gio: writing partition %d: %w", i, err)
+		}
+		files[i] = nil
 		if err := f.Close(); err != nil {
 			return fmt.Errorf("gio: %w", err)
 		}
 	}
-	files = nil
 	return nil
 }
 
-// ReadPartitioned loads every part-*.triples file in dir and merges them
-// into one graph. The label map covers the merged hash-encoded labels.
+// ReadPartitioned loads every part-*.triples file in dir, in name order,
+// into one graph: the same graph and LabelMap as ReadTriples gives for the
+// files concatenated in that order.
 func ReadPartitioned(dir string) (*graph.Graph, *LabelMap, error) {
 	matches, err := filepath.Glob(filepath.Join(dir, "part-*.triples"))
 	if err != nil {
@@ -70,36 +66,24 @@ func ReadPartitioned(dir string) (*graph.Graph, *LabelMap, error) {
 	}
 	sort.Strings(matches)
 
-	m := NewLabelMap()
-	var edges []graph.Edge
+	m, b := NewLabelMap(), graph.NewBuilder(0)
 	for _, path := range matches {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, nil, fmt.Errorf("gio: %w", err)
-		}
-		g, local, err := ReadTriples(f)
-		f.Close()
-		if err != nil {
+		if err := readPart(path, m, b); err != nil {
 			return nil, nil, fmt.Errorf("gio: partition %s: %w", path, err)
 		}
-		for _, e := range g.Edges() {
-			edges = append(edges, graph.Edge{
-				U: m.ID(local.Label(e.U)),
-				V: m.ID(local.Label(e.V)),
-			})
-		}
-	}
-	b := graph.NewBuilder(m.Len())
-	for _, e := range edges {
-		b.AddEdge(e.U, e.V)
 	}
 	return b.Build(), m, nil
 }
 
-func partPath(dir string, i int) string {
-	return filepath.Join(dir, fmt.Sprintf("part-%04d.triples", i))
+func readPart(path string, m *LabelMap, b *graph.Builder) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	return read(f, true, m, b)
 }
 
-func decLabel(v int32) string {
-	return fmt.Sprintf("%d", v)
+func partPath(dir string, i int) string {
+	return filepath.Join(dir, fmt.Sprintf("part-%04d.triples", i))
 }

@@ -3,6 +3,9 @@ package gio
 import (
 	"os"
 	"path/filepath"
+	"slices"
+	"sort"
+	"strconv"
 	"testing"
 	"testing/quick"
 
@@ -48,7 +51,7 @@ func TestPartitionedRoundTrip(t *testing.T) {
 }
 
 func hashToken(v int32) string {
-	return itoa(HashLabel(decLabel(v)))
+	return itoa(HashLabel(strconv.Itoa(int(v))))
 }
 
 func TestPartitionedBalance(t *testing.T) {
@@ -102,7 +105,9 @@ func TestPartitionedSinglePart(t *testing.T) {
 	}
 }
 
-// Property: partition count never changes the merged graph.
+// Property: partition count never changes the merged graph, and the merge
+// is LoadFile of the parts concatenated in name order: the same CSR and the
+// same labels in the same order.
 func TestQuickPartitionCountIrrelevant(t *testing.T) {
 	f := func(seed int64, rawParts uint8) bool {
 		parts := int(rawParts%7) + 1
@@ -118,8 +123,31 @@ func TestQuickPartitionCountIrrelevant(t *testing.T) {
 		if err := WritePartitioned(dir, g, parts); err != nil {
 			return false
 		}
-		g2, _, err := ReadPartitioned(dir)
+		g2, m2, err := ReadPartitioned(dir)
 		if err != nil {
+			return false
+		}
+		matches, _ := filepath.Glob(filepath.Join(dir, "part-*.triples"))
+		sort.Strings(matches)
+		var all []byte
+		for _, p := range matches {
+			b, err := os.ReadFile(p)
+			if err != nil {
+				return false
+			}
+			all = append(all, b...)
+		}
+		cat := filepath.Join(dir, "all.triples")
+		if err := os.WriteFile(cat, all, 0o644); err != nil {
+			return false
+		}
+		g3, m3, err := LoadFile(cat)
+		if err != nil {
+			return false
+		}
+		o2, f2 := g2.CSR()
+		o3, f3 := g3.CSR()
+		if !slices.Equal(o2, o3) || !slices.Equal(f2, f3) || !slices.Equal(m2.labels, m3.labels) {
 			return false
 		}
 		// Triple files carry edges only, so isolated nodes do not survive;

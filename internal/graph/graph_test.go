@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -238,6 +239,48 @@ func TestQuickBuildConsistency(t *testing.T) {
 			}
 		}
 		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: on random duplicate-laden edge streams (reversed repeats, self
+// loops, out-of-range endpoints), Build yields exactly the CSR of a
+// map-of-sets oracle: every row its sorted neighbour set, in exact-size
+// storage.
+func TestQuickBuilderEquivalence(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := rng.Intn(40) + 2
+		b := NewBuilder(n)
+		adj := make([]map[int32]bool, n)
+		for v := range adj {
+			adj[v] = map[int32]bool{}
+		}
+		for i := 0; i < 5*n; i++ {
+			u, v := int32(rng.Intn(n+2)-1), int32(rng.Intn(n+2)-1)
+			b.AddEdge(u, v)
+			if rng.Intn(3) == 0 {
+				b.AddEdge(v, u)
+			}
+			if u != v && u >= 0 && v >= 0 && int(u) < n && int(v) < n {
+				adj[u][v], adj[v][u] = true, true
+			}
+		}
+		wantOffsets, wantFlat := []int32{0}, []int32{}
+		for v := range adj {
+			row := make([]int32, 0, len(adj[v]))
+			for u := range adj[v] {
+				row = append(row, u)
+			}
+			sort.Slice(row, func(i, j int) bool { return row[i] < row[j] })
+			wantFlat = append(wantFlat, row...)
+			wantOffsets = append(wantOffsets, int32(len(wantFlat)))
+		}
+		offsets, flat := b.Build().CSR()
+		return slices.Equal(offsets, wantOffsets) && slices.Equal(flat, wantFlat) &&
+			cap(offsets) == len(offsets) && cap(flat) == len(flat)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

@@ -78,11 +78,6 @@ func FromEdges(n int, edges []Edge) *Graph { return graph.FromEdges(n, edges) }
 // files. The LabelMap records how external labels map to dense IDs.
 func Load(path string) (*Graph, *LabelMap, error) { return gio.LoadFile(path) }
 
-// LoadBounded reads the same formats as Load but in two passes, never
-// materialising an intermediate edge buffer — roughly halving peak memory
-// on inputs that push against RAM.
-func LoadBounded(path string) (*Graph, *LabelMap, error) { return gio.LoadFileBounded(path) }
-
 // Save writes a graph to disk in the format selected by the extension,
 // mirroring Load.
 func Save(path string, g *Graph) error { return gio.SaveFile(path, g) }

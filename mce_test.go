@@ -278,36 +278,6 @@ func TestStreamWorkerHealthReport(t *testing.T) {
 	}
 }
 
-func TestLoadBounded(t *testing.T) {
-	g := GenerateSocialNetwork(300, 4, 0.6, 77)
-	p := filepath.Join(t.TempDir(), "g.txt")
-	if err := Save(p, g); err != nil {
-		t.Fatal(err)
-	}
-	a, _, err := Load(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _, err := LoadBounded(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.N() != b.N() || a.M() != b.M() {
-		t.Fatalf("bounded loader diverged: n=%d/%d m=%d/%d", a.N(), b.N(), a.M(), b.M())
-	}
-	ra, err := Enumerate(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rb, err := Enumerate(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ra.Cliques) != len(rb.Cliques) {
-		t.Fatalf("clique counts differ: %d vs %d", len(ra.Cliques), len(rb.Cliques))
-	}
-}
-
 func TestCountMaxCliques(t *testing.T) {
 	g := GenerateSocialNetwork(200, 4, 0.6, 71)
 	res, err := Enumerate(g)
