@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint fmt race vulncheck fuzz-smoke bench-smoke bench-baseline bench-record bench-e2e bench-decomp bench-kernel allocbudget-check check bench chaos chaos-straggler
+.PHONY: all build test vet lint fmt race vulncheck fuzz-smoke bench-smoke bench-baseline bench-record bench-e2e bench-decomp bench-kernel allocbudget-check check bench chaos
 
 # The checked-in per-PR benchmark record (bench-record writes BENCH_$(PR).json).
 PR ?= 10
@@ -77,13 +77,6 @@ fuzz-smoke:
 # tests, MCE_CHAOS_ARTIFACTS collects the journal and level logs on failure.
 chaos:
 	MCE_CHAOS=1 $(GO) test -race -count=1 -run 'Chaos|Resume' . ./internal/cluster ./internal/core ./internal/cliqdb ./cmd/mcefind
-
-# Straggler chaos in isolation (also part of `chaos`): a worker delayed
-# ~100× the healthy round trip must be masked by hedged dispatch — equal
-# sorted-output digest, bounded wall time, hedge counters asserted
-# (straggler_test.go). Runs under -race.
-chaos-straggler:
-	$(GO) test -race -count=1 -run 'ChaosStraggler' -v ./internal/cluster
 
 # The CI benchmark gate: deterministic workload, machine-normalized timing,
 # ±30% tolerance against the checked-in baseline (cmd/mcebench/smoke.go).

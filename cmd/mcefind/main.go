@@ -13,11 +13,13 @@
 //	-structure s      pin one structure (Matrix|Lists|BitSets)
 //	-workers list     comma-separated worker addresses for distributed runs
 //	-task-timeout d   per-task round-trip deadline (default: derived; <0 disables)
-//	-task-retries k   transport-failure budget per block before it is
-//	                  declared poison (default 3; <0 unlimited)
-//	-reconnect        auto-reconnect dead workers with backoff
-//	-hedge            speculatively re-dispatch straggling blocks to another
-//	                  worker; first result wins, output unchanged
+//	-task-retries k   failed attempts per block before it is declared
+//	                  poison (default 3; <0 unlimited)
+//	-reconnect        re-dial dead workers once their address's hold runs
+//	                  out (50ms after a failure, doubling to 2s)
+//	-hedge            dispatch a block once more when it is in flight past
+//	                  twice the batch's p90 round trip (at least 25ms);
+//	                  first result wins, output unchanged
 //	-mem-budget-mb n  pause block dispatch while the heap exceeds n MiB
 //	                  (backpressure instead of OOM; 0 = no budget)
 //	-p int            local parallelism (default GOMAXPROCS)
@@ -102,8 +104,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		structure   = fs.String("structure", "", "pin the adjacency structure")
 		workers     = fs.String("workers", "", "comma-separated worker addresses")
 		taskTimeout = fs.Duration("task-timeout", 0, "per-task round-trip deadline (0 = derived, negative = disabled)")
-		taskRetries = fs.Int("task-retries", 0, "per-block transport-failure budget (0 = default 3, negative = unlimited)")
-		reconnect   = fs.Bool("reconnect", false, "auto-reconnect dead workers with exponential backoff")
+		taskRetries = fs.Int("task-retries", 0, "per-block failed-attempt budget (0 = default 3, negative = unlimited)")
+		reconnect   = fs.Bool("reconnect", false, "re-dial dead workers once their address's hold runs out")
 		hedge       = fs.Bool("hedge", false, "speculatively re-dispatch straggling blocks (first result wins)")
 		memBudgetMB = fs.Int64("mem-budget-mb", 0, "pause dispatch while the heap exceeds this many MiB (0 = no budget)")
 		par         = fs.Int("p", 0, "local parallelism")

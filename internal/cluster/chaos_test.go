@@ -72,12 +72,10 @@ func TestChaosCompleteness(t *testing.T) {
 		SkipOps:     3, // let the handshake through: hello header, hello payload, ack
 	})
 	client, err := Dial(addrs, ClientOptions{
-		DialTimeout:      2 * time.Second,
-		TaskTimeout:      500 * time.Millisecond,
-		TaskRetries:      -1, // unlimited: faults are transient, so retries always win
-		AutoReconnect:    true,
-		ReconnectBackoff: 10 * time.Millisecond,
-		AllDeadGrace:     5 * time.Second,
+		DialTimeout:   2 * time.Second,
+		TaskTimeout:   500 * time.Millisecond,
+		TaskRetries:   -1, // unlimited: faults are transient, so retries always win
+		AutoReconnect: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -150,8 +148,8 @@ func TestChaosHungWorker(t *testing.T) {
 		t.Fatalf("got %d cliques, want %d", total, want)
 	}
 	var hungDead bool
-	for _, s := range client.Stats() {
-		if s.Addr == hungAddrs[0] && s.Dead {
+	for _, s := range client.HealthReport().Workers {
+		if s.Addr == hungAddrs[0] && s.Live == 0 {
 			hungDead = true
 		}
 	}
@@ -162,7 +160,7 @@ func TestChaosHungWorker(t *testing.T) {
 
 // TestChaosWorkerRestart kills the only worker, restarts one on the same
 // port, and expects an in-flight batch to recover through AutoReconnect
-// within the AllDeadGrace window.
+// within the 5s all-dead grace.
 func TestChaosWorkerRestart(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -173,10 +171,8 @@ func TestChaosWorkerRestart(t *testing.T) {
 	go func() { _ = w1.Serve(ln) }()
 
 	client, err := Dial([]string{addr}, ClientOptions{
-		AutoReconnect:    true,
-		ReconnectBackoff: 10 * time.Millisecond,
-		AllDeadGrace:     5 * time.Second,
-		DialTimeout:      time.Second,
+		AutoReconnect: true,
+		DialTimeout:   time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -367,6 +363,40 @@ func TestPoisonTaskUnlimitedRetries(t *testing.T) {
 	}
 }
 
+// TestPoisonTaskCorruptSameConnection: a corrupt verdict keeps the
+// connection, so one connection can spend the whole retry budget — the
+// budget counts failed attempts, not distinct connections.
+func TestPoisonTaskCorruptSameConnection(t *testing.T) {
+	// Every read and write after the handshake flips a byte. Seed 1's
+	// schedule flips checksummed bytes, never a frame's length field, so
+	// both round trips end in a corrupt verdict with the stream in sync.
+	addrs := startFaultyWorkers(t, 1, faultconn.Options{Seed: 1, CorruptProb: 1, SkipOps: 3})
+	client, err := Dial(addrs, ClientOptions{DialTimeout: time.Second, TaskRetries: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+
+	g := gen.ErdosRenyi(30, 0.3, 19)
+	blocks, combo := makeBlocks(g, g.MaxDegree()+1)
+	_, err = client.AnalyzeBlocks(blocks[:1], combo)
+	var poison *PoisonTaskError
+	if !errors.As(err, &poison) {
+		t.Fatalf("err = %v, want *PoisonTaskError", err)
+	}
+	if poison.Attempts != 2 || len(poison.Causes) != 2 {
+		t.Fatalf("poison = %+v, want 2 recorded attempts", poison)
+	}
+	for _, cause := range poison.Causes {
+		if !strings.HasPrefix(cause, addrs[0]+": ") || !strings.Contains(cause, "corrupted in flight") {
+			t.Fatalf("cause %q, want a corrupt verdict from %s", cause, addrs[0])
+		}
+	}
+	if client.Workers() != 1 {
+		t.Fatalf("Workers = %d, want the connection still alive", client.Workers())
+	}
+}
+
 // TestWorkerChecksumRejectsTamperedTask: a task frame whose payload does
 // not match its checksum is answered with the Corrupt verdict, not executed,
 // and the connection stays in sync for the next task.
@@ -545,31 +575,27 @@ func TestDialReportDegraded(t *testing.T) {
 }
 
 func TestTaskDeadlineResolution(t *testing.T) {
-	const nodes, edges, size = 100, 400, 2048
+	const nodes, edges = 100, 400
 
 	c := &Client{opts: ClientOptions{TaskTimeout: -1}}
-	if d := c.taskDeadline(nodes, edges, size); d != 0 {
+	if d := c.taskDeadline(nodes, edges); d != 0 {
 		t.Fatalf("negative TaskTimeout gave deadline %v, want disabled", d)
 	}
 	c = &Client{opts: ClientOptions{TaskTimeout: 7 * time.Second}}
-	if d := c.taskDeadline(nodes, edges, size); d != 7*time.Second {
+	if d := c.taskDeadline(nodes, edges); d != 7*time.Second {
 		t.Fatalf("explicit TaskTimeout gave %v", d)
 	}
 	c = &Client{}
-	base := c.taskDeadline(nodes, edges, size)
+	base := c.taskDeadline(nodes, edges)
 	if base < 30*time.Second {
 		t.Fatalf("derived deadline %v below the 30s floor", base)
 	}
 	c = &Client{opts: ClientOptions{Latency: time.Second}}
-	if d := c.taskDeadline(nodes, edges, size); d < base+2*time.Second {
+	if d := c.taskDeadline(nodes, edges); d < base+2*time.Second {
 		t.Fatalf("derived deadline %v ignores simulated latency (base %v)", d, base)
 	}
-	if c.taskDeadline(1_000_000, 0, size) <= c.taskDeadline(nodes, edges, size) {
+	if c.taskDeadline(1_000_000, 0) <= c.taskDeadline(nodes, edges) {
 		t.Fatal("derived deadline does not scale with block size")
-	}
-	c = &Client{opts: ClientOptions{BandwidthBytesPerSec: 1024}}
-	if d := c.taskDeadline(nodes, edges, size); d < base+4*time.Second {
-		t.Fatalf("derived deadline %v ignores the frame's transfer time (base %v)", d, base)
 	}
 }
 

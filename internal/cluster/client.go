@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net"
 	"strings"
 	"sync"
@@ -26,51 +25,33 @@ import (
 type ClientOptions struct {
 	// DialTimeout bounds each worker connection attempt; 0 means 5s.
 	DialTimeout time.Duration
-	// TaskTimeout bounds one task round trip: send, remote analysis,
-	// receive. A worker that does not answer inside the envelope is
-	// retired (its connection closed, its block requeued), so a hung
-	// worker can never stall AnalyzeBlocks forever. 0 derives a generous
-	// envelope from the block size (30s plus 1ms per node and edge plus
-	// the simulated link costs); negative disables deadlines entirely.
+	// TaskTimeout bounds one task round trip; a worker that does not
+	// answer inside it is retired and its block requeued, so a hung worker
+	// cannot stall a batch. 0 derives 30s plus 1ms per node and edge plus
+	// twice Latency; negative disables deadlines.
 	TaskTimeout time.Duration
-	// TaskRetries is the per-block transport-failure budget: a block
-	// whose round trip has failed on this many connections is declared a
-	// poison task and the batch fails deterministically with a
-	// *PoisonTaskError, instead of cascading worker by worker through the
-	// whole cluster. 0 means 3; negative means unlimited.
+	// TaskRetries is the per-block failure budget: a block that has had
+	// this many failed attempts (transport failures or corrupt verdicts,
+	// possibly on the same connection) is declared a poison task and the
+	// batch fails deterministically with a *PoisonTaskError, instead of
+	// cascading worker by worker through the whole cluster. 0 means 3;
+	// negative means unlimited.
 	TaskRetries int
 	// SkipPoisonTasks turns a poison verdict from a batch-fatal error into
-	// a recorded skip: the block's cliques are omitted from the result, the
-	// verdict is retained (PoisonVerdicts), and the batch carries on. The
-	// output is then explicitly incomplete — callers must surface the
-	// verdicts, not swallow them; mcefind exits non-zero with a skip
-	// summary.
+	// a recorded skip (PoisonVerdicts): the block's cliques are omitted and
+	// the batch carries on. The output is then explicitly incomplete —
+	// callers must surface the verdicts; mcefind exits non-zero.
 	SkipPoisonTasks bool
-	// AutoReconnect re-dials dead workers on a background goroutine with
-	// exponential backoff and jitter, so capacity lost to a worker
-	// restart comes back on its own — including to a batch already in
-	// flight. Without it, Reconnect must be called manually.
+	// AutoReconnect re-dials dead workers in the background, each address
+	// as soon as its hold (see HealthReport) runs out, so capacity lost to a
+	// worker restart returns on its own — also to a batch in flight, which
+	// waits up to 5s for it once every worker has died. Without it,
+	// Reconnect is manual and a batch fails when its last worker dies.
 	AutoReconnect bool
-	// ReconnectBackoff is the initial pause between reconnection sweeps
-	// (0 means 50ms); it doubles after every failed sweep up to
-	// ReconnectMaxBackoff (0 means 2s), with up to 50% random jitter so a
-	// cluster of coordinators does not thunder against a restarting
-	// worker.
-	ReconnectBackoff    time.Duration
-	ReconnectMaxBackoff time.Duration
-	// AllDeadGrace is how long an in-flight batch waits for AutoReconnect
-	// to restore capacity after every worker has died before giving up;
-	// 0 means 5s. Ignored when AutoReconnect is off — then the batch
-	// fails as soon as the last worker dies.
-	AllDeadGrace time.Duration
-	// Latency is an artificial per-message delay injected before every
-	// task send, simulating cluster interconnect round trips. It lets the
-	// single-machine reproduction exhibit the communication overhead the
-	// paper observes when many small blocks are shipped (§6.3).
+	// Latency is an artificial delay on every message, simulating the
+	// interconnect round trips whose overhead the paper observes when many
+	// small blocks are shipped (§6.3).
 	Latency time.Duration
-	// BandwidthBytesPerSec throttles message payloads; 0 disables
-	// throttling.
-	BandwidthBytesPerSec int64
 	// ConnectionsPerWorker opens this many parallel streams to each
 	// worker address, letting one multi-core worker process several blocks
 	// concurrently (the worker serves every connection on its own
@@ -79,39 +60,32 @@ type ClientOptions struct {
 	// Compress negotiates DEFLATE on every stream after the handshake,
 	// trading CPU for bandwidth on slow interconnects.
 	Compress bool
-	// Hedge enables speculative re-dispatch of straggling blocks: when a
-	// block's in-flight time exceeds HedgeMultiplier × the HedgeQuantile
-	// of the round trips observed so far in its level, a duplicate is
-	// queued for another worker and the first result wins. Lemma 1
-	// determinism makes the duplicate's answer identical, and first-wins
-	// dedup keyed by the block keeps the output exactly-once.
+	// Hedge enables speculative re-dispatch of straggling blocks: once the
+	// batch has seen 3 round trips, a block in flight longer than twice
+	// their 90th percentile (and at least 25ms) is dispatched once more and
+	// the first result wins. Lemma 1 makes the copies' answers identical.
 	Hedge bool
-	// HedgeQuantile is the round-trip quantile a straggler is measured
-	// against; 0 means 0.9.
-	HedgeQuantile float64
-	// HedgeMultiplier scales the quantile into the hedge threshold; 0
-	// means 2.
-	HedgeMultiplier float64
-	// HedgeMinDelay floors the hedge threshold so microsecond-level
-	// batches do not hedge on noise; 0 means 25ms.
-	HedgeMinDelay time.Duration
-	// HedgeMinObservations is how many round trips the level must have
-	// seen before hedging starts; 0 means 3.
-	HedgeMinObservations int
-	// HedgeMax caps the speculative copies per block; 0 means 1.
-	HedgeMax int
-	// MemoryBudget is a coordinator heap budget in bytes. While the heap
-	// is above it, dispatch pauses (backpressure) instead of buffering
-	// more results toward an OOM kill; one block always stays in flight so
-	// the run degrades to serial execution, never deadlocks. 0 disables
-	// the guard.
+	// MemoryBudget is a coordinator heap budget in bytes: above it,
+	// dispatch pauses (backpressure) instead of buffering results toward an
+	// OOM kill, with one block always in flight. 0 disables the guard.
 	MemoryBudget int64
 	// Metrics, when non-nil, receives coordinator-side telemetry: tasks in
-	// flight, retries, reconnects, poison/corrupt verdicts, hedging and
-	// health-scoring counters, bytes on the wire and the round-trip
-	// latency histogram. Nil disables all of it.
+	// flight, retries, reconnects, verdicts, hedging, bytes on the wire and
+	// round-trip latencies.
 	Metrics *telemetry.Engine
 }
+
+// A block earns its one twin once in flight past max(hedgeMultiplier × the
+// batch's hedgeQuantile round trip, hedgeMinDelay), from
+// hedgeMinObservations round trips on. A batch whose every worker has died
+// waits allDeadGrace for capacity to return.
+const (
+	hedgeQuantile        = 0.9
+	hedgeMultiplier      = 2
+	hedgeMinDelay        = 25 * time.Millisecond
+	hedgeMinObservations = 3
+	allDeadGrace         = 5 * time.Second
+)
 
 // retryBudget resolves the TaskRetries default; < 0 means unlimited.
 func (o *ClientOptions) retryBudget() int {
@@ -121,50 +95,14 @@ func (o *ClientOptions) retryBudget() int {
 	return o.TaskRetries
 }
 
-// Hedge option resolvers.
-func (o *ClientOptions) hedgeQuantile() float64 {
-	if o.HedgeQuantile <= 0 || o.HedgeQuantile > 1 {
-		return 0.9
-	}
-	return o.HedgeQuantile
-}
-
-func (o *ClientOptions) hedgeMultiplier() float64 {
-	if o.HedgeMultiplier <= 0 {
-		return 2
-	}
-	return o.HedgeMultiplier
-}
-
-func (o *ClientOptions) hedgeMinDelay() time.Duration {
-	if o.HedgeMinDelay <= 0 {
-		return 25 * time.Millisecond
-	}
-	return o.HedgeMinDelay
-}
-
-func (o *ClientOptions) hedgeMinObs() int {
-	if o.HedgeMinObservations <= 0 {
-		return 3
-	}
-	return o.HedgeMinObservations
-}
-
-func (o *ClientOptions) hedgeMax() int {
-	if o.HedgeMax <= 0 {
-		return 1
-	}
-	return o.HedgeMax
-}
-
 // Client is a coordinator attached to a fixed set of workers. It implements
 // core.Executor, so it can be plugged directly into FindMaxCliques.
 type Client struct {
 	opts   ClientOptions
-	health *healthRegistry
 	guard  *resguard.Guard
 	mu     sync.Mutex
 	conns  []*workerConn
+	health map[string]*workerHealth // one card per address, shared across redials
 	closed bool
 	report DialReport
 
@@ -172,8 +110,7 @@ type Client struct {
 	kick chan struct{}
 	done chan struct{}
 
-	// recruits are channels of in-flight batches waiting for revived
-	// connections.
+	// recruits are in-flight batches' channels for revived connections.
 	recruitMu sync.Mutex
 	recruits  map[chan *workerConn]struct{}
 
@@ -196,42 +133,14 @@ func (c *Client) recordPoison(v PoisonTaskError) {
 	c.verdictMu.Unlock()
 }
 
-// workerConn serialises access to one worker connection. conn is nil for a
-// placeholder recording an address that was unreachable at Dial time (kept
-// only under AutoReconnect, so the background loop can adopt the worker
-// when it comes up).
+// workerConn is one worker connection. conn is nil for a placeholder of an
+// address unreachable at Dial, kept under AutoReconnect for the redial loop.
 type workerConn struct {
 	addr   string
 	conn   net.Conn
 	link   *link
 	dead   bool
 	leased bool // owned by a batch runner (possibly a straggler of a returned batch)
-	tasks  int
-	busy   time.Duration
-}
-
-// WorkerStats describes one worker's share of the computation — the load
-// skew the distributed MCE literature worries about ([38] in the paper).
-type WorkerStats struct {
-	Addr string
-	// Tasks is the number of blocks this worker completed.
-	Tasks int
-	// Busy is the total round-trip time spent on this worker, including
-	// the simulated link costs.
-	Busy time.Duration
-	// Dead reports that the connection has been retired after a failure.
-	Dead bool
-}
-
-// Stats returns a snapshot of per-worker load, ordered as dialled.
-func (c *Client) Stats() []WorkerStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]WorkerStats, 0, len(c.conns))
-	for _, wc := range c.conns {
-		out = append(out, WorkerStats{Addr: wc.addr, Tasks: wc.tasks, Busy: wc.busy, Dead: wc.dead})
-	}
-	return out
 }
 
 // DialFailure records one worker address that could not be dialled.
@@ -240,11 +149,9 @@ type DialFailure struct {
 	Err  error
 }
 
-// DialReport describes how a Dial went: which addresses were attempted,
-// how many connections came up, and which addresses failed. A degraded
-// start (some but not all workers reachable) is not an error — the run
-// proceeds on the survivors — but callers should surface it rather than
-// discover the missing capacity from a slow run.
+// DialReport describes how a Dial went. A degraded start (some workers
+// unreachable) is not an error — the run proceeds on the survivors — but
+// callers should surface it rather than discover it from a slow run.
 type DialReport struct {
 	// Addrs lists every address Dial attempted.
 	Addrs []string
@@ -266,19 +173,16 @@ func (c *Client) DialReport() DialReport {
 }
 
 // Dial connects to every worker address. It fails unless at least one
-// worker is reachable; unreachable workers are reported in the error when
+// worker is reachable; unreachable ones are reported in the error when
 // everything is down, and in DialReport when the start is merely degraded.
-// With AutoReconnect, unreachable addresses are remembered and adopted by
-// the background reconnect loop as soon as their workers come up.
+// With AutoReconnect, the redial loop adopts them once they come up.
 func Dial(addrs []string, opts ClientOptions) (*Client, error) {
 	return DialContext(context.Background(), addrs, opts)
 }
 
 // DialContext is Dial with cancellation: cancelling ctx abandons the
-// remaining connection attempts (each individual attempt is still bounded
-// by DialTimeout, and a ctx deadline earlier than the dial budget tightens
-// the handshake deadline too). The context governs dialling only, not the
-// returned client's lifetime — background reconnects use their own budget.
+// remaining connection attempts, and an earlier ctx deadline tightens the
+// handshake's. The context governs dialling only, not the client.
 func DialContext(ctx context.Context, addrs []string, opts ClientOptions) (*Client, error) {
 	if len(addrs) == 0 {
 		return nil, errors.New("cluster: no worker addresses")
@@ -286,33 +190,19 @@ func DialContext(ctx context.Context, addrs []string, opts ClientOptions) (*Clie
 	if opts.DialTimeout <= 0 {
 		opts.DialTimeout = 5 * time.Second
 	}
-	if opts.ReconnectBackoff <= 0 {
-		opts.ReconnectBackoff = 50 * time.Millisecond
-	}
-	if opts.ReconnectMaxBackoff <= 0 {
-		opts.ReconnectMaxBackoff = 2 * time.Second
-	}
-	if opts.AllDeadGrace <= 0 {
-		opts.AllDeadGrace = 5 * time.Second
-	}
-	conns := opts.ConnectionsPerWorker
-	if conns < 1 {
-		conns = 1
-	}
+	conns := max(opts.ConnectionsPerWorker, 1)
 	c := &Client{
 		opts:     opts,
-		health:   newHealthRegistry(opts.Metrics),
 		guard:    resguard.New(opts.MemoryBudget, opts.Metrics),
+		health:   make(map[string]*workerHealth),
 		kick:     make(chan struct{}, 1),
 		done:     make(chan struct{}),
 		recruits: make(map[chan *workerConn]struct{}),
 	}
 	c.report.Addrs = append([]string(nil), addrs...)
-	for _, addr := range addrs {
-		c.health.touch(addr)
-	}
 	var dialErrs []error
 	for _, addr := range addrs {
+		c.health[addr] = &workerHealth{}
 		for i := 0; i < conns; i++ {
 			if err := ctx.Err(); err != nil {
 				return nil, fmt.Errorf("cluster: dial cancelled: %w", err)
@@ -322,8 +212,7 @@ func DialContext(ctx context.Context, addrs []string, opts ClientOptions) (*Clie
 				dialErrs = append(dialErrs, err)
 				c.report.Failures = append(c.report.Failures, DialFailure{Addr: addr, Err: err})
 				if opts.AutoReconnect {
-					// Placeholders let the reconnect loop adopt the
-					// address later.
+					// Placeholders let the redial loop adopt it later.
 					for ; i < conns; i++ {
 						c.conns = append(c.conns, &workerConn{addr: addr, dead: true})
 					}
@@ -339,15 +228,8 @@ func DialContext(ctx context.Context, addrs []string, opts ClientOptions) (*Clie
 	}
 	if opts.AutoReconnect {
 		go c.reconnectLoop()
-		if len(c.report.Failures) > 0 {
-			c.kickReconnect()
-		}
 	}
 	return c, nil
-}
-
-func dialWorker(addr string, timeout time.Duration, compress bool) (*workerConn, error) {
-	return dialWorkerContext(context.Background(), addr, timeout, compress)
 }
 
 func dialWorkerContext(ctx context.Context, addr string, timeout time.Duration, compress bool) (*workerConn, error) {
@@ -356,9 +238,8 @@ func dialWorkerContext(ctx context.Context, addr string, timeout time.Duration, 
 	if err != nil {
 		return nil, fmt.Errorf("cluster: dial %s: %w", addr, err)
 	}
-	// The handshake shares the dial budget (tightened by an earlier ctx
-	// deadline), so a worker that accepts but never answers cannot stall
-	// Dial forever.
+	// The handshake shares the dial budget, so a worker that accepts but
+	// never answers cannot stall Dial.
 	deadline := time.Now().Add(timeout)
 	if cd, ok := ctx.Deadline(); ok && cd.Before(deadline) {
 		deadline = cd
@@ -392,11 +273,6 @@ func dialWorkerContext(ctx context.Context, addr string, timeout time.Duration, 
 	return wc, nil
 }
 
-// HealthReport returns the per-worker health scoring summary: EWMA
-// latency and error rates, corrupt verdicts, and the quarantine record of
-// every address this client has talked to.
-func (c *Client) HealthReport() HealthReport { return c.health.report() }
-
 // lease claims a connection for a batch runner; false when the connection
 // is dead or already owned.
 func (c *Client) lease(wc *workerConn) bool {
@@ -410,8 +286,7 @@ func (c *Client) lease(wc *workerConn) bool {
 }
 
 // unlease returns a runner's connection to the pool and offers it to any
-// in-flight batch — the path by which a straggler's connection rejoins
-// work after its batch has already returned.
+// in-flight batch, so a straggler's connection rejoins work.
 func (c *Client) unlease(wc *workerConn) {
 	c.mu.Lock()
 	wc.leased = false
@@ -422,8 +297,7 @@ func (c *Client) unlease(wc *workerConn) {
 	}
 }
 
-// leasedConns counts live connections currently owned by some batch
-// runner — capacity that can return through the recruiter.
+// leasedConns counts live connections owned by a batch runner.
 func (c *Client) leasedConns() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -447,72 +321,40 @@ func (c *Client) markDead(wc *workerConn) {
 		}
 	}
 	c.mu.Unlock()
-	c.kickReconnect()
-}
-
-func (c *Client) kickReconnect() {
 	select {
 	case c.kick <- struct{}{}:
 	default:
 	}
 }
 
-// reconnectLoop re-dials dead connections whenever one dies, backing off
-// exponentially (with jitter) while a worker stays down. It exits when the
-// client is closed.
+// reconnectLoop runs the redial sweep when a connection dies and again when
+// the hold on a still-dead address runs out. It exits when the client is
+// closed.
 func (c *Client) reconnectLoop() {
-	// The jitter source is seeded deterministically: reproducible runs
-	// matter more here than cross-client decorrelation, which the
-	// per-address dial timing provides anyway.
-	rng := rand.New(rand.NewSource(1))
-	backoff := c.opts.ReconnectBackoff
+	timer := time.NewTimer(time.Hour)
+	timer.Stop()
+	defer timer.Stop()
 	for {
+		var due <-chan time.Time
+		if next, _ := c.redial(false); !next.IsZero() {
+			due = arm(timer, time.Until(next))
+		}
 		select {
 		case <-c.done:
 			return
 		case <-c.kick:
+		case <-due:
 		}
-		for c.deadConns() > 0 {
-			if c.redialDead() > 0 {
-				backoff = c.opts.ReconnectBackoff
-				continue
-			}
-			jitter := time.Duration(rng.Int63n(int64(backoff)/2 + 1))
-			t := time.NewTimer(backoff + jitter)
-			select {
-			case <-c.done:
-				t.Stop()
-				return
-			case <-t.C:
-			}
-			backoff *= 2
-			if backoff > c.opts.ReconnectMaxBackoff {
-				backoff = c.opts.ReconnectMaxBackoff
-			}
-		}
-		backoff = c.opts.ReconnectBackoff
 	}
 }
 
-func (c *Client) deadConns() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return 0
-	}
-	n := 0
-	for _, wc := range c.conns {
-		if wc.dead {
-			n++
-		}
-	}
-	return n
-}
-
-// redialDead attempts one reconnection sweep over every dead connection
-// and reports how many came back. Revived connections are offered to
-// in-flight batches so capacity returns mid-run.
-func (c *Client) redialDead() int {
+// redial is the one reconnection sweep: it dials every dead connection
+// whose address is not held (every one, if force) and offers the revived
+// to in-flight batches. A failed dial extends the hold; a successful one
+// leaves it, so a worker that accepts connections but fails its tasks backs
+// off instead of flapping. It returns the dial errors and when the earliest
+// hold on a still-dead connection ends (zero: none).
+func (c *Client) redial(force bool) (next time.Time, errs []error) {
 	c.mu.Lock()
 	var dead []int
 	for i, wc := range c.conns {
@@ -521,40 +363,61 @@ func (c *Client) redialDead() int {
 		}
 	}
 	c.mu.Unlock()
-	revived := 0
 	for _, i := range dead {
 		c.mu.Lock()
 		wc := c.conns[i]
-		closed := c.closed
+		h := c.health[wc.addr]
+		until, closed := h.until, c.closed
 		c.mu.Unlock()
 		if closed {
-			return revived
+			return time.Time{}, errs
 		}
-		if !wc.dead {
+		if !force && time.Now().Before(until) {
+			next = earliest(next, until)
 			continue
 		}
-		fresh, err := dialWorker(wc.addr, c.opts.DialTimeout, c.opts.Compress)
-		if err != nil {
-			continue
-		}
+		fresh, err := dialWorkerContext(context.Background(), wc.addr, c.opts.DialTimeout, c.opts.Compress)
 		c.mu.Lock()
-		if c.closed {
-			c.mu.Unlock()
+		switch {
+		case err != nil:
+			errs = append(errs, err)
+			next = earliest(next, h.fail(time.Now(), false))
+		case c.closed || c.conns[i] != wc:
+			// Closed meanwhile, or a concurrent sweep revived the slot.
 			fresh.conn.Close()
-			return revived
+			fresh = nil
+		default:
+			c.conns[i] = fresh
 		}
-		// Preserve the accumulated load accounting for the address.
-		fresh.tasks = wc.tasks
-		fresh.busy = wc.busy
-		c.conns[i] = fresh
 		c.mu.Unlock()
-		revived++
-		if met := c.opts.Metrics; met != nil {
-			met.Reconnects.Inc()
+		if fresh != nil {
+			if met := c.opts.Metrics; met != nil {
+				met.Reconnects.Inc()
+			}
+			c.offer(fresh)
 		}
-		c.offer(fresh)
 	}
-	return revived
+	return next, errs
+}
+
+// earliest returns the earlier of two times, a zero t counting as none.
+func earliest(t, u time.Time) time.Time {
+	if t.IsZero() || u.Before(t) {
+		return u
+	}
+	return t
+}
+
+// arm resets t to fire after d, discarding an unreceived fire.
+func arm(t *time.Timer, d time.Duration) <-chan time.Time {
+	if !t.Stop() {
+		select {
+		case <-t.C:
+		default:
+		}
+	}
+	t.Reset(d)
+	return t.C
 }
 
 // offer hands a revived connection to at most one in-flight batch.
@@ -570,51 +433,12 @@ func (c *Client) offer(wc *workerConn) {
 	}
 }
 
-// Reconnect re-dials every dead connection once, restoring capacity after
-// worker restarts. It returns how many connections are alive afterwards;
-// per-address failures are reported in the error while surviving
-// connections keep working. With AutoReconnect this happens on its own.
+// Reconnect re-dials every dead connection once, now, holds regardless. It
+// returns how many connections are alive afterwards; per-address failures
+// are reported in the error. With AutoReconnect this happens on its own.
 func (c *Client) Reconnect() (int, error) {
-	c.mu.Lock()
-	var deadIdx []int
-	for i, wc := range c.conns {
-		if wc.dead {
-			deadIdx = append(deadIdx, i)
-		}
-	}
-	c.mu.Unlock()
-	var errs []error
-	for _, i := range deadIdx {
-		c.mu.Lock()
-		wc := c.conns[i]
-		c.mu.Unlock()
-		if !wc.dead {
-			continue
-		}
-		fresh, err := dialWorker(wc.addr, c.opts.DialTimeout, c.opts.Compress)
-		if err != nil {
-			errs = append(errs, err)
-			continue
-		}
-		c.mu.Lock()
-		fresh.tasks = wc.tasks
-		fresh.busy = wc.busy
-		c.conns[i] = fresh
-		c.mu.Unlock()
-		if met := c.opts.Metrics; met != nil {
-			met.Reconnects.Inc()
-		}
-		c.offer(fresh)
-	}
-	c.mu.Lock()
-	alive := 0
-	for _, wc := range c.conns {
-		if !wc.dead {
-			alive++
-		}
-	}
-	c.mu.Unlock()
-	return alive, errors.Join(errs...)
+	_, errs := c.redial(true)
+	return c.Workers(), errors.Join(errs...)
 }
 
 // Workers reports how many worker connections are still alive.
@@ -630,8 +454,7 @@ func (c *Client) Workers() int {
 	return alive
 }
 
-// Close hangs up every worker connection and stops the reconnect loop. It
-// is idempotent.
+// Close hangs up every worker connection and stops the reconnect loop.
 func (c *Client) Close() error {
 	c.mu.Lock()
 	if c.closed {
@@ -653,15 +476,15 @@ func (c *Client) Close() error {
 	return first
 }
 
-// PoisonTaskError reports a block that exhausted its transport retry
-// budget: its round trip failed on Attempts distinct connections, which
-// almost always means the task itself crashes or stalls whichever worker
-// it lands on. The batch fails deterministically with the per-attempt
-// diagnostics instead of cascading through the rest of the cluster.
+// PoisonTaskError reports a block that exhausted its retry budget with
+// Attempts failed attempts — transport failures or corrupt verdicts, on any
+// connection, the same one included. That almost always means the task
+// itself crashes, stalls or garbles whichever worker it lands on, so the
+// batch fails with the per-attempt diagnostics instead of cascading.
 type PoisonTaskError struct {
 	// Block is the failing block's index within the batch.
 	Block int
-	// Attempts is how many connections the block failed on.
+	// Attempts is how many failed attempts the block had.
 	Attempts int
 	// Causes records "addr: error" for every failed attempt, oldest
 	// first.
@@ -669,7 +492,7 @@ type PoisonTaskError struct {
 }
 
 func (e *PoisonTaskError) Error() string {
-	return fmt.Sprintf("cluster: poison task: block %d failed on %d workers: %s",
+	return fmt.Sprintf("cluster: poison task: block %d failed %d attempts: %s",
 		e.Block, e.Attempts, strings.Join(e.Causes, "; "))
 }
 
@@ -678,18 +501,9 @@ type applicationError struct{ msg string }
 
 func (e *applicationError) Error() string { return e.msg }
 
-// cleanCancelError wraps a context error raised before any bytes hit the
-// wire, so the runner knows the connection is still in sync and must not
-// be retired.
-type cleanCancelError struct{ err error }
-
-func (e *cleanCancelError) Error() string { return e.err.Error() }
-func (e *cleanCancelError) Unwrap() error { return e.err }
-
 // corruptResultError marks a round trip whose reply arrived in sync but
-// failed verification (a Corrupt verdict or a checksum mismatch). The
-// stream is intact — the connection stays usable — but the answer cannot be
-// trusted, so the block is retried and the worker's health score charged.
+// failed verification (a Corrupt verdict or a checksum mismatch): the
+// connection stays usable, the answer does not.
 type corruptResultError struct{ msg string }
 
 func (e *corruptResultError) Error() string { return e.msg }
@@ -699,81 +513,117 @@ func (c *Client) AnalyzeBlocks(blocks []decomp.Block, combo mcealg.Combo) ([]fam
 	return c.AnalyzeBlocksContext(context.Background(), blocks, combo)
 }
 
-// AnalyzeBlocksContext is Analyze for a plain batch of induced blocks under
-// one combo (no level graph, no block IDs, no observer).
+// AnalyzeBlocksContext is Analyze for a plain batch under one combo.
 func (c *Client) AnalyzeBlocksContext(ctx context.Context, blocks []decomp.Block, combo mcealg.Combo) ([]family.Window, error) {
 	sel := func(*graph.Graph, *kcore.Scratch) mcealg.Combo { return combo }
 	return c.Analyze(ctx, nil, blocks, sel, nil, nil)
 }
 
-// attempt is one dispatch-queue entry: a block index plus whether this
-// copy is speculative (hedged).
+// attempt is one dispatch-queue entry; hedge marks a speculative copy.
 type attempt struct {
 	block int
 	hedge bool
 }
 
-// flight tracks one block's in-flight attempts for the hedge monitor.
-type flight struct {
-	mu       sync.Mutex
-	started  time.Time // dispatch time of the oldest current attempt
-	inFlight int
-	hedges   int  // lifetime speculative copies, capped at hedgeMax
-	picked   bool // the block's combo pick is in the telemetry (once, however many attempts)
+// hedger finds a hedged batch's stragglers from its attempts in flight (at
+// most one per connection) and its round trips.
+type hedger struct {
+	rtt     *telemetry.Histogram
+	claimed []atomic.Bool
+	wake    chan struct{} // an attempt took off: idle runners re-aim their timers
+
+	mu      sync.Mutex
+	flying  map[*workerConn]flight
+	twinned []bool // the block has had its one twin
 }
 
-// hedgeTick is how often the hedge monitor re-examines in-flight blocks.
-const hedgeTick = 5 * time.Millisecond
+type flight struct {
+	block int
+	start time.Time
+}
 
-// hedgeThreshold turns the level's observed round trips into the elapsed
-// time past which a block counts as straggling. Zero means "not enough
-// data yet, do not hedge".
-func (c *Client) hedgeThreshold(rtt *telemetry.Histogram) time.Duration {
-	snap := rtt.Snapshot()
-	if snap.Count < int64(c.opts.hedgeMinObs()) {
-		return 0
+// fly records that wc has started an attempt at block.
+func (h *hedger) fly(wc *workerConn, block int) {
+	if h == nil {
+		return
 	}
-	th := time.Duration(snap.Quantile(c.opts.hedgeQuantile()) * c.opts.hedgeMultiplier())
-	if th < c.opts.hedgeMinDelay() {
-		th = c.opts.hedgeMinDelay()
+	h.mu.Lock()
+	h.flying[wc] = flight{block: block, start: time.Now()}
+	h.mu.Unlock()
+	select {
+	case h.wake <- struct{}{}:
+	default:
 	}
-	return th
+}
+
+// land ends wc's attempt; a successful round trip joins the statistics.
+func (h *hedger) land(wc *workerConn, rtt time.Duration, ok bool) {
+	if h == nil {
+		return
+	}
+	if ok {
+		h.rtt.Observe(int64(rtt))
+	}
+	h.mu.Lock()
+	delete(h.flying, wc)
+	h.mu.Unlock()
+}
+
+// due returns the block of the oldest unclaimed flight without a twin,
+// marked twinned, once it is past the hedge threshold; before, block −1
+// and when it will be (zero: no such flight).
+func (h *hedger) due(now time.Time) (block int, at time.Time) {
+	block = -1
+	if h == nil {
+		return block, at
+	}
+	snap := h.rtt.Snapshot()
+	if snap.Count < hedgeMinObservations {
+		return block, at
+	}
+	th := max(time.Duration(snap.Quantile(hedgeQuantile)*hedgeMultiplier), hedgeMinDelay)
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for _, f := range h.flying {
+		if !h.twinned[f.block] && !h.claimed[f.block].Load() && (block < 0 || f.start.Add(th).Before(at)) {
+			block, at = f.block, f.start.Add(th)
+		}
+	}
+	if block < 0 || now.Before(at) {
+		return -1, at
+	}
+	h.twinned[block] = true
+	return block, at
 }
 
 // Analyze ships every block to some worker and gathers the cliques,
 // indexed like blocks, each the window over the family its answer was
-// decoded into. It implements core.Executor: blocks arrive as
-// decomp.Grow planned them over g, and the connection runner that takes an
-// attempt induces the block into its own scratch, asks sel for the combo,
-// encodes the task and lets the subgraph go — so a hedged or retried attempt
-// materialises again on whichever runner picks it up, the shared plan is
-// never written, and the coordinator holds one induced block per
-// connection, not one per block of the level.
+// decoded into. It implements core.Executor: blocks arrive as decomp.Grow
+// planned them over g, and the connection runner that takes an attempt
+// induces the block into its own scratch, asks sel for the combo and
+// encodes the task — so the shared plan is never written, and the
+// coordinator holds one induced block per connection.
 //
-// A worker that fails or times out mid-flight has its task requeued to the
-// surviving workers, bounded by the per-task retry budget (TaskRetries);
-// capacity revived by AutoReconnect joins the batch while it runs. The
-// call fails when a task is rejected by the application (deterministic
-// failure), when a task exhausts its retry budget (*PoisonTaskError), when
-// every worker has died (after AllDeadGrace under AutoReconnect), or when
-// ctx is cancelled — cancellation retires connections with a round trip in
-// flight, because the wire protocol has no way to abandon a pending
-// response.
+// A retry and a hedge are the same act: the block goes back on the batch's
+// queue for whichever connection is free — after a failed attempt, within
+// the retry budget, or under Hedge once it is in flight past the hedge
+// threshold. Capacity revived by AutoReconnect joins the batch while it
+// runs. The call fails when the application rejects a task, when a task
+// exhausts its retry budget (*PoisonTaskError), when every worker has died
+// (after a 5s grace under AutoReconnect), or when ctx is cancelled, which
+// retires connections with a round trip in flight: the wire protocol cannot
+// abandon a pending response.
 //
-// ids and obs are nil for plain batches. With them, every block carries
-// its stable checkpoint identity on the wire (journaled by the
-// coordinator, echoed by the worker), and obs is told the moment each
-// block is dispatched and the moment its cliques are safely back — not at
-// batch end — so a coordinator killed mid-batch resumes with every
-// completed block already durable. ids must index like blocks.
+// ids and obs are nil for plain batches. With them, every block carries its
+// checkpoint identity on the wire, and obs hears of each block's dispatch
+// and, the moment its cliques are back, its completion — so a coordinator
+// killed mid-batch resumes with every completed block durable. ids must
+// index like blocks.
 //
-// Connections are leased to the batch for its duration: the batch returns
-// the moment every block has an answer (first-wins under hedging), while a
-// straggling round trip keeps its connection leased until it resolves and
-// only then rejoins the pool. Duplicate results — the whole point of
-// hedged dispatch — are discarded by a compare-and-swap per block, which
-// is sound because Lemma 1 determinism makes every copy's answer
-// identical.
+// The batch returns once every block has an answer; a straggling round trip
+// keeps its connection leased until it resolves. Duplicate answers lose a
+// compare-and-swap per block and are dropped, which Lemma 1 makes sound:
+// every copy's answer is identical.
 func (c *Client) Analyze(ctx context.Context, g *graph.Graph, blocks []decomp.Block, sel func(*graph.Graph, *kcore.Scratch) mcealg.Combo, ids []runlog.BlockID, obs runlog.BatchObserver) ([]family.Window, error) {
 	if (ids != nil || obs != nil) && len(ids) != len(blocks) {
 		return nil, fmt.Errorf("cluster: %d blocks but %d block IDs", len(blocks), len(ids))
@@ -804,20 +654,6 @@ func (c *Client) Analyze(ctx context.Context, g *graph.Graph, blocks []decomp.Bl
 		return nil, errors.New("cluster: all workers are dead")
 	}
 
-	hedgeMax := 0
-	if c.opts.Hedge {
-		hedgeMax = c.opts.hedgeMax()
-	}
-	// A block occupies at most one primary/requeue slot plus its lifetime
-	// hedge allowance, so the queue can never block a sender.
-	tasks := make(chan attempt, len(blocks)*(1+hedgeMax))
-	for i := range blocks {
-		tasks <- attempt{block: i}
-	}
-	met := c.opts.Metrics
-	if met != nil {
-		met.QueueDepth.Add(int64(len(blocks)))
-	}
 	var (
 		completed  int64
 		aliveCount = int64(len(alive))
@@ -832,9 +668,27 @@ func (c *Client) Analyze(ctx context.Context, g *graph.Graph, blocks []decomp.Bl
 		drained    = make(chan struct{}, 1)
 		fresh      = make(chan *workerConn, 16)
 		claimed    = make([]atomic.Bool, len(blocks)) // first-wins dedup
-		flights    = make([]flight, len(blocks))
-		rtt        = telemetry.NewDurationHistogram() // this batch's round trips
+		picked     = make([]atomic.Bool, len(blocks)) // the block's combo pick is in the telemetry
+		hedge      *hedger
+		wake       <-chan struct{}
 	)
+	// A block occupies at most one primary/retry slot plus its one twin,
+	// so the queue can never block a sender.
+	queueCap := len(blocks)
+	if c.opts.Hedge {
+		hedge = &hedger{rtt: telemetry.NewDurationHistogram(), claimed: claimed, wake: make(chan struct{}, 1),
+			flying: make(map[*workerConn]flight), twinned: make([]bool, len(blocks))}
+		wake = hedge.wake
+		queueCap *= 2
+	}
+	tasks := make(chan attempt, queueCap)
+	for i := range blocks {
+		tasks <- attempt{block: i}
+	}
+	met := c.opts.Metrics
+	if met != nil {
+		met.QueueDepth.Add(int64(len(blocks)))
+	}
 	fail := func(err error) {
 		errMu.Lock()
 		if fatal == nil {
@@ -848,19 +702,21 @@ func (c *Client) Analyze(ctx context.Context, g *graph.Graph, blocks []decomp.Bl
 			closeOnce.Do(func() { close(done) })
 		}
 	}
-	// requeue puts a failed block back on the queue unless its answer
-	// already arrived from a hedged twin.
-	requeue := func(i int, retry bool) {
-		if claimed[i].Load() {
+	// requeue dispatches a block again — a retry after a failed attempt or
+	// a hedge past the threshold — unless its answer is already claimed.
+	requeue := func(a attempt) {
+		if claimed[a.block].Load() {
 			return
 		}
 		if met != nil {
-			if retry {
+			if a.hedge {
+				met.HedgedDispatches.Inc()
+			} else {
 				met.TaskRetries.Inc()
 			}
 			met.QueueDepth.Add(1)
 		}
-		tasks <- attempt{block: i}
+		tasks <- a
 	}
 	// chargeAttempt spends one of block i's retries on err and either
 	// requeues the block or declares it poison. A poison verdict claims the
@@ -874,7 +730,7 @@ func (c *Client) Analyze(ctx context.Context, g *graph.Graph, blocks []decomp.Bl
 		lastDeath = err
 		errMu.Unlock()
 		if !poisoned {
-			requeue(i, true)
+			requeue(attempt{block: i})
 			return
 		}
 		if !claimed[i].CompareAndSwap(false, true) {
@@ -902,23 +758,13 @@ func (c *Client) Analyze(ctx context.Context, g *graph.Graph, blocks []decomp.Bl
 		c.recruitMu.Unlock()
 	}()
 
-	// process runs one attempt on one connection, materialising the block
-	// into the runner's scratch, and reports whether the connection is still
-	// usable for further work. Every answer is decoded into a family of its
-	// own, so one that loses the claim — possibly after the batch has
-	// returned — is dropped without touching anything the caller may be
-	// reading.
+	// process runs one attempt on one connection and reports whether the
+	// connection is still usable. Every answer is decoded into a family of
+	// its own, so one that loses the claim — possibly after the batch has
+	// returned — is dropped without touching what the caller reads.
 	process := func(wc *workerConn, a attempt, mat *decomp.Materialiser) bool {
 		i := a.block
-		fl := &flights[i]
-		fl.mu.Lock()
-		fl.inFlight++
-		if fl.inFlight == 1 {
-			fl.started = time.Now()
-		}
-		firstPick := !fl.picked
-		fl.picked = true
-		fl.mu.Unlock()
+		hedge.fly(wc, i)
 		if met != nil {
 			met.TasksInFlight.Add(1)
 		}
@@ -936,34 +782,28 @@ func (c *Client) Analyze(ctx context.Context, g *graph.Graph, blocks []decomp.Bl
 		if met != nil {
 			met.InduceNs.Add(int64(induced.Sub(t0)))
 			met.SelectNs.Add(int64(time.Since(induced)))
-			if firstPick {
+			if !picked[i].Swap(true) {
 				met.ComboPicked(combo.Index(), combo.Label())
 			}
 		}
 		t0 = time.Now() // the round trip proper starts here
 		reply := new(family.Family)
 		err := c.roundTrip(ctx, wc, i, id, blk, combo, reply)
+		rtt := time.Since(t0)
+		hedge.land(wc, rtt, err == nil)
 		if met != nil {
 			met.TasksInFlight.Add(-1)
 		}
-		fl.mu.Lock()
-		fl.inFlight--
-		fl.mu.Unlock()
-		if err == nil {
-			rttd := time.Since(t0)
-			c.mu.Lock()
-			wc.tasks++
-			wc.busy += rttd
-			c.mu.Unlock()
-			c.health.success(wc.addr, rttd)
-			rtt.Observe(int64(rttd))
+		var appErr *applicationError
+		var corrupt *corruptResultError
+		switch {
+		case err == nil:
+			c.credit(wc.addr, rtt)
 			if met != nil {
-				met.RoundTripNs.ObserveSince(t0)
+				met.RoundTripNs.Observe(int64(rtt))
 			}
 			if !claimed[i].CompareAndSwap(false, true) {
-				// First-wins dedup: a twin already delivered this block.
-				// Lemma 1 determinism means the discarded answer was
-				// identical, so dropping it is exactly-once, not lossy.
+				// A twin already delivered this identical answer.
 				if met != nil {
 					met.HedgeWasted.Inc()
 				}
@@ -984,35 +824,29 @@ func (c *Client) Analyze(ctx context.Context, g *graph.Graph, blocks []decomp.Bl
 			out[i] = cliques
 			finish()
 			return true
-		}
-		var appErr *applicationError
-		if errors.As(err, &appErr) {
+		case errors.As(err, &appErr):
 			if !claimed[i].Load() {
 				fail(err) // deterministic; retrying is pointless
 			}
 			return true
-		}
-		var clean *cleanCancelError
-		if errors.As(err, &clean) {
-			// Cancelled before any bytes moved: the stream is still in
-			// sync, keep the connection.
-			fail(clean.err)
-			requeue(i, false)
+		case errors.Is(err, ctx.Err()):
+			// Cancelled between messages: the batch is failing, and
+			// the stream is still in sync, so the connection stays.
+			fail(err)
 			return false
-		}
-		var corrupt *corruptResultError
-		if errors.As(err, &corrupt) {
+		case errors.As(err, &corrupt):
 			// The reply arrived in sync but failed verification: the
-			// connection stays, the worker's health score is charged, and
-			// the block spends one retry.
-			c.health.failure(wc.addr, true)
+			// connection stays, the address is held back, and the block
+			// spends one retry.
+			c.charge(wc.addr, true)
 			chargeAttempt(wc, i, err)
 			return true
 		}
-		// Transport failure: retire this worker and requeue the block
-		// unless it has exhausted its retry budget.
+		// Transport failure: hold the address back before retiring the
+		// connection wakes the redial loop, and requeue the block unless
+		// it has exhausted its retry budget.
+		c.charge(wc.addr, false)
 		c.markDead(wc)
-		c.health.failure(wc.addr, false)
 		chargeAttempt(wc, i, err)
 		if atomic.AddInt64(&aliveCount, -1) == 0 {
 			select {
@@ -1026,30 +860,34 @@ func (c *Client) Analyze(ctx context.Context, g *graph.Graph, blocks []decomp.Bl
 	runner := func(wc *workerConn) {
 		defer c.unlease(wc)
 		mat := decomp.NewMaterialiser(g)
+		// The runner's one timer: it waits out the address's hold, then for
+		// the next straggler to cross the hedge threshold.
+		timer := time.NewTimer(time.Hour)
+		timer.Stop()
+		defer timer.Stop()
 		for {
-			// Health gate: a quarantined address waits out its cooldown
-			// (the first dispatch after release is its re-admission probe),
-			// and a flaky-but-serving one pays a one-shot penalty so
-			// cleaner workers drain the queue first.
-			for {
-				wait, _, recheck := c.health.gate(wc.addr, time.Now())
-				if wait <= 0 {
-					break
-				}
-				t := time.NewTimer(wait)
+			if d := c.hold(wc.addr, time.Now()); d > 0 {
 				select {
 				case <-done:
-					t.Stop()
 					return
-				case <-t.C:
+				case <-arm(timer, d):
 				}
-				if !recheck {
-					break
+			}
+			var due <-chan time.Time
+			if len(tasks) == 0 {
+				// Hedging absorbs the tail only: it never competes with
+				// queued work for a connection.
+				if i, at := hedge.due(time.Now()); i >= 0 {
+					requeue(attempt{block: i, hedge: true})
+				} else if !at.IsZero() {
+					due = arm(timer, time.Until(at))
 				}
 			}
 			select {
 			case <-done:
 				return
+			case <-due:
+			case <-wake:
 			case a := <-tasks:
 				if met != nil {
 					met.QueueDepth.Add(-1)
@@ -1057,10 +895,8 @@ func (c *Client) Analyze(ctx context.Context, g *graph.Graph, blocks []decomp.Bl
 				if claimed[a.block].Load() {
 					continue // stale entry: the block already has its answer
 				}
-				// Memory guard: over budget, dispatch pauses here instead
-				// of buffering more results toward an OOM kill. One runner
-				// is always admitted, so the batch degrades to serial
-				// execution, never deadlocks.
+				// Memory guard: over budget, dispatch pauses here; one
+				// runner is always admitted, so the batch never deadlocks.
 				c.guard.Enter(done)
 				ok := process(wc, a, mat)
 				c.guard.Exit()
@@ -1071,153 +907,70 @@ func (c *Client) Analyze(ctx context.Context, g *graph.Graph, blocks []decomp.Bl
 		}
 	}
 
-	allDead := func() error {
-		errMu.Lock()
-		defer errMu.Unlock()
-		if lastDeath != nil {
-			return fmt.Errorf("cluster: all workers failed, last error: %w", lastDeath)
-		}
-		return errors.New("cluster: all workers are dead")
-	}
-
-	// adopt folds a revived or returned connection into the running batch.
-	adopt := func(wc *workerConn) bool {
-		if !c.lease(wc) {
-			return false
-		}
-		atomic.AddInt64(&aliveCount, 1)
-		go runner(wc)
-		return true
-	}
-
-	// The recruiter folds revived connections into the running batch and
-	// arbitrates the all-dead endgame.
+	// The recruiter folds revived or returned connections into the batch.
+	// When the last runner dies, the batch fails — after allDeadGrace if
+	// AutoReconnect or an earlier batch's straggler may still return one.
 	go func() {
+		grace := time.NewTimer(time.Hour)
+		grace.Stop()
+		defer grace.Stop()
+		var expired <-chan time.Time
 		for {
 			select {
 			case <-done:
 				return
 			case wc := <-fresh:
-				adopt(wc)
+				if c.lease(wc) {
+					atomic.AddInt64(&aliveCount, 1)
+					expired = nil
+					go runner(wc)
+				}
+				continue
 			case <-drained:
 				if atomic.LoadInt64(&aliveCount) > 0 {
 					continue // stale: capacity already returned
 				}
-				if !c.opts.AutoReconnect && c.leasedConns() == 0 {
-					fail(allDead())
-					return
+				if c.opts.AutoReconnect || c.leasedConns() > 0 {
+					expired = arm(grace, allDeadGrace)
+					continue
 				}
-				// Capacity can still return: AutoReconnect may revive a
-				// worker, or a straggler of an earlier batch may hand its
-				// connection back. Wait out the grace window.
-				grace := time.NewTimer(c.opts.AllDeadGrace)
-				select {
-				case <-done:
-					grace.Stop()
-					return
-				case wc := <-fresh:
-					grace.Stop()
-					if !adopt(wc) && atomic.LoadInt64(&aliveCount) == 0 {
-						select {
-						case drained <- struct{}{}:
-						default:
-						}
-					}
-				case <-grace.C:
-					if atomic.LoadInt64(&aliveCount) == 0 {
-						fail(allDead())
-						return
-					}
-				}
+			case <-expired:
 			}
+			errMu.Lock()
+			err := errors.New("cluster: all workers are dead")
+			if lastDeath != nil {
+				err = fmt.Errorf("cluster: all workers failed, last error: %w", lastDeath)
+			}
+			errMu.Unlock()
+			fail(err)
+			return
 		}
 	}()
 	if len(alive) == 0 {
 		drained <- struct{}{} // wait out the grace period for revived capacity
 	}
 
-	// The hedge monitor watches for stragglers: once the level has enough
-	// round trips to know what "normal" looks like, any block in flight
-	// past the threshold gets a speculative twin queued for another worker
-	// — but only while the queue is empty, because hedging an overloaded
-	// cluster just doubles the overload.
-	if hedgeMax > 0 {
-		go func() {
-			ticker := time.NewTicker(hedgeTick)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-done:
-					return
-				case <-ticker.C:
-				}
-				if len(tasks) > 0 {
-					continue
-				}
-				th := c.hedgeThreshold(rtt)
-				if th <= 0 {
-					continue
-				}
-				now := time.Now()
-				for i := range flights {
-					if claimed[i].Load() {
-						continue
-					}
-					fl := &flights[i]
-					fl.mu.Lock()
-					straggling := fl.inFlight > 0 && fl.hedges < hedgeMax &&
-						now.Sub(fl.started) > th
-					if straggling {
-						fl.hedges++
-					}
-					fl.mu.Unlock()
-					if !straggling {
-						continue
-					}
-					if met != nil {
-						met.HedgedDispatches.Inc()
-						met.QueueDepth.Add(1)
-					}
-					tasks <- attempt{block: i, hedge: true}
-				}
+	// A cancellation expires the deadline of every live connection,
+	// unblocking runners stuck in I/O. Every round trip sets its own
+	// deadline, so one left expired on an idle connection is harmless.
+	defer context.AfterFunc(ctx, func() {
+		fail(ctx.Err())
+		c.mu.Lock()
+		for _, wc := range c.conns {
+			if !wc.dead && wc.conn != nil {
+				wc.conn.SetDeadline(time.Now())
 			}
-		}()
-	}
-
-	// The watcher turns a context cancellation into expired deadlines on
-	// every live connection, unblocking runners stuck in I/O.
-	stopWatch := make(chan struct{})
-	var watchWG sync.WaitGroup
-	watchWG.Add(1)
-	go func() {
-		defer watchWG.Done()
-		select {
-		case <-stopWatch:
-		case <-ctx.Done():
-			fail(ctx.Err())
-			c.mu.Lock()
-			for _, wc := range c.conns {
-				if !wc.dead && wc.conn != nil {
-					wc.conn.SetDeadline(time.Now())
-				}
-			}
-			c.mu.Unlock()
 		}
-	}()
+		c.mu.Unlock()
+	})()
 
 	for _, wc := range alive {
 		go runner(wc)
 	}
-	// The batch returns the moment every block has an answer — not when
-	// every runner has: a straggling round trip keeps its connection leased
-	// and rejoins the pool (through unlease → offer) whenever it resolves.
 	<-done
-	close(stopWatch)
-	watchWG.Wait()
 	if met != nil {
-		// Entries stranded in the queue — by a fatal error, or hedge twins
-		// obsoleted by their primary — are no longer pending work; return
-		// the gauge to its pre-batch level.
+		// Entries stranded in the queue by a fatal error, or twins whose
+		// primary won, are no longer pending work.
 		for {
 			select {
 			case <-tasks:
@@ -1229,18 +982,6 @@ func (c *Client) Analyze(ctx context.Context, g *graph.Graph, blocks []decomp.Bl
 		}
 	}
 
-	// Clear any cancellation deadlines left on surviving connections.
-	// Leased connections are skipped: each belongs to a runner (possibly a
-	// straggler of this very batch) that manages its own deadline and must
-	// not have an in-flight envelope wiped from under it.
-	c.mu.Lock()
-	for _, wc := range c.conns {
-		if !wc.dead && !wc.leased && wc.conn != nil {
-			wc.conn.SetDeadline(time.Time{})
-		}
-	}
-	c.mu.Unlock()
-
 	errMu.Lock()
 	defer errMu.Unlock()
 	if fatal != nil {
@@ -1249,32 +990,23 @@ func (c *Client) Analyze(ctx context.Context, g *graph.Graph, blocks []decomp.Bl
 	return out, nil
 }
 
-// taskDeadline resolves the round-trip envelope for one task: a block of
-// the given node and edge count whose task frame is size bytes.
-func (c *Client) taskDeadline(nodes, edges int, size int64) time.Duration {
+// taskDeadline resolves TaskTimeout for a block of nodes and edges.
+func (c *Client) taskDeadline(nodes, edges int) time.Duration {
 	if c.opts.TaskTimeout < 0 {
 		return 0
 	}
 	if c.opts.TaskTimeout > 0 {
 		return c.opts.TaskTimeout
 	}
-	// Derived default: a generous per-block compute allowance that scales
-	// with the block, so the envelope only catches genuinely hung
-	// workers, never slow ones.
-	d := 30*time.Second + time.Duration(nodes+edges)*time.Millisecond
-	d += 2 * c.opts.Latency
-	if c.opts.BandwidthBytesPerSec > 0 {
-		d += time.Duration(float64(2*size) / float64(c.opts.BandwidthBytesPerSec) * float64(time.Second))
-	}
-	return d
+	// Generous and scaled with the block: it catches hung workers, never
+	// slow ones.
+	return 30*time.Second + time.Duration(nodes+edges)*time.Millisecond + 2*c.opts.Latency
 }
 
-// roundTrip sends one task and waits for its result, applying the simulated
-// link costs and the task deadline. bid is the block's stable checkpoint
-// identity (zero for non-checkpointed runs); the worker must echo it. The
-// task is encoded first, so the link is paced, the deadline sized and the
-// telemetry charged by the bytes the frame really has. The block's cliques
-// are appended to reply.
+// roundTrip sends one task and waits for its result under the simulated
+// latency and the task deadline, appending the block's cliques to reply.
+// bid is the block's checkpoint identity (zero when not checkpointing);
+// the worker must echo it.
 func (c *Client) roundTrip(ctx context.Context, wc *workerConn, id int, bid runlog.BlockID, b *decomp.Block, combo mcealg.Combo, reply *family.Family) error {
 	l := wc.link
 	want := taskID{ID: id, Level: bid.Level, Plan: bid.Plan}
@@ -1283,20 +1015,20 @@ func (c *Client) roundTrip(ctx context.Context, wc *workerConn, id int, bid runl
 		// Not a block the wire can carry; no worker will change that.
 		return &applicationError{msg: err.Error()}
 	}
-	size := frameLen(l.payload)
-	if err := c.simulateLink(ctx, size); err != nil {
-		return &cleanCancelError{err: err}
+	if err := c.simulateLink(ctx); err != nil {
+		return err // the bare ctx error: no bytes moved, the stream is in sync
 	}
-	if d := c.taskDeadline(b.Graph.N(), b.Graph.M(), size); d > 0 {
-		wc.conn.SetDeadline(time.Now().Add(d))
-		defer wc.conn.SetDeadline(time.Time{})
+	var deadline time.Time // none
+	if d := c.taskDeadline(b.Graph.N(), b.Graph.M()); d > 0 {
+		deadline = time.Now().Add(d)
 	}
+	wc.conn.SetDeadline(deadline)
 	met := c.opts.Metrics
 	if err := l.send(); err != nil {
 		return fmt.Errorf("cluster: send to %s: %w", wc.addr, err)
 	}
 	if met != nil {
-		met.BytesSent.Add(size)
+		met.BytesSent.Add(frameLen(l.payload))
 	}
 	p, err := l.in.Next()
 	if err != nil && !errors.Is(err, durable.ErrChecksum) {
@@ -1330,23 +1062,16 @@ func (c *Client) roundTrip(ctx context.Context, wc *workerConn, id int, bid runl
 	if res.Err != "" {
 		return &applicationError{msg: fmt.Sprintf("cluster: worker %s: %s", wc.addr, res.Err)}
 	}
-	if err := c.simulateLink(ctx, frameLen(p)); err != nil {
-		return &cleanCancelError{err: err}
-	}
-	return nil
+	return c.simulateLink(ctx)
 }
 
-// simulateLink sleeps for the configured latency plus the transfer time of
-// size bytes at the configured bandwidth, waking early on cancellation.
-func (c *Client) simulateLink(ctx context.Context, size int64) error {
-	d := c.opts.Latency
-	if c.opts.BandwidthBytesPerSec > 0 {
-		d += time.Duration(float64(size) / float64(c.opts.BandwidthBytesPerSec) * float64(time.Second))
-	}
-	if d <= 0 {
+// simulateLink sleeps for the configured latency, waking early on
+// cancellation.
+func (c *Client) simulateLink(ctx context.Context) error {
+	if c.opts.Latency <= 0 {
 		return ctx.Err()
 	}
-	t := time.NewTimer(d)
+	t := time.NewTimer(c.opts.Latency)
 	defer t.Stop()
 	select {
 	case <-ctx.Done():

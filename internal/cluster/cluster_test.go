@@ -318,7 +318,7 @@ func TestEmptyBatch(t *testing.T) {
 	}
 }
 
-func TestWorkerStatsTrackLoad(t *testing.T) {
+func TestHealthReportTracksLoad(t *testing.T) {
 	addrs, stop, err := StartLocal(2)
 	if err != nil {
 		t.Fatal(err)
@@ -335,18 +335,18 @@ func TestWorkerStatsTrackLoad(t *testing.T) {
 	if _, err := client.AnalyzeBlocks(blocks, combo); err != nil {
 		t.Fatal(err)
 	}
-	stats := client.Stats()
-	if len(stats) != 2 {
-		t.Fatalf("Stats = %d workers, want 2", len(stats))
+	rows := client.HealthReport().Workers
+	if len(rows) != 2 {
+		t.Fatalf("report has %d workers, want 2", len(rows))
 	}
 	total := 0
-	for _, s := range stats {
+	for _, s := range rows {
 		total += s.Tasks
 		if s.Tasks > 0 && s.Busy <= 0 {
 			t.Fatalf("worker %s has tasks but no busy time", s.Addr)
 		}
-		if s.Dead {
-			t.Fatalf("worker %s reported dead", s.Addr)
+		if s.Live != 1 {
+			t.Fatalf("worker %s has %d live connections, want 1", s.Addr, s.Live)
 		}
 	}
 	if total != len(blocks) {
@@ -467,9 +467,8 @@ func TestReconnectRestoresCapacity(t *testing.T) {
 	if _, err := client.AnalyzeBlocks(blocks, combo); err != nil {
 		t.Fatalf("batch after reconnect failed: %v", err)
 	}
-	stats := client.Stats()
 	total := 0
-	for _, s := range stats {
+	for _, s := range client.HealthReport().Workers {
 		total += s.Tasks
 	}
 	if total < 2*len(blocks) {

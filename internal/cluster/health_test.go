@@ -1,189 +1,171 @@
 package cluster
 
 import (
+	"net"
 	"strings"
 	"testing"
 	"time"
-
-	"mce/internal/telemetry"
 )
 
-// failUntilQuarantined drives consecutive failures into addr until the
-// registry benches it, bounded so a broken state machine fails the test
-// instead of hanging it.
-func failUntilQuarantined(t *testing.T, r *healthRegistry, addr string) {
+const ms = time.Millisecond
+
+// holdStep is one step of a hold-policy case.
+type holdStep struct {
+	do   string // "fail", "corrupt", "succeed", "redial" (forced) or "sweep" (the background loop's)
+	addr string
+	hold time.Duration // hold(addr) after the step; at least this much after a redial
+}
+
+// holdCase builds a client over conns (a "!" prefix marks a dead one),
+// applies steps in order and checks the hold dispatch sees at the steps'
+// clock, then the health report.
+type holdCase struct {
+	name     string
+	conns    []string
+	steps    []holdStep
+	workers  int   // live connections at the end
+	corrupt  int64 // the first report row's corrupt verdicts
+	fails    int   // and its failure streak
+	degraded bool
+}
+
+// runHoldCases runs each case as a subtest. Redials go through the real
+// sweep, so "up" is a worker that answers and "down" an address nothing
+// listens on; "a" and "b" are never dialled.
+func runHoldCases(t *testing.T, cases ...holdCase) {
 	t.Helper()
-	for i := 0; i < quarantineConsecFails+1; i++ {
-		r.failure(addr, false)
+	upAddrs, stop, err := StartLocal(1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.byAddr[addr].state != stateQuarantined {
-		t.Fatalf("%s not quarantined after %d consecutive failures", addr, quarantineConsecFails+1)
+	t.Cleanup(stop)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	down := ln.Addr().String()
+	ln.Close()
+	addrOf := map[string]string{"up": upAddrs[0], "down": down, "a": "a:1", "b": "b:2"}
+
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := &Client{
+				opts:     ClientOptions{DialTimeout: time.Second},
+				health:   make(map[string]*workerHealth),
+				kick:     make(chan struct{}, 1),
+				done:     make(chan struct{}),
+				recruits: make(map[chan *workerConn]struct{}),
+			}
+			defer c.Close()
+			for _, name := range tc.conns {
+				addr := addrOf[strings.TrimPrefix(name, "!")]
+				c.conns = append(c.conns, &workerConn{addr: addr, dead: strings.HasPrefix(name, "!")})
+				c.health[addr] = &workerHealth{}
+			}
+			now := time.Now()
+			for k, s := range tc.steps {
+				addr := addrOf[s.addr]
+				switch s.do {
+				case "fail", "corrupt":
+					c.mu.Lock()
+					c.health[addr].fail(now, s.do == "corrupt")
+					c.mu.Unlock()
+				case "succeed":
+					c.credit(addr, ms)
+				case "redial", "sweep":
+					c.redial(s.do == "redial")
+				}
+				got := c.hold(addr, now)
+				if got < s.hold || (s.do != "redial" && got != s.hold) {
+					t.Fatalf("step %d (%s %s): hold %v, want %v", k, s.do, s.addr, got, s.hold)
+				}
+			}
+			if got := c.Workers(); got != tc.workers {
+				t.Fatalf("%d live connections, want %d", got, tc.workers)
+			}
+			rep := c.HealthReport()
+			for k := 1; k < len(rep.Workers); k++ {
+				if rep.Workers[k-1].Addr >= rep.Workers[k].Addr {
+					t.Fatalf("report not ordered by address: %+v", rep.Workers)
+				}
+			}
+			first := rep.Workers[0]
+			if !strings.HasPrefix(rep.String(), first.Addr+": live=") {
+				t.Fatalf("summary does not lead with %s:\n%s", first.Addr, rep)
+			}
+			if first.CorruptResults != tc.corrupt || first.ConsecutiveFailures != tc.fails {
+				t.Fatalf("row %+v, want corrupt=%d fails=%d", first, tc.corrupt, tc.fails)
+			}
+			if rep.Degraded() != tc.degraded {
+				t.Fatalf("Degraded() = %v, want %v:\n%s", rep.Degraded(), tc.degraded, rep)
+			}
+		})
 	}
 }
 
+// TestHoldPolicy covers how dial outcomes interact with the hold: a
+// successful dial keeps it, and the redial sweep both waits on and extends
+// the hold dispatch waits on.
+func TestHoldPolicy(t *testing.T) {
+	runHoldCases(t,
+		holdCase{name: "success clears the hold", conns: []string{"a", "b"},
+			steps:   []holdStep{{"fail", "a", 50 * ms}, {"fail", "a", 100 * ms}, {"succeed", "a", 0}, {"fail", "a", 50 * ms}},
+			workers: 2, fails: 1, degraded: true},
+		holdCase{name: "successful dial keeps the hold", conns: []string{"!up", "b"},
+			steps:   []holdStep{{"fail", "up", 50 * ms}, {"redial", "up", 50 * ms}},
+			workers: 2, fails: 1, degraded: true},
+		holdCase{name: "sweep skips a held address", conns: []string{"!down", "b"},
+			steps: []holdStep{{"fail", "down", 50 * ms}, {"fail", "down", 100 * ms}, {"fail", "down", 200 * ms},
+				{"fail", "down", 400 * ms}, {"fail", "down", 800 * ms}, {"sweep", "down", 800 * ms}},
+			workers: 1, fails: 5, degraded: true},
+		holdCase{name: "failed redial extends the hold", conns: []string{"!down", "b"},
+			steps:   []holdStep{{"fail", "down", 50 * ms}, {"redial", "down", 100 * ms}, {"redial", "down", 200 * ms}},
+			workers: 1, fails: 3, degraded: true},
+	)
+}
+
+// TestHealthLastWorkerNeverQuarantined checks liveness: dispatch never
+// waits on the hold of the only address that can still serve.
 func TestHealthLastWorkerNeverQuarantined(t *testing.T) {
-	r := newHealthRegistry(nil)
-	r.touch("a:1")
-	for i := 0; i < 20; i++ {
-		r.failure("a:1", false)
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if got := r.byAddr["a:1"].state; got != stateHealthy {
-		t.Fatalf("sole worker benched: state=%v; quarantine must preserve liveness", got)
-	}
+	runHoldCases(t,
+		holdCase{name: "only address is never held", conns: []string{"a"},
+			steps:   []holdStep{{"fail", "a", 0}, {"fail", "a", 0}, {"corrupt", "a", 0}},
+			workers: 1, corrupt: 1, fails: 3, degraded: true},
+		holdCase{name: "only unheld peer dead", conns: []string{"a", "!b"},
+			steps: []holdStep{{"fail", "a", 0}}, workers: 1, fails: 1, degraded: true},
+	)
 }
 
-func TestHealthQuarantineAndProbeReadmission(t *testing.T) {
-	met := telemetry.NewEngine()
-	r := newHealthRegistry(met)
-	r.touch("a:1")
-	r.touch("b:2")
-	failUntilQuarantined(t, r, "a:1")
-	if met.WorkersQuarantined.Load() == 0 {
-		t.Fatal("WorkersQuarantined not counted")
-	}
-
-	// Inside the cooldown the gate holds the dispatch back.
-	now := time.Now()
-	if wait, probe, recheck := r.gate("a:1", now); wait <= 0 || probe || !recheck {
-		t.Fatalf("gate during cooldown = (%v, %v, %v), want positive rechecked wait, no probe", wait, probe, recheck)
-	}
-	// Past the cooldown the next dispatch is the re-admission probe, and
-	// sibling dispatches stand back while it flies.
-	after := now.Add(quarantineMaxCooldown + time.Second)
-	if wait, probe, _ := r.gate("a:1", after); wait != 0 || !probe {
-		t.Fatalf("gate after cooldown = (%v, %v), want (0, probe)", wait, probe)
-	}
-	if met.WorkerProbes.Load() != 1 {
-		t.Fatal("WorkerProbes not counted")
-	}
-	if wait, probe, recheck := r.gate("a:1", after); wait != probeHold || probe || !recheck {
-		t.Fatalf("sibling gate during probe = (%v, %v, %v), want (%v, false, true)", wait, probe, recheck, probeHold)
-	}
-
-	// A successful probe re-admits the worker and forgives the cooldown.
-	r.success("a:1", 5*time.Millisecond)
-	r.mu.Lock()
-	h := r.byAddr["a:1"]
-	if h.state != stateHealthy || h.cooldown != 0 {
-		r.mu.Unlock()
-		t.Fatalf("after probe success: state=%v cooldown=%v, want healthy, 0", h.state, h.cooldown)
-	}
-	r.mu.Unlock()
-}
-
-func TestHealthFailedProbeDoublesCooldown(t *testing.T) {
-	r := newHealthRegistry(nil)
-	r.touch("a:1")
-	r.touch("b:2")
-	failUntilQuarantined(t, r, "a:1")
-	r.mu.Lock()
-	first := r.byAddr["a:1"].cooldown
-	r.mu.Unlock()
-	if first != quarantineBaseCooldown {
-		t.Fatalf("first cooldown = %v, want %v", first, quarantineBaseCooldown)
-	}
-	// Release, probe, fail the probe: back to quarantine, cooldown doubled.
-	if _, probe, _ := r.gate("a:1", time.Now().Add(quarantineMaxCooldown+time.Second)); !probe {
-		t.Fatal("expected a probe after the cooldown")
-	}
-	r.failure("a:1", false)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h := r.byAddr["a:1"]
-	if h.state != stateQuarantined {
-		t.Fatalf("failed probe left state=%v, want quarantined", h.state)
-	}
-	if h.cooldown != 2*first {
-		t.Fatalf("cooldown after failed probe = %v, want %v", h.cooldown, 2*first)
-	}
-	if h.quarantines != 2 {
-		t.Fatalf("quarantines = %d, want 2", h.quarantines)
-	}
-}
-
-func TestHealthSuccessDecaysErrorScore(t *testing.T) {
-	r := newHealthRegistry(nil)
-	r.failure("a:1", false)
-	r.mu.Lock()
-	bad := r.byAddr["a:1"].errEWMA
-	r.mu.Unlock()
-	for i := 0; i < 20; i++ {
-		r.success("a:1", time.Millisecond)
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	got := r.byAddr["a:1"].errEWMA
-	if got >= bad || got > 0.01 {
-		t.Fatalf("errEWMA after recovery = %v (was %v), want near zero", got, bad)
-	}
-}
-
+// TestHealthReportOrderingAndDegraded checks that report rows come out
+// ordered by address whatever the dial order, and that Degraded is set by
+// a dead address and clear on a clean cluster.
 func TestHealthReportOrderingAndDegraded(t *testing.T) {
-	r := newHealthRegistry(nil)
-	r.touch("b:2")
-	r.touch("a:1")
-	r.success("b:2", 2*time.Millisecond)
-	rep := r.report()
-	if len(rep.Workers) != 2 || rep.Workers[0].Addr != "a:1" || rep.Workers[1].Addr != "b:2" {
-		t.Fatalf("report not ordered by address: %+v", rep.Workers)
-	}
-	if rep.Degraded() {
-		t.Fatal("healthy registry reported degraded")
-	}
-	failUntilQuarantined(t, r, "a:1")
-	rep = r.report()
-	if !rep.Degraded() {
-		t.Fatal("quarantine not reflected in Degraded()")
-	}
-	s := rep.String()
-	if !strings.Contains(s, "a:1: quarantined") || !strings.Contains(s, "b:2: healthy") {
-		t.Fatalf("summary missing states:\n%s", s)
-	}
-	if rep.Workers[0].CorruptResults != 0 {
-		t.Fatalf("phantom corrupt verdicts: %+v", rep.Workers[0])
-	}
+	runHoldCases(t,
+		holdCase{name: "clean cluster is not degraded", conns: []string{"b", "a"},
+			steps: []holdStep{{"succeed", "a", 0}, {"succeed", "b", 0}}, workers: 2},
+		holdCase{name: "dead address is degraded", conns: []string{"!b", "a"},
+			steps: []holdStep{{"succeed", "a", 0}}, workers: 1, degraded: true},
+	)
 }
 
+// TestHealthCorruptVerdictsCounted checks that corrupt verdicts are
+// counted apart from transport failures but share the failure streak.
 func TestHealthCorruptVerdictsCounted(t *testing.T) {
-	r := newHealthRegistry(nil)
-	r.failure("a:1", true)
-	r.failure("a:1", false)
-	rep := r.report()
-	if rep.Workers[0].CorruptResults != 1 {
-		t.Fatalf("CorruptResults = %d, want 1", rep.Workers[0].CorruptResults)
-	}
-	if rep.Workers[0].ConsecutiveFailures != 2 {
-		t.Fatalf("ConsecutiveFailures = %d, want 2", rep.Workers[0].ConsecutiveFailures)
-	}
+	runHoldCases(t,
+		holdCase{name: "corrupt verdicts are counted", conns: []string{"a", "b"},
+			steps:   []holdStep{{"corrupt", "a", 50 * ms}, {"fail", "a", 100 * ms}},
+			workers: 2, corrupt: 1, fails: 2, degraded: true},
+	)
 }
 
-func TestHealthGatePenalisesFlakyWorker(t *testing.T) {
-	r := newHealthRegistry(nil)
-	r.touch("a:1")
-	r.touch("b:2")
-	// One failure then one success: still serving, but errEWMA is above the
-	// penalty threshold, so the gate delays the next dispatch.
-	r.failure("a:1", false)
-	r.success("a:1", time.Millisecond)
-	wait, probe, recheck := r.gate("a:1", time.Now())
-	if probe {
-		t.Fatal("penalty gate must not be a probe")
-	}
-	if wait <= 0 || wait > penaltyMax {
-		t.Fatalf("penalty wait = %v, want in (0, %v]", wait, penaltyMax)
-	}
-	// The penalty is a one-shot delay: dispatch follows the wait without
-	// consulting the gate again, otherwise a worker whose score can only
-	// decay by serving would never serve.
-	if recheck {
-		t.Fatal("penalty wait must not recheck the gate")
-	}
-	// A clean worker pays nothing.
-	if w, _, _ := r.gate("b:2", time.Now()); w != 0 {
-		t.Fatalf("clean worker penalised: %v", w)
-	}
+// TestHealthFailedProbeDoublesCooldown checks that each failure in a row
+// doubles the hold until it stops at the 2 s cap.
+func TestHealthFailedProbeDoublesCooldown(t *testing.T) {
+	runHoldCases(t,
+		holdCase{name: "holds double to the cap", conns: []string{"a", "b"},
+			steps: []holdStep{{"fail", "a", 50 * ms}, {"fail", "a", 100 * ms}, {"fail", "a", 200 * ms},
+				{"fail", "a", 400 * ms}, {"fail", "a", 800 * ms}, {"fail", "a", 1600 * ms},
+				{"fail", "a", 2000 * ms}, {"fail", "a", 2000 * ms}},
+			workers: 2, fails: 8, degraded: true},
+	)
 }

@@ -175,9 +175,7 @@ func TestRoutesAgree(t *testing.T) {
 		{"local-p4", false, local(4)},
 		{"local-p8", false, local(8)},
 		{"cluster-2", false, dial(cluster.ClientOptions{}, addrs...)},
-		{"cluster-hedged", false, dial(cluster.ClientOptions{
-			Hedge: true, HedgeMinDelay: 2 * time.Millisecond, HedgeMinObservations: 1, Metrics: wire,
-		}, addrs[0], addrs[1], slowAddr)},
+		{"cluster-hedged", false, dial(cluster.ClientOptions{Hedge: true, Metrics: wire}, addrs[0], addrs[1], slowAddr)},
 		{"cluster-retried", false, dial(cluster.ClientOptions{Metrics: wire}, addrs[0], addrs[1], droppingAddr)},
 		{"checkpoint-fresh", true, func(t *testing.T, g *graph.Graph, opts *core.Options) func() {
 			cp := openCheckpoint(t, t.TempDir(), g, *opts)

@@ -57,19 +57,17 @@ type Engine struct {
 
 	// Cluster coordinator (internal/cluster.Client).
 	TasksInFlight  Gauge   // tasks currently on the wire or being analysed
-	TaskRetries    Counter // transport failures that requeued a block
+	TaskRetries    Counter // failed attempts (transport or corrupt) that requeued a block
 	Reconnects     Counter // dead worker connections revived
 	PoisonTasks    Counter // blocks that exhausted their retry budget
 	CorruptResults Counter // checksum mismatches detected (either direction)
 	BytesSent      Counter // estimated payload bytes shipped
 	BytesReceived  Counter // estimated payload bytes received
 
-	// Straggler resilience (internal/cluster hedged dispatch + health).
-	HedgedDispatches   Counter // speculative duplicate dispatches issued
-	HedgeWins          Counter // blocks whose speculative copy finished first
-	HedgeWasted        Counter // duplicate results discarded by first-wins dedup
-	WorkersQuarantined Counter // health-scoring quarantine entries
-	WorkerProbes       Counter // probe dispatches to quarantined workers
+	// Straggler resilience (internal/cluster hedged dispatch).
+	HedgedDispatches Counter // speculative duplicate dispatches issued
+	HedgeWins        Counter // blocks whose speculative copy finished first
+	HedgeWasted      Counter // duplicate results discarded by first-wins dedup
 
 	// Resource guardrails (internal/resguard, internal/runlog).
 	BackpressurePauses Counter // dispatches paused by the memory guard
@@ -221,11 +219,9 @@ type Snapshot struct {
 	BytesSent      int64 `json:"bytes_sent"`
 	BytesReceived  int64 `json:"bytes_received"`
 
-	HedgedDispatches   int64 `json:"hedged_dispatches"`
-	HedgeWins          int64 `json:"hedge_wins"`
-	HedgeWasted        int64 `json:"hedge_wasted"`
-	WorkersQuarantined int64 `json:"workers_quarantined"`
-	WorkerProbes       int64 `json:"worker_probes"`
+	HedgedDispatches int64 `json:"hedged_dispatches"`
+	HedgeWins        int64 `json:"hedge_wins"`
+	HedgeWasted      int64 `json:"hedge_wasted"`
 
 	BackpressurePauses int64 `json:"backpressure_pauses"`
 	BackpressureNs     int64 `json:"backpressure_ns"`
@@ -294,8 +290,6 @@ func (e *Engine) Snapshot() Snapshot {
 		HedgedDispatches:   e.HedgedDispatches.Load(),
 		HedgeWins:          e.HedgeWins.Load(),
 		HedgeWasted:        e.HedgeWasted.Load(),
-		WorkersQuarantined: e.WorkersQuarantined.Load(),
-		WorkerProbes:       e.WorkerProbes.Load(),
 		BackpressurePauses: e.BackpressurePauses.Load(),
 		BackpressureNs:     e.BackpressureNs.Load(),
 		CheckpointDegraded: e.CheckpointDegraded.Load(),

@@ -264,11 +264,11 @@ func WithTaskTimeout(d time.Duration) Option {
 	}
 }
 
-// WithTaskRetries sets the per-block transport-failure budget: a block
-// whose round trip fails on k distinct worker connections is declared a
-// poison task and the run fails deterministically with diagnostics
-// (cluster.PoisonTaskError) instead of cascading through the cluster.
-// The default is 3; negative means unlimited retries.
+// WithTaskRetries sets the per-block failure budget: a block with k failed
+// attempts (transport failures or corrupt verdicts, on any connections) is
+// declared a poison task and the run fails deterministically with
+// diagnostics (cluster.PoisonTaskError) instead of cascading through the
+// cluster. The default is 3; negative means unlimited retries.
 func WithTaskRetries(k int) Option {
 	return func(c *config) error {
 		if k == 0 {
@@ -279,9 +279,11 @@ func WithTaskRetries(k int) Option {
 	}
 }
 
-// WithAutoReconnect re-dials dead workers in the background with
-// exponential backoff and jitter, so capacity lost to a worker restart
-// returns on its own — even to a batch already in flight.
+// WithAutoReconnect re-dials dead workers in the background, each address
+// once its hold runs out (50ms after a failure, doubling per consecutive
+// failure to 2s), so capacity lost to a worker restart returns on its own —
+// even to a batch already in flight, which waits up to 5s for it once every
+// worker has died.
 func WithAutoReconnect() Option {
 	return func(c *config) error {
 		c.cliOpts.AutoReconnect = true
@@ -290,11 +292,12 @@ func WithAutoReconnect() Option {
 }
 
 // WithHedgedDispatch enables speculative re-dispatch of straggling blocks
-// on distributed runs: a block in flight for longer than twice the 90th
-// percentile of its level's observed round trips is duplicated onto
-// another worker and the first result wins. Lemma 1 determinism makes the
-// duplicate's answer identical, so the output is exactly the same — only
-// the tail latency of a slow or degraded worker stops dominating the run.
+// on distributed runs: once a batch has seen 3 round trips, a block in
+// flight for longer than twice their 90th percentile (and at least 25ms) is
+// dispatched once more, to whichever connection is free, and the first
+// result wins — the same requeue a retry takes. Lemma 1 determinism makes
+// the copy's answer identical, so the output is exactly the same — only the
+// tail latency of a slow or degraded worker stops dominating the run.
 func WithHedgedDispatch() Option {
 	return func(c *config) error {
 		c.cliOpts.Hedge = true
@@ -318,14 +321,14 @@ func WithMemoryBudget(budget int64) Option {
 	}
 }
 
-// HealthReport summarises per-worker health scoring; see
-// cluster.HealthReport.
+// HealthReport summarises per-worker health; see cluster.HealthReport.
 type HealthReport = cluster.HealthReport
 
 // WithWorkerHealthReport invokes fn with the per-worker health summary —
-// EWMA latency and error scores, corrupt verdicts, quarantine records —
-// when a distributed run finishes, successfully or not. Use it to surface
-// which workers the run leaned on and which it had to bench.
+// live connections, tasks completed, round-trip latency, corrupt verdicts,
+// failure streak and remaining hold — when a distributed run finishes,
+// successfully or not. Use it to surface which workers the run leaned on
+// and which it lost or held back.
 func WithWorkerHealthReport(fn func(HealthReport)) Option {
 	return func(c *config) error {
 		if fn == nil {
@@ -437,12 +440,12 @@ func WithCheckpointWarning(fn func(error)) Option {
 // cluster.PoisonTaskError.
 type PoisonVerdict = cluster.PoisonTaskError
 
-// WithSkipPoisonTasks downgrades poison-task verdicts (a block that failed
-// its round trip on the full retry budget of distinct workers) from
-// run-fatal errors to recorded skips: the run completes without the
-// affected blocks' cliques and Stats.SkippedBlocks counts them. The result
-// is then explicitly incomplete — check the count, and use
-// WithPoisonReport to receive the per-block diagnostics.
+// WithSkipPoisonTasks downgrades poison-task verdicts (a block that spent
+// its full retry budget of failed attempts) from run-fatal errors to
+// recorded skips: the run completes without the affected blocks' cliques
+// and Stats.SkippedBlocks counts them. The result is then explicitly
+// incomplete — check the count, and use WithPoisonReport to receive the
+// per-block diagnostics.
 func WithSkipPoisonTasks() Option {
 	return func(c *config) error {
 		c.cliOpts.SkipPoisonTasks = true
