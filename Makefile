@@ -22,18 +22,16 @@ test:
 vet:
 	$(GO) vet ./...
 
-# Repo-specific invariants (context plumbing, lock balance and ordering,
-# sorted adjacency, goroutine lifecycle, channel discipline, CAS loops,
-# map-order determinism, telemetry nil guards, hot-path
-# allocation/boxing/defer/preallocation discipline, suppression hygiene).
-# Test files are part of the unit (-tests defaults to on). See DESIGN.md
-# §9, §11, §14 + §16 and `go run ./cmd/mcevet -list`.
+# Repo-specific invariants (sorted adjacency, map-order determinism,
+# telemetry nil guards, goroutine lifecycle, lock balance, hot-path
+# allocations, suppression hygiene), test files included. See DESIGN.md §9
+# and `go run ./cmd/mcevet -list`.
 lint: vet
 	$(GO) run ./cmd/mcevet ./...
 
 # The committed hot-path allocation budget must match the tree:
 # regenerating .mcevet/allocbudget.json has to be a no-op, or a hot
-# allocation changed without review (DESIGN.md §16).
+# allocation changed without review (DESIGN.md §9).
 allocbudget-check:
 	$(GO) run ./cmd/mcevet -update-allocbudget
 	git diff --exit-code .mcevet/allocbudget.json

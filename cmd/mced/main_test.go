@@ -338,7 +338,6 @@ func (s *slowDB) Digest() uint32                             { return 0 }
 func (s *slowDB) Cliques() [][]int32                         { return [][]int32{{0, 1}} }
 func (s *slowDB) AppendClique(dst []int32, _ uint32) []int32 { return append(dst, 0, 1) }
 
-//lint:ignore ctxplumb the sleep is the test fixture: cancellation is exercised one layer up, by the server's per-request deadline around this call
 func (s *slowDB) AppendCliquesOf(dst []uint32, _ int32) []uint32 {
 	time.Sleep(s.delay)
 	return append(dst, 0)

@@ -3,22 +3,19 @@
 //
 // Usage:
 //
-//	mcevet [-list] [-run name,name] [-json] [-sarif] [-diff base] [-fix] [-update-allocbudget] [packages...]
+//	mcevet [-list] [-run name,name] [-sarif] [-C dir] [-update-allocbudget] [packages...]
 //
 // With no package patterns, ./... is analyzed relative to the current
-// directory. The exit status is 1 when any diagnostic is reported and 2 on
-// analysis failure, mirroring go vet.
+// directory. Every package is analyzed the way `go test` compiles it, test
+// files included. The exit status is 1 when any diagnostic is reported and 2
+// on analysis failure, mirroring go vet.
 //
 // -run selects analyzers by name; entries that look like package patterns
 // (./internal/..., mce/cmd/mcefind) are treated as extra package arguments,
 // so `mcevet -run maporder,./internal/...` does what it reads as.
 //
 // -sarif emits SARIF 2.1.0 for GitHub code scanning instead of the text
-// report. -diff <base> analyzes only the packages with files changed
-// against the git revision base, plus everything that transitively imports
-// them — the fast PR gate. -fix applies the analyzers' suggested fixes
-// (inserting sorts, wrapping nil guards), re-runs the suite once over the
-// fixed tree, and reports what remains.
+// report.
 //
 // -update-allocbudget regenerates .mcevet/allocbudget.json — the committed
 // list of accepted hot-path allocation sites that the hotalloc analyzer
@@ -28,7 +25,7 @@
 // The suite is also meant as a merge gate: `make lint` (and `make check`)
 // run `mcevet ./...` next to `go vet`. The driver is standalone rather than
 // a `go vet -vettool` plugin because the vettool protocol lives in
-// golang.org/x/tools/go/analysis/unitchecker, which the offline build cannot
+// golang.org/x/tools/go/analysis/unitchecker, which the module cannot
 // depend on; the analyzers themselves follow the analysis.Analyzer shape, so
 // migrating to the real driver is mechanical when the dependency becomes
 // available.
@@ -43,7 +40,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -64,19 +60,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var (
 		list     = fs.Bool("list", false, "list the analyzers and exit")
 		runNames = fs.String("run", "", "comma-separated analyzer names and/or package patterns to run (default: all analyzers)")
-		asJSON   = fs.Bool("json", false, "emit diagnostics as a JSON array")
 		asSARIF  = fs.Bool("sarif", false, "emit diagnostics as SARIF 2.1.0 (for code scanning)")
-		diffBase = fs.String("diff", "", "analyze only packages changed against this git revision (plus their importers)")
-		applyFix = fs.Bool("fix", false, "apply suggested fixes, then re-run once and report what remains")
 		chdir    = fs.String("C", ".", "resolve package patterns relative to this directory")
-		tests    = fs.Bool("tests", true, "include _test.go files (in-package and external test packages) in the analysis")
 		upBudget = fs.Bool("update-allocbudget", false, "regenerate "+lint.DefaultBudgetPath+" from the current hot-path escape analysis and exit")
 	)
 	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if *asJSON && *asSARIF {
-		fmt.Fprintln(stderr, "mcevet: -json and -sarif are mutually exclusive")
 		return 2
 	}
 
@@ -118,54 +106,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *upBudget {
-		if len(patterns) == 0 {
-			patterns = []string{"./..."}
-		}
-		return updateBudget(*chdir, patterns, *tests, stdout, stderr)
+		return updateBudget(*chdir, patterns, stdout, stderr)
 	}
 
-	if *diffBase != "" {
-		changed, err := changedPackages(*chdir, *diffBase)
-		if err != nil {
-			fmt.Fprintf(stderr, "mcevet: %v\n", err)
-			return 2
-		}
-		if len(changed) == 0 {
-			fmt.Fprintf(stderr, "mcevet: no Go packages changed against %s\n", *diffBase)
-			return 0
-		}
-		fmt.Fprintf(stderr, "mcevet: %d package(s) changed against %s (importers included)\n", len(changed), *diffBase)
-		patterns = changed
+	pkgs, err := lint.Load(*chdir, patterns...)
+	if err != nil {
+		fmt.Fprintf(stderr, "mcevet: %v\n", err)
+		return 2
 	}
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
+	diags, err := lint.RunAnalyzers(pkgs, analyzers)
+	if err != nil {
+		fmt.Fprintf(stderr, "mcevet: %v\n", err)
+		return 2
 	}
 
-	diags, code := analyze(*chdir, patterns, analyzers, *tests, stderr)
-	if code != 0 {
-		return code
-	}
-
-	if *applyFix {
-		changed, err := lint.ApplyFixes(diags)
-		if err != nil {
-			fmt.Fprintf(stderr, "mcevet: applying fixes: %v\n", err)
-			return 2
-		}
-		if len(changed) > 0 {
-			for _, f := range changed {
-				fmt.Fprintf(stderr, "mcevet: fixed %s\n", f)
-			}
-			// The tree changed under us: one re-run decides what remains.
-			diags, code = analyze(*chdir, patterns, analyzers, *tests, stderr)
-			if code != 0 {
-				return code
-			}
-		}
-	}
-
-	switch {
-	case *asSARIF:
+	if *asSARIF {
 		root, err := filepath.Abs(*chdir)
 		if err != nil {
 			root = *chdir
@@ -174,31 +129,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "mcevet: %v\n", err)
 			return 2
 		}
-	case *asJSON:
-		type jsonDiag struct {
-			File     string `json:"file"`
-			Line     int    `json:"line"`
-			Column   int    `json:"column"`
-			Analyzer string `json:"analyzer"`
-			Message  string `json:"message"`
-		}
-		out := make([]jsonDiag, len(diags))
-		for i, d := range diags {
-			out[i] = jsonDiag{d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message}
-		}
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			fmt.Fprintf(stderr, "mcevet: %v\n", err)
-			return 2
-		}
-	default:
+	} else {
 		for _, d := range diags {
 			fmt.Fprintln(stdout, d)
 		}
 	}
 	if len(diags) > 0 {
-		if !*asJSON && !*asSARIF {
+		if !*asSARIF {
 			fmt.Fprintf(stderr, "mcevet: %d finding(s)\n", len(diags))
 		}
 		return 1
@@ -210,14 +147,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 // hot-path escape analysis: the accepted-allocation counterpart of gofmt -w.
 // Notes on surviving entries are carried over; the write is deterministic, so
 // `git diff --exit-code` after a run is the CI drift check.
-func updateBudget(dir string, patterns []string, tests bool, stdout, stderr io.Writer) int {
+func updateBudget(dir string, patterns []string, stdout, stderr io.Writer) int {
 	budgetPath := filepath.Join(dir, lint.DefaultBudgetPath)
 	prev, err := lint.LoadAllocBudget(budgetPath)
 	if err != nil {
 		fmt.Fprintf(stderr, "mcevet: %v\n", err)
 		return 2
 	}
-	pkgs, err := lint.LoadTests(dir, tests, patterns...)
+	pkgs, err := lint.Load(dir, patterns...)
 	if err != nil {
 		fmt.Fprintf(stderr, "mcevet: %v\n", err)
 		return 2
@@ -245,22 +182,6 @@ func updateBudget(dir string, patterns []string, tests bool, stdout, stderr io.W
 	fmt.Fprintf(stdout, "mcevet: wrote %s: %d site(s), %d added, %d dropped\n",
 		budgetPath, len(entries), added, len(was))
 	return 0
-}
-
-// analyze loads the patterns and runs the analyzers, returning the
-// diagnostics and a non-zero exit code on load/analysis failure.
-func analyze(dir string, patterns []string, analyzers []*lint.Analyzer, tests bool, stderr io.Writer) ([]lint.Diagnostic, int) {
-	pkgs, err := lint.LoadTests(dir, tests, patterns...)
-	if err != nil {
-		fmt.Fprintf(stderr, "mcevet: %v\n", err)
-		return nil, 2
-	}
-	diags, err := lint.RunAnalyzers(pkgs, analyzers)
-	if err != nil {
-		fmt.Fprintf(stderr, "mcevet: %v\n", err)
-		return nil, 2
-	}
-	return diags, 0
 }
 
 // isPackagePattern distinguishes a -run entry naming a package from one

@@ -81,6 +81,7 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal, started 
 
 	drained := make(chan struct{})
 	forced := make(chan struct{})
+	//lint:ignore golifecycle the signal watcher lives until the first signal or until the caller closes sig; that is its entire job
 	go func() {
 		s, ok := <-sig
 		if !ok {

@@ -4,14 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"reflect"
 	"testing"
 )
 
-// The non-context entry points are thin delegates to their Context variants
-// (the contract mcevet's ctxplumb analyzer enforces statically). These tests
-// pin the dynamic half of that contract: a background context changes
-// nothing, and a cancelled context aborts before work ships.
+// The non-context entry points are thin delegates to their Context variants.
+// These tests pin that contract: a background context changes nothing, and a
+// cancelled context aborts before work ships.
 
 func cliqueSet(cliques [][]int32) map[string]bool {
 	set := make(map[string]bool, len(cliques))
@@ -67,23 +67,32 @@ func TestEnumerateStreamContextBackgroundMatchesStream(t *testing.T) {
 	}
 }
 
-// TestEnumerateContextCancelledBeforeDial pins the PR's fix: the dial phase
-// now runs under the caller's context, so a cancelled context aborts before
-// any worker connection is attempted — even when the address list points at
-// live workers.
+// TestEnumerateContextCancelledBeforeDial: the dial phase runs under the
+// caller's context, so a cancelled context aborts before any worker
+// connection is attempted — whether the address list points at live workers
+// or at an address nothing listens on, where a dial that ignored the context
+// would report the dead worker instead.
 func TestEnumerateContextCancelledBeforeDial(t *testing.T) {
 	addrs, stop, err := StartLocalWorkers(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer stop()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := ln.Addr().String()
+	ln.Close()
 
 	g := GenerateSocialNetwork(150, 4, 0.6, 71)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err = EnumerateContext(ctx, g, WithWorkers(addrs...))
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("EnumerateContext with workers err = %v, want context.Canceled", err)
+	for _, workers := range [][]string{addrs, {dead}} {
+		_, err = EnumerateContext(ctx, g, WithWorkers(workers...))
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("EnumerateContext with workers %v err = %v, want context.Canceled", workers, err)
+		}
 	}
 }
 

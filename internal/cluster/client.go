@@ -655,8 +655,8 @@ func (c *Client) Analyze(ctx context.Context, g *graph.Graph, blocks []decomp.Bl
 	}
 
 	var (
-		completed  int64
-		aliveCount = int64(len(alive))
+		completed  atomic.Int64
+		aliveCount atomic.Int64
 		done       = make(chan struct{})
 		closeOnce  sync.Once
 		errMu      sync.Mutex
@@ -672,6 +672,7 @@ func (c *Client) Analyze(ctx context.Context, g *graph.Graph, blocks []decomp.Bl
 		hedge      *hedger
 		wake       <-chan struct{}
 	)
+	aliveCount.Store(int64(len(alive)))
 	// A block occupies at most one primary/retry slot plus its one twin,
 	// so the queue can never block a sender.
 	queueCap := len(blocks)
@@ -698,7 +699,7 @@ func (c *Client) Analyze(ctx context.Context, g *graph.Graph, blocks []decomp.Bl
 		closeOnce.Do(func() { close(done) })
 	}
 	finish := func() {
-		if atomic.AddInt64(&completed, 1) == int64(len(blocks)) {
+		if completed.Add(1) == int64(len(blocks)) {
 			closeOnce.Do(func() { close(done) })
 		}
 	}
@@ -848,7 +849,7 @@ func (c *Client) Analyze(ctx context.Context, g *graph.Graph, blocks []decomp.Bl
 		c.charge(wc.addr, false)
 		c.markDead(wc)
 		chargeAttempt(wc, i, err)
-		if atomic.AddInt64(&aliveCount, -1) == 0 {
+		if aliveCount.Add(-1) == 0 {
 			select {
 			case drained <- struct{}{}:
 			default:
@@ -921,13 +922,13 @@ func (c *Client) Analyze(ctx context.Context, g *graph.Graph, blocks []decomp.Bl
 				return
 			case wc := <-fresh:
 				if c.lease(wc) {
-					atomic.AddInt64(&aliveCount, 1)
+					aliveCount.Add(1)
 					expired = nil
 					go runner(wc)
 				}
 				continue
 			case <-drained:
-				if atomic.LoadInt64(&aliveCount) > 0 {
+				if aliveCount.Load() > 0 {
 					continue // stale: capacity already returned
 				}
 				if c.opts.AutoReconnect || c.leasedConns() > 0 {

@@ -172,7 +172,15 @@ func TestChaosStragglerHedgeDedup(t *testing.T) {
 	// Give the straggler's in-flight duplicates a moment to land, then
 	// confirm they were discarded, not merged: wasted + wins ≤ dispatches.
 	time.Sleep(150 * time.Millisecond)
+	// Every hedge win leaves the straggler's original attempt in flight, and
+	// when it lands the claim must turn it away as wasted.
+	for deadline := time.Now().Add(5 * time.Second); met.HedgeWins.Load() > 0 && met.HedgeWasted.Load() == 0 && time.Now().Before(deadline); {
+		time.Sleep(10 * time.Millisecond)
+	}
 	wins, wasted, issued := met.HedgeWins.Load(), met.HedgeWasted.Load(), met.HedgedDispatches.Load()
+	if wins > 0 && wasted == 0 {
+		t.Fatalf("%d hedge win(s) but no losing duplicate was discarded: the first-wins claim did not dedup", wins)
+	}
 	if wins+wasted > issued+int64(len(blocks)) {
 		t.Fatalf("dedup accounting off: wins=%d wasted=%d issued=%d", wins, wasted, issued)
 	}

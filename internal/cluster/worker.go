@@ -59,8 +59,6 @@ func (w *Worker) initLocked() {
 // listener fails. Each connection is served on its own goroutine, so one
 // worker process can serve several coordinators (the paper's time-shared
 // cluster).
-//
-//lint:ignore ctxplumb Serve follows the net/http.Server.Serve idiom: its lifetime is owned by Close, which also tears down the listener — a ctx variant would duplicate that teardown path
 func (w *Worker) Serve(ln net.Listener) error {
 	w.mu.Lock()
 	w.initLocked()
@@ -348,8 +346,6 @@ func runTask(dst, payload []byte, corrupt bool, met *telemetry.Engine, an *decom
 // their addresses plus a stop function. It is the one-command stand-in for
 // the paper's 10-machine deployment, used by tests, examples and benches.
 // stop is idempotent: calling it twice is safe.
-//
-//lint:ignore ctxplumb lifecycle is owned by the returned stop function; ephemeral localhost listens cannot block, so a ctx adds nothing but an extra test-helper shape
 func StartLocal(n int) (addrs []string, stop func(), err error) {
 	var workers []*Worker
 	var once sync.Once

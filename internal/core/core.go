@@ -308,9 +308,9 @@ func (e *LocalExecutor) Analyze(ctx context.Context, g *graph.Graph, blocks []de
 		return out, nil
 	}
 	var (
-		wg       sync.WaitGroup //lint:ignore hotbox captured once per spawned worker, not per recursion node
-		mu       sync.Mutex     //lint:ignore hotbox captured once per spawned worker, not per recursion node
-		next     atomic.Int64   //lint:ignore hotbox captured once per spawned worker, not per recursion node
+		wg       sync.WaitGroup //lint:ignore hotalloc captured once per spawned worker, not per recursion node
+		mu       sync.Mutex     //lint:ignore hotalloc captured once per spawned worker, not per recursion node
+		next     atomic.Int64   //lint:ignore hotalloc captured once per spawned worker, not per recursion node
 		firstErr error
 	)
 	met := e.Metrics

@@ -65,7 +65,7 @@ type Graph struct {
 	listBase int64   // file offset where the list section starts
 	// reads counts ReadNeighbors calls, for I/O accounting in tests and
 	// experiments.
-	reads int64
+	reads atomic.Int64
 }
 
 // headerLen is the magic plus the node count.
@@ -173,12 +173,12 @@ func (g *Graph) ReadNeighbors(v int32, buf []int32) ([]int32, error) {
 		}
 		buf[i] = u
 	}
-	atomic.AddInt64(&g.reads, 1)
+	g.reads.Add(1)
 	return buf, nil
 }
 
 // Reads reports how many neighbourhood fetches have hit the disk.
-func (g *Graph) Reads() int64 { return atomic.LoadInt64(&g.reads) }
+func (g *Graph) Reads() int64 { return g.reads.Load() }
 
 // LoadClosedNeighborhood materialises the subgraph induced by the kernels
 // and all their neighbours as an in-memory graph (plus the local→global

@@ -172,8 +172,8 @@ func CollectAllocBudget(pkgs []*Package, prev []BudgetEntry) ([]BudgetEntry, err
 		}
 		for _, hd := range decls {
 			for _, site := range esc.byFunc[hd.key] {
-				if captureClaimed(pkg, hd.decl, site) {
-					continue // hotbox's finding, not a budgetable allocation
+				if waived(pkg, site) {
+					continue
 				}
 				counts[budgetKey(pkg.PkgPath, budgetFuncName(hd.fn), site.msg)]++
 			}
@@ -190,6 +190,22 @@ func CollectAllocBudget(pkgs []*Package, prev []BudgetEntry) ([]BudgetEntry, err
 		entries = append(entries, BudgetEntry{Site: k, Count: counts[k], Note: notes[k]})
 	}
 	return entries, nil
+}
+
+// waived reports whether a justified //lint:ignore directive naming hotalloc
+// covers the site. An in-line waiver replaces a budget entry: budgeting the
+// site as well would leave the directive suppressing nothing, which
+// staleignore reports.
+func waived(pkg *Package, site escapeSite) bool {
+	diag := Diagnostic{Analyzer: HotAlloc.Name, Pos: site.pos}
+	for _, f := range pkg.Files {
+		for _, d := range parseIgnores(pkg, f) {
+			if d.justified && d.matches(diag) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // carryNotes maps the current keys (sorted) to the notes they keep from

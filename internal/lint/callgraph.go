@@ -81,67 +81,10 @@ func (g *CallGraph) addEdge(from, to string) {
 	g.callers[to][from] = true
 }
 
-// Callees returns the declared functions fn calls directly, in
-// deterministic order. Callees without a declaration in the loaded
-// packages (stdlib, export-data-only dependencies) are omitted.
-func (g *CallGraph) Callees(fn *types.Func) []*types.Func {
-	return g.resolve(g.callees[objKey(fn)])
-}
-
 // Callers returns the declared functions that call fn directly — from any
 // loaded package, not just fn's own — in deterministic order.
 func (g *CallGraph) Callers(fn *types.Func) []*types.Func {
 	return g.resolve(g.callers[objKey(fn)])
-}
-
-// Decl returns the declaration of fn and its owning package, or nils when
-// fn is not declared in the loaded packages.
-func (g *CallGraph) Decl(fn *types.Func) (*Package, *ast.FuncDecl) {
-	s := g.decls[objKey(fn)]
-	return s.pkg, s.decl
-}
-
-// Funcs returns every function declared in the loaded packages, in
-// deterministic order — the iteration domain for whole-suite summary
-// passes.
-func (g *CallGraph) Funcs() []*types.Func {
-	keys := make(map[string]bool, len(g.decls))
-	for key := range g.decls {
-		keys[key] = true
-	}
-	return g.resolve(keys)
-}
-
-// Reachable returns the set of declared functions reachable from the roots
-// through callee edges, including the roots themselves.
-func (g *CallGraph) Reachable(roots ...*types.Func) map[*types.Func]bool {
-	seen := make(map[string]bool)
-	var stack []string
-	for _, r := range roots {
-		if r != nil {
-			stack = append(stack, objKey(r))
-		}
-	}
-	for len(stack) > 0 {
-		key := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		for next := range g.callees[key] {
-			if !seen[next] {
-				stack = append(stack, next)
-			}
-		}
-	}
-	out := make(map[*types.Func]bool)
-	for key := range seen {
-		if s, ok := g.decls[key]; ok {
-			out[s.obj] = true
-		}
-	}
-	return out
 }
 
 // resolve maps a key set to its declared functions, sorted by key so every

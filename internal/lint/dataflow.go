@@ -288,17 +288,6 @@ func isChanExpr(info *types.Info, e ast.Expr) bool {
 	return isChanType(tv.Type)
 }
 
-// bodyOf returns the body of the function declaration or literal n, or nil.
-func bodyOf(n ast.Node) *ast.BlockStmt {
-	switch n := n.(type) {
-	case *ast.FuncDecl:
-		return n.Body
-	case *ast.FuncLit:
-		return n.Body
-	}
-	return nil
-}
-
 // posInside reports whether pos falls within node's extent.
 func posInside(pos token.Pos, node ast.Node) bool {
 	return node != nil && node.Pos() <= pos && pos <= node.End()

@@ -2,7 +2,6 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"os"
 	"path/filepath"
@@ -136,33 +135,13 @@ func TestCallGraphCrossPackage(t *testing.T) {
 		t.Fatalf("Callers(lib.Keys) = %v, want [app.Show lib.Twice]", names)
 	}
 
-	callees := cg.Callees(show)
-	found := false
-	for _, c := range callees {
-		if c.FullName() == "tmpmod/lib.Keys" {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("Callees(app.Show) is missing lib.Keys: %v", callees)
+	if !cg.callees[objKey(show)][objKey(keys)] {
+		t.Errorf("app.Show's callees are missing lib.Keys: %v", cg.callees[objKey(show)])
 	}
 
-	// Decl resolves back to the defining package.
-	declPkg, decl := cg.Decl(keys)
-	if declPkg == nil || declPkg.PkgPath != "tmpmod/lib" || decl == nil || decl.Name.Name != "Keys" {
-		t.Errorf("Decl(lib.Keys) = %v, %v", declPkg, decl)
-	}
-
-	// Reachability from app.Show includes the two-hop chain's target.
-	reach := cg.Reachable(lookupFunc(t, pkgs, "tmpmod/app", "ShowTwice"))
-	reached := false
-	for fn := range reach {
-		if fn.FullName() == "tmpmod/lib.Keys" {
-			reached = true
-		}
-	}
-	if !reached {
-		t.Errorf("Reachable(app.ShowTwice) does not include lib.Keys")
+	// The callee key resolves back to the defining package's declaration.
+	if d := cg.decls[objKey(keys)]; d.pkg == nil || d.pkg.PkgPath != "tmpmod/lib" || d.decl.Name.Name != "Keys" {
+		t.Errorf("declaration of lib.Keys = %+v", d)
 	}
 }
 
@@ -222,13 +201,55 @@ func TestFactStoreObjectIdentity(t *testing.T) {
 	}
 }
 
-// lockPackageFiles seeds a two-package mutex inversion: pkg b acquires
-// a.Mu while holding its own lock *through a.LockMu's summary* (the
-// acquisition is invisible without cross-package facts), and separately
-// acquires b's lock while holding a.Mu directly. Each half looks fine in
-// isolation; only the whole-module graph has the cycle.
-func lockPackageFiles() map[string]string {
-	return map[string]string{
+// TestLoadExternalTestImportsBack pins the loader on the shape that split
+// type identities before: package a has in-package test files (so its test
+// binary links a test-augmented variant), and its external test imports
+// both a test-only helper of a and package b, which itself imports a. The go
+// tool recompiles b against the augmented a for that binary; both imports
+// must resolve to that one variant, or the type-check fails with "cannot
+// use a.T as a.T".
+func TestLoadExternalTestImportsBack(t *testing.T) {
+	dir := writeTempModule(t, map[string]string{
+		"a/a.go":           "package a\n\ntype T struct{ N int }\n",
+		"a/export_test.go": "package a\n\nfunc NewForTest(n int) T { return T{N: n} }\n",
+		"b/b.go":           "package b\n\nimport \"tmpmod/a\"\n\nfunc Use(t a.T) int { return t.N }\n",
+		"a/x_test.go": `package a_test
+
+import (
+	"testing"
+
+	"tmpmod/a"
+	"tmpmod/b"
+)
+
+func TestUse(t *testing.T) {
+	if b.Use(a.NewForTest(1)) != 1 {
+		t.Fatal("wrong")
+	}
+}
+`,
+	})
+	pkgs, err := Load(dir, "./a")
+	if err != nil {
+		t.Fatalf("loading one package with an import-back external test: %v", err)
+	}
+	var got []string
+	for _, p := range pkgs {
+		got = append(got, p.PkgPath)
+	}
+	if strings.Join(got, " ") != "tmpmod/a tmpmod/a_test" {
+		t.Errorf("loaded %v, want [tmpmod/a tmpmod/a_test]", got)
+	}
+}
+
+// TestLockOrderCycleAcrossPackages builds a lock-order cycle that spans two
+// packages: b.Inverted1 holds b's lock and acquires a.Mu one call deep
+// through a.LockMu, and b.Inverted2 holds a.Mu and acquires b's lock. No
+// whole-module lock graph is needed to break it: lockbalance reports each
+// half in its own body, the helper that returns still holding a.Mu and the
+// direct nested acquisition.
+func TestLockOrderCycleAcrossPackages(t *testing.T) {
+	pkgs := loadTempModule(t, map[string]string{
 		"a/a.go": `package a
 
 import "sync"
@@ -267,86 +288,43 @@ func Inverted2() {
 	defer mu.Unlock()
 }
 `,
-	}
-}
-
-// TestLockFactsCrossPackages proves the lock-set fact layer sees through
-// export data: package b's view of a.LockMu is a different *types.Func
-// than a's own, yet b's indirect acquisition of a.Mu while holding b.mu
-// must surface as a pair attributed to the helper.
-func TestLockFactsCrossPackages(t *testing.T) {
-	pkgs := loadTempModule(t, lockPackageFiles())
-	suite := newSuite(pkgs)
-	var passB *Pass
-	for _, p := range suite.Pkgs {
-		if p.PkgPath == "tmpmod/b" {
-			passB = &Pass{Analyzer: LockOrder, Pkg: p, Suite: suite}
-		}
-	}
-	if passB == nil {
-		t.Fatal("package b not loaded")
-	}
-	info := lockFacts(passB)
-
-	// The exported summary for a.LockMu names a.Mu.
-	lockMu := lookupFunc(t, pkgs, "tmpmod/a", "LockMu")
-	var fact LockSetFact
-	if !passB.ImportObjectFact(lockMu, &fact) {
-		t.Fatal("no LockSetFact exported for a.LockMu")
-	}
-	foundMu := false
-	for _, acq := range fact.Acquires {
-		if acq == "tmpmod/a::Mu" {
-			foundMu = true
-		}
-	}
-	if !foundMu {
-		t.Errorf("LockSetFact(a.LockMu).Acquires = %v, want [tmpmod/a::Mu]", fact.Acquires)
-	}
-
-	// The cross-package pair: b.mu held, a.Mu acquired, via the helper.
-	foundPair := false
-	for _, p := range info.pairs {
-		if p.held == "tmpmod/b::mu" && p.acquired == "tmpmod/a::Mu" && p.via != "" {
-			foundPair = true
-		}
-	}
-	if !foundPair {
-		t.Errorf("lock pairs missing the indirect b.mu→a.Mu edge:\n%v", info.pairs)
-	}
-}
-
-// TestLockOrderCycleAcrossPackages is the tentpole acceptance test: the
-// seeded two-mutex inversion split across two packages is reported as a
-// cycle, exactly once.
-func TestLockOrderCycleAcrossPackages(t *testing.T) {
-	pkgs := loadTempModule(t, lockPackageFiles())
-	diags, err := RunAnalyzers(pkgs, []*Analyzer{LockOrder})
+	})
+	diags, err := RunAnalyzers(pkgs, []*Analyzer{LockBalance})
 	if err != nil {
-		t.Fatalf("running lockorder: %v", err)
+		t.Fatalf("running lockbalance: %v", err)
 	}
-	if len(diags) != 1 {
-		t.Fatalf("got %d diagnostic(s), want exactly 1 (one report per cycle):\n%v", len(diags), diags)
+	if len(diags) != 2 {
+		t.Fatalf("got %d diagnostic(s), want 2 (one per half of the cycle):\n%v", len(diags), diags)
 	}
-	d := diags[0]
-	if d.Analyzer != "lockorder" || !strings.Contains(d.Message, "lock-order cycle") {
-		t.Errorf("diagnostic does not report the cycle: %s", d)
+	var leak, nested bool
+	for _, d := range diags {
+		switch {
+		case strings.HasSuffix(d.Pos.Filename, filepath.Join("a", "a.go")) &&
+			strings.Contains(d.Message, "Mu.Lock() is not immediately deferred"):
+			leak = true
+		case strings.HasSuffix(d.Pos.Filename, filepath.Join("b", "b.go")) &&
+			strings.Contains(d.Message, "mu.Lock() while a.Mu is held"):
+			nested = true
+		default:
+			t.Errorf("unexpected diagnostic: %s", d)
+		}
 	}
-	if !strings.Contains(d.Message, "Mu") || !strings.Contains(d.Message, "mu") {
-		t.Errorf("diagnostic does not name both locks of the cycle: %s", d)
+	if !leak {
+		t.Errorf("the helper that returns holding a.Mu was not reported: %v", diags)
+	}
+	if !nested {
+		t.Errorf("the nested acquisition of mu under a.Mu was not reported: %v", diags)
 	}
 }
 
 // checkSnippet type-checks one inline source file and returns the package.
 func checkSnippet(t *testing.T, src string) *Package {
 	t.Helper()
-	dir := t.TempDir()
-	path := filepath.Join(dir, "snippet.go")
+	path := filepath.Join(t.TempDir(), "snippet.go")
 	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
 		t.Fatalf("writing snippet: %v", err)
 	}
-	fset := token.NewFileSet()
-	pkg, err := check("snippet", dir, fset, newImporter(moduleRoot(), fset), []string{path})
+	pkg, err := LoadFiles(moduleRoot(), path)
 	if err != nil {
 		t.Fatalf("checking snippet: %v", err)
 	}
@@ -461,9 +439,9 @@ func TestStaleIgnoreNotJudgedOnPartialRun(t *testing.T) {
 	if err != nil {
 		t.Fatalf("loading fixture: %v", err)
 	}
-	// ctxplumb runs, maporder does not: the maporder directives are not
+	// lockbalance runs, maporder does not: the maporder directives are not
 	// judgeable, so only the unknown-analyzer one (always judgeable) shows.
-	diags, err := RunAnalyzers([]*Package{pkg}, []*Analyzer{CtxPlumb, StaleIgnore})
+	diags, err := RunAnalyzers([]*Package{pkg}, []*Analyzer{LockBalance, StaleIgnore})
 	if err != nil {
 		t.Fatalf("running suite: %v", err)
 	}

@@ -14,7 +14,7 @@ import (
 	"strings"
 )
 
-// The escape-analysis ingester: hotalloc and hotbox need ground truth about
+// The escape-analysis ingester: hotalloc needs ground truth about
 // which expressions the compiler actually heap-allocates, and the compiler
 // already computes it — `go build -gcflags=-m=2` prints every escape
 // decision. This file shells out per package, parses the diagnostics, and

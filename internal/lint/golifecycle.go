@@ -7,20 +7,24 @@ import (
 	"strings"
 )
 
-// GoLifecycle is the interprocedural upgrade of PR 2's goroutineleak: every
-// `go` statement must reach a cancellation path *through the call graph*,
-// not merely contain one syntactically. A goroutine that blocks on a
-// channel — in its own literal body, or three calls deep in another
-// package — with no ctx.Done select, done-channel receive, closable-range
-// or WaitGroup balance anywhere in its reachable body outlives every batch
-// that spawned it; across Enumerate calls in a long-lived server those
-// stack up until the scheduler drowns. The syntactic check caught only the
-// literal-local shape and went blind the moment the pump moved into a
-// helper, which is exactly where the cluster runtime's hedging and health
-// machinery put theirs.
+// GoLifecycle: every `go` statement must reach a cancellation path through
+// the call graph, not merely contain one syntactically. A goroutine that
+// blocks on a channel — in its own literal body, or a few calls deep in a
+// helper — with no ctx.Done select, done-channel receive, closable-range or
+// WaitGroup balance anywhere in its reachable body outlives every batch that
+// spawned it; across Enumerate calls in a long-lived server those stack up
+// until the scheduler drowns.
 //
-// Accepted lifecycle paths, anywhere in the spawned body or any function it
-// (transitively) calls:
+// The reachable body is the goroutine's own package: summaries propagate
+// over calls between functions declared in the package (test files
+// included) and stop at its boundary, so the verdict on a `go` statement
+// never depends on which other packages happen to be in the load. A callee
+// in another package neither blocks nor cancels on the spawner's behalf — a
+// select on some private channel deep inside it (cluster.Worker.Close's
+// drain wait) is no exit path for the goroutine that calls it.
+//
+// Accepted lifecycle paths, anywhere in the spawned body or any function of
+// its package it (transitively) calls:
 //
 //   - a select with a case receiving from a context's Done() channel or
 //     from a done-style channel (element type struct{}), or with a default;
@@ -37,33 +41,22 @@ var GoLifecycle = &Analyzer{
 	Name: "golifecycle",
 	Doc: "every go statement whose goroutine blocks on channels must reach " +
 		"a cancellation path (ctx.Done, done channel, closable range, or " +
-		"WaitGroup balance) through the call graph",
+		"WaitGroup balance) through its package's call graph",
 	Run: runGoLifecycle,
 }
 
-// lifecycleFact is the exported per-function summary: whether the function
+// lifecycleInfo holds the package-local summaries: whether a function
 // (transitively) blocks on channels, and whether it (transitively) reaches
-// an accepted cancellation path.
-type lifecycleFact struct {
-	Blocks  bool
-	Cancels bool
-}
-
-// AFact marks lifecycleFact as a fact type.
-func (*lifecycleFact) AFact() {}
-
-// lifecycleInfo is the whole-suite fixpoint result keyed by function key.
+// an accepted cancellation path. Functions are keyed by their generic
+// origin, so calls of instantiations resolve to the declaration.
 type lifecycleInfo struct {
-	blocks  map[string]bool
-	cancels map[string]bool
+	blocks  map[*types.Func]bool
+	cancels map[*types.Func]bool
 }
 
 func runGoLifecycle(pass *Pass) error {
-	info := pass.Suite.Memo("golifecycle", func() any {
-		return buildLifecycleInfo(pass)
-	}).(*lifecycleInfo)
-
 	tinfo := pass.Pkg.Info
+	info := buildLifecycleInfo(pass.Pkg)
 	buffered := bufferedChanVars(pass.Pkg)
 	for _, f := range pass.Pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -84,23 +77,10 @@ func runGoLifecycle(pass *Pass) error {
 					why)
 				return true
 			}
+			// A named target outside the package (or a dynamic one) has no
+			// summary: stay silent rather than guess.
 			callee := calleeOf(tinfo, gs.Call)
-			if callee == nil {
-				return true // dynamic target: nothing to resolve
-			}
-			key := objKey(callee)
-			blocks, known := info.blocks[key]
-			if !known {
-				// Declared outside the load (stdlib, export data): import the
-				// fact a previous run of an importing suite may have left;
-				// otherwise stay silent rather than guess.
-				var fact lifecycleFact
-				if pass.ImportObjectFact(callee, &fact) {
-					blocks, known = fact.Blocks, true
-					info.cancels[key] = fact.Cancels
-				}
-			}
-			if !known || !blocks || info.cancels[key] {
+			if callee == nil || !info.blocks[callee.Origin()] || info.cancels[callee.Origin()] {
 				return true
 			}
 			pass.Reportf(gs.Pos(),
@@ -112,63 +92,42 @@ func runGoLifecycle(pass *Pass) error {
 	return nil
 }
 
-// buildLifecycleInfo computes the transitive blocks/cancels summaries for
-// every declared function, to fixpoint over the call graph, and exports
-// them as facts.
-func buildLifecycleInfo(pass *Pass) *lifecycleInfo {
-	cg := pass.Suite.CallGraph()
+// buildLifecycleInfo seeds each function of pkg with its own syntax and
+// propagates callee → caller over the package's own calls to fixpoint.
+func buildLifecycleInfo(pkg *Package) *lifecycleInfo {
 	info := &lifecycleInfo{
-		blocks:  make(map[string]bool),
-		cancels: make(map[string]bool),
+		blocks:  make(map[*types.Func]bool),
+		cancels: make(map[*types.Func]bool),
 	}
-	fns := cg.Funcs()
-	// Seed with each function's own syntax.
+	fns := packageFuncs(pkg)
+	callees := make(map[*types.Func][]*types.Func, len(fns))
 	for _, fn := range fns {
-		pkg, decl := cg.Decl(fn)
-		if decl == nil || decl.Body == nil {
-			continue
-		}
-		key := objKey(fn)
-		info.blocks[key] = bodyBlocksOnChans(pkg.Info, decl.Body)
-		info.cancels[key] = bodyHasLifecyclePath(pkg.Info, decl.Body)
+		info.blocks[fn.obj] = bodyBlocksOnChans(pkg.Info, fn.decl.Body)
+		info.cancels[fn.obj] = bodyHasLifecyclePath(pkg.Info, fn.decl.Body)
 	}
-	// Propagate callee → caller to fixpoint.
-	work := append([]*types.Func(nil), fns...)
-	queued := make(map[string]bool)
-	for len(work) > 0 {
-		fn := work[0]
-		work = work[1:]
-		key := objKey(fn)
-		queued[key] = false
-		changed := false
-		for _, callee := range cg.Callees(fn) {
-			ck := objKey(callee)
-			if info.blocks[ck] && !info.blocks[key] {
-				info.blocks[key] = true
-				changed = true
-			}
-			if info.cancels[ck] && !info.cancels[key] {
-				info.cancels[key] = true
-				changed = true
-			}
-		}
-		if changed {
-			for _, caller := range cg.Callers(fn) {
-				ck := objKey(caller)
-				if _, tracked := info.blocks[ck]; tracked && !queued[ck] {
-					queued[ck] = true
-					work = append(work, caller)
+	for _, fn := range fns {
+		ast.Inspect(fn.decl.Body, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				if c := calleeOf(pkg.Info, call); c != nil {
+					if _, local := info.blocks[c.Origin()]; local {
+						callees[fn.obj] = append(callees[fn.obj], c.Origin())
+					}
 				}
 			}
-		}
+			return true
+		})
 	}
-	for _, fn := range fns {
-		key := objKey(fn)
-		if info.blocks[key] || info.cancels[key] {
-			pass.ExportObjectFact(fn, &lifecycleFact{
-				Blocks:  info.blocks[key],
-				Cancels: info.cancels[key],
-			})
+	for changed := true; changed; {
+		changed = false
+		for _, fn := range fns {
+			for _, c := range callees[fn.obj] {
+				if info.blocks[c] && !info.blocks[fn.obj] {
+					info.blocks[fn.obj], changed = true, true
+				}
+				if info.cancels[c] && !info.cancels[fn.obj] {
+					info.cancels[fn.obj], changed = true, true
+				}
+			}
 		}
 	}
 	return info
@@ -190,7 +149,7 @@ func literalBlocks(tinfo *types.Info, lit *ast.FuncLit, info *lifecycleInfo, buf
 		if !ok {
 			return true
 		}
-		if callee := calleeOf(tinfo, call); callee != nil && info.blocks[objKey(callee)] {
+		if callee := calleeOf(tinfo, call); callee != nil && info.blocks[callee.Origin()] {
 			blockingCallee = callee.FullName()
 		}
 		return true
@@ -213,7 +172,7 @@ func literalCancels(tinfo *types.Info, lit *ast.FuncLit, info *lifecycleInfo) bo
 			return false
 		}
 		if call, ok := n.(*ast.CallExpr); ok {
-			if callee := calleeOf(tinfo, call); callee != nil && info.cancels[objKey(callee)] {
+			if callee := calleeOf(tinfo, call); callee != nil && info.cancels[callee.Origin()] {
 				found = true
 			}
 		}

@@ -41,9 +41,6 @@ func runHotAlloc(pass *Pass) error {
 		for _, hd := range decls {
 			fnName := budgetFuncName(hd.fn)
 			for _, site := range esc.byFunc[hd.key] {
-				if captureClaimed(pass.Pkg, hd.decl, site) {
-					continue // reported by hotbox as a closure capture
-				}
 				key := budgetKey(pass.Pkg.PkgPath, fnName, site.msg)
 				observed[key]++
 				if observed[key] <= budget.counts[key] {

@@ -8,14 +8,12 @@ import (
 	"strings"
 )
 
-// The hot-path fact pass (PR 10): the perf layer's foundation. Enumeration
-// roots — the sequential and parallel Bron–Kerbosch drivers, the bitset
-// kernels, block analysis, the telemetry fast paths — carry a
-// //mce:hotpath annotation on their declaration; this pass closes the
-// annotated set over the suite's string-keyed cross-package call graph and
-// exports a HotPathFact for every function the enumeration inner loop can
-// reach. The hotalloc/hotbox/hotdefer/hotslice analyzers all consume the
-// same set, so "hot" means exactly one thing module-wide.
+// The hot set: hotalloc's foundation. Enumeration roots — the sequential
+// and parallel Bron–Kerbosch drivers, the bitset kernels, block analysis,
+// the telemetry fast paths — carry a //mce:hotpath annotation on their
+// declaration; this pass closes the annotated set over the suite's
+// string-keyed cross-package call graph, so "hot" means every function the
+// enumeration inner loop can reach, module-wide.
 //
 // A //mce:coldpath annotation prunes the closure: functions that are
 // reachable from a hot root but run per block or per run rather than per
@@ -33,14 +31,6 @@ const hotDirective = "//mce:hotpath"
 
 // coldDirective stops hot-path propagation through the annotated function.
 const coldDirective = "//mce:coldpath"
-
-// HotPathFact marks a declared function as reachable from an annotated
-// hot-path root. Root names the nearest annotated root for diagnostics.
-type HotPathFact struct {
-	Root string
-}
-
-func (*HotPathFact) AFact() {}
 
 // hotDecl is one hot function declared in a loaded package.
 type hotDecl struct {
@@ -164,7 +154,6 @@ func buildHotInfo(s *Suite) *hotInfo {
 		if !ok {
 			continue
 		}
-		s.facts.export(site.obj, &HotPathFact{Root: rootName})
 		info.declsByPkg[site.pkg] = append(info.declsByPkg[site.pkg], hotDecl{
 			decl: site.decl,
 			fn:   site.obj,
@@ -181,34 +170,4 @@ func buildHotInfo(s *Suite) *hotInfo {
 // declsIn returns the hot functions declared in pkg, in source order.
 func (h *hotInfo) declsIn(pkg *Package) []hotDecl {
 	return h.declsByPkg[pkg]
-}
-
-// inCycle reports whether fn participates in a call-graph cycle — i.e. it
-// is reachable from one of its own callees. A defer in such a function
-// allocates one defer record per recursion node, which is why hotdefer
-// treats recursion like a loop.
-func (g *CallGraph) inCycle(fn *types.Func) bool {
-	target := objKey(fn)
-	seen := make(map[string]bool)
-	var stack []string
-	for next := range g.callees[target] {
-		stack = append(stack, next)
-	}
-	for len(stack) > 0 {
-		key := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if key == target {
-			return true
-		}
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		for next := range g.callees[key] {
-			if !seen[next] {
-				stack = append(stack, next)
-			}
-		}
-	}
-	return false
 }

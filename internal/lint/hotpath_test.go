@@ -146,11 +146,6 @@ func TestHotPathFactsCrossPackages(t *testing.T) {
 	if _, ok := h.hot[objKey(setup)]; ok {
 		t.Error("coldpath-annotated alloc.Setup leaked into the hot set")
 	}
-
-	var fact HotPathFact
-	if !suite.facts.imp(grow, &fact) || fact.Root != "hot.Drive" {
-		t.Errorf("HotPathFact on alloc.Grow = %+v, want Root hot.Drive", fact)
-	}
 }
 
 func TestHotAllocCrossPackageBudgetCycle(t *testing.T) {

@@ -9,7 +9,7 @@ import (
 // TestIgnoreSuppresses checks the happy path through the fixture harness:
 // the justified directive hides Blocked, the undirected Loud still reports.
 func TestIgnoreSuppresses(t *testing.T) {
-	RunFixture(t, CtxPlumb, "ignore/ignored.go")
+	RunFixture(t, LockBalance, "ignore/ignored.go")
 }
 
 // TestIgnoreNeedsJustification checks both halves of the unjustified case:
@@ -20,16 +20,16 @@ func TestIgnoreNeedsJustification(t *testing.T) {
 	if err != nil {
 		t.Fatalf("loading fixture: %v", err)
 	}
-	diags, err := RunAnalyzers([]*Package{pkg}, []*Analyzer{CtxPlumb})
+	diags, err := RunAnalyzers([]*Package{pkg}, []*Analyzer{LockBalance})
 	if err != nil {
-		t.Fatalf("running ctxplumb: %v", err)
+		t.Fatalf("running lockbalance: %v", err)
 	}
 	var sawDirective, sawFinding bool
 	for _, d := range diags {
 		switch {
 		case d.Analyzer == "lint" && strings.Contains(d.Message, "needs a justification"):
 			sawDirective = true
-		case d.Analyzer == "ctxplumb" && strings.Contains(d.Message, "QuietContext"):
+		case d.Analyzer == "lockbalance" && strings.Contains(d.Message, "quiet.Lock"):
 			sawFinding = true
 		}
 	}
@@ -46,7 +46,7 @@ func TestIgnoreNeedsJustification(t *testing.T) {
 // is vacuous.
 func TestWantHarnessDetectsMisses(t *testing.T) {
 	rec := &recorder{}
-	RunFixture(rec, SortedAdj, "ctxplumb/flagged.go") // wrong analyzer: wants go unmatched
+	RunFixture(rec, SortedAdj, "lockbalance/flagged.go") // wrong analyzer: wants go unmatched
 	if len(rec.errors) == 0 {
 		t.Fatal("harness accepted a fixture whose want annotations matched nothing")
 	}

@@ -1,73 +1,33 @@
 // Package lint is a repo-specific static-analysis suite: a small, dependency
 // free re-implementation of the golang.org/x/tools/go/analysis model (the
-// builder has no network, so the real module cannot be vendored) plus
-// fourteen analyzers that machine-check invariants the engine's correctness
-// and performance arguments lean on.
+// module has no external dependencies, so the real one cannot be vendored)
+// plus seven analyzers that machine-check invariants the engine's
+// correctness and performance arguments lean on:
 //
-// The PR 2 per-package analyzers:
-//
-//   - ctxplumb: exported blocking APIs must come in ctx/non-ctx pairs with
-//     the non-ctx form delegating (the PR 1 cancellation contract);
-//   - lockbalance: every manual mu.Lock() must be released on every return
-//     path (the cluster/core mutex discipline);
 //   - sortedadj: adjacency slices returned by graph.Neighbors are read-only
 //     outside internal/graph (the binary-search sortedness invariant behind
-//     HasEdge, hence behind Lemma 1 and Theorem 1).
-//
-// The v2 engine adds a whole-suite layer — a static call graph
-// (callgraph.go), a per-function forward dataflow pass (dataflow.go) and an
-// exported-facts mechanism (facts.go) so analyzers reason across package
-// boundaries — and analyzers built on it:
-//
+//     HasEdge, hence behind Lemma 1 and Theorem 1);
 //   - maporder: map-iteration-ordered values must not flow into seeded
 //     rand draws, wire frames or ordered output without an intervening
-//     sort (the PR 3 cross-process nondeterminism bug class, caught
-//     statically);
+//     sort (deterministic plans and digests across processes);
 //   - telemetryguard: every instrumentation site on a possibly-nil
 //     *telemetry.Engine or *telemetry.BlockInstr must be nil-guarded (the
-//     PR 3 zero-overhead-when-disabled contract);
+//     zero-overhead-when-disabled contract);
+//   - golifecycle: every `go` statement whose goroutine blocks on channels
+//     must reach a cancellation path through its own package's call graph;
+//   - lockbalance: every manual mu.Lock() is released on every return path,
+//     and no Lock is taken while another lock is held in the same body;
+//   - hotalloc: compiler-proven heap allocations in functions reachable from
+//     a //mce:hotpath root must be reconciled against the committed budget
+//     .mcevet/allocbudget.json;
 //   - staleignore: a //lint:ignore directive that no longer suppresses any
 //     finding is itself a finding.
 //
-// The PR 7 concurrency layer computes per-function held-lock summaries
-// (lockfacts.go) over the call graph and adds four analyzers that model
-// goroutine interleavings rather than single-threaded dataflow:
-//
-//   - lockorder: the global mutex-acquisition graph must be acyclic — a
-//     cycle means two goroutines can deadlock (facts cross package
-//     boundaries, so each half of the inversion can live in a different
-//     package);
-//   - golifecycle: the interprocedural upgrade of PR 2's goroutineleak —
-//     every `go` statement whose goroutine (transitively) blocks on
-//     channels must reach a cancellation path through the call graph;
-//   - chandiscipline: channel ownership rules — no send after close in one
-//     body, close on the sender side only, and no unconditioned
-//     sleep-recheck loop that ignores an in-scope ctx/done channel (the
-//     PR 7 quarantine-recheck livelock shape);
-//   - casloop: compare-and-swap discipline — CAS results must be checked,
-//     CAS retry loops must re-load the old value, and a field accessed
-//     through sync/atomic anywhere must be accessed that way everywhere
-//     (subsumes and retires PR 3's atomicfield).
-//
-// The PR 10 perf layer turns the zero-alloc invariant of the enumeration
-// inner loop into a module-wide gate: a hot-path fact pass (hotpath.go)
-// seeds from //mce:hotpath annotations on the enumeration roots and closes
-// over the call graph, an escape-analysis ingester (escape.go) parses
-// `go build -gcflags=-m=2` per package, and four analyzers join the two:
-//
-//   - hotalloc: compiler-proven heap allocations in hot functions must be
-//     reconciled against the committed budget .mcevet/allocbudget.json —
-//     known sites pass, new sites fail, stale entries fail;
-//   - hotbox: no fmt/reflect calls, allocating interface boxing, or
-//     hot-loop closure captures in hot functions;
-//   - hotdefer: no defer inside hot loops or recursive hot functions (the
-//     defer record heap-allocates per iteration there);
-//   - hotslice: append-growth in bounded hot loops must preallocate
-//     (mechanical make(..., 0, n) fix under -fix).
-//
-// The suite runs via cmd/mcevet (standalone driver, `make lint`; -sarif,
-// -diff, -fix and -update-allocbudget for CI integration) and in the
-// analyzers' own analysistest-style fixture tests.
+// The whole-suite layer under them is a static call graph (callgraph.go), a
+// per-function forward dataflow pass (dataflow.go), cross-package facts
+// (facts.go), the hot-path closure (hotpath.go) and the escape-analysis
+// ingester (escape.go). The suite runs via cmd/mcevet (`make lint`) and in
+// the analyzers' own analysistest-style fixture tests.
 package lint
 
 import (
@@ -113,29 +73,23 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// Diagnostic is one finding, resolved to a file position. Fix, when
-// non-nil, is a mechanical remediation cmd/mcevet -fix can apply.
+// Diagnostic is one finding, resolved to a file position.
 type Diagnostic struct {
 	Analyzer string
 	Pos      token.Position
 	Message  string
-	Fix      *SuggestedFix
 }
 
 func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s: %s: %s", d.Pos, d.Analyzer, d.Message)
 }
 
-// Analyzers returns the full suite in reporting order: the PR 2
-// per-package analyzers first, then the v2 dataflow analyzers, then the
-// PR 7 concurrency analyzers, then the PR 10 hot-path perf analyzers, with
-// the staleignore meta-pass last.
+// Analyzers returns the full suite in reporting order, with the
+// staleignore meta-pass last.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		CtxPlumb, LockBalance, SortedAdj,
-		MapOrder, TelemetryGuard,
-		LockOrder, GoLifecycle, ChanDiscipline, CasLoop,
-		HotAlloc, HotBox, HotDefer, HotSlice,
+		SortedAdj, MapOrder, TelemetryGuard,
+		GoLifecycle, LockBalance, HotAlloc,
 		StaleIgnore,
 	}
 }

@@ -15,12 +15,12 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Package is one type-checked Go package, the unit handed to analyzers.
 type Package struct {
-	// PkgPath is the import path ("mce/internal/cluster").
+	// PkgPath is the import path ("mce/internal/cluster"); an external test
+	// package is "<importpath>_test".
 	PkgPath string
 	// Dir is the directory holding the sources.
 	Dir string
@@ -40,237 +40,112 @@ type Package struct {
 	ImporterClosed bool
 }
 
-// exportLookup resolves import paths to gc export data by shelling out to
-// `go list -export`. The toolchain writes export data into the build cache,
-// so the lookup works offline and needs no GOPATH layout — exactly what a
-// vendorless module on an air-gapped builder needs. Results are cached per
-// importer, and the underlying gc importer additionally caches decoded
-// packages, so each dependency costs one subprocess per process.
-type exportLookup struct {
-	dir string
-
-	mu    sync.Mutex
-	files map[string]string
-}
-
-func (l *exportLookup) lookup(path string) (io.ReadCloser, error) {
-	l.mu.Lock()
-	file, ok := l.files[path]
-	l.mu.Unlock()
-	if !ok {
-		cmd := exec.Command("go", "list", "-export", "-f", "{{.Export}}", path)
-		cmd.Dir = l.dir
-		var stderr bytes.Buffer
-		cmd.Stderr = &stderr
-		out, err := cmd.Output()
-		if err != nil {
-			return nil, fmt.Errorf("lint: export data for %s: %v (%s)", path, err, strings.TrimSpace(stderr.String()))
-		}
-		file = strings.TrimSpace(string(out))
-		if file == "" {
-			return nil, fmt.Errorf("lint: no export data for %s (does it build?)", path)
-		}
-		l.mu.Lock()
-		l.files[path] = file
-		l.mu.Unlock()
-	}
-	return os.Open(file)
-}
-
-// newImporter returns a types.Importer that resolves every import — stdlib
-// and module-internal alike — through the build cache's export data. dir must
-// be inside the module so `go list` sees the right go.mod.
-func newImporter(dir string, fset *token.FileSet) types.Importer {
-	l := &exportLookup{dir: dir, files: make(map[string]string)}
-	return importer.ForCompiler(fset, "gc", l.lookup)
-}
-
-// preloadImporter resolves a fixed set of import paths to already-checked
-// packages and delegates everything else. It exists for external test
-// packages (package foo_test): their import of the package under test must
-// see the *test-augmented* view — exported helpers declared in in-package
-// _test.go files are absent from the build cache's export data, which only
-// knows the non-test compilation unit.
-type preloadImporter struct {
-	preloaded map[string]*types.Package
-	next      types.Importer
-}
-
-func (p *preloadImporter) Import(path string) (*types.Package, error) {
-	if pkg, ok := p.preloaded[path]; ok {
-		return pkg, nil
-	}
-	return p.next.Import(path)
-}
-
 // listedPackage is the subset of `go list -json` output the loader needs.
 type listedPackage struct {
-	ImportPath   string
-	Dir          string
-	GoFiles      []string
-	TestGoFiles  []string
-	XTestGoFiles []string
-	Imports      []string
-	TestImports  []string
-	Standard     bool
-	Error        *struct{ Err string }
+	ImportPath string // a test variant reads "p [p.test]"
+	Dir        string
+	GoFiles    []string // a test variant lists its _test.go files here too
+	ImportMap  map[string]string
+	Export     string
+	ForTest    string
+	DepOnly    bool
+	Standard   bool
+	Error      *struct{ Err string }
 }
 
-// Load lists the patterns with the go tool and type-checks every matched
-// package (non-test files only, mirroring `go vet`'s default unit). dir is
-// the directory the patterns are resolved in, typically the module root.
-func Load(dir string, patterns ...string) ([]*Package, error) {
-	return LoadTests(dir, false, patterns...)
-}
-
-// LoadTests is Load with control over the compilation unit: with tests set,
-// in-package _test.go files are type-checked into their package (the go
-// test unit) and external test packages (package foo_test) are loaded as
-// their own packages with PkgPath "<importpath>_test". Most of the repo's
-// concurrency machinery is exercised — and often *declared* — in test
-// files, so an analysis run that skips them misses exactly the goroutine
-// and locking shapes the concurrency analyzers exist for.
-func LoadTests(dir string, tests bool, patterns ...string) ([]*Package, error) {
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	closed := true
-	for _, p := range patterns {
-		if p != "./..." {
-			closed = false
-		}
-	}
-	args := append([]string{"list", "-json"}, patterns...)
-	cmd := exec.Command("go", args...)
+// goList runs `go list -json` with args in dir and decodes the stream.
+func goList(dir string, args ...string) ([]*listedPackage, error) {
+	cmd := exec.Command("go", append([]string{"list", "-json=ImportPath,Dir,GoFiles,ImportMap,Export,ForTest,DepOnly,Standard,Error"}, args...)...)
 	cmd.Dir = dir
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()
 	if err != nil {
-		return nil, fmt.Errorf("lint: go list %s: %v (%s)", strings.Join(patterns, " "), err, strings.TrimSpace(stderr.String()))
+		return nil, fmt.Errorf("lint: go list %s: %v (%s)", strings.Join(args, " "), err, strings.TrimSpace(stderr.String()))
 	}
-	var listed []listedPackage
-	dec := json.NewDecoder(bytes.NewReader(out))
-	for {
-		var p listedPackage
-		if err := dec.Decode(&p); err == io.EOF {
-			break
-		} else if err != nil {
+	var listed []*listedPackage
+	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+		lp := new(listedPackage)
+		if err := dec.Decode(lp); err != nil {
 			return nil, fmt.Errorf("lint: decoding go list output: %v", err)
 		}
-		listed = append(listed, p)
+		listed = append(listed, lp)
 	}
+	return listed, nil
+}
+
+// Load type-checks the packages matching patterns the way `go test` compiles
+// them, as `go vet` does: a package with in-package _test.go files is
+// checked with them, and an external test package (package foo_test) is its
+// own Package with PkgPath "<importpath>_test". One `go list -deps -test
+// -export` names every variant and its export data; each package is checked
+// from source against the export data of exactly the variants its test
+// binary links (ImportMap), so a package and its test-augmented twin never
+// meet inside one type-check. dir is the directory the patterns are resolved
+// in, typically the module root.
+func Load(dir string, patterns ...string) ([]*Package, error) {
+	if len(patterns) == 0 {
+		patterns = []string{"./..."}
+	}
+	closed := len(patterns) == 1 && patterns[0] == "./..."
+	listed, err := goList(dir, append([]string{"-deps", "-test", "-export"}, patterns...)...)
+	if err != nil {
+		return nil, err
+	}
+	byID := make(map[string]*listedPackage, len(listed))
+	targets := make(map[string]*listedPackage)
+	for _, lp := range listed {
+		byID[lp.ImportPath] = lp
+		if lp.DepOnly || lp.Standard || strings.HasSuffix(lp.ImportPath, ".test") {
+			continue // dependencies, and the generated test mains
+		}
+		path, _, _ := strings.Cut(lp.ImportPath, " ")
+		if targets[path] == nil || lp.ForTest == path {
+			targets[path] = lp // "p [p.test]" supersedes the plain package
+		}
+	}
+	paths := make([]string, 0, len(targets))
+	for path := range targets {
+		paths = append(paths, path)
+	}
+	sort.Strings(paths)
 
 	fset := token.NewFileSet()
-	base := newImporter(dir, fset)
-	// Without tests every package resolves its imports through export data —
-	// the gc importer's package cache keeps identities consistent. With
-	// tests, the test-augmented units are not in the build cache, so the
-	// loader mirrors `go test`'s model instead: listed packages are checked
-	// in dependency order and every checked result is preloaded, so an
-	// in-module import always resolves to the source-checked (augmented)
-	// view and export data is only consulted for packages outside the load
-	// (stdlib), which can never reference back into the module. This keeps
-	// one identity per dependency: mixing a source-checked view with an
-	// export-data twin inside one type-check is a type error.
-	imp := types.Importer(base)
-	var preloaded map[string]*types.Package
-	if tests {
-		listed = listDependencyOrder(listed)
-		preloaded = make(map[string]*types.Package)
-		imp = &preloadImporter{preloaded: preloaded, next: base}
-	}
-	var pkgs []*Package
-	for _, lp := range listed {
-		if lp.Standard {
-			continue
-		}
+	pkgs := make([]*Package, 0, len(paths))
+	for _, path := range paths {
+		lp := targets[path]
 		if lp.Error != nil {
-			return nil, fmt.Errorf("lint: %s: %s", lp.ImportPath, lp.Error.Err)
+			return nil, fmt.Errorf("lint: %s: %s", path, lp.Error.Err)
 		}
-		srcs := lp.GoFiles
-		if tests {
-			srcs = append(append([]string(nil), lp.GoFiles...), lp.TestGoFiles...)
+		srcs := make([]string, len(lp.GoFiles))
+		for i, f := range lp.GoFiles {
+			srcs[i] = filepath.Join(lp.Dir, f)
 		}
-		if len(srcs) > 0 {
-			files := make([]string, len(srcs))
-			for i, f := range srcs {
-				files[i] = filepath.Join(lp.Dir, f)
-			}
-			pkg, err := check(lp.ImportPath, lp.Dir, fset, imp, files)
-			if err != nil {
-				return nil, err
-			}
-			pkgs = append(pkgs, pkg)
-			if preloaded != nil {
-				preloaded[lp.ImportPath] = pkg.Types
-			}
+		pkg, err := check(path, lp.Dir, fset, exportImporter(fset, byID, lp.ImportMap), srcs)
+		if err != nil {
+			return nil, err
 		}
-	}
-	// External test packages go in a second pass, once every base package
-	// has been checked and preloaded: an xtest may import any other listed
-	// package (test helpers like runlog/faultfs), and mixing a preloaded
-	// view of its own package with an export-data view of a helper that
-	// itself references that package would split the type identities.
-	if tests {
-		for _, lp := range listed {
-			if lp.Standard || len(lp.XTestGoFiles) == 0 {
-				continue
-			}
-			files := make([]string, len(lp.XTestGoFiles))
-			for i, f := range lp.XTestGoFiles {
-				files[i] = filepath.Join(lp.Dir, f)
-			}
-			pkg, err := check(lp.ImportPath+"_test", lp.Dir, fset, imp, files)
-			if err != nil {
-				return nil, err
-			}
-			pkgs = append(pkgs, pkg)
-		}
-	}
-	for _, pkg := range pkgs {
 		pkg.ImporterClosed = closed
+		pkgs = append(pkgs, pkg)
 	}
-	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].PkgPath < pkgs[j].PkgPath })
 	return pkgs, nil
 }
 
-// listDependencyOrder sorts the listed packages so that imports come before
-// importers, considering both regular and in-package-test imports (the test
-// unit of a package is checked together with it). Only edges within the
-// listed set matter — everything else resolves through export data. Cycles
-// through test imports (A's tests import B, B's tests import A — legal,
-// since the non-test units stay acyclic) are broken by the stable input
-// order; the preload importer then falls back to export data for the
-// not-yet-checked member, which is the regular unit the go tool would use
-// there anyway.
-func listDependencyOrder(listed []listedPackage) []listedPackage {
-	index := make(map[string]int, len(listed))
-	for i, lp := range listed {
-		index[lp.ImportPath] = i
-	}
-	ordered := make([]listedPackage, 0, len(listed))
-	state := make([]int, len(listed)) // 0 unvisited, 1 visiting, 2 done
-	var visit func(i int)
-	visit = func(i int) {
-		if state[i] != 0 {
-			return
+// exportImporter resolves each import through importMap (the variant the
+// importing package links, for test binaries) to the export data go list
+// reported for it. A fresh importer per checked package keeps the variants
+// of one test binary apart from those of another.
+func exportImporter(fset *token.FileSet, byID map[string]*listedPackage, importMap map[string]string) types.Importer {
+	return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		id := path
+		if mapped, ok := importMap[path]; ok {
+			id = mapped
 		}
-		state[i] = 1
-		for _, deps := range [][]string{listed[i].Imports, listed[i].TestImports} {
-			for _, dep := range deps {
-				if j, ok := index[dep]; ok && state[j] == 0 {
-					visit(j)
-				}
-			}
+		if lp := byID[id]; lp != nil && lp.Export != "" {
+			return os.Open(lp.Export)
 		}
-		state[i] = 2
-		ordered = append(ordered, listed[i])
-	}
-	for i := range listed {
-		visit(i)
-	}
-	return ordered
+		return nil, fmt.Errorf("lint: no export data for %s (does it build?)", id)
+	})
 }
 
 // LoadFiles parses and type-checks an explicit file list as one package —
@@ -281,13 +156,28 @@ func LoadFiles(moduleDir string, paths ...string) (*Package, error) {
 	if len(paths) == 0 {
 		return nil, fmt.Errorf("lint: LoadFiles needs at least one file")
 	}
-	fset := token.NewFileSet()
-	imp := newImporter(moduleDir, fset)
-	pkg, err := check("fixture", filepath.Dir(paths[0]), fset, imp, paths)
-	if err != nil {
-		return nil, err
+	args := []string{"-deps", "-export"}
+	for _, path := range paths {
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ImportsOnly)
+		if err != nil {
+			return nil, fmt.Errorf("lint: %v", err)
+		}
+		for _, imp := range f.Imports {
+			args = append(args, strings.Trim(imp.Path.Value, `"`))
+		}
 	}
-	return pkg, nil
+	byID := map[string]*listedPackage{}
+	if len(args) > 2 {
+		listed, err := goList(moduleDir, args...)
+		if err != nil {
+			return nil, err
+		}
+		for _, lp := range listed {
+			byID[lp.ImportPath] = lp
+		}
+	}
+	fset := token.NewFileSet()
+	return check("fixture", filepath.Dir(paths[0]), fset, exportImporter(fset, byID, nil), paths)
 }
 
 // check parses files and runs the type checker, returning a ready Package.

@@ -4,20 +4,28 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"sort"
+	"strings"
 )
 
 // LockBalance enforces the mutex discipline of the cluster and core hot
-// paths: a mu.Lock() that is not immediately covered by defer mu.Unlock()
-// opens a manual critical section, and every path out of the enclosing
-// function — every return statement and the fall-through exit — must
-// release the lock first. A single early return that skips the unlock
-// deadlocks the next Lock() caller; in the coordinator that is every other
-// worker goroutine, which is precisely the silent-stall failure mode the
-// fault-tolerance work guards against.
+// paths, one function body at a time:
+//
+//   - a mu.Lock() that is not immediately covered by defer mu.Unlock()
+//     opens a manual critical section, and every path out of the enclosing
+//     function — every return statement and the fall-through exit — must
+//     release the lock first. A single early return that skips the unlock
+//     deadlocks the next Lock() caller; in the coordinator that is every
+//     other worker goroutine, the silent-stall failure mode the
+//     fault-tolerance work guards against;
+//   - no Lock while another lock is held in the same body. Two locks nested
+//     in one order here and the other order elsewhere deadlock; the tree
+//     keeps every critical section to one lock, so there is no
+//     acquisition order to get wrong.
 var LockBalance = &Analyzer{
 	Name: "lockbalance",
 	Doc: "a manual mu.Lock() (no defer mu.Unlock()) must be released on " +
-		"every return path",
+		"every return path, and no Lock is taken while another lock is held",
 	Run: runLockBalance,
 }
 
@@ -49,8 +57,21 @@ func runLockBalance(pass *Pass) error {
 }
 
 // lockState maps a locked expression ("c.mu", "R:c.mu" for read locks) to
-// the position of the Lock call that opened the critical section.
+// the position of the Lock call that opened the critical section. A lock
+// whose release is deferred stays under deferred+key until the function
+// returns: held for the nesting rule, never leaked.
 type lockState map[string]token.Pos
+
+const deferred = "defer "
+
+// lockName splits a state key into the locked expression and its verb.
+func lockName(key string) (name, verb string) {
+	name = strings.TrimPrefix(key, deferred)
+	if rest, ok := strings.CutPrefix(name, "R:"); ok {
+		return rest, "RLock"
+	}
+	return name, "Lock"
+}
 
 func (s lockState) clone() lockState {
 	c := make(lockState, len(s))
@@ -126,19 +147,32 @@ func (lb *lockChecker) reportHeld(state lockState, where string) {
 		lb.reported = make(map[token.Pos]bool)
 	}
 	for key, pos := range state {
-		if lb.reported[pos] {
+		if lb.reported[pos] || strings.HasPrefix(key, deferred) {
 			continue
 		}
 		lb.reported[pos] = true
-		name := key
-		verb := "Lock"
-		if len(key) > 2 && key[:2] == "R:" {
-			name, verb = key[2:], "RLock"
-		}
+		name, verb := lockName(key)
 		lb.pass.Reportf(pos,
 			"%s.%s() is not immediately deferred and is not released before %s",
 			name, verb, where)
 	}
+}
+
+// reportNested flags an acquisition while the body already holds a lock.
+func (lb *lockChecker) reportNested(key string, pos token.Pos, state lockState) {
+	var held []string
+	for k := range state {
+		name, _ := lockName(k)
+		held = append(held, name)
+	}
+	if len(held) == 0 {
+		return
+	}
+	sort.Strings(held)
+	name, verb := lockName(key)
+	lb.pass.Reportf(pos,
+		"%s.%s() while %s is held: nested locks taken in the other order elsewhere deadlock; release first, or take one lock",
+		name, verb, strings.Join(held, ", "))
 }
 
 // block walks one statement list. state is mutated to the fall-through exit
@@ -156,10 +190,12 @@ func (lb *lockChecker) block(stmts []ast.Stmt, state lockState) (lockState, bool
 		}
 		if key, acquire, pos, ok := lb.lockOp(stmt); ok {
 			if acquire {
+				lb.reportNested(key, pos, state)
 				// The canonical pairing: Lock immediately followed by the
 				// matching defer Unlock covers every exit path at once.
 				if i+1 < len(stmts) {
 					if dkey, dok := lb.deferredUnlock(stmts[i+1]); dok && dkey == key {
+						state[deferred+key] = pos
 						i++
 						continue
 					}
@@ -167,12 +203,16 @@ func (lb *lockChecker) block(stmts []ast.Stmt, state lockState) (lockState, bool
 				state[key] = pos
 			} else {
 				delete(state, key)
+				delete(state, deferred+key) // unlocked early, relocked before the defer runs
 			}
 			continue
 		}
 		if key, ok := lb.deferredUnlock(stmt); ok {
 			// A later defer still guards every subsequent exit.
-			delete(state, key)
+			if pos, held := state[key]; held {
+				delete(state, key)
+				state[deferred+key] = pos
+			}
 			continue
 		}
 

@@ -273,15 +273,10 @@ func flagMapOrderSinks(pass *Pass, decl *ast.FuncDecl) {
 	info := pass.Pkg.Info
 	fl := pass.mapOrderFlow(decl.Body)
 	reported := make(map[token.Pos]bool)
-	report := func(pos token.Pos, base ast.Expr, format string, args ...any) {
-		if reported[pos] {
-			return
-		}
-		reported[pos] = true
-		if fix := pass.mapOrderFix(decl, fl, base); fix != nil {
-			pass.ReportFix(pos, fix, format, args...)
-		} else {
-			pass.Reportf(pos, format, args...)
+	report := func(pos token.Pos, msg string) {
+		if !reported[pos] {
+			reported[pos] = true
+			pass.Reportf(pos, "%s", msg)
 		}
 	}
 
@@ -289,7 +284,7 @@ func flagMapOrderSinks(pass *Pass, decl *ast.FuncDecl) {
 		switch n := n.(type) {
 		case *ast.IndexExpr:
 			if fl.VarTaint(n.X)&taintMapOrder != 0 && fl.VarTaint(n.Index)&taintRand != 0 {
-				report(n.Pos(), n.X,
+				report(n.Pos(),
 					"seeded rand draw indexes a map-iteration-ordered slice: same-seed runs pick different elements across processes (sort the slice first)")
 			}
 		case *ast.CallExpr:
@@ -301,7 +296,7 @@ func flagMapOrderSinks(pass *Pass, decl *ast.FuncDecl) {
 			case fn.Pkg().Path() == "mce/internal/durable" && fn.Name() == "AppendFrame":
 				for _, arg := range n.Args {
 					if orderSensitiveUse(pass, fl, arg, n.Pos()) {
-						report(arg.Pos(), arg,
+						report(arg.Pos(),
 							"map-iteration-ordered value is framed for the wire or the journal: the bytes differ per process, so checksums and golden captures cannot match (sort before encoding)")
 					}
 				}
@@ -311,7 +306,7 @@ func flagMapOrderSinks(pass *Pass, decl *ast.FuncDecl) {
 						continue // the io.Writer
 					}
 					if orderSensitiveUse(pass, fl, arg, n.Pos()) {
-						report(arg.Pos(), arg,
+						report(arg.Pos(),
 							"map-iteration-ordered value written to ordered output: lines reorder per process (sort before printing)")
 					}
 				}
@@ -371,120 +366,4 @@ func isOrderedOutputFunc(name string) bool {
 		return true
 	}
 	return false
-}
-
-// mapOrderFix builds the mechanical remediation when the tainted base is a
-// local variable seeded inside this function: insert a slices.Sort right
-// after the statement (hoisted out of the seeding map-range loop) and add
-// the slices import if missing. Returns nil when no safe insertion point
-// exists — cross-package taints are fixed at their origin, not here.
-func (pass *Pass) mapOrderFix(decl *ast.FuncDecl, fl *FuncFlow, base ast.Expr) *SuggestedFix {
-	v := usedVar(pass.Pkg.Info, base)
-	if v == nil {
-		return nil
-	}
-	origin := fl.Origin[v]
-	if origin == nil {
-		return nil
-	}
-	if !isSortableSlice(v.Type()) {
-		return nil
-	}
-	// Hoist the insertion point out of any enclosing map-range loop: the
-	// slice is complete only once the loop that fills it finishes.
-	insertAfter := ast.Node(origin)
-	ast.Inspect(decl.Body, func(n ast.Node) bool {
-		rng, ok := n.(*ast.RangeStmt)
-		if ok && isMapType(pass.Pkg.Info, rng.X) && posInside(insertAfter.Pos(), rng) {
-			insertAfter = rng
-			return false
-		}
-		return true
-	})
-	// Only insert after a statement that sits directly in a block —
-	// anything else (if-init, for-post) has no safe "next statement" slot.
-	if !stmtDirectlyInBlock(decl.Body, insertAfter) {
-		return nil
-	}
-	fix := &SuggestedFix{
-		Message: "insert slices.Sort(" + v.Name() + ") after the value is built",
-		Edits: []TextEdit{
-			pass.edit(insertAfter.End(), insertAfter.End(), "\nslices.Sort("+v.Name()+")"),
-		},
-	}
-	if imp := pass.importEdit(decl, "slices"); imp != nil {
-		fix.Edits = append(fix.Edits, *imp)
-	}
-	return fix
-}
-
-// isSortableSlice reports whether t is a slice of a cmp.Ordered element
-// type, i.e. something slices.Sort accepts.
-func isSortableSlice(t types.Type) bool {
-	sl, ok := types.Unalias(t).Underlying().(*types.Slice)
-	if !ok {
-		return false
-	}
-	basic, ok := types.Unalias(sl.Elem()).Underlying().(*types.Basic)
-	if !ok {
-		return false
-	}
-	return basic.Info()&(types.IsInteger|types.IsFloat|types.IsString) != 0
-}
-
-// stmtDirectlyInBlock reports whether stmt appears as a direct element of
-// some block (or case body) under root, so a statement can be inserted
-// right after it.
-func stmtDirectlyInBlock(root ast.Node, stmt ast.Node) bool {
-	found := false
-	check := func(list []ast.Stmt) {
-		for _, s := range list {
-			if s == stmt {
-				found = true
-			}
-		}
-	}
-	ast.Inspect(root, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.BlockStmt:
-			check(n.List)
-		case *ast.CaseClause:
-			check(n.Body)
-		case *ast.CommClause:
-			check(n.Body)
-		}
-		return !found
-	})
-	return found
-}
-
-// importEdit returns the edit adding an import of path to the file holding
-// decl, or nil when it is already imported or the file has no import block
-// to extend.
-func (pass *Pass) importEdit(decl *ast.FuncDecl, path string) *TextEdit {
-	var file *ast.File
-	for _, f := range pass.Pkg.Files {
-		if posInside(decl.Pos(), f) {
-			file = f
-			break
-		}
-	}
-	if file == nil {
-		return nil
-	}
-	for _, imp := range file.Imports {
-		if imp.Path.Value == `"`+path+`"` {
-			return nil
-		}
-	}
-	for _, d := range file.Decls {
-		gd, ok := d.(*ast.GenDecl)
-		if !ok || gd.Tok != token.IMPORT || !gd.Lparen.IsValid() || len(gd.Specs) == 0 {
-			continue
-		}
-		last := gd.Specs[len(gd.Specs)-1]
-		e := pass.edit(last.End(), last.End(), "\n\""+path+"\"")
-		return &e
-	}
-	return nil
 }

@@ -13,7 +13,7 @@ package lint
 // usage that run recorded. A directive is judged stale only when every
 // analyzer it names actually ran (and, for the wildcard form, only when the
 // whole registered suite ran): running `mcevet -run maporder` must not
-// condemn a ctxplumb suppression it never exercised.
+// condemn a lockbalance suppression it never exercised.
 var StaleIgnore = &Analyzer{
 	Name: "staleignore",
 	Doc: "lint:ignore directives that no longer suppress any finding are " +

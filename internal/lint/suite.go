@@ -1,16 +1,12 @@
 package lint
 
-import (
-	"sync"
+import "sync"
 
-	"go/types"
-)
-
-// Suite is the whole-run view the v2 engine gives every analyzer: all
-// loaded packages (in dependency order), the shared fact store, the lazily
-// built call graph, and a scratch memo for analyses that need one
-// whole-suite pass before per-package reporting (casloop's atomic-field scan). A Suite is
-// built once per RunAnalyzers call and shared by every Pass of that run.
+// Suite is the whole-run view every analyzer gets: all loaded packages (in
+// dependency order), the shared fact store, the lazily built call graph, and
+// a memo for whole-suite results (the hot set, escape data, budgets). A
+// Suite is built once per RunAnalyzers call and shared by every Pass of that
+// run.
 type Suite struct {
 	// Pkgs holds the loaded packages in dependency order: a package appears
 	// after every package it imports that is also in the load. Analyzers
@@ -54,23 +50,6 @@ func (s *Suite) Memo(key string, build func() any) any {
 	v := build()
 	s.memo[key] = v
 	return v
-}
-
-// PackageOf returns the loaded package declaring obj, or nil when obj comes
-// from export data only. Matching is by import path: the export-data view
-// of a package an importer sees is a different *types.Package than the
-// source-checked one, but the path is shared.
-func (s *Suite) PackageOf(obj types.Object) *Package {
-	if obj == nil || obj.Pkg() == nil {
-		return nil
-	}
-	path := obj.Pkg().Path()
-	for _, pkg := range s.Pkgs {
-		if pkg.PkgPath == path {
-			return pkg
-		}
-	}
-	return nil
 }
 
 // dependencyOrder sorts packages so imports precede importers (ties broken

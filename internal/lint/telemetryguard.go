@@ -71,10 +71,6 @@ func importsPath(pkg *Package, path string) bool {
 type tgWalker struct {
 	pass *Pass
 	info *types.Info
-	// stmt is the innermost statement that owns the expression currently
-	// being checked and that a fix may wrap; nil when wrapping is unsafe
-	// (if/for init clauses, conditions).
-	stmt ast.Stmt
 }
 
 // telemetryPtr reports whether t is *telemetry.Engine or
@@ -194,22 +190,12 @@ func cloneGuards(g map[string]bool) map[string]bool {
 // established and revoked.
 func (w *tgWalker) stmts(list []ast.Stmt, g map[string]bool) {
 	for _, s := range list {
-		w.stmtIn(s, g, true)
+		w.stmt(s, g)
 	}
 }
 
-// stmtIn processes one statement; fixable says whether s sits in a
-// statement list (and may therefore be wrapped by a suggested fix) as
-// opposed to an init/post clause.
-func (w *tgWalker) stmtIn(s ast.Stmt, g map[string]bool, fixable bool) {
-	prev := w.stmt
-	if fixable {
-		w.stmt = s
-	} else {
-		w.stmt = nil
-	}
-	defer func() { w.stmt = prev }()
-
+// stmt processes one statement.
+func (w *tgWalker) stmt(s ast.Stmt, g map[string]bool) {
 	switch s := s.(type) {
 	case *ast.ExprStmt:
 		w.checkExpr(s.X, g)
@@ -234,7 +220,7 @@ func (w *tgWalker) stmtIn(s ast.Stmt, g map[string]bool, fixable bool) {
 	case *ast.ForStmt:
 		gf := cloneGuards(g)
 		if s.Init != nil {
-			w.stmtIn(s.Init, gf, false)
+			w.stmt(s.Init, gf)
 		}
 		// Guards established before the loop survive only if the body does
 		// not reassign them — the second iteration sees the body's effects.
@@ -248,7 +234,7 @@ func (w *tgWalker) stmtIn(s ast.Stmt, g map[string]bool, fixable bool) {
 			w.stmts(s.Body.List, cloneGuards(gf))
 		}
 		if s.Post != nil {
-			w.stmtIn(s.Post, gf, false)
+			w.stmt(s.Post, gf)
 		}
 		w.invalidateAssigned(s, g)
 	case *ast.RangeStmt:
@@ -260,7 +246,7 @@ func (w *tgWalker) stmtIn(s ast.Stmt, g map[string]bool, fixable bool) {
 	case *ast.SwitchStmt:
 		gs := cloneGuards(g)
 		if s.Init != nil {
-			w.stmtIn(s.Init, gs, false)
+			w.stmt(s.Init, gs)
 		}
 		if s.Tag != nil {
 			w.checkExpr(s.Tag, gs)
@@ -277,9 +263,9 @@ func (w *tgWalker) stmtIn(s ast.Stmt, g map[string]bool, fixable bool) {
 	case *ast.TypeSwitchStmt:
 		gs := cloneGuards(g)
 		if s.Init != nil {
-			w.stmtIn(s.Init, gs, false)
+			w.stmt(s.Init, gs)
 		}
-		w.stmtIn(s.Assign, gs, false)
+		w.stmt(s.Assign, gs)
 		for _, c := range s.Body.List {
 			if cc, ok := c.(*ast.CaseClause); ok {
 				w.stmts(cc.Body, cloneGuards(gs))
@@ -291,7 +277,7 @@ func (w *tgWalker) stmtIn(s ast.Stmt, g map[string]bool, fixable bool) {
 			if cc, ok := c.(*ast.CommClause); ok {
 				gs := cloneGuards(g)
 				if cc.Comm != nil {
-					w.stmtIn(cc.Comm, gs, false)
+					w.stmt(cc.Comm, gs)
 				}
 				w.stmts(cc.Body, gs)
 			}
@@ -302,7 +288,7 @@ func (w *tgWalker) stmtIn(s ast.Stmt, g map[string]bool, fixable bool) {
 	case *ast.DeferStmt:
 		w.checkExpr(s.Call, g)
 	case *ast.LabeledStmt:
-		w.stmtIn(s.Stmt, g, fixable)
+		w.stmt(s.Stmt, g)
 	}
 }
 
@@ -369,7 +355,7 @@ func (w *tgWalker) declStmt(s *ast.DeclStmt, g map[string]bool) {
 func (w *tgWalker) ifStmt(s *ast.IfStmt, g map[string]bool) {
 	gi := cloneGuards(g)
 	if s.Init != nil {
-		w.stmtIn(s.Init, gi, false)
+		w.stmt(s.Init, gi)
 	}
 	pos, neg := w.cond(s.Cond, gi)
 	gThen := cloneGuards(gi)
@@ -382,7 +368,7 @@ func (w *tgWalker) ifStmt(s *ast.IfStmt, g map[string]bool) {
 		for k := range neg {
 			gElse[k] = true
 		}
-		w.stmtIn(s.Else, gElse, false)
+		w.stmt(s.Else, gElse)
 	}
 	w.invalidateAssigned(s, g)
 	if terminates(s.Body) {
@@ -538,10 +524,7 @@ func (w *tgWalker) checkExpr(e ast.Expr, g map[string]bool) {
 	ast.Inspect(e, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
-			saved := w.stmt
-			w.stmt = nil
 			w.stmts(n.Body.List, cloneGuards(g))
-			w.stmt = saved
 			return false
 		case *ast.SelectorExpr:
 			w.derefCheck(n.X, g)
@@ -566,48 +549,19 @@ func (w *tgWalker) derefCheck(x ast.Expr, g map[string]bool) {
 	if w.nonNil(x, g) {
 		return
 	}
-	key, chainable := w.chainKey(x)
-	if !chainable {
+	if _, chainable := w.chainKey(x); !chainable {
 		// A call result or other unnameable expression: nothing to guard by
 		// name, and flagging those would punish helpers returning fresh
 		// engines. Skip — the FP-biased choice.
 		return
 	}
-	_ = key
 	src := renderExpr(w.pass.Pkg.Fset, x)
-	fix := w.guardFix(src)
-	w.pass.ReportFix(x.Pos(), fix,
+	w.pass.Reportf(x.Pos(),
 		"unguarded use of possibly-nil *telemetry.%s %s: nil means telemetry is disabled, so every instrumentation site needs `if %s != nil { ... }`",
 		tname, src, src)
 }
 
-// guardFix wraps the innermost owning statement in `if src != nil { ... }`
-// when that is mechanical and semantics-preserving: expression statements,
-// inc/dec and compound assignments. Plain and defining assignments are left
-// to a human (wrapping would change or shadow scope).
-func (w *tgWalker) guardFix(src string) *SuggestedFix {
-	s := w.stmt
-	if s == nil {
-		return nil
-	}
-	switch s := s.(type) {
-	case *ast.ExprStmt, *ast.IncDecStmt:
-	case *ast.AssignStmt:
-		if s.Tok == token.ASSIGN || s.Tok == token.DEFINE {
-			return nil
-		}
-	default:
-		return nil
-	}
-	open := w.pass.edit(s.Pos(), s.Pos(), "if "+src+" != nil {\n")
-	close := w.pass.edit(s.End(), s.End(), "\n}")
-	return &SuggestedFix{
-		Message: "wrap the statement in a nil guard",
-		Edits:   []TextEdit{open, close},
-	}
-}
-
-// renderExpr prints an expression back to source for diagnostics and fixes.
+// renderExpr prints an expression back to source for diagnostics.
 func renderExpr(fset *token.FileSet, e ast.Expr) string {
 	var buf bytes.Buffer
 	if err := printer.Fprint(&buf, fset, e); err != nil {

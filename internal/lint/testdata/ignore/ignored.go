@@ -1,15 +1,16 @@
 package fixture
 
-import "time"
+import "sync"
 
-// Blocked violates ctxplumb, but the justified directive suppresses it.
-//
-//lint:ignore ctxplumb fixture: demonstrates suppression of a real finding
+var mu sync.Mutex
+
+// Blocked leaks the lock, but the justified directive suppresses it.
 func Blocked() {
-	time.Sleep(time.Millisecond)
+	//lint:ignore lockbalance fixture: demonstrates suppression of a real finding
+	mu.Lock()
 }
 
 // Loud is the control: same violation, no directive.
-func Loud() { // want `no LoudContext variant`
-	time.Sleep(time.Millisecond)
+func Loud() {
+	mu.Lock() // want `mu\.Lock\(\) is not immediately deferred`
 }

@@ -54,39 +54,6 @@ func isNamed(t types.Type, pkgPath, name string) bool {
 	return n.Obj().Pkg().Path() == pkgPath && n.Obj().Name() == name
 }
 
-// isContextType reports whether t is context.Context.
-func isContextType(t types.Type) bool {
-	return isNamed(t, "context", "Context")
-}
-
-// hasCtxParam reports whether the signature takes a context.Context
-// anywhere (idiomatically first, but position does not matter for the
-// exemption).
-func hasCtxParam(sig *types.Signature) bool {
-	for i := 0; i < sig.Params().Len(); i++ {
-		if isContextType(sig.Params().At(i).Type()) {
-			return true
-		}
-	}
-	return false
-}
-
-// recvTypeName returns the receiver's named-type name of a method
-// declaration ("" for plain functions).
-func recvTypeName(info *types.Info, decl *ast.FuncDecl) string {
-	if decl.Recv == nil || len(decl.Recv.List) == 0 {
-		return ""
-	}
-	tv, ok := info.Types[decl.Recv.List[0].Type]
-	if !ok {
-		return ""
-	}
-	if n := namedType(tv.Type); n != nil {
-		return n.Obj().Name()
-	}
-	return ""
-}
-
 // usedVar resolves an identifier expression to the variable it reads, or
 // nil.
 func usedVar(info *types.Info, e ast.Expr) *types.Var {
@@ -136,19 +103,4 @@ func ownerName(field *types.Var) string {
 		}
 	}
 	return "struct"
-}
-
-// shortPath trims the path to its last two elements for readable
-// diagnostics.
-func shortPath(p string) string {
-	slash := 0
-	for i := len(p) - 1; i >= 0; i-- {
-		if p[i] == '/' || p[i] == '\\' {
-			slash++
-			if slash == 2 {
-				return p[i+1:]
-			}
-		}
-	}
-	return p
 }

@@ -223,8 +223,6 @@ func InsideCheckpoint(dir string) bool {
 // version-1 checkpoint (a version-1 journal, or a segments directory) is
 // refused by name. On success the checkpoint is ready to journal a run:
 // fresh directories get a run-begin record, resumed ones a resume record.
-//
-//lint:ignore ctxplumb the committer it starts belongs to the Checkpoint, not to this call: Close stops it and waits for it to exit
 func Open(dir string, id Identity, opts Options) (*Checkpoint, error) {
 	fs := opts.FS
 	if fs == nil {

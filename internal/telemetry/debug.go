@@ -21,8 +21,6 @@ import (
 //
 // The endpoint is opt-in (mceworker/mcefind -debug-addr) and unauthenticated;
 // bind it to localhost or a trusted network, as with any pprof server.
-//
-//lint:ignore ctxplumb the bind is instantaneous and the call returns at once; lifecycle is owned by the returned stop function, the net/http.Server close-to-stop idiom
 func ServeDebug(addr string, snap func() Snapshot) (boundAddr string, stop func() error, err error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
