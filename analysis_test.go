@@ -2,7 +2,9 @@ package mce
 
 import (
 	"path/filepath"
+	"strings"
 	"testing"
+	"time"
 )
 
 func TestCommunitiesFromResult(t *testing.T) {
@@ -289,5 +291,55 @@ func TestOutOfCorePublicAPI(t *testing.T) {
 	}
 	if _, err := EnumerateOutOfCore(filepath.Join(dir, "absent"), func([]int32, int) {}); err == nil {
 		t.Fatal("missing disk graph accepted")
+	}
+}
+
+// TestOutOfCoreRefusesIgnoredOptions: EnumerateOutOfCore honours block size,
+// ratio, combo and parallelism, and refuses — naming it — every other
+// option instead of running without it.
+func TestOutOfCoreRefusesIgnoredOptions(t *testing.T) {
+	g := GenerateSocialNetwork(300, 4, 0.7, 1)
+	dpath := filepath.Join(t.TempDir(), "g.mceg")
+	if err := SaveDiskGraph(dpath, g); err != nil {
+		t.Fatal(err)
+	}
+	want, err := CountMaxCliques(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	count := func(opts ...Option) (int, error) {
+		n := 0
+		_, err := EnumerateOutOfCore(dpath, func([]int32, int) { n++ }, opts...)
+		return n, err
+	}
+	for name, opt := range map[string]Option{
+		"WithBlockSize":   WithBlockSize(20),
+		"WithBlockRatio":  WithBlockRatio(0.3),
+		"WithAlgorithm":   WithAlgorithm("Tomita", "BitSets"),
+		"WithParallelism": WithParallelism(2),
+	} {
+		if got, err := count(opt); err != nil || got != want {
+			t.Errorf("%s: %d cliques, %v; want %d", name, got, err, want)
+		}
+	}
+	for name, opt := range map[string]Option{
+		"WithIntraBlockParallelism": WithIntraBlockParallelism(2),
+		"WithWorkers":               WithWorkers("127.0.0.1:1"),
+		"WithTaskTimeout":           WithTaskTimeout(time.Second),
+		"WithTaskRetries":           WithTaskRetries(5),
+		"WithAutoReconnect":         WithAutoReconnect(),
+		"WithHedgedDispatch":        WithHedgedDispatch(),
+		"WithMemoryBudget":          WithMemoryBudget(1 << 30),
+		"WithWorkerHealthReport":    WithWorkerHealthReport(func(HealthReport) {}),
+		"WithTelemetryEngine":       WithTelemetryEngine(NewTelemetryEngine()),
+		"WithCheckpoint":            WithCheckpoint(t.TempDir()),
+		"WithCheckpointWarning":     WithCheckpointWarning(func(error) {}),
+		"WithSkipPoisonTasks":       WithSkipPoisonTasks(),
+		"WithPoisonReport":          WithPoisonReport(func([]PoisonVerdict) {}),
+		"WithWorkerReport":          WithWorkerReport(func(DialReport) {}),
+	} {
+		if _, err := count(WithBlockRatio(0.3), opt); err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("%s: err = %v, want a refusal naming it", name, err)
+		}
 	}
 }

@@ -647,23 +647,6 @@ func BenchmarkExtensionOutOfCore(b *testing.B) {
 	})
 }
 
-func BenchmarkAblationSchedule(b *testing.B) {
-	g := gen.HolmeKim(6000, 6, 0.7, 65)
-	for _, sched := range []core.Schedule{core.ScheduleFIFO, core.ScheduleLPT} {
-		name := "fifo"
-		if sched == core.ScheduleLPT {
-			name = "lpt"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := core.FindMaxCliques(g, core.Options{Schedule: sched, Parallelism: 4}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 func BenchmarkAblationSeedOrder(b *testing.B) {
 	g := gen.HolmeKim(5000, 6, 0.7, 67)
 	for _, order := range []decomp.Order{decomp.OrderDegreeAsc, decomp.OrderRandom} {

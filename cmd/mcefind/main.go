@@ -1,7 +1,12 @@
 // Command mcefind enumerates all maximal cliques of a network stored as an
 // edge list (SNAP style), as the paper's ⟨n1, e, n2⟩ triple format
-// (".triples" extension), or as a directory of part-*.triples files (the
-// distributed layout of §6.2).
+// (".triples" extension), as a directory of part-*.triples files (the
+// distributed layout of §6.2), or as a disk graph (".mceg", written by
+// mcegen or SaveDiskGraph) enumerated out of core. An out-of-core run takes
+// only -m, -ratio, -algorithm, -structure, -p, -min, -count, -stats and
+// -format, and refuses any other flag. -task-timeout, -task-retries,
+// -reconnect, -skip-poison and -hedge tune distributed runs and are refused
+// without -workers.
 //
 // Usage:
 //
@@ -67,6 +72,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -136,6 +142,39 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "mcefind: unknown format %q (want text or jsonl)\n", *format)
 		return 2
 	}
+	if (*algorithm == "") != (*structure == "") {
+		fmt.Fprintln(stderr, "mcefind: -algorithm and -structure must be given together")
+		return 2
+	}
+	// The options both routes honour.
+	var opts []mce.Option
+	if *m > 0 {
+		opts = append(opts, mce.WithBlockSize(*m))
+	}
+	if *ratio > 0 {
+		opts = append(opts, mce.WithBlockRatio(*ratio))
+	}
+	if *algorithm != "" {
+		opts = append(opts, mce.WithAlgorithm(*algorithm, *structure))
+	}
+	if *par > 0 {
+		opts = append(opts, mce.WithParallelism(*par))
+	}
+
+	// Disk graphs (SaveDiskGraph / mcegen -o x.mceg) run fully out of core,
+	// which has no use for any other flag: refuse them rather than run
+	// without them.
+	if strings.HasSuffix(fs.Arg(0), ".mceg") {
+		if bad := givenFlags(fs, func(name string) bool { return !slices.Contains(outOfCoreFlags, name) }); len(bad) > 0 {
+			fmt.Fprintf(stderr, "mcefind: out-of-core (.mceg) runs do not support %s\n", strings.Join(bad, ", "))
+			return 2
+		}
+		return runOutOfCore(fs.Arg(0), opts, *minSize, *countOnly, *stats, *format, stdout, stderr)
+	}
+	if bad := givenFlags(fs, func(name string) bool { return slices.Contains(workerFlags, name) }); len(bad) > 0 && *workers == "" {
+		fmt.Fprintf(stderr, "mcefind: %s tune distributed runs and need -workers\n", strings.Join(bad, ", "))
+		return 2
+	}
 	if *resume && *checkpoint == "" {
 		fmt.Fprintln(stderr, "mcefind: -resume needs -checkpoint DIR")
 		return 2
@@ -153,43 +192,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	// Disk graphs (SaveDiskGraph / mcegen) run fully out of core.
-	if strings.HasSuffix(fs.Arg(0), ".mceg") {
-		if *checkpoint != "" {
-			fmt.Fprintln(stderr, "mcefind: -checkpoint is not supported for out-of-core (.mceg) runs")
-			return 2
-		}
-		if *indexOut != "" {
-			fmt.Fprintln(stderr, "mcefind: -index-out is not supported for out-of-core (.mceg) runs")
-			return 2
-		}
-		return runOutOfCore(fs.Arg(0), *m, *ratio, *minSize, *countOnly, *stats, *format, stdout, stderr)
-	}
-
 	g, labelMap, err := loadAny(fs.Arg(0))
 	if err != nil {
 		fmt.Fprintln(stderr, "mcefind:", err)
 		return 1
 	}
 
-	var opts []mce.Option
-	if *m > 0 {
-		opts = append(opts, mce.WithBlockSize(*m))
-	}
-	if *ratio > 0 {
-		opts = append(opts, mce.WithBlockRatio(*ratio))
-	}
-	if *algorithm != "" || *structure != "" {
-		if *algorithm == "" || *structure == "" {
-			fmt.Fprintln(stderr, "mcefind: -algorithm and -structure must be given together")
-			return 2
-		}
-		opts = append(opts, mce.WithAlgorithm(*algorithm, *structure))
-	}
-	if *hedge && *workers == "" {
-		fmt.Fprintln(stderr, "mcefind: -hedge needs -workers (straggler hedging is a distributed-run feature)")
-		return 2
-	}
 	// healthSummary captures the per-worker health report of a distributed
 	// run; the interrupt and degraded-completion paths print it.
 	var healthSummary *mce.HealthReport
@@ -221,9 +229,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 					len(r.Addrs)-len(r.Failures), len(r.Addrs))
 			}
 		}))
-	}
-	if *par > 0 {
-		opts = append(opts, mce.WithParallelism(*par))
 	}
 	if *intraPar > 0 {
 		opts = append(opts, mce.WithIntraBlockParallelism(*intraPar))
@@ -511,15 +516,27 @@ func writeClique(w io.Writer, c []int32, format string, name func(int32) string)
 	io.WriteString(w, "\n")
 }
 
+// Flags an out-of-core run honours, and flags that only tune distributed
+// runs.
+var (
+	outOfCoreFlags = []string{"m", "ratio", "algorithm", "structure", "p", "min", "count", "stats", "format"}
+	workerFlags    = []string{"task-timeout", "task-retries", "reconnect", "skip-poison", "hedge"}
+)
+
+// givenFlags lists, as "-name", the flags given on the command line whose
+// names match.
+func givenFlags(fs *flag.FlagSet, match func(name string) bool) []string {
+	var names []string
+	fs.Visit(func(f *flag.Flag) {
+		if match(f.Name) {
+			names = append(names, "-"+f.Name)
+		}
+	})
+	return names
+}
+
 // runOutOfCore streams cliques straight from a disk-resident graph.
-func runOutOfCore(path string, m int, ratio float64, minSize int, countOnly, stats bool, format string, stdout, stderr io.Writer) int {
-	var opts []mce.Option
-	if m > 0 {
-		opts = append(opts, mce.WithBlockSize(m))
-	}
-	if ratio > 0 {
-		opts = append(opts, mce.WithBlockRatio(ratio))
-	}
+func runOutOfCore(path string, opts []mce.Option, minSize int, countOnly, stats bool, format string, stdout, stderr io.Writer) int {
 	w := bufio.NewWriter(stdout)
 	defer w.Flush()
 	idName := func(v int32) string { return fmt.Sprint(v) }

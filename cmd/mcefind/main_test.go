@@ -159,6 +159,13 @@ func TestDistributedFlag(t *testing.T) {
 	if code != 0 || strings.TrimSpace(out) != "2" {
 		t.Fatalf("code=%d out=%q errs=%q", code, out, errs)
 	}
+	// Every tuning flag of a distributed run is accepted and leaves the
+	// answer alone.
+	code, out, errs = runCmd(t, "-count", "-workers", strings.Join(addrs, ","), "-task-timeout", "1m", "-task-retries", "5",
+		"-reconnect", "-hedge", "-mem-budget-mb", "512", "-ratio", "0.5", "-p", "2", "-intra-par", "2", p)
+	if code != 0 || strings.TrimSpace(out) != "2" {
+		t.Fatalf("tuned: code=%d out=%q errs=%q", code, out, errs)
+	}
 	if code, _, _ := runCmd(t, "-count", "-workers", "127.0.0.1:1", p); code != 1 {
 		t.Fatal("unreachable worker accepted")
 	}
@@ -205,7 +212,7 @@ func TestStreamAndFormats(t *testing.T) {
 // on the first task it is sent — every block shipped to it is a failed
 // round trip. The handshake mirrors cluster's wire format: one durable frame
 // each way, whose payload is a kind byte (1 hello, 2 ack), the version
-// (u32le, echoed back here) and a compress byte.
+// (u32le, echoed back here) and a reserved zero byte.
 func hangUpWorker(t *testing.T) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -417,5 +424,69 @@ func TestIndexOutRefusedForStreamAndOutOfCore(t *testing.T) {
 	}
 	if code, _, errs := runCmd(t, "-index-out", idx, "g.mceg"); code != 2 || !strings.Contains(errs, "-index-out") {
 		t.Fatalf("mceg+index-out: code=%d errs=%q", code, errs)
+	}
+}
+
+// TestDiskGraphFlags: an out-of-core run honours -p, -algorithm and
+// -structure, and refuses — exit 2, naming the flag — every flag it would
+// otherwise ignore.
+func TestDiskGraphFlags(t *testing.T) {
+	g := mce.FromEdges(4, []mce.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 0, V: 2}, {U: 2, V: 3}})
+	p := filepath.Join(t.TempDir(), "g.mceg")
+	if err := mce.SaveDiskGraph(p, g); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"-p", "2"},
+		{"-algorithm", "Tomita", "-structure", "BitSets"},
+		{"-algorithm", "XPivot", "-structure", "Lists", "-p", "1"},
+	} {
+		code, out, errs := runCmd(t, append(append([]string{"-count"}, args...), p)...)
+		if code != 0 || strings.TrimSpace(out) != "2" {
+			t.Errorf("%v: code=%d out=%q errs=%q", args, code, out, errs)
+		}
+	}
+	if code, _, errs := runCmd(t, "-count", "-algorithm", "NoSuch", "-structure", "Lists", p); code != 1 || !strings.Contains(errs, "NoSuch") {
+		t.Errorf("unknown algorithm: code=%d errs=%q", code, errs)
+	}
+	for _, args := range [][]string{
+		{"-workers", "127.0.0.1:1"},
+		{"-task-timeout", "1s"},
+		{"-task-retries", "5"},
+		{"-reconnect"},
+		{"-hedge"},
+		{"-mem-budget-mb", "64"},
+		{"-intra-par", "2"},
+		{"-labels"},
+		{"-communities", "3"},
+		{"-stream"},
+		{"-checkpoint", t.TempDir()},
+		{"-resume"},
+		{"-skip-poison"},
+		{"-index-out", filepath.Join(t.TempDir(), "x.cliqdb")},
+		{"-debug-addr", "127.0.0.1:0"},
+	} {
+		code, out, errs := runCmd(t, append(append([]string{"-count"}, args...), p)...)
+		if code != 2 || out != "" || !strings.Contains(errs, args[0]) || !strings.Contains(errs, "out-of-core") {
+			t.Errorf("%v: code=%d out=%q errs=%q; want exit 2 naming %s", args, code, out, errs, args[0])
+		}
+	}
+}
+
+// TestWorkerFlagsNeedWorkers: the flags that tune distributed runs are
+// refused, exit 2 and named, when no -workers are given.
+func TestWorkerFlagsNeedWorkers(t *testing.T) {
+	p := writeTriangleTail(t)
+	for _, args := range [][]string{
+		{"-task-timeout", "1s"},
+		{"-task-retries", "5"},
+		{"-reconnect"},
+		{"-skip-poison"},
+		{"-hedge"},
+	} {
+		code, out, errs := runCmd(t, append(append([]string{"-count"}, args...), p)...)
+		if code != 2 || out != "" || !strings.Contains(errs, args[0]) || !strings.Contains(errs, "-workers") {
+			t.Errorf("%v: code=%d out=%q errs=%q; want exit 2 naming %s", args, code, out, errs, args[0])
+		}
 	}
 }

@@ -8,13 +8,16 @@
 //	mcegen -model ba -n 10000 -k 5 -seed 7 -o ba.txt
 //	mcegen -model dataset -name twitter2 -o twitter2.txt
 //	mcegen -model hk -n 5000 -k 6 -p 0.7 -o social.triples
+//	mcegen -model hk -n 300 -k 4 -p 0.7 -o social.mceg
 //
 // Models: er (uses -p as edge probability), ba, ws (uses -k and -p as
 // rewiring beta), hk (uses -p as triad probability), plc (power-law
 // configuration model, -p as exponent), chain (-k as the m of H_n),
 // dataset (-name). A "-parts N" greater than 1 writes the graph as N
 // part-*.triples files under the -o directory instead (the paper's
-// distributed input layout, §6.2).
+// distributed input layout, §6.2). The -o extension picks the format: the
+// paper's triples for ".triples", the out-of-core disk graph that mcefind
+// enumerates without loading for ".mceg", an edge list otherwise.
 package main
 
 import (
@@ -22,6 +25,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"mce"
 	"mce/internal/gen"
@@ -92,7 +96,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 			*parts, *out, g.N(), g.M(), g.MaxDegree())
 		return 0
 	}
-	if err := mce.Save(*out, g); err != nil {
+	save := mce.Save
+	if strings.HasSuffix(*out, ".mceg") {
+		save = mce.SaveDiskGraph // the out-of-core format mcefind enumerates without loading
+	}
+	if err := save(*out, g); err != nil {
 		fmt.Fprintln(stderr, "mcegen:", err)
 		return 1
 	}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -104,5 +105,28 @@ func TestGenerateDataset(t *testing.T) {
 	g, _, err := mce.Load(p)
 	if err != nil || g.N() == 0 {
 		t.Fatalf("dataset load: %v", err)
+	}
+}
+
+// TestDiskGraphOutputFeedsMcefind: "-o x.mceg" writes the out-of-core disk
+// graph, not an edge list, so mcefind enumerates it and counts exactly what
+// the text route counts for the same graph.
+func TestDiskGraphOutputFeedsMcefind(t *testing.T) {
+	dir := t.TempDir()
+	mcefind := filepath.Join(dir, "mcefind")
+	// go test puts its own toolchain first on the PATH of the test binary.
+	build := exec.Command("go", "build", "-o", mcefind, "mce/cmd/mcefind")
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("build mcefind: %v\n%s", err, out)
+	}
+	for _, name := range []string{"g.mceg", "g.txt"} {
+		p := filepath.Join(dir, name)
+		if code, _, errs := runCmd(t, "-model", "hk", "-n", "300", "-k", "4", "-p", "0.7", "-seed", "1", "-o", p); code != 0 {
+			t.Fatalf("%s: code=%d errs=%q", name, code, errs)
+		}
+		out, err := exec.Command(mcefind, "-count", p).CombinedOutput()
+		if err != nil || strings.TrimSpace(string(out)) != "686" {
+			t.Fatalf("mcefind -count %s = %q, %v; want 686", name, out, err)
+		}
 	}
 }

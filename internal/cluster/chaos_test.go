@@ -227,22 +227,11 @@ func fakeWorker(t *testing.T, handle func(net.Conn)) string {
 func TestDialVersionMismatch(t *testing.T) {
 	addr := fakeWorker(t, func(conn net.Conn) {
 		defer conn.Close()
-		newPeer(conn).acceptHello(hello{Version: 99})
+		newPeer(conn).acceptHello(99)
 	})
 	_, err := Dial([]string{addr}, ClientOptions{DialTimeout: time.Second})
 	if err == nil || !strings.Contains(err.Error(), "version 99") {
 		t.Fatalf("err = %v, want version mismatch", err)
-	}
-}
-
-func TestDialCompressionRefused(t *testing.T) {
-	addr := fakeWorker(t, func(conn net.Conn) {
-		defer conn.Close()
-		newPeer(conn).acceptHello(hello{Version: protocolVersion, Compress: false})
-	})
-	_, err := Dial([]string{addr}, ClientOptions{DialTimeout: time.Second, Compress: true})
-	if err == nil || !strings.Contains(err.Error(), "refused compression") {
-		t.Fatalf("err = %v, want compression refusal", err)
 	}
 }
 
@@ -510,7 +499,7 @@ func TestWorkerMaxConns(t *testing.T) {
 	}
 	handshake := func(c net.Conn, deadline time.Duration) error {
 		p := newPeer(c)
-		if err := p.sendHello(hello{Version: protocolVersion}, kindHello); err != nil {
+		if err := p.sendHello(protocolVersion, kindHello); err != nil {
 			return err
 		}
 		c.SetReadDeadline(time.Now().Add(deadline))
@@ -532,12 +521,12 @@ func TestWorkerMaxConns(t *testing.T) {
 	// already buffered, so only the ack read remains.
 	first.Close()
 	second.SetReadDeadline(time.Now().Add(5 * time.Second))
-	ack, err := newPeer(second).recvHello(kindAck)
+	version, err := newPeer(second).recvHello(kindAck)
 	if err != nil {
 		t.Fatalf("queued connection never served after slot freed: %v", err)
 	}
-	if ack.Version != protocolVersion {
-		t.Fatalf("ack = %+v", ack)
+	if version != protocolVersion {
+		t.Fatalf("ack = version %d", version)
 	}
 }
 

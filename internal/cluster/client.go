@@ -52,14 +52,6 @@ type ClientOptions struct {
 	// interconnect round trips whose overhead the paper observes when many
 	// small blocks are shipped (§6.3).
 	Latency time.Duration
-	// ConnectionsPerWorker opens this many parallel streams to each
-	// worker address, letting one multi-core worker process several blocks
-	// concurrently (the worker serves every connection on its own
-	// goroutine). 0 means 1.
-	ConnectionsPerWorker int
-	// Compress negotiates DEFLATE on every stream after the handshake,
-	// trading CPU for bandwidth on slow interconnects.
-	Compress bool
 	// Hedge enables speculative re-dispatch of straggling blocks: once the
 	// batch has seen 3 round trips, a block in flight longer than twice
 	// their 90th percentile (and at least 25ms) is dispatched once more and
@@ -155,8 +147,8 @@ type DialFailure struct {
 type DialReport struct {
 	// Addrs lists every address Dial attempted.
 	Addrs []string
-	// Connected is the number of connections established (streams, not
-	// addresses: ConnectionsPerWorker multiplies it).
+	// Connected is the number of connections established, one per
+	// reachable address.
 	Connected int
 	// Failures lists the addresses that were unreachable.
 	Failures []DialFailure
@@ -190,7 +182,6 @@ func DialContext(ctx context.Context, addrs []string, opts ClientOptions) (*Clie
 	if opts.DialTimeout <= 0 {
 		opts.DialTimeout = 5 * time.Second
 	}
-	conns := max(opts.ConnectionsPerWorker, 1)
 	c := &Client{
 		opts:     opts,
 		guard:    resguard.New(opts.MemoryBudget, opts.Metrics),
@@ -203,25 +194,21 @@ func DialContext(ctx context.Context, addrs []string, opts ClientOptions) (*Clie
 	var dialErrs []error
 	for _, addr := range addrs {
 		c.health[addr] = &workerHealth{}
-		for i := 0; i < conns; i++ {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("cluster: dial cancelled: %w", err)
-			}
-			wc, err := dialWorkerContext(ctx, addr, opts.DialTimeout, opts.Compress)
-			if err != nil {
-				dialErrs = append(dialErrs, err)
-				c.report.Failures = append(c.report.Failures, DialFailure{Addr: addr, Err: err})
-				if opts.AutoReconnect {
-					// Placeholders let the redial loop adopt it later.
-					for ; i < conns; i++ {
-						c.conns = append(c.conns, &workerConn{addr: addr, dead: true})
-					}
-				}
-				break // the address is down; skip its remaining streams
-			}
-			c.conns = append(c.conns, wc)
-			c.report.Connected++
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("cluster: dial cancelled: %w", err)
 		}
+		wc, err := dialWorkerContext(ctx, addr, opts.DialTimeout)
+		if err != nil {
+			dialErrs = append(dialErrs, err)
+			c.report.Failures = append(c.report.Failures, DialFailure{Addr: addr, Err: err})
+			if opts.AutoReconnect {
+				// A placeholder lets the redial loop adopt it later.
+				c.conns = append(c.conns, &workerConn{addr: addr, dead: true})
+			}
+			continue
+		}
+		c.conns = append(c.conns, wc)
+		c.report.Connected++
 	}
 	if c.report.Connected == 0 {
 		return nil, fmt.Errorf("cluster: no workers reachable: %v", errors.Join(dialErrs...))
@@ -232,7 +219,7 @@ func DialContext(ctx context.Context, addrs []string, opts ClientOptions) (*Clie
 	return c, nil
 }
 
-func dialWorkerContext(ctx context.Context, addr string, timeout time.Duration, compress bool) (*workerConn, error) {
+func dialWorkerContext(ctx context.Context, addr string, timeout time.Duration) (*workerConn, error) {
 	d := net.Dialer{Timeout: timeout}
 	conn, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
@@ -247,28 +234,18 @@ func dialWorkerContext(ctx context.Context, addr string, timeout time.Duration, 
 	conn.SetDeadline(deadline)
 	defer conn.SetDeadline(time.Time{})
 	wc := &workerConn{addr: addr, conn: conn, link: newLink(conn)}
-	if err := wc.link.sendHello(hello{Version: protocolVersion, Compress: compress}, kindHello); err != nil {
+	if err := wc.link.sendHello(protocolVersion, kindHello); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("cluster: handshake with %s: %w", addr, err)
 	}
-	ack, err := recvHello(durable.NewFrameReader(conn, maxHandshakeLen), kindAck)
+	version, err := recvHello(durable.NewFrameReader(conn, maxHandshakeLen), kindAck)
 	if err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("cluster: handshake ack from %s: %w", addr, err)
 	}
-	if ack.Version != protocolVersion {
+	if version != protocolVersion {
 		conn.Close()
-		return nil, fmt.Errorf("cluster: worker %s speaks version %d, want %d", addr, ack.Version, protocolVersion)
-	}
-	if compress {
-		if !ack.Compress {
-			conn.Close()
-			return nil, fmt.Errorf("cluster: worker %s refused compression", addr)
-		}
-		if err := wc.link.deflate(conn); err != nil {
-			conn.Close()
-			return nil, err
-		}
+		return nil, fmt.Errorf("cluster: worker %s speaks version %d, want %d", addr, version, protocolVersion)
 	}
 	return wc, nil
 }
@@ -376,7 +353,7 @@ func (c *Client) redial(force bool) (next time.Time, errs []error) {
 			next = earliest(next, until)
 			continue
 		}
-		fresh, err := dialWorkerContext(context.Background(), wc.addr, c.opts.DialTimeout, c.opts.Compress)
+		fresh, err := dialWorkerContext(context.Background(), wc.addr, c.opts.DialTimeout)
 		c.mu.Lock()
 		switch {
 		case err != nil:

@@ -354,87 +354,6 @@ func TestHealthReportTracksLoad(t *testing.T) {
 	}
 }
 
-func TestConnectionsPerWorker(t *testing.T) {
-	addrs, stop, err := StartLocal(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stop()
-	client, err := Dial(addrs, ClientOptions{ConnectionsPerWorker: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	if client.Workers() != 3 {
-		t.Fatalf("Workers = %d, want 3 streams", client.Workers())
-	}
-	g := gen.HolmeKim(200, 4, 0.6, 8)
-	blocks, combo := makeBlocks(g, g.MaxDegree()+1)
-	out, err := client.AnalyzeBlocks(blocks, combo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for _, cs := range out {
-		total += cs.Count
-	}
-	if want := len(mcealg.ReferenceCollect(g)); total != want {
-		t.Fatalf("multi-stream run found %d cliques, want %d", total, want)
-	}
-}
-
-func TestCompressedTransport(t *testing.T) {
-	addrs, stop, err := StartLocal(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stop()
-	client, err := Dial(addrs, ClientOptions{Compress: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-
-	g := gen.HolmeKim(300, 5, 0.7, 15)
-	blocks, combo := makeBlocks(g, g.MaxDegree()+1)
-	out, err := client.AnalyzeBlocks(blocks, combo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for _, cs := range out {
-		total += cs.Count
-	}
-	if want := len(mcealg.ReferenceCollect(g)); total != want {
-		t.Fatalf("compressed run found %d cliques, want %d", total, want)
-	}
-	// Several batches over the same compressed streams must keep working.
-	if _, err := client.AnalyzeBlocks(blocks, combo); err != nil {
-		t.Fatalf("second compressed batch failed: %v", err)
-	}
-}
-
-func TestCompressedInFindMaxCliques(t *testing.T) {
-	addrs, stop, err := StartLocal(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stop()
-	client, err := Dial(addrs, ClientOptions{Compress: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	g := gen.BarabasiAlbert(200, 4, 19)
-	res, err := core.FindMaxCliques(g, core.Options{BlockRatio: 0.4, Executor: client})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := len(mcealg.ReferenceCollect(g)); res.Stats.TotalCliques != want {
-		t.Fatalf("compressed distributed run found %d cliques, want %d", res.Stats.TotalCliques, want)
-	}
-}
-
 func TestReconnectRestoresCapacity(t *testing.T) {
 	addrs, stop, err := StartLocal(2)
 	if err != nil {

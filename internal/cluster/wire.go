@@ -3,8 +3,8 @@
 // coordinator (Client) ships blocks to worker processes over TCP as durable
 // frames (internal/durable: length, CRC-32, payload), collects their
 // cliques, requeues work from failed workers, and can simulate link latency
-// and bandwidth so that the communication overhead trends of Figures 7–8
-// are exercised on a single machine.
+// so that the communication overhead trends of Figures 7–8 are exercised on
+// a single machine.
 //
 // The protocol is a plain request/response stream per connection: the
 // coordinator sends task frames and the worker answers one result frame per
@@ -15,7 +15,6 @@ package cluster
 
 import (
 	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -59,39 +58,29 @@ const (
 	classNone = 0xff
 )
 
-// hello is the first message on every connection, sent by the coordinator;
-// the worker answers with the same shape under kindAck.
-type hello struct {
-	Version int
-	// Compress asks the worker to switch the remainder of the stream to
-	// DEFLATE in both directions after the handshake, trading CPU for
-	// bandwidth on the slow links the latency simulation models.
-	Compress bool
-}
-
-// sendHello writes h as the handshake frame of the given kind: kind,
-// version u32le, compress byte.
-func (l *link) sendHello(h hello, kind byte) error {
-	l.payload = binary.LittleEndian.AppendUint32(append(l.payload[:0], kind), uint32(h.Version))
+// sendHello writes the handshake frame of the given kind — the coordinator's
+// hello or the worker's ack: kind, version u32le, then one reserved zero
+// byte.
+func (l *link) sendHello(version int, kind byte) error {
+	l.payload = binary.LittleEndian.AppendUint32(append(l.payload[:0], kind), uint32(version))
 	l.payload = append(l.payload, 0)
-	if h.Compress {
-		l.payload[5] = 1
-	}
 	return l.send()
 }
 
-// recvHello reads the handshake frame of the given kind. Dial and the
-// worker read it under maxHandshakeLen, so a peer whose first bytes are not
-// a small frame — a gob stream from a version-3 build — is refused on them.
-func recvHello(in *durable.FrameReader, kind byte) (hello, error) {
+// recvHello reads the handshake frame of the given kind and returns the
+// peer's version. Dial and the worker read it under maxHandshakeLen, so a
+// peer whose first bytes are not a small frame — a gob stream from a
+// version-3 build — is refused on them, and so is a hello whose reserved
+// byte is not zero.
+func recvHello(in *durable.FrameReader, kind byte) (version int, err error) {
 	p, err := in.Next()
-	if err == nil && (len(p) != 6 || p[0] != kind || p[5] > 1) {
+	if err == nil && (len(p) != 6 || p[0] != kind || p[5] != 0) {
 		err = errors.New("cluster: not a handshake message")
 	}
 	if err != nil {
-		return hello{}, err
+		return 0, err
 	}
-	return hello{Version: int(binary.LittleEndian.Uint32(p[1:])), Compress: p[5] == 1}, nil
+	return int(binary.LittleEndian.Uint32(p[1:])), nil
 }
 
 // taskID opens every task and result after the kind byte: ID, Level and
@@ -272,38 +261,22 @@ func parseResult(p []byte, dst *family.Family) (r blockResult, err error) {
 type link struct {
 	in      *durable.FrameReader
 	out     io.Writer
-	flush   func() error // non-nil when the stream is compressed
-	payload []byte       // the message being sent, built by the caller
+	payload []byte // the message being sent, built by the caller
 	frame   []byte
 }
 
-// newLink frames messages straight over conn; deflate upgrades it.
+// newLink frames messages straight over conn.
 func newLink(conn io.ReadWriter) *link {
 	return &link{in: durable.NewFrameReader(conn, maxMessageLen), out: conn}
-}
-
-// deflate switches both directions to DEFLATE from the next frame on.
-func (l *link) deflate(conn io.ReadWriter) error {
-	fw, err := flate.NewWriter(conn, flate.BestSpeed)
-	if err != nil {
-		return fmt.Errorf("cluster: compression: %w", err)
-	}
-	l.in = durable.NewFrameReader(flate.NewReader(conn), maxMessageLen)
-	l.out, l.flush = fw, fw.Flush
-	return nil
 }
 
 // send writes l.payload as one frame in one Write.
 func (l *link) send() error {
 	l.frame = durable.AppendFrame(l.frame[:0], l.payload)
 	_, err := l.out.Write(l.frame)
-	if err == nil && l.flush != nil {
-		err = l.flush()
-	}
 	return err
 }
 
 // frameLen is the length of the frame a payload travels in: the bytes the
-// message occupies on an uncompressed wire, which is what the telemetry
-// counts and the link simulation paces.
+// message occupies on the wire, which is what the telemetry counts.
 func frameLen(payload []byte) int64 { return int64(durable.FrameHeaderLen + len(payload)) }

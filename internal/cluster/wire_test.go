@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/hex"
 	"io"
@@ -27,7 +28,7 @@ type peer struct{ *link }
 
 func newPeer(conn io.ReadWriter) peer { return peer{newLink(conn)} }
 
-func (p peer) recvHello(kind byte) (hello, error) { return recvHello(p.in, kind) }
+func (p peer) recvHello(kind byte) (int, error) { return recvHello(p.in, kind) }
 
 func (p peer) sendTask(t *blockTask) (err error) {
 	if p.payload, err = t.appendTo(p.payload[:0]); err != nil {
@@ -62,12 +63,12 @@ func sameResult(a, b blockResult) bool {
 		a.Cliques.Count == b.Cliques.Count && reflect.DeepEqual(a.Cliques.Views(nil), b.Cliques.Views(nil))
 }
 
-// acceptHello plays a worker's half of the handshake, answering ack.
-func (p peer) acceptHello(ack hello) bool {
+// acceptHello plays a worker's half of the handshake, answering version.
+func (p peer) acceptHello(version int) bool {
 	if _, err := p.recvHello(kindHello); err != nil {
 		return false
 	}
-	return p.sendHello(ack, kindAck) == nil
+	return p.sendHello(version, kindAck) == nil
 }
 
 // swallowOneTask is a worker that handshakes correctly, reads the first
@@ -75,7 +76,7 @@ func (p peer) acceptHello(ack hello) bool {
 func swallowOneTask(conn net.Conn) {
 	defer conn.Close()
 	p := newPeer(conn)
-	if p.acceptHello(hello{Version: protocolVersion}) {
+	if p.acceptHello(protocolVersion) {
 		_, _ = p.in.Next()
 	}
 }
@@ -87,11 +88,11 @@ func dialPipe(t *testing.T) (peer, net.Conn, chan error) {
 	done := make(chan error, 1)
 	go func() { done <- ServeConn(sv) }()
 	p := newPeer(cl)
-	if err := p.sendHello(hello{Version: protocolVersion}, kindHello); err != nil {
+	if err := p.sendHello(protocolVersion, kindHello); err != nil {
 		t.Fatal(err)
 	}
-	if ack, err := p.recvHello(kindAck); err != nil || ack.Version != protocolVersion {
-		t.Fatalf("ack = %+v, %v", ack, err)
+	if version, err := p.recvHello(kindAck); err != nil || version != protocolVersion {
+		t.Fatalf("ack = version %d, %v", version, err)
 	}
 	return p, cl, done
 }
@@ -276,44 +277,94 @@ func TestTaskRejectsBadClasses(t *testing.T) {
 }
 
 // gobV3Hello is a version-3 coordinator's first message, as encoding/gob
-// wrote it: hello{Version: 3, Compress: false}.
+// wrote it: 3.
 const gobV3Hello = "2b7f0301010568656c6c6f01ff80000102010756657273696f6e0104000108436f6d7072657373010200000005ff80010600"
 
 // TestWorkerRefusesOtherProtocols: a worker hangs up on a peer that does
-// not open with a version-4 hello — a gob stream, or a well-formed frame
-// carrying another version — promptly and without serving it.
+// not open with a version-4 hello — a gob stream, a well-formed frame
+// carrying another version, or a version-4 hello whose reserved byte is set
+// (the DEFLATE request of older builds) — promptly and without serving it.
 func TestWorkerRefusesOtherProtocols(t *testing.T) {
 	gobBytes, err := hex.DecodeString(gobV3Hello)
 	if err != nil {
 		t.Fatal(err)
 	}
-	otherVersion := durable.AppendFrame(nil, []byte{kindHello, 3, 0, 0, 0, 0})
-	for name, first := range map[string][]byte{"gob v3 hello": gobBytes, "frame with version 3": otherVersion} {
-		t.Run(name, func(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		first []byte
+		acked bool // answered with the worker's version before the hang-up
+	}{
+		{"gob v3 hello", gobBytes, false},
+		{"frame with version 3", durable.AppendFrame(nil, []byte{kindHello, 3, 0, 0, 0, 0}), true},
+		{"version 4 with flag byte 1", durable.AppendFrame(nil, []byte{kindHello, protocolVersion, 0, 0, 0, 1}), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			cl, sv := net.Pipe()
 			done := make(chan error, 1)
 			go func() { done <- ServeConn(sv); sv.Close() }()
 			cl.SetDeadline(time.Now().Add(5 * time.Second))
-			go cl.Write(first)
-			// A framed hello is answered with the worker's own version
+			go cl.Write(tc.first)
+			// A hello of another version is answered with the worker's own
 			// before the hang-up, so the coordinator can name the mismatch;
 			// anything else just sees the connection close.
 			rest, err := io.ReadAll(cl)
 			if err != nil {
 				t.Fatalf("worker did not hang up: %v", err)
 			}
-			if name == "frame with version 3" {
+			if tc.acked {
 				in := durable.NewFrameReader(strings.NewReader(string(rest)), maxHandshakeLen)
-				if ack, err := recvHello(in, kindAck); err != nil || ack.Version != protocolVersion {
-					t.Fatalf("ack = %+v, %v", ack, err)
+				if version, err := recvHello(in, kindAck); err != nil || version != protocolVersion {
+					t.Fatalf("ack = version %d, %v", version, err)
 				}
 			} else if len(rest) != 0 {
-				t.Fatalf("worker answered a gob peer with %d bytes", len(rest))
+				t.Fatalf("worker answered a refused hello with %d bytes", len(rest))
 			}
 			if err := <-done; err == nil || !strings.Contains(err.Error(), "handshake") && !strings.Contains(err.Error(), "version") {
 				t.Fatalf("ServeConn = %v, want a handshake refusal", err)
 			}
 		})
+	}
+}
+
+// TestHelloBytesPinned: on a fault-free connection the coordinator's hello
+// and the worker's ack are each one frame whose payload is exactly kind,
+// version u32le, 0 — the handshake bytes every protocol-4 peer expects.
+func TestHelloBytesPinned(t *testing.T) {
+	frame := func(kind byte) []byte {
+		return durable.AppendFrame(nil, []byte{kind, protocolVersion, 0, 0, 0, 0})
+	}
+	sent := make(chan []byte, 1)
+	addr := fakeWorker(t, func(conn net.Conn) {
+		defer conn.Close()
+		got := make([]byte, len(frame(kindHello)))
+		if _, err := io.ReadFull(conn, got); err != nil {
+			sent <- nil
+			return
+		}
+		sent <- got
+		conn.Write(frame(kindAck))
+		io.Copy(io.Discard, conn)
+	})
+	client, err := Dial([]string{addr}, ClientOptions{DialTimeout: 2 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	client.Close()
+	if got := <-sent; !bytes.Equal(got, frame(kindHello)) {
+		t.Fatalf("coordinator hello = %x, want %x", got, frame(kindHello))
+	}
+
+	cl, sv := net.Pipe()
+	go func() { ServeConn(sv); sv.Close() }()
+	defer cl.Close()
+	cl.SetDeadline(time.Now().Add(5 * time.Second))
+	go cl.Write(frame(kindHello))
+	got := make([]byte, len(frame(kindAck)))
+	if _, err := io.ReadFull(cl, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, frame(kindAck)) {
+		t.Fatalf("worker ack = %x, want %x", got, frame(kindAck))
 	}
 }
 

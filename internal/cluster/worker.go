@@ -211,21 +211,16 @@ func ServeConn(conn net.Conn) error {
 }
 
 func (w *Worker) serveConn(conn net.Conn) error {
-	h, err := recvHello(durable.NewFrameReader(conn, maxHandshakeLen), kindHello)
+	version, err := recvHello(durable.NewFrameReader(conn, maxHandshakeLen), kindHello)
 	if err != nil {
 		return fmt.Errorf("cluster: handshake: %w", err)
 	}
 	l := newLink(conn)
-	if err := l.sendHello(hello{Version: protocolVersion, Compress: h.Compress}, kindAck); err != nil {
+	if err := l.sendHello(protocolVersion, kindAck); err != nil {
 		return fmt.Errorf("cluster: handshake ack: %w", err)
 	}
-	if h.Version != protocolVersion {
-		return fmt.Errorf("cluster: coordinator speaks version %d, worker %d", h.Version, protocolVersion)
-	}
-	if h.Compress {
-		if err := l.deflate(conn); err != nil {
-			return err
-		}
+	if version != protocolVersion {
+		return fmt.Errorf("cluster: coordinator speaks version %d, worker %d", version, protocolVersion)
 	}
 
 	met := w.Metrics

@@ -13,6 +13,7 @@ import (
 	"mce/internal/gen"
 	"mce/internal/graph"
 	"mce/internal/runlog"
+	"mce/internal/runlog/faultfs"
 	"mce/internal/telemetry"
 )
 
@@ -41,7 +42,7 @@ func familiesEqual(a, b [][]int32) bool {
 
 func openCheckpoint(t *testing.T, dir string, g *graph.Graph, opts Options) *runlog.Checkpoint {
 	t.Helper()
-	cp, err := runlog.Open(dir, CheckpointIdentity(g, opts), runlog.Options{NoSync: true})
+	cp, err := runlog.Open(dir, CheckpointIdentity(g, opts), runlog.Options{FS: faultfs.Unsynced(nil)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestResumeServesEveryBlockFromLog(t *testing.T) {
 	resOpts := opts
 	resOpts.Executor = forbiddenExecutor{}
 	resOpts.Metrics = met
-	cp, err := runlog.Open(dir, CheckpointIdentity(g, opts), runlog.Options{NoSync: true, Metrics: met})
+	cp, err := runlog.Open(dir, CheckpointIdentity(g, opts), runlog.Options{FS: faultfs.Unsynced(nil), Metrics: met})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +257,6 @@ func TestCheckpointIdentitySensitivity(t *testing.T) {
 	}
 
 	same := []Options{
-		{BlockSize: 12, Schedule: ScheduleLPT},
 		{BlockSize: 12, Parallelism: 7},
 	}
 	for i, o := range same {

@@ -22,7 +22,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -84,9 +83,6 @@ type Options struct {
 	// (§6.2 uses ratios 0.9 … 0.1). If both are 0, ratio 0.5 is used —
 	// the saddle point the paper identifies in Figure 8.
 	BlockRatio float64
-	// Tree is the algorithm-selection decision tree; nil means the
-	// reconstruction of the paper's Figure 3 (dtree.Published).
-	Tree *dtree.Tree
 	// FixedCombo, when non-nil, bypasses the decision tree and uses one
 	// combo everywhere (the paper's fixed-combination baselines, Figure 4).
 	FixedCombo *mcealg.Combo
@@ -111,14 +107,6 @@ type Options struct {
 	// The cap triggers the same direct-core fallback as a stalled
 	// recursion, so results stay complete.
 	MaxLevels int
-	// Schedule orders the blocks before dispatch; see the Schedule
-	// constants. Results are identical either way.
-	Schedule Schedule
-	// OnLevel, when non-nil, is invoked after each recursion level's block
-	// analysis completes, with that level's statistics — a progress hook
-	// for long runs. It must not block for long and must not call back
-	// into the engine.
-	OnLevel func(LevelStats)
 	// Metrics, when non-nil, receives live telemetry from every phase of
 	// the run (blocks, combo picks, per-block timings, filter time, and —
 	// through the executor — queue depth and algorithm counters). Nil
@@ -139,19 +127,6 @@ type Options struct {
 	// execution, never deadlocks. 0 disables the guard.
 	MemoryBudget int64
 }
-
-// Schedule selects the block dispatch order handed to the Executor.
-type Schedule uint8
-
-const (
-	// ScheduleFIFO dispatches blocks in construction order.
-	ScheduleFIFO Schedule = iota
-	// ScheduleLPT dispatches the estimated-heaviest blocks first
-	// (longest-processing-time), so a skewed block cannot strand a lone
-	// worker at the end of the batch — the parallel-skew issue the
-	// distributed MCE literature highlights ([38] in the paper).
-	ScheduleLPT
-)
 
 // LevelStats records one recursion level of the first-level decomposition.
 type LevelStats struct {
@@ -229,7 +204,7 @@ type Stats struct {
 	CheckpointDegraded bool
 	// Telemetry is the final metrics snapshot of the run when it was
 	// started with a telemetry engine (Options.Metrics, or the mce
-	// package's WithTelemetry/WithProgress options); nil otherwise.
+	// package's WithTelemetryEngine option); nil otherwise.
 	Telemetry *telemetry.Snapshot
 }
 
@@ -623,10 +598,7 @@ func baseSelector(opts Options) Selector {
 		c := *opts.FixedCombo
 		return func(g *graph.Graph, _ *kcore.Scratch) mcealg.Combo { return c.Bounded(g.N()) }
 	}
-	tree := opts.Tree
-	if tree == nil {
-		tree = dtree.Published()
-	}
+	tree := dtree.Published()
 	return func(g *graph.Graph, s *kcore.Scratch) mcealg.Combo {
 		return dtree.SafePredictGraph(tree, g, s)
 	}
@@ -683,7 +655,7 @@ func (r *run) level(ctx context.Context, g *graph.Graph, depth int, out sink) er
 	if cp := opts.Checkpoint; cp != nil {
 		perBlock, err = r.analyzeCheckpointed(ctx, cp, g, blocks, depth)
 	} else {
-		perBlock, err = r.analyzeScheduled(ctx, g, blocks, nil, nil)
+		perBlock, err = r.exec.Analyze(ctx, g, blocks, r.sel, nil, nil)
 	}
 	if err != nil {
 		return err
@@ -714,9 +686,6 @@ func (r *run) level(ctx context.Context, g *graph.Graph, depth int, out sink) er
 		ls.SelectTime = time.Duration(met.SelectNs.Load() - selectNs)
 	}
 	r.levelDone(ls)
-	if opts.OnLevel != nil {
-		opts.OnLevel(ls)
-	}
 
 	if len(hubs) == 0 {
 		return nil
@@ -800,7 +769,7 @@ func (r *run) analyzeCheckpointed(ctx context.Context, cp *runlog.Checkpoint, g 
 		pend, ids = append(pend, blocks[i]), append(ids, id)
 	}
 	if len(pend) > 0 {
-		results, err := r.analyzeScheduled(ctx, g, pend, ids, cp)
+		results, err := r.exec.Analyze(ctx, g, pend, r.sel, ids, cp)
 		if err != nil {
 			return nil, err
 		}
@@ -812,56 +781,6 @@ func (r *run) analyzeCheckpointed(ctx context.Context, cp *runlog.Checkpoint, g 
 		return nil, err
 	}
 	return perBlock, nil
-}
-
-// analyzeScheduled dispatches the blocks in the configured order and
-// returns the results in the original block order, so scheduling never
-// changes the output. ids and obs are nil for plain batches; on a
-// checkpointing run ids index like blocks and travel with them.
-func (r *run) analyzeScheduled(ctx context.Context, g *graph.Graph, blocks []decomp.Block, ids []runlog.BlockID, obs runlog.BatchObserver) ([]family.Window, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if r.opts.Schedule != ScheduleLPT || len(blocks) < 2 {
-		return r.exec.Analyze(ctx, g, blocks, r.sel, ids, obs)
-	}
-	// Cost estimate, from the plan alone: block analysis is roughly linear
-	// in the per-kernel neighbourhood work, which edges × kernels tracks
-	// well enough for ordering purposes. The edges of a block nobody has
-	// induced yet are bounded by half of Σ min(deg_g(v), |block| − 1) over
-	// its nodes — exact for kernels, whose whole neighbourhood is inside —
-	// and the estimate takes that sum for them.
-	cost := make([]int64, len(blocks))
-	perm := make([]int, len(blocks))
-	for i := range blocks {
-		b := &blocks[i]
-		ends := int64(0)
-		for _, v := range b.Orig {
-			ends += int64(min(g.Degree(v), len(b.Orig)-1))
-		}
-		cost[i], perm[i] = (ends+1)*int64(len(b.Kernel)+1), i
-	}
-	sort.SliceStable(perm, func(a, b int) bool { return cost[perm[a]] > cost[perm[b]] })
-	ordered := make([]decomp.Block, len(blocks))
-	var orderedIDs []runlog.BlockID
-	if ids != nil {
-		orderedIDs = make([]runlog.BlockID, len(blocks))
-	}
-	for pos, idx := range perm {
-		ordered[pos] = blocks[idx]
-		if ids != nil {
-			orderedIDs[pos] = ids[idx]
-		}
-	}
-	permuted, err := r.exec.Analyze(ctx, g, ordered, r.sel, orderedIDs, obs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]family.Window, len(blocks))
-	for pos, idx := range perm {
-		out[idx] = permuted[pos]
-	}
-	return out, nil
 }
 
 // terminalCore handles the terminal core directly with a single MCE run —

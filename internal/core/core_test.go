@@ -9,7 +9,6 @@ import (
 	"testing/quick"
 
 	"mce/internal/decomp"
-	"mce/internal/dtree"
 	"mce/internal/family"
 	"mce/internal/gen"
 	"mce/internal/graph"
@@ -241,21 +240,6 @@ func TestFixedComboBoundsQuadraticStores(t *testing.T) {
 	}
 }
 
-func TestTrainedTreePath(t *testing.T) {
-	g := gen.HolmeKim(200, 4, 0.6, 16)
-	tree := dtree.Train([]dtree.Sample{
-		{F: kcore.Features{Nodes: 10, Edges: 20, Density: 0.2, Degeneracy: 2, DStar: 3},
-			Best: mcealg.Combo{Alg: mcealg.Tomita, Struct: mcealg.BitSets}},
-		{F: kcore.Features{Nodes: 100, Edges: 900, Density: 0.5, Degeneracy: 20, DStar: 25},
-			Best: mcealg.Combo{Alg: mcealg.Eppstein, Struct: mcealg.Lists}},
-	}, dtree.Options{MinLeaf: 1})
-	res, err := FindMaxCliques(g, Options{BlockRatio: 0.5, Tree: tree})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertComplete(t, g, res)
-}
-
 func TestMaxLevelsForcesFallback(t *testing.T) {
 	// HardChain needs many levels; capping at 2 must fall back and stay
 	// complete.
@@ -466,118 +450,37 @@ func BenchmarkLocalExecutor(b *testing.B) {
 	}
 }
 
-func TestLPTScheduleSameOutput(t *testing.T) {
-	g := gen.HolmeKim(600, 5, 0.7, 29)
-	fifo, err := FindMaxCliques(g, Options{BlockRatio: 0.4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lpt, err := FindMaxCliques(g, Options{BlockRatio: 0.4, Schedule: ScheduleLPT, Parallelism: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fifo.Cliques) != len(lpt.Cliques) {
-		t.Fatalf("LPT changed clique count: %d vs %d", len(lpt.Cliques), len(fifo.Cliques))
-	}
-	for i := range fifo.Cliques {
-		if key(fifo.Cliques[i]) != key(lpt.Cliques[i]) || fifo.Level[i] != lpt.Level[i] {
-			t.Fatalf("LPT permuted the output at %d", i)
-		}
-	}
-	assertComplete(t, g, lpt)
-}
-
-// trackingExecutor records the order blocks arrive in.
-type trackingExecutor struct {
-	inner LocalExecutor
-	sizes []int64
-}
-
-func (e *trackingExecutor) Analyze(ctx context.Context, g *graph.Graph, blocks []decomp.Block, sel Selector, ids []runlog.BlockID, obs runlog.BatchObserver) ([]family.Window, error) {
-	inducer := graph.NewInducer(g)
-	for i := range blocks {
-		sub, _ := inducer.Scratch(blocks[i].Orig)
-		e.sizes = append(e.sizes, int64(sub.M()+1)*int64(len(blocks[i].Kernel)+1))
-	}
-	return e.inner.Analyze(ctx, g, blocks, sel, ids, obs)
-}
-
-func TestLPTDispatchesHeaviestFirst(t *testing.T) {
-	g := gen.HolmeKim(800, 5, 0.7, 31)
-	tr := &trackingExecutor{}
-	if _, err := FindMaxCliques(g, Options{BlockRatio: 0.4, Schedule: ScheduleLPT, Executor: tr}); err != nil {
-		t.Fatal(err)
-	}
-	if len(tr.sizes) < 3 {
-		t.Skip("too few blocks to check ordering")
-	}
-	// Level-0 batch comes first; check its prefix is non-increasing until
-	// the next level resets. Simply assert the very first block is the
-	// global maximum of the first batch by scanning until a rise, which
-	// must only happen at a level boundary (small tail batches).
-	first := tr.sizes[0]
-	for _, s := range tr.sizes {
-		if s > first {
-			// A later level may contain bigger blocks only if the hub
-			// subgraph is denser than any level-0 block — not possible
-			// since level-0 includes all of it as borders? Keep the check
-			// conservative: the first dispatched block must be at least
-			// the median size.
-			break
-		}
-	}
-	max0 := tr.sizes[0]
-	above := 0
-	for _, s := range tr.sizes {
-		if s > max0 {
-			above++
-		}
-	}
-	if above > len(tr.sizes)/2 {
-		t.Fatalf("first dispatched block is not among the heaviest: %v", tr.sizes[:5])
-	}
-}
-
-func TestOnLevelProgressHook(t *testing.T) {
+// TestStatsLevelsShrink: Stats.Levels holds one entry per recursion level,
+// outermost first, each on a smaller graph than the last, on both routes.
+func TestStatsLevelsShrink(t *testing.T) {
 	g := gen.BarabasiAlbert(300, 4, 45)
-	var seen []LevelStats
-	res, err := FindMaxCliques(g, Options{
-		BlockRatio: 0.2,
-		OnLevel:    func(ls LevelStats) { seen = append(seen, ls) },
-	})
+	res, err := FindMaxCliques(g, Options{BlockRatio: 0.2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The hook fires once per non-fallback level, in order.
-	want := 0
-	for _, ls := range res.Stats.Levels {
-		if ls.Blocks > 0 {
-			want++
+	levels := res.Stats.Levels
+	if len(levels) < 2 {
+		t.Fatalf("fixture ran %d levels, want ≥ 2", len(levels))
+	}
+	if levels[0].Nodes != g.N() {
+		t.Fatalf("level 0 nodes = %d, want %d", levels[0].Nodes, g.N())
+	}
+	for i := 1; i < len(levels); i++ {
+		if levels[i].Nodes >= levels[i-1].Nodes {
+			t.Fatalf("levels not shrinking: %d then %d nodes", levels[i-1].Nodes, levels[i].Nodes)
 		}
 	}
-	if len(seen) != want {
-		t.Fatalf("hook fired %d times, want %d", len(seen), want)
-	}
-	if seen[0].Nodes != g.N() {
-		t.Fatalf("first hook nodes = %d, want %d", seen[0].Nodes, g.N())
-	}
-	for i := 1; i < len(seen); i++ {
-		if seen[i].Nodes >= seen[i-1].Nodes {
-			t.Fatalf("levels not shrinking: %d then %d nodes", seen[i-1].Nodes, seen[i].Nodes)
-		}
-	}
-
-	// The streaming engine honours the same hook.
-	var streamed int
-	_, err = Stream(g, Options{
-		BlockRatio: 0.2,
-		OnLevel:    func(LevelStats) { streamed++ },
-	}, func([]int32, int) {})
+	streamed, err := Stream(g, Options{BlockRatio: 0.2}, func([]int32, int) {})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if streamed != want {
-		t.Fatalf("stream hook fired %d times, want %d", streamed, want)
+	if len(streamed.Levels) != len(levels) {
+		t.Fatalf("stream ran %d levels, batch %d", len(streamed.Levels), len(levels))
+	}
+	for i := range levels {
+		if streamed.Levels[i].Nodes != levels[i].Nodes || streamed.Levels[i].Blocks != levels[i].Blocks {
+			t.Fatalf("level %d: stream %+v, batch %+v", i, streamed.Levels[i], levels[i])
+		}
 	}
 }
 

@@ -21,6 +21,7 @@ import (
 	"mce/internal/graph"
 	"mce/internal/mcealg"
 	"mce/internal/runlog"
+	"mce/internal/runlog/faultfs"
 	"mce/internal/telemetry"
 )
 
@@ -38,7 +39,7 @@ func sortedKeys(cliques [][]int32) []string {
 
 func openCheckpoint(t *testing.T, dir string, g *graph.Graph, opts core.Options) *runlog.Checkpoint {
 	t.Helper()
-	cp, err := runlog.Open(dir, core.CheckpointIdentity(g, opts), runlog.Options{NoSync: true})
+	cp, err := runlog.Open(dir, core.CheckpointIdentity(g, opts), runlog.Options{FS: faultfs.Unsynced(nil)})
 	if err != nil {
 		t.Fatal(err)
 	}

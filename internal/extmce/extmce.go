@@ -46,17 +46,6 @@ type Options struct {
 	// one block resident); emission order is identical either way. Memory
 	// grows to Prefetch+1 blocks.
 	Prefetch int
-	// ResumeFrom skips the first ResumeFrom chunks, supporting
-	// checkpoint/restart of long runs: chunking is deterministic for a
-	// given graph and m, so a run killed after Stats.Chunks-processed
-	// blocks can be resumed with ResumeFrom set to that count and its
-	// output concatenated with the previous partial output. The hub phase
-	// runs only when SkipHubs is false.
-	ResumeFrom int
-	// SkipHubs suppresses the hub recursion and its cliques; pair it with
-	// ResumeFrom to split a run into feasible-side shards plus one final
-	// hub pass.
-	SkipHubs bool
 }
 
 // Stats summarises an out-of-core run.
@@ -65,10 +54,8 @@ type Stats struct {
 	BlockSize, MaxDegree int
 	// Feasible and Hubs count the top-level CUT partition.
 	Feasible, Hubs int
-	// Blocks is the number of disk-loaded blocks (after ResumeFrom);
-	// ChunksTotal is the full deterministic chunk count for this graph
-	// and m, the unit ResumeFrom counts in.
-	Blocks, ChunksTotal int
+	// Blocks is the number of disk-loaded blocks.
+	Blocks int
 	// TotalCliques and HubCliques mirror the in-memory engine's stats.
 	TotalCliques, HubCliques int
 	// DiskReads counts adjacency-list fetches.
@@ -190,22 +177,10 @@ func Enumerate(dg *diskgraph.Graph, opts Options, emit func(clique []int32, leve
 		}
 	}
 
-	stats.ChunksTotal = len(chunks)
-	resume := opts.ResumeFrom
-	if resume < 0 {
-		resume = 0
-	}
-	if resume > len(chunks) {
-		resume = len(chunks)
-	}
-	if err := analyzeChunks(dg, chunks[resume:], resume, kernelChunk, feasSet, combo, opts.Prefetch, stats, emit); err != nil {
+	if err := analyzeChunks(dg, chunks, kernelChunk, feasSet, combo, opts.Prefetch, stats, emit); err != nil {
 		return nil, err
 	}
 
-	if opts.SkipHubs {
-		stats.DiskReads = dg.Reads()
-		return stats, nil
-	}
 	if len(hubs) == 0 {
 		stats.DiskReads = dg.Reads()
 		return stats, nil
@@ -244,7 +219,6 @@ func Enumerate(dg *diskgraph.Graph, opts Options, emit func(clique []int32, leve
 
 // loadedBlock is one materialised chunk, ready for analysis.
 type loadedBlock struct {
-	idx int
 	blk decomp.Block
 	err error
 }
@@ -253,15 +227,14 @@ type loadedBlock struct {
 // Prefetch > 0 a loader goroutine stays ahead of the analysis, overlapping
 // disk I/O with CPU work; blocks are still analysed (and cliques emitted)
 // strictly in chunk order, so output is identical to the serial path.
-// For resumed runs the slice's global indices start at base; kernelChunk
-// holds global chunk indices per node.
-func analyzeChunks(dg *diskgraph.Graph, chunks [][]int32, base int, kernelChunk []int32, feasSet *bitset.Set, combo mcealg.Combo, prefetch int, stats *Stats, emit func([]int32, int)) error {
+// kernelChunk holds each node's chunk index.
+func analyzeChunks(dg *diskgraph.Graph, chunks [][]int32, kernelChunk []int32, feasSet *bitset.Set, combo mcealg.Combo, prefetch int, stats *Stats, emit func([]int32, int)) error {
 	load := func(ci int) loadedBlock {
-		chunkIdx := int32(base + ci)
+		chunkIdx := int32(ci)
 		kernels := chunks[ci]
 		sub, orig, kernelLocal, err := dg.LoadClosedNeighborhood(kernels)
 		if err != nil {
-			return loadedBlock{idx: ci, err: err}
+			return loadedBlock{err: err}
 		}
 		blk := decomp.Block{Graph: sub, Orig: orig, Kernel: kernelLocal}
 		for local, gnode := range orig {
@@ -275,7 +248,7 @@ func analyzeChunks(dg *diskgraph.Graph, chunks [][]int32, base int, kernelChunk 
 				blk.Border = append(blk.Border, int32(local))
 			}
 		}
-		return loadedBlock{idx: ci, blk: blk}
+		return loadedBlock{blk: blk}
 	}
 
 	analyze := func(lb loadedBlock) error {

@@ -264,53 +264,3 @@ func TestPrefetchEquivalent(t *testing.T) {
 		}
 	}
 }
-
-func TestResumeShardsConcatenate(t *testing.T) {
-	g := gen.HolmeKim(500, 5, 0.7, 47)
-	dg := onDisk(t, g)
-
-	full, fullLevels, fullStats := collect(t, dg, Options{BlockRatio: 0.3})
-	mid := fullStats.ChunksTotal / 2
-	if mid == 0 {
-		t.Skip("too few chunks to shard")
-	}
-
-	// Resuming past the last chunk processes nothing on the feasible side.
-	endStats, err := Enumerate(dg,
-		Options{BlockRatio: 0.3, SkipHubs: true, ResumeFrom: fullStats.ChunksTotal},
-		func([]int32, int) { t.Fatal("chunk emitted after the end") })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if endStats.Blocks != 0 {
-		t.Fatalf("resume at end processed %d blocks", endStats.Blocks)
-	}
-
-	// The feasible side with all chunks, then the suffix shard [mid, total):
-	// the shard must equal the tail of the feasible-only run, and a final
-	// hub-only pass (ResumeFrom=total, SkipHubs=false) must supply exactly
-	// the remaining cliques of the full run.
-	feas, _, feasStats := collect(t, dg, Options{BlockRatio: 0.3, SkipHubs: true})
-	suffix, _, sufStats := collect(t, dg, Options{BlockRatio: 0.3, SkipHubs: true, ResumeFrom: mid})
-	if feasStats.Blocks != fullStats.ChunksTotal || sufStats.Blocks != fullStats.ChunksTotal-mid {
-		t.Fatalf("block accounting: feasible %d, suffix %d, chunks %d, mid %d",
-			feasStats.Blocks, sufStats.Blocks, fullStats.ChunksTotal, mid)
-	}
-	tail := feas[len(feas)-len(suffix):]
-	for i := range suffix {
-		if key(suffix[i]) != key(tail[i]) {
-			t.Fatalf("suffix shard diverges at %d", i)
-		}
-	}
-
-	hubOnly, hubLevels, _ := collect(t, dg, Options{BlockRatio: 0.3, ResumeFrom: fullStats.ChunksTotal})
-	if len(feas)+len(hubOnly) != len(full) {
-		t.Fatalf("shards cover %d+%d cliques, full run %d", len(feas), len(hubOnly), len(full))
-	}
-	for i, c := range hubOnly {
-		j := len(feas) + i
-		if key(c) != key(full[j]) || hubLevels[i] != fullLevels[j] {
-			t.Fatalf("hub shard diverges at %d", i)
-		}
-	}
-}

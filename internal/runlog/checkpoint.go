@@ -91,10 +91,6 @@ var ErrIdentityMismatch = errors.New("runlog: checkpoint belongs to a different 
 
 // Options tunes a Checkpoint.
 type Options struct {
-	// NoSync disables fsync on journal and level-log appends. Only for
-	// tests: without sync, a crash can lose records the journal claimed
-	// durable.
-	NoSync bool
 	// Metrics, when non-nil, receives checkpoint telemetry: records and
 	// bytes appended, commits and their batch sizes, replay time, and blocks
 	// skipped on resume. Nil disables it.
@@ -227,9 +223,6 @@ func Open(dir string, id Identity, opts Options) (*Checkpoint, error) {
 	fs := opts.FS
 	if fs == nil {
 		fs = OSFS{}
-	}
-	if opts.NoSync {
-		fs = noSyncFS{fs}
 	}
 	if f, err := fs.Open(filepath.Join(dir, "segments")); err == nil {
 		f.Close()

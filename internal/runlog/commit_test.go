@@ -10,6 +10,7 @@ import (
 
 	"mce/internal/durable"
 	"mce/internal/runlog"
+	"mce/internal/runlog/faultfs"
 	"mce/internal/telemetry"
 )
 
@@ -91,7 +92,7 @@ func TestConcurrentBlockDone(t *testing.T) {
 	cliquesOf := func(level, plan int) [][]int32 {
 		return [][]int32{{int32(level), int32(level + plan + 1)}, {int32(plan), int32(plan + 1), int32(plan + 2)}}
 	}
-	c, err := runlog.Open(dir, degradeID, runlog.Options{NoSync: true})
+	c, err := runlog.Open(dir, degradeID, runlog.Options{FS: faultfs.Unsynced(nil)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func TestConcurrentBlockDone(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r, err := runlog.Open(dir, degradeID, runlog.Options{NoSync: true})
+	r, err := runlog.Open(dir, degradeID, runlog.Options{FS: faultfs.Unsynced(nil)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,7 @@ var degradeID = runlog.Identity{Graph: 0xabad1dea, Options: 0x5eed}
 // committed has seen the whole prefix land.
 func driveToFirstDone(t *testing.T, dir string, fs runlog.FS, onDegrade func(error), met *telemetry.Engine) (*runlog.Checkpoint, [][]int32) {
 	t.Helper()
-	c, err := runlog.Open(dir, degradeID, runlog.Options{NoSync: true, FS: fs, OnDegrade: onDegrade, Metrics: met})
+	c, err := runlog.Open(dir, degradeID, runlog.Options{FS: faultfs.Unsynced(fs), OnDegrade: onDegrade, Metrics: met})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestENOSPCMidCheckpointDegrades(t *testing.T) {
 	// The journal is torn, never corrupt: a real-filesystem reopen replays
 	// the durable prefix — block {0,0} done, nothing after it, and no
 	// run-end claim from the degraded session.
-	r, err := runlog.Open(dir, degradeID, runlog.Options{NoSync: true})
+	r, err := runlog.Open(dir, degradeID, runlog.Options{FS: faultfs.Unsynced(nil)})
 	if err != nil {
 		t.Fatalf("reopen after degrade: %v", err)
 	}
@@ -162,7 +162,7 @@ func TestResumeAfterTornFrame(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			r, err := runlog.Open(dir, degradeID, runlog.Options{NoSync: true})
+			r, err := runlog.Open(dir, degradeID, runlog.Options{FS: faultfs.Unsynced(nil)})
 			if err != nil {
 				t.Fatalf("reopen after torn frame: %v", err)
 			}
@@ -192,7 +192,7 @@ func TestResumeAfterTornFrame(t *testing.T) {
 			if err := r.Close(); err != nil {
 				t.Fatal(err)
 			}
-			fin, err := runlog.Open(dir, degradeID, runlog.Options{NoSync: true})
+			fin, err := runlog.Open(dir, degradeID, runlog.Options{FS: faultfs.Unsynced(nil)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -277,7 +277,7 @@ func servedBlocks(t *testing.T, c *runlog.Checkpoint) map[runlog.BlockID]bool {
 // of it and re-executes nothing.
 func recoverMatrixRun(t *testing.T, dir string) (served int) {
 	t.Helper()
-	r, err := runlog.Open(dir, degradeID, runlog.Options{NoSync: true})
+	r, err := runlog.Open(dir, degradeID, runlog.Options{FS: faultfs.Unsynced(nil)})
 	if err != nil {
 		t.Fatalf("reopen after the crash: %v", err)
 	}
@@ -292,7 +292,7 @@ func recoverMatrixRun(t *testing.T, dir string) (served int) {
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
-	fin, err := runlog.Open(dir, degradeID, runlog.Options{NoSync: true})
+	fin, err := runlog.Open(dir, degradeID, runlog.Options{FS: faultfs.Unsynced(nil)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func recoverMatrixRun(t *testing.T, dir string) (served int) {
 func TestCrashMatrix(t *testing.T) {
 	clean := func(t *testing.T, fs runlog.FS) string {
 		dir := t.TempDir()
-		c, err := runlog.Open(dir, degradeID, runlog.Options{NoSync: true, FS: fs})
+		c, err := runlog.Open(dir, degradeID, runlog.Options{FS: faultfs.Unsynced(fs)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -330,7 +330,7 @@ func TestCrashMatrix(t *testing.T) {
 		most := 0
 		for budget := int64(0); budget <= total; budget++ {
 			dir := t.TempDir()
-			c, err := runlog.Open(dir, degradeID, runlog.Options{NoSync: true, FS: faultfs.New(budget)})
+			c, err := runlog.Open(dir, degradeID, runlog.Options{FS: faultfs.Unsynced(faultfs.New(budget))})
 			if err != nil {
 				continue // the disk was full before the journal had its first record
 			}
@@ -382,7 +382,7 @@ func TestCrashMatrix(t *testing.T) {
 			if err := lay(dir); err != nil {
 				t.Fatal(err)
 			}
-			_, err := runlog.Open(dir, degradeID, runlog.Options{NoSync: true})
+			_, err := runlog.Open(dir, degradeID, runlog.Options{FS: faultfs.Unsynced(nil)})
 			if err == nil || !strings.Contains(err.Error(), "version-1") || !strings.Contains(err.Error(), "fresh -checkpoint") {
 				t.Fatalf("%s: err %v, want a refusal naming version 1 and the way out", name, err)
 			}

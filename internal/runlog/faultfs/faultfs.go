@@ -7,7 +7,8 @@
 // behind — before the injected error surfaces. Reads, and writes before the
 // budget runs out, pass through untouched, so a checkpoint directory written
 // through faultfs can be reopened with the real filesystem to test
-// recovery.
+// recovery. Unsynced, for tests that need no fault at all, only drops the
+// fsyncs.
 package faultfs
 
 import (
@@ -96,4 +97,29 @@ func (f *file) WriteAt(p []byte, off int64) (int, error) {
 		return 0, f.fs.errFor(f.name)
 	}
 	return f.File.WriteAt(p, off)
+}
+
+// Unsynced wraps fs — the real filesystem when nil — so that every fsync of
+// a file it opens for writing is a no-op. Tests that never crash the
+// machine use it to skip the disk flushes; without them a real crash could
+// lose records a journal claimed durable.
+func Unsynced(fs durable.FS) durable.FS {
+	if fs == nil {
+		fs = durable.OSFS{}
+	}
+	return unsyncedFS{fs}
+}
+
+type unsyncedFS struct{ durable.FS }
+
+type unsyncedFile struct{ durable.File }
+
+func (unsyncedFile) Sync() error { return nil }
+
+func (fs unsyncedFS) OpenFile(name string, flag int, perm os.FileMode) (durable.File, error) {
+	f, err := fs.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return unsyncedFile{f}, nil
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"mce/internal/runlog"
+	"mce/internal/runlog/faultfs"
 )
 
 // TestCheckpointBytesUnchanged pins the on-disk checkpoint — the version-2
@@ -20,7 +21,7 @@ func TestCheckpointBytesUnchanged(t *testing.T) {
 	dir := t.TempDir()
 	id := runlog.Identity{Graph: 0x1234567890abcdef, Options: 0xfeedface}
 	open := func() *runlog.Checkpoint {
-		c, err := runlog.Open(dir, id, runlog.Options{NoSync: true})
+		c, err := runlog.Open(dir, id, runlog.Options{FS: faultfs.Unsynced(nil)})
 		if err != nil {
 			t.Fatal(err)
 		}

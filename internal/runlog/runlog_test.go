@@ -12,6 +12,7 @@ import (
 
 	"mce/internal/durable"
 	"mce/internal/family"
+	"mce/internal/runlog/faultfs"
 	"mce/internal/telemetry"
 )
 
@@ -19,7 +20,7 @@ var testID = Identity{Graph: 0xfeedbeef, Options: 0xcafe}
 
 func openTest(t *testing.T, dir string, id Identity) *Checkpoint {
 	t.Helper()
-	c, err := Open(dir, id, Options{NoSync: true})
+	c, err := Open(dir, id, Options{FS: faultfs.Unsynced(nil)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestResumeRoundTrip(t *testing.T) {
 	}
 
 	met := telemetry.NewEngine()
-	r, err := Open(dir, testID, Options{NoSync: true, Metrics: met})
+	r, err := Open(dir, testID, Options{FS: faultfs.Unsynced(nil), Metrics: met})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +160,7 @@ func TestIdentityMismatch(t *testing.T) {
 		{Graph: testID.Graph + 1, Options: testID.Options},
 		{Graph: testID.Graph, Options: testID.Options + 1},
 	} {
-		if _, err := Open(dir, bad, Options{NoSync: true}); !errors.Is(err, ErrIdentityMismatch) {
+		if _, err := Open(dir, bad, Options{FS: faultfs.Unsynced(nil)}); !errors.Is(err, ErrIdentityMismatch) {
 			t.Fatalf("Open with identity %+v: err %v, want ErrIdentityMismatch", bad, err)
 		}
 	}
@@ -372,7 +373,7 @@ func TestDoneBeforeDispatchIdempotent(t *testing.T) {
 // never exceed the file size.
 func FuzzJournalReplay(f *testing.F) {
 	dir := f.TempDir()
-	c, err := Open(dir, testID, Options{NoSync: true})
+	c, err := Open(dir, testID, Options{FS: faultfs.Unsynced(nil)})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -417,7 +418,7 @@ func FuzzJournalReplay(f *testing.F) {
 // count and digest its done record claims.
 func FuzzLevelLog(f *testing.F) {
 	dir := f.TempDir()
-	c, err := Open(dir, testID, Options{NoSync: true})
+	c, err := Open(dir, testID, Options{FS: faultfs.Unsynced(nil)})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -456,7 +457,7 @@ func FuzzLevelLog(f *testing.F) {
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		c, err := Open(dir, testID, Options{NoSync: true})
+		c, err := Open(dir, testID, Options{FS: faultfs.Unsynced(nil)})
 		if err != nil {
 			return // another run's journal, or not one: a refusal, not a crash
 		}

@@ -1,8 +1,9 @@
 // Package telemetry is the engine's observability layer: lock-free atomic
 // counters, gauges and bounded histograms that the hot paths update, and a
-// point-in-time Snapshot that serialises to JSON for progress callbacks
-// (mce.WithProgress), the HTTP debug endpoint (-debug-addr on mceworker and
-// mcefind) and the final Stats.Telemetry record of a run.
+// point-in-time Snapshot that serialises to JSON for callers snapshotting a
+// live engine (mce.WithTelemetryEngine), the HTTP debug endpoint
+// (-debug-addr on mceworker and mcefind) and the final Stats.Telemetry
+// record of a run.
 //
 // The layer is stdlib-only and allocation-free on the update path: every
 // metric is a fixed-size struct of atomics, so instrumented code adds a

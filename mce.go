@@ -28,7 +28,6 @@ package mce
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"mce/internal/cluster"
@@ -97,16 +96,14 @@ func NewTelemetryEngine() *TelemetryEngine { return telemetry.NewEngine() }
 
 // config collects the functional options.
 type config struct {
-	core             core.Options
-	workers          []string
-	cliOpts          cluster.ClientOptions
-	report           func(DialReport)
-	healthReport     func(HealthReport)
-	progress         func(TelemetrySnapshot)
-	progressInterval time.Duration
-	checkpointDir    string
-	checkpointWarn   func(error)
-	poisonReport     func([]PoisonVerdict)
+	core           core.Options
+	workers        []string
+	cliOpts        cluster.ClientOptions
+	report         func(DialReport)
+	healthReport   func(HealthReport)
+	checkpointDir  string
+	checkpointWarn func(error)
+	poisonReport   func([]PoisonVerdict)
 }
 
 // Option customises Enumerate.
@@ -180,42 +177,6 @@ func WithAlgorithm(algorithm, structure string) Option {
 	}
 }
 
-// WithMinBlockAdjacency sets the density threshold of the greedy block
-// growth: a candidate joins a block only when it has at least k edges into
-// the block's kernels.
-func WithMinBlockAdjacency(k int) Option {
-	return func(c *config) error {
-		if k < 1 {
-			return fmt.Errorf("mce: min block adjacency %d is not positive", k)
-		}
-		c.core.Block.MinAdjacency = k
-		return nil
-	}
-}
-
-// WithMaxLevels caps the hub recursion depth; deeper levels are enumerated
-// directly (completeness is preserved). Mostly useful against adversarial
-// inputs like the Theorem 1 chain.
-func WithMaxLevels(levels int) Option {
-	return func(c *config) error {
-		if levels < 1 {
-			return fmt.Errorf("mce: max levels %d is not positive", levels)
-		}
-		c.core.MaxLevels = levels
-		return nil
-	}
-}
-
-// WithHeaviestFirst dispatches the estimated-heaviest blocks first
-// (longest-processing-time scheduling), which tightens the parallel
-// makespan when block costs are skewed. Results are unchanged.
-func WithHeaviestFirst() Option {
-	return func(c *config) error {
-		c.core.Schedule = core.ScheduleLPT
-		return nil
-	}
-}
-
 // WithWorkers distributes block analysis over mceworker processes at the
 // given TCP addresses.
 func WithWorkers(addrs ...string) Option {
@@ -224,27 +185,6 @@ func WithWorkers(addrs ...string) Option {
 			return fmt.Errorf("mce: WithWorkers needs at least one address")
 		}
 		c.workers = append([]string(nil), addrs...)
-		return nil
-	}
-}
-
-// WithWorkerCompression negotiates DEFLATE on the worker links opened by
-// WithWorkers, trading CPU for bandwidth on slow interconnects.
-func WithWorkerCompression() Option {
-	return func(c *config) error {
-		c.cliOpts.Compress = true
-		return nil
-	}
-}
-
-// WithWorkerStreams opens n parallel streams per worker address so a
-// multi-core worker can process several blocks at once.
-func WithWorkerStreams(n int) Option {
-	return func(c *config) error {
-		if n < 1 {
-			return fmt.Errorf("mce: worker streams %d is not positive", n)
-		}
-		c.cliOpts.ConnectionsPerWorker = n
 		return nil
 	}
 }
@@ -339,47 +279,17 @@ func WithWorkerHealthReport(fn func(HealthReport)) Option {
 	}
 }
 
-// WithTelemetry records metrics during the run and attaches the final
-// snapshot to Stats.Telemetry. Without it (or one of the other telemetry
-// options) the instrumentation is disabled entirely and the hot paths pay
-// nothing for it.
-func WithTelemetry() Option {
-	return func(c *config) error {
-		if c.core.Metrics == nil {
-			c.core.Metrics = telemetry.NewEngine()
-		}
-		return nil
-	}
-}
-
 // WithTelemetryEngine records metrics into a caller-owned engine, so the
 // same counters can be shared with a debug HTTP server or snapshotted
-// mid-run. Implies WithTelemetry.
+// mid-run, and attaches the final snapshot to Stats.Telemetry. Without it
+// the instrumentation is disabled entirely and the hot paths pay nothing
+// for it.
 func WithTelemetryEngine(e *TelemetryEngine) Option {
 	return func(c *config) error {
 		if e == nil {
 			return fmt.Errorf("mce: WithTelemetryEngine needs an engine")
 		}
 		c.core.Metrics = e
-		return nil
-	}
-}
-
-// WithProgress delivers a live telemetry snapshot to fn every interval
-// while the run is in flight, plus one final snapshot when it completes —
-// so fn always observes the run at least once, however short it was. fn is
-// called from a dedicated goroutine and must not block for long. Implies
-// WithTelemetry.
-func WithProgress(fn func(TelemetrySnapshot), interval time.Duration) Option {
-	return func(c *config) error {
-		if fn == nil {
-			return fmt.Errorf("mce: WithProgress needs a callback")
-		}
-		if interval <= 0 {
-			return fmt.Errorf("mce: progress interval %v is not positive", interval)
-		}
-		c.progress = fn
-		c.progressInterval = interval
 		return nil
 	}
 }
@@ -545,8 +455,7 @@ func EnumerateContext(ctx context.Context, g *Graph, opts ...Option) (*Result, e
 }
 
 // run is the wrapper every enumeration route shares: it resolves the
-// options, dials the workers, runs enumerate between the progress ticker's
-// start and stop, folds the poison-task verdicts into the Stats enumerate
+// options, dials the workers, runs enumerate, folds the poison-task verdicts into the Stats enumerate
 // returned (and returns them), and closes the workers after delivering the
 // health report.
 func run(ctx context.Context, opts []Option, enumerate func(*config) (*Stats, error)) (*Stats, error) {
@@ -563,7 +472,6 @@ func run(ctx context.Context, opts []Option, enumerate func(*config) (*Stats, er
 			defer func() { cfg.healthReport(client.HealthReport()) }()
 		}
 	}
-	defer cfg.startProgress()()
 	stats, err := enumerate(cfg)
 	if err != nil {
 		return nil, err
@@ -579,40 +487,6 @@ func run(ctx context.Context, opts []Option, enumerate func(*config) (*Stats, er
 	return stats, nil
 }
 
-// startProgress launches the WithProgress ticker goroutine and returns its
-// stop function, which delivers the guaranteed final snapshot. A no-op when
-// WithProgress was not given.
-func (c *config) startProgress() (stop func()) {
-	if c.progress == nil {
-		return func() {}
-	}
-	eng := c.core.Metrics // setup resolves it before dialling
-	if eng == nil {
-		return func() {} // progress without telemetry has nothing to snapshot
-	}
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		t := time.NewTicker(c.progressInterval)
-		defer t.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-t.C:
-				c.progress(eng.Snapshot())
-			}
-		}
-	}()
-	return func() {
-		close(done)
-		wg.Wait()
-		c.progress(eng.Snapshot())
-	}
-}
-
 // setup resolves the options and dials workers when requested; ctx bounds
 // the dialling, so a caller's cancellation is honoured before the first
 // block ships.
@@ -622,9 +496,6 @@ func setup(ctx context.Context, opts []Option) (*config, *cluster.Client, error)
 		if err := opt(&cfg); err != nil {
 			return nil, nil, err
 		}
-	}
-	if cfg.progress != nil && cfg.core.Metrics == nil {
-		cfg.core.Metrics = telemetry.NewEngine()
 	}
 	// The cluster client shares the run's engine, so coordinator-side wire
 	// metrics land in the same snapshot.

@@ -4,6 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -44,13 +48,61 @@ func TestOptionValidation(t *testing.T) {
 		WithParallelism(0),
 		WithAlgorithm("NoSuch", "Lists"),
 		WithAlgorithm("Tomita", "NoSuch"),
-		WithMinBlockAdjacency(0),
-		WithMaxLevels(0),
 		WithWorkers(),
 	}
 	for i, opt := range bad {
 		if _, err := Enumerate(g, opt); err == nil {
 			t.Errorf("bad option %d accepted", i)
+		}
+	}
+}
+
+// TestPublicOptionsHaveCallers keeps the option surface sized by its
+// callers: every exported With* in mce.go must be called from a non-test
+// file under cmd/ or bench/. An option only tests set belongs in the engine
+// as a constant, not in the public API.
+func TestPublicOptionsHaveCallers(t *testing.T) {
+	fset := token.NewFileSet()
+	api, err := parser.ParseFile(fset, "mce.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var options []string
+	for _, d := range api.Decls {
+		if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil && fn.Name.IsExported() && strings.HasPrefix(fn.Name.Name, "With") {
+			options = append(options, fn.Name.Name)
+		}
+	}
+	if len(options) == 0 {
+		t.Fatal("no With* options found in mce.go")
+	}
+	called := map[string]bool{}
+	for _, root := range []string{"cmd", "bench"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return err
+			}
+			f, err := parser.ParseFile(fset, path, nil, 0)
+			if err != nil {
+				return err
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				if sel, ok := n.(*ast.SelectorExpr); ok {
+					if x, ok := sel.X.(*ast.Ident); ok && x.Name == "mce" {
+						called[sel.Sel.Name] = true
+					}
+				}
+				return true
+			})
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, name := range options {
+		if !called[name] {
+			t.Errorf("%s has no caller outside tests under cmd/ or bench/", name)
 		}
 	}
 }
@@ -178,13 +230,15 @@ func TestParseCombo(t *testing.T) {
 	}
 }
 
+// TestSchedulingOption: the options that only schedule work — block-level
+// and intra-block parallelism — never change the output or its order.
 func TestSchedulingOption(t *testing.T) {
 	g := GenerateSocialNetwork(400, 5, 0.7, 21)
-	base, err := Enumerate(g, WithBlockRatio(0.3))
+	base, err := Enumerate(g, WithBlockRatio(0.3), WithParallelism(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tuned, err := Enumerate(g, WithBlockRatio(0.3), WithHeaviestFirst())
+	tuned, err := Enumerate(g, WithBlockRatio(0.3), WithParallelism(3), WithIntraBlockParallelism(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +246,7 @@ func TestSchedulingOption(t *testing.T) {
 		t.Fatalf("options changed results: %d vs %d", len(base.Cliques), len(tuned.Cliques))
 	}
 	for i := range base.Cliques {
-		if key(base.Cliques[i]) != key(tuned.Cliques[i]) {
+		if key(base.Cliques[i]) != key(tuned.Cliques[i]) || base.Level[i] != tuned.Level[i] {
 			t.Fatalf("options permuted output at %d", i)
 		}
 	}
@@ -226,6 +280,15 @@ func TestEnumerateStreamPublicAPI(t *testing.T) {
 	}
 }
 
+// maxLevels caps the hub recursion depth (core.Options.MaxLevels), an
+// engine knob with no public option.
+func maxLevels(levels int) Option {
+	return func(c *config) error {
+		c.core.MaxLevels = levels
+		return nil
+	}
+}
+
 // TestStreamHonoursMaxLevels pins that the depth cap counts absolute
 // recursion depth on both routes: a graph that needs ≥ 3 levels, capped at
 // one, runs level 0 plus the terminal core whether accumulated or streamed.
@@ -238,11 +301,11 @@ func TestStreamHonoursMaxLevels(t *testing.T) {
 	if n := len(uncapped.Stats.Levels); n < 3 {
 		t.Fatalf("fixture needs only %d levels, want ≥ 3", n)
 	}
-	batch, err := Enumerate(g, WithBlockSize(10), WithMaxLevels(1))
+	batch, err := Enumerate(g, WithBlockSize(10), maxLevels(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	streamed, err := EnumerateStream(g, func([]int32, int) {}, WithBlockSize(10), WithMaxLevels(1))
+	streamed, err := EnumerateStream(g, func([]int32, int) {}, WithBlockSize(10), maxLevels(1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package mce
 
 import (
+	"fmt"
 	"os"
 
 	"mce/internal/cliqstore"
@@ -25,14 +26,19 @@ type OutOfCoreStats = extmce.Stats
 // hub cliques are filtered with targeted disk reads. emit receives each
 // clique (ascending IDs, slice reused) and its hub recursion level.
 //
-// Supported options: WithBlockSize, WithBlockRatio, WithAlgorithm. Peak
-// memory is one block plus the hub subgraph.
+// Supported options: WithBlockSize, WithBlockRatio, WithAlgorithm and
+// WithParallelism (the prefetch depth and the hub recursion's width); any
+// other option is refused by name rather than silently ignored. Peak memory
+// is one block plus the hub subgraph.
 func EnumerateOutOfCore(path string, emit func(clique []int32, hubLevel int), opts ...Option) (*OutOfCoreStats, error) {
 	var cfg config
 	for _, opt := range opts {
 		if err := opt(&cfg); err != nil {
 			return nil, err
 		}
+	}
+	if name := cfg.outOfCoreIgnored(); name != "" {
+		return nil, fmt.Errorf("mce: EnumerateOutOfCore does not support %s", name)
 	}
 	dg, err := diskgraph.Open(path)
 	if err != nil {
@@ -51,6 +57,35 @@ func EnumerateOutOfCore(path string, emit func(clique []int32, hubLevel int), op
 		eopts.Combo = *cfg.core.FixedCombo
 	}
 	return extmce.Enumerate(dg, eopts, emit)
+}
+
+// outOfCoreIgnored names the first option that was given but that
+// EnumerateOutOfCore has no use for; "" when there is none.
+func (c *config) outOfCoreIgnored() string {
+	for _, o := range []struct {
+		set  bool
+		name string
+	}{
+		{c.core.IntraBlockParallelism != 0, "WithIntraBlockParallelism"},
+		{len(c.workers) > 0, "WithWorkers"},
+		{c.cliOpts.TaskTimeout != 0, "WithTaskTimeout"},
+		{c.cliOpts.TaskRetries != 0, "WithTaskRetries"},
+		{c.cliOpts.AutoReconnect, "WithAutoReconnect"},
+		{c.cliOpts.Hedge, "WithHedgedDispatch"},
+		{c.core.MemoryBudget != 0, "WithMemoryBudget"},
+		{c.healthReport != nil, "WithWorkerHealthReport"},
+		{c.core.Metrics != nil, "WithTelemetryEngine"},
+		{c.checkpointDir != "", "WithCheckpoint"},
+		{c.checkpointWarn != nil, "WithCheckpointWarning"},
+		{c.cliOpts.SkipPoisonTasks, "WithSkipPoisonTasks"},
+		{c.poisonReport != nil, "WithPoisonReport"},
+		{c.report != nil, "WithWorkerReport"},
+	} {
+		if o.set {
+			return o.name
+		}
+	}
+	return ""
 }
 
 // SaveCliques streams an enumeration result into the compact binary clique

@@ -8,13 +8,13 @@ import (
 
 func TestWithTelemetryFinalSnapshot(t *testing.T) {
 	g := GenerateSocialNetwork(300, 4, 0.6, 7)
-	res, err := Enumerate(g, WithTelemetry(), WithBlockRatio(0.3))
+	res, err := Enumerate(g, WithTelemetryEngine(NewTelemetryEngine()), WithBlockRatio(0.3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := res.Stats.Telemetry
 	if s == nil {
-		t.Fatal("Stats.Telemetry nil with WithTelemetry")
+		t.Fatal("Stats.Telemetry nil with WithTelemetryEngine")
 	}
 	if s.BlocksBuilt == 0 || s.RecursionNodes == 0 {
 		t.Fatalf("telemetry empty: %+v", s)
@@ -47,63 +47,64 @@ func TestWithTelemetryEngineSharedMidRun(t *testing.T) {
 	}
 }
 
-func TestWithProgressDeliversSnapshots(t *testing.T) {
-	// A multi-block run with a tiny interval must deliver at least the
-	// guaranteed final snapshot; the last one observed must be complete.
+// TestTelemetryEngineLiveSnapshots: a caller-owned engine can be
+// snapshotted from another goroutine while the run is in flight — the way
+// mcefind -debug-addr serves it — on both routes. Counters never go
+// backwards between snapshots, and the engine ends where Stats.Telemetry
+// does. Run it under -race.
+func TestTelemetryEngineLiveSnapshots(t *testing.T) {
 	g := GenerateSocialNetwork(500, 5, 0.6, 11)
-	var mu sync.Mutex
-	var snaps []TelemetrySnapshot
-	res, err := Enumerate(g,
-		WithBlockRatio(0.3),
-		WithProgress(func(s TelemetrySnapshot) {
-			mu.Lock()
-			snaps = append(snaps, s)
-			mu.Unlock()
-		}, time.Millisecond),
-	)
-	if err != nil {
-		t.Fatal(err)
+	routes := map[string]func(...Option) (*Stats, error){
+		"Enumerate": func(opts ...Option) (*Stats, error) {
+			res, err := Enumerate(g, opts...)
+			if err != nil {
+				return nil, err
+			}
+			return &res.Stats, nil
+		},
+		"EnumerateStream": func(opts ...Option) (*Stats, error) {
+			return EnumerateStream(g, func([]int32, int) {}, opts...)
+		},
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(snaps) == 0 {
-		t.Fatal("WithProgress delivered no snapshots")
-	}
-	last := snaps[len(snaps)-1]
-	if last.BlocksBuilt == 0 {
-		t.Fatalf("final progress snapshot empty: %+v", last)
-	}
-	if last.BlocksBuilt != res.Stats.Telemetry.BlocksBuilt {
-		t.Fatalf("final snapshot blocks %d ≠ Stats.Telemetry blocks %d",
-			last.BlocksBuilt, res.Stats.Telemetry.BlocksBuilt)
-	}
-	// Monotone counters never go backwards across snapshots.
-	for i := 1; i < len(snaps); i++ {
-		if snaps[i].BlocksBuilt < snaps[i-1].BlocksBuilt ||
-			snaps[i].CliquesFound < snaps[i-1].CliquesFound {
-			t.Fatalf("snapshot %d regressed: %+v then %+v", i, snaps[i-1], snaps[i])
-		}
-	}
-}
-
-func TestWithProgressOnStream(t *testing.T) {
-	g := GenerateSocialNetwork(200, 4, 0.5, 3)
-	got := 0
-	n := 0
-	stats, err := EnumerateStream(g, func([]int32, int) { n++ },
-		WithBlockRatio(0.3),
-		WithProgress(func(TelemetrySnapshot) { got++ }, time.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got == 0 {
-		t.Fatal("no final snapshot on stream run")
-	}
-	if stats.Telemetry == nil {
-		t.Fatal("stream Stats.Telemetry nil under WithProgress")
-	}
-	if n == 0 {
-		t.Fatal("stream emitted nothing")
+	for name, route := range routes {
+		t.Run(name, func(t *testing.T) {
+			eng := NewTelemetryEngine()
+			done := make(chan struct{})
+			var snaps []TelemetrySnapshot
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					snaps = append(snaps, eng.Snapshot())
+					select {
+					case <-done:
+						return
+					case <-time.After(100 * time.Microsecond):
+					}
+				}
+			}()
+			stats, err := route(WithBlockRatio(0.3), WithTelemetryEngine(eng))
+			close(done)
+			wg.Wait()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(snaps) == 0 {
+				t.Fatal("no snapshot taken")
+			}
+			for i := 1; i < len(snaps); i++ {
+				if snaps[i].BlocksBuilt < snaps[i-1].BlocksBuilt || snaps[i].CliquesFound < snaps[i-1].CliquesFound {
+					t.Fatalf("snapshot %d regressed: %+v then %+v", i, snaps[i-1], snaps[i])
+				}
+			}
+			if stats.Telemetry == nil || stats.Telemetry.BlocksBuilt == 0 {
+				t.Fatalf("Stats.Telemetry = %+v", stats.Telemetry)
+			}
+			if got := eng.Snapshot().BlocksBuilt; got != stats.Telemetry.BlocksBuilt {
+				t.Fatalf("engine blocks %d ≠ Stats.Telemetry blocks %d", got, stats.Telemetry.BlocksBuilt)
+			}
+		})
 	}
 }
 
@@ -111,9 +112,6 @@ func TestTelemetryOptionValidation(t *testing.T) {
 	g := FromEdges(2, []Edge{{U: 0, V: 1}})
 	bad := []Option{
 		WithTelemetryEngine(nil),
-		WithProgress(nil, time.Second),
-		WithProgress(func(TelemetrySnapshot) {}, 0),
-		WithProgress(func(TelemetrySnapshot) {}, -time.Second),
 	}
 	for i, opt := range bad {
 		if _, err := Enumerate(g, opt); err == nil {
@@ -129,7 +127,7 @@ func TestDistributedTelemetry(t *testing.T) {
 	}
 	defer stop()
 	g := GenerateSocialNetwork(300, 4, 0.6, 7)
-	res, err := Enumerate(g, WithWorkers(addrs...), WithTelemetry(), WithBlockRatio(0.3))
+	res, err := Enumerate(g, WithWorkers(addrs...), WithTelemetryEngine(NewTelemetryEngine()), WithBlockRatio(0.3))
 	if err != nil {
 		t.Fatal(err)
 	}
