@@ -55,6 +55,7 @@ vulncheck:
 fuzz-smoke:
 	$(GO) test -run=Fuzz -fuzz=FuzzReader -fuzztime=10s ./internal/cliqstore
 	$(GO) test -run=Fuzz -fuzz=FuzzReadEdgeList -fuzztime=10s ./internal/gio
+	$(GO) test -run=Fuzz -fuzz=FuzzDetect -fuzztime=10s ./internal/community
 	$(GO) test -run=Fuzz -fuzz=FuzzReadTriples -fuzztime=10s ./internal/gio
 	$(GO) test -run=Fuzz -fuzz=FuzzLoadMatchesReference -fuzztime=10s ./internal/gio
 	$(GO) test -run=Fuzz -fuzz=FuzzJournalReplay -fuzztime=10s ./internal/runlog

@@ -18,7 +18,8 @@ type Community = community.Community
 // k-clique communities by clique percolation: cliques of size ≥ k that
 // share at least k−1 nodes (directly or through a chain of such cliques)
 // merge into one community. k must be ≥ 2. Communities come back
-// largest-first.
+// largest-first, ties by node list, so the same family always gives the
+// same slice.
 func Communities(res *Result, k int) ([]Community, error) {
 	return community.Detect(res.Cliques, k)
 }

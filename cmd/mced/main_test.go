@@ -335,7 +335,6 @@ func (s *slowDB) NumVertices() int32                         { return 1 << 20 }
 func (s *slowDB) NumCliques() int                            { return 1 }
 func (s *slowDB) CliqueSize(uint32) int                      { return 2 }
 func (s *slowDB) Digest() uint32                             { return 0 }
-func (s *slowDB) Cliques() [][]int32                         { return [][]int32{{0, 1}} }
 func (s *slowDB) AppendClique(dst []int32, _ uint32) []int32 { return append(dst, 0, 1) }
 
 func (s *slowDB) AppendCliquesOf(dst []uint32, _ int32) []uint32 {
@@ -344,6 +343,12 @@ func (s *slowDB) AppendCliquesOf(dst []uint32, _ int32) []uint32 {
 }
 func (s *slowDB) AppendCommonCliques(dst []uint32, _, _ int32) []uint32 { return append(dst, 0) }
 func (s *slowDB) AppendTopK(dst []uint32, _ int) []uint32               { return append(dst, 0) }
+func (s *slowDB) AppendMinSize(dst []uint32, k int) []uint32 {
+	if k > 2 {
+		return dst
+	}
+	return append(dst, 0)
+}
 
 // TestOverloadShedsWith429 drives far more concurrency than -max-inflight
 // allows and asserts the contract under overload: excess load is shed with

@@ -30,7 +30,7 @@ type queryDB interface {
 	AppendCliquesOf(dst []uint32, v int32) []uint32
 	AppendCommonCliques(dst []uint32, u, v int32) []uint32
 	AppendTopK(dst []uint32, k int) []uint32
-	Cliques() [][]int32
+	AppendMinSize(dst []uint32, k int) []uint32
 	Digest() uint32
 }
 
@@ -207,23 +207,61 @@ func errResult(status int, format string, args ...any) result {
 }
 
 // --- endpoint handlers ---
+//
+// Every answer is one JSON object appended straight into a byte slice:
+// keys in sorted order and integers in decimal, the bytes encoding/json
+// gives the same map, with no intermediate values to build and marshal.
 
-type cliqueJSON struct {
-	ID      uint32  `json:"id"`
-	Size    int     `json:"size"`
-	Members []int32 `json:"members"`
+// okResult seals a body built by the appenders below.
+func okResult(body []byte) result {
+	return result{body: append(body, "}\n"...), status: http.StatusOK}
 }
 
-func (s *server) cliqueList(db queryDB, ids []uint32) (list []cliqueJSON, truncated bool) {
+func appendInt(b []byte, key string, v int) []byte {
+	return strconv.AppendInt(append(b, key...), int64(v), 10)
+}
+
+func appendBool(b []byte, key string, v bool) []byte {
+	return strconv.AppendBool(append(b, key...), v)
+}
+
+// appendInts appends a JSON array of integers.
+func appendInts(b []byte, vs []int32) []byte {
+	b = append(b, '[')
+	for i, v := range vs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(v), 10)
+	}
+	return append(b, ']')
+}
+
+// appendCliques appends `{"cliques":[…]` — at most maxResults of ids, each
+// as {"id","size","members"} — and reports whether it cut the list short.
+func (s *server) appendCliques(db queryDB, ids []uint32) (b []byte, truncated bool) {
 	if len(ids) > s.cfg.maxResults {
 		ids = ids[:s.cfg.maxResults]
 		truncated = true
 	}
-	list = make([]cliqueJSON, len(ids))
-	for i, id := range ids {
-		list[i] = cliqueJSON{ID: id, Size: db.CliqueSize(id), Members: db.AppendClique(nil, id)}
+	size := 0
+	for _, id := range ids {
+		size += db.CliqueSize(id)
 	}
-	return list, truncated
+	b = make([]byte, 0, 96+len(ids)*32+size*7)
+	b = append(b, `{"cliques":[`...)
+	var members []int32
+	for i, id := range ids {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		members = db.AppendClique(members[:0], id)
+		b = appendInt(b, `{"id":`, int(id))
+		b = appendInt(b, `,"size":`, len(members))
+		b = appendInts(append(b, `,"members":`...), members)
+		b = append(b, '}')
+	}
+	return append(b, ']'), truncated
 }
 
 func parseVertex(r *http.Request, name string) (int32, error) {
@@ -250,10 +288,10 @@ func (s *server) cliquesOf(ctx context.Context, db queryDB, r *http.Request) res
 	if v < db.NumVertices() {
 		ids = db.AppendCliquesOf(nil, v)
 	}
-	list, truncated := s.cliqueList(db, ids)
-	return jsonResult(map[string]any{
-		"vertex": v, "total": len(ids), "truncated": truncated, "cliques": list,
-	})
+	b, truncated := s.appendCliques(db, ids)
+	b = appendInt(b, `,"total":`, len(ids))
+	b = appendBool(b, `,"truncated":`, truncated)
+	return okResult(appendInt(b, `,"vertex":`, int(v)))
 }
 
 // commonCliques serves GET /v1/common-cliques?u=N&v=M — the maximal cliques
@@ -271,10 +309,11 @@ func (s *server) commonCliques(ctx context.Context, db queryDB, r *http.Request)
 	if u < db.NumVertices() && v < db.NumVertices() {
 		ids = db.AppendCommonCliques(nil, u, v)
 	}
-	list, truncated := s.cliqueList(db, ids)
-	return jsonResult(map[string]any{
-		"u": u, "v": v, "total": len(ids), "truncated": truncated, "cliques": list,
-	})
+	b, truncated := s.appendCliques(db, ids)
+	b = appendInt(b, `,"total":`, len(ids))
+	b = appendBool(b, `,"truncated":`, truncated)
+	b = appendInt(b, `,"u":`, int(u))
+	return okResult(appendInt(b, `,"v":`, int(v)))
 }
 
 // topK serves GET /v1/top-k?k=N — the k largest maximal cliques, size
@@ -291,43 +330,56 @@ func (s *server) topK(ctx context.Context, db queryDB, r *http.Request) result {
 		truncated = true
 	}
 	ids := db.AppendTopK(nil, k)
-	list, _ := s.cliqueList(db, ids)
-	return jsonResult(map[string]any{
-		"k": k, "total": len(ids), "truncated": truncated, "cliques": list,
-	})
-}
-
-type communityJSON struct {
-	Nodes         []int32 `json:"nodes"`
-	Cliques       int     `json:"cliques"`
-	MaxCliqueSize int     `json:"max_clique_size"`
+	b, _ := s.appendCliques(db, ids)
+	b = appendInt(b, `,"k":`, k)
+	b = appendInt(b, `,"total":`, len(ids))
+	return okResult(appendBool(b, `,"truncated":`, truncated))
 }
 
 // communities serves GET /v1/communities?k=N — k-clique percolation over
-// the whole index. This is the one endpoint that touches every clique, so
-// it is the reason queries carry deadlines.
+// the cliques of at least k members, which the index's size order keeps as
+// one prefix. At small k that prefix is most of the index, so this is the
+// endpoint that makes queries carry deadlines.
 func (s *server) communities(ctx context.Context, db queryDB, r *http.Request) result {
 	raw := r.URL.Query().Get("k")
 	k, err := strconv.Atoi(raw)
 	if err != nil || k < 2 {
 		return errResult(http.StatusBadRequest, "query parameter %q must be an integer ≥ 2, got %q", "k", raw)
 	}
-	comms, err := community.Detect(db.Cliques(), k)
+	ids := db.AppendMinSize(nil, k)
+	var members []int32
+	offsets := make([]int, 1, len(ids)+1)
+	for _, id := range ids {
+		members = db.AppendClique(members, id)
+		offsets = append(offsets, len(members))
+	}
+	comms, err := community.Percolate(members, offsets, k)
 	if err != nil {
-		return errResult(http.StatusBadRequest, "%v", err)
+		return errResult(http.StatusInternalServerError, "%v", err)
 	}
 	truncated := false
 	if len(comms) > s.cfg.maxResults {
 		comms = comms[:s.cfg.maxResults]
 		truncated = true
 	}
-	list := make([]communityJSON, len(comms))
-	for i, c := range comms {
-		list[i] = communityJSON{Nodes: c.Nodes, Cliques: c.Cliques, MaxCliqueSize: c.MaxCliqueSize}
+	size := 0
+	for _, c := range comms {
+		size += len(c.Nodes)
 	}
-	return jsonResult(map[string]any{
-		"k": k, "total": len(list), "truncated": truncated, "communities": list,
-	})
+	b := make([]byte, 0, 96+len(comms)*48+size*7)
+	b = append(b, `{"communities":[`...)
+	for i, c := range comms {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendInts(append(b, `{"nodes":`...), c.Nodes)
+		b = appendInt(b, `,"cliques":`, c.Cliques)
+		b = appendInt(b, `,"max_clique_size":`, c.MaxCliqueSize)
+		b = append(b, '}')
+	}
+	b = appendInt(append(b, ']'), `,"k":`, k)
+	b = appendInt(b, `,"total":`, len(comms))
+	return okResult(appendBool(b, `,"truncated":`, truncated))
 }
 
 // rebuild serves POST /v1/rebuild — recompile the index from the segment

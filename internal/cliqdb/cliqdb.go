@@ -186,7 +186,7 @@ func (db *DB) AppendCliquesOf(dst []uint32, v int32) []uint32 {
 	}
 	cur := db.posting(v)
 	if n := cur.Len(); cap(dst)-len(dst) < n {
-		grown := make([]uint32, len(dst), len(dst)+n)
+		grown := make([]uint32, len(dst), max(2*cap(dst), len(dst)+n))
 		copy(grown, dst)
 		dst = grown
 	}
@@ -264,9 +264,9 @@ func (db *DB) AppendMinSize(dst []uint32, k int) []uint32 {
 	return dst
 }
 
-// Cliques materialises every clique in canonical order. It is the bulk
-// export used by community percolation and by tests; point queries should
-// use AppendClique.
+// Cliques materialises every clique in canonical order, one slice each. It
+// is the bulk export for tests and benchmark answer checks; queries should
+// use AppendClique, and community percolation AppendMinSize.
 func (db *DB) Cliques() [][]int32 {
 	out := make([][]int32, db.nCliques)
 	for id := 0; id < db.nCliques; id++ {

@@ -175,6 +175,50 @@ func TestTopKAndMinSize(t *testing.T) {
 	}
 }
 
+// TestAppendManyIntoOneBuffer appends 10⁴ cliques, and then every
+// vertex's posting list, into one growing buffer each. Growth must be
+// geometric: an exact-length grow per call made this quadratic.
+func TestAppendManyIntoOneBuffer(t *testing.T) {
+	const count = 10_000
+	cliques := make([][]int32, count)
+	for i := range cliques {
+		v := int32(3 * i)
+		cliques[i] = []int32{v, v + 1, v + 2}
+	}
+	db, _ := buildTestDB(t, cliques)
+	var members []int32
+	var ids []uint32
+	cliqueAllocs := testing.AllocsPerRun(5, func() {
+		members = nil
+		for id := uint32(0); id < count; id++ {
+			members = db.AppendClique(members, id)
+		}
+	})
+	postingAllocs := testing.AllocsPerRun(5, func() {
+		ids = nil
+		for v := int32(0); v < db.NumVertices(); v++ {
+			ids = db.AppendCliquesOf(ids, v)
+		}
+	})
+	if len(members) != 3*count || len(ids) != 3*count {
+		t.Fatalf("appended %d members and %d posting IDs, want %d each", len(members), len(ids), 3*count)
+	}
+	if cliqueAllocs > 64 || postingAllocs > 64 {
+		t.Fatalf("appending into one buffer took %.0f allocations for cliques and %.0f for postings, want ≤ 64 each",
+			cliqueAllocs, postingAllocs)
+	}
+	// A presized buffer still never grows.
+	members = make([]int32, 0, 3*count)
+	if n := testing.AllocsPerRun(5, func() {
+		members = members[:0]
+		for id := uint32(0); id < count; id++ {
+			members = db.AppendClique(members, id)
+		}
+	}); n != 0 {
+		t.Fatalf("a presized buffer took %.0f allocations", n)
+	}
+}
+
 func TestBuildDeterministicAndOrderIndependent(t *testing.T) {
 	cliques := realCliques(t)
 	dir := t.TempDir()

@@ -12,8 +12,9 @@
 package community
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Community is one overlapping community: the union of the nodes of a
@@ -28,75 +29,180 @@ type Community struct {
 }
 
 // Detect runs k-clique percolation over a family of maximal cliques (as
-// produced by the enumeration engine). Cliques smaller than k are ignored.
-// Communities are returned largest-first, ties by first node.
+// produced by the enumeration engine), each with ascending members.
+// Cliques smaller than k are ignored. Communities come back in the order
+// Percolate gives them.
 func Detect(cliques [][]int32, k int) ([]Community, error) {
+	var members []int32
+	offsets := []int{0}
+	for _, c := range cliques {
+		if len(c) >= k {
+			members = append(members, c...)
+			offsets = append(offsets, len(members))
+		}
+	}
+	return Percolate(members, offsets, k)
+}
+
+// Percolate runs k-clique percolation over a flat clique family: clique i
+// is members[offsets[i]:offsets[i+1]], ascending, with at least k members.
+// Communities come back in a total order — size descending, then Nodes
+// lexicographically, then Cliques, then MaxCliqueSize — so a family gives
+// the same answer whatever order its cliques arrive in.
+func Percolate(members []int32, offsets []int, k int) ([]Community, error) {
 	if k < 2 {
 		return nil, fmt.Errorf("community: k = %d, want ≥ 2", k)
 	}
-	// Keep only cliques large enough to host a k-clique.
-	var kept [][]int32
-	for _, c := range cliques {
-		if len(c) >= k {
-			kept = append(kept, c)
+	n := len(offsets) - 1
+	if n <= 0 {
+		return []Community{}, nil
+	}
+	for i := 0; i < n; i++ {
+		if offsets[i+1]-offsets[i] < k {
+			return nil, fmt.Errorf("community: clique %d has %d members, want ≥ k = %d", i, offsets[i+1]-offsets[i], k)
 		}
 	}
-	uf := newUnionFind(len(kept))
+	members = members[:offsets[n]]
+	clique := func(i int32) []int32 { return members[offsets[i]:offsets[i+1]] }
 
-	// Two maximal cliques percolate when they share ≥ k−1 nodes. Candidate
-	// pairs must share at least one node, so an inverted node→clique index
-	// bounds the pair scan.
-	byNode := map[int32][]int32{}
-	for i, c := range kept {
-		for _, v := range c {
-			byNode[v] = append(byNode[v], int32(i))
+	// Postings are arrays indexed by node. Dense IDs index them as an offset
+	// from the smallest; a family with a few far-apart (or negative) IDs is
+	// relabelled to ranks instead, so no array is sized by the largest ID.
+	lo, hi := slices.Min(members[offsets[0]:]), slices.Max(members[offsets[0]:])
+	span := int(hi) - int(lo) + 1
+	var names []int32 // rank → node ID, when relabelled
+	if span > 2*len(members)+64 {
+		names = slices.Clone(members[offsets[0]:])
+		slices.Sort(names)
+		names = slices.Compact(names)
+		ranked := make([]int32, len(members))
+		for i, v := range members[offsets[0]:] {
+			r, _ := slices.BinarySearch(names, v)
+			ranked[offsets[0]+i] = int32(r)
+		}
+		members, lo, span = ranked, 0, len(names)
+	}
+
+	// Node → clique postings in CSR form, each list ascending by clique.
+	start := make([]int, span+1)
+	for _, v := range members[offsets[0]:] {
+		start[v-lo+1]++
+	}
+	for x := 0; x < span; x++ {
+		start[x+1] += start[x]
+	}
+	next := slices.Clone(start[:span])
+	post := make([]int32, start[span])
+	for c := int32(0); c < int32(n); c++ {
+		for _, v := range clique(c) {
+			post[next[v-lo]] = c
+			next[v-lo]++
 		}
 	}
-	for _, ids := range byNode {
-		for x := 1; x < len(ids); x++ {
-			a := ids[x]
-			for _, b := range ids[:x] {
-				if uf.find(int(a)) == uf.find(int(b)) {
+	copy(next, start[:span])
+
+	// Two cliques percolate when they share ≥ k−1 nodes. Clique a meets each
+	// later clique b in the postings of a's members; next[x] walks past a in
+	// node x's list, so what follows it there is exactly the later cliques.
+	// If b shares ≥ k−1 of a's s members it contains one of any s−k+2 of
+	// them, so only the s−k+2 shortest remaining lists are scanned.
+	uf := newUnionFind(n)
+	seen := make([]int32, n) // seen[b] = a+1 once b was tested against a
+	var order []uint64       // remaining list length << 32 | node index
+	for a := int32(0); a < int32(n); a++ {
+		ca := clique(a)
+		order = order[:0]
+		for _, v := range ca {
+			x := v - lo
+			next[x]++
+			order = append(order, uint64(start[x+1]-next[x])<<32|uint64(x))
+		}
+		slices.Sort(order)
+		ra := uf.find(a)
+		for _, o := range order[:len(ca)-k+2] {
+			x := int32(uint32(o))
+			for _, b := range post[next[x]:start[x+1]] {
+				if seen[b] == a+1 {
 					continue
 				}
-				if overlapAtLeast(kept[a], kept[b], k-1) {
-					uf.union(int(a), int(b))
+				seen[b] = a + 1
+				if uf.find(b) != ra && overlapAtLeast(ca, clique(b), k-1) {
+					uf.union(a, b)
+					ra = uf.find(a)
 				}
 			}
 		}
 	}
 
-	groups := map[int][]int{}
-	for i := range kept {
-		r := uf.find(i)
-		groups[r] = append(groups[r], i)
+	// Number the components in clique order, then fill every community's
+	// nodes by walking the nodes ascending: each list comes out sorted and
+	// deduplicated, into one presized buffer.
+	group := seen              // clique → community, reusing the scratch
+	byRoot := make([]int32, n) // root → community + 1
+	groups := 0
+	for c := int32(0); c < int32(n); c++ {
+		if uf.find(c) == c {
+			groups++
+		}
 	}
-	out := make([]Community, 0, len(groups))
-	for _, ids := range groups {
-		members := map[int32]bool{}
-		maxSize := 0
-		for _, i := range ids {
-			if len(kept[i]) > maxSize {
-				maxSize = len(kept[i])
-			}
-			for _, v := range kept[i] {
-				members[v] = true
-			}
+	out := make([]Community, 0, groups)
+	for c := int32(0); c < int32(n); c++ {
+		r := uf.find(c)
+		if byRoot[r] == 0 {
+			out = append(out, Community{})
+			byRoot[r] = int32(len(out))
 		}
-		nodes := make([]int32, 0, len(members))
-		for v := range members {
-			nodes = append(nodes, v)
-		}
-		sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-		out = append(out, Community{Nodes: nodes, Cliques: len(ids), MaxCliqueSize: maxSize})
+		g := byRoot[r] - 1
+		group[c] = g
+		out[g].Cliques++
+		out[g].MaxCliqueSize = max(out[g].MaxCliqueSize, len(clique(c)))
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if len(out[i].Nodes) != len(out[j].Nodes) {
-			return len(out[i].Nodes) > len(out[j].Nodes)
+	last := make([]int, groups) // last[g] = x+1 once node x is counted for g
+	fill := make([]int, groups+1)
+	for x := 0; x < span; x++ {
+		for _, c := range post[start[x]:start[x+1]] {
+			if g := group[c]; last[g] != x+1 {
+				last[g] = x + 1
+				fill[g+1]++
+			}
 		}
-		return out[i].Nodes[0] < out[j].Nodes[0]
-	})
+	}
+	for g := 0; g < groups; g++ {
+		fill[g+1] += fill[g]
+	}
+	nodes := make([]int32, fill[groups])
+	at := slices.Clone(fill[:groups])
+	for x := 0; x < span; x++ {
+		id := int32(x) + lo
+		if names != nil {
+			id = names[x]
+		}
+		for _, c := range post[start[x]:start[x+1]] {
+			if g := group[c]; at[g] == fill[g] || nodes[at[g]-1] != id {
+				nodes[at[g]] = id
+				at[g]++
+			}
+		}
+	}
+	for g := range out {
+		out[g].Nodes = nodes[fill[g]:fill[g+1]:fill[g+1]]
+	}
+	slices.SortFunc(out, compare)
 	return out, nil
+}
+
+// compare is the total order communities are returned in.
+func compare(a, b Community) int {
+	if c := cmp.Compare(len(b.Nodes), len(a.Nodes)); c != 0 {
+		return c
+	}
+	if c := slices.Compare(a.Nodes, b.Nodes); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Cliques, b.Cliques); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.MaxCliqueSize, b.MaxCliqueSize)
 }
 
 // Membership inverts a community list into node → community indices
@@ -139,28 +245,21 @@ func overlapAtLeast(a, b []int32, want int) bool {
 	return false
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // unionFind is a path-halving weighted union-find over [0, n).
 type unionFind struct {
-	parent []int
+	parent []int32
 	rank   []int8
 }
 
 func newUnionFind(n int) *unionFind {
-	uf := &unionFind{parent: make([]int, n), rank: make([]int8, n)}
+	uf := &unionFind{parent: make([]int32, n), rank: make([]int8, n)}
 	for i := range uf.parent {
-		uf.parent[i] = i
+		uf.parent[i] = int32(i)
 	}
 	return uf
 }
 
-func (uf *unionFind) find(x int) int {
+func (uf *unionFind) find(x int32) int32 {
 	for uf.parent[x] != x {
 		uf.parent[x] = uf.parent[uf.parent[x]]
 		x = uf.parent[x]
@@ -168,7 +267,7 @@ func (uf *unionFind) find(x int) int {
 	return x
 }
 
-func (uf *unionFind) union(a, b int) {
+func (uf *unionFind) union(a, b int32) {
 	ra, rb := uf.find(a), uf.find(b)
 	if ra == rb {
 		return
@@ -180,30 +279,4 @@ func (uf *unionFind) union(a, b int) {
 	if uf.rank[ra] == uf.rank[rb] {
 		uf.rank[ra]++
 	}
-}
-
-// Scales runs Detect for every k in ks and returns the communities per k —
-// the resolution sweep community studies report (large k: tight cores;
-// small k: broad percolating clusters). The clique family is shared across
-// scales, so the sweep costs one pass per k over the same index.
-func Scales(cliques [][]int32, ks []int) (map[int][]Community, error) {
-	out := make(map[int][]Community, len(ks))
-	for _, k := range ks {
-		cs, err := Detect(cliques, k)
-		if err != nil {
-			return nil, err
-		}
-		out[k] = cs
-	}
-	return out, nil
-}
-
-// SizeDistribution returns counts[s] = number of communities with exactly s
-// nodes, a compact fingerprint of a community family.
-func SizeDistribution(communities []Community) map[int]int {
-	out := map[int]int{}
-	for _, c := range communities {
-		out[len(c.Nodes)]++
-	}
-	return out
 }

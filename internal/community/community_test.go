@@ -3,6 +3,8 @@ package community
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -280,37 +282,156 @@ func BenchmarkDetect(b *testing.B) {
 	}
 }
 
-func TestScales(t *testing.T) {
-	cliques := [][]int32{{0, 1, 2, 3}, {2, 3, 4}, {6, 7, 8}}
-	scales, err := Scales(cliques, []int{2, 3, 4})
-	if err != nil {
-		t.Fatal(err)
+// bruteForce is the percolation oracle: every pair of kept cliques is
+// tested directly, with no postings and no candidate pruning, and the
+// components are grouped through maps.
+func bruteForce(cliques [][]int32, k int) []Community {
+	var kept [][]int32
+	for _, c := range cliques {
+		if len(c) >= k {
+			kept = append(kept, c)
+		}
 	}
-	// k=2: {0..4} merge (overlap ≥ 1), {6,7,8} separate → 2 communities.
-	if len(scales[2]) != 2 {
-		t.Fatalf("k=2 scales = %+v", scales[2])
+	parent := make([]int, len(kept))
+	for i := range parent {
+		parent[i] = i
 	}
-	// k=3: {0,1,2,3} and {2,3,4} share 2 nodes → merge; still 2.
-	if len(scales[3]) != 2 {
-		t.Fatalf("k=3 scales = %+v", scales[3])
+	find := func(x int) int {
+		for parent[x] != x {
+			x = parent[x]
+		}
+		return x
 	}
-	// k=4: only the 4-clique qualifies.
-	if len(scales[4]) != 1 || len(scales[4][0].Nodes) != 4 {
-		t.Fatalf("k=4 scales = %+v", scales[4])
+	for a := range kept {
+		for b := a + 1; b < len(kept); b++ {
+			shared := 0
+			for _, u := range kept[a] {
+				for _, v := range kept[b] {
+					if u == v {
+						shared++
+					}
+				}
+			}
+			if shared >= k-1 {
+				parent[find(a)] = find(b)
+			}
+		}
 	}
-	if _, err := Scales(cliques, []int{1}); err == nil {
-		t.Fatal("invalid k accepted in sweep")
+	byRoot := map[int]*Community{}
+	nodes := map[int]map[int32]bool{}
+	for i, c := range kept {
+		r := find(i)
+		if byRoot[r] == nil {
+			byRoot[r] = &Community{}
+			nodes[r] = map[int32]bool{}
+		}
+		byRoot[r].Cliques++
+		byRoot[r].MaxCliqueSize = max(byRoot[r].MaxCliqueSize, len(c))
+		for _, v := range c {
+			nodes[r][v] = true
+		}
+	}
+	out := []Community{}
+	for r, com := range byRoot {
+		for v := range nodes[r] {
+			com.Nodes = append(com.Nodes, v)
+		}
+		slices.Sort(com.Nodes)
+		out = append(out, *com)
+	}
+	// The documented total order, spelled out.
+	slices.SortFunc(out, func(a, b Community) int {
+		switch {
+		case len(a.Nodes) != len(b.Nodes):
+			return len(b.Nodes) - len(a.Nodes)
+		case !slices.Equal(a.Nodes, b.Nodes):
+			return slices.Compare(a.Nodes, b.Nodes)
+		case a.Cliques != b.Cliques:
+			return a.Cliques - b.Cliques
+		}
+		return a.MaxCliqueSize - b.MaxCliqueSize
+	})
+	return out
+}
+
+// checkAgainstOracle compares Detect with bruteForce for k = 2…ω+1, and
+// Detect on a shuffled copy of the family with Detect on the original.
+func checkAgainstOracle(t *testing.T, name string, cliques [][]int32, seed int64) {
+	t.Helper()
+	omega := 0
+	for _, c := range cliques {
+		omega = max(omega, len(c))
+	}
+	shuffled := slices.Clone(cliques)
+	rand.New(rand.NewSource(seed)).Shuffle(len(shuffled), func(i, j int) {
+		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+	})
+	for k := 2; k <= omega+1; k++ {
+		got, err := Detect(cliques, k)
+		if err != nil {
+			t.Fatalf("%s k=%d: %v", name, k, err)
+		}
+		if want := bruteForce(cliques, k); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s k=%d: Detect gives %d communities, the all-pairs oracle %d\ngot  %v\nwant %v",
+				name, k, len(got), len(want), got, want)
+		}
+		again, err := Detect(shuffled, k)
+		if err != nil || !reflect.DeepEqual(again, got) {
+			t.Fatalf("%s k=%d: Detect on a shuffled family differs (err %v)", name, k, err)
+		}
 	}
 }
 
-func TestSizeDistribution(t *testing.T) {
-	cs := []Community{
-		{Nodes: []int32{1, 2, 3}},
-		{Nodes: []int32{4, 5, 6}},
-		{Nodes: []int32{7, 8}},
+// TestDetectMatchesBruteForce checks the pruned percolation against the
+// all-pairs oracle on seeded random, scale-free, clustered and
+// planted-clique graphs, at every k up to one past the clique number.
+func TestDetectMatchesBruteForce(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		graphs := []struct {
+			name string
+			g    *graph.Graph
+		}{
+			{"er", gen.ErdosRenyi(40, 0.3, seed)},
+			{"ba", gen.BarabasiAlbert(80, 3, seed)},
+			{"hk", gen.HolmeKim(120, 4, 0.7, seed)},
+			{"planted", gen.PlantCliques(gen.ErdosRenyi(70, 0.08, seed), 5, 4, 9, seed)},
+		}
+		for _, tc := range graphs {
+			checkAgainstOracle(t, fmt.Sprintf("%s/seed=%d", tc.name, seed), mcealg.ReferenceCollect(tc.g), seed)
+		}
 	}
-	d := SizeDistribution(cs)
-	if d[3] != 2 || d[2] != 1 || len(d) != 2 {
-		t.Fatalf("distribution = %v", d)
+}
+
+// TestDetectSparseNodeIDs covers the relabelled path: node IDs far apart
+// and negative, in the same relative order as a dense family.
+func TestDetectSparseNodeIDs(t *testing.T) {
+	dense := mcealg.ReferenceCollect(gen.HolmeKim(60, 4, 0.7, 7))
+	sparse := make([][]int32, len(dense))
+	for i, c := range dense {
+		for _, v := range c {
+			sparse[i] = append(sparse[i], v*30_000_000-1_000_000_000)
+		}
 	}
+	checkAgainstOracle(t, "sparse", sparse, 7)
+}
+
+func TestPercolateRefusesShortClique(t *testing.T) {
+	if _, err := Percolate([]int32{0, 1, 2, 3, 4}, []int{0, 3, 5}, 3); err == nil {
+		t.Fatal("a 2-member clique at k=3 was accepted")
+	}
+}
+
+// FuzzDetect builds a graph on at most 12 nodes from byte pairs and checks
+// Detect against the all-pairs oracle at every k.
+func FuzzDetect(f *testing.F) {
+	f.Add([]byte{0, 1, 1, 2, 0, 2, 2, 3, 1, 3})
+	f.Add([]byte{0, 1, 0, 2, 0, 3, 1, 2, 1, 3, 2, 3, 3, 4, 4, 5, 3, 5})
+	f.Fuzz(func(t *testing.T, edges []byte) {
+		const n = 12
+		b := graph.NewBuilder(n)
+		for i := 0; i+1 < len(edges); i += 2 {
+			b.AddEdge(int32(edges[i]%n), int32(edges[i+1]%n))
+		}
+		checkAgainstOracle(t, "fuzz", mcealg.ReferenceCollect(b.Build()), int64(len(edges)))
+	})
 }

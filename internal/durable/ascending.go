@@ -121,16 +121,17 @@ func (r *Run) Next() (v int32, ok bool) {
 }
 
 // AppendRun appends every member of the run that starts b to dst, growing
-// dst at most once and by exactly the run's length. Like Run it trusts its
-// input. It is the whole decode in one call, count and cursor in registers
-// and one-byte gaps (most of them, in a clique or a posting list) read
-// without the varint loop: materialising cliques is what every serving
-// response spends its decode time on.
+// dst at most once and at least doubling it, so appending many runs into
+// one buffer stays linear. Like Run it trusts its input. It is the whole
+// decode in one call, count and cursor in registers and one-byte gaps (most
+// of them, in a clique or a posting list) read without the varint loop:
+// materialising cliques is what every serving response spends its decode
+// time on.
 func AppendRun(dst []int32, b []byte) []int32 {
 	count, n := binary.Uvarint(b)
 	b = b[n:]
 	if cap(dst)-len(dst) < int(count) {
-		grown := make([]int32, len(dst), len(dst)+int(count))
+		grown := make([]int32, len(dst), max(2*cap(dst), len(dst)+int(count)))
 		copy(grown, dst)
 		dst = grown
 	}
