@@ -65,6 +65,7 @@ fuzz-smoke:
 	$(GO) test -run=Fuzz -fuzz=FuzzDecodeAscending -fuzztime=10s ./internal/durable
 	$(GO) test -run=Fuzz -fuzz=FuzzDecodeBlock -fuzztime=10s ./internal/durable
 	$(GO) test -run=Fuzz -fuzz=FuzzSubproblem -fuzztime=10s ./internal/mcealg
+	$(GO) test -run=Fuzz -fuzz=FuzzGrowMatchesReference -fuzztime=10s ./internal/decomp
 	$(GO) test -run=Fuzz -fuzz=FuzzParseResult -fuzztime=10s ./internal/cluster
 
 # Crash-recovery chaos: the coordinator is SIGKILLed at randomized points and
@@ -99,7 +100,9 @@ bench-e2e:
 
 # The decomposition's own Go benchmarks on a Holme–Kim graph, n = 20 000,
 # m = 56 (one package per run): the induction kernel; BLOCKS whole, its
-# serial grow and its worker-side materialise; and the same plan through a
+# serial grow — at m = 56 and at m = 299, the block sizes of social_sparse and
+# durable_cluster, each beside the rescan reference it replaced — and its
+# worker-side materialise; and the same plan through a
 # LocalExecutor at widths 1 and 2 (blocks/s: the dispatch cost; B/op and
 # allocs/op: what carrying the cliques costs — the flat family's numbers),
 # behind the gate that a run's allocations track blocks, not cliques.

@@ -30,7 +30,10 @@
 //	-p int            local parallelism (default GOMAXPROCS)
 //	-min int          minimum clique size to print (default 1)
 //	-count            print only the number of cliques
-//	-stats            print decomposition statistics to stderr
+//	-stats            print decomposition statistics to stderr; a level a
+//	                  -checkpoint resume served whole from its log is not
+//	                  planned again, so it shows the journal's block count,
+//	                  kernel=feasible, and border, visited and grow 0
 //	-labels           print original node labels instead of dense IDs
 //	-communities k    print k-clique communities instead of cliques
 //	-format f         clique output format: text (default) or jsonl
@@ -365,7 +368,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		for i, lvl := range s.Levels {
 			// decomp is the serial prefix (cut + grow, wall); Σinduce and
 			// Σselect are summed over the workers inside analysis. members,
-			// arena and arenas say how the level's family was held.
+			// arena and arenas say how the level's family was held. A level
+			// served whole from a checkpoint was not grown: border, visited
+			// and grow are 0 (core.LevelStats).
 			fmt.Fprintf(stderr, "  level %d: nodes=%d feasible=%d hubs=%d blocks=%d kernel=%d border=%d visited=%d cliques=%d members=%d arena=%.2fMiB arenas=%d decomp=%v (cut=%v grow=%v) analysis=%v (Σinduce=%v Σselect=%v)\n",
 				i, lvl.Nodes, lvl.Feasible, lvl.Hubs, lvl.Blocks,
 				lvl.Kernel, lvl.Border, lvl.Visited, lvl.Cliques,

@@ -4,6 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -126,6 +130,142 @@ func TestResumeServesEveryBlockFromLog(t *testing.T) {
 	}
 	if n := met.Snapshot().CheckpointBlocksSkipped; int(n) != totalBlocks {
 		t.Fatalf("telemetry skipped counter = %d, want %d", n, totalBlocks)
+	}
+	// No level is planned again: BLOCKS never runs on a full resume, and each
+	// served level reports the journal's count, Kernel = Feasible and no
+	// border, visited or grow time.
+	if n := met.Snapshot().BlocksBuilt; n != 0 {
+		t.Fatalf("a full resume built %d blocks, want 0", n)
+	}
+	if len(resumed.Stats.Levels) != len(first.Stats.Levels) {
+		t.Fatalf("resume ran %d levels, the first run %d", len(resumed.Stats.Levels), len(first.Stats.Levels))
+	}
+	for i, lvl := range resumed.Stats.Levels {
+		was := first.Stats.Levels[i]
+		if lvl.Blocks != was.Blocks || lvl.Kernel != lvl.Feasible || lvl.Feasible != was.Feasible ||
+			lvl.Border != 0 || lvl.Visited != 0 || lvl.BlocksTime != 0 || lvl.Cliques != was.Cliques {
+			t.Fatalf("served level %d reports %+v, first run %+v", i, lvl, was)
+		}
+	}
+}
+
+// recordingExecutor runs blocks on a LocalExecutor and records every block
+// ID it was handed.
+type recordingExecutor struct {
+	inner LocalExecutor
+	mu    sync.Mutex
+	ids   []runlog.BlockID
+}
+
+func (e *recordingExecutor) Analyze(ctx context.Context, g *graph.Graph, blocks []decomp.Block, sel Selector, ids []runlog.BlockID, obs runlog.BatchObserver) ([]family.Window, error) {
+	e.mu.Lock()
+	e.ids = append(e.ids, ids...)
+	e.mu.Unlock()
+	return e.inner.Analyze(ctx, g, blocks, sel, ids, obs)
+}
+
+// TestResumeRegrowsLevelWithCorruptFrame: with one frame of level 0's log
+// corrupted, that level is no longer served whole — it is planned again,
+// the plan checked against the journal's count and digest, and exactly the
+// block whose frame no longer verifies runs again; the levels above are
+// still served without planning.
+func TestResumeRegrowsLevelWithCorruptFrame(t *testing.T) {
+	g := gen.HolmeKim(400, 5, 0.7, 29)
+	opts := Options{BlockSize: 24}
+	dir := t.TempDir()
+	cpOpts := opts
+	cpOpts.Checkpoint = openCheckpoint(t, dir, g, opts)
+	first, err := FindMaxCliques(g, cpOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cpOpts.Checkpoint.Close()
+	if len(first.Stats.Levels) < 2 || first.Stats.Levels[0].Blocks < 2 {
+		t.Fatalf("want a multi-block level 0 under a hub level, got %+v", first.Stats.Levels)
+	}
+
+	// The last byte of level 0's log is the payload of its last frame.
+	logPath := filepath.Join(dir, "L000.mcel")
+	data, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-1] ^= 0x55
+	if err := os.WriteFile(logPath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	met := telemetry.NewEngine()
+	cp, err := runlog.Open(dir, CheckpointIdentity(g, opts), runlog.Options{FS: faultfs.Unsynced(nil), Metrics: met})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exec := &recordingExecutor{inner: LocalExecutor{Parallelism: 1}}
+	resOpts := opts
+	resOpts.Checkpoint, resOpts.Executor, resOpts.Metrics = cp, exec, met
+	resumed, err := FindMaxCliques(g, resOpts)
+	cp.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(first.Cliques, resumed.Cliques) {
+		t.Fatalf("resume changed the cliques or their order: %d vs %d", len(resumed.Cliques), len(first.Cliques))
+	}
+	if len(exec.ids) != 1 || exec.ids[0].Level != 0 {
+		t.Fatalf("resume ran blocks %v, want exactly the one level-0 block whose frame was corrupted", exec.ids)
+	}
+	total := 0
+	for _, lvl := range first.Stats.Levels {
+		total += max(lvl.Blocks, 1) // a terminal core is one journaled block
+	}
+	if resumed.Stats.ResumedBlocks != total-1 {
+		t.Fatalf("ResumedBlocks = %d, want all %d but the corrupted one", resumed.Stats.ResumedBlocks, total)
+	}
+	if n, want := met.Snapshot().BlocksBuilt, int64(first.Stats.Levels[0].Blocks); n != want {
+		t.Fatalf("resume built %d blocks, want level 0's %d and no other level's", n, want)
+	}
+	if got, want := resumed.Stats.Levels[0], first.Stats.Levels[0]; got.Border != want.Border || got.Visited != want.Visited {
+		t.Fatalf("re-grown level 0 reports %+v, first run %+v", got, want)
+	}
+}
+
+// TestResumeRefusesFlippedPlan: a journal whose level 0 plan has the same
+// block count as this run's but one node in another role is refused by its
+// plan digest rather than merged.
+func TestResumeRefusesFlippedPlan(t *testing.T) {
+	g := gen.HolmeKim(300, 5, 0.7, 31)
+	opts := Options{BlockSize: 24}
+	m := resolveBlockSize(g.MaxDegree(), opts)
+	feasible, _ := decomp.Cut(g, m)
+	blocks := decomp.Grow(g, feasible, m, opts.Block)
+	flip := -1
+	for i := range blocks {
+		if len(blocks[i].Border) > 0 {
+			flip = i
+			break
+		}
+	}
+	if flip < 0 {
+		t.Fatal("no block with a border node")
+	}
+	b := &blocks[flip]
+	b.Visited = append(slices.Clone(b.Visited), b.Border[0])
+	slices.Sort(b.Visited)
+	b.Border = b.Border[1:]
+
+	dir := t.TempDir()
+	cp := openCheckpoint(t, dir, g, opts)
+	if err := cp.BeginLevel(0, len(blocks), decomp.PlanDigest(blocks)); err != nil {
+		t.Fatal(err)
+	}
+	cp.Close()
+
+	cp = openCheckpoint(t, dir, g, opts)
+	defer cp.Close()
+	runOpts := opts
+	runOpts.Checkpoint = cp
+	if _, err := FindMaxCliques(g, runOpts); !errors.Is(err, runlog.ErrIdentityMismatch) {
+		t.Fatalf("resume over a plan with one flipped role: err %v, want ErrIdentityMismatch", err)
 	}
 }
 

@@ -115,10 +115,11 @@ type Options struct {
 	Metrics *telemetry.Engine
 	// Checkpoint, when non-nil, makes the run crash-safe: every level's
 	// block plan and every block completion is journaled, block results are
-	// persisted in per-block segments, and a run restarted against the same
+	// appended to per-level logs, and a run restarted against the same
 	// checkpoint directory loads completed blocks from disk instead of
-	// re-analysing them. The checkpoint must have been opened with the
-	// identity CheckpointIdentity reports for this (graph, options) pair.
+	// re-analysing them — a level done whole without planning it again.
+	// The checkpoint must have been opened with the identity
+	// CheckpointIdentity reports for this (graph, options) pair.
 	Checkpoint *runlog.Checkpoint
 	// MemoryBudget is a heap budget in bytes for the local executor (when
 	// Executor is nil): while the process heap is above it, block dispatch
@@ -140,6 +141,11 @@ type LevelStats struct {
 	// across this level's blocks. Kernel always equals Feasible (every
 	// feasible node is kernel in exactly one block); Border and Visited
 	// measure the duplication the bounded-size decomposition pays.
+	//
+	// A level a resumed checkpoint served whole from its log (every block
+	// done in an earlier session) is not planned again: Blocks is the count
+	// the journal recorded, Kernel is Feasible, and Border, Visited and
+	// BlocksTime are 0.
 	Kernel, Border, Visited int
 	// Cliques counts the cliques found from this level's blocks (before
 	// higher levels' results are filtered against lower ones).
@@ -189,7 +195,7 @@ type Stats struct {
 	// cliques a hub-neglecting decomposition would lose (Figures 9–11).
 	HubCliques int
 	// ResumedBlocks counts blocks whose cliques were loaded from the
-	// checkpoint's segments instead of re-analysed — non-zero only when the
+	// checkpoint's level logs instead of re-analysed — non-zero only when the
 	// run resumed prior state (Options.Checkpoint).
 	ResumedBlocks int
 	// SkippedBlocks counts blocks abandoned as poison tasks under
@@ -627,46 +633,58 @@ func (r *run) level(ctx context.Context, g *graph.Graph, depth int, out sink) er
 		return r.terminalCore(g, depth, cutTime, out)
 	}
 
-	// BLOCKS, the serial half: which nodes each block holds and in which
-	// role. Everything after it — induce, select, analyse — is a function of
-	// (g, one block) and runs on the executor's goroutines.
-	start = time.Now()
-	blocks := decomp.Grow(g, feasible, r.m, opts.Block)
-	blocksTime := time.Since(start)
-	var kernelSum, borderSum, visitedSum int
-	for i := range blocks {
-		kernelSum += len(blocks[i].Kernel)
-		borderSum += len(blocks[i].Border)
-		visitedSum += len(blocks[i].Visited)
-	}
-	var induceNs, selectNs int64
-	if met != nil {
-		met.BlocksBuilt.Add(int64(len(blocks)))
-		met.KernelNodes.Add(int64(kernelSum))
-		met.BorderNodes.Add(int64(borderSum))
-		met.VisitedNodes.Add(int64(visitedSum))
-		met.BlocksNs.Add(int64(blocksTime))
-		induceNs, selectNs = met.InduceNs.Load(), met.SelectNs.Load()
-	}
-
-	start = time.Now()
-	var perBlock []family.Window
-	var err error
-	if cp := opts.Checkpoint; cp != nil {
-		perBlock, err = r.analyzeCheckpointed(ctx, cp, g, blocks, depth)
-	} else {
-		perBlock, err = r.exec.Analyze(ctx, g, blocks, r.sel, nil, nil)
-	}
-	if err != nil {
-		return err
-	}
 	ls := LevelStats{
 		Nodes: g.N(), Edges: g.M(),
 		Feasible: len(feasible), Hubs: len(hubs),
-		Blocks: len(blocks),
-		Kernel: kernelSum, Border: borderSum, Visited: visitedSum,
-		Decomp:  cutTime + blocksTime,
-		CutTime: cutTime, BlocksTime: blocksTime,
+		Decomp: cutTime, CutTime: cutTime,
+	}
+	var induceNs, selectNs int64
+	if met != nil {
+		induceNs, selectNs = met.InduceNs.Load(), met.SelectNs.Load()
+	}
+	var perBlock []family.Window
+	var err error
+	cp, served, isServed := opts.Checkpoint, 0, false
+	start = time.Now()
+	if cp != nil {
+		served, isServed = cp.ServedLevel(depth)
+	}
+	if isServed {
+		// An earlier session finished this level: its cliques are served
+		// from the level's log, and the plan is not grown again only to be
+		// counted. Every feasible node was a kernel of one of its blocks.
+		ls.Blocks, ls.Kernel = served, len(feasible)
+		perBlock, err = serveLevel(cp, depth, served)
+	} else {
+		// BLOCKS, the serial half: which nodes each block holds and in which
+		// role. Everything after it — induce, select, analyse — is a function
+		// of (g, one block) and runs on the executor's goroutines.
+		growStart := time.Now()
+		blocks := decomp.Grow(g, feasible, r.m, opts.Block)
+		ls.BlocksTime = time.Since(growStart)
+		ls.Decomp += ls.BlocksTime
+		ls.Blocks = len(blocks)
+		for i := range blocks {
+			ls.Kernel += len(blocks[i].Kernel)
+			ls.Border += len(blocks[i].Border)
+			ls.Visited += len(blocks[i].Visited)
+		}
+		if met != nil {
+			met.BlocksBuilt.Add(int64(len(blocks)))
+			met.KernelNodes.Add(int64(ls.Kernel))
+			met.BorderNodes.Add(int64(ls.Border))
+			met.VisitedNodes.Add(int64(ls.Visited))
+			met.BlocksNs.Add(int64(ls.BlocksTime))
+		}
+
+		if cp != nil {
+			perBlock, err = r.analyzeCheckpointed(ctx, cp, g, blocks, depth)
+		} else {
+			perBlock, err = r.exec.Analyze(ctx, g, blocks, r.sel, nil, nil)
+		}
+	}
+	if err != nil {
+		return err
 	}
 	arenas := map[*family.Family]struct{}{} // one per local worker, one per remote answer
 	for _, w := range perBlock {
@@ -680,7 +698,7 @@ func (r *run) level(ctx context.Context, g *graph.Graph, depth int, out sink) er
 		ls.Cliques += w.Count
 		out(w, depth)
 	}
-	ls.Analysis = time.Since(start)
+	ls.Analysis = time.Since(start) - ls.BlocksTime
 	if met != nil {
 		ls.InduceTime = time.Duration(met.InduceNs.Load() - induceNs)
 		ls.SelectTime = time.Duration(met.SelectNs.Load() - selectNs)
@@ -741,16 +759,30 @@ func (r *run) levelDone(ls LevelStats) {
 	}
 }
 
+// serveLevel takes every block of a served level from the checkpoint's log,
+// indexed like the plan it was journaled under, and closes the level.
+func serveLevel(cp *runlog.Checkpoint, level, blocks int) ([]family.Window, error) {
+	perBlock := make([]family.Window, blocks)
+	for i := range perBlock {
+		cliques, ok := cp.DoneCliques(runlog.BlockID{Level: level, Plan: i})
+		if !ok {
+			return nil, fmt.Errorf("core: block %d of served level %d is not in the checkpoint's log", i, level)
+		}
+		perBlock[i] = cliques
+	}
+	return perBlock, cp.EndLevel(level)
+}
+
 // analyzeCheckpointed runs one level's batch against the checkpoint: the
-// level's block plan is journaled (and validated against a resumed journal),
-// blocks the journal records as done are served from the level's result log,
-// and only the remainder is dispatched, each block handed to the checkpoint
-// by the executor the moment it completes and durable by EndLevel. Results
-// come back indexed like blocks, so resumed and fresh runs produce identical
-// output; a block served from the log is never induced, and the checkpoint
-// reads a level's log once, into one family.
+// level's block plan is journaled (and validated, count and digest, against a
+// resumed journal), blocks the journal records as done are served from the
+// level's result log, and only the remainder is dispatched, each block handed
+// to the checkpoint by the executor the moment it completes and durable by
+// EndLevel. Results come back indexed like blocks, so resumed and fresh runs
+// produce identical output; a block served from the log is never induced,
+// and the checkpoint reads a level's log once, into one family.
 func (r *run) analyzeCheckpointed(ctx context.Context, cp *runlog.Checkpoint, g *graph.Graph, blocks []decomp.Block, level int) ([]family.Window, error) {
-	if err := cp.BeginLevel(level, len(blocks)); err != nil {
+	if err := cp.BeginLevel(level, len(blocks), decomp.PlanDigest(blocks)); err != nil {
 		return nil, err
 	}
 	perBlock := make([]family.Window, len(blocks))
@@ -801,7 +833,9 @@ func (r *run) terminalCore(g *graph.Graph, depth int, cutTime time.Duration, out
 	var core family.Window // the level's one block
 	resumed := false
 	if cp != nil {
-		if err := cp.BeginLevel(depth, 1); err != nil {
+		// The terminal core plans nothing: its one block is the whole
+		// level graph, journaled under the digest of an empty plan.
+		if err := cp.BeginLevel(depth, 1, decomp.PlanDigest(nil)); err != nil {
 			return err
 		}
 		core, resumed = cp.DoneCliques(id)

@@ -16,7 +16,6 @@ import (
 	"math/rand"
 	"slices"
 
-	"mce/internal/bitset"
 	"mce/internal/graph"
 	"mce/internal/kcore"
 	"mce/internal/mcealg"
@@ -134,46 +133,52 @@ func Induce(b *Block, inducer *graph.Inducer) {
 // most m nodes, growing each block greedily along dense adjacency, and
 // returns every block as membership only (Graph nil; see Block). The input
 // graph is not modified; feasible must contain only nodes with degree < m.
+//
+// Each node's role is one byte of state, and the next kernel comes from a
+// bucket queue on the candidates' edge counts into the kernel set, so a
+// block costs Σ deg over its kernels (times a heap's log) plus a sort of its
+// cover, with no term in n and no rescan of the cover per kernel.
 func Grow(g *graph.Graph, feasible []int32, m int, opts Options) []Block {
-	minAdj := opts.MinAdjacency
-	if minAdj < 1 {
-		minAdj = 1
-	}
+	minAdj := int32(max(opts.MinAdjacency, 1))
 	n := g.N()
 
 	order := seedOrder(g, feasible, opts)
 
-	isFeasible := bitset.FromSlice(n, feasible)
-	assigned := bitset.New(n) // feasible nodes already kernels anywhere
+	state := make([]uint8, n)
+	for _, v := range feasible {
+		state[v] = nodeFeasible
+	}
 	var blocks []Block
 
 	// Per-block state, shared by every block and reset after each over the
-	// nodes that block touched: a block costs Σ deg over its kernels plus a
-	// sort of its cover, with no term in n.
-	cover := bitset.New(n)       // K ∪ N(K) of the block under construction
-	inKernel := bitset.New(n)    // K of the block under construction
+	// nodes that block touched.
 	adjCount := make([]int32, n) // edges from candidate to current kernels
 	var kernels []int32
 	var touched []int32 // N(K): the nodes with adjCount > 0
+	var queue bucketQueue
 
 	coverSize := 0
-	addKernel := func(v int32) {
-		inKernel.Add(v)
-		assigned.Add(v)
-		kernels = append(kernels, v)
-		if !cover.Has(v) {
-			cover.Add(v)
+	cover := func(v int32) {
+		if state[v]&nodeInCover == 0 {
+			state[v] |= nodeInCover
 			coverSize++
 		}
+	}
+	addKernel := func(v int32) {
+		state[v] |= nodeAssigned | nodeInKernel
+		kernels = append(kernels, v)
+		cover(v)
 		for _, u := range g.Neighbors(v) {
-			if !cover.Has(u) {
-				cover.Add(u)
-				coverSize++
-			}
+			cover(u)
 			if adjCount[u] == 0 {
 				touched = append(touched, u)
 			}
 			adjCount[u]++
+			// A candidate below the threshold cannot be picked at its
+			// current count: it is queued once it reaches minAdj.
+			if state[u]&(nodeFeasible|nodeAssigned) == nodeFeasible && adjCount[u] >= minAdj {
+				queue.push(u, adjCount[u])
+			}
 		}
 	}
 
@@ -181,11 +186,11 @@ func Grow(g *graph.Graph, feasible []int32, m int, opts Options) []Block {
 	// adopting v as a kernel (the incremental isfeasible test).
 	growthOf := func(v int32) int {
 		grow := 0
-		if !cover.Has(v) {
+		if state[v]&nodeInCover == 0 {
 			grow++
 		}
 		for _, u := range g.Neighbors(v) {
-			if !cover.Has(u) {
+			if state[u]&nodeInCover == 0 {
 				grow++
 			}
 		}
@@ -193,7 +198,7 @@ func Grow(g *graph.Graph, feasible []int32, m int, opts Options) []Block {
 	}
 
 	for _, start := range order {
-		if assigned.Has(start) {
+		if state[start]&nodeAssigned != 0 {
 			continue
 		}
 		kernels, touched, coverSize = kernels[:0], touched[:0], 0
@@ -202,26 +207,17 @@ func Grow(g *graph.Graph, feasible []int32, m int, opts Options) []Block {
 		addKernel(start)
 
 		// Grow greedily: among unassigned feasible border nodes, take the
-		// one with the most edges into the kernel set, while the block
-		// stays within m nodes and the candidate is dense enough.
+		// one with the most edges into the kernel set (the lowest ID among
+		// equals), while the block stays within m nodes and the candidate
+		// has at least minAdj of them.
 		for {
-			best, bestAdj := int32(-1), int32(0)
-			for _, v := range touched {
-				if adjCount[v] >= bestAdj && isFeasible.Has(v) &&
-					!assigned.Has(v) && !inKernel.Has(v) {
-					if adjCount[v] > bestAdj || (best >= 0 && v < best) || best < 0 {
-						best, bestAdj = v, adjCount[v]
-					}
-				}
-			}
-			if best < 0 || int(bestAdj) < minAdj {
-				break
-			}
-			if coverSize+growthOf(best) > m {
+			best := queue.best(state)
+			if best < 0 || coverSize+growthOf(best) > m {
 				break
 			}
 			addKernel(best)
 		}
+		queue.reset()
 
 		// touched becomes the cover: N(K) plus the kernels that no other
 		// kernel neighbours.
@@ -231,17 +227,101 @@ func Grow(g *graph.Graph, feasible []int32, m int, opts Options) []Block {
 			}
 		}
 		slices.Sort(touched) // ascending: kernels, borders and visited mixed
-		blocks = append(blocks, plan(touched, len(kernels), inKernel, assigned, isFeasible))
+		blocks = append(blocks, plan(touched, len(kernels), state))
 
 		for _, v := range touched {
 			adjCount[v] = 0
-			cover.Remove(v)
-		}
-		for _, k := range kernels {
-			inKernel.Remove(k)
+			state[v] &^= nodeInCover | nodeInKernel
 		}
 	}
 	return blocks
+}
+
+// Grow's state byte per node.
+const (
+	nodeFeasible uint8 = 1 << iota // degree < m: it will be a kernel somewhere
+	nodeAssigned                   // a kernel of this block or of an earlier one
+	nodeInKernel                   // a kernel of the block being grown
+	nodeInCover                    // in K ∪ N(K) of the block being grown
+)
+
+// bucketQueue holds the candidates of the block being grown by their edge
+// count into its kernels: bucket c is a min-heap of the node IDs whose count
+// reached c. Counts only rise while a block grows, so a node that moved up
+// leaves a stale entry in each lower bucket. best scans the buckets from the
+// top down and takes the first unassigned node it meets, so by the time it
+// reaches a stale entry that node was already taken from a higher bucket —
+// a kernel now — and the entry is dropped. The buckets keep their memory
+// from block to block.
+type bucketQueue struct {
+	buckets [][]int32
+	top     int32 // no valid entry lies above it
+	hi      int32 // the highest bucket used by this block
+}
+
+// push queues v at count c.
+func (q *bucketQueue) push(v, c int32) {
+	for int(c) >= len(q.buckets) {
+		q.buckets = append(q.buckets, nil)
+	}
+	h := append(q.buckets[c], v)
+	for i := len(h) - 1; i > 0; { // sift up
+		parent := (i - 1) / 2
+		if h[parent] <= h[i] {
+			break
+		}
+		h[parent], h[i] = h[i], h[parent]
+		i = parent
+	}
+	q.buckets[c] = h
+	q.top, q.hi = max(q.top, c), max(q.hi, c)
+}
+
+// best returns the unassigned node with the highest count and, among those,
+// the lowest ID — or -1 when no candidate is queued. Only feasible nodes are
+// queued, and a block ends at the first best it does not adopt.
+func (q *bucketQueue) best(state []uint8) int32 {
+	for ; q.top > 0; q.top-- {
+		h := q.buckets[q.top]
+		for len(h) > 0 {
+			if v := h[0]; state[v]&nodeAssigned == 0 {
+				q.buckets[q.top] = h
+				return v
+			}
+			h = popMin(h)
+		}
+		q.buckets[q.top] = h
+	}
+	return -1
+}
+
+// reset empties every bucket the block used.
+func (q *bucketQueue) reset() {
+	for c := int32(1); c <= q.hi; c++ {
+		q.buckets[c] = q.buckets[c][:0]
+	}
+	q.top, q.hi = 0, 0
+}
+
+// popMin removes the least element of the min-heap h.
+func popMin(h []int32) []int32 {
+	last := len(h) - 1
+	h[0] = h[last]
+	h = h[:last]
+	for i := 0; ; { // sift down
+		least, l := i, 2*i+1
+		if l < last && h[l] < h[least] {
+			least = l
+		}
+		if r := l + 1; r < last && h[r] < h[least] {
+			least = r
+		}
+		if least == i {
+			return h
+		}
+		h[i], h[least] = h[least], h[i]
+		i = least
+	}
 }
 
 // seedOrder arranges the feasible nodes according to opts.Order.
@@ -290,16 +370,15 @@ func byDegreeThenID(g *graph.Graph, nodes []int32) []int32 {
 
 // plan records one block over its cover nodes (ascending), nKernels of
 // which are its kernels: Orig is the cover, and each node's position in it
-// goes to the class list of its role. assigned must already include the new
-// kernels; a neighbour is Visited when it was a kernel of an earlier block,
-// i.e. assigned but not in the current kernel set. The four lists share one
+// goes to the class list of its role, read from Grow's state byte. A
+// neighbour is Visited when it was a kernel of an earlier block, i.e.
+// assigned but not in the current kernel set. The four lists share one
 // exact-size allocation, each capped at its own length; a class nobody is
 // in stays nil.
-func plan(nodes []int32, nKernels int, inKernel, assigned, isFeasible *bitset.Set) Block {
-	visited := func(v int32) bool { return assigned.Has(v) && isFeasible.Has(v) && !inKernel.Has(v) }
+func plan(nodes []int32, nKernels int, state []uint8) Block {
 	nVisited := 0
 	for _, v := range nodes {
-		if visited(v) {
+		if state[v]&(nodeAssigned|nodeInKernel) == nodeAssigned {
 			nVisited++
 		}
 	}
@@ -314,16 +393,35 @@ func plan(nodes []int32, nKernels int, inKernel, assigned, isFeasible *bitset.Se
 		blk.Visited = buf[at : at : 2*n]
 	}
 	for local, global := range nodes {
-		switch {
-		case inKernel.Has(global):
+		switch state[global] & (nodeAssigned | nodeInKernel) {
+		case nodeAssigned | nodeInKernel:
 			blk.Kernel = append(blk.Kernel, int32(local))
-		case visited(global):
+		case nodeAssigned:
 			blk.Visited = append(blk.Visited, int32(local))
 		default:
 			blk.Border = append(blk.Border, int32(local))
 		}
 	}
 	return blk
+}
+
+// PlanDigest fingerprints a level's block plan: FNV-1a over every block's
+// Orig, Kernel, Border and Visited, each list prefixed by its length, folded
+// a 32-bit word at a time. A checkpoint journals it beside the level's block
+// count, so a resume refuses a plan that changed but kept its count.
+func PlanDigest(blocks []Block) uint64 {
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	h := uint64(offset64)
+	for i := range blocks {
+		b := &blocks[i]
+		for _, list := range [4][]int32{b.Orig, b.Kernel, b.Border, b.Visited} {
+			h = (h ^ uint64(len(list))) * prime64
+			for _, v := range list {
+				h = (h ^ uint64(uint32(v))) * prime64
+			}
+		}
+	}
+	return h
 }
 
 // Materialiser is the worker-side half of Algorithm 3: the scratch one
@@ -470,12 +568,12 @@ func (a *Analyzer) Analyze(b *Block, combo mcealg.Combo, emit func(clique []int3
 }
 
 // toGlobal hands one clique of the block, in local IDs, to the caller's
-// emit in the original graph's IDs, ascending.
+// emit in the original graph's IDs. The runner emits local IDs ascending and
+// Orig is ascending, so the translation is ascending too.
 func (a *Analyzer) toGlobal(local []int32) {
 	a.global = a.global[:0]
 	for _, v := range local {
 		a.global = append(a.global, a.orig[v])
 	}
-	slices.Sort(a.global) // not sort.Slice: that boxes the slice per emitted clique
 	a.emit(a.global)
 }

@@ -680,15 +680,24 @@ func BenchmarkBlocks(b *testing.B) {
 }
 
 // BenchmarkGrow is the serial half of BenchmarkBlocks alone: the plan, no
-// induced subgraph.
+// induced subgraph, at the two block sizes of the benchmark workloads —
+// m = 56 (social_sparse: many small blocks) and m = 299 (durable_cluster:
+// fewer, larger ones) — for Grow and for the rescan reference it replaced.
 func BenchmarkGrow(b *testing.B) {
 	g := gen.HolmeKim(20000, 8, 0.7, 42)
-	const m = 56
-	feasible, _ := Cut(g, m)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchBlocks = Grow(g, feasible, m, Options{})
+	for _, m := range []int{56, 299} {
+		feasible, _ := Cut(g, m)
+		for _, impl := range []struct {
+			name string
+			grow func(*graph.Graph, []int32, int, Options) []Block
+		}{{"grow", Grow}, {"reference", referenceGrow}} {
+			b.Run(fmt.Sprintf("m=%d/%s", m, impl.name), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					benchBlocks = impl.grow(g, feasible, m, Options{})
+				}
+			})
+		}
 	}
 }
 
@@ -833,4 +842,53 @@ func BenchmarkAnalyzeBlocks(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(blocks)), "ns/block")
+}
+
+// TestAnalyzeEmitsAscending: Analyze hands every clique to emit ascending in
+// the original graph's IDs without sorting it — the runner emits local IDs
+// ascending and Orig is ascending — for every combo, sequential and on a
+// two-worker intra-block pool, over blocks with all three node roles: small
+// ones with planted cliques, and blocks of several words whose cliques are
+// shorter than a word count, where the runner sorts its stack rather than
+// reading it off a bit set.
+func TestAnalyzeEmitsAscending(t *testing.T) {
+	var blocks []Block
+	for _, c := range []struct {
+		g *graph.Graph
+		m int
+	}{
+		{gen.PlantCliques(gen.HolmeKim(400, 6, 0.7, 17), 6, 8, 20, 18), 40},
+		{gen.HolmeKim(3000, 3, 0.3, 19), 300},
+	} {
+		feasible, _ := Cut(c.g, c.m)
+		blocks = append(blocks, Blocks(c.g, feasible, c.m, Options{})...)
+	}
+	widest, visited := 0, 0
+	for i := range blocks {
+		widest, visited = max(widest, len(blocks[i].Orig)), visited+len(blocks[i].Visited)
+	}
+	if widest <= 192 || visited == 0 {
+		t.Fatalf("widest block has %d nodes and %d are visited, want more than three words and some", widest, visited)
+	}
+	combos := append(mcealg.AllCombos(), mcealg.Combo{Alg: mcealg.Tomita, Struct: mcealg.BitSetsParallel})
+	for _, combo := range combos {
+		for _, par := range []mcealg.Par{{}, {Workers: 2, MinCandidates: 1}} {
+			var an Analyzer
+			cliques := 0
+			emit := func(c []int32) {
+				cliques++
+				if !slices.IsSorted(c) {
+					t.Fatalf("%v par=%d: clique %v is not ascending", combo, par.Workers, c)
+				}
+			}
+			for i := range blocks {
+				if err := an.Analyze(&blocks[i], combo.Bounded(blocks[i].Graph.N()), emit, nil, par); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if cliques == 0 {
+				t.Fatalf("%v par=%d: nothing emitted", combo, par.Workers)
+			}
+		}
+	}
 }

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sync/atomic"
 
 	"mce/internal/durable"
@@ -182,8 +183,8 @@ func (g *Graph) Reads() int64 { return g.reads.Load() }
 
 // LoadClosedNeighborhood materialises the subgraph induced by the kernels
 // and all their neighbours as an in-memory graph (plus the local→global
-// mapping and the local IDs of the kernels), reading only the adjacency
-// lists of the involved nodes. This is the unit of I/O of the out-of-core
+// mapping, ascending, and the local IDs of the kernels), reading only the
+// adjacency lists of the involved nodes. This is the unit of I/O of the out-of-core
 // pipeline: one block's worth of network.
 func (g *Graph) LoadClosedNeighborhood(kernels []int32) (*graph.Graph, []int32, []int32, error) {
 	inSet := map[int32]int32{}
@@ -209,6 +210,11 @@ func (g *Graph) LoadClosedNeighborhood(kernels []int32) (*graph.Graph, []int32, 
 		for _, u := range cp {
 			add(u)
 		}
+	}
+	// Local IDs follow the global ones, as a block's Orig must.
+	slices.Sort(orig)
+	for local, v := range orig {
+		inSet[v] = int32(local)
 	}
 	// Edges among the selected nodes: kernel adjacencies are known; the
 	// border–border edges require reading the border nodes' lists too

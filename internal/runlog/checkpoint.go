@@ -119,6 +119,12 @@ type doneInfo struct {
 	cliques     family.Window
 }
 
+// levelPlan is what the journal knows of one level's block plan.
+type levelPlan struct {
+	blocks int
+	digest uint64
+}
+
 // commitItem is one record on its way to the committer. A recDone travels
 // with its block's log frame; a barrier with the channel the committer closes
 // once the record, and everything handed over before it, is durable.
@@ -160,9 +166,9 @@ type Checkpoint struct {
 	degradeErr error // the failure that disabled it
 	resumed    bool
 	runEnded   bool
-	levels     map[int]int  // level → planned block count
-	levelEnded map[int]bool // level → every block done
-	levelRead  map[int]bool // level → its log has been read back
+	levels     map[int]levelPlan // level → its journaled plan
+	levelEnded map[int]bool      // level → every block done
+	levelRead  map[int]bool      // level → its log has been read back
 	dispatched map[BlockID]bool
 	done       map[BlockID]doneInfo
 	skipped    int64 // done blocks served from the logs this session
@@ -216,8 +222,8 @@ func InsideCheckpoint(dir string) bool {
 // absent. An existing journal is replayed (its torn tail truncated) and its
 // identity checked against id — ErrIdentityMismatch (wrapped) refuses a
 // resume across a changed graph or changed plan-affecting options, and a
-// version-1 checkpoint (a version-1 journal, or a segments directory) is
-// refused by name. On success the checkpoint is ready to journal a run:
+// version-1 checkpoint (a version-1 journal, or a segments directory) or a
+// version-2 journal is refused by name. On success the checkpoint is ready to journal a run:
 // fresh directories get a run-begin record, resumed ones a resume record.
 func Open(dir string, id Identity, opts Options) (*Checkpoint, error) {
 	fs := opts.FS
@@ -246,7 +252,7 @@ func Open(dir string, id Identity, opts Options) (*Checkpoint, error) {
 		quit:       make(chan struct{}),
 		stopped:    make(chan struct{}),
 		logEnd:     make(map[int]int),
-		levels:     make(map[int]int),
+		levels:     make(map[int]levelPlan),
 		levelEnded: make(map[int]bool),
 		levelRead:  make(map[int]bool),
 		dispatched: make(map[BlockID]bool),
@@ -296,7 +302,7 @@ func (c *Checkpoint) restore(recs []rec, id Identity) error {
 				c.resumed = true
 			}
 		case recLevel:
-			c.levels[r.level] = r.blocks
+			c.levels[r.level] = levelPlan{r.blocks, r.planDigest}
 		case recDispatch:
 			c.dispatched[BlockID{r.level, r.plan}] = true
 		case recDone:
@@ -557,26 +563,53 @@ func (c *Checkpoint) openLog(level int) error {
 	return nil
 }
 
-// BeginLevel journals one recursion level's block plan. A resumed journal
-// that planned a different block count for the same level is refused — the
-// plan is deterministic in (graph, options), so a mismatch means the
-// checkpoint does not belong to this run despite its identity record.
-func (c *Checkpoint) BeginLevel(level, blocks int) error {
+// BeginLevel journals one recursion level's block plan: its block count and
+// a digest of its members and roles (decomp.PlanDigest). A resumed journal
+// that planned the same level differently — another count, or the same count
+// over other members — is refused: the plan is deterministic in (graph,
+// options), so a mismatch means the checkpoint does not belong to this run
+// despite its identity record.
+func (c *Checkpoint) BeginLevel(level, blocks int, digest uint64) error {
 	c.mu.Lock()
 	prev, planned := c.levels[level]
 	if !planned {
-		c.levels[level] = blocks
+		c.levels[level] = levelPlan{blocks, digest}
 	}
 	skip := planned || c.disabled()
 	c.mu.Unlock()
-	if planned && prev != blocks {
-		return fmt.Errorf("%w: level %d planned %d blocks, journal recorded %d",
-			ErrIdentityMismatch, level, blocks, prev)
+	if planned && prev != (levelPlan{blocks, digest}) {
+		return fmt.Errorf("%w: level %d planned %d blocks with plan digest %#x, journal recorded %d with %#x",
+			ErrIdentityMismatch, level, blocks, digest, prev.blocks, prev.digest)
 	}
 	if !skip {
-		c.hand(commitItem{rec: rec{kind: recLevel, level: level, blocks: blocks}})
+		c.hand(commitItem{rec: rec{kind: recLevel, level: level, blocks: blocks, planDigest: digest}})
 	}
 	return nil
+}
+
+// ServedLevel reports whether an earlier session finished level whole: the
+// journal planned it, and every block of the plan is done with a frame that
+// verifies against the level's log (read here, once, as DoneCliques reads
+// it). Such a level is served from the log by DoneCliques without planning
+// it again — the caller takes blocks from here instead of from BLOCKS. When
+// ok is false, the caller plans the level and goes through BeginLevel.
+func (c *Checkpoint) ServedLevel(level int) (blocks int, ok bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	plan, planned := c.levels[level]
+	if !planned {
+		return 0, false
+	}
+	if !c.levelRead[level] {
+		c.levelRead[level] = true
+		c.readLevel(level)
+	}
+	for p := 0; p < plan.blocks; p++ {
+		if !c.done[BlockID{level, p}].verified {
+			return 0, false
+		}
+	}
+	return plan.blocks, true
 }
 
 // DoneCliques returns the cliques of a block an earlier session completed,

@@ -50,7 +50,7 @@ func TestCommitsAreGrouped(t *testing.T) {
 		t.Fatal(err)
 	}
 	for level := 0; level < levels; level++ {
-		c.BeginLevel(level, blocks)
+		c.BeginLevel(level, blocks, 0)
 		for plan := 0; plan < blocks; plan++ {
 			if err := blockDone(c, runlog.BlockID{Level: level, Plan: plan}, [][]int32{{int32(plan), int32(plan + level + 1)}}); err != nil {
 				t.Fatal(err)
@@ -97,7 +97,7 @@ func TestConcurrentBlockDone(t *testing.T) {
 		t.Fatal(err)
 	}
 	for level := 0; level < levels; level++ {
-		c.BeginLevel(level, workers*perWorker)
+		c.BeginLevel(level, workers*perWorker, 0)
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)

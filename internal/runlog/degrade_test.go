@@ -31,7 +31,7 @@ func driveToFirstDone(t *testing.T, dir string, fs runlog.FS, onDegrade func(err
 		t.Fatal(err)
 	}
 	cl0 := [][]int32{{1, 2, 3}, {4, 7}}
-	if err := c.BeginLevel(0, 3); err != nil {
+	if err := c.BeginLevel(0, 3, 0); err != nil {
 		t.Fatal(err)
 	}
 	for p := 0; p < 3; p++ {
@@ -232,7 +232,7 @@ var matrixRun = []struct {
 func driveMatrixRun(t *testing.T, c *runlog.Checkpoint, done map[runlog.BlockID]bool) {
 	t.Helper()
 	for level, blocks := range []int{3, 1} {
-		if err := c.BeginLevel(level, blocks); err != nil {
+		if err := c.BeginLevel(level, blocks, 0); err != nil {
 			t.Fatal(err)
 		}
 		for _, b := range matrixRun {
@@ -372,7 +372,21 @@ func TestCrashMatrix(t *testing.T) {
 	})
 
 	// A checkpoint in the version-1 layout is refused by name, journal or
-	// segment directory, and left as it was.
+	// segment directory, and left as it was; so is a version-2 journal.
+	t.Run("version-2-refused", func(t *testing.T) {
+		dir := t.TempDir()
+		v2 := []byte("MCEJ\x02")
+		if err := os.WriteFile(runlog.JournalPath(dir), v2, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := runlog.Open(dir, degradeID, runlog.Options{FS: faultfs.Unsynced(nil)})
+		if err == nil || !strings.Contains(err.Error(), "version-2") || !strings.Contains(err.Error(), "fresh -checkpoint") {
+			t.Fatalf("err %v, want a refusal naming version 2 and the way out", err)
+		}
+		if got, _ := os.ReadFile(runlog.JournalPath(dir)); !reflect.DeepEqual(got, v2) {
+			t.Fatalf("the refused journal became %q", got)
+		}
+	})
 	t.Run("version-1-refused", func(t *testing.T) {
 		for name, lay := range map[string]func(dir string) error{
 			"journal":  func(dir string) error { return os.WriteFile(runlog.JournalPath(dir), []byte("MCEJ\x01"), 0o644) },

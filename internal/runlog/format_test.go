@@ -12,11 +12,12 @@ import (
 	"mce/internal/runlog/faultfs"
 )
 
-// TestCheckpointBytesUnchanged pins the on-disk checkpoint — the version-2
+// TestCheckpointBytesUnchanged pins the on-disk checkpoint — the version-3
 // journal and both level logs — for a fixed run across a close and a resume.
 // The bytes do not depend on how the committer batched them: frames and
 // records land in hand-over order whatever the grouping. (Version 1, one
-// segment file per block, wrote 6 files digesting to a520bd49…7dba43.)
+// segment file per block, wrote 6 files digesting to a520bd49…7dba43;
+// version 2, whose level records carried no plan digest, 8326e6fc…2685c3.)
 func TestCheckpointBytesUnchanged(t *testing.T) {
 	dir := t.TempDir()
 	id := runlog.Identity{Graph: 0x1234567890abcdef, Options: 0xfeedface}
@@ -35,7 +36,7 @@ func TestCheckpointBytesUnchanged(t *testing.T) {
 		return out
 	}
 	c := open()
-	c.BeginLevel(0, 4)
+	c.BeginLevel(0, 4, 0x0123456789abcdef)
 	for p := 0; p < 4; p++ {
 		c.BlockDispatched(runlog.BlockID{Level: 0, Plan: p})
 	}
@@ -53,7 +54,7 @@ func TestCheckpointBytesUnchanged(t *testing.T) {
 		}
 	}
 	c.EndLevel(0)
-	c.BeginLevel(1, 1)
+	c.BeginLevel(1, 1, 0xcbf29ce484222325)
 	c.BlockDispatched(runlog.BlockID{Level: 1, Plan: 0})
 	if err := blockDone(c, runlog.BlockID{Level: 1, Plan: 0}, nil); err != nil {
 		t.Fatal(err)
@@ -81,7 +82,7 @@ func TestCheckpointBytesUnchanged(t *testing.T) {
 		h.Write([]byte{0})
 		h.Write(data)
 	}
-	const want = "8326e6fc53eb67d27461d304f3143888a18230449e730ad3944ffa258b2685c3"
+	const want = "c48b20fa17b0b95e7a2210c6192a6a80e28a59a437e603a69904d8592eae38e4"
 	if got := hex.EncodeToString(h.Sum(nil)); got != want || len(files) != 3 {
 		t.Fatalf("checkpoint of %d files digests to %s, want the journal and two level logs digesting to %s", len(files), got, want)
 	}

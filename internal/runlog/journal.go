@@ -31,8 +31,9 @@ import (
 
 // journalMagic heads every journal file; the trailing byte is the format
 // version. Version 1 journaled one segment file per block and a graph digest
-// this build does not compute; it is refused by name.
-var journalMagic = [5]byte{'M', 'C', 'E', 'J', 2}
+// this build does not compute; version 2 journaled a level's block count
+// without its plan digest. Both are refused by name.
+var journalMagic = [5]byte{'M', 'C', 'E', 'J', 3}
 
 // version1Refusal is what a version-1 checkpoint is told, whether it is
 // recognised by its journal or by its segments directory.
@@ -61,6 +62,7 @@ type rec struct {
 	graph, opts uint64 // recRunBegin / recResume
 	level       int    // recLevel / recDispatch / recDone / recLevelEnd
 	blocks      int    // recLevel: planned block count
+	planDigest  uint64 // recLevel: digest of the block plan (decomp.PlanDigest)
 	plan        int    // recDispatch / recDone: stable block index within the level
 	off, length int    // recDone: where the block's frame lies in its level's log
 	count       int    // recDone: clique count
@@ -78,6 +80,7 @@ func (r *rec) encode(buf []byte) []byte {
 	case recLevel:
 		put(uint64(r.level))
 		put(uint64(r.blocks))
+		put(r.planDigest)
 	case recDispatch:
 		put(uint64(r.level))
 		put(uint64(r.plan))
@@ -133,6 +136,9 @@ func decodeRec(p []byte) (rec, error) {
 		}
 	case recLevel:
 		if err = errors.Join(getInt(&r.level), getInt(&r.blocks)); err != nil {
+			return r, err
+		}
+		if r.planDigest, err = get(); err != nil {
 			return r, err
 		}
 	case recDispatch:
@@ -241,8 +247,11 @@ func replayJournal(fs FS, path string) (recs []rec, validOff int64, err error) {
 		return nil, int64(len(journalMagic)), nil
 	}
 	if magic != journalMagic {
-		if magic == [5]byte{'M', 'C', 'E', 'J', 1} {
+		switch magic {
+		case [5]byte{'M', 'C', 'E', 'J', 1}:
 			return nil, 0, fmt.Errorf("runlog: %s is a version-1 journal: %s", path, version1Refusal)
+		case [5]byte{'M', 'C', 'E', 'J', 2}:
+			return nil, 0, fmt.Errorf("runlog: %s is a version-2 journal (level records without a plan digest), which this build cannot resume; restart the run in a fresh -checkpoint directory", path)
 		}
 		return nil, 0, fmt.Errorf("runlog: %s is not a run journal (bad magic)", path)
 	}

@@ -66,7 +66,7 @@ func TestResumeRoundTrip(t *testing.T) {
 	c := openTest(t, dir, testID)
 	cl0 := [][]int32{{1, 2, 3}, {4, 7}}
 	cl1 := [][]int32{{0, 9}}
-	if err := c.BeginLevel(0, 3); err != nil {
+	if err := c.BeginLevel(0, 3, 0); err != nil {
 		t.Fatal(err)
 	}
 	c.BlockDispatched(BlockID{0, 0})
@@ -92,7 +92,7 @@ func TestResumeRoundTrip(t *testing.T) {
 	if !r.Resumed() {
 		t.Fatal("reopened checkpoint not reported as resumed")
 	}
-	if err := r.BeginLevel(0, 3); err != nil {
+	if err := r.BeginLevel(0, 3, 0); err != nil {
 		t.Fatal(err)
 	}
 	got, ok := doneCliques(r, BlockID{0, 0})
@@ -122,7 +122,7 @@ func TestResumeRoundTrip(t *testing.T) {
 func TestResumeAfterResume(t *testing.T) {
 	dir := t.TempDir()
 	c := openTest(t, dir, testID)
-	c.BeginLevel(0, 2)
+	c.BeginLevel(0, 2, 0)
 	if err := blockDone(c, BlockID{0, 0}, [][]int32{{1, 2}}); err != nil {
 		t.Fatal(err)
 	}
@@ -167,18 +167,93 @@ func TestIdentityMismatch(t *testing.T) {
 }
 
 // TestBlockPlanMismatch pins the second identity guard: a resumed level
-// whose deterministic plan size changed is refused even though the digests
-// matched.
+// whose deterministic plan changed is refused even though the identity
+// digests matched — whether its size changed, or only its plan digest (one
+// membership flipped, same block count).
 func TestBlockPlanMismatch(t *testing.T) {
 	dir := t.TempDir()
 	c := openTest(t, dir, testID)
-	c.BeginLevel(0, 4)
+	c.BeginLevel(0, 4, 0xabc)
 	c.Close()
 
 	r := openTest(t, dir, testID)
 	defer r.Close()
-	if err := r.BeginLevel(0, 5); !errors.Is(err, ErrIdentityMismatch) {
-		t.Fatalf("BeginLevel with changed plan: err %v, want ErrIdentityMismatch", err)
+	if err := r.BeginLevel(0, 5, 0xabc); !errors.Is(err, ErrIdentityMismatch) {
+		t.Fatalf("BeginLevel with changed plan size: err %v, want ErrIdentityMismatch", err)
+	}
+	if err := r.BeginLevel(0, 4, 0xabd); !errors.Is(err, ErrIdentityMismatch) {
+		t.Fatalf("BeginLevel with changed plan digest: err %v, want ErrIdentityMismatch", err)
+	}
+	if err := r.BeginLevel(0, 4, 0xabc); err != nil {
+		t.Fatalf("BeginLevel with the journaled plan: %v", err)
+	}
+}
+
+// TestServedLevel pins when a resume may skip planning a level: only when
+// the journal planned it and every block of the plan is done with a frame
+// that verifies — not for an unplanned level, a level with a block still
+// missing, or one whose frame was damaged, and never for a level planned in
+// this session.
+func TestServedLevel(t *testing.T) {
+	dir := t.TempDir()
+	c := openTest(t, dir, testID)
+	if _, ok := c.ServedLevel(0); ok {
+		t.Fatal("a fresh checkpoint serves level 0")
+	}
+	c.BeginLevel(0, 2, 7)
+	c.BeginLevel(1, 2, 8)
+	c.BeginLevel(2, 1, 9)
+	for _, b := range []struct {
+		id      BlockID
+		cliques [][]int32
+	}{
+		{BlockID{0, 0}, [][]int32{{1, 2}}}, {BlockID{0, 1}, nil},
+		{BlockID{1, 1}, [][]int32{{3, 4}}},
+		{BlockID{2, 0}, [][]int32{{5, 6, 7}}},
+	} {
+		if err := blockDone(c, b.id, b.cliques); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.EndLevel(2)
+	if _, ok := c.ServedLevel(0); ok {
+		t.Fatal("a level planned and done in this session is served")
+	}
+	c.Close()
+
+	// Damage level 2's one frame.
+	path := filepath.Join(dir, "L002.mcel")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-1] ^= 1
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	r := openTest(t, dir, testID)
+	defer r.Close()
+	if blocks, ok := r.ServedLevel(0); !ok || blocks != 2 {
+		t.Fatalf("level 0, done whole: ServedLevel = %d, %v; want 2, true", blocks, ok)
+	}
+	if _, ok := r.ServedLevel(1); ok {
+		t.Fatal("level 1, block 0 never done, is served")
+	}
+	if _, ok := r.ServedLevel(2); ok {
+		t.Fatal("level 2, its frame damaged, is served")
+	}
+	if _, ok := r.ServedLevel(3); ok {
+		t.Fatal("level 3, never planned, is served")
+	}
+	for p, want := range [][][]int32{{{1, 2}}, nil} {
+		if got, ok := doneCliques(r, BlockID{0, p}); !ok || !reflect.DeepEqual(got, want) {
+			t.Fatalf("served block {0,%d}: %v, %v; want %v", p, got, ok, want)
+		}
+	}
+	// The damaged level is planned again under its journaled plan.
+	if err := r.BeginLevel(2, 1, 9); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -188,7 +263,7 @@ func TestBlockPlanMismatch(t *testing.T) {
 func TestTornTailTruncated(t *testing.T) {
 	dir := t.TempDir()
 	c := openTest(t, dir, testID)
-	c.BeginLevel(0, 2)
+	c.BeginLevel(0, 2, 0)
 	blockDone(c, BlockID{0, 0}, [][]int32{{1, 2, 3}})
 	blockDone(c, BlockID{0, 1}, [][]int32{{5, 6}})
 	c.Close()
@@ -239,7 +314,7 @@ func TestLogCorruptionSelfHeals(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
 			c := openTest(t, dir, testID)
-			c.BeginLevel(0, 2)
+			c.BeginLevel(0, 2, 0)
 			if err := blockDone(c, BlockID{0, 0}, [][]int32{{4, 5}}); err != nil {
 				t.Fatal(err)
 			}
@@ -355,7 +430,7 @@ func TestDoneBeforeDispatchIdempotent(t *testing.T) {
 	dir := t.TempDir()
 	c := openTest(t, dir, testID)
 	defer c.Close()
-	c.BeginLevel(0, 1)
+	c.BeginLevel(0, 1, 0)
 	if err := blockDone(c, BlockID{0, 0}, [][]int32{{1, 2}}); err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +452,7 @@ func FuzzJournalReplay(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	c.BeginLevel(0, 2)
+	c.BeginLevel(0, 2, 0)
 	blockDone(c, BlockID{0, 0}, [][]int32{{1, 2, 3}})
 	c.Close()
 	seedData, err := os.ReadFile(JournalPath(dir))
@@ -422,7 +497,7 @@ func FuzzLevelLog(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	c.BeginLevel(0, 3)
+	c.BeginLevel(0, 3, 0)
 	blockDone(c, BlockID{0, 1}, [][]int32{{1, 2, 3}, {4, 7, 70000}})
 	blockDone(c, BlockID{0, 0}, nil)
 	blockDone(c, BlockID{0, 2}, [][]int32{{0, 5}})
