@@ -36,13 +36,16 @@ const (
 	calibTriad = 0.6
 	calibSeed  = 7
 
-	// The dense-block scenario: an Erdős–Rényi graph dense enough that the
-	// whole run is one terminal-core enumeration — the exact shape
+	// The dense-block scenario: an Erdős–Rényi graph dense enough that no
+	// node is feasible at the default m, so the run's one level is the
+	// terminal level, cut again with every node feasible — and on this
+	// graph that cut is a single 200-node block, the exact shape
 	// intra-block parallelism exists for. It runs twice, sequential and
-	// with a 4-wide work-stealing pool, and gates on two things: the FNV
-	// digests of the two output streams must be bit-identical (determinism
-	// is a hard contract, not a statistic), and on machines with enough
-	// cores the parallel run must actually be faster (-par-floor).
+	// with a 4-wide work-stealing pool, and gates on three things: the run
+	// is that one block, the FNV digests of the two output streams are
+	// bit-identical (determinism is a hard contract, not a statistic), and
+	// on machines with enough cores the parallel run is actually faster
+	// (-par-floor).
 	denseNodes   = 200
 	denseEdgeP   = 0.5
 	denseSeed    = 2016
@@ -134,6 +137,9 @@ func runParScenario(runs int, parFloor float64) (parScenario, error) {
 			res, err := core.FindMaxCliques(g, opts)
 			if err != nil {
 				return err
+			}
+			if lv := res.Stats.Levels; len(lv) != 1 || lv[0].Blocks != 1 {
+				return fmt.Errorf("dense scenario ran levels %+v, want one level of one block", lv)
 			}
 			for _, c := range res.Cliques {
 				for _, v := range c {

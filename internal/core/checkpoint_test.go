@@ -87,65 +87,126 @@ func TestCheckpointedRunMatchesPlain(t *testing.T) {
 
 // TestResumeServesEveryBlockFromLog pins the full-resume path: after a
 // completed checkpointed run, a resumed run must answer entirely from the
-// journal and the level logs — the executor must never be invoked.
+// journal and the level logs — the executor must never be invoked. The ring
+// lattice stalls at its default m, so its one level is the terminal level,
+// journaled block by block like any other.
 func TestResumeServesEveryBlockFromLog(t *testing.T) {
-	g := gen.BarabasiAlbert(300, 3, 7)
-	opts := Options{BlockSize: 20}
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+		opts Options
+	}{
+		{"BA(300,3)", gen.BarabasiAlbert(300, 3, 7), Options{BlockSize: 20}},
+		{"ring WS(4000,4,0)", gen.WattsStrogatz(4000, 4, 0, 1), Options{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g, opts := tc.g, tc.opts
+			dir := t.TempDir()
+
+			cpOpts := opts
+			cpOpts.Checkpoint = openCheckpoint(t, dir, g, opts)
+			first, err := FindMaxCliques(g, cpOpts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cpOpts.Checkpoint.Close()
+			totalBlocks := 0
+			for _, lvl := range first.Stats.Levels {
+				totalBlocks += lvl.Blocks
+			}
+
+			met := telemetry.NewEngine()
+			resOpts := opts
+			resOpts.Executor = forbiddenExecutor{}
+			resOpts.Metrics = met
+			cp, err := runlog.Open(dir, CheckpointIdentity(g, opts), runlog.Options{FS: faultfs.Unsynced(nil), Metrics: met})
+			if err != nil {
+				t.Fatal(err)
+			}
+			resOpts.Checkpoint = cp
+			resumed, err := FindMaxCliques(g, resOpts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cp.Close()
+			if !familiesEqual(first.Cliques, resumed.Cliques) {
+				t.Fatalf("resume changed the clique set: %d vs %d", len(resumed.Cliques), len(first.Cliques))
+			}
+			if resumed.Stats.ResumedBlocks != totalBlocks {
+				t.Fatalf("ResumedBlocks = %d, want every block (%d)", resumed.Stats.ResumedBlocks, totalBlocks)
+			}
+			if n := met.Snapshot().CheckpointBlocksSkipped; int(n) != totalBlocks {
+				t.Fatalf("telemetry skipped counter = %d, want %d", n, totalBlocks)
+			}
+			if resumed.Stats.CoreFallback != first.Stats.CoreFallback {
+				t.Fatalf("resume reports CoreFallback %v, the first run %v", resumed.Stats.CoreFallback, first.Stats.CoreFallback)
+			}
+			// No level is planned again: BLOCKS never runs on a full resume,
+			// and each served level reports the journal's count, Kernel =
+			// Feasible and no border, visited or grow time.
+			if n := met.Snapshot().BlocksBuilt; n != 0 {
+				t.Fatalf("a full resume built %d blocks, want 0", n)
+			}
+			if len(resumed.Stats.Levels) != len(first.Stats.Levels) {
+				t.Fatalf("resume ran %d levels, the first run %d", len(resumed.Stats.Levels), len(first.Stats.Levels))
+			}
+			for i, lvl := range resumed.Stats.Levels {
+				was := first.Stats.Levels[i]
+				if lvl.Blocks != was.Blocks || lvl.Kernel != lvl.Feasible || lvl.Feasible != was.Feasible ||
+					lvl.Border != 0 || lvl.Visited != 0 || lvl.BlocksTime != 0 || lvl.Cliques != was.Cliques {
+					t.Fatalf("served level %d reports %+v, first run %+v", i, lvl, was)
+				}
+			}
+		})
+	}
+}
+
+// TestResumeInsideStalledLevel: a run stopped partway through a stalled
+// recursion's terminal level resumes inside that level — the blocks it
+// finished are served from the level's log, only the rest run again, and
+// the family is the uninterrupted run's.
+func TestResumeInsideStalledLevel(t *testing.T) {
+	g := gen.WattsStrogatz(4000, 4, 0, 1)
+	opts := Options{}
+	want, err := FindMaxCliques(g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !want.Stats.CoreFallback || len(want.Stats.Levels) != 1 {
+		t.Fatalf("ring lattice: CoreFallback %v over %d levels, want a stall at level 0", want.Stats.CoreFallback, len(want.Stats.Levels))
+	}
+	lvl := want.Stats.Levels[0]
+	if lvl.Feasible != lvl.Nodes || lvl.Hubs != 0 || lvl.Kernel != lvl.Nodes || lvl.Blocks < 10 {
+		t.Fatalf("terminal level reports %+v, want every node feasible and kernel, no hubs, many blocks", lvl)
+	}
+
 	dir := t.TempDir()
-
-	cpOpts := opts
-	cpOpts.Checkpoint = openCheckpoint(t, dir, g, opts)
-	first, err := FindMaxCliques(g, cpOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cpOpts.Checkpoint.Close()
-	totalBlocks := 0
-	for _, lvl := range first.Stats.Levels {
-		totalBlocks += lvl.Blocks
-		if lvl.Blocks == 0 && lvl.Hubs == lvl.Nodes {
-			totalBlocks++ // terminal core counts as one journaled block
-		}
-	}
-
-	met := telemetry.NewEngine()
-	resOpts := opts
-	resOpts.Executor = forbiddenExecutor{}
-	resOpts.Metrics = met
-	cp, err := runlog.Open(dir, CheckpointIdentity(g, opts), runlog.Options{FS: faultfs.Unsynced(nil), Metrics: met})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resOpts.Checkpoint = cp
-	resumed, err := FindMaxCliques(g, resOpts)
-	if err != nil {
-		t.Fatal(err)
+	cp := openCheckpoint(t, dir, g, opts)
+	runOpts := opts
+	runOpts.Checkpoint = cp
+	runOpts.Executor = &flakyExecutor{inner: &LocalExecutor{Parallelism: 1}, budget: lvl.Blocks / 3}
+	if _, err := FindMaxCliques(g, runOpts); !errors.Is(err, errInjected) {
+		cp.Close()
+		t.Fatalf("interrupted session: err %v, want injected failure", err)
 	}
 	cp.Close()
-	if !familiesEqual(first.Cliques, resumed.Cliques) {
-		t.Fatalf("resume changed the clique set: %d vs %d", len(resumed.Cliques), len(first.Cliques))
+
+	cp = openCheckpoint(t, dir, g, opts)
+	defer cp.Close()
+	runOpts = opts
+	runOpts.Checkpoint = cp
+	got, err := FindMaxCliques(g, runOpts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if resumed.Stats.ResumedBlocks != totalBlocks {
-		t.Fatalf("ResumedBlocks = %d, want every block (%d)", resumed.Stats.ResumedBlocks, totalBlocks)
+	if n := got.Stats.ResumedBlocks; n <= 0 || n >= lvl.Blocks {
+		t.Fatalf("ResumedBlocks = %d, want strictly between 0 and the level's %d blocks", n, lvl.Blocks)
 	}
-	if n := met.Snapshot().CheckpointBlocksSkipped; int(n) != totalBlocks {
-		t.Fatalf("telemetry skipped counter = %d, want %d", n, totalBlocks)
+	if !got.Stats.CoreFallback {
+		t.Fatal("resumed run does not report the stall")
 	}
-	// No level is planned again: BLOCKS never runs on a full resume, and each
-	// served level reports the journal's count, Kernel = Feasible and no
-	// border, visited or grow time.
-	if n := met.Snapshot().BlocksBuilt; n != 0 {
-		t.Fatalf("a full resume built %d blocks, want 0", n)
-	}
-	if len(resumed.Stats.Levels) != len(first.Stats.Levels) {
-		t.Fatalf("resume ran %d levels, the first run %d", len(resumed.Stats.Levels), len(first.Stats.Levels))
-	}
-	for i, lvl := range resumed.Stats.Levels {
-		was := first.Stats.Levels[i]
-		if lvl.Blocks != was.Blocks || lvl.Kernel != lvl.Feasible || lvl.Feasible != was.Feasible ||
-			lvl.Border != 0 || lvl.Visited != 0 || lvl.BlocksTime != 0 || lvl.Cliques != was.Cliques {
-			t.Fatalf("served level %d reports %+v, first run %+v", i, lvl, was)
-		}
+	if !familiesEqual(want.Cliques, got.Cliques) {
+		t.Fatalf("resume inside the terminal level changed the clique set: %d vs %d cliques", len(got.Cliques), len(want.Cliques))
 	}
 }
 
@@ -216,7 +277,7 @@ func TestResumeRegrowsLevelWithCorruptFrame(t *testing.T) {
 	}
 	total := 0
 	for _, lvl := range first.Stats.Levels {
-		total += max(lvl.Blocks, 1) // a terminal core is one journaled block
+		total += lvl.Blocks
 	}
 	if resumed.Stats.ResumedBlocks != total-1 {
 		t.Fatalf("ResumedBlocks = %d, want all %d but the corrupted one", resumed.Stats.ResumedBlocks, total)

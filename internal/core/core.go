@@ -13,8 +13,13 @@
 //
 // Theorem 1 guarantees the recursion empties whenever m exceeds the
 // network's degeneracy; for smaller m the recursion can stall on the
-// (m+1)-core, in which case the engine enumerates that terminal core
-// directly (recorded in Stats.CoreFallback) so completeness is never lost.
+// (m+1)-core, where no node is feasible. The engine then cuts that level
+// again at a block size every node fits (a small multiple of its maximum
+// degree plus one), so the hub set is empty and the terminal level runs as
+// an ordinary level — planned, dispatched, journaled and counted like any
+// other — and the recursion ends there (recorded in Stats.CoreFallback), so
+// completeness is never lost. Options.MaxLevels ends the recursion the same
+// way.
 package core
 
 import (
@@ -95,17 +100,17 @@ type Options struct {
 	// 0 means GOMAXPROCS.
 	Parallelism int
 	// IntraBlockParallelism is the work-stealing worker count inside a
-	// single block's enumeration (and the terminal core's): when > 1, the
-	// combo selector upgrades BitSets picks on large blocks to
-	// BitSetsParallel, so one dense block no longer serializes a run. It
-	// multiplies with Parallelism (each block worker spawns its own pool),
-	// so the useful product is about GOMAXPROCS. Output — cliques and their
-	// order — is identical at every setting; 0 or 1 keeps the sequential
-	// recursion.
+	// single block's enumeration: when > 1, the combo selector upgrades
+	// BitSets picks on large blocks to BitSetsParallel, so one dense block
+	// no longer serializes a run. It multiplies with Parallelism (each block
+	// worker spawns its own pool), so the useful product is about
+	// GOMAXPROCS. Output — cliques and their order — is identical at every
+	// setting; 0 or 1 keeps the sequential recursion.
 	IntraBlockParallelism int
 	// MaxLevels caps the recursion depth as a safety net; 0 means no cap.
-	// The cap triggers the same direct-core fallback as a stalled
-	// recursion, so results stay complete.
+	// The level at the cap is cut again as a stalled level is (every node
+	// feasible, no hubs), so the recursion ends there and results stay
+	// complete.
 	MaxLevels int
 	// Metrics, when non-nil, receives live telemetry from every phase of
 	// the run (blocks, combo picks, per-block timings, filter time, and —
@@ -133,7 +138,10 @@ type Options struct {
 type LevelStats struct {
 	// Nodes and Edges describe the graph at this level.
 	Nodes, Edges int
-	// Feasible and Hubs count the CUT partition at this level.
+	// Feasible and Hubs count the CUT partition at this level. The terminal
+	// level of a stalled recursion (Stats.CoreFallback) is cut again at a
+	// block size every node fits: it reports Feasible = Nodes, Hubs = 0 and
+	// the real Blocks, Kernel, Border and Visited of that cut.
 	Feasible, Hubs int
 	// Blocks is the number of second-level blocks.
 	Blocks int
@@ -153,8 +161,7 @@ type LevelStats struct {
 	// Members, Arenas and ArenaBytes say how that family was held: its
 	// members over all cliques, the number of flat arenas (package family:
 	// one per local worker, one per remote answer, one per resumed level)
-	// and the heap bytes they occupy. A level streamed clique by clique (a
-	// terminal core under Stream) reports none.
+	// and the heap bytes they occupy.
 	Members, Arenas int
 	ArenaBytes      int64
 	// Decomp and Analysis measure the wall time of the two phases: Decomp
@@ -185,8 +192,9 @@ type Stats struct {
 	Levels []LevelStats
 	// FilterTime is the total time spent in the Lemma 1 filter.
 	FilterTime time.Duration
-	// CoreFallback reports that the recursion stopped making progress (or
-	// hit MaxLevels) and the terminal core was enumerated directly.
+	// CoreFallback reports that the recursion stopped making progress (no
+	// node feasible) or hit MaxLevels, so its last level was cut again with
+	// every node feasible and ended the recursion.
 	CoreFallback bool
 	// TotalCliques is the number of maximal cliques returned.
 	TotalCliques int
@@ -438,7 +446,7 @@ func FindMaxCliquesContext(ctx context.Context, g *graph.Graph, opts Options) (*
 		level int
 	}
 	var kept []adopted
-	stats, err := enumerate(ctx, g, opts, true, func(w family.Window, level int) {
+	stats, err := enumerate(ctx, g, opts, func(w family.Window, level int) {
 		if n := len(kept) - 1; n >= 0 && kept[n].level == level && kept[n].F == w.F && kept[n].First+kept[n].Count == w.First {
 			kept[n].Count += w.Count
 			return
@@ -465,8 +473,8 @@ func FindMaxCliquesContext(ctx context.Context, g *graph.Graph, opts Options) (*
 // sink receives the maximal cliques of the level that owns them as a window
 // — ascending, in that level's node IDs, in emission order — with the
 // recursion depth they were found at. Who may keep what is package family's
-// ownership rule: a collecting sink (run.collect) adopts the window, any
-// other is done with it when the call returns.
+// ownership rule: FindMaxCliques's sink adopts the window, Stream's is done
+// with it when the call returns.
 type sink func(w family.Window, level int)
 
 // run is what every recursion level of one FIND-MAX-CLIQUES run shares.
@@ -476,17 +484,13 @@ type run struct {
 	sel   Selector
 	exec  Executor
 	stats *Stats
-	// collect says the sink adopts the windows it is handed
-	// (FindMaxCliques); otherwise it is done with each when its call
-	// returns (Stream) and a level that can stream clique by clique does.
-	collect bool
 }
 
 // enumerate drives Algorithm 1 over g and hands every maximal clique to
 // out, in the engine's deterministic order. It is the whole engine behind
 // both FindMaxCliquesContext (a collecting sink) and StreamContext (the
 // caller's emit).
-func enumerate(ctx context.Context, g *graph.Graph, opts Options, collect bool, out sink) (*Stats, error) {
+func enumerate(ctx context.Context, g *graph.Graph, opts Options, out sink) (*Stats, error) {
 	if g.N() == 0 {
 		return nil, ErrNoNodes
 	}
@@ -498,8 +502,6 @@ func enumerate(ctx context.Context, g *graph.Graph, opts Options, collect bool, 
 		sel:   selector(opts),
 		exec:  opts.Executor,
 		stats: &Stats{BlockSize: m, MaxDegree: maxDeg},
-
-		collect: collect,
 	}
 	if r.exec == nil {
 		r.exec = &LocalExecutor{Parallelism: opts.Parallelism, Metrics: opts.Metrics, MemoryBudget: opts.MemoryBudget, IntraBlockParallelism: opts.IntraBlockParallelism}
@@ -570,6 +572,14 @@ func CheckpointIdentity(g *graph.Graph, opts Options) runlog.Identity {
 	}
 }
 
+// terminalSlack sets the block size a stalled level is cut again at:
+// terminalSlack × (Δ+1), Δ the level graph's maximum degree. Δ+1 is the
+// smallest m at which every node is feasible; the slack lets Grow pack several
+// closed neighbourhoods into one block, which on a ring lattice or K_{n,n} is
+// several times faster than one neighbourhood per block (EXPERIMENTS.md, "The
+// terminal core is an ordinary level").
+const terminalSlack = 4
+
 // parallelMinBlockNodes is the smallest block worth the intra-block pool:
 // below it the pool-spawn and merge overhead beats any fan-out gain, so the
 // selector leaves small blocks on the sequential BitSets path.
@@ -619,18 +629,21 @@ func (r *run) level(ctx context.Context, g *graph.Graph, depth int, out sink) er
 	}
 	opts, met := &r.opts, r.opts.Metrics
 	start := time.Now()
-	feasible, hubs := decomp.Cut(g, r.m)
+	m := r.m
+	feasible, hubs := decomp.Cut(g, m)
+	// Stalled recursion (Theorem 1 precondition violated: every remaining
+	// node is a hub, so the induced subgraph equals g) or depth cap: this is
+	// the terminal level. It is cut again at a block size every node fits, so
+	// the hub set is empty and the recursion ends here — Lemma 1 still
+	// applies with C2 = all maximal cliques of this subgraph.
+	if len(feasible) == 0 || (opts.MaxLevels > 0 && depth >= opts.MaxLevels && len(hubs) > 0) {
+		m = terminalSlack * (g.MaxDegree() + 1)
+		feasible, hubs = decomp.Cut(g, m)
+		r.stats.CoreFallback = true
+	}
 	cutTime := time.Since(start)
 	if met != nil {
 		met.CutNs.Add(int64(cutTime))
-	}
-
-	// Stalled recursion (Theorem 1 precondition violated: every remaining
-	// node is a hub, so the induced subgraph equals g) or depth cap: the
-	// remaining graph is the terminal (m+1)-core. Enumerate it directly —
-	// Lemma 1 still applies with C2 = all maximal cliques of this subgraph.
-	if len(feasible) == 0 || (opts.MaxLevels > 0 && depth >= opts.MaxLevels && len(hubs) > 0) {
-		return r.terminalCore(g, depth, cutTime, out)
 	}
 
 	ls := LevelStats{
@@ -660,7 +673,7 @@ func (r *run) level(ctx context.Context, g *graph.Graph, depth int, out sink) er
 		// role. Everything after it — induce, select, analyse — is a function
 		// of (g, one block) and runs on the executor's goroutines.
 		growStart := time.Now()
-		blocks := decomp.Grow(g, feasible, r.m, opts.Block)
+		blocks := decomp.Grow(g, feasible, m, opts.Block)
 		ls.BlocksTime = time.Since(growStart)
 		ls.Decomp += ls.BlocksTime
 		ls.Blocks = len(blocks)
@@ -813,79 +826,4 @@ func (r *run) analyzeCheckpointed(ctx context.Context, cp *runlog.Checkpoint, g 
 		return nil, err
 	}
 	return perBlock, nil
-}
-
-// terminalCore handles the terminal core directly with a single MCE run —
-// a one-block level that bypasses the executor. This is exactly where
-// intra-block parallelism matters most: the terminal hub core is one dense
-// enumeration with no block-level parallelism to hide behind.
-//
-// Under a checkpoint the level is journaled like any other, so a resumed
-// run loads the terminal core's cliques from the level's log too. The family
-// is encoded for the log (in this level's IDs) before any of it is handed up
-// — receivers up the recursion translate in place. A collecting run hands the
-// core up as one window; a streaming one hands each clique up as the kernel
-// emits it, from an arena of one, so nothing is buffered.
-func (r *run) terminalCore(g *graph.Graph, depth int, cutTime time.Duration, out sink) error {
-	cp, met := r.opts.Checkpoint, r.opts.Metrics
-	start := time.Now()
-	id := runlog.BlockID{Level: depth, Plan: 0}
-	var core family.Window // the level's one block
-	resumed := false
-	if cp != nil {
-		// The terminal core plans nothing: its one block is the whole
-		// level graph, journaled under the digest of an empty plan.
-		if err := cp.BeginLevel(depth, 1, decomp.PlanDigest(nil)); err != nil {
-			return err
-		}
-		core, resumed = cp.DoneCliques(id)
-	}
-	ls := LevelStats{Nodes: g.N(), Edges: g.M(), Hubs: g.N(), Decomp: cutTime, CutTime: cutTime}
-	if !resumed {
-		fam := new(family.Family)
-		var scratch kcore.Scratch
-		combo := r.sel(g, &scratch)
-		if met != nil {
-			met.ComboPicked(combo.Index(), combo.Label())
-		}
-		err := mcealg.EnumeratePar(g, combo, corePar(r.opts), func(c []int32) {
-			fam.Append(c)
-			if !r.collect {
-				ls.Cliques++
-				out(fam.Window(), depth)
-				fam.Reset()
-			}
-		})
-		if err != nil {
-			return err
-		}
-		core = fam.Window()
-		if cp != nil {
-			if err := cp.BlockDone(id, core); err != nil {
-				return err
-			}
-		}
-	}
-	if cp != nil {
-		if err := cp.EndLevel(depth); err != nil {
-			return err
-		}
-	}
-	if core.Count > 0 {
-		ls.Cliques = core.Count
-		ls.held(core.F)
-		out(core, depth)
-	}
-	r.stats.CoreFallback = true
-	ls.Analysis = time.Since(start)
-	r.levelDone(ls)
-	return nil
-}
-
-// corePar is the Par for the terminal-core fallback, which runs on the
-// coordinator goroutine rather than inside an executor: same worker width,
-// with the split gate on a guard over the run's memory budget.
-func corePar(opts Options) mcealg.Par {
-	guard := resguard.New(opts.MemoryBudget, opts.Metrics)
-	return mcealg.Par{Workers: opts.IntraBlockParallelism, SplitGate: guard.OverBudget}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -70,7 +71,7 @@ func TestSingleNode(t *testing.T) {
 
 func TestCompleteGraphSmallM(t *testing.T) {
 	// K8 with m=3: every node has degree 7 ≥ m, so the recursion stalls
-	// immediately and the core fallback must kick in.
+	// immediately and level 0 must be cut again with every node feasible.
 	g := graph.Complete(8)
 	res, err := FindMaxCliques(g, Options{BlockSize: 3})
 	if err != nil {
@@ -388,10 +389,10 @@ func TestQuickLevelLabelling(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if res.Stats.Levels[0].Feasible == 0 {
-			// Degenerate case: every node is a hub, the level-0 core
-			// fallback enumerated the whole graph and labels are all 0.
-			return res.Stats.CoreFallback
+		if res.Stats.CoreFallback && len(res.Stats.Levels) == 1 {
+			// Degenerate case: every node is a hub, level 0 was cut again
+			// with every node feasible and labels are all 0.
+			return !slices.ContainsFunc(res.Level, func(l int) bool { return l != 0 })
 		}
 		for i, c := range res.Cliques {
 			allHubs := true

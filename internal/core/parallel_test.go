@@ -46,8 +46,8 @@ func TestIntraBlockParallelEquivalence(t *testing.T) {
 	}{
 		{"holme-kim", gen.HolmeKim(260, 6, 0.5, 21)},
 		{"barabasi-albert", gen.BarabasiAlbert(260, 7, 22)},
-		// Dense enough that the terminal (m+1)-core fallback fires, which is
-		// the single-enumeration path intra-block parallelism exists for.
+		// Dense enough that the recursion stalls: the terminal level is cut
+		// into one large block, the shape intra-block parallelism exists for.
 		{"dense-core", gen.ErdosRenyi(160, 0.5, 23)},
 	}
 	for _, tc := range graphs {
@@ -62,8 +62,9 @@ func TestIntraBlockParallelEquivalence(t *testing.T) {
 	}
 }
 
-// TestIntraBlockParallelStreamEquivalence covers the streaming pipeline's
-// separate core-fallback call site.
+// TestIntraBlockParallelStreamEquivalence: the streaming pipeline keeps the
+// sequence at every intra-block width too, on a graph whose recursion stalls
+// so its terminal level is one large block.
 func TestIntraBlockParallelStreamEquivalence(t *testing.T) {
 	g := gen.ErdosRenyi(140, 0.45, 31)
 	collect := func(opts Options) [][]int32 {

@@ -33,7 +33,7 @@ func StreamContext(ctx context.Context, g *graph.Graph, opts Options, emit func(
 		// duplicate cliques. Refuse rather than betray exactly-once.
 		return nil, errCheckpointStream
 	}
-	return enumerate(ctx, g, opts, false, func(w family.Window, level int) {
+	return enumerate(ctx, g, opts, func(w family.Window, level int) {
 		for i := 0; i < w.Count; i++ {
 			emit(w.At(i), level)
 		}

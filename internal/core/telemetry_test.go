@@ -232,3 +232,42 @@ func BenchmarkAnalyzeBlocksTelemetry(b *testing.B) {
 	b.Run("disabled", func(b *testing.B) { run(b, nil) })
 	b.Run("enabled", func(b *testing.B) { run(b, telemetry.NewEngine()) })
 }
+
+// TestTerminalLevelCounted: a stalled recursion's terminal level runs through
+// the executor like any level, so its kernel work is counted, and the counts
+// do not depend on how the level was spread over workers — one block worker,
+// two, or one with a two-wide intra-block pool.
+func TestTerminalLevelCounted(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"G(226,0.5)", gen.ErdosRenyi(226, 0.5, 2016)},
+		{"ring WS(4000,4,0)", gen.WattsStrogatz(4000, 4, 0, 1)},
+	} {
+		var want telemetry.Snapshot
+		for i, opts := range []Options{{Parallelism: 1}, {Parallelism: 2}, {Parallelism: 1, IntraBlockParallelism: 2}} {
+			opts.Metrics = telemetry.NewEngine()
+			res, err := FindMaxCliques(tc.g, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Stats.CoreFallback {
+				t.Fatalf("%s: the recursion did not stall at default options", tc.name)
+			}
+			s := *res.Stats.Telemetry
+			if s.RecursionNodes == 0 || s.PivotSelections == 0 {
+				t.Fatalf("%s %+v: terminal level uncounted: nodes=%d pivots=%d", tc.name, opts, s.RecursionNodes, s.PivotSelections)
+			}
+			if i == 0 {
+				want = s
+				t.Logf("%s: %d recursion nodes, %d pivots", tc.name, s.RecursionNodes, s.PivotSelections)
+				continue
+			}
+			if s.RecursionNodes != want.RecursionNodes || s.PivotSelections != want.PivotSelections {
+				t.Fatalf("%s %+v: nodes=%d pivots=%d, want %d and %d as at width 1",
+					tc.name, opts, s.RecursionNodes, s.PivotSelections, want.RecursionNodes, want.PivotSelections)
+			}
+		}
+	}
+}

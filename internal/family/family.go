@@ -159,9 +159,6 @@ func (f *Family) Truncate(n int) {
 	f.used, f.n = used, n
 }
 
-// Reset empties the family and keeps its capacity.
-func (f *Family) Reset() { f.Truncate(0) }
-
 // Window returns the window over the whole family.
 func (f *Family) Window() Window { return Window{F: f, Count: f.Len()} }
 

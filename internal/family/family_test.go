@@ -124,8 +124,8 @@ func TestBoundaries(t *testing.T) {
 }
 
 // TestTruncateAndReset: a family cut back to any length is the prefix, what
-// is appended afterwards lands behind it, and a Reset family refills from
-// the capacity it kept without allocating.
+// is appended afterwards lands behind it, and a family truncated to 0 refills
+// from the capacity it kept without allocating.
 func TestTruncateAndReset(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	want := randomCliques(rng, 3*pageLen+17, 40) // several pages, several chunks
@@ -147,7 +147,7 @@ func TestTruncateAndReset(t *testing.T) {
 	fam = Of(want)
 	held := fam.ArenaBytes()
 	refill := func() {
-		fam.Reset()
+		fam.Truncate(0)
 		for _, c := range want {
 			fam.Append(c)
 		}
@@ -157,7 +157,7 @@ func TestTruncateAndReset(t *testing.T) {
 	}
 	same(t, fam, want)
 	if fam.ArenaBytes() != held {
-		t.Fatalf("arena went from %d to %d bytes across Reset and refill", held, fam.ArenaBytes())
+		t.Fatalf("arena went from %d to %d bytes across Truncate(0) and refill", held, fam.ArenaBytes())
 	}
 }
 
@@ -209,7 +209,7 @@ func TestSmallFamilyStaysSmall(t *testing.T) {
 	if empty.Len() != 0 || empty.Members() != 0 || empty.ArenaBytes() != 0 || len(empty.Views(nil)) != 0 {
 		t.Fatal("the zero Family is not empty")
 	}
-	empty.Reset()
+	empty.Truncate(0)
 	if w := empty.Window(); w.Count != 0 {
 		t.Fatal("the window over an empty family is not empty")
 	}
@@ -221,7 +221,7 @@ func BenchmarkAppend(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if fam.Len() == 1<<20 {
-			fam.Reset()
+			fam.Truncate(0)
 		}
 		fam.Append(clique)
 	}

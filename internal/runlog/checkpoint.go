@@ -527,7 +527,7 @@ func (c *Checkpoint) flushLog() error {
 	c.logOff += len(c.batch)
 	c.logEnd[c.logLevel] = c.logOff
 	if c.batch = c.batch[:0]; cap(c.batch) > 2*maxBatchBytes {
-		c.batch = nil // one huge block (a terminal core) should not pin its size
+		c.batch = nil // one huge block (a dense terminal level's) should not pin its size
 	}
 	return nil
 }

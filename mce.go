@@ -145,10 +145,11 @@ func WithParallelism(workers int) Option {
 }
 
 // WithIntraBlockParallelism sets the work-stealing worker count inside a
-// single block's Bron–Kerbosch enumeration (and the terminal core's). With
-// n > 1 the combo selector upgrades BitSets picks on large blocks to the
-// BitSetsParallel execution mode, so one dense block — typically the
-// terminal hub core — no longer serializes the run on a single goroutine.
+// single block's Bron–Kerbosch enumeration. With n > 1 the combo selector
+// upgrades BitSets picks on large blocks to the BitSetsParallel execution
+// mode, so one dense block — typically the terminal level of a dense graph,
+// cut into a few large blocks — no longer serializes the run on a single
+// goroutine.
 // It composes multiplicatively with WithParallelism (each block worker
 // spawns its own pool of n), so keep workers × n around GOMAXPROCS. The
 // result — every clique and its position in the output — is bit-identical

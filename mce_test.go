@@ -291,7 +291,7 @@ func maxLevels(levels int) Option {
 
 // TestStreamHonoursMaxLevels pins that the depth cap counts absolute
 // recursion depth on both routes: a graph that needs ≥ 3 levels, capped at
-// one, runs level 0 plus the terminal core whether accumulated or streamed.
+// one, runs level 0 plus the terminal level whether accumulated or streamed.
 func TestStreamHonoursMaxLevels(t *testing.T) {
 	g := GenerateSocialNetwork(600, 5, 0.7, 37)
 	uncapped, err := Enumerate(g, WithBlockSize(10))
