@@ -7,8 +7,6 @@ import (
 	"mce/internal/incremental"
 	"mce/internal/kcore"
 	"mce/internal/kplex"
-	"mce/internal/maxclique"
-	"mce/internal/relax"
 )
 
 // Community is one overlapping k-clique community; see Communities.
@@ -38,31 +36,6 @@ func KPlexes(g *Graph, k, minSize int) ([][]int32, error) {
 	return kplex.Collect(g, kplex.Options{K: k, MinSize: minSize})
 }
 
-// KCliques enumerates the maximal k-cliques of g (Luce's distance
-// relaxation, §8): maximal sets whose members are pairwise within distance
-// k in g. k = 1 is plain maximal clique enumeration.
-func KCliques(g *Graph, k int) ([][]int32, error) { return relax.KCliques(g, k) }
-
-// KClans enumerates the k-clans of g (Mokken): maximal k-cliques whose
-// induced subgraph also has diameter ≤ k.
-func KClans(g *Graph, k int) ([][]int32, error) { return relax.KClans(g, k) }
-
-// KClubs reports k-clubs of g — node sets of induced diameter ≤ k that no
-// single node extends — grown from the k-clans; exact for k = 1.
-func KClubs(g *Graph, k int) ([][]int32, error) { return relax.KClubs(g, k) }
-
-// IsKClub reports whether the subgraph induced by set is connected with
-// diameter at most k.
-func IsKClub(g *Graph, set []int32, k int) bool { return relax.IsKClub(g, set, k) }
-
-// MaximumClique returns one largest clique of g via branch-and-bound with a
-// colouring bound — far faster than enumerating every maximal clique when
-// only the biggest community matters.
-func MaximumClique(g *Graph) []int32 { return maxclique.Find(g) }
-
-// CliqueNumber returns ω(g), the size of g's largest clique.
-func CliqueNumber(g *Graph) int { return maxclique.Size(g) }
-
 // Tracker maintains the maximal cliques of an evolving graph under edge
 // insertions and deletions; see NewTracker.
 type Tracker = incremental.Tracker
@@ -71,10 +44,6 @@ type Tracker = incremental.Tracker
 // RemoveEdge then update the clique set locally instead of re-enumerating,
 // the paper's future-work scenario of evolving social networks (§8).
 func NewTracker(g *Graph) (*Tracker, error) { return incremental.New(g) }
-
-// NewEmptyTracker starts incremental maintenance from an edgeless graph on
-// n nodes.
-func NewEmptyTracker(n int) *Tracker { return incremental.NewEmpty(n) }
 
 // GraphStats bundles the sparsity metrics of a network: the degeneracy d
 // (the paper's termination measure, Theorem 1), the d* densest-portion
@@ -87,7 +56,7 @@ type GraphStats struct {
 	DStar        int
 }
 
-// Stats computes the sparsity metrics of g in linear time.
+// GraphMetrics computes the sparsity metrics of g in linear time.
 func GraphMetrics(g *Graph) GraphStats {
 	f := kcore.Measure(g)
 	return GraphStats{
@@ -97,18 +66,6 @@ func GraphMetrics(g *Graph) GraphStats {
 		Degeneracy: f.Degeneracy,
 		DStar:      f.DStar,
 	}
-}
-
-// Coreness returns each node's core number (the largest k such that the
-// node survives in the k-core), a per-node sparsity profile.
-func Coreness(g *Graph) []int32 {
-	return kcore.Decompose(g).Coreness
-}
-
-// SavePartitioned writes g as part-<i>.triples files under dir, the
-// distributed input layout of the paper's loading phase (§6.2).
-func SavePartitioned(dir string, g *Graph, parts int) error {
-	return gio.WritePartitioned(dir, g, parts)
 }
 
 // LoadPartitioned merges every part-*.triples file under dir into one

@@ -1,10 +1,14 @@
 package mce
 
 import (
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"mce/internal/cliqstore"
+	"mce/internal/gio"
 )
 
 func TestCommunitiesFromResult(t *testing.T) {
@@ -51,7 +55,7 @@ func TestCommunitiesFromResult(t *testing.T) {
 
 func TestKPlexesPublicAPI(t *testing.T) {
 	// C4 is a maximal 2-plex.
-	g := FromEdges(4, []Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 0}})
+	g := fromEdges(4, []Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 0}})
 	plexes, err := KPlexes(g, 2, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -85,10 +89,6 @@ func TestTrackerPublicAPI(t *testing.T) {
 	if len(added) == 0 && len(removed) == 0 && !g.HasEdge(0, 99) {
 		t.Fatal("adding a fresh edge produced no delta")
 	}
-	empty := NewEmptyTracker(3)
-	if empty.Len() != 3 {
-		t.Fatalf("empty tracker = %d cliques", empty.Len())
-	}
 }
 
 func TestGraphMetrics(t *testing.T) {
@@ -100,19 +100,6 @@ func TestGraphMetrics(t *testing.T) {
 	if s.Degeneracy < 4 || s.DStar < s.Degeneracy {
 		t.Fatalf("sparsity metrics implausible: %+v", s)
 	}
-	cores := Coreness(g)
-	if len(cores) != 500 {
-		t.Fatalf("coreness length %d", len(cores))
-	}
-	maxCore := int32(0)
-	for _, c := range cores {
-		if c > maxCore {
-			maxCore = c
-		}
-	}
-	if int(maxCore) != s.Degeneracy {
-		t.Fatalf("max coreness %d != degeneracy %d", maxCore, s.Degeneracy)
-	}
 	degs := Degrees(g)
 	if len(degs) != 500 || degs[0] != g.Degree(0) {
 		t.Fatalf("degree sequence wrong")
@@ -122,7 +109,7 @@ func TestGraphMetrics(t *testing.T) {
 func TestPartitionedPublicAPI(t *testing.T) {
 	g := GenerateSocialNetwork(200, 4, 0.6, 5)
 	dir := t.TempDir()
-	if err := SavePartitioned(dir, g, 3); err != nil {
+	if err := gio.WritePartitioned(dir, g, 3); err != nil {
 		t.Fatal(err)
 	}
 	g2, _, err := LoadPartitioned(dir)
@@ -157,7 +144,7 @@ func TestVerifyResultAcceptsEngineOutput(t *testing.T) {
 }
 
 func TestVerifyResultRejectsCorruption(t *testing.T) {
-	g := FromEdges(4, []Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 0, V: 2}, {U: 2, V: 3}})
+	g := fromEdges(4, []Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 0, V: 2}, {U: 2, V: 3}})
 	good, err := Enumerate(g)
 	if err != nil {
 		t.Fatal(err)
@@ -279,15 +266,21 @@ func TestOutOfCorePublicAPI(t *testing.T) {
 	if err := SaveCliques(cpath, got); err != nil {
 		t.Fatal(err)
 	}
-	back, err := LoadCliques(cpath)
+	f, err := os.Open(cpath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back) != len(got) {
-		t.Fatalf("clique store round trip: %d vs %d", len(back), len(got))
+	defer f.Close()
+	r, err := cliqstore.NewReader(f)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := LoadCliques(filepath.Join(dir, "absent")); err == nil {
-		t.Fatal("missing clique store accepted")
+	back := 0
+	if err := r.ForEach(func([]int32) error { back++; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if back != len(got) {
+		t.Fatalf("clique store round trip: %d vs %d", back, len(got))
 	}
 	if _, err := EnumerateOutOfCore(filepath.Join(dir, "absent"), func([]int32, int) {}); err == nil {
 		t.Fatal("missing disk graph accepted")

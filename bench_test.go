@@ -29,7 +29,6 @@ import (
 	"mce/internal/graph"
 	"mce/internal/incremental"
 	"mce/internal/kplex"
-	"mce/internal/maxclique"
 	"mce/internal/mcealg"
 )
 
@@ -560,29 +559,6 @@ func BenchmarkExtensionKPlex(b *testing.B) {
 			}
 		})
 	}
-}
-
-func BenchmarkExtensionMaxClique(b *testing.B) {
-	g := gen.HolmeKim(5000, 6, 0.7, 63)
-	b.Run("branch-and-bound", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = maxclique.Find(g)
-		}
-	})
-	b.Run("via-enumeration", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			max := 0
-			err := mcealg.Enumerate(g, mcealg.Combo{Alg: mcealg.Eppstein, Struct: mcealg.Lists},
-				func(c []int32) {
-					if len(c) > max {
-						max = len(c)
-					}
-				})
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 func BenchmarkExtensionIncremental(b *testing.B) {

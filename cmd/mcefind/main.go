@@ -296,6 +296,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return exitIncomplete
 	}
 
+	// SIGINT/SIGTERM cancel the run cleanly: in-flight batches stop, and
+	// with -checkpoint every completed block is already durable, so the
+	// interrupted run is resumable from exactly where it died. A -stream
+	// run keeps the cliques it already wrote: the deferred Flush writes
+	// out whole lines only.
+	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stopSignals()
+	interrupted := func(err error) bool {
+		if ctx.Err() == nil || !(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
+			return false
+		}
+		fmt.Fprintln(stderr, "mcefind: interrupted")
+		printHealthSummary(stderr, healthSummary)
+		return true
+	}
+
 	if *stream {
 		if *commK > 0 || *countOnly {
 			fmt.Fprintln(stderr, "mcefind: -stream cannot combine with -communities or -count")
@@ -303,13 +319,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		w := bufio.NewWriter(stdout)
 		defer w.Flush()
-		st, err := mce.EnumerateStream(g, func(c []int32, _ int) {
+		st, err := mce.EnumerateStreamContext(ctx, g, func(c []int32, _ int) {
 			if len(c) < *minSize {
 				return
 			}
 			writeClique(w, c, *format, name)
 		}, opts...)
 		if err != nil {
+			if interrupted(err) {
+				return exitInterrupted
+			}
 			fmt.Fprintln(stderr, "mcefind:", err)
 			return 1
 		}
@@ -321,18 +340,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return finish(st.SkippedBlocks)
 	}
 
-	// SIGINT/SIGTERM cancel the run cleanly: in-flight batches stop, and
-	// with -checkpoint every completed block is already durable, so the
-	// interrupted run is resumable from exactly where it died.
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
-
 	t0 := time.Now()
 	res, err := mce.EnumerateContext(ctx, g, opts...)
 	if err != nil {
-		if ctx.Err() != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
-			fmt.Fprintln(stderr, "mcefind: interrupted")
-			printHealthSummary(stderr, healthSummary)
+		if interrupted(err) {
 			if *checkpoint != "" {
 				fmt.Fprintf(stderr, "mcefind: progress saved; resume with: mcefind -checkpoint %s -resume %s\n",
 					*checkpoint, fs.Arg(0))

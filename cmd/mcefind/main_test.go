@@ -2,16 +2,22 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"net"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strconv"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
 
 	"mce"
 	"mce/internal/cliqdb"
 	"mce/internal/durable"
+	"mce/internal/gio"
 )
 
 func runCmd(t *testing.T, args ...string) (int, string, string) {
@@ -21,11 +27,20 @@ func runCmd(t *testing.T, args ...string) (int, string, string) {
 	return code, out.String(), errb.String()
 }
 
+// fromEdges builds a graph on n nodes from an edge list.
+func fromEdges(n int, edges []mce.Edge) *mce.Graph {
+	b := mce.NewBuilder(n)
+	for _, e := range edges {
+		b.AddEdge(e.U, e.V)
+	}
+	return b.Build()
+}
+
 // writeTriangleTail writes the 4-node triangle+tail graph and returns its
 // path. Cliques: {0,1,2} and {2,3}.
 func writeTriangleTail(t *testing.T) string {
 	t.Helper()
-	g := mce.FromEdges(4, []mce.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 0, V: 2}, {U: 2, V: 3}})
+	g := fromEdges(4, []mce.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 0, V: 2}, {U: 2, V: 3}})
 	p := filepath.Join(t.TempDir(), "g.txt")
 	if err := mce.Save(p, g); err != nil {
 		t.Fatal(err)
@@ -99,7 +114,7 @@ func TestPinnedCombo(t *testing.T) {
 
 func TestCommunitiesOutput(t *testing.T) {
 	// Two triangles sharing node 2.
-	g := mce.FromEdges(5, []mce.Edge{
+	g := fromEdges(5, []mce.Edge{
 		{U: 0, V: 1}, {U: 1, V: 2}, {U: 0, V: 2},
 		{U: 2, V: 3}, {U: 3, V: 4}, {U: 2, V: 4},
 	})
@@ -135,7 +150,7 @@ func TestLabelsFlag(t *testing.T) {
 func TestPartitionDirInput(t *testing.T) {
 	g := mce.GenerateSocialNetwork(120, 4, 0.6, 3)
 	dir := filepath.Join(t.TempDir(), "parts")
-	if err := mce.SavePartitioned(dir, g, 3); err != nil {
+	if err := gio.WritePartitioned(dir, g, 3); err != nil {
 		t.Fatal(err)
 	}
 	code, out, errs := runCmd(t, "-count", dir)
@@ -208,6 +223,59 @@ func TestStreamAndFormats(t *testing.T) {
 	}
 }
 
+// TestStreamInterrupted: SIGTERM stops a -stream run like a batch run —
+// exit 130 and "mcefind: interrupted" — and the cliques already written
+// reach stdout whole. The test reads one byte and then nothing until the
+// signal is sent, so the binary is held in a write on the full pipe with
+// most of its output still to come.
+func TestStreamInterrupted(t *testing.T) {
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "mcefind")
+	// go test puts its own toolchain first on the PATH of the test binary.
+	if out, err := exec.Command("go", "build", "-o", bin, "mce/cmd/mcefind").CombinedOutput(); err != nil {
+		t.Fatalf("build mcefind: %v\n%s", err, out)
+	}
+	p := filepath.Join(dir, "g.txt")
+	if err := mce.Save(p, mce.GenerateSocialNetwork(50000, 5, 0.7, 42)); err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(bin, "-stream", p)
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	first := make([]byte, 1)
+	if _, err := io.ReadFull(stdout, first); err != nil {
+		cmd.Process.Kill()
+		t.Fatalf("no output before the signal: %v", err)
+	}
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	// Give the runtime's signal handler time to cancel the run before the
+	// pipe drains and the blocked write returns.
+	time.Sleep(200 * time.Millisecond)
+	rest, err := io.ReadAll(stdout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var exit *exec.ExitError
+	if err := cmd.Wait(); !errors.As(err, &exit) || exit.ExitCode() != exitInterrupted {
+		t.Fatalf("exit = %v, want code %d; stderr %q", err, exitInterrupted, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "mcefind: interrupted") {
+		t.Fatalf("stderr = %q, want the interrupted line", stderr.String())
+	}
+	if out := append(first, rest...); out[len(out)-1] != '\n' {
+		t.Fatalf("stdout (%d bytes) ends mid-line: %q", len(out), out[max(0, len(out)-40):])
+	}
+}
+
 // hangUpWorker is a worker that completes the handshake and then hangs up
 // on the first task it is sent — every block shipped to it is a failed
 // round trip. The handshake mirrors cluster's wire format: one durable frame
@@ -266,7 +334,7 @@ func TestSkipPoisonExitCode(t *testing.T) {
 }
 
 func TestDiskGraphInput(t *testing.T) {
-	g := mce.FromEdges(4, []mce.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 0, V: 2}, {U: 2, V: 3}})
+	g := fromEdges(4, []mce.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 0, V: 2}, {U: 2, V: 3}})
 	p := filepath.Join(t.TempDir(), "g.mceg")
 	if err := mce.SaveDiskGraph(p, g); err != nil {
 		t.Fatal(err)
@@ -431,7 +499,7 @@ func TestIndexOutRefusedForStreamAndOutOfCore(t *testing.T) {
 // -structure, and refuses — exit 2, naming the flag — every flag it would
 // otherwise ignore.
 func TestDiskGraphFlags(t *testing.T) {
-	g := mce.FromEdges(4, []mce.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 0, V: 2}, {U: 2, V: 3}})
+	g := fromEdges(4, []mce.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 0, V: 2}, {U: 2, V: 3}})
 	p := filepath.Join(t.TempDir(), "g.mceg")
 	if err := mce.SaveDiskGraph(p, g); err != nil {
 		t.Fatal(err)

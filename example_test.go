@@ -36,7 +36,11 @@ func ExampleEnumerate() {
 }
 
 func ExampleEnumerate_blockSize() {
-	g := mce.FromEdges(4, []mce.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 0, V: 2}, {U: 2, V: 3}})
+	b := mce.NewBuilder(4)
+	for _, e := range []mce.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 0, V: 2}, {U: 2, V: 3}} {
+		b.AddEdge(e.U, e.V)
+	}
+	g := b.Build()
 	res, err := mce.Enumerate(g, mce.WithBlockSize(3), mce.WithAlgorithm("Tomita", "BitSets"))
 	if err != nil {
 		panic(err)
@@ -51,10 +55,14 @@ func ExampleEnumerate_blockSize() {
 
 func ExampleCommunities() {
 	// Two triangles sharing an edge percolate into one k=3 community.
-	g := mce.FromEdges(4, []mce.Edge{
+	b := mce.NewBuilder(4)
+	for _, e := range []mce.Edge{
 		{U: 0, V: 1}, {U: 1, V: 2}, {U: 0, V: 2},
 		{U: 1, V: 3}, {U: 2, V: 3},
-	})
+	} {
+		b.AddEdge(e.U, e.V)
+	}
+	g := b.Build()
 	res, err := mce.Enumerate(g)
 	if err != nil {
 		panic(err)
@@ -69,7 +77,10 @@ func ExampleCommunities() {
 }
 
 func ExampleNewTracker() {
-	tr := mce.NewEmptyTracker(3)
+	tr, err := mce.NewTracker(mce.NewBuilder(3).Build()) // three isolated nodes
+	if err != nil {
+		panic(err)
+	}
 	tr.AddEdge(0, 1)
 	tr.AddEdge(1, 2)
 	added, removed, err := tr.AddEdge(0, 2) // closes the triangle
@@ -83,33 +94,40 @@ func ExampleNewTracker() {
 	// removed: [[0 1] [1 2]]
 }
 
-func ExampleMaximumClique() {
-	g := mce.FromEdges(5, []mce.Edge{
+func ExampleEnumerate_cliqueNumber() {
+	// ω(g), the clique number, is the size of the largest maximal clique.
+	b := mce.NewBuilder(5)
+	for _, e := range []mce.Edge{
 		{U: 0, V: 1}, {U: 1, V: 2}, {U: 0, V: 2}, {U: 2, V: 3}, {U: 3, V: 4},
-	})
-	fmt.Println(mce.MaximumClique(g))
-	fmt.Println(mce.CliqueNumber(g))
+	} {
+		b.AddEdge(e.U, e.V)
+	}
+	g := b.Build()
+	res, err := mce.Enumerate(g)
+	if err != nil {
+		panic(err)
+	}
+	var largest []int32
+	for _, c := range res.Cliques {
+		if len(c) > len(largest) {
+			largest = c
+		}
+	}
+	fmt.Println(largest)
+	fmt.Println(len(largest))
 	// Output:
 	// [0 1 2]
 	// 3
 }
 
-func ExampleKCliques() {
-	// Path 0-1-2: all three nodes are pairwise within distance 2.
-	g := mce.FromEdges(3, []mce.Edge{{U: 0, V: 1}, {U: 1, V: 2}})
-	kc, err := mce.KCliques(g, 2)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println(kc)
-	// Output:
-	// [[0 1 2]]
-}
-
 func ExampleEnumerateStream() {
 	// With the default m = maxdegree/2 = 2, node 2 (degree 3) is a hub, so
 	// the triangle through it is found by the hub recursion (level 1).
-	g := mce.FromEdges(4, []mce.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 0, V: 2}, {U: 2, V: 3}})
+	b := mce.NewBuilder(4)
+	for _, e := range []mce.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 0, V: 2}, {U: 2, V: 3}} {
+		b.AddEdge(e.U, e.V)
+	}
+	g := b.Build()
 	stats, err := mce.EnumerateStream(g, func(clique []int32, hubLevel int) {
 		fmt.Println(clique, "level", hubLevel)
 	})
@@ -125,7 +143,11 @@ func ExampleEnumerateStream() {
 
 func ExampleKPlexes() {
 	// C4 is a maximal 2-plex: every member misses exactly one other.
-	g := mce.FromEdges(4, []mce.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 0}})
+	b := mce.NewBuilder(4)
+	for _, e := range []mce.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 0}} {
+		b.AddEdge(e.U, e.V)
+	}
+	g := b.Build()
 	plexes, err := mce.KPlexes(g, 2, 0)
 	if err != nil {
 		panic(err)
@@ -136,9 +158,13 @@ func ExampleKPlexes() {
 }
 
 func ExampleGraphMetrics() {
-	g := mce.FromEdges(5, []mce.Edge{
+	b := mce.NewBuilder(5)
+	for _, e := range []mce.Edge{
 		{U: 0, V: 1}, {U: 1, V: 2}, {U: 0, V: 2}, {U: 2, V: 3}, {U: 3, V: 4},
-	})
+	} {
+		b.AddEdge(e.U, e.V)
+	}
+	g := b.Build()
 	s := mce.GraphMetrics(g)
 	fmt.Printf("n=%d m=%d degeneracy=%d d*=%d\n", s.Nodes, s.Edges, s.Degeneracy, s.DStar)
 	// Output:

@@ -114,8 +114,8 @@ func TestParallelSelectorUpgrade(t *testing.T) {
 // extended cells rather than being silently dropped.
 func TestIntraBlockParallelTelemetry(t *testing.T) {
 	idx := mcealg.Combo{Alg: mcealg.Tomita, Struct: mcealg.BitSetsParallel}.Index()
-	if idx < 12 || idx >= telemetry.NumCombos {
-		t.Fatalf("BitSetsParallel/Tomita index %d outside telemetry range [12, %d)", idx, telemetry.NumCombos)
+	if idx < 12 || idx >= mcealg.NumCombos {
+		t.Fatalf("BitSetsParallel/Tomita index %d outside telemetry range [12, %d)", idx, mcealg.NumCombos)
 	}
 	met := telemetry.NewEngine()
 	g := gen.ErdosRenyi(160, 0.5, 41)

@@ -1,10 +1,10 @@
 // Package kcore computes the sparsity metrics the paper builds on: the
-// degeneracy (coreness) of a network, the degeneracy ordering used by the
-// Eppstein–Strash algorithm, and the d* statistic used as a decision-tree
-// feature (paper §4: the largest d* such that at least d* nodes have degree
-// ≥ d*, i.e. the h-index of the degree sequence).
+// degeneracy of a network (its largest core number) and the d* statistic
+// used as a decision-tree feature (paper §4: the largest d* such that at
+// least d* nodes have degree ≥ d*, i.e. the h-index of the degree
+// sequence).
 //
-// The decomposition algorithm is the classic linear-time bucket peeling of
+// The degeneracy comes from the classic linear-time bucket peeling of
 // Matula–Beck / Batagelj–Zaveršnik [4]: repeatedly remove a minimum-degree
 // node; the degeneracy is the largest degree seen at removal time.
 package kcore
@@ -15,33 +15,7 @@ import (
 	"mce/internal/graph"
 )
 
-// Decomposition is the result of peeling a graph by minimum degree.
-type Decomposition struct {
-	// Order lists the nodes in degeneracy order (the order of removal).
-	// In this order, every node has at most Degeneracy neighbours after it.
-	Order []int32
-	// Coreness[v] is the largest k such that v belongs to the k-core.
-	Coreness []int32
-	// Degeneracy is the maximum coreness, the paper's sparsity measure d.
-	Degeneracy int
-	// Position[v] is the index of v in Order.
-	Position []int32
-}
-
-// Decompose computes the k-core decomposition of g in O(N + M) time.
-func Decompose(g *graph.Graph) *Decomposition {
-	n := g.N()
-	d := &Decomposition{
-		Order:    make([]int32, 0, n),
-		Coreness: make([]int32, n),
-		Position: make([]int32, n),
-	}
-	var s Scratch
-	d.Degeneracy = s.peel(g, d)
-	return d
-}
-
-// Degeneracy returns only the degeneracy of g.
+// Degeneracy returns the degeneracy of g, peeling from a fresh Scratch.
 func Degeneracy(g *graph.Graph) int {
 	var s Scratch
 	return s.Degeneracy(g)
@@ -66,18 +40,16 @@ func (s *Scratch) ints(n int) []int32 {
 	return s.buf[:n]
 }
 
-// Degeneracy returns the degeneracy of g without recording the order, the
-// coreness or the positions Decompose builds.
+// Degeneracy returns the degeneracy of g.
 //
 //mce:hotpath per-block selector feature (worker-side select)
 func (s *Scratch) Degeneracy(g *graph.Graph) int {
-	return s.peel(g, nil)
+	return s.peel(g)
 }
 
 // peel removes the nodes of g by minimum remaining degree and returns the
-// largest degree seen at removal time. When d is non-nil it also records
-// the removal order, each node's position in it and its coreness.
-func (s *Scratch) peel(g *graph.Graph, d *Decomposition) int {
+// largest degree seen at removal time.
+func (s *Scratch) peel(g *graph.Graph) int {
 	s.Peels++
 	n := g.N()
 	if n == 0 {
@@ -110,11 +82,6 @@ func (s *Scratch) peel(g *graph.Graph, d *Decomposition) int {
 		v := vert[i]
 		if deg[v] > degeneracy {
 			degeneracy = deg[v]
-		}
-		if d != nil {
-			d.Coreness[v] = degeneracy
-			d.Position[v] = int32(len(d.Order))
-			d.Order = append(d.Order, v)
 		}
 		for _, u := range g.Neighbors(v) {
 			// A removed neighbour left at a degree no larger than deg[v]

@@ -4,15 +4,9 @@ import (
 	"strconv"
 	"sync/atomic"
 	"time"
-)
 
-// NumCombos is the number of algorithm/data-structure combinations the
-// engine tracks per-combo statistics for — the 4×3 grid of the paper's
-// Table 1 plus the four BitSetsParallel combos of the intra-block parallel
-// mode. Indices come from mcealg.Combo.Index (structures outer, algorithms
-// inner); telemetry itself stays independent of that package and learns the
-// display label of each slot lazily from the caller.
-const NumCombos = 16
+	"mce/internal/mcealg"
+)
 
 // comboCell is one slot of the per-combo pick/timing distribution.
 type comboCell struct {
@@ -107,7 +101,7 @@ type Engine struct {
 	RoundTripNs *Histogram
 	QueryNs     *Histogram
 
-	combos    [NumCombos]comboCell
+	combos    [mcealg.NumCombos]comboCell
 	endpoints [NumEndpoints]endpointCell
 }
 
@@ -121,12 +115,12 @@ func NewEngine() *Engine {
 }
 
 // ComboPicked records one decision-tree (or fixed-combo) selection. label is
-// the display name ("[Lists/Tomita]"); it is stored on first use so the
-// snapshot can name the slot without this package importing mcealg.
+// the display name ("[Lists/Tomita]"), stored on first use so the snapshot
+// can name the slot; i is mcealg.Combo.Index.
 //
 //mce:hotpath per-block combo accounting
 func (e *Engine) ComboPicked(i int, label string) {
-	if i < 0 || i >= NumCombos {
+	if i < 0 || i >= mcealg.NumCombos {
 		return
 	}
 	c := &e.combos[i]
@@ -145,7 +139,7 @@ func (e *Engine) ComboPicked(i int, label string) {
 func (e *Engine) ComboAnalyzed(i int, label string, d time.Duration) {
 	e.BlocksAnalyzed.Inc()
 	e.BlockNs.Observe(int64(d))
-	if i < 0 || i >= NumCombos {
+	if i < 0 || i >= mcealg.NumCombos {
 		return
 	}
 	c := &e.combos[i]

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"mce/internal/mcealg"
 )
 
 func TestCounterAndGauge(t *testing.T) {
@@ -174,7 +176,7 @@ func TestEngineSnapshotAndJSON(t *testing.T) {
 func TestComboOutOfRangeIgnored(t *testing.T) {
 	e := NewEngine()
 	e.ComboPicked(-1, "x")
-	e.ComboPicked(NumCombos, "x")
+	e.ComboPicked(mcealg.NumCombos, "x")
 	e.ComboAnalyzed(99, "x", time.Millisecond)
 	s := e.Snapshot()
 	if len(s.Combos) != 0 {
@@ -202,8 +204,8 @@ func TestConcurrentUpdates(t *testing.T) {
 			for i := 0; i < perWorker; i++ {
 				e.BlocksBuilt.Inc()
 				e.QueueDepth.Add(1)
-				e.ComboPicked(w%NumCombos, "combo")
-				e.ComboAnalyzed(w%NumCombos, "combo", time.Duration(i)*time.Microsecond)
+				e.ComboPicked(w%mcealg.NumCombos, "combo")
+				e.ComboAnalyzed(w%mcealg.NumCombos, "combo", time.Duration(i)*time.Microsecond)
 				e.RoundTripNs.Observe(int64(i))
 				ins.RecursionNodes += 2
 				ins.PivotSelections++

@@ -41,7 +41,7 @@ import (
 )
 
 // Graph is a simple undirected graph with dense int32 node IDs.
-// Build one with NewBuilder, FromEdges or Load.
+// Build one with NewBuilder or Load.
 type Graph = graph.Graph
 
 // Builder accumulates edges for a Graph.
@@ -67,10 +67,6 @@ type Result = core.Result
 
 // NewBuilder returns a Builder for a graph with n nodes.
 func NewBuilder(n int) *Builder { return graph.NewBuilder(n) }
-
-// FromEdges builds a normalised graph (undirected, deduplicated, no self
-// loops) with n nodes from an edge list.
-func FromEdges(n int, edges []Edge) *Graph { return graph.FromEdges(n, edges) }
 
 // Load reads a graph from disk: whitespace-separated edge lists (SNAP
 // style) by default, the paper's ⟨n1, e, n2⟩ triple format for ".triples"
@@ -169,7 +165,7 @@ func WithIntraBlockParallelism(n int) Option {
 // "Eppstein", "XPivot" and "Matrix", "Lists", "BitSets".
 func WithAlgorithm(algorithm, structure string) Option {
 	return func(c *config) error {
-		combo, err := ParseCombo(algorithm, structure)
+		combo, err := parseCombo(algorithm, structure)
 		if err != nil {
 			return err
 		}
@@ -394,8 +390,8 @@ func WithWorkerReport(fn func(DialReport)) Option {
 	}
 }
 
-// ParseCombo resolves algorithm and structure names to an internal combo.
-func ParseCombo(algorithm, structure string) (mcealg.Combo, error) {
+// parseCombo resolves algorithm and structure names to an internal combo.
+func parseCombo(algorithm, structure string) (mcealg.Combo, error) {
 	var combo mcealg.Combo
 	switch algorithm {
 	case "BKPivot", "bkpivot":

@@ -9,10 +9,20 @@ import (
 	"go/token"
 	"io/fs"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 )
+
+// fromEdges builds a graph on n nodes from an edge list.
+func fromEdges(n int, edges []Edge) *Graph {
+	b := NewBuilder(n)
+	for _, e := range edges {
+		b.AddEdge(e.U, e.V)
+	}
+	return b.Build()
+}
 
 func key(c []int32) string {
 	parts := make([]string, len(c))
@@ -23,7 +33,7 @@ func key(c []int32) string {
 }
 
 func TestEnumerateTriangleTail(t *testing.T) {
-	g := FromEdges(4, []Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 0, V: 2}, {U: 2, V: 3}})
+	g := fromEdges(4, []Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 0, V: 2}, {U: 2, V: 3}})
 	res, err := Enumerate(g)
 	if err != nil {
 		t.Fatal(err)
@@ -40,7 +50,7 @@ func TestEnumerateTriangleTail(t *testing.T) {
 }
 
 func TestOptionValidation(t *testing.T) {
-	g := FromEdges(2, []Edge{{U: 0, V: 1}})
+	g := fromEdges(2, []Edge{{U: 0, V: 1}})
 	bad := []Option{
 		WithBlockSize(1),
 		WithBlockRatio(0),
@@ -57,27 +67,35 @@ func TestOptionValidation(t *testing.T) {
 	}
 }
 
-// TestPublicOptionsHaveCallers keeps the option surface sized by its
-// callers: every exported With* in mce.go must be called from a non-test
-// file under cmd/ or bench/. An option only tests set belongs in the engine
-// as a constant, not in the public API.
+// TestPublicOptionsHaveCallers keeps the public surface sized by its
+// callers: every exported function in mce.go, analysis.go and outofcore.go
+// must be called from a non-test file under cmd/, examples/ or bench/, and
+// every With* option from one under cmd/ or bench/. A function only tests
+// call belongs in an internal package or nowhere, and an option only tests
+// set belongs in the engine as a constant.
 func TestPublicOptionsHaveCallers(t *testing.T) {
 	fset := token.NewFileSet()
-	api, err := parser.ParseFile(fset, "mce.go", nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var options []string
-	for _, d := range api.Decls {
-		if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil && fn.Name.IsExported() && strings.HasPrefix(fn.Name.Name, "With") {
-			options = append(options, fn.Name.Name)
+	var funcs []string
+	for _, file := range []string{"mce.go", "analysis.go", "outofcore.go"} {
+		api, err := parser.ParseFile(fset, file, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range api.Decls {
+			if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil && fn.Name.IsExported() {
+				funcs = append(funcs, fn.Name.Name)
+			}
 		}
 	}
-	if len(options) == 0 {
-		t.Fatal("no With* options found in mce.go")
+	if !slices.Contains(funcs, "WithBlockSize") || !slices.Contains(funcs, "Enumerate") {
+		t.Fatalf("the API files lost their functions: %v", funcs)
 	}
-	called := map[string]bool{}
-	for _, root := range []string{"cmd", "bench"} {
+	// calledFrom[root] holds the names selected as mce.Name in root's
+	// non-test files.
+	calledFrom := map[string]map[string]bool{}
+	for _, root := range []string{"cmd", "examples", "bench"} {
+		called := map[string]bool{}
+		calledFrom[root] = called
 		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
 				return err
@@ -100,9 +118,13 @@ func TestPublicOptionsHaveCallers(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, name := range options {
-		if !called[name] {
+	for _, name := range funcs {
+		inCmdOrBench := calledFrom["cmd"][name] || calledFrom["bench"][name]
+		switch {
+		case strings.HasPrefix(name, "With") && !inCmdOrBench:
 			t.Errorf("%s has no caller outside tests under cmd/ or bench/", name)
+		case !inCmdOrBench && !calledFrom["examples"][name]:
+			t.Errorf("%s has no caller outside tests under cmd/, examples/ or bench/", name)
 		}
 	}
 }
@@ -157,7 +179,7 @@ func TestEnumerateDistributed(t *testing.T) {
 }
 
 func TestEnumerateDistributedUnreachableWorkers(t *testing.T) {
-	g := FromEdges(2, []Edge{{U: 0, V: 1}})
+	g := fromEdges(2, []Edge{{U: 0, V: 1}})
 	if _, err := Enumerate(g, WithWorkers("127.0.0.1:1")); err == nil {
 		t.Fatal("unreachable worker accepted")
 	}
@@ -222,10 +244,10 @@ func TestStatsExposed(t *testing.T) {
 }
 
 func TestParseCombo(t *testing.T) {
-	if _, err := ParseCombo("tomita", "bitsets"); err != nil {
+	if _, err := parseCombo("tomita", "bitsets"); err != nil {
 		t.Fatalf("lowercase names rejected: %v", err)
 	}
-	if _, err := ParseCombo("", ""); err == nil {
+	if _, err := parseCombo("", ""); err == nil {
 		t.Fatal("empty names accepted")
 	}
 }
@@ -357,7 +379,7 @@ func TestCountMaxCliques(t *testing.T) {
 }
 
 func TestFaultToleranceOptionValidation(t *testing.T) {
-	g := FromEdges(2, []Edge{{U: 0, V: 1}})
+	g := fromEdges(2, []Edge{{U: 0, V: 1}})
 	bad := []Option{
 		WithTaskTimeout(0), // ambiguous: derived default vs disabled
 		WithTaskRetries(0), // ambiguous: default budget vs unlimited

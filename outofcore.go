@@ -90,7 +90,7 @@ func (c *config) outOfCoreIgnored() string {
 
 // SaveCliques streams an enumeration result into the compact binary clique
 // store at path (delta-encoded; typically well under half the size of a
-// naive dump). Pair it with LoadCliques.
+// naive dump).
 func SaveCliques(path string, cliques [][]int32) error {
 	f, err := os.Create(path)
 	if err != nil {
@@ -101,28 +101,4 @@ func SaveCliques(path string, cliques [][]int32) error {
 		return err
 	}
 	return f.Close()
-}
-
-// LoadCliques reads a clique store written by SaveCliques.
-func LoadCliques(path string) ([][]int32, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	r, err := cliqstore.NewReader(f)
-	if err != nil {
-		return nil, err
-	}
-	var out [][]int32
-	err = r.ForEach(func(c []int32) error {
-		cp := make([]int32, len(c))
-		copy(cp, c)
-		out = append(out, cp)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }

@@ -43,7 +43,7 @@ func TestIntraBlockParallelismEndToEnd(t *testing.T) {
 }
 
 func TestIntraBlockParallelismValidation(t *testing.T) {
-	g := FromEdges(2, []Edge{{U: 0, V: 1}})
+	g := fromEdges(2, []Edge{{U: 0, V: 1}})
 	if _, err := Enumerate(g, WithIntraBlockParallelism(0)); err == nil {
 		t.Fatal("WithIntraBlockParallelism(0) accepted")
 	}

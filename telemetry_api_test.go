@@ -109,7 +109,7 @@ func TestTelemetryEngineLiveSnapshots(t *testing.T) {
 }
 
 func TestTelemetryOptionValidation(t *testing.T) {
-	g := FromEdges(2, []Edge{{U: 0, V: 1}})
+	g := fromEdges(2, []Edge{{U: 0, V: 1}})
 	bad := []Option{
 		WithTelemetryEngine(nil),
 	}
