@@ -1,6 +1,7 @@
 package mce
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -240,7 +241,7 @@ func TestOutOfCorePublicAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got [][]int32
-	stats, err := EnumerateOutOfCore(dpath, func(c []int32, _ int) {
+	stats, err := EnumerateOutOfCore(context.Background(), dpath, func(c []int32, _ int) {
 		cp := make([]int32, len(c))
 		copy(cp, c)
 		got = append(got, cp)
@@ -282,7 +283,7 @@ func TestOutOfCorePublicAPI(t *testing.T) {
 	if back != len(got) {
 		t.Fatalf("clique store round trip: %d vs %d", back, len(got))
 	}
-	if _, err := EnumerateOutOfCore(filepath.Join(dir, "absent"), func([]int32, int) {}); err == nil {
+	if _, err := EnumerateOutOfCore(context.Background(), filepath.Join(dir, "absent"), func([]int32, int) {}); err == nil {
 		t.Fatal("missing disk graph accepted")
 	}
 }
@@ -302,7 +303,7 @@ func TestOutOfCoreRefusesIgnoredOptions(t *testing.T) {
 	}
 	count := func(opts ...Option) (int, error) {
 		n := 0
-		_, err := EnumerateOutOfCore(dpath, func([]int32, int) { n++ }, opts...)
+		_, err := EnumerateOutOfCore(context.Background(), dpath, func([]int32, int) { n++ }, opts...)
 		return n, err
 	}
 	for name, opt := range map[string]Option{

@@ -11,6 +11,7 @@ package mce
 // versus measured values.
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"sync"
@@ -600,7 +601,7 @@ func BenchmarkExtensionOutOfCore(b *testing.B) {
 				b.Fatal(err)
 			}
 			n := 0
-			stats, err := extmce.Enumerate(dg, extmce.Options{BlockRatio: 0.3},
+			stats, err := extmce.Enumerate(context.Background(), dg, extmce.Options{BlockRatio: 0.3},
 				func([]int32, int) { n++ })
 			dg.Close()
 			if err != nil {

@@ -68,19 +68,19 @@ type throttledExecutor struct {
 	delay time.Duration
 }
 
-func (e *throttledExecutor) Analyze(ctx context.Context, g *graph.Graph, blocks []decomp.Block, sel core.Selector, ids []runlog.BlockID, obs runlog.BatchObserver) ([]family.Window, error) {
-	out := make([]family.Window, len(blocks))
-	for i := range blocks {
+func (e *throttledExecutor) Analyze(ctx context.Context, g *graph.Graph, plan *decomp.Plan, sel core.Selector, ids []runlog.BlockID, obs runlog.BatchObserver) ([]family.Window, error) {
+	var out []family.Window
+	for i := 0; plan.Block(i) != nil; i++ {
 		time.Sleep(e.delay)
 		var id []runlog.BlockID
 		if ids != nil {
 			id = ids[i : i+1]
 		}
-		res, err := e.inner.Analyze(ctx, g, blocks[i:i+1], sel, id, obs)
+		res, err := e.inner.Analyze(ctx, g, decomp.SealedPlan([]decomp.Block{*plan.Block(i)}), sel, id, obs)
 		if err != nil {
 			return nil, err
 		}
-		out[i] = res[0]
+		out = append(out, res[0])
 	}
 	return out, nil
 }

@@ -19,6 +19,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -387,7 +388,7 @@ func index() []experiment {
 				}
 				t0 = time.Now()
 				n := 0
-				stats, err := extmce.Enumerate(dg, extmce.Options{BlockRatio: 0.3, Prefetch: prefetch},
+				stats, err := extmce.Enumerate(context.Background(), dg, extmce.Options{BlockRatio: 0.3, Prefetch: prefetch},
 					func([]int32, int) { n++ })
 				elapsed := time.Since(t0)
 				dg.Close()

@@ -223,56 +223,64 @@ func TestStreamAndFormats(t *testing.T) {
 	}
 }
 
-// TestStreamInterrupted: SIGTERM stops a -stream run like a batch run —
-// exit 130 and "mcefind: interrupted" — and the cliques already written
-// reach stdout whole. The test reads one byte and then nothing until the
-// signal is sent, so the binary is held in a write on the full pipe with
-// most of its output still to come.
+// TestStreamInterrupted: SIGTERM stops a -stream run and an out-of-core
+// (.mceg) run like a batch run — exit 130 and "mcefind: interrupted" — and
+// the cliques already written reach stdout whole. The test reads one byte
+// and then nothing until the signal is sent, so the binary is held in a
+// write on the full pipe with most of its output still to come. The .mceg
+// is written by the built mcegen, as a user would write it.
 func TestStreamInterrupted(t *testing.T) {
 	dir := t.TempDir()
-	bin := filepath.Join(dir, "mcefind")
+	bin, gen := filepath.Join(dir, "mcefind"), filepath.Join(dir, "mcegen")
 	// go test puts its own toolchain first on the PATH of the test binary.
-	if out, err := exec.Command("go", "build", "-o", bin, "mce/cmd/mcefind").CombinedOutput(); err != nil {
-		t.Fatalf("build mcefind: %v\n%s", err, out)
+	if out, err := exec.Command("go", "build", "-o", dir, "mce/cmd/mcefind", "mce/cmd/mcegen").CombinedOutput(); err != nil {
+		t.Fatalf("build mcefind and mcegen: %v\n%s", err, out)
 	}
-	p := filepath.Join(dir, "g.txt")
-	if err := mce.Save(p, mce.GenerateSocialNetwork(50000, 5, 0.7, 42)); err != nil {
+	txt, disk := filepath.Join(dir, "g.txt"), filepath.Join(dir, "g.mceg")
+	if err := mce.Save(txt, mce.GenerateSocialNetwork(50000, 5, 0.7, 42)); err != nil {
 		t.Fatal(err)
 	}
-	cmd := exec.Command(bin, "-stream", p)
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		t.Fatal(err)
+	if out, err := exec.Command(gen, "-model", "hk", "-n", "50000", "-k", "5", "-p", "0.7", "-seed", "42", "-o", disk).CombinedOutput(); err != nil {
+		t.Fatalf("mcegen -o %s: %v\n%s", disk, err, out)
 	}
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	first := make([]byte, 1)
-	if _, err := io.ReadFull(stdout, first); err != nil {
-		cmd.Process.Kill()
-		t.Fatalf("no output before the signal: %v", err)
-	}
-	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-	// Give the runtime's signal handler time to cancel the run before the
-	// pipe drains and the blocked write returns.
-	time.Sleep(200 * time.Millisecond)
-	rest, err := io.ReadAll(stdout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var exit *exec.ExitError
-	if err := cmd.Wait(); !errors.As(err, &exit) || exit.ExitCode() != exitInterrupted {
-		t.Fatalf("exit = %v, want code %d; stderr %q", err, exitInterrupted, stderr.String())
-	}
-	if !strings.Contains(stderr.String(), "mcefind: interrupted") {
-		t.Fatalf("stderr = %q, want the interrupted line", stderr.String())
-	}
-	if out := append(first, rest...); out[len(out)-1] != '\n' {
-		t.Fatalf("stdout (%d bytes) ends mid-line: %q", len(out), out[max(0, len(out)-40):])
+	for name, args := range map[string][]string{"stream": {"-stream", txt}, "outofcore": {disk}} {
+		t.Run(name, func(t *testing.T) {
+			cmd := exec.Command(bin, args...)
+			var stderr bytes.Buffer
+			cmd.Stderr = &stderr
+			stdout, err := cmd.StdoutPipe()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := cmd.Start(); err != nil {
+				t.Fatal(err)
+			}
+			first := make([]byte, 1)
+			if _, err := io.ReadFull(stdout, first); err != nil {
+				cmd.Process.Kill()
+				t.Fatalf("no output before the signal: %v", err)
+			}
+			if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+				t.Fatal(err)
+			}
+			// Give the runtime's signal handler time to cancel the run before
+			// the pipe drains and the blocked write returns.
+			time.Sleep(200 * time.Millisecond)
+			rest, err := io.ReadAll(stdout)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var exit *exec.ExitError
+			if err := cmd.Wait(); !errors.As(err, &exit) || exit.ExitCode() != exitInterrupted {
+				t.Fatalf("exit = %v, want code %d; stderr %q", err, exitInterrupted, stderr.String())
+			}
+			if !strings.Contains(stderr.String(), "mcefind: interrupted") {
+				t.Fatalf("stderr = %q, want the interrupted line", stderr.String())
+			}
+			if out := append(first, rest...); out[len(out)-1] != '\n' {
+				t.Fatalf("stdout (%d bytes) ends mid-line: %q", len(out), out[max(0, len(out)-40):])
+			}
+		})
 	}
 }
 

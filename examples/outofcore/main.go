@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -40,7 +41,7 @@ func main() {
 	cliquePath := filepath.Join(dir, "cliques.mce")
 	var cliques [][]int32
 	t0 := time.Now()
-	stats, err := mce.EnumerateOutOfCore(graphPath, func(c []int32, _ int) {
+	stats, err := mce.EnumerateOutOfCore(context.Background(), graphPath, func(c []int32, _ int) {
 		cp := make([]int32, len(c))
 		copy(cp, c)
 		cliques = append(cliques, cp)

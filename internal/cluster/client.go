@@ -493,7 +493,7 @@ func (c *Client) AnalyzeBlocks(blocks []decomp.Block, combo mcealg.Combo) ([]fam
 // AnalyzeBlocksContext is Analyze for a plain batch under one combo.
 func (c *Client) AnalyzeBlocksContext(ctx context.Context, blocks []decomp.Block, combo mcealg.Combo) ([]family.Window, error) {
 	sel := func(*graph.Graph, *kcore.Scratch) mcealg.Combo { return combo }
-	return c.Analyze(ctx, nil, blocks, sel, nil, nil)
+	return c.Analyze(ctx, nil, decomp.SealedPlan(blocks), sel, nil, nil)
 }
 
 // attempt is one dispatch-queue entry; hedge marks a speculative copy.
@@ -574,12 +574,14 @@ func (h *hedger) due(now time.Time) (block int, at time.Time) {
 }
 
 // Analyze ships every block to some worker and gathers the cliques,
-// indexed like blocks, each the window over the family its answer was
-// decoded into. It implements core.Executor: blocks arrive as decomp.Grow
-// planned them over g, and the connection runner that takes an attempt
-// induces the block into its own scratch, asks sel for the combo and
-// encodes the task — so the shared plan is never written, and the
-// coordinator holds one induced block per connection.
+// indexed by plan position, each the window over the family its answer was
+// decoded into. It implements core.Executor: it waits for the plan's seal —
+// the hedger and the retry bookkeeping are sized by the block count — and
+// then takes the blocks as decomp.GrowSeq planned them over g. The
+// connection runner that takes an attempt induces the block into its own
+// scratch, asks sel for the combo and encodes the task — so the shared plan
+// is never written, and the coordinator holds one induced block per
+// connection.
 //
 // A retry and a hedge are the same act: the block goes back on the batch's
 // queue for whichever connection is free — after a failed attempt, within
@@ -595,22 +597,23 @@ func (h *hedger) due(now time.Time) (block int, at time.Time) {
 // checkpoint identity on the wire, and obs hears of each block's dispatch
 // and, the moment its cliques are back, its completion — so a coordinator
 // killed mid-batch resumes with every completed block durable. ids must
-// index like blocks.
+// index like the plan.
 //
 // The batch returns once every block has an answer; a straggling round trip
 // keeps its connection leased until it resolves. Duplicate answers lose a
 // compare-and-swap per block and are dropped, which Lemma 1 makes sound:
 // every copy's answer is identical.
-func (c *Client) Analyze(ctx context.Context, g *graph.Graph, blocks []decomp.Block, sel func(*graph.Graph, *kcore.Scratch) mcealg.Combo, ids []runlog.BlockID, obs runlog.BatchObserver) ([]family.Window, error) {
-	if (ids != nil || obs != nil) && len(ids) != len(blocks) {
-		return nil, fmt.Errorf("cluster: %d blocks but %d block IDs", len(blocks), len(ids))
-	}
-	out := make([]family.Window, len(blocks))
-	if len(blocks) == 0 {
-		return out, nil
-	}
+func (c *Client) Analyze(ctx context.Context, g *graph.Graph, plan *decomp.Plan, sel func(*graph.Graph, *kcore.Scratch) mcealg.Combo, ids []runlog.BlockID, obs runlog.BatchObserver) ([]family.Window, error) {
+	nBlocks := plan.Wait()
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, err // the grower stopped early: the plan is not the level's
+	}
+	if (ids != nil || obs != nil) && len(ids) != nBlocks {
+		return nil, fmt.Errorf("cluster: %d blocks but %d block IDs", nBlocks, len(ids))
+	}
+	out := make([]family.Window, nBlocks)
+	if nBlocks == 0 {
+		return out, nil
 	}
 	c.mu.Lock()
 	var alive []*workerConn
@@ -639,33 +642,33 @@ func (c *Client) Analyze(ctx context.Context, g *graph.Graph, blocks []decomp.Bl
 		errMu      sync.Mutex
 		fatal      error
 		lastDeath  error
-		attempts   = make([]int, len(blocks))
-		causes     = make([][]string, len(blocks))
+		attempts   = make([]int, nBlocks)
+		causes     = make([][]string, nBlocks)
 		budget     = c.opts.retryBudget()
 		drained    = make(chan struct{}, 1)
 		fresh      = make(chan *workerConn, 16)
-		claimed    = make([]atomic.Bool, len(blocks)) // first-wins dedup
-		picked     = make([]atomic.Bool, len(blocks)) // the block's combo pick is in the telemetry
+		claimed    = make([]atomic.Bool, nBlocks) // first-wins dedup
+		picked     = make([]atomic.Bool, nBlocks) // the block's combo pick is in the telemetry
 		hedge      *hedger
 		wake       <-chan struct{}
 	)
 	aliveCount.Store(int64(len(alive)))
 	// A block occupies at most one primary/retry slot plus its one twin,
 	// so the queue can never block a sender.
-	queueCap := len(blocks)
+	queueCap := nBlocks
 	if c.opts.Hedge {
 		hedge = &hedger{rtt: telemetry.NewDurationHistogram(), claimed: claimed, wake: make(chan struct{}, 1),
-			flying: make(map[*workerConn]flight), twinned: make([]bool, len(blocks))}
+			flying: make(map[*workerConn]flight), twinned: make([]bool, nBlocks)}
 		wake = hedge.wake
 		queueCap *= 2
 	}
 	tasks := make(chan attempt, queueCap)
-	for i := range blocks {
+	for i := range nBlocks {
 		tasks <- attempt{block: i}
 	}
 	met := c.opts.Metrics
 	if met != nil {
-		met.QueueDepth.Add(int64(len(blocks)))
+		met.QueueDepth.Add(int64(nBlocks))
 	}
 	fail := func(err error) {
 		errMu.Lock()
@@ -676,7 +679,7 @@ func (c *Client) Analyze(ctx context.Context, g *graph.Graph, blocks []decomp.Bl
 		closeOnce.Do(func() { close(done) })
 	}
 	finish := func() {
-		if completed.Add(1) == int64(len(blocks)) {
+		if completed.Add(1) == int64(nBlocks) {
 			closeOnce.Do(func() { close(done) })
 		}
 	}
@@ -754,14 +757,14 @@ func (c *Client) Analyze(ctx context.Context, g *graph.Graph, blocks []decomp.Bl
 			obs.BlockDispatched(id)
 		}
 		t0 := time.Now()
-		blk := mat.Materialise(&blocks[i])
+		blk := mat.Materialise(plan.Block(i))
 		induced := time.Now()
 		combo := sel(blk.Graph, &mat.Features)
 		if met != nil {
 			met.InduceNs.Add(int64(induced.Sub(t0)))
 			met.SelectNs.Add(int64(time.Since(induced)))
 			if !picked[i].Swap(true) {
-				met.ComboPicked(combo.Index(), combo.Label())
+				met.ComboPicked(combo.Index())
 			}
 		}
 		t0 = time.Now() // the round trip proper starts here

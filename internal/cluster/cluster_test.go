@@ -296,7 +296,7 @@ func TestIDMismatchRejected(t *testing.T) {
 	}
 	defer client.Close()
 	sel := func(*graph.Graph, *kcore.Scratch) mcealg.Combo { return mcealg.Combo{} }
-	if _, err := client.Analyze(context.Background(), nil, make([]decomp.Block, 2), sel, make([]runlog.BlockID, 1), nil); err == nil {
+	if _, err := client.Analyze(context.Background(), nil, decomp.SealedPlan(make([]decomp.Block, 2)), sel, make([]runlog.BlockID, 1), nil); err == nil {
 		t.Fatal("mismatched lengths accepted")
 	}
 }

@@ -326,7 +326,7 @@ func runTask(dst, payload []byte, corrupt bool, met *telemetry.Engine, an *decom
 		}
 	}, ins, mcealg.Par{})
 	if met != nil {
-		met.ComboAnalyzed(t.Combo.Index(), t.Combo.Label(), time.Since(t0))
+		met.ComboAnalyzed(t.Combo.Index(), time.Since(t0))
 		met.MergeBlockInstr(ins)
 		met.CliquesFound.Add(int64(cliques))
 	}

@@ -218,11 +218,11 @@ type recordingExecutor struct {
 	ids   []runlog.BlockID
 }
 
-func (e *recordingExecutor) Analyze(ctx context.Context, g *graph.Graph, blocks []decomp.Block, sel Selector, ids []runlog.BlockID, obs runlog.BatchObserver) ([]family.Window, error) {
+func (e *recordingExecutor) Analyze(ctx context.Context, g *graph.Graph, plan *decomp.Plan, sel Selector, ids []runlog.BlockID, obs runlog.BatchObserver) ([]family.Window, error) {
 	e.mu.Lock()
 	e.ids = append(e.ids, ids...)
 	e.mu.Unlock()
-	return e.inner.Analyze(ctx, g, blocks, sel, ids, obs)
+	return e.inner.Analyze(ctx, g, plan, sel, ids, obs)
 }
 
 // TestResumeRegrowsLevelWithCorruptFrame: with one frame of level 0's log
@@ -316,7 +316,7 @@ func TestResumeRefusesFlippedPlan(t *testing.T) {
 
 	dir := t.TempDir()
 	cp := openCheckpoint(t, dir, g, opts)
-	if err := cp.BeginLevel(0, len(blocks), decomp.PlanDigest(blocks)); err != nil {
+	if err := cp.BeginLevel(0, len(blocks), decomp.SealedPlan(blocks).Digest()); err != nil {
 		t.Fatal(err)
 	}
 	cp.Close()
@@ -333,7 +333,7 @@ func TestResumeRefusesFlippedPlan(t *testing.T) {
 // forbiddenExecutor fails the test if a resumed run dispatches anything.
 type forbiddenExecutor struct{}
 
-func (forbiddenExecutor) Analyze(context.Context, *graph.Graph, []decomp.Block, Selector, []runlog.BlockID, runlog.BatchObserver) ([]family.Window, error) {
+func (forbiddenExecutor) Analyze(context.Context, *graph.Graph, *decomp.Plan, Selector, []runlog.BlockID, runlog.BatchObserver) ([]family.Window, error) {
 	return nil, errors.New("executor invoked on a fully-journaled resume")
 }
 
@@ -359,17 +359,17 @@ func (f *flakyExecutor) take() bool {
 	return true
 }
 
-func (f *flakyExecutor) Analyze(ctx context.Context, g *graph.Graph, blocks []decomp.Block, sel Selector, ids []runlog.BlockID, obs runlog.BatchObserver) ([]family.Window, error) {
-	out := make([]family.Window, len(blocks))
-	for i := range blocks {
+func (f *flakyExecutor) Analyze(ctx context.Context, g *graph.Graph, plan *decomp.Plan, sel Selector, ids []runlog.BlockID, obs runlog.BatchObserver) ([]family.Window, error) {
+	var out []family.Window
+	for i := 0; plan.Block(i) != nil; i++ {
 		if !f.take() {
 			return nil, errInjected
 		}
-		res, err := f.inner.Analyze(ctx, g, blocks[i:i+1], sel, ids[i:i+1], obs)
+		res, err := f.inner.Analyze(ctx, g, decomp.SealedPlan([]decomp.Block{*plan.Block(i)}), sel, ids[i:i+1], obs)
 		if err != nil {
 			return nil, err
 		}
-		out[i] = res[0]
+		out = append(out, res[0])
 	}
 	return out, nil
 }

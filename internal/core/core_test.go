@@ -325,7 +325,7 @@ func TestLocalExecutorIDMismatch(t *testing.T) {
 	blocks := decomp.Grow(g, feasible, g.MaxDegree()+1, decomp.Options{})
 	cp := openCheckpoint(t, t.TempDir(), g, Options{})
 	defer cp.Close()
-	_, err := (&LocalExecutor{}).Analyze(context.Background(), g, blocks, FixedSelector(mcealg.Combo{}), make([]runlog.BlockID, len(blocks)+1), cp)
+	_, err := (&LocalExecutor{}).Analyze(context.Background(), g, decomp.SealedPlan(blocks), FixedSelector(mcealg.Combo{}), make([]runlog.BlockID, len(blocks)+1), cp)
 	if err == nil {
 		t.Fatalf("mismatched lengths accepted")
 	}
@@ -442,7 +442,7 @@ func BenchmarkLocalExecutor(b *testing.B) {
 			exec := &LocalExecutor{Parallelism: width}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := exec.Analyze(context.Background(), g, blocks, sel, nil, nil); err != nil {
+				if _, err := exec.Analyze(context.Background(), g, decomp.SealedPlan(blocks), sel, nil, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -488,7 +488,7 @@ func TestStatsLevelsShrink(t *testing.T) {
 // failingExecutor returns an error on every batch.
 type failingExecutor struct{}
 
-func (failingExecutor) Analyze(context.Context, *graph.Graph, []decomp.Block, Selector, []runlog.BlockID, runlog.BatchObserver) ([]family.Window, error) {
+func (failingExecutor) Analyze(context.Context, *graph.Graph, *decomp.Plan, Selector, []runlog.BlockID, runlog.BatchObserver) ([]family.Window, error) {
 	return nil, fmt.Errorf("synthetic executor failure")
 }
 

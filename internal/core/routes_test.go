@@ -54,14 +54,15 @@ type countingExecutor struct {
 	planned atomic.Int64
 }
 
-func (e *countingExecutor) Analyze(ctx context.Context, g *graph.Graph, blocks []decomp.Block, sel core.Selector, ids []runlog.BlockID, obs runlog.BatchObserver) ([]family.Window, error) {
-	for i := range blocks {
-		if blocks[i].Graph != nil {
+func (e *countingExecutor) Analyze(ctx context.Context, g *graph.Graph, plan *decomp.Plan, sel core.Selector, ids []runlog.BlockID, obs runlog.BatchObserver) ([]family.Window, error) {
+	n := plan.Wait()
+	for i := 0; i < n; i++ {
+		if plan.Block(i).Graph != nil {
 			return nil, errors.New("the engine induced a block before its executor saw it")
 		}
 	}
-	e.planned.Add(int64(len(blocks)))
-	return e.inner.Analyze(ctx, g, blocks, sel, ids, obs)
+	e.planned.Add(int64(n))
+	return e.inner.Analyze(ctx, g, plan, sel, ids, obs)
 }
 
 // startFaultyWorker serves one worker behind a fault-injecting listener.

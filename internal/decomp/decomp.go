@@ -53,7 +53,7 @@ func IsFeasible(g *graph.Graph, v int32, m int) bool {
 // Block is one unit of the second-level decomposition. Node identifiers are
 // local to the block's induced subgraph; Orig maps them back to g.
 //
-// A block exists in two states. Grow plans it: Orig, Kernel, Border and
+// A block exists in two states. GrowSeq plans it: Orig, Kernel, Border and
 // Visited say which nodes it holds and in which role, and Graph is nil. The
 // induced subgraph is a pure function of (g, Orig), so it is filled in
 // wherever the block is consumed — by Induce for a caller that keeps it, by
@@ -110,8 +110,9 @@ type Options struct {
 // Blocks performs the second-level decomposition (Algorithm 3) and induces
 // every block's subgraph: Grow, then Induce over each block from one
 // Inducer. It is the collect-all form — replays, experiments and tests that
-// want a whole level resident call it; the engine hands Grow's plan to its
-// executor and lets the workers materialise.
+// want a whole level resident call it; the engine publishes GrowSeq's
+// blocks to its executor as they are planned (Plan) and lets the workers
+// materialise.
 func Blocks(g *graph.Graph, feasible []int32, m int, opts Options) []Block {
 	blocks := Grow(g, feasible, m, opts)
 	inducer := graph.NewInducer(g)
@@ -128,116 +129,130 @@ func Induce(b *Block, inducer *graph.Inducer) {
 	b.Graph = sub.Clone()
 }
 
-// Grow is the serial half of Algorithm 3, the part whose order the paper
+// Grow is GrowSeq collected into a slice: the whole level's plan at once,
+// for Blocks, replays and tests.
+func Grow(g *graph.Graph, feasible []int32, m int, opts Options) []Block {
+	var blocks []Block
+	GrowSeq(g, feasible, m, opts)(func(b Block) bool {
+		blocks = append(blocks, b)
+		return true
+	})
+	return blocks
+}
+
+// GrowSeq is the serial half of Algorithm 3, the part whose order the paper
 // fixes: it partitions the feasible nodes into kernel sets of blocks of at
 // most m nodes, growing each block greedily along dense adjacency, and
-// returns every block as membership only (Graph nil; see Block). The input
+// yields each block as membership only (Graph nil; see Block) the moment it
+// is planned, in plan order. It stops when yield returns false. The input
 // graph is not modified; feasible must contain only nodes with degree < m.
 //
 // Each node's role is one byte of state, and the next kernel comes from a
 // bucket queue on the candidates' edge counts into the kernel set, so a
 // block costs Σ deg over its kernels (times a heap's log) plus a sort of its
 // cover, with no term in n and no rescan of the cover per kernel.
-func Grow(g *graph.Graph, feasible []int32, m int, opts Options) []Block {
-	minAdj := int32(max(opts.MinAdjacency, 1))
-	n := g.N()
+func GrowSeq(g *graph.Graph, feasible []int32, m int, opts Options) func(yield func(Block) bool) {
+	return func(yield func(Block) bool) {
+		minAdj := int32(max(opts.MinAdjacency, 1))
+		n := g.N()
 
-	order := seedOrder(g, feasible, opts)
+		order := seedOrder(g, feasible, opts)
 
-	state := make([]uint8, n)
-	for _, v := range feasible {
-		state[v] = nodeFeasible
-	}
-	var blocks []Block
-
-	// Per-block state, shared by every block and reset after each over the
-	// nodes that block touched.
-	adjCount := make([]int32, n) // edges from candidate to current kernels
-	var kernels []int32
-	var touched []int32 // N(K): the nodes with adjCount > 0
-	var queue bucketQueue
-
-	coverSize := 0
-	cover := func(v int32) {
-		if state[v]&nodeInCover == 0 {
-			state[v] |= nodeInCover
-			coverSize++
+		state := make([]uint8, n)
+		for _, v := range feasible {
+			state[v] = nodeFeasible
 		}
-	}
-	addKernel := func(v int32) {
-		state[v] |= nodeAssigned | nodeInKernel
-		kernels = append(kernels, v)
-		cover(v)
-		for _, u := range g.Neighbors(v) {
-			cover(u)
-			if adjCount[u] == 0 {
-				touched = append(touched, u)
-			}
-			adjCount[u]++
-			// A candidate below the threshold cannot be picked at its
-			// current count: it is queued once it reaches minAdj.
-			if state[u]&(nodeFeasible|nodeAssigned) == nodeFeasible && adjCount[u] >= minAdj {
-				queue.push(u, adjCount[u])
+
+		// Per-block state, shared by every block and reset after each over the
+		// nodes that block touched.
+		adjCount := make([]int32, n) // edges from candidate to current kernels
+		var kernels []int32
+		var touched []int32 // N(K): the nodes with adjCount > 0
+		var queue bucketQueue
+
+		coverSize := 0
+		cover := func(v int32) {
+			if state[v]&nodeInCover == 0 {
+				state[v] |= nodeInCover
+				coverSize++
 			}
 		}
-	}
-
-	// growthOf returns |{v} ∪ N(v) \ cover|, the cover increase of
-	// adopting v as a kernel (the incremental isfeasible test).
-	growthOf := func(v int32) int {
-		grow := 0
-		if state[v]&nodeInCover == 0 {
-			grow++
+		addKernel := func(v int32) {
+			state[v] |= nodeAssigned | nodeInKernel
+			kernels = append(kernels, v)
+			cover(v)
+			for _, u := range g.Neighbors(v) {
+				cover(u)
+				if adjCount[u] == 0 {
+					touched = append(touched, u)
+				}
+				adjCount[u]++
+				// A candidate below the threshold cannot be picked at its
+				// current count: it is queued once it reaches minAdj.
+				if state[u]&(nodeFeasible|nodeAssigned) == nodeFeasible && adjCount[u] >= minAdj {
+					queue.push(u, adjCount[u])
+				}
+			}
 		}
-		for _, u := range g.Neighbors(v) {
-			if state[u]&nodeInCover == 0 {
+
+		// growthOf returns |{v} ∪ N(v) \ cover|, the cover increase of
+		// adopting v as a kernel (the incremental isfeasible test).
+		growthOf := func(v int32) int {
+			grow := 0
+			if state[v]&nodeInCover == 0 {
 				grow++
 			}
-		}
-		return grow
-	}
-
-	for _, start := range order {
-		if state[start]&nodeAssigned != 0 {
-			continue
-		}
-		kernels, touched, coverSize = kernels[:0], touched[:0], 0
-
-		// Seed the block. A feasible start always fits: |{v} ∪ N(v)| ≤ m.
-		addKernel(start)
-
-		// Grow greedily: among unassigned feasible border nodes, take the
-		// one with the most edges into the kernel set (the lowest ID among
-		// equals), while the block stays within m nodes and the candidate
-		// has at least minAdj of them.
-		for {
-			best := queue.best(state)
-			if best < 0 || coverSize+growthOf(best) > m {
-				break
+			for _, u := range g.Neighbors(v) {
+				if state[u]&nodeInCover == 0 {
+					grow++
+				}
 			}
-			addKernel(best)
+			return grow
 		}
-		queue.reset()
 
-		// touched becomes the cover: N(K) plus the kernels that no other
-		// kernel neighbours.
-		for _, k := range kernels {
-			if adjCount[k] == 0 {
-				touched = append(touched, k)
+		for _, start := range order {
+			if state[start]&nodeAssigned != 0 {
+				continue
+			}
+			kernels, touched, coverSize = kernels[:0], touched[:0], 0
+
+			// Seed the block. A feasible start always fits: |{v} ∪ N(v)| ≤ m.
+			addKernel(start)
+
+			// Grow greedily: among unassigned feasible border nodes, take the
+			// one with the most edges into the kernel set (the lowest ID among
+			// equals), while the block stays within m nodes and the candidate
+			// has at least minAdj of them.
+			for {
+				best := queue.best(state)
+				if best < 0 || coverSize+growthOf(best) > m {
+					break
+				}
+				addKernel(best)
+			}
+			queue.reset()
+
+			// touched becomes the cover: N(K) plus the kernels that no other
+			// kernel neighbours.
+			for _, k := range kernels {
+				if adjCount[k] == 0 {
+					touched = append(touched, k)
+				}
+			}
+			slices.Sort(touched) // ascending: kernels, borders and visited mixed
+			if !yield(plan(touched, len(kernels), state)) {
+				return
+			}
+
+			for _, v := range touched {
+				adjCount[v] = 0
+				state[v] &^= nodeInCover | nodeInKernel
 			}
 		}
-		slices.Sort(touched) // ascending: kernels, borders and visited mixed
-		blocks = append(blocks, plan(touched, len(kernels), state))
-
-		for _, v := range touched {
-			adjCount[v] = 0
-			state[v] &^= nodeInCover | nodeInKernel
-		}
 	}
-	return blocks
 }
 
-// Grow's state byte per node.
+// GrowSeq's state byte per node.
 const (
 	nodeFeasible uint8 = 1 << iota // degree < m: it will be a kernel somewhere
 	nodeAssigned                   // a kernel of this block or of an earlier one
@@ -370,7 +385,7 @@ func byDegreeThenID(g *graph.Graph, nodes []int32) []int32 {
 
 // plan records one block over its cover nodes (ascending), nKernels of
 // which are its kernels: Orig is the cover, and each node's position in it
-// goes to the class list of its role, read from Grow's state byte. A
+// goes to the class list of its role, read from GrowSeq's state byte. A
 // neighbour is Visited when it was a kernel of an earlier block, i.e.
 // assigned but not in the current kernel set. The four lists share one
 // exact-size allocation, each capped at its own length; a class nobody is
@@ -403,25 +418,6 @@ func plan(nodes []int32, nKernels int, state []uint8) Block {
 		}
 	}
 	return blk
-}
-
-// PlanDigest fingerprints a level's block plan: FNV-1a over every block's
-// Orig, Kernel, Border and Visited, each list prefixed by its length, folded
-// a 32-bit word at a time. A checkpoint journals it beside the level's block
-// count, so a resume refuses a plan that changed but kept its count.
-func PlanDigest(blocks []Block) uint64 {
-	const offset64, prime64 = 14695981039346656037, 1099511628211
-	h := uint64(offset64)
-	for i := range blocks {
-		b := &blocks[i]
-		for _, list := range [4][]int32{b.Orig, b.Kernel, b.Border, b.Visited} {
-			h = (h ^ uint64(len(list))) * prime64
-			for _, v := range list {
-				h = (h ^ uint64(uint32(v))) * prime64
-			}
-		}
-	}
-	return h
 }
 
 // Materialiser is the worker-side half of Algorithm 3: the scratch one

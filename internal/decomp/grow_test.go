@@ -161,7 +161,8 @@ func defaultBlockSize(g *graph.Graph) int {
 // TestGrowPlanDigests pins the block plan over the whole corpus for every
 // seeding order, MinAdjacency 1 and 2, and both a fixed m and the engine's
 // default m. The digests were taken from the rescan Grow (referenceGrow);
-// a plan that changes by one node in one role fails here.
+// a plan that changes by one node in one role fails here. The plan is read
+// as the engine reads it: pushed into a Plan while it is being grown.
 func TestGrowPlanDigests(t *testing.T) {
 	want := map[string]string{
 		"order=0 minAdj=1 m=fixed":   "15146/f60f90a45fd3a7c0",
@@ -190,7 +191,7 @@ func TestGrowPlanDigests(t *testing.T) {
 						m = defaultBlockSize(c.Graph)
 					}
 					feasible, _ := Cut(c.Graph, m)
-					plan := Grow(c.Graph, feasible, m, Options{Order: order, MinAdjacency: minAdj, Seed: 11})
+					plan := pushed(t, len(feasible), GrowSeq(c.Graph, feasible, m, Options{Order: order, MinAdjacency: minAdj, Seed: 11}))
 					blocks += len(plan)
 					fmt.Fprintf(h, "%s:%d:%016x;", c.Name, len(plan), planDigest(plan))
 				}
@@ -230,7 +231,8 @@ func graphBytes(g *graph.Graph, order Order, minAdj, m byte) []byte {
 }
 
 // FuzzGrowMatchesReference: on any small graph, with any order,
-// MinAdjacency and m, Grow's plan is the rescan reference's, field by field.
+// MinAdjacency and m, the plan GrowSeq pushes into a Plan is the rescan
+// reference's, field by field.
 func FuzzGrowMatchesReference(f *testing.F) {
 	f.Add(graphBytes(gen.ErdosRenyi(40, 0.2, 1), OrderDegreeAsc, 1, 9))
 	f.Add(graphBytes(gen.HolmeKim(60, 4, 0.7, 2), OrderID, 2, 14))
@@ -240,7 +242,7 @@ func FuzzGrowMatchesReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, m, opts := growFromBytes(data)
 		feasible, _ := Cut(g, m)
-		got, want := Grow(g, feasible, m, opts), referenceGrow(g, feasible, m, opts)
+		got, want := pushed(t, len(feasible), GrowSeq(g, feasible, m, opts)), referenceGrow(g, feasible, m, opts)
 		if len(got) != len(want) {
 			t.Fatalf("m=%d %+v: %d blocks, want %d", m, opts, len(got), len(want))
 		}
@@ -250,7 +252,7 @@ func FuzzGrowMatchesReference(f *testing.F) {
 	})
 }
 
-// TestPlanDigestSeesOneFlip: PlanDigest moves when one node changes role,
+// TestPlanDigestSeesOneFlip: the plan digest moves when one node changes role,
 // when one member changes, and when a node moves to the next block, and
 // holds still on a copy of the same plan.
 func TestPlanDigestSeesOneFlip(t *testing.T) {
@@ -258,8 +260,8 @@ func TestPlanDigestSeesOneFlip(t *testing.T) {
 	m := 24
 	feasible, _ := Cut(g, m)
 	plan := func() []Block { return Grow(g, feasible, m, Options{}) }
-	base := PlanDigest(plan())
-	if PlanDigest(plan()) != base {
+	base := SealedPlan(plan()).Digest()
+	if SealedPlan(plan()).Digest() != base {
 		t.Fatal("the same plan digests differently")
 	}
 	flips := map[string]func([]Block){
@@ -285,7 +287,7 @@ func TestPlanDigestSeesOneFlip(t *testing.T) {
 	for name, flip := range flips {
 		bs := plan()
 		flip(bs)
-		if PlanDigest(bs) == base {
+		if SealedPlan(bs).Digest() == base {
 			t.Errorf("%s: plan digest unchanged", name)
 		}
 	}

@@ -97,7 +97,7 @@ func TestOpenDistrustsHeader(t *testing.T) {
 	dir := t.TempDir()
 	good := filepath.Join(dir, "good")
 	// Path 0–1–2–3: offsets 0,4,12,20,24, then six neighbour entries.
-	if err := Write(good, graph.FromEdges(4, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}})); err != nil {
+	if err := Write(good, fromEdges(4, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}})); err != nil {
 		t.Fatal(err)
 	}
 	image, err := os.ReadFile(good)
@@ -258,4 +258,13 @@ func TestQuickFormatFidelity(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// fromEdges builds a graph with n nodes from an edge list.
+func fromEdges(n int, edges []graph.Edge) *graph.Graph {
+	b := graph.NewBuilder(n)
+	for _, e := range edges {
+		b.AddEdge(e.U, e.V)
+	}
+	return b.Build()
 }

@@ -28,12 +28,12 @@ func capDegree(g *graph.Graph, d int) *graph.Graph {
 
 // withPendant returns g plus one new node hung off node 0.
 func withPendant(g *graph.Graph) *graph.Graph {
-	return graph.FromEdges(g.N()+1, append(g.Edges(), graph.Edge{U: 0, V: int32(g.N())}))
+	return fromEdges(g.N()+1, append(g.Edges(), graph.Edge{U: 0, V: int32(g.N())}))
 }
 
 // withoutEdge returns g minus its first edge.
 func withoutEdge(g *graph.Graph) *graph.Graph {
-	return graph.FromEdges(g.N(), g.Edges()[1:])
+	return fromEdges(g.N(), g.Edges()[1:])
 }
 
 // straddlers returns graphs on both sides of each term of
@@ -172,4 +172,13 @@ func TestLazyPredictionIsExact(t *testing.T) {
 	if decided == 0 || peeled == 0 {
 		t.Fatalf("fixtures are one-sided: %d predictions decided by the bound, %d peelings", decided, peeled)
 	}
+}
+
+// fromEdges builds a graph with n nodes from an edge list.
+func fromEdges(n int, edges []graph.Edge) *graph.Graph {
+	b := graph.NewBuilder(n)
+	for _, e := range edges {
+		b.AddEdge(e.U, e.V)
+	}
+	return b.Build()
 }

@@ -20,6 +20,7 @@
 package extmce
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -63,8 +64,11 @@ type Stats struct {
 }
 
 // Enumerate emits every maximal clique of the disk graph (ascending IDs,
-// slice reused) with the hub recursion level it was found at.
-func Enumerate(dg *diskgraph.Graph, opts Options, emit func(clique []int32, level int)) (*Stats, error) {
+// slice reused) with the hub recursion level it was found at. ctx is
+// checked between blocks and between hub cliques, and handed to the
+// in-memory engine of the hub recursion; cancelling it stops the run with
+// ctx.Err(), every clique emitted before that being a whole one.
+func Enumerate(ctx context.Context, dg *diskgraph.Graph, opts Options, emit func(clique []int32, level int)) (*Stats, error) {
 	n := dg.N()
 	if n == 0 {
 		return nil, fmt.Errorf("extmce: graph has no nodes")
@@ -123,7 +127,7 @@ func Enumerate(dg *diskgraph.Graph, opts Options, emit func(clique []int32, leve
 		if err != nil {
 			return nil, err
 		}
-		res, err := core.FindMaxCliques(sub, inner)
+		res, err := core.FindMaxCliquesContext(ctx, sub, inner)
 		if err != nil {
 			return nil, err
 		}
@@ -177,7 +181,7 @@ func Enumerate(dg *diskgraph.Graph, opts Options, emit func(clique []int32, leve
 		}
 	}
 
-	if err := analyzeChunks(dg, chunks, kernelChunk, feasSet, combo, opts.Prefetch, stats, emit); err != nil {
+	if err := analyzeChunks(ctx, dg, chunks, kernelChunk, feasSet, combo, opts.Prefetch, stats, emit); err != nil {
 		return nil, err
 	}
 
@@ -193,12 +197,15 @@ func Enumerate(dg *diskgraph.Graph, opts Options, emit func(clique []int32, leve
 	if err != nil {
 		return nil, err
 	}
-	res, err := core.FindMaxCliques(sub, inner)
+	res, err := core.FindMaxCliquesContext(ctx, sub, inner)
 	if err != nil {
 		return nil, err
 	}
 	translated := make([]int32, 0, 64)
 	for i, c := range res.Cliques {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		translated = translated[:0]
 		for _, v := range c {
 			translated = append(translated, orig[v])
@@ -227,8 +234,9 @@ type loadedBlock struct {
 // Prefetch > 0 a loader goroutine stays ahead of the analysis, overlapping
 // disk I/O with CPU work; blocks are still analysed (and cliques emitted)
 // strictly in chunk order, so output is identical to the serial path.
-// kernelChunk holds each node's chunk index.
-func analyzeChunks(dg *diskgraph.Graph, chunks [][]int32, kernelChunk []int32, feasSet *bitset.Set, combo mcealg.Combo, prefetch int, stats *Stats, emit func([]int32, int)) error {
+// kernelChunk holds each node's chunk index. ctx is checked before each
+// block is analysed.
+func analyzeChunks(ctx context.Context, dg *diskgraph.Graph, chunks [][]int32, kernelChunk []int32, feasSet *bitset.Set, combo mcealg.Combo, prefetch int, stats *Stats, emit func([]int32, int)) error {
 	load := func(ci int) loadedBlock {
 		chunkIdx := int32(ci)
 		kernels := chunks[ci]
@@ -252,6 +260,9 @@ func analyzeChunks(dg *diskgraph.Graph, chunks [][]int32, kernelChunk []int32, f
 	}
 
 	analyze := func(lb loadedBlock) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		if lb.err != nil {
 			return lb.err
 		}

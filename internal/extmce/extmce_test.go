@@ -1,6 +1,7 @@
 package extmce
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -42,7 +43,7 @@ func collect(t *testing.T, dg *diskgraph.Graph, opts Options) ([][]int32, []int,
 	t.Helper()
 	var cliques [][]int32
 	var levels []int
-	stats, err := Enumerate(dg, opts, func(c []int32, level int) {
+	stats, err := Enumerate(context.Background(), dg, opts, func(c []int32, level int) {
 		cp := make([]int32, len(c))
 		copy(cp, c)
 		cliques = append(cliques, cp)
@@ -192,7 +193,7 @@ func TestOutOfCoreAllHubsFallback(t *testing.T) {
 
 func TestOutOfCoreEmptyGraph(t *testing.T) {
 	dg := onDisk(t, graph.Empty(0))
-	if _, err := Enumerate(dg, Options{}, func([]int32, int) {}); err == nil {
+	if _, err := Enumerate(context.Background(), dg, Options{}, func([]int32, int) {}); err == nil {
 		t.Fatal("empty graph accepted")
 	}
 }
@@ -225,7 +226,7 @@ func TestQuickOutOfCoreComplete(t *testing.T) {
 		}
 		got := map[string]bool{}
 		n := 0
-		_, err = Enumerate(dg, Options{BlockRatio: ratio}, func(c []int32, _ int) {
+		_, err = Enumerate(context.Background(), dg, Options{BlockRatio: ratio}, func(c []int32, _ int) {
 			cp := make([]int32, len(c))
 			copy(cp, c)
 			got[key(cp)] = true

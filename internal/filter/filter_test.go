@@ -83,7 +83,7 @@ func TestByExtension(t *testing.T) {
 	// {0} only. Hub-side graph on {1,2,3} has maximal cliques {1,2},{1,3}.
 	// {1,2}: is there a feasible node adjacent to both 1 and 2? Node 0 is
 	// adjacent to 1 only → no → keep. Same for {1,3}.
-	g := graph.FromEdges(4, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 1, V: 3}})
+	g := fromEdges(4, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 1, V: 3}})
 	feasible := func(v int32) bool { return v == 0 }
 	ch := [][]int32{{1, 2}, {1, 3}}
 	got := ByExtension(g, ch, feasible)
@@ -91,7 +91,7 @@ func TestByExtension(t *testing.T) {
 		t.Fatalf("ByExtension dropped valid cliques: %v", got)
 	}
 	// Now make 0 adjacent to 1 and 2: {1,2} extends to {0,1,2} → dropped.
-	g2 := graph.FromEdges(4, []graph.Edge{{U: 0, V: 1}, {U: 0, V: 2}, {U: 1, V: 2}, {U: 1, V: 3}})
+	g2 := fromEdges(4, []graph.Edge{{U: 0, V: 1}, {U: 0, V: 2}, {U: 1, V: 2}, {U: 1, V: 3}})
 	got = ByExtension(g2, ch, feasible)
 	if len(got) != 1 || key(got[0]) != "1,3" {
 		t.Fatalf("ByExtension = %v, want [{1,3}]", got)
@@ -270,4 +270,13 @@ func BenchmarkFilter(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = Filter(ch, cf)
 	}
+}
+
+// fromEdges builds a graph with n nodes from an edge list.
+func fromEdges(n int, edges []graph.Edge) *graph.Graph {
+	b := graph.NewBuilder(n)
+	for _, e := range edges {
+		b.AddEdge(e.U, e.V)
+	}
+	return b.Build()
 }

@@ -131,7 +131,7 @@ func TestReadTriplesMalformed(t *testing.T) {
 }
 
 func TestTriplesRoundTrip(t *testing.T) {
-	g := graph.FromEdges(4, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 0, V: 3}})
+	g := fromEdges(4, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 0, V: 3}})
 	var buf bytes.Buffer
 	if err := WriteTriples(&buf, g, nil); err != nil {
 		t.Fatal(err)
@@ -146,7 +146,7 @@ func TestTriplesRoundTrip(t *testing.T) {
 }
 
 func TestWriteTriplesCustomLabels(t *testing.T) {
-	g := graph.FromEdges(2, []graph.Edge{{U: 0, V: 1}})
+	g := fromEdges(2, []graph.Edge{{U: 0, V: 1}})
 	var buf bytes.Buffer
 	err := WriteTriples(&buf, g, func(v int32) string {
 		return string(rune('a' + v))
@@ -276,7 +276,7 @@ func TestLoadFileMalformed(t *testing.T) {
 }
 
 func TestWriteDOT(t *testing.T) {
-	g := graph.FromEdges(5, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 0, V: 2}, {U: 3, V: 4}})
+	g := fromEdges(5, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 0, V: 2}, {U: 3, V: 4}})
 	var buf bytes.Buffer
 	groups := [][]int32{{0, 1, 2}, {2, 3, 4}}
 	err := WriteDOT(&buf, g, groups, func(v int32) string { return string(rune('a' + v)) })
@@ -297,4 +297,13 @@ func TestWriteDOT(t *testing.T) {
 	if !strings.Contains(buf.String(), `label="0"`) {
 		t.Fatalf("default labels missing:\n%s", buf.String())
 	}
+}
+
+// fromEdges builds a graph with n nodes from an edge list.
+func fromEdges(n int, edges []graph.Edge) *graph.Graph {
+	b := graph.NewBuilder(n)
+	for _, e := range edges {
+		b.AddEdge(e.U, e.V)
+	}
+	return b.Build()
 }

@@ -14,8 +14,8 @@ import (
 	"sort"
 )
 
-// Graph is an immutable simple undirected graph. Build one with a Builder or
-// FromEdges; a built Graph is safe for concurrent readers.
+// Graph is an immutable simple undirected graph. Build one with a Builder; a
+// built Graph is safe for concurrent readers.
 type Graph struct {
 	offsets []int32 // len N()+1; adjacency of v is flat[offsets[v]:offsets[v+1]]
 	flat    []int32 // concatenated sorted neighbour lists
@@ -268,16 +268,6 @@ func (b *Builder) Build() *Graph {
 		flat = append(make([]int32, 0, at), flat[:at]...) // exact size without the duplicates
 	}
 	return &Graph{offsets: offsets, flat: flat}
-}
-
-// FromEdges builds a graph with n nodes from an edge list, normalising as
-// Builder does.
-func FromEdges(n int, edges []Edge) *Graph {
-	b := NewBuilder(n)
-	for _, e := range edges {
-		b.AddEdge(e.U, e.V)
-	}
-	return b.Build()
 }
 
 // Empty returns a graph with n nodes and no edges.

@@ -78,7 +78,7 @@ func TestBuilderNormalisation(t *testing.T) {
 }
 
 func TestNeighborsSorted(t *testing.T) {
-	g := FromEdges(5, []Edge{{3, 1}, {3, 0}, {3, 4}, {3, 2}})
+	g := fromEdges(5, []Edge{{3, 1}, {3, 0}, {3, 4}, {3, 2}})
 	adj := g.Neighbors(3)
 	if !sort.SliceIsSorted(adj, func(i, j int) bool { return adj[i] < adj[j] }) {
 		t.Fatalf("Neighbors not sorted: %v", adj)
@@ -90,12 +90,12 @@ func TestNeighborsSorted(t *testing.T) {
 
 func TestEdgesRoundTrip(t *testing.T) {
 	in := []Edge{{0, 1}, {1, 2}, {0, 2}, {3, 4}}
-	g := FromEdges(5, in)
+	g := fromEdges(5, in)
 	out := g.Edges()
 	if len(out) != len(in) {
 		t.Fatalf("Edges count = %d, want %d", len(out), len(in))
 	}
-	g2 := FromEdges(5, out)
+	g2 := fromEdges(5, out)
 	for _, e := range in {
 		if !g2.HasEdge(e.U, e.V) {
 			t.Errorf("edge %v lost in round trip", e)
@@ -105,7 +105,7 @@ func TestEdgesRoundTrip(t *testing.T) {
 
 func TestDegreeHistogramTruncate(t *testing.T) {
 	// Star on 5 nodes: centre degree 4, leaves degree 1.
-	g := FromEdges(5, []Edge{{0, 1}, {0, 2}, {0, 3}, {0, 4}})
+	g := fromEdges(5, []Edge{{0, 1}, {0, 2}, {0, 3}, {0, 4}})
 	h := g.DegreeHistogram(2, true)
 	if h[0] != 0 || h[1] != 4 || h[2] != 1 {
 		t.Fatalf("truncated histogram = %v", h)
@@ -118,7 +118,7 @@ func TestDegreeHistogramTruncate(t *testing.T) {
 
 func TestInduced(t *testing.T) {
 	// Path 0-1-2-3 plus chord 0-2.
-	g := FromEdges(4, []Edge{{0, 1}, {1, 2}, {2, 3}, {0, 2}})
+	g := fromEdges(4, []Edge{{0, 1}, {1, 2}, {2, 3}, {0, 2}})
 	sub, orig := Induced(g, []int32{2, 0, 3})
 	if sub.N() != 3 {
 		t.Fatalf("induced N = %d, want 3", sub.N())
@@ -134,7 +134,7 @@ func TestInduced(t *testing.T) {
 }
 
 func TestInducedDuplicatesIgnored(t *testing.T) {
-	g := FromEdges(3, []Edge{{0, 1}, {1, 2}})
+	g := fromEdges(3, []Edge{{0, 1}, {1, 2}})
 	sub, orig := Induced(g, []int32{1, 1, 2})
 	if sub.N() != 2 || len(orig) != 2 {
 		t.Fatalf("duplicate nodes not collapsed: n=%d orig=%v", sub.N(), orig)
@@ -330,7 +330,7 @@ func BenchmarkBuild(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = FromEdges(n, edges)
+		_ = fromEdges(n, edges)
 	}
 }
 
@@ -345,7 +345,7 @@ func BenchmarkHasEdge(b *testing.B) {
 // TestFromCSRAdoptsWhatCSRReturns: a graph's own arrays come back as the
 // same graph, without a copy.
 func TestFromCSRAdoptsWhatCSRReturns(t *testing.T) {
-	for _, g := range []*Graph{Empty(0), Empty(3), Complete(5), FromEdges(6, []Edge{{0, 3}, {3, 5}, {1, 2}, {2, 3}})} {
+	for _, g := range []*Graph{Empty(0), Empty(3), Complete(5), fromEdges(6, []Edge{{0, 3}, {3, 5}, {1, 2}, {2, 3}})} {
 		offsets, flat := g.CSR()
 		h, err := FromCSR(offsets, flat)
 		if err != nil {
@@ -383,4 +383,14 @@ func TestFromCSRRejects(t *testing.T) {
 			t.Errorf("%s: accepted as %v", tc.name, g)
 		}
 	}
+}
+
+// fromEdges builds a graph with n nodes from an edge list, normalising as
+// Builder does.
+func fromEdges(n int, edges []Edge) *Graph {
+	b := NewBuilder(n)
+	for _, e := range edges {
+		b.AddEdge(e.U, e.V)
+	}
+	return b.Build()
 }

@@ -30,7 +30,7 @@ import (
 
 // Tracker maintains a dynamic simple undirected graph together with its
 // complete set of maximal cliques. The zero value is not usable; create one
-// with New or NewEmpty.
+// with New.
 type Tracker struct {
 	n   int
 	adj []map[int32]struct{}
@@ -38,26 +38,6 @@ type Tracker struct {
 	nextID  int64
 	cliques map[int64][]int32    // clique ID → sorted members
 	byNode  []map[int64]struct{} // node → clique IDs
-}
-
-// NewEmpty returns a tracker for an edgeless graph with n nodes. Every node
-// starts as its own singleton maximal clique.
-func NewEmpty(n int) *Tracker {
-	if n < 0 {
-		n = 0
-	}
-	t := &Tracker{
-		n:       n,
-		adj:     make([]map[int32]struct{}, n),
-		cliques: make(map[int64][]int32),
-		byNode:  make([]map[int64]struct{}, n),
-	}
-	for v := 0; v < n; v++ {
-		t.adj[v] = make(map[int32]struct{})
-		t.byNode[v] = make(map[int64]struct{})
-		t.insertClique([]int32{int32(v)})
-	}
-	return t
 }
 
 // New bootstraps a tracker from an existing graph, enumerating its maximal

@@ -45,7 +45,7 @@ func assertMatchesStatic(t *testing.T, tr *Tracker) {
 }
 
 func TestNewEmptySingletons(t *testing.T) {
-	tr := NewEmpty(4)
+	tr := newEmpty(4)
 	if tr.Len() != 4 {
 		t.Fatalf("Len = %d, want 4 singletons", tr.Len())
 	}
@@ -65,7 +65,7 @@ func TestNewFromGraph(t *testing.T) {
 }
 
 func TestAddEdgeTriangle(t *testing.T) {
-	tr := NewEmpty(3)
+	tr := newEmpty(3)
 	added, removed, err := tr.AddEdge(0, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -95,7 +95,7 @@ func TestAddEdgeTriangle(t *testing.T) {
 }
 
 func TestAddEdgeIdempotent(t *testing.T) {
-	tr := NewEmpty(3)
+	tr := newEmpty(3)
 	if _, _, err := tr.AddEdge(0, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestAddEdgeIdempotent(t *testing.T) {
 }
 
 func TestAddEdgeOutOfRange(t *testing.T) {
-	tr := NewEmpty(2)
+	tr := newEmpty(2)
 	if _, _, err := tr.AddEdge(0, 5); err == nil {
 		t.Fatal("out-of-range edge accepted")
 	}
@@ -122,7 +122,7 @@ func TestAddEdgeOutOfRange(t *testing.T) {
 }
 
 func TestRemoveEdgeTriangle(t *testing.T) {
-	tr := NewEmpty(3)
+	tr := newEmpty(3)
 	for _, e := range [][2]int32{{0, 1}, {1, 2}, {0, 2}} {
 		if _, _, err := tr.AddEdge(e[0], e[1]); err != nil {
 			t.Fatal(err)
@@ -143,7 +143,7 @@ func TestRemoveEdgeTriangle(t *testing.T) {
 }
 
 func TestRemoveEdgeToIsolation(t *testing.T) {
-	tr := NewEmpty(2)
+	tr := newEmpty(2)
 	if _, _, err := tr.AddEdge(0, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestRemoveEdgeToIsolation(t *testing.T) {
 }
 
 func TestRemoveAbsentEdge(t *testing.T) {
-	tr := NewEmpty(3)
+	tr := newEmpty(3)
 	added, removed, err := tr.RemoveEdge(0, 1)
 	if err != nil || added != nil || removed != nil {
 		t.Fatalf("removing absent edge changed state")
@@ -171,7 +171,7 @@ func TestRemoveAbsentEdge(t *testing.T) {
 func TestAddEdgeSharedNeighborhood(t *testing.T) {
 	// 0 and 1 share neighbours {2,3} with 2-3 adjacent: adding 0-1 creates
 	// {0,1,2,3} and subsumes {0,2,3} and {1,2,3}.
-	tr := NewEmpty(4)
+	tr := newEmpty(4)
 	for _, e := range [][2]int32{{0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}} {
 		if _, _, err := tr.AddEdge(e[0], e[1]); err != nil {
 			t.Fatal(err)
@@ -193,7 +193,7 @@ func TestAddEdgeSharedNeighborhood(t *testing.T) {
 func TestAddEdgeDisjointCommonCliques(t *testing.T) {
 	// Common neighbourhood {2,3} with 2-3 NOT adjacent: two new cliques
 	// {0,1,2} and {0,1,3}.
-	tr := NewEmpty(4)
+	tr := newEmpty(4)
 	for _, e := range [][2]int32{{0, 2}, {0, 3}, {1, 2}, {1, 3}} {
 		if _, _, err := tr.AddEdge(e[0], e[1]); err != nil {
 			t.Fatal(err)
@@ -210,7 +210,7 @@ func TestAddEdgeDisjointCommonCliques(t *testing.T) {
 }
 
 func TestCliquesOf(t *testing.T) {
-	tr := NewEmpty(4)
+	tr := newEmpty(4)
 	for _, e := range [][2]int32{{0, 1}, {1, 2}, {2, 3}} {
 		if _, _, err := tr.AddEdge(e[0], e[1]); err != nil {
 			t.Fatal(err)
@@ -229,7 +229,7 @@ func TestReturnedDeltasAreConsistent(t *testing.T) {
 	// The (added, removed) deltas, applied to the previous clique set,
 	// must yield the new clique set.
 	rng := rand.New(rand.NewSource(8))
-	tr := NewEmpty(25)
+	tr := newEmpty(25)
 	prev := map[string]bool{}
 	for _, c := range tr.Cliques() {
 		prev[key(c)] = true
@@ -278,7 +278,7 @@ func TestQuickRandomEvolution(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := rng.Intn(18) + 4
-		tr := NewEmpty(n)
+		tr := newEmpty(n)
 		for step := 0; step < 60; step++ {
 			u := int32(rng.Intn(n))
 			v := int32(rng.Intn(n))
@@ -351,7 +351,7 @@ func BenchmarkAddEdgeStream(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		tr := NewEmpty(g.N())
+		tr := newEmpty(g.N())
 		b.StartTimer()
 		for _, e := range edges {
 			if _, _, err := tr.AddEdge(e.U, e.V); err != nil {
@@ -387,7 +387,7 @@ func BenchmarkSingleUpdateVsRecompute(b *testing.B) {
 }
 
 func TestAddNode(t *testing.T) {
-	tr := NewEmpty(2)
+	tr := newEmpty(2)
 	if _, _, err := tr.AddEdge(0, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -406,4 +406,24 @@ func TestAddNode(t *testing.T) {
 		t.Fatalf("joining the new node: added %v removed %v", added, removed)
 	}
 	assertMatchesStatic(t, tr)
+}
+
+// newEmpty returns a tracker for an edgeless graph with n nodes. Every node
+// starts as its own singleton maximal clique.
+func newEmpty(n int) *Tracker {
+	if n < 0 {
+		n = 0
+	}
+	t := &Tracker{
+		n:       n,
+		adj:     make([]map[int32]struct{}, n),
+		cliques: make(map[int64][]int32),
+		byNode:  make([]map[int64]struct{}, n),
+	}
+	for v := 0; v < n; v++ {
+		t.adj[v] = make(map[int32]struct{})
+		t.byNode[v] = make(map[int64]struct{})
+		t.insertClique([]int32{int32(v)})
+	}
+	return t
 }

@@ -115,7 +115,7 @@ func TestK1EqualsMaximalCliques(t *testing.T) {
 func TestK2OnPath(t *testing.T) {
 	// Path 0-1-2: every member misses at most one other → whole path is a
 	// 2-plex; it is the unique maximal one of size ≥ 3.
-	g := graph.FromEdges(3, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}})
+	g := fromEdges(3, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}})
 	got, err := Collect(g, Options{K: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -125,7 +125,7 @@ func TestK2OnPath(t *testing.T) {
 
 func TestK2OnCycle4(t *testing.T) {
 	// C4 is a 2-plex of size 4 (each node misses exactly one).
-	g := graph.FromEdges(4, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 0}})
+	g := fromEdges(4, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 0}})
 	got, err := Collect(g, Options{K: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -153,7 +153,7 @@ func TestCliqueMinusEdge(t *testing.T) {
 func TestMinSizeFilters(t *testing.T) {
 	// Two triangles joined by a bridge; with K=1, MinSize=3 only the
 	// triangles qualify (edges and the bridge are size-2 cliques).
-	g := graph.FromEdges(6, []graph.Edge{
+	g := fromEdges(6, []graph.Edge{
 		{U: 0, V: 1}, {U: 1, V: 2}, {U: 0, V: 2},
 		{U: 3, V: 4}, {U: 4, V: 5}, {U: 3, V: 5},
 		{U: 2, V: 3},
@@ -311,4 +311,13 @@ func BenchmarkKPlex(b *testing.B) {
 			}
 		})
 	}
+}
+
+// fromEdges builds a graph with n nodes from an edge list.
+func fromEdges(n int, edges []graph.Edge) *graph.Graph {
+	b := graph.NewBuilder(n)
+	for _, e := range edges {
+		b.AddEdge(e.U, e.V)
+	}
+	return b.Build()
 }

@@ -93,6 +93,9 @@ const NumCombos = 16
 // inner, matching the AllCombos order — for per-combo telemetry slots.
 func (c Combo) Index() int { return int(c.Struct)*4 + int(c.Alg) }
 
+// ComboAt is Index's inverse.
+func ComboAt(i int) Combo { return Combo{Alg: Algorithm(i % 4), Struct: Structure(i / 4)} }
+
 // String renders the combo in the paper's "[Structure / Algorithm]" style.
 func (c Combo) String() string {
 	return fmt.Sprintf("[%s/%s]", c.Struct, c.Alg)

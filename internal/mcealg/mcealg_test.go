@@ -97,7 +97,7 @@ func TestIsolatedNodes(t *testing.T) {
 
 func TestTriangleWithTail(t *testing.T) {
 	// Triangle 0-1-2 plus tail 2-3: maximal cliques {0,1,2} and {2,3}.
-	g := graph.FromEdges(4, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 0, V: 2}, {U: 2, V: 3}})
+	g := fromEdges(4, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 0, V: 2}, {U: 2, V: 3}})
 	want := [][]int32{{0, 1, 2}, {2, 3}}
 	for _, c := range AllCombos() {
 		got, err := Collect(g, c)
@@ -139,7 +139,7 @@ func TestPaperFigure1Graph(t *testing.T) {
 		{U: 13, V: 4}, // Y-E
 		{U: 14, V: 7}, // W-S
 	}
-	g := graph.FromEdges(16, edges)
+	g := fromEdges(16, edges)
 	want := ReferenceCollect(g)
 	// Sanity: the three named cliques are present.
 	ws := cliqueSet(want)
@@ -187,7 +187,7 @@ func TestEmitBufferIsReused(t *testing.T) {
 	// The doc promises the emit slice is reused; callers must copy. Verify
 	// cliques stay correct when the caller copies, and that mutation of the
 	// emitted slice does not corrupt enumeration.
-	g := graph.FromEdges(5, []graph.Edge{{U: 0, V: 1}, {U: 2, V: 3}, {U: 3, V: 4}, {U: 2, V: 4}})
+	g := fromEdges(5, []graph.Edge{{U: 0, V: 1}, {U: 2, V: 3}, {U: 3, V: 4}, {U: 2, V: 4}})
 	var got [][]int32
 	err := Enumerate(g, Combo{Alg: Tomita, Struct: BitSets}, func(k []int32) {
 		cp := make([]int32, len(k))
@@ -205,7 +205,7 @@ func TestEmitBufferIsReused(t *testing.T) {
 
 func TestSubproblemSemantics(t *testing.T) {
 	// Square 0-1-2-3-0 with diagonal 0-2: cliques {0,1,2}, {0,2,3}.
-	g := graph.FromEdges(4, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 0}, {U: 0, V: 2}})
+	g := fromEdges(4, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 0}, {U: 0, V: 2}})
 	for _, c := range AllCombos() {
 		// R={0}, P=N(0), X=∅: all maximal cliques containing node 0.
 		P := bitset.FromSlice(4, []int32{1, 2, 3})
@@ -498,4 +498,13 @@ func BenchmarkCombos(b *testing.B) {
 			}
 		})
 	}
+}
+
+// fromEdges builds a graph with n nodes from an edge list.
+func fromEdges(n int, edges []graph.Edge) *graph.Graph {
+	b := graph.NewBuilder(n)
+	for _, e := range edges {
+		b.AddEdge(e.U, e.V)
+	}
+	return b.Build()
 }

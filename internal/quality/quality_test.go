@@ -24,7 +24,7 @@ func TestEvaluateClique(t *testing.T) {
 
 func TestEvaluateWithCut(t *testing.T) {
 	// Triangle {0,1,2} with one external edge 2-3.
-	g := graph.FromEdges(4, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 0, V: 2}, {U: 2, V: 3}})
+	g := fromEdges(4, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 0, V: 2}, {U: 2, V: 3}})
 	s := Evaluate(g, []int32{0, 1, 2})
 	if s.InternalEdges != 3 || s.CutEdges != 1 {
 		t.Fatalf("edges = %+v", s)
@@ -128,7 +128,7 @@ func TestCliquePercolationRecoversPlantedPartition(t *testing.T) {
 
 func TestRankByConductance(t *testing.T) {
 	// Community {0,1,2} is perfectly separated; {3,4} leaks via 4-5.
-	g := graph.FromEdges(6, []graph.Edge{
+	g := fromEdges(6, []graph.Edge{
 		{U: 0, V: 1}, {U: 1, V: 2}, {U: 0, V: 2},
 		{U: 3, V: 4}, {U: 4, V: 5},
 	})
@@ -199,4 +199,13 @@ func TestCover(t *testing.T) {
 	if z := Cover(0, cs); z.Coverage != 0 {
 		t.Fatalf("zero-node cover = %+v", z)
 	}
+}
+
+// fromEdges builds a graph with n nodes from an edge list.
+func fromEdges(n int, edges []graph.Edge) *graph.Graph {
+	b := graph.NewBuilder(n)
+	for _, e := range edges {
+		b.AddEdge(e.U, e.V)
+	}
+	return b.Build()
 }

@@ -564,7 +564,7 @@ func (c *Checkpoint) openLog(level int) error {
 }
 
 // BeginLevel journals one recursion level's block plan: its block count and
-// a digest of its members and roles (decomp.PlanDigest). A resumed journal
+// a digest of its members and roles (decomp.Plan.Digest). A resumed journal
 // that planned the same level differently — another count, or the same count
 // over other members — is refused: the plan is deterministic in (graph,
 // options), so a mismatch means the checkpoint does not belong to this run

@@ -62,7 +62,7 @@ type rec struct {
 	graph, opts uint64 // recRunBegin / recResume
 	level       int    // recLevel / recDispatch / recDone / recLevelEnd
 	blocks      int    // recLevel: planned block count
-	planDigest  uint64 // recLevel: digest of the block plan (decomp.PlanDigest)
+	planDigest  uint64 // recLevel: digest of the block plan (decomp.Plan.Digest)
 	plan        int    // recDispatch / recDone: stable block index within the level
 	off, length int    // recDone: where the block's frame lies in its level's log
 	count       int    // recDone: clique count

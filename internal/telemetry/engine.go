@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"strconv"
-	"sync/atomic"
 	"time"
 
 	"mce/internal/mcealg"
@@ -10,7 +9,6 @@ import (
 
 // comboCell is one slot of the per-combo pick/timing distribution.
 type comboCell struct {
-	label  atomic.Pointer[string]
 	picks  Counter // decision-tree selections of this combo
 	blocks Counter // blocks analysed with this combo
 	ns     Counter // total analysis time, nanoseconds
@@ -114,21 +112,15 @@ func NewEngine() *Engine {
 	}
 }
 
-// ComboPicked records one decision-tree (or fixed-combo) selection. label is
-// the display name ("[Lists/Tomita]"), stored on first use so the snapshot
-// can name the slot; i is mcealg.Combo.Index.
+// ComboPicked records one decision-tree (or fixed-combo) selection; i is
+// mcealg.Combo.Index, and the snapshot names the slot from it.
 //
 //mce:hotpath per-block combo accounting
-func (e *Engine) ComboPicked(i int, label string) {
+func (e *Engine) ComboPicked(i int) {
 	if i < 0 || i >= mcealg.NumCombos {
 		return
 	}
-	c := &e.combos[i]
-	if c.label.Load() == nil {
-		l := label
-		c.label.Store(&l)
-	}
-	c.picks.Inc()
+	e.combos[i].picks.Inc()
 }
 
 // ComboAnalyzed records one completed block analysis with the given combo:
@@ -136,17 +128,13 @@ func (e *Engine) ComboPicked(i int, label string) {
 // counter and the BlockNs histogram.
 //
 //mce:hotpath per-block combo accounting
-func (e *Engine) ComboAnalyzed(i int, label string, d time.Duration) {
+func (e *Engine) ComboAnalyzed(i int, d time.Duration) {
 	e.BlocksAnalyzed.Inc()
 	e.BlockNs.Observe(int64(d))
 	if i < 0 || i >= mcealg.NumCombos {
 		return
 	}
 	c := &e.combos[i]
-	if c.label.Load() == nil {
-		l := label
-		c.label.Store(&l)
-	}
 	c.blocks.Inc()
 	c.ns.Add(int64(d))
 }
@@ -318,11 +306,7 @@ func (e *Engine) Snapshot() Snapshot {
 		if picks == 0 && blocks == 0 {
 			continue
 		}
-		name := "combo-" + strconv.Itoa(i)
-		if l := c.label.Load(); l != nil {
-			name = *l
-		}
-		s.Combos = append(s.Combos, ComboStat{Combo: name, Picks: picks, Blocks: blocks, TotalNs: c.ns.Load()})
+		s.Combos = append(s.Combos, ComboStat{Combo: mcealg.ComboAt(i).Label(), Picks: picks, Blocks: blocks, TotalNs: c.ns.Load()})
 	}
 	for i := range e.endpoints {
 		c := &e.endpoints[i]

@@ -134,9 +134,9 @@ func TestEngineSnapshotAndJSON(t *testing.T) {
 	e.BlocksBuilt.Add(4)
 	e.KernelNodes.Add(10)
 	e.QueueDepth.Set(2)
-	e.ComboPicked(5, "[Lists/Tomita]")
-	e.ComboPicked(5, "[Lists/Tomita]")
-	e.ComboAnalyzed(5, "[Lists/Tomita]", 3*time.Millisecond)
+	e.ComboPicked(5)
+	e.ComboPicked(5)
+	e.ComboAnalyzed(5, 3*time.Millisecond)
 	e.RoundTripNs.Observe(int64(time.Millisecond))
 	ins := &BlockInstr{RecursionNodes: 7, PivotSelections: 3}
 	e.MergeBlockInstr(ins)
@@ -175,9 +175,9 @@ func TestEngineSnapshotAndJSON(t *testing.T) {
 
 func TestComboOutOfRangeIgnored(t *testing.T) {
 	e := NewEngine()
-	e.ComboPicked(-1, "x")
-	e.ComboPicked(mcealg.NumCombos, "x")
-	e.ComboAnalyzed(99, "x", time.Millisecond)
+	e.ComboPicked(-1)
+	e.ComboPicked(mcealg.NumCombos)
+	e.ComboAnalyzed(99, time.Millisecond)
 	s := e.Snapshot()
 	if len(s.Combos) != 0 {
 		t.Fatalf("out-of-range combo recorded: %+v", s.Combos)
@@ -204,8 +204,8 @@ func TestConcurrentUpdates(t *testing.T) {
 			for i := 0; i < perWorker; i++ {
 				e.BlocksBuilt.Inc()
 				e.QueueDepth.Add(1)
-				e.ComboPicked(w%mcealg.NumCombos, "combo")
-				e.ComboAnalyzed(w%mcealg.NumCombos, "combo", time.Duration(i)*time.Microsecond)
+				e.ComboPicked(w % mcealg.NumCombos)
+				e.ComboAnalyzed(w%mcealg.NumCombos, time.Duration(i)*time.Microsecond)
 				e.RoundTripNs.Observe(int64(i))
 				ins.RecursionNodes += 2
 				ins.PivotSelections++
@@ -249,13 +249,10 @@ func TestConcurrentUpdates(t *testing.T) {
 // Gauge.Add, Histogram.Observe, the per-block MergeBlockInstr — both the
 // telemetry-disabled nil path and the enabled two-atomic-add merge — and
 // what a worker records per block since induce and select moved onto it
-// (InduceNs, SelectNs, a ComboPicked whose label is already stored) have no
-// entry in .mcevet/allocbudget.json (the engine's only budgeted sites are
-// the one-time ComboPicked/ComboAnalyzed label stores), so a run must
-// observe zero allocations too.
+// (InduceNs, SelectNs, ComboPicked, ComboAnalyzed) have no entry in
+// .mcevet/allocbudget.json, so a run must observe zero allocations too.
 func TestHotPathZeroAllocs(t *testing.T) {
 	e := NewEngine()
-	e.ComboPicked(3, "[Lists/XPivot]") // the one-time label store
 	h := NewDurationHistogram()
 	var c Counter
 	var g Gauge
@@ -271,7 +268,8 @@ func TestHotPathZeroAllocs(t *testing.T) {
 		e.MergeBlockInstr(nil) // the telemetry-disabled path
 		e.InduceNs.Add(5)
 		e.SelectNs.Add(7)
-		e.ComboPicked(3, "[Lists/XPivot]")
+		e.ComboPicked(3)
+		e.ComboAnalyzed(3, time.Microsecond)
 		e.FamilyMembers.Add(40) // what a level records of its arenas
 		e.FamilyArenaBytes.Add(1 << 18)
 	})

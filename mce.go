@@ -129,7 +129,9 @@ func WithBlockRatio(ratio float64) Option {
 }
 
 // WithParallelism bounds the local block-analysis workers (default:
-// GOMAXPROCS).
+// GOMAXPROCS). A level's blocks are planned on one more goroutine beside
+// them — the coordinator's own serial work moved off the caller's
+// goroutine, not an extra worker.
 func WithParallelism(workers int) Option {
 	return func(c *config) error {
 		if workers < 1 {

@@ -1,6 +1,7 @@
 package mce
 
 import (
+	"context"
 	"fmt"
 	"os"
 
@@ -25,12 +26,14 @@ type OutOfCoreStats = extmce.Stats
 // builds on), the hub recursion runs on the small hub-induced subgraph, and
 // hub cliques are filtered with targeted disk reads. emit receives each
 // clique (ascending IDs, slice reused) and its hub recursion level.
+// Cancelling ctx stops the run between blocks and returns ctx.Err(); the
+// cliques emitted before that stay emitted.
 //
 // Supported options: WithBlockSize, WithBlockRatio, WithAlgorithm and
 // WithParallelism (the prefetch depth and the hub recursion's width); any
 // other option is refused by name rather than silently ignored. Peak memory
 // is one block plus the hub subgraph.
-func EnumerateOutOfCore(path string, emit func(clique []int32, hubLevel int), opts ...Option) (*OutOfCoreStats, error) {
+func EnumerateOutOfCore(ctx context.Context, path string, emit func(clique []int32, hubLevel int), opts ...Option) (*OutOfCoreStats, error) {
 	var cfg config
 	for _, opt := range opts {
 		if err := opt(&cfg); err != nil {
@@ -56,7 +59,7 @@ func EnumerateOutOfCore(path string, emit func(clique []int32, hubLevel int), op
 	if cfg.core.FixedCombo != nil {
 		eopts.Combo = *cfg.core.FixedCombo
 	}
-	return extmce.Enumerate(dg, eopts, emit)
+	return extmce.Enumerate(ctx, dg, eopts, emit)
 }
 
 // outOfCoreIgnored names the first option that was given but that
