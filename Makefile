@@ -63,10 +63,11 @@ fuzz-smoke:
 	$(GO) test -run=Fuzz -fuzz=FuzzIndexOpen -fuzztime=10s ./internal/cliqdb
 	$(GO) test -run=Fuzz -fuzz=FuzzFrameReader -fuzztime=10s ./internal/durable
 	$(GO) test -run=Fuzz -fuzz=FuzzDecodeAscending -fuzztime=10s ./internal/durable
-	$(GO) test -run=Fuzz -fuzz=FuzzDecodeBlock -fuzztime=10s ./internal/durable
+	$(GO) test -run=Fuzz -fuzz=FuzzDecodeCSR -fuzztime=10s ./internal/durable
 	$(GO) test -run=Fuzz -fuzz=FuzzSubproblem -fuzztime=10s ./internal/mcealg
 	$(GO) test -run=Fuzz -fuzz=FuzzGrowMatchesReference -fuzztime=10s ./internal/decomp
 	$(GO) test -run=Fuzz -fuzz=FuzzParseResult -fuzztime=10s ./internal/cluster
+	$(GO) test -run=Fuzz -fuzz=FuzzParseTask -fuzztime=10s ./internal/cluster
 
 # Crash-recovery chaos: the coordinator is SIGKILLed at randomized points and
 # must resume to the exact clique set (chaos_resume_test.go), and the index

@@ -33,6 +33,7 @@ import (
 	"mce/internal/cluster"
 	"mce/internal/core"
 	"mce/internal/decomp"
+	"mce/internal/dtree"
 	"mce/internal/durable"
 	"mce/internal/family"
 	"mce/internal/gen"
@@ -68,7 +69,7 @@ type throttledExecutor struct {
 	delay time.Duration
 }
 
-func (e *throttledExecutor) Analyze(ctx context.Context, g *graph.Graph, plan *decomp.Plan, sel core.Selector, ids []runlog.BlockID, obs runlog.BatchObserver) ([]family.Window, error) {
+func (e *throttledExecutor) Analyze(ctx context.Context, g *graph.Graph, plan *decomp.Plan, rule dtree.Rule, ids []runlog.BlockID, obs runlog.BatchObserver) ([]family.Window, error) {
 	var out []family.Window
 	for i := 0; plan.Block(i) != nil; i++ {
 		time.Sleep(e.delay)
@@ -76,7 +77,7 @@ func (e *throttledExecutor) Analyze(ctx context.Context, g *graph.Graph, plan *d
 		if ids != nil {
 			id = ids[i : i+1]
 		}
-		res, err := e.inner.Analyze(ctx, g, decomp.SealedPlan([]decomp.Block{*plan.Block(i)}), sel, id, obs)
+		res, err := e.inner.Analyze(ctx, g, decomp.SealedPlan([]decomp.Block{*plan.Block(i)}), rule, id, obs)
 		if err != nil {
 			return nil, err
 		}

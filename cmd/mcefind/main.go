@@ -383,7 +383,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			// exceeds the level's wall by their overlap; a checkpointed
 			// level and a -workers run take no block before the seal and
 			// say nothing. Σinduce and Σselect are
-			// summed over the workers inside analysis. members, arena and
+			// summed over the workers inside analysis; with -workers they
+			// happen on the remote workers and read 0 here. members, arena and
 			// arenas say how the level's family was held. A level served
 			// whole from a checkpoint was not grown: border, visited and
 			// grow are 0 (core.LevelStats).

@@ -1,7 +1,9 @@
 // Command mceworker is a block-analysis worker: it listens on a TCP address
 // and serves BLOCK-ANALYSIS tasks for coordinators (mcefind -workers, or the
-// mce library's WithWorkers option). Workers are stateless; run one per
-// machine, as the paper does with its 10-node OpenMPI cluster.
+// mce library's WithWorkers option). A worker keeps the level graphs
+// coordinators send it (least recently used evicted past a fixed cap) and
+// induces each task's block from them; run one per machine, as the paper
+// does with its 10-node OpenMPI cluster.
 //
 // Usage:
 //

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -11,6 +12,7 @@ import (
 
 	"mce/internal/cluster"
 	"mce/internal/decomp"
+	"mce/internal/dtree"
 	"mce/internal/gen"
 	"mce/internal/mcealg"
 )
@@ -48,8 +50,9 @@ func TestWorkerServesTasksAndDebugVars(t *testing.T) {
 	g := gen.ErdosRenyi(50, 0.25, 3)
 	m := g.MaxDegree() + 1
 	feasible, _ := decomp.Cut(g, m)
-	blocks := decomp.Blocks(g, feasible, m, decomp.Options{})
-	out, err := client.AnalyzeBlocks(blocks, mcealg.Combo{Alg: mcealg.Tomita, Struct: mcealg.BitSets})
+	blocks := decomp.Grow(g, feasible, m, decomp.Options{})
+	rule := dtree.Rule{Mode: dtree.RuleFixed, Combo: mcealg.Combo{Alg: mcealg.Tomita, Struct: mcealg.BitSets}}
+	out, err := client.Analyze(context.Background(), g, decomp.SealedPlan(blocks), rule, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

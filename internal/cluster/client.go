@@ -11,11 +11,10 @@ import (
 	"time"
 
 	"mce/internal/decomp"
+	"mce/internal/dtree"
 	"mce/internal/durable"
 	"mce/internal/family"
 	"mce/internal/graph"
-	"mce/internal/kcore"
-	"mce/internal/mcealg"
 	"mce/internal/resguard"
 	"mce/internal/runlog"
 	"mce/internal/telemetry"
@@ -23,12 +22,11 @@ import (
 
 // ClientOptions tunes the coordinator side of the cluster.
 type ClientOptions struct {
-	// DialTimeout bounds each worker connection attempt; 0 means 5s.
-	DialTimeout time.Duration
 	// TaskTimeout bounds one task round trip; a worker that does not
 	// answer inside it is retired and its block requeued, so a hung worker
-	// cannot stall a batch. 0 derives 30s plus 1ms per node and edge plus
-	// twice Latency; negative disables deadlines.
+	// cannot stall a batch. 0 derives 30s plus 1ms per block member and per
+	// unit of the members' degree sum in the level graph, plus twice
+	// Latency; negative disables deadlines.
 	TaskTimeout time.Duration
 	// TaskRetries is the per-block failure budget: a block that has had
 	// this many failed attempts (transport failures or corrupt verdicts,
@@ -70,8 +68,10 @@ type ClientOptions struct {
 // A block earns its one twin once in flight past max(hedgeMultiplier × the
 // batch's hedgeQuantile round trip, hedgeMinDelay), from
 // hedgeMinObservations round trips on. A batch whose every worker has died
-// waits allDeadGrace for capacity to return.
+// waits allDeadGrace for capacity to return. Each connection attempt, the
+// handshake included, has dialTimeout (or its context's earlier deadline).
 const (
+	dialTimeout          = 5 * time.Second
 	hedgeQuantile        = 0.9
 	hedgeMultiplier      = 2
 	hedgeMinDelay        = 25 * time.Millisecond
@@ -131,6 +131,7 @@ type workerConn struct {
 	addr   string
 	conn   net.Conn
 	link   *link
+	class  []byte // the class bytes of the task being sent
 	dead   bool
 	leased bool // owned by a batch runner (possibly a straggler of a returned batch)
 }
@@ -179,9 +180,6 @@ func DialContext(ctx context.Context, addrs []string, opts ClientOptions) (*Clie
 	if len(addrs) == 0 {
 		return nil, errors.New("cluster: no worker addresses")
 	}
-	if opts.DialTimeout <= 0 {
-		opts.DialTimeout = 5 * time.Second
-	}
 	c := &Client{
 		opts:     opts,
 		guard:    resguard.New(opts.MemoryBudget, opts.Metrics),
@@ -197,7 +195,7 @@ func DialContext(ctx context.Context, addrs []string, opts ClientOptions) (*Clie
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("cluster: dial cancelled: %w", err)
 		}
-		wc, err := dialWorkerContext(ctx, addr, opts.DialTimeout)
+		wc, err := dialWorkerContext(ctx, addr)
 		if err != nil {
 			dialErrs = append(dialErrs, err)
 			c.report.Failures = append(c.report.Failures, DialFailure{Addr: addr, Err: err})
@@ -219,15 +217,15 @@ func DialContext(ctx context.Context, addrs []string, opts ClientOptions) (*Clie
 	return c, nil
 }
 
-func dialWorkerContext(ctx context.Context, addr string, timeout time.Duration) (*workerConn, error) {
-	d := net.Dialer{Timeout: timeout}
+func dialWorkerContext(ctx context.Context, addr string) (*workerConn, error) {
+	d := net.Dialer{Timeout: dialTimeout}
 	conn, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: dial %s: %w", addr, err)
 	}
 	// The handshake shares the dial budget, so a worker that accepts but
 	// never answers cannot stall Dial.
-	deadline := time.Now().Add(timeout)
+	deadline := time.Now().Add(dialTimeout)
 	if cd, ok := ctx.Deadline(); ok && cd.Before(deadline) {
 		deadline = cd
 	}
@@ -353,7 +351,7 @@ func (c *Client) redial(force bool) (next time.Time, errs []error) {
 			next = earliest(next, until)
 			continue
 		}
-		fresh, err := dialWorkerContext(context.Background(), wc.addr, c.opts.DialTimeout)
+		fresh, err := dialWorkerContext(context.Background(), wc.addr)
 		c.mu.Lock()
 		switch {
 		case err != nil:
@@ -485,17 +483,6 @@ type corruptResultError struct{ msg string }
 
 func (e *corruptResultError) Error() string { return e.msg }
 
-// AnalyzeBlocks is AnalyzeBlocksContext without cancellation.
-func (c *Client) AnalyzeBlocks(blocks []decomp.Block, combo mcealg.Combo) ([]family.Window, error) {
-	return c.AnalyzeBlocksContext(context.Background(), blocks, combo)
-}
-
-// AnalyzeBlocksContext is Analyze for a plain batch under one combo.
-func (c *Client) AnalyzeBlocksContext(ctx context.Context, blocks []decomp.Block, combo mcealg.Combo) ([]family.Window, error) {
-	sel := func(*graph.Graph, *kcore.Scratch) mcealg.Combo { return combo }
-	return c.Analyze(ctx, nil, decomp.SealedPlan(blocks), sel, nil, nil)
-}
-
 // attempt is one dispatch-queue entry; hedge marks a speculative copy.
 type attempt struct {
 	block int
@@ -577,11 +564,14 @@ func (h *hedger) due(now time.Time) (block int, at time.Time) {
 // indexed by plan position, each the window over the family its answer was
 // decoded into. It implements core.Executor: it waits for the plan's seal —
 // the hedger and the retry bookkeeping are sized by the block count — and
-// then takes the blocks as decomp.GrowSeq planned them over g. The
-// connection runner that takes an attempt induces the block into its own
-// scratch, asks sel for the combo and encodes the task — so the shared plan
-// is never written, and the coordinator holds one induced block per
-// connection.
+// then takes the blocks as decomp.GrowSeq planned them over g. A task
+// carries a block's membership, g's content address and rule; the worker
+// induces the block from its own copy of g, picks the combo by rule and
+// analyses it. g crosses the wire only to a worker that answers that it
+// does not hold it, once per worker while the worker keeps it, within the
+// same attempt and without spending a retry. The answer that wins a
+// block's claim brings the worker's combo pick and kernel counts into the
+// client's telemetry.
 //
 // A retry and a hedge are the same act: the block goes back on the batch's
 // queue for whichever connection is free — after a failed attempt, within
@@ -603,7 +593,7 @@ func (h *hedger) due(now time.Time) (block int, at time.Time) {
 // keeps its connection leased until it resolves. Duplicate answers lose a
 // compare-and-swap per block and are dropped, which Lemma 1 makes sound:
 // every copy's answer is identical.
-func (c *Client) Analyze(ctx context.Context, g *graph.Graph, plan *decomp.Plan, sel func(*graph.Graph, *kcore.Scratch) mcealg.Combo, ids []runlog.BlockID, obs runlog.BatchObserver) ([]family.Window, error) {
+func (c *Client) Analyze(ctx context.Context, g *graph.Graph, plan *decomp.Plan, rule dtree.Rule, ids []runlog.BlockID, obs runlog.BatchObserver) ([]family.Window, error) {
 	nBlocks := plan.Wait()
 	if err := ctx.Err(); err != nil {
 		return nil, err // the grower stopped early: the plan is not the level's
@@ -615,6 +605,10 @@ func (c *Client) Analyze(ctx context.Context, g *graph.Graph, plan *decomp.Plan,
 	if nBlocks == 0 {
 		return out, nil
 	}
+	if g == nil {
+		return nil, errors.New("cluster: no level graph: workers induce blocks from the graph they were planned over")
+	}
+	lv := &level{g: g, key: keyOf(g), rule: rule}
 	c.mu.Lock()
 	var alive []*workerConn
 	leasedOut := 0
@@ -648,7 +642,6 @@ func (c *Client) Analyze(ctx context.Context, g *graph.Graph, plan *decomp.Plan,
 		drained    = make(chan struct{}, 1)
 		fresh      = make(chan *workerConn, 16)
 		claimed    = make([]atomic.Bool, nBlocks) // first-wins dedup
-		picked     = make([]atomic.Bool, nBlocks) // the block's combo pick is in the telemetry
 		hedge      *hedger
 		wake       <-chan struct{}
 	)
@@ -743,7 +736,7 @@ func (c *Client) Analyze(ctx context.Context, g *graph.Graph, plan *decomp.Plan,
 	// connection is still usable. Every answer is decoded into a family of
 	// its own, so one that loses the claim — possibly after the batch has
 	// returned — is dropped without touching what the caller reads.
-	process := func(wc *workerConn, a attempt, mat *decomp.Materialiser) bool {
+	process := func(wc *workerConn, a attempt) bool {
 		i := a.block
 		hedge.fly(wc, i)
 		if met != nil {
@@ -757,19 +750,8 @@ func (c *Client) Analyze(ctx context.Context, g *graph.Graph, plan *decomp.Plan,
 			obs.BlockDispatched(id)
 		}
 		t0 := time.Now()
-		blk := mat.Materialise(plan.Block(i))
-		induced := time.Now()
-		combo := sel(blk.Graph, &mat.Features)
-		if met != nil {
-			met.InduceNs.Add(int64(induced.Sub(t0)))
-			met.SelectNs.Add(int64(time.Since(induced)))
-			if !picked[i].Swap(true) {
-				met.ComboPicked(combo.Index())
-			}
-		}
-		t0 = time.Now() // the round trip proper starts here
 		reply := new(family.Family)
-		err := c.roundTrip(ctx, wc, i, id, blk, combo, reply)
+		counts, err := c.roundTrip(ctx, wc, i, id, lv, plan.Block(i), reply)
 		rtt := time.Since(t0)
 		hedge.land(wc, rtt, err == nil)
 		if met != nil {
@@ -790,8 +772,14 @@ func (c *Client) Analyze(ctx context.Context, g *graph.Graph, plan *decomp.Plan,
 				}
 				return true
 			}
-			if a.hedge && met != nil {
-				met.HedgeWins.Inc()
+			if met != nil {
+				if a.hedge {
+					met.HedgeWins.Inc()
+				}
+				met.ComboPicked(int(counts.Combo))
+				met.ComboAnalyzed(int(counts.Combo), time.Duration(counts.KernelNs))
+				met.RecursionNodes.Add(counts.Nodes)
+				met.PivotSelections.Add(counts.Pivots)
 			}
 			cliques := reply.Window()
 			if obs != nil {
@@ -840,7 +828,6 @@ func (c *Client) Analyze(ctx context.Context, g *graph.Graph, plan *decomp.Plan,
 
 	runner := func(wc *workerConn) {
 		defer c.unlease(wc)
-		mat := decomp.NewMaterialiser(g)
 		// The runner's one timer: it waits out the address's hold, then for
 		// the next straggler to cross the hedge threshold.
 		timer := time.NewTimer(time.Hour)
@@ -879,7 +866,7 @@ func (c *Client) Analyze(ctx context.Context, g *graph.Graph, plan *decomp.Plan,
 				// Memory guard: over budget, dispatch pauses here; one
 				// runner is always admitted, so the batch never deadlocks.
 				c.guard.Enter(done)
-				ok := process(wc, a, mat)
+				ok := process(wc, a)
 				c.guard.Exit()
 				if !ok {
 					return
@@ -971,8 +958,37 @@ func (c *Client) Analyze(ctx context.Context, g *graph.Graph, plan *decomp.Plan,
 	return out, nil
 }
 
-// taskDeadline resolves TaskTimeout for a block of nodes and edges.
-func (c *Client) taskDeadline(nodes, edges int) time.Duration {
+// level is what every task of one Analyze call shares: the level graph,
+// its content address, the combo-selection rule and, once a worker has
+// asked for it, the graph's encoding, which every connection sends from.
+type level struct {
+	g    *graph.Graph
+	key  graphKey
+	rule dtree.Rule
+
+	once    sync.Once
+	encoded []byte
+	err     error
+}
+
+// encoding returns the level graph's encoding, made on the first call.
+func (lv *level) encoding() ([]byte, error) {
+	lv.once.Do(func() { lv.encoded, lv.err = appendLevel(nil, lv.g) })
+	return lv.encoded, lv.err
+}
+
+// work sizes block b's derived deadline: its members plus their degree sum
+// in the level graph, which is what inducing and analysing it scans.
+func (lv *level) work(b *decomp.Block) int {
+	n := len(b.Orig)
+	for _, v := range b.Orig {
+		n += lv.g.Degree(v)
+	}
+	return n
+}
+
+// taskDeadline resolves TaskTimeout for a block of the given work.
+func (c *Client) taskDeadline(work int) time.Duration {
 	if c.opts.TaskTimeout < 0 {
 		return 0
 	}
@@ -981,39 +997,78 @@ func (c *Client) taskDeadline(nodes, edges int) time.Duration {
 	}
 	// Generous and scaled with the block: it catches hung workers, never
 	// slow ones.
-	return 30*time.Second + time.Duration(nodes+edges)*time.Millisecond + 2*c.opts.Latency
+	return 30*time.Second + time.Duration(work)*time.Millisecond + 2*c.opts.Latency
 }
 
-// roundTrip sends one task and waits for its result under the simulated
-// latency and the task deadline, appending the block's cliques to reply.
-// bid is the block's checkpoint identity (zero when not checkpointing);
-// the worker must echo it.
-func (c *Client) roundTrip(ctx context.Context, wc *workerConn, id int, bid runlog.BlockID, b *decomp.Block, combo mcealg.Combo, reply *family.Family) error {
-	l := wc.link
+// roundTrip sends block b's task and waits for its result under the
+// simulated latency and the task deadline, appending the block's cliques to
+// reply and returning the worker's counts. bid is the block's checkpoint
+// identity (zero when not checkpointing); the worker must echo it. A worker
+// that does not hold the level graph says so, and the task goes again on
+// the same connection with the graph attached.
+func (c *Client) roundTrip(ctx context.Context, wc *workerConn, id int, bid runlog.BlockID, lv *level, b *decomp.Block, reply *family.Family) (blockCounts, error) {
 	want := taskID{ID: id, Level: bid.Level, Plan: bid.Plan}
-	var err error
-	if l.payload, err = (&blockTask{taskID: want, Block: b, Combo: combo}).appendTo(l.payload[:0]); err != nil {
+	class, err := appendClasses(wc.class[:0], b)
+	wc.class = class
+	if err != nil {
 		// Not a block the wire can carry; no worker will change that.
-		return &applicationError{msg: err.Error()}
+		return blockCounts{}, &applicationError{msg: fmt.Sprintf("cluster: task %d: %v", id, err)}
+	}
+	task := blockTask{taskID: want, Graph: lv.key, Rule: lv.rule, Orig: b.Orig, Class: class}
+	timeout := c.taskDeadline(lv.work(b))
+	var level []byte // the level graph, once the worker said it lacks it
+	for {
+		res, err := c.exchange(ctx, wc, &task, level, timeout, reply)
+		if err != nil {
+			return blockCounts{}, err
+		}
+		if res.taskID != want {
+			return blockCounts{}, fmt.Errorf("cluster: worker %s answered task %d (block L%d/B%d), want %d (L%d/B%d)",
+				wc.addr, res.ID, res.Level, res.Plan, id, bid.Level, bid.Plan)
+		}
+		switch {
+		case res.Unknown && level == nil:
+			if level, err = lv.encoding(); err != nil {
+				return blockCounts{}, &applicationError{msg: fmt.Sprintf("cluster: task %d: %v", id, err)}
+			}
+			reply.Truncate(0)
+			continue
+		case res.Unknown:
+			return blockCounts{}, fmt.Errorf("cluster: worker %s does not hold the level graph it was sent with task %d", wc.addr, id)
+		case res.Err != "":
+			return blockCounts{}, &applicationError{msg: fmt.Sprintf("cluster: worker %s: %s", wc.addr, res.Err)}
+		}
+		return res.blockCounts, nil
+	}
+}
+
+// exchange sends one task message, with the encoded level graph attached
+// when level is not nil, and reads its answer, each leg under the simulated
+// latency; the answer's cliques go onto reply.
+func (c *Client) exchange(ctx context.Context, wc *workerConn, task *blockTask, level []byte, timeout time.Duration, reply *family.Family) (blockResult, error) {
+	l := wc.link
+	var err error
+	if l.payload, err = task.appendHead(l.payload[:0], level != nil); err != nil {
+		return blockResult{}, &applicationError{msg: err.Error()}
 	}
 	if err := c.simulateLink(ctx); err != nil {
-		return err // the bare ctx error: no bytes moved, the stream is in sync
+		return blockResult{}, err // the bare ctx error: no bytes moved, the stream is in sync
 	}
 	var deadline time.Time // none
-	if d := c.taskDeadline(b.Graph.N(), b.Graph.M()); d > 0 {
-		deadline = time.Now().Add(d)
+	if timeout > 0 {
+		deadline = time.Now().Add(timeout)
 	}
 	wc.conn.SetDeadline(deadline)
 	met := c.opts.Metrics
-	if err := l.send(); err != nil {
-		return fmt.Errorf("cluster: send to %s: %w", wc.addr, err)
+	if err := l.sendWith(level); err != nil {
+		return blockResult{}, fmt.Errorf("cluster: send to %s: %w", wc.addr, err)
 	}
 	if met != nil {
-		met.BytesSent.Add(frameLen(l.payload))
+		met.BytesSent.Add(frameLen(l.payload) + int64(len(level)))
 	}
 	p, err := l.in.Next()
 	if err != nil && !errors.Is(err, durable.ErrChecksum) {
-		return fmt.Errorf("cluster: receive from %s: %w", wc.addr, err)
+		return blockResult{}, fmt.Errorf("cluster: receive from %s: %w", wc.addr, err)
 	}
 	if met != nil {
 		met.BytesReceived.Add(frameLen(p))
@@ -1022,28 +1077,21 @@ func (c *Client) roundTrip(ctx context.Context, wc *workerConn, id int, bid runl
 		if met != nil {
 			met.CorruptResults.Inc()
 		}
-		return &corruptResultError{msg: fmt.Sprintf("cluster: "+format+" (checksum mismatch)", id, wc.addr)}
+		return &corruptResultError{msg: fmt.Sprintf("cluster: "+format+" (checksum mismatch)", task.ID, wc.addr)}
 	}
 	if err != nil {
-		return corrupt("result %d from %s corrupted in flight")
+		return blockResult{}, corrupt("result %d from %s corrupted in flight")
 	}
 	res, err := parseResult(p, reply)
 	if err != nil {
-		return fmt.Errorf("cluster: receive from %s: %w", wc.addr, err)
+		return blockResult{}, fmt.Errorf("cluster: receive from %s: %w", wc.addr, err)
 	}
 	if res.Corrupt {
 		// The worker could not trust the task frame, its identity included,
 		// so the verdict is matched to this round trip by position alone.
-		return corrupt("task %d corrupted in flight to %s")
+		return blockResult{}, corrupt("task %d corrupted in flight to %s")
 	}
-	if res.taskID != want {
-		return fmt.Errorf("cluster: worker %s answered task %d (block L%d/B%d), want %d (L%d/B%d)",
-			wc.addr, res.ID, res.Level, res.Plan, id, bid.Level, bid.Plan)
-	}
-	if res.Err != "" {
-		return &applicationError{msg: fmt.Sprintf("cluster: worker %s: %s", wc.addr, res.Err)}
-	}
-	return c.simulateLink(ctx)
+	return res, c.simulateLink(ctx)
 }
 
 // simulateLink sleeps for the configured latency, waking early on

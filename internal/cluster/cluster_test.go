@@ -10,9 +10,10 @@ import (
 
 	"mce/internal/core"
 	"mce/internal/decomp"
+	"mce/internal/dtree"
+	"mce/internal/family"
 	"mce/internal/gen"
 	"mce/internal/graph"
-	"mce/internal/kcore"
 	"mce/internal/mcealg"
 	"mce/internal/runlog"
 )
@@ -25,11 +26,17 @@ func key(c []int32) string {
 	return strings.Join(parts, ",")
 }
 
-// makeBlocks decomposes g and returns its induced blocks with a tree-free
-// fixed combo.
-func makeBlocks(g *graph.Graph, m int) ([]decomp.Block, mcealg.Combo) {
+// makeBlocks decomposes g and returns its planned blocks (membership only)
+// with a tree-free fixed rule.
+func makeBlocks(g *graph.Graph, m int) ([]decomp.Block, dtree.Rule) {
 	feasible, _ := decomp.Cut(g, m)
-	return decomp.Blocks(g, feasible, m, decomp.Options{}), mcealg.Combo{Alg: mcealg.Tomita, Struct: mcealg.BitSets}
+	return decomp.Grow(g, feasible, m, decomp.Options{}), dtree.Rule{Mode: dtree.RuleAsIs, Combo: mcealg.Combo{Alg: mcealg.Tomita, Struct: mcealg.BitSets}}
+}
+
+// analyzeBlocks runs blocks, planned over g, on e under rule as a plain
+// batch.
+func analyzeBlocks(ctx context.Context, e core.Executor, g *graph.Graph, blocks []decomp.Block, rule dtree.Rule) ([]family.Window, error) {
+	return e.Analyze(ctx, g, decomp.SealedPlan(blocks), rule, nil, nil)
 }
 
 func TestClusterAnalyzeMatchesLocal(t *testing.T) {
@@ -51,11 +58,11 @@ func TestClusterAnalyzeMatchesLocal(t *testing.T) {
 	g := gen.HolmeKim(400, 5, 0.7, 7)
 	blocks, combo := makeBlocks(g, g.MaxDegree()+1)
 
-	remote, err := client.AnalyzeBlocks(blocks, combo)
+	remote, err := analyzeBlocks(context.Background(), client, g, blocks, combo)
 	if err != nil {
 		t.Fatal(err)
 	}
-	local, err := (&core.LocalExecutor{}).AnalyzeBlocks(blocks, combo)
+	local, err := analyzeBlocks(context.Background(), &core.LocalExecutor{}, g, blocks, combo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +138,7 @@ func TestWorkerFailureRequeues(t *testing.T) {
 
 	g := gen.ErdosRenyi(120, 0.1, 2)
 	blocks, combo := makeBlocks(g, g.MaxDegree()+1)
-	out, err := client.AnalyzeBlocks(blocks, combo)
+	out, err := analyzeBlocks(context.Background(), client, g, blocks, combo)
 	if err != nil {
 		t.Fatalf("requeue failed: %v", err)
 	}
@@ -163,11 +170,11 @@ func TestAllWorkersDead(t *testing.T) {
 
 	g := gen.ErdosRenyi(30, 0.2, 3)
 	blocks, combo := makeBlocks(g, g.MaxDegree()+1)
-	if _, err := client.AnalyzeBlocks(blocks, combo); err == nil {
+	if _, err := analyzeBlocks(context.Background(), client, g, blocks, combo); err == nil {
 		t.Fatal("expected failure with all workers dead")
 	}
 	// Subsequent calls fail fast.
-	if _, err := client.AnalyzeBlocks(blocks, combo); err == nil {
+	if _, err := analyzeBlocks(context.Background(), client, g, blocks, combo); err == nil {
 		t.Fatal("expected fast failure on dead client")
 	}
 }
@@ -192,15 +199,16 @@ func TestApplicationErrorNotRetried(t *testing.T) {
 	for i := range orig {
 		kernel[i], orig[i] = int32(i), int32(i)
 	}
-	blocks := []decomp.Block{{Graph: big, Orig: orig, Kernel: kernel}}
-	_, err = client.AnalyzeBlocks(blocks, mcealg.Combo{Alg: mcealg.Tomita, Struct: mcealg.Matrix})
+	blocks := []decomp.Block{{Orig: orig, Kernel: kernel}}
+	matrix := dtree.Rule{Mode: dtree.RuleAsIs, Combo: mcealg.Combo{Alg: mcealg.Tomita, Struct: mcealg.Matrix}}
+	_, err = analyzeBlocks(context.Background(), client, big, blocks, matrix)
 	if err == nil || !strings.Contains(err.Error(), "Matrix") {
 		t.Fatalf("err = %v, want worker Matrix failure", err)
 	}
 	// The worker survives an application error and can serve more work.
 	g := gen.ErdosRenyi(40, 0.2, 4)
 	okBlocks, okCombos := makeBlocks(g, g.MaxDegree()+1)
-	if _, err := client.AnalyzeBlocks(okBlocks, okCombos); err != nil {
+	if _, err := analyzeBlocks(context.Background(), client, g, okBlocks, okCombos); err != nil {
 		t.Fatalf("worker unusable after application error: %v", err)
 	}
 }
@@ -219,7 +227,7 @@ func TestDialUnreachable(t *testing.T) {
 	}
 	addr := ln.Addr().String()
 	ln.Close()
-	if _, err := Dial([]string{addr}, ClientOptions{DialTimeout: 300 * time.Millisecond}); err == nil {
+	if _, err := Dial([]string{addr}, ClientOptions{}); err == nil {
 		t.Fatal("Dial to closed port succeeded")
 	}
 }
@@ -233,7 +241,7 @@ func TestDialPartialWorkers(t *testing.T) {
 	ln, _ := net.Listen("tcp", "127.0.0.1:0")
 	deadAddr := ln.Addr().String()
 	ln.Close()
-	client, err := Dial([]string{addrs[0], deadAddr}, ClientOptions{DialTimeout: 300 * time.Millisecond})
+	client, err := Dial([]string{addrs[0], deadAddr}, ClientOptions{})
 	if err != nil {
 		t.Fatalf("partial dial failed: %v", err)
 	}
@@ -262,7 +270,7 @@ func TestSimulatedLatencySlowsBatch(t *testing.T) {
 	}
 	defer fast.Close()
 	t0 := time.Now()
-	if _, err := fast.AnalyzeBlocks(blocks, combo); err != nil {
+	if _, err := analyzeBlocks(context.Background(), fast, g, blocks, combo); err != nil {
 		t.Fatal(err)
 	}
 	fastDur := time.Since(t0)
@@ -273,7 +281,7 @@ func TestSimulatedLatencySlowsBatch(t *testing.T) {
 	}
 	defer slow.Close()
 	t0 = time.Now()
-	if _, err := slow.AnalyzeBlocks(blocks, combo); err != nil {
+	if _, err := analyzeBlocks(context.Background(), slow, g, blocks, combo); err != nil {
 		t.Fatal(err)
 	}
 	slowDur := time.Since(t0)
@@ -295,8 +303,8 @@ func TestIDMismatchRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	sel := func(*graph.Graph, *kcore.Scratch) mcealg.Combo { return mcealg.Combo{} }
-	if _, err := client.Analyze(context.Background(), nil, decomp.SealedPlan(make([]decomp.Block, 2)), sel, make([]runlog.BlockID, 1), nil); err == nil {
+	g := graph.Complete(3)
+	if _, err := client.Analyze(context.Background(), g, decomp.SealedPlan(make([]decomp.Block, 2)), dtree.Rule{}, make([]runlog.BlockID, 1), nil); err == nil {
 		t.Fatal("mismatched lengths accepted")
 	}
 }
@@ -312,7 +320,7 @@ func TestEmptyBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	out, err := client.AnalyzeBlocks(nil, mcealg.Combo{})
+	out, err := analyzeBlocks(context.Background(), client, nil, nil, dtree.Rule{})
 	if err != nil || len(out) != 0 {
 		t.Fatalf("empty batch: %v, %v", out, err)
 	}
@@ -332,7 +340,7 @@ func TestHealthReportTracksLoad(t *testing.T) {
 
 	g := gen.HolmeKim(300, 4, 0.6, 6)
 	blocks, combo := makeBlocks(g, g.MaxDegree()+1)
-	if _, err := client.AnalyzeBlocks(blocks, combo); err != nil {
+	if _, err := analyzeBlocks(context.Background(), client, g, blocks, combo); err != nil {
 		t.Fatal(err)
 	}
 	rows := client.HealthReport().Workers
@@ -372,7 +380,7 @@ func TestReconnectRestoresCapacity(t *testing.T) {
 	client.mu.Unlock()
 	g := gen.ErdosRenyi(60, 0.15, 5)
 	blocks, combo := makeBlocks(g, g.MaxDegree()+1)
-	if _, err := client.AnalyzeBlocks(blocks, combo); err != nil {
+	if _, err := analyzeBlocks(context.Background(), client, g, blocks, combo); err != nil {
 		t.Fatal(err)
 	}
 	if client.Workers() != 1 {
@@ -383,7 +391,7 @@ func TestReconnectRestoresCapacity(t *testing.T) {
 	if err != nil || alive != 2 {
 		t.Fatalf("Reconnect = %d, %v; want 2 alive", alive, err)
 	}
-	if _, err := client.AnalyzeBlocks(blocks, combo); err != nil {
+	if _, err := analyzeBlocks(context.Background(), client, g, blocks, combo); err != nil {
 		t.Fatalf("batch after reconnect failed: %v", err)
 	}
 	total := 0

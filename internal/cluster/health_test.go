@@ -50,7 +50,6 @@ func runHoldCases(t *testing.T, cases ...holdCase) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			c := &Client{
-				opts:     ClientOptions{DialTimeout: time.Second},
 				health:   make(map[string]*workerHealth),
 				kick:     make(chan struct{}, 1),
 				done:     make(chan struct{}),

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"net"
@@ -70,10 +71,9 @@ func TestChaosStragglerHedging(t *testing.T) {
 	blocks, combo := makeBlocks(g, g.MaxDegree()+1)
 	opts := func(met *telemetry.Engine) ClientOptions {
 		return ClientOptions{
-			DialTimeout: 2 * time.Second,
-			Latency:     baseLatency,
-			Hedge:       true,
-			Metrics:     met,
+			Latency: baseLatency,
+			Hedge:   true,
+			Metrics: met,
 		}
 	}
 
@@ -88,7 +88,7 @@ func TestChaosStragglerHedging(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer baseline.Close()
-	wantOut, err := baseline.AnalyzeBlocks(blocks, combo)
+	wantOut, err := analyzeBlocks(context.Background(), baseline, g, blocks, combo)
 	if err != nil {
 		t.Fatalf("baseline run failed: %v", err)
 	}
@@ -106,7 +106,7 @@ func TestChaosStragglerHedging(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer hedged.Close()
-	gotOut, err := hedged.AnalyzeBlocks(blocks, combo)
+	gotOut, err := analyzeBlocks(context.Background(), hedged, g, blocks, combo)
 	if err != nil {
 		t.Fatalf("hedged straggler run failed: %v", err)
 	}
@@ -146,9 +146,8 @@ func TestChaosStragglerHedgeDedup(t *testing.T) {
 
 	met := telemetry.NewEngine()
 	client, err := Dial(append(okAddrs, slowAddr), ClientOptions{
-		DialTimeout: 2 * time.Second,
-		Hedge:       true,
-		Metrics:     met,
+		Hedge:   true,
+		Metrics: met,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -157,7 +156,7 @@ func TestChaosStragglerHedgeDedup(t *testing.T) {
 
 	g := gen.HolmeKim(200, 4, 0.6, 31)
 	blocks, combo := makeBlocks(g, g.MaxDegree()+1)
-	out, err := client.AnalyzeBlocks(blocks, combo)
+	out, err := analyzeBlocks(context.Background(), client, g, blocks, combo)
 	if err != nil {
 		t.Fatalf("hedged run failed: %v", err)
 	}

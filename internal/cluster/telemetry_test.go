@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"net"
 	"testing"
 
@@ -37,7 +38,7 @@ func TestClientAndWorkerTelemetry(t *testing.T) {
 	if len(blocks) < 2 {
 		t.Fatalf("want ≥ 2 blocks, got %d", len(blocks))
 	}
-	out, err := c.AnalyzeBlocks(blocks, combo)
+	out, err := analyzeBlocks(context.Background(), c, g, blocks, combo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +102,7 @@ func TestClientTelemetryRetryAndReconnect(t *testing.T) {
 
 	g := gen.ErdosRenyi(40, 0.3, 4)
 	blocks, combo := makeBlocks(g, g.MaxDegree()+1)
-	if _, err := c.AnalyzeBlocks(blocks, combo); err != nil {
+	if _, err := analyzeBlocks(context.Background(), c, g, blocks, combo); err != nil {
 		t.Fatal(err)
 	}
 	s := eng.Snapshot()

@@ -1,21 +1,25 @@
 package cluster
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"sync"
 	"time"
 
 	"mce/internal/decomp"
 	"mce/internal/durable"
+	"mce/internal/graph"
 	"mce/internal/mcealg"
 	"mce/internal/telemetry"
 )
 
-// Worker processes block-analysis tasks for coordinators. The zero value is
+// Worker processes block-analysis tasks for coordinators. It keeps the
+// level graphs tasks name, each validated once on arrival and shared by
+// every connection, under a fixed cap (residentGraphBytes); each connection
+// induces, selects and analyses its blocks from them. The zero value is
 // ready to serve; MaxConns and DrainTimeout, if used, must be set before
 // Serve.
 type Worker struct {
@@ -34,6 +38,8 @@ type Worker struct {
 	// MCE recursion counters. Nil disables all instrumentation. Must be set
 	// before Serve.
 	Metrics *telemetry.Engine
+
+	graphs graphStore // the level graphs tasks name, shared by every connection
 
 	mu       sync.Mutex
 	ln       net.Listener
@@ -201,7 +207,8 @@ func (w *Worker) endTask() {
 
 // ServeConn answers one coordinator connection: a handshake followed by a
 // stream of task frames, each answered with a result frame. It returns nil
-// when the coordinator hangs up.
+// when the coordinator hangs up. The level graphs the connection is sent
+// are kept for it alone.
 func ServeConn(conn net.Conn) error {
 	w := &Worker{}
 	w.mu.Lock()
@@ -224,7 +231,7 @@ func (w *Worker) serveConn(conn net.Conn) error {
 	}
 
 	met := w.Metrics
-	an := new(decomp.Analyzer) // this connection's BLOCK-ANALYSIS scratch
+	var s session
 	for {
 		p, err := l.in.Next()
 		corrupt := errors.Is(err, durable.ErrChecksum)
@@ -243,9 +250,15 @@ func (w *Worker) serveConn(conn net.Conn) error {
 			met.BytesReceived.Add(frameLen(p))
 			met.TasksInFlight.Add(1)
 		}
-		l.payload, err = runTask(l.payload[:0], p, corrupt, met, an)
+		l.payload, err = w.runTask(l.payload[:0], p, corrupt, &s)
 		if met != nil {
 			met.TasksInFlight.Add(-1)
+		}
+		if len(p) > bigFrame {
+			// The frame carried a level graph, now decoded: a new reader
+			// lets its buffer go instead of holding it for the connection's
+			// life. A reader takes exactly a frame's bytes, never more.
+			l.in = durable.NewFrameReader(conn, maxMessageLen)
 		}
 		// BLOCK-ANALYSIS emits ascending cliques, so the result always
 		// encodes; if it ever does not, hanging up makes the coordinator
@@ -265,30 +278,44 @@ func (w *Worker) serveConn(conn net.Conn) error {
 	}
 }
 
+// session is one connection's analysis scratch: the materialiser over the
+// level graph its latest task named, the analyzer, the block being analysed
+// and its recursion counts. It runs the loop a LocalExecutor worker runs —
+// materialise, select, analyse — on blocks that arrive as membership.
+type session struct {
+	level *graph.Graph
+	mat   *decomp.Materialiser
+	an    decomp.Analyzer
+	blk   decomp.Block
+	ins   telemetry.BlockInstr
+}
+
 // runTask decodes one task and executes BLOCK-ANALYSIS for it, the kernel's
 // emit encoding each clique straight into the result payload, which is
 // built in dst and returned; errors are captured in-band. corrupt means the
 // frame failed its checksum: the answer is the Corrupt verdict. A task that
-// does not decode into a block of classed nodes over a simple undirected
-// graph is answered with Err under its own ID, and so is a panicking block
-// (an algorithm bug), so one poison task cannot take down a node that other
-// coordinators share; the analyzer it left mid-recursion is replaced by a
-// fresh one. The only error is a clique that does not encode. met may be nil.
-func runTask(dst, payload []byte, corrupt bool, met *telemetry.Engine, an *decomp.Analyzer) (out []byte, err error) {
-	if met != nil {
-		met.TasksServed.Inc()
-	}
+// names a level graph the worker does not hold is answered "graph unknown";
+// one that carries its graph leaves it with the worker. A task that does
+// not decode into classed members of a valid level graph is answered with
+// Err under its own ID, and so is a panicking block (an algorithm bug), so
+// one poison task cannot take down a node that other coordinators share;
+// the scratch it left mid-recursion is replaced. The only error is a
+// clique that does not encode.
+func (w *Worker) runTask(dst, payload []byte, corrupt bool, s *session) (out []byte, err error) {
+	met := w.Metrics
 	var t blockTask
+	verdict := verdictDone
 	failed := func(msg string) ([]byte, error) { // an answer is cliques or an error, never both
 		if met != nil {
+			met.TasksServed.Inc()
 			met.TaskErrors.Inc()
 		}
-		return append(appendResultHead(dst, t.taskID, corrupt), msg...), nil
+		return append(appendResultHead(dst, t.taskID, verdict, comboNone), msg...), nil
 	}
 	defer func() {
 		if r := recover(); r != nil {
 			out, err = failed(fmt.Sprintf("panic in BLOCK-ANALYSIS: %v", r))
-			*an = decomp.Analyzer{}
+			*s = session{}
 			if met != nil {
 				met.TaskPanics.Inc()
 			}
@@ -298,43 +325,132 @@ func runTask(dst, payload []byte, corrupt bool, met *telemetry.Engine, an *decom
 		if met != nil {
 			met.CorruptResults.Inc()
 		}
+		verdict = verdictCorrupt
 		return failed("")
 	}
-	t, perr := parseTask(payload)
+	t, perr := parseTask(payload, s.blk.Orig)
 	if perr != nil {
 		return failed(perr.Error())
 	}
-	var ins *telemetry.BlockInstr
-	var t0 time.Time
-	if met != nil {
-		ins = &telemetry.BlockInstr{}
-		t0 = time.Now()
+	g := t.Level
+	if g != nil {
+		w.graphs.put(t.Graph, g)
+	} else if g = w.graphs.get(t.Graph); g == nil {
+		return appendResultHead(dst, t.taskID, verdictGraphUnknown, comboNone), nil
 	}
-	// Intra-block parallelism rides the combo, not the wire protocol: a
-	// coordinator that selected BitSetsParallel gets a work-stealing pool
-	// here sized to the worker's GOMAXPROCS (mcealg's auto default), and the
-	// pool's depth-first merge keeps the result bytes — and therefore the
-	// checkpoint digests — identical to a sequential run. A pool-worker
-	// panic propagates to this goroutine and lands in the recover above,
-	// preserving the worker's poison-task isolation.
-	out = appendResultHead(dst, t.taskID, false)
-	countAt, cliques := len(out)-4, uint32(0)
-	aerr := an.Analyze(t.Block, t.Combo, func(c []int32) {
+	if g != s.level {
+		s.level, s.mat = g, decomp.NewMaterialiser(g)
+	}
+	t.block(&s.blk)
+	t0 := time.Now()
+	blk := s.mat.Materialise(&s.blk)
+	t1 := time.Now()
+	combo := t.Rule.Pick(blk.Graph, &s.mat.Features)
+	t2 := time.Now()
+	// Intra-block parallelism rides the rule: a BitSetsParallel pick gets a
+	// work-stealing pool here sized to the worker's GOMAXPROCS (mcealg's
+	// auto default), and the pool's depth-first merge keeps the result
+	// bytes — and therefore the checkpoint digests — identical to a
+	// sequential run. A pool-worker panic propagates to this goroutine and
+	// lands in the recover above, preserving the worker's poison-task
+	// isolation.
+	c := blockCounts{Combo: comboNone}
+	if i := combo.Index(); i >= 0 && i < mcealg.NumCombos {
+		c.Combo = byte(i)
+	}
+	out = appendResultHead(dst, t.taskID, verdictDone, c.Combo)
+	cliques := 0
+	aerr := s.an.Analyze(blk, combo, func(clique []int32) {
 		if err == nil {
-			out, err = durable.AppendAscending(out, c)
+			out, err = durable.AppendAscending(out, clique)
 			cliques++
 		}
-	}, ins, mcealg.Par{})
+	}, &s.ins, mcealg.Par{})
+	kernel := time.Since(t2)
+	c.Nodes, c.Pivots, c.KernelNs = s.ins.RecursionNodes, s.ins.PivotSelections, int64(kernel)
 	if met != nil {
-		met.ComboAnalyzed(t.Combo.Index(), time.Since(t0))
-		met.MergeBlockInstr(ins)
+		met.InduceNs.Add(int64(t1.Sub(t0)))
+		met.SelectNs.Add(int64(t2.Sub(t1)))
+		met.ComboAnalyzed(combo.Index(), kernel)
+		met.MergeBlockInstr(&s.ins)
 		met.CliquesFound.Add(int64(cliques))
 	}
+	s.ins = telemetry.BlockInstr{}
 	if aerr != nil {
 		return failed(aerr.Error())
 	}
-	binary.LittleEndian.PutUint32(out[countAt:], cliques)
+	if met != nil {
+		met.TasksServed.Inc()
+	}
+	setResultCounts(out, c, cliques)
 	return out, err
+}
+
+// bigFrame is the payload size past which a connection drops its read
+// buffer once the frame is handled: only a frame carrying a level graph is
+// ever that large, and it comes once per graph.
+const bigFrame = 1 << 20
+
+// residentGraphBytes caps the level graphs a worker keeps, by the bytes of
+// their CSR arrays. Past it the least recently used are evicted; a graph
+// larger than the cap on its own is refused in-band.
+const residentGraphBytes = 512 << 20
+
+// graphStore is a worker's resident level graphs, by content address, each
+// validated once on arrival and evicted least recently used. A graph's size
+// is its address's (graphKey.size). The zero value is ready and holds at
+// most residentGraphBytes.
+type graphStore struct {
+	mu     sync.Mutex
+	held   int64
+	clock  uint64
+	graphs map[graphKey]*resident
+}
+
+type resident struct {
+	g    *graph.Graph
+	used uint64 // the store's clock at the last get or put
+}
+
+// get returns the graph k names, or nil when the store does not hold it.
+func (s *graphStore) get(k graphKey) *graph.Graph {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	r := s.graphs[k]
+	if r == nil {
+		return nil
+	}
+	s.clock++
+	r.used = s.clock
+	return r.g
+}
+
+// put keeps g under k, evicting the least recently used graphs until it
+// fits.
+func (s *graphStore) put(k graphKey, g *graph.Graph) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.clock++
+	if r := s.graphs[k]; r != nil {
+		r.used = s.clock
+		return
+	}
+	if s.graphs == nil {
+		s.graphs = make(map[graphKey]*resident)
+	}
+	for s.held+k.size() > residentGraphBytes && len(s.graphs) > 0 {
+		var lru graphKey
+		oldest := uint64(math.MaxUint64)
+		for key, r := range s.graphs {
+			if r.used < oldest {
+				lru, oldest = key, r.used
+			}
+		}
+		delete(s.graphs, lru)
+		s.held -= lru.size()
+	}
+	s.graphs[k] = &resident{g: g, used: s.clock}
+	s.held += k.size()
 }
 
 // StartLocal launches n workers on ephemeral localhost ports and returns

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"mce/internal/decomp"
+	"mce/internal/dtree"
 	"mce/internal/family"
 	"mce/internal/gen"
 	"mce/internal/graph"
@@ -218,11 +219,11 @@ type recordingExecutor struct {
 	ids   []runlog.BlockID
 }
 
-func (e *recordingExecutor) Analyze(ctx context.Context, g *graph.Graph, plan *decomp.Plan, sel Selector, ids []runlog.BlockID, obs runlog.BatchObserver) ([]family.Window, error) {
+func (e *recordingExecutor) Analyze(ctx context.Context, g *graph.Graph, plan *decomp.Plan, rule dtree.Rule, ids []runlog.BlockID, obs runlog.BatchObserver) ([]family.Window, error) {
 	e.mu.Lock()
 	e.ids = append(e.ids, ids...)
 	e.mu.Unlock()
-	return e.inner.Analyze(ctx, g, plan, sel, ids, obs)
+	return e.inner.Analyze(ctx, g, plan, rule, ids, obs)
 }
 
 // TestResumeRegrowsLevelWithCorruptFrame: with one frame of level 0's log
@@ -333,7 +334,7 @@ func TestResumeRefusesFlippedPlan(t *testing.T) {
 // forbiddenExecutor fails the test if a resumed run dispatches anything.
 type forbiddenExecutor struct{}
 
-func (forbiddenExecutor) Analyze(context.Context, *graph.Graph, *decomp.Plan, Selector, []runlog.BlockID, runlog.BatchObserver) ([]family.Window, error) {
+func (forbiddenExecutor) Analyze(context.Context, *graph.Graph, *decomp.Plan, dtree.Rule, []runlog.BlockID, runlog.BatchObserver) ([]family.Window, error) {
 	return nil, errors.New("executor invoked on a fully-journaled resume")
 }
 
@@ -359,13 +360,13 @@ func (f *flakyExecutor) take() bool {
 	return true
 }
 
-func (f *flakyExecutor) Analyze(ctx context.Context, g *graph.Graph, plan *decomp.Plan, sel Selector, ids []runlog.BlockID, obs runlog.BatchObserver) ([]family.Window, error) {
+func (f *flakyExecutor) Analyze(ctx context.Context, g *graph.Graph, plan *decomp.Plan, rule dtree.Rule, ids []runlog.BlockID, obs runlog.BatchObserver) ([]family.Window, error) {
 	var out []family.Window
 	for i := 0; plan.Block(i) != nil; i++ {
 		if !f.take() {
 			return nil, errInjected
 		}
-		res, err := f.inner.Analyze(ctx, g, decomp.SealedPlan([]decomp.Block{*plan.Block(i)}), sel, ids[i:i+1], obs)
+		res, err := f.inner.Analyze(ctx, g, decomp.SealedPlan([]decomp.Block{*plan.Block(i)}), rule, ids[i:i+1], obs)
 		if err != nil {
 			return nil, err
 		}

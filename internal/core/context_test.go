@@ -5,15 +5,14 @@ import (
 	"errors"
 	"runtime"
 	"slices"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"mce/internal/decomp"
+	"mce/internal/dtree"
 	"mce/internal/family"
 	"mce/internal/gen"
 	"mce/internal/graph"
-	"mce/internal/kcore"
 	"mce/internal/mcealg"
 	"mce/internal/runlog"
 )
@@ -81,10 +80,10 @@ func TestAnalyzeBlocksDelegatesToContext(t *testing.T) {
 	}
 }
 
-// stoppingExecutor analyses a level on a LocalExecutor and, once the block
-// at plan position after has been planned, stops it: by cancelling the
-// run's context, or by handing the pool a combo that fails the next block.
-// It records the level-0 plan it was handed.
+// stoppingExecutor stops a level's analysis once the block at plan position
+// after has been planned: by cancelling the run's context, or by handing
+// the pool a combo that fails its first block. It records the level-0 plan
+// it was handed.
 type stoppingExecutor struct {
 	after  int
 	cancel context.CancelFunc // nil: fail a block instead
@@ -94,23 +93,17 @@ type stoppingExecutor struct {
 
 var errBadCombo = mcealg.Combo{Alg: 99}
 
-func (e *stoppingExecutor) Analyze(ctx context.Context, g *graph.Graph, plan *decomp.Plan, sel Selector, ids []runlog.BlockID, obs runlog.BatchObserver) ([]family.Window, error) {
+func (e *stoppingExecutor) Analyze(ctx context.Context, g *graph.Graph, plan *decomp.Plan, rule dtree.Rule, ids []runlog.BlockID, obs runlog.BatchObserver) ([]family.Window, error) {
 	if e.plan == nil {
 		e.plan = plan
 	}
-	var picked atomic.Int64
-	stopSel := func(g *graph.Graph, s *kcore.Scratch) mcealg.Combo {
-		if picked.Add(1) <= int64(e.after) {
-			return sel(g, s)
-		}
-		if e.cancel != nil {
-			e.cancel()
-			return sel(g, s)
-		}
-		return errBadCombo
-	}
 	plan.Block(e.after) // the grower is past the stop
-	return e.inner.Analyze(ctx, g, plan, stopSel, ids, obs)
+	if e.cancel != nil {
+		e.cancel()
+	} else {
+		rule = dtree.Rule{Mode: dtree.RuleAsIs, Combo: errBadCombo}
+	}
+	return e.inner.Analyze(ctx, g, plan, rule, ids, obs)
 }
 
 // TestGrowerStopsWithTheLevel: a level whose analysis stops in the middle —
@@ -157,9 +150,9 @@ func TestGrowerStopsWithTheLevel(t *testing.T) {
 // sealedFirstExecutor hands a LocalExecutor each plan only once it is sealed.
 type sealedFirstExecutor struct{ inner LocalExecutor }
 
-func (e *sealedFirstExecutor) Analyze(ctx context.Context, g *graph.Graph, plan *decomp.Plan, sel Selector, ids []runlog.BlockID, obs runlog.BatchObserver) ([]family.Window, error) {
+func (e *sealedFirstExecutor) Analyze(ctx context.Context, g *graph.Graph, plan *decomp.Plan, rule dtree.Rule, ids []runlog.BlockID, obs runlog.BatchObserver) ([]family.Window, error) {
 	plan.Wait()
-	return e.inner.Analyze(ctx, g, plan, sel, ids, obs)
+	return e.inner.Analyze(ctx, g, plan, rule, ids, obs)
 }
 
 // TestOverlappedLevelMatchesSealed: a level grown beside its analysis
@@ -207,7 +200,7 @@ func TestLocalExecutorPlanSealedDuringCall(t *testing.T) {
 	feasible, _ := decomp.Cut(g, m)
 	blocks := decomp.Grow(g, feasible, m, decomp.Options{})
 	exec := &LocalExecutor{Parallelism: 2}
-	sel := FixedSelector(mcealg.Combo{Alg: mcealg.Tomita, Struct: mcealg.BitSets})
+	sel := dtree.Rule{Mode: dtree.RuleAsIs, Combo: mcealg.Combo{Alg: mcealg.Tomita, Struct: mcealg.BitSets}}
 	want, err := exec.Analyze(context.Background(), g, decomp.SealedPlan(blocks), sel, nil, nil)
 	if err != nil {
 		t.Fatal(err)

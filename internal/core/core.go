@@ -37,7 +37,6 @@ import (
 	"mce/internal/family"
 	"mce/internal/filter"
 	"mce/internal/graph"
-	"mce/internal/kcore"
 	"mce/internal/mcealg"
 	"mce/internal/resguard"
 	"mce/internal/runlog"
@@ -47,18 +46,20 @@ import (
 // Executor runs one level's blocks from plan to cliques. plan holds the
 // blocks as decomp.GrowSeq plans them over g — membership only — and may
 // still be growing: a block is published the moment it is planned, and the
-// plan is sealed when the grower is done. The goroutine that takes a block
-// does the rest: it induces the block's subgraph from g into its own scratch
-// (decomp.Materialiser), asks sel for the combo, analyses or ships the block
-// and lets the subgraph go, so a level's subgraphs are never all resident
-// and the shared plan is never written. A block that already carries its
-// Graph is taken as it is (g may then be nil). The return value holds the
-// cliques of each block (global node IDs), indexed by plan position: each a
-// window into a family — the analysing worker's, or the one a remote answer
-// was decoded into — that becomes the caller's with the return (package
-// family has the ownership rule). Cancelling ctx stops the batch — work
-// already shipped to remote workers included — and fails the call with
-// ctx.Err().
+// plan is sealed when the grower is done. Whatever takes a block does the
+// rest: it induces the block's subgraph from g into its own scratch
+// (decomp.Materialiser), asks rule for the combo, analyses the block and
+// lets the subgraph go, so a level's subgraphs are never all resident and
+// the shared plan is never written. A LocalExecutor's goroutines do this
+// in-process; a cluster.Client ships each block's membership and rule to a
+// worker that keeps g and does it there. A block that already carries its
+// Graph is taken as it is by a LocalExecutor (g may then be nil). The
+// return value holds the cliques of each block (global node IDs), indexed
+// by plan position: each a window into a family — the analysing worker's,
+// or the one a remote answer was decoded into — that becomes the caller's
+// with the return (package family has the ownership rule). Cancelling ctx
+// stops the batch — work already shipped to remote workers included — and
+// fails the call with ctx.Err().
 //
 // ids and obs are nil for plain batches. On a checkpointing run
 // (Options.Checkpoint) the plan is sealed before the call, ids[i] is block
@@ -69,17 +70,7 @@ import (
 // block as soon as it is planned) and cluster.Client (TCP workers, which
 // waits for the seal).
 type Executor interface {
-	Analyze(ctx context.Context, g *graph.Graph, plan *decomp.Plan, sel Selector, ids []runlog.BlockID, obs runlog.BatchObserver) ([]family.Window, error)
-}
-
-// Selector picks the data-structure/algorithm combination for one block
-// from its induced subgraph. Executors call it from several goroutines at
-// once; s is the calling goroutine's measuring scratch.
-type Selector = func(g *graph.Graph, s *kcore.Scratch) mcealg.Combo
-
-// FixedSelector picks c for every block, as it is.
-func FixedSelector(c mcealg.Combo) Selector {
-	return func(*graph.Graph, *kcore.Scratch) mcealg.Combo { return c }
+	Analyze(ctx context.Context, g *graph.Graph, plan *decomp.Plan, rule dtree.Rule, ids []runlog.BlockID, obs runlog.BatchObserver) ([]family.Window, error)
 }
 
 // Options configures FindMaxCliques.
@@ -189,7 +180,8 @@ type LevelStats struct {
 	// time spent inducing block subgraphs and choosing combos (with the
 	// features the choice measures). They are CPU sums inside Analysis, not
 	// wall, and are taken only when the run has a telemetry engine
-	// (Options.Metrics); zero otherwise.
+	// (Options.Metrics); zero otherwise, and zero on a cluster.Client,
+	// whose workers induce and select on their own side.
 	InduceTime, SelectTime time.Duration
 }
 
@@ -279,9 +271,9 @@ func (e *LocalExecutor) AnalyzeBlocks(blocks []decomp.Block, combo mcealg.Combo)
 }
 
 // AnalyzeBlocksContext is Analyze for a plain batch of induced blocks under
-// one combo (no level graph, no block IDs, no observer).
+// one combo, as it is (no level graph, no block IDs, no observer).
 func (e *LocalExecutor) AnalyzeBlocksContext(ctx context.Context, blocks []decomp.Block, combo mcealg.Combo) ([]family.Window, error) {
-	return e.Analyze(ctx, nil, decomp.SealedPlan(blocks), FixedSelector(combo), nil, nil)
+	return e.Analyze(ctx, nil, decomp.SealedPlan(blocks), dtree.Rule{Mode: dtree.RuleAsIs, Combo: combo}, nil, nil)
 }
 
 // Analyze implements Executor. Workers claim the next block index from a
@@ -298,7 +290,7 @@ func (e *LocalExecutor) AnalyzeBlocksContext(ctx context.Context, blocks []decom
 // the batch finishes.
 //
 //mce:hotpath block-analysis worker pool
-func (e *LocalExecutor) Analyze(ctx context.Context, g *graph.Graph, plan *decomp.Plan, sel Selector, ids []runlog.BlockID, obs runlog.BatchObserver) ([]family.Window, error) {
+func (e *LocalExecutor) Analyze(ctx context.Context, g *graph.Graph, plan *decomp.Plan, rule dtree.Rule, ids []runlog.BlockID, obs runlog.BatchObserver) ([]family.Window, error) {
 	if obs != nil && len(ids) != plan.Wait() {
 		return nil, arityMismatch(plan.Len(), len(ids))
 	}
@@ -380,7 +372,7 @@ func (e *LocalExecutor) Analyze(ctx context.Context, g *graph.Graph, plan *decom
 				if met != nil {
 					t0 = lap(&met.InduceNs, t0)
 				}
-				combo := sel(blk.Graph, &mat.Features)
+				combo := rule.Pick(blk.Graph, &mat.Features)
 				if met != nil {
 					t0 = lap(&met.SelectNs, t0)
 					met.ComboPicked(combo.Index())
@@ -552,7 +544,7 @@ type sink func(w family.Window, level int)
 type run struct {
 	opts  Options
 	m     int
-	sel   Selector
+	rule  dtree.Rule
 	exec  Executor
 	stats *Stats
 }
@@ -570,7 +562,7 @@ func enumerate(ctx context.Context, g *graph.Graph, opts Options, out sink) (*St
 	r := &run{
 		opts:  opts,
 		m:     m,
-		sel:   selector(opts),
+		rule:  selectionRule(opts),
 		exec:  opts.Executor,
 		stats: &Stats{BlockSize: m, MaxDegree: maxDeg},
 	}
@@ -651,44 +643,18 @@ func CheckpointIdentity(g *graph.Graph, opts Options) runlog.Identity {
 // terminal core is an ordinary level").
 const terminalSlack = 4
 
-// parallelMinBlockNodes is the smallest block worth the intra-block pool:
-// below it the pool-spawn and merge overhead beats any fan-out gain, so the
-// selector leaves small blocks on the sequential BitSets path.
-const parallelMinBlockNodes = 128
-
-// selector builds the per-block combo chooser from the options. With
-// IntraBlockParallelism > 1 the chosen combo is upgraded from BitSets to
-// BitSetsParallel on blocks large enough to amortise the pool (the decision
+// selectionRule builds the per-block combo-selection rule from the
+// options: the fixed combo when there is one, the published tree
+// otherwise. With IntraBlockParallelism > 1 a BitSets pick on a block large
+// enough to amortise the pool is upgraded to BitSetsParallel (the decision
 // tree already steers dense blocks — where the parallel win lives — to
-// BitSets). The upgrade never changes the emitted cliques or their order:
-// both structures share the same rows and the same pivot arithmetic, and
-// the parallel enumerator merges back into depth-first order.
-//
-//mce:hotpath per-block combo pick
-func selector(opts Options) Selector {
-	base := baseSelector(opts)
-	if opts.IntraBlockParallelism <= 1 {
-		return base
-	}
-	return func(g *graph.Graph, s *kcore.Scratch) mcealg.Combo {
-		c := base(g, s)
-		if c.Struct == mcealg.BitSets && g.N() >= parallelMinBlockNodes {
-			c.Struct = mcealg.BitSetsParallel
-		}
-		return c
-	}
-}
-
-//mce:hotpath per-block combo pick (decision tree)
-func baseSelector(opts Options) Selector {
+// BitSets).
+func selectionRule(opts Options) dtree.Rule {
+	r := dtree.Rule{Parallel: opts.IntraBlockParallelism > 1}
 	if opts.FixedCombo != nil {
-		c := *opts.FixedCombo
-		return func(g *graph.Graph, _ *kcore.Scratch) mcealg.Combo { return c.Bounded(g.N()) }
+		r.Mode, r.Combo = dtree.RuleFixed, *opts.FixedCombo
 	}
-	tree := dtree.Published()
-	return func(g *graph.Graph, s *kcore.Scratch) mcealg.Combo {
-		return dtree.SafePredictGraph(tree, g, s)
-	}
+	return r
 }
 
 // level is the body of Algorithm 1 at recursion depth: it hands the maximal
@@ -877,7 +843,7 @@ func (r *run) growAndAnalyze(ctx context.Context, g *graph.Graph, feasible []int
 			perBlock, err = r.analyzeCheckpointed(ctx, cp, g, plan, depth)
 		}
 	} else {
-		perBlock, err = r.exec.Analyze(ctx, g, plan, r.sel, nil, nil)
+		perBlock, err = r.exec.Analyze(ctx, g, plan, r.rule, nil, nil)
 	}
 	stopGrow()
 	grew.Wait()
@@ -927,7 +893,7 @@ func (r *run) analyzeCheckpointed(ctx context.Context, cp *runlog.Checkpoint, g 
 		pend, ids = append(pend, *plan.Block(i)), append(ids, id)
 	}
 	if len(pend) > 0 {
-		results, err := r.exec.Analyze(ctx, g, decomp.SealedPlan(pend), r.sel, ids, cp)
+		results, err := r.exec.Analyze(ctx, g, decomp.SealedPlan(pend), r.rule, ids, cp)
 		if err != nil {
 			return nil, err
 		}

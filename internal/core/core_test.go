@@ -10,6 +10,7 @@ import (
 	"testing/quick"
 
 	"mce/internal/decomp"
+	"mce/internal/dtree"
 	"mce/internal/family"
 	"mce/internal/gen"
 	"mce/internal/graph"
@@ -226,7 +227,7 @@ func TestFixedComboBoundsQuadraticStores(t *testing.T) {
 	for _, s := range []mcealg.Structure{mcealg.Matrix, mcealg.BitSets, mcealg.Lists} {
 		fixed := mcealg.Combo{Alg: mcealg.Tomita, Struct: s}
 		for _, intra := range []int{0, 4} {
-			sel := selector(Options{FixedCombo: &fixed, IntraBlockParallelism: intra})
+			sel := selectionRule(Options{FixedCombo: &fixed, IntraBlockParallelism: intra}).Pick
 			if got, want := sel(big, &scratch), (mcealg.Combo{Alg: mcealg.Tomita, Struct: mcealg.Lists}); got != want {
 				t.Errorf("%v intra=%d above the bound: %v, want %v", fixed, intra, got, want)
 			}
@@ -325,7 +326,7 @@ func TestLocalExecutorIDMismatch(t *testing.T) {
 	blocks := decomp.Grow(g, feasible, g.MaxDegree()+1, decomp.Options{})
 	cp := openCheckpoint(t, t.TempDir(), g, Options{})
 	defer cp.Close()
-	_, err := (&LocalExecutor{}).Analyze(context.Background(), g, decomp.SealedPlan(blocks), FixedSelector(mcealg.Combo{}), make([]runlog.BlockID, len(blocks)+1), cp)
+	_, err := (&LocalExecutor{}).Analyze(context.Background(), g, decomp.SealedPlan(blocks), dtree.Rule{Mode: dtree.RuleAsIs, Combo: mcealg.Combo{}}, make([]runlog.BlockID, len(blocks)+1), cp)
 	if err == nil {
 		t.Fatalf("mismatched lengths accepted")
 	}
@@ -436,7 +437,7 @@ func BenchmarkLocalExecutor(b *testing.B) {
 	const m = 56
 	feasible, _ := decomp.Cut(g, m)
 	blocks := decomp.Grow(g, feasible, m, decomp.Options{})
-	sel := selector(Options{})
+	sel := selectionRule(Options{})
 	for _, width := range []int{1, 2} {
 		b.Run(fmt.Sprintf("width=%d", width), func(b *testing.B) {
 			exec := &LocalExecutor{Parallelism: width}
@@ -488,7 +489,7 @@ func TestStatsLevelsShrink(t *testing.T) {
 // failingExecutor returns an error on every batch.
 type failingExecutor struct{}
 
-func (failingExecutor) Analyze(context.Context, *graph.Graph, *decomp.Plan, Selector, []runlog.BlockID, runlog.BatchObserver) ([]family.Window, error) {
+func (failingExecutor) Analyze(context.Context, *graph.Graph, *decomp.Plan, dtree.Rule, []runlog.BlockID, runlog.BatchObserver) ([]family.Window, error) {
 	return nil, fmt.Errorf("synthetic executor failure")
 }
 

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"mce/internal/dtree"
 	"mce/internal/gen"
 	"mce/internal/graph"
 	"mce/internal/kcore"
@@ -88,9 +89,9 @@ func TestIntraBlockParallelStreamEquivalence(t *testing.T) {
 // BitSets blocks must be upgraded to BitSetsParallel and small ones left
 // sequential; fixed non-BitSets combos must never be overridden.
 func TestParallelSelectorUpgrade(t *testing.T) {
-	sel := selector(Options{IntraBlockParallelism: 4})
+	sel := selectionRule(Options{IntraBlockParallelism: 4}).Pick
 	var scratch kcore.Scratch
-	big := gen.ErdosRenyi(parallelMinBlockNodes, 0.5, 1)
+	big := gen.ErdosRenyi(dtree.ParallelMinNodes, 0.5, 1)
 	if c := sel(big, &scratch); c.Struct != mcealg.BitSetsParallel {
 		t.Fatalf("large dense block selected %v, want BitSetsParallel", c)
 	}
@@ -99,11 +100,11 @@ func TestParallelSelectorUpgrade(t *testing.T) {
 		t.Fatalf("small block selected %v; pool overhead should keep it sequential", c)
 	}
 	lists := mcealg.Combo{Alg: mcealg.Tomita, Struct: mcealg.Lists}
-	sel = selector(Options{IntraBlockParallelism: 4, FixedCombo: &lists})
+	sel = selectionRule(Options{IntraBlockParallelism: 4, FixedCombo: &lists}).Pick
 	if c := sel(big, &scratch); c.Struct != mcealg.Lists {
 		t.Fatalf("fixed Lists combo was overridden to %v", c)
 	}
-	seq := selector(Options{})
+	seq := selectionRule(Options{}).Pick
 	if c := seq(big, &scratch); c.Struct == mcealg.BitSetsParallel {
 		t.Fatalf("selector upgraded to BitSetsParallel without intra-block parallelism")
 	}

@@ -16,6 +16,7 @@ import (
 	"mce/internal/cluster/faultconn"
 	"mce/internal/core"
 	"mce/internal/decomp"
+	"mce/internal/dtree"
 	"mce/internal/family"
 	"mce/internal/gen"
 	"mce/internal/graph"
@@ -54,7 +55,7 @@ type countingExecutor struct {
 	planned atomic.Int64
 }
 
-func (e *countingExecutor) Analyze(ctx context.Context, g *graph.Graph, plan *decomp.Plan, sel core.Selector, ids []runlog.BlockID, obs runlog.BatchObserver) ([]family.Window, error) {
+func (e *countingExecutor) Analyze(ctx context.Context, g *graph.Graph, plan *decomp.Plan, rule dtree.Rule, ids []runlog.BlockID, obs runlog.BatchObserver) ([]family.Window, error) {
 	n := plan.Wait()
 	for i := 0; i < n; i++ {
 		if plan.Block(i).Graph != nil {
@@ -62,7 +63,7 @@ func (e *countingExecutor) Analyze(ctx context.Context, g *graph.Graph, plan *de
 		}
 	}
 	e.planned.Add(int64(n))
-	return e.inner.Analyze(ctx, g, plan, sel, ids, obs)
+	return e.inner.Analyze(ctx, g, plan, rule, ids, obs)
 }
 
 // startFaultyWorker serves one worker behind a fault-injecting listener.

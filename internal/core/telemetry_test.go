@@ -219,7 +219,7 @@ func BenchmarkAnalyzeBlocksTelemetry(b *testing.B) {
 	g := gen.HolmeKim(400, 5, 0.5, 3)
 	feasible, _ := decomp.Cut(g, 60)
 	blocks := decomp.Grow(g, feasible, 60, decomp.Options{})
-	sel := selector(Options{})
+	sel := selectionRule(Options{})
 	run := func(b *testing.B, eng *telemetry.Engine) {
 		exec := &LocalExecutor{Parallelism: 1, Metrics: eng}
 		b.ReportAllocs()

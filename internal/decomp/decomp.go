@@ -57,8 +57,9 @@ func IsFeasible(g *graph.Graph, v int32, m int) bool {
 // Visited say which nodes it holds and in which role, and Graph is nil. The
 // induced subgraph is a pure function of (g, Orig), so it is filled in
 // wherever the block is consumed — by Induce for a caller that keeps it, by
-// a Materialiser on the goroutine that analyses or ships the block and then
-// lets the subgraph go.
+// a Materialiser on the goroutine that analyses the block (a local
+// executor's worker, or a cluster worker's connection, which is sent the
+// membership) and then lets the subgraph go.
 type Block struct {
 	// Graph is the subgraph induced by Kernel ∪ Border ∪ Visited,
 	// with local IDs 0..Graph.N()-1; nil while the block is only planned.

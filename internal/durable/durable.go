@@ -1,7 +1,7 @@
 // Package durable is the byte vocabulary shared by everything that leaves
 // the process — journal records, wire messages, clique segments, the
 // serving index, disk graphs: the record frame, AtomicReplace over the FS
-// seam, the ascending run, and the CSR block built from runs. DESIGN.md §18
+// seam, the ascending run, and the CSR adjacency built from runs. DESIGN.md §18
 // gives the layouts and lists who uses each.
 //
 // Every decoder treats its input as untrusted: lengths are checked against
@@ -36,9 +36,15 @@ var (
 // CRC-32 (IEEE), both uint32 little endian, then the bytes. The payload
 // must be non-empty and shorter than 4 GiB.
 func AppendFrame(dst, payload []byte) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
-	return append(dst, payload...)
+	return append(AppendFrameHeader(dst, payload, nil), payload...)
+}
+
+// AppendFrameHeader appends the header of the frame whose payload is
+// head followed by tail, so a writer can send a large tail it shares with
+// other frames without copying it behind each head.
+func AppendFrameHeader(dst, head, tail []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(head)+len(tail)))
+	return binary.LittleEndian.AppendUint32(dst, crc32.Update(crc32.ChecksumIEEE(head), crc32.IEEETable, tail))
 }
 
 // FrameReader reads frames off a stream.

@@ -147,69 +147,71 @@ func TestDecodeAscendingRejects(t *testing.T) {
 	}
 }
 
-// sampleBlock is a path 0–1–2 plus an isolated node.
-func sampleBlock() Block {
-	return Block{
+// sampleCSR is a path 0–1–2 plus an isolated node.
+func sampleCSR() CSR {
+	return CSR{
 		Offsets: []int32{0, 1, 3, 4, 4},
 		Flat:    []int32{1, 0, 2, 1},
-		Orig:    []int32{7, 8, 100, 4000},
-		Class:   []byte{0, 1, 2, 0},
 	}
 }
 
-func TestBlockRoundTrip(t *testing.T) {
-	for _, b := range []Block{sampleBlock(), {Offsets: []int32{0}}} {
-		enc, err := AppendBlock([]byte{1, 2}, b)
+func TestCSRRoundTrip(t *testing.T) {
+	for _, c := range []CSR{sampleCSR(), {Offsets: []int32{0}}} {
+		enc, err := AppendCSR([]byte{1, 2}, c)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, rest, err := DecodeBlock(append(enc[2:], 0xdd))
+		got, rest, err := DecodeCSR(nil, append(enc[2:], 0xdd))
 		if err != nil || len(rest) != 1 {
 			t.Fatalf("decode: %v, %d bytes left", err, len(rest))
 		}
-		again, err := AppendBlock(nil, got)
+		again, err := AppendCSR(nil, got)
 		if err != nil || !bytes.Equal(again, enc[2:]) {
-			t.Fatalf("decoded block re-encodes differently (%v)", err)
+			t.Fatalf("decoded CSR re-encodes differently (%v)", err)
 		}
-		if len(b.Flat) > 0 && !reflect.DeepEqual(got, b) {
-			t.Fatalf("got %+v, want %+v", got, b)
+		if len(c.Flat) > 0 && !reflect.DeepEqual(got, c) {
+			t.Fatalf("got %+v, want %+v", got, c)
 		}
+	}
+	// Rows decoded onto a buffer sized for them are held at that size.
+	enc, _ := AppendCSR(nil, sampleCSR())
+	sized := make([]int32, 0, 4)
+	if got, _, err := DecodeCSR(sized, enc); err != nil || cap(got.Flat) != 4 || &got.Flat[:1][0] != &sized[:1][0] {
+		t.Fatalf("decoding onto a sized buffer: %v, cap %d", err, cap(got.Flat))
 	}
 }
 
-func TestAppendBlockRejects(t *testing.T) {
-	for name, mutate := range map[string]func(*Block){
-		"offsets too short":   func(b *Block) { b.Offsets = b.Offsets[:3] },
-		"node IDs missing":    func(b *Block) { b.Orig = b.Orig[:3] },
-		"row descends":        func(b *Block) { b.Flat[1], b.Flat[2] = 2, 0 },
-		"orig descends":       func(b *Block) { b.Orig[3] = 1 },
-		"class bytes missing": func(b *Block) { b.Class = b.Class[:2] },
+func TestAppendCSRRejects(t *testing.T) {
+	for name, mutate := range map[string]func(*CSR){
+		"no offsets":   func(c *CSR) { c.Offsets = nil },
+		"row descends": func(c *CSR) { c.Flat[1], c.Flat[2] = 2, 0 },
+		"negative":     func(c *CSR) { c.Flat[0] = -1 },
 	} {
-		b := sampleBlock()
-		mutate(&b)
-		if out, err := AppendBlock([]byte{5}, b); err == nil || len(out) != 1 {
+		c := sampleCSR()
+		mutate(&c)
+		if out, err := AppendCSR([]byte{5}, c); err == nil || len(out) != 1 {
 			t.Errorf("%s: accepted (%d bytes)", name, len(out))
 		}
 	}
 }
 
-func TestDecodeBlockRejects(t *testing.T) {
-	good, err := AppendBlock(nil, sampleBlock())
+func TestDecodeCSRRejects(t *testing.T) {
+	good, err := AppendCSR(nil, sampleCSR())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for cut := 0; cut < len(good); cut++ {
-		if _, _, err := DecodeBlock(good[:cut]); !errors.Is(err, ErrShort) {
+		if _, _, err := DecodeCSR(nil, good[:cut]); !errors.Is(err, ErrShort) {
 			t.Fatalf("cut at %d of %d: err %v, want ErrShort", cut, len(good), err)
 		}
 	}
 	for name, p := range map[string][]byte{
 		"node count over the input": {200, 1, 0},
-		"neighbour at n":            {2, 1, 2, 1, 0, 2, 5, 1, 0, 0},
-		"three IDs for two nodes":   {2, 1, 1, 1, 0, 3, 5, 1, 1, 0, 0},
-		"IDs repeat":                {2, 1, 1, 1, 0, 2, 5, 0, 0, 0},
+		"neighbour at n":            {2, 1, 2, 1, 0},
+		"row repeats":               {2, 2, 1, 0, 1, 0},
+		"padded node count":         {0x82, 0x00, 0, 0},
 	} {
-		if _, _, err := DecodeBlock(p); err == nil {
+		if _, _, err := DecodeCSR(nil, p); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
@@ -281,31 +283,30 @@ func FuzzDecodeAscending(f *testing.F) {
 	})
 }
 
-// FuzzDecodeBlock: the same for the CSR block codec.
-func FuzzDecodeBlock(f *testing.F) {
-	seed, _ := AppendBlock(nil, sampleBlock())
+// FuzzDecodeCSR: the same for the CSR adjacency codec.
+func FuzzDecodeCSR(f *testing.F) {
+	seed, _ := AppendCSR(nil, sampleCSR())
 	f.Add(seed)
 	f.Add(seed[:len(seed)-3])
 	f.Add([]byte{0})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		b, rest, err := DecodeBlock(data)
+		c, rest, err := DecodeCSR(nil, data)
 		if err != nil {
 			return
 		}
-		n := len(b.Orig)
-		if len(b.Offsets) != n+1 || len(b.Class) != n || n > len(data) || len(b.Flat) > len(data) {
-			t.Fatalf("block of %d nodes, %d offsets, %d classes, %d entries from %d bytes",
-				n, len(b.Offsets), len(b.Class), len(b.Flat), len(data))
+		n := len(c.Offsets) - 1
+		if n > len(data) || len(c.Flat) > len(data) || int(c.Offsets[n]) != len(c.Flat) {
+			t.Fatalf("CSR of %d nodes, %d entries (last offset %d) from %d bytes", n, len(c.Flat), c.Offsets[n], len(data))
 		}
-		for _, u := range b.Flat {
+		for _, u := range c.Flat {
 			if u < 0 || int(u) >= n {
-				t.Fatalf("neighbour %d outside a %d-node block", u, n)
+				t.Fatalf("neighbour %d outside a %d-node graph", u, n)
 			}
 		}
-		enc, err := AppendBlock(nil, b)
+		enc, err := AppendCSR(nil, c)
 		if err != nil || !bytes.Equal(enc, data[:len(data)-len(rest)]) {
-			t.Fatalf("accepted bytes are not the canonical encoding of their block (%v)", err)
+			t.Fatalf("accepted bytes are not the canonical encoding of their CSR (%v)", err)
 		}
 	})
 }
