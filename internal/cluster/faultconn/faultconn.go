@@ -16,6 +16,12 @@
 //     connection (a mid-message crash); a read closes immediately;
 //   - corrupt: one byte of the payload is flipped (a dirty link).
 //
+// With Options.SpareHeaders the corrupt fault reads the stream as the
+// durable frames the cluster speaks and flips only a payload byte, never a
+// frame's length or checksum: the peer then sees a checksum failure with
+// the stream still in sync, the fault a dirty link produces under a
+// checksummed framing, rather than a misread length.
+//
 // Besides the probabilistic faults, Options.ReadDelay / Options.WriteDelay
 // inject a fixed latency on *every* read or write after the SkipOps warmup
 // — a deterministic slow-peer (slow-reader / slow-writer) mode for
@@ -29,10 +35,13 @@
 package faultconn
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"net"
 	"sync"
 	"time"
+
+	"mce/internal/durable"
 )
 
 // Options configures an injector. All probabilities are per Read/Write call
@@ -51,6 +60,10 @@ type Options struct {
 	// CorruptProb is the probability that one byte of the call's payload
 	// is flipped.
 	CorruptProb float64
+	// SpareHeaders confines corrupt faults to the payload bytes of the
+	// durable frames the stream carries; a call that carries none of them
+	// corrupts nothing.
+	SpareHeaders bool
 	// DelayProb is the probability that a call is delayed by Delay.
 	DelayProb float64
 	// Delay is the extra latency applied when a delay fault fires.
@@ -106,11 +119,14 @@ type conn struct {
 	net.Conn
 	opts Options
 
-	mu   sync.Mutex // guards rng, ops, deadlines
+	mu   sync.Mutex // guards rng, ops, deadlines, the frame cursors
 	rng  *rand.Rand
 	ops  int
 	rdDL time.Time
 	wrDL time.Time
+	// rdFrames and wrFrames follow the frames of each direction, for
+	// SpareHeaders.
+	rdFrames, wrFrames frameCursor
 
 	closeOnce sync.Once
 	closed    chan struct{}
@@ -172,8 +188,8 @@ func (c *conn) Read(p []byte) (int, error) {
 		c.sleep(c.opts.Delay)
 	}
 	n, err := c.Conn.Read(p)
-	if kind == faultCorrupt && n > 0 {
-		p[off%n] ^= 0x40
+	if i, ok := c.corruptAt(&c.rdFrames, p[:n], kind, off); ok {
+		p[i] ^= 0x40
 	}
 	return n, err
 }
@@ -184,6 +200,7 @@ func (c *conn) Write(p []byte) (int, error) {
 		// Slow-writer mode: see the Read-side comment.
 		c.sleep(c.opts.WriteDelay)
 	}
+	i, flip := c.corruptAt(&c.wrFrames, p, kind, off)
 	switch kind {
 	case faultHang:
 		if err := c.hang(c.deadline(true)); err != nil {
@@ -196,16 +213,85 @@ func (c *conn) Write(p []byte) (int, error) {
 		c.Close()
 		return n, net.ErrClosed
 	case faultCorrupt:
-		if len(p) > 0 {
+		if flip {
 			cp := make([]byte, len(p))
 			copy(cp, p)
-			cp[off] ^= 0x40
+			cp[i] ^= 0x40
 			return c.Conn.Write(cp)
 		}
 	case faultDelay:
 		c.sleep(c.opts.Delay)
 	}
 	return c.Conn.Write(p)
+}
+
+// corruptAt advances the direction's frame cursor over p, the stream's
+// next bytes, and says which byte of p a corrupt fault drawn at offset off
+// flips: off itself, or with SpareHeaders the off-th payload byte among
+// them, wrapping. ok is false when kind is not a corrupt fault or there is
+// no byte to flip.
+func (c *conn) corruptAt(fc *frameCursor, p []byte, kind, off int) (i int, ok bool) {
+	if !c.opts.SpareHeaders {
+		if kind != faultCorrupt || len(p) == 0 {
+			return 0, false
+		}
+		return off % len(p), true
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	spans := fc.payload(p)
+	if kind != faultCorrupt {
+		return 0, false
+	}
+	total := 0
+	for _, sp := range spans {
+		total += sp.end - sp.start
+	}
+	if total == 0 {
+		return 0, false
+	}
+	k := off % total
+	for _, sp := range spans {
+		if k < sp.end-sp.start {
+			return sp.start + k, true
+		}
+		k -= sp.end - sp.start
+	}
+	panic("unreachable")
+}
+
+// frameCursor follows one direction of a stream of durable frames: a
+// header of FrameHeaderLen bytes (length u32le, CRC-32), then as many
+// payload bytes as the length says.
+type frameCursor struct {
+	hdr  [durable.FrameHeaderLen]byte
+	have int    // header bytes of the current frame seen so far
+	left uint32 // payload bytes of the current frame still to come
+}
+
+// span is the payload bytes p[start:end] of one frame.
+type span struct{ start, end int }
+
+// payload advances the cursor over p and returns where the payload bytes
+// in it are.
+func (fc *frameCursor) payload(p []byte) []span {
+	var spans []span
+	for i := 0; i < len(p); {
+		if fc.left == 0 {
+			fc.hdr[fc.have] = p[i]
+			fc.have++
+			i++
+			if fc.have == len(fc.hdr) {
+				fc.left, fc.have = binary.LittleEndian.Uint32(fc.hdr[:4]), 0
+			}
+			continue
+		}
+		n := min(int(fc.left), len(p)-i)
+		spans = append(spans, span{i, i + n})
+		fc.left -= uint32(n)
+		i += n
+	}
+	return spans
 }
 
 // hang blocks until the connection is closed or dl (the operation's

@@ -3,10 +3,13 @@ package faultconn
 import (
 	"bytes"
 	"errors"
+	"io"
 	"math/rand"
 	"net"
 	"testing"
 	"time"
+
+	"mce/internal/durable"
 )
 
 // pipePair returns a wrapped client->server byte pipe over localhost TCP:
@@ -276,5 +279,49 @@ func TestListenerWrapsAcceptedConns(t *testing.T) {
 	}
 	if diff != 1 {
 		t.Fatalf("%d bytes differ, want 1 (accepted conn not wrapped?)", diff)
+	}
+}
+
+// TestSpareHeadersFlipsOnlyPayload: with SpareHeaders every corrupt fault
+// lands in a frame's payload, never in a length or a checksum — over
+// writes that end on a frame, inside a payload and inside a header.
+func TestSpareHeadersFlipsOnlyPayload(t *testing.T) {
+	var stream []byte
+	var header []bool // header[i]: byte i of the stream is a header byte
+	for i := 1; i <= 5; i++ {
+		payload := bytes.Repeat([]byte{byte(i)}, 7*i)
+		stream = durable.AppendFrame(stream, payload)
+		for len(header) < len(stream) {
+			header = append(header, len(header) < len(stream)-len(payload))
+		}
+	}
+	cuts := []int{15, 37, 60, 70, 90, len(stream)} // 15 and 37 end frames, 70 is in a header
+	for seed := int64(1); seed <= 12; seed++ {
+		c, srv := pipePair(t, Options{Seed: seed, CorruptProb: 1, SpareHeaders: true})
+		go func() {
+			from := 0
+			for _, cut := range cuts {
+				if _, err := c.Write(stream[from:cut]); err != nil {
+					return
+				}
+				from = cut
+			}
+		}()
+		got := make([]byte, len(stream))
+		if _, err := io.ReadFull(srv, got); err != nil {
+			t.Fatal(err)
+		}
+		flipped := 0
+		for i := range got {
+			if got[i] != stream[i] {
+				if header[i] {
+					t.Fatalf("seed %d: header byte %d flipped", seed, i)
+				}
+				flipped++
+			}
+		}
+		if flipped == 0 {
+			t.Fatalf("seed %d: no byte flipped", seed)
+		}
 	}
 }

@@ -279,10 +279,10 @@ func (e *LocalExecutor) AnalyzeBlocksContext(ctx context.Context, blocks []decom
 // Analyze implements Executor. Workers claim the next block index from a
 // shared counter — the order of claims is the order of the plan — wait for
 // that block if the grower has not published it yet, and each runs
-// materialise → select → analyse on its own scratch, the kernel's emit
-// appending to the worker's own family. A plan still being grown is
-// analysed as it grows; a worker that claims past the end of a sealed plan
-// is done. Cancellation, or one block's failure, stops the pool from
+// materialise → select → analyse on its own scratch, the kernel writing
+// each clique straight into the worker's own family. A plan still being
+// grown is analysed as it grows; a worker that claims past the end of a
+// sealed plan is done. Cancellation, or one block's failure, stops the pool from
 // starting new blocks (blocks already being analysed run to completion —
 // block analysis has no preemption points) and the call returns ctx.Err()
 // or the first failure. With an observer, each block's completion is
@@ -337,7 +337,6 @@ func (e *LocalExecutor) Analyze(ctx context.Context, g *graph.Graph, plan *decom
 			mat := decomp.NewMaterialiser(g)
 			an := new(decomp.Analyzer)
 			fam := new(family.Family)
-			emit := fam.Append
 			var ins *telemetry.BlockInstr
 			if met != nil {
 				ins = &telemetry.BlockInstr{}
@@ -378,7 +377,7 @@ func (e *LocalExecutor) Analyze(ctx context.Context, g *graph.Graph, plan *decom
 					met.ComboPicked(combo.Index())
 				}
 				first := fam.Len()
-				err := an.Analyze(blk, combo, emit, ins, par)
+				err := an.AnalyzeInto(blk, combo, fam, ins, par)
 				cliques := family.Window{F: fam, First: first, Count: fam.Len() - first}
 				if met != nil {
 					met.ComboAnalyzed(combo.Index(), time.Since(t0))

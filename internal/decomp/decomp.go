@@ -16,6 +16,7 @@ import (
 	"math/rand"
 	"slices"
 
+	"mce/internal/family"
 	"mce/internal/graph"
 	"mce/internal/kcore"
 	"mce/internal/mcealg"
@@ -484,23 +485,16 @@ func AnalyzeBlockPar(b *Block, combo mcealg.Combo, emit func(clique []int32), in
 }
 
 // Analyzer runs BLOCK-ANALYSIS over many blocks from one set of scratch
-// memory: the MCE runner (adjacency rows, recursion frames), the P, V̄,
-// P ∩ N_k and V̄ ∩ N_k windows of Algorithm 4 and the translation buffer
-// are sized by the largest block seen and reused, so a warm Analyzer
-// analyses a block without allocating. The zero value is ready. An
-// Analyzer serves one goroutine at a time, and one whose Analyze panicked
-// must be dropped: its scratch is mid-recursion.
+// memory: the MCE runner (adjacency rows, recursion frames, the buffer a
+// clique is translated in) and the P, V̄, P ∩ N_k and V̄ ∩ N_k windows of
+// Algorithm 4 are sized by the largest block seen and reused, so a warm
+// Analyzer analyses a block without allocating. The zero value is ready.
+// An Analyzer serves one goroutine at a time, and one whose Analyze
+// panicked must be dropped: its scratch is mid-recursion.
 type Analyzer struct {
 	runner  mcealg.Runner
 	windows []uint64 // P | V̄ | P ∩ N_k | V̄ ∩ N_k
-	global  []int32
 	kernel  [1]int32
-
-	// The runner's emit for the block being analysed. translate is bound
-	// once, so handing it to the runner does not allocate per block.
-	orig      []int32
-	emit      func([]int32)
-	translate func([]int32)
 }
 
 // Analyze is AnalyzeBlock on the analyzer's scratch. When ins is non-nil,
@@ -513,16 +507,25 @@ type Analyzer struct {
 // input, is identical to the sequential path — the pool merges per-worker
 // cliques back into depth-first order before emitting (see
 // mcealg/parallel.go).
+func (a *Analyzer) Analyze(b *Block, combo mcealg.Combo, emit func(clique []int32), ins *telemetry.BlockInstr, par mcealg.Par) error {
+	return a.analyze(b, combo, mcealg.Sink{Orig: b.Orig, Emit: emit}, ins, par)
+}
+
+// AnalyzeInto is Analyze appending the block's cliques to out, each
+// translated to the original graph's IDs as it is copied into the arena.
+func (a *Analyzer) AnalyzeInto(b *Block, combo mcealg.Combo, out *family.Family, ins *telemetry.BlockInstr, par mcealg.Par) error {
+	return a.analyze(b, combo, mcealg.Sink{Out: out, Orig: b.Orig}, ins, par)
+}
+
+// analyze runs Algorithm 4 on b into s. The runner emits local IDs
+// ascending and Orig is ascending, so the cliques s receives, translated
+// through Orig, are ascending too.
 //
 //mce:hotpath per-block Algorithm 4 kernel loop
-func (a *Analyzer) Analyze(b *Block, combo mcealg.Combo, emit func(clique []int32), ins *telemetry.BlockInstr, par mcealg.Par) error {
+func (a *Analyzer) analyze(b *Block, combo mcealg.Combo, s mcealg.Sink, ins *telemetry.BlockInstr, par mcealg.Par) error {
 	if err := a.runner.Reset(b.Graph, combo, par); err != nil {
 		return err
 	}
-	if a.translate == nil {
-		a.translate = a.toGlobal
-	}
-	a.orig, a.emit = b.Orig, emit
 	w := (b.Graph.N() + 63) / 64
 	if cap(a.windows) < 4*w {
 		a.windows = make([]uint64, 4*w)
@@ -550,27 +553,15 @@ func (a *Analyzer) Analyze(b *Block, combo mcealg.Combo, emit func(clique []int3
 			Xk[u>>6] |= vbar[u>>6] & bit
 		}
 		a.kernel[0] = k
-		a.runner.SubproblemWindows(a.kernel[:], Pk, Xk, a.translate)
+		a.runner.SubproblemTo(a.kernel[:], Pk, Xk, s)
 		// k is done: all cliques through it are found (lines 7–8).
 		P[k>>6] &^= 1 << (uint(k) & 63)
 		vbar[k>>6] |= 1 << (uint(k) & 63)
 	}
-	a.orig, a.emit = nil, nil
 	if ins != nil {
 		nodes, pivots := a.runner.Counts()
 		ins.RecursionNodes += nodes
 		ins.PivotSelections += pivots
 	}
 	return nil
-}
-
-// toGlobal hands one clique of the block, in local IDs, to the caller's
-// emit in the original graph's IDs. The runner emits local IDs ascending and
-// Orig is ascending, so the translation is ascending too.
-func (a *Analyzer) toGlobal(local []int32) {
-	a.global = a.global[:0]
-	for _, v := range local {
-		a.global = append(a.global, a.orig[v])
-	}
-	a.emit(a.global)
 }

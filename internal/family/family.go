@@ -76,12 +76,17 @@ func Of(cliques [][]int32) *Family {
 }
 
 // Append copies c onto the end of the family.
+func (f *Family) Append(c []int32) { copy(f.Extend(len(c)), c) }
+
+// Extend appends a clique of k members to the family and returns them, in
+// the arena, for the caller to fill — so a clique can be written into the
+// arena in the pass that produces it, not copied there afterwards.
 //
 //mce:hotpath per-clique emit on the enumerate leg
-func (f *Family) Append(c []int32) {
-	// The chunk is closed when c would take it past chunkLen; a clique
-	// longer than that gets a chunk to itself, which append sizes.
-	if f.used == 0 || (len(f.chunks[f.used-1]) > 0 && len(f.chunks[f.used-1])+len(c) > chunkLen) {
+func (f *Family) Extend(k int) []int32 {
+	// The chunk is closed when the clique would take it past chunkLen; a
+	// clique longer than that gets a chunk to itself, which append sizes.
+	if f.used == 0 || (len(f.chunks[f.used-1]) > 0 && len(f.chunks[f.used-1])+k > chunkLen) {
 		if f.used == len(f.chunks) {
 			var chunk []int32
 			if f.used > 0 {
@@ -92,8 +97,12 @@ func (f *Family) Append(c []int32) {
 		f.used++
 	}
 	tail := &f.chunks[f.used-1]
-	*tail = append(*tail, c...)
-	f.members += len(c)
+	n := len(*tail)
+	if cap(*tail)-n < k {
+		*tail = append(*tail, make([]int32, k)...)
+	}
+	*tail = (*tail)[:n+k]
+	f.members += k
 	p := f.n / pageLen
 	if p == len(f.pages) {
 		var page []slot
@@ -102,8 +111,9 @@ func (f *Family) Append(c []int32) {
 		}
 		f.pages = append(f.pages, page)
 	}
-	f.pages[p] = append(f.pages[p], slot{chunk: uint32(f.used - 1), end: uint32(len(*tail))})
+	f.pages[p] = append(f.pages[p], slot{chunk: uint32(f.used - 1), end: uint32(n + k)})
 	f.n++
+	return (*tail)[n : n+k : n+k]
 }
 
 // Len returns the number of cliques.

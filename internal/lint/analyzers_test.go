@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -41,6 +42,27 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 func TestHotAllocFlagsBoxing(t *testing.T) {
 	t.Parallel()
 	RunFixture(t, HotAlloc, "hotalloc/boxing.go", "hotalloc/budgeted.go")
+}
+
+// TestHotAllocFollowsGenericCalls pins that the hot set crosses generic
+// calls — an instantiated method, an explicit instantiation — to the
+// generic body, and that an allocation there is reported once, not once per
+// shape the compiler analysed the body at.
+func TestHotAllocFollowsGenericCalls(t *testing.T) {
+	t.Parallel()
+	RunFixture(t, HotAlloc, "hotalloc/generic.go", "hotalloc/budgeted.go")
+	dir := filepath.Join(moduleRoot(), "internal", "lint", "testdata", "hotalloc")
+	pkg, err := LoadFiles(moduleRoot(), filepath.Join(dir, "generic.go"), filepath.Join(dir, "budgeted.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	diags, err := RunAnalyzers([]*Package{pkg}, []*Analyzer{HotAlloc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(diags) != 2 {
+		t.Fatalf("%d findings, want 2 — one per allocation site, whatever the shapes:\n%v", len(diags), diags)
+	}
 }
 
 // TestLockBalanceFlagsNestedLock pins the lock-order rule lockbalance

@@ -50,11 +50,19 @@ type escapeData struct {
 // escapeLineRE matches one compiler diagnostic line: file:line:col: message.
 var escapeLineRE = regexp.MustCompile(`^(.+?\.go):(\d+):(\d+): (.*)$`)
 
+// shapeRE matches a GC shape in a diagnostic: the compiler analyses a
+// generic body once per shape it is instantiated with and names the shape
+// in the message — make([]go.shape.[2]uint64, n), make([]go.shape.int, n).
+var shapeRE = regexp.MustCompile(`go\.shape\.(\[\d*\]|\*)*[\w.]+`)
+
 // parseEscapeOutput extracts the heap decisions from -m=2 output. dir
 // resolves the compiler's cwd-relative positions. -m=2 prints each escaping
 // expression twice (once with a trailing colon introducing "flow:"
 // explanation lines, once bare); the explanations are skipped and the
-// duplicates collapse through the seen set.
+// duplicates collapse through the seen set. A generic body is printed once
+// per shape, its shape named in the message: the shape is written as
+// "go.shape", so the copies collapse too and a site counts once, however
+// many shapes allocate there.
 func parseEscapeOutput(out []byte, dir string) []escapeSite {
 	var sites []escapeSite
 	seen := make(map[string]bool)
@@ -78,6 +86,7 @@ func parseEscapeOutput(out []byte, dir string) []escapeSite {
 		if !strings.HasSuffix(msg, " escapes to heap") && !strings.HasPrefix(msg, "moved to heap: ") {
 			continue
 		}
+		msg = shapeRE.ReplaceAllString(msg, "go.shape")
 		file := m[1]
 		if !filepath.IsAbs(file) {
 			file = filepath.Join(dir, file)

@@ -42,6 +42,25 @@ func TestParseEscapeOutput(t *testing.T) {
 	}
 }
 
+// TestParseEscapeOutputFoldsShapes: a generic body is analysed once per
+// GC shape, and each copy names its shape; the copies are one site.
+func TestParseEscapeOutputFoldsShapes(t *testing.T) {
+	out := strings.Join([]string{
+		"lib/gen.go:9:11: make([]go.shape.[2]uint64, n) escapes to heap",
+		"lib/gen.go:9:11: make([]go.shape.[]uint64, n) escapes to heap",
+		"lib/gen.go:9:11: make([]go.shape.*uint8, n) escapes to heap",
+		"lib/gen.go:12:9: &frame[go.shape.[4]uint64]{...} escapes to heap",
+		"lib/gen.go:12:9: &frame[go.shape.int]{...} escapes to heap",
+	}, "\n")
+	sites := parseEscapeOutput([]byte(out), "/mod")
+	if len(sites) != 2 {
+		t.Fatalf("parsed %d sites, want 2: %+v", len(sites), sites)
+	}
+	if sites[0].msg != "make([]go.shape, n) escapes to heap" || sites[1].msg != "&frame[go.shape]{...} escapes to heap" {
+		t.Errorf("sites = %+v, want the shapes written as go.shape", sites)
+	}
+}
+
 func TestFindBudgetFileWalksUp(t *testing.T) {
 	root := t.TempDir()
 	deep := filepath.Join(root, "internal", "mcealg")

@@ -7,17 +7,29 @@ import (
 
 // calleeOf resolves a call expression to the function or method object it
 // invokes, or nil for calls through function values, builtins and
-// conversions.
+// conversions. A call of a generic function or method resolves to its
+// declaration, whatever it is instantiated with — explicitly (f[T](x),
+// f[K, V](x)) or by inference — so that every instantiation is one node of
+// the call graph, the one its body is declared as.
 func calleeOf(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		fn, _ := info.Uses[fun].(*types.Func)
-		return fn
-	case *ast.SelectorExpr:
-		fn, _ := info.Uses[fun.Sel].(*types.Func)
-		return fn
+	fun := ast.Unparen(call.Fun)
+	switch ix := fun.(type) {
+	case *ast.IndexExpr:
+		fun = ast.Unparen(ix.X)
+	case *ast.IndexListExpr:
+		fun = ast.Unparen(ix.X)
 	}
-	return nil
+	var fn *types.Func
+	switch fun := fun.(type) {
+	case *ast.Ident:
+		fn, _ = info.Uses[fun].(*types.Func)
+	case *ast.SelectorExpr:
+		fn, _ = info.Uses[fun.Sel].(*types.Func)
+	}
+	if fn == nil {
+		return nil
+	}
+	return fn.Origin()
 }
 
 // isPkgFunc reports whether the call invokes the package-level function

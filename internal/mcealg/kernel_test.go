@@ -69,34 +69,47 @@ func TestWordBoundaries(t *testing.T) {
 	}
 }
 
-// Fuzz geometry: twelve active nodes straddling the first word boundary of
-// a 72-node graph (nodes 58..69), everything else isolated. Bit i of a mask
-// stands for node fuzzBase+i.
-const (
-	fuzzNodes  = 72
-	fuzzActive = 12
-	fuzzBase   = 58
-)
+// Fuzz geometry: twelve active nodes, everything else isolated, on a graph
+// whose node count the input picks from fuzzSizes — one, two, three, four
+// and five words and the counts either side of each boundary, so that every
+// window type the kernel is instantiated with, and the slice body past
+// them, meets the brute force. The active nodes straddle the graph's last
+// word boundary where it has one. Bit i of a mask stands for active node i.
+const fuzzActive = 12
+
+var fuzzSizes = []int{12, 64, 65, 72, 128, 129, 192, 193, 256, 257, 320}
+
+// fuzzBase is the first active node on a graph of n nodes.
+func fuzzBase(n int) int {
+	base := max(0, (n-1)/64*64-fuzzActive/2)
+	return min(base, n-fuzzActive)
+}
 
 // FuzzSubproblem checks every combo's MCE(R, P, X) against a brute force
-// over the subsets of P, on a graph and sets drawn from the input: edges is
-// read as byte pairs of active-node indices, and the three masks are
-// trimmed to a valid instance (R a clique, P and X disjoint, inside the
-// common neighbourhood of R). The graph's size is fixed and the edge list
-// is read up to the complete graph's length, so memory is bounded whatever
-// the input. Within one algorithm the three structures must also agree on
-// the emission order.
+// over the subsets of P, on a graph and sets drawn from the input: size
+// picks the node count, edges is read as byte pairs of active-node
+// indices, and the three masks are trimmed to a valid instance (R a
+// clique, P and X disjoint, inside the common neighbourhood of R). The
+// edge list is read up to the complete graph's length, so memory is
+// bounded whatever the input. Within one algorithm the three structures
+// and the work-stealing mode must also agree on the emission order.
 func FuzzSubproblem(f *testing.F) {
-	f.Add([]byte{0, 1, 1, 2, 0, 2, 2, 3}, uint16(0), uint16(0xfff), uint16(0))
-	f.Add([]byte{5, 6, 6, 7, 5, 7, 4, 5, 4, 6, 4, 7}, uint16(1<<5), uint16(0xfff), uint16(1<<4))
-	f.Add([]byte{}, uint16(0), uint16(0), uint16(0))
-	f.Fuzz(func(t *testing.T, edges []byte, rMask, pMask, xMask uint16) {
+	f.Add([]byte{0, 1, 1, 2, 0, 2, 2, 3}, uint16(0), uint16(0xfff), uint16(0), uint8(3))
+	f.Add([]byte{5, 6, 6, 7, 5, 7, 4, 5, 4, 6, 4, 7}, uint16(1<<5), uint16(0xfff), uint16(1<<4), uint8(3))
+	f.Add([]byte{}, uint16(0), uint16(0), uint16(0), uint8(3))
+	for i := range fuzzSizes {
+		f.Add([]byte{0, 1, 1, 2, 0, 2, 2, 3, 3, 4, 4, 5, 3, 5, 5, 6, 6, 7}, uint16(0), uint16(0xfff), uint16(0), uint8(i))
+		f.Add([]byte{0, 6, 6, 11, 0, 11, 1, 6, 1, 11, 0, 1, 5, 6, 5, 0}, uint16(1), uint16(0xffe), uint16(1<<5), uint8(i))
+	}
+	f.Fuzz(func(t *testing.T, edges []byte, rMask, pMask, xMask uint16, size uint8) {
+		n := fuzzSizes[int(size)%len(fuzzSizes)]
+		base := fuzzBase(n)
 		var adj [fuzzActive]uint16
-		b := graph.NewBuilder(fuzzNodes)
+		b := graph.NewBuilder(n)
 		for i := 0; i+1 < len(edges) && i < fuzzActive*(fuzzActive-1); i += 2 {
 			u, v := int(edges[i])%fuzzActive, int(edges[i+1])%fuzzActive
 			if u != v {
-				b.AddEdge(int32(fuzzBase+u), int32(fuzzBase+v))
+				b.AddEdge(int32(base+u), int32(base+v))
 				adj[u] |= 1 << v
 				adj[v] |= 1 << u
 			}
@@ -128,31 +141,49 @@ func FuzzSubproblem(f *testing.F) {
 				}
 			}
 			if clique && maximal {
-				want = append(want, nodesOf(k))
+				want = append(want, nodesOf(base, k))
 			}
 			if s == p {
 				break
 			}
 		}
 
+		R, P, X := nodesOf(base, r), nodesOf(base, p), nodesOf(base, x)
 		first := map[Algorithm][][]int32{}
-		for _, c := range AllCombos() {
-			got := collectSubproblem(t, g, c, nodesOf(r), nodesOf(p), nodesOf(x))
-			assertSameCliques(t, fmt.Sprintf("%v R=%012b P=%012b X=%012b", c, r, p, x), got, want)
-			if seq, ok := first[c.Alg]; !ok {
-				first[c.Alg] = got
+		sameOrder := func(what string, alg Algorithm, got [][]int32) {
+			t.Helper()
+			if seq, ok := first[alg]; !ok {
+				first[alg] = got
 			} else if !slices.EqualFunc(got, seq, func(a, b []int32) bool { return slices.Equal(a, b) }) {
-				t.Fatalf("%v: emission order differs from the first structure's", c)
+				t.Fatalf("n=%d %s: emission order differs from the first structure's", n, what)
 			}
+		}
+		for _, c := range AllCombos() {
+			got := collectSubproblem(t, g, c, R, P, X)
+			assertSameCliques(t, fmt.Sprintf("n=%d %v R=%012b P=%012b X=%012b", n, c, r, p, x), got, want)
+			sameOrder(c.String(), c.Alg, got)
+		}
+		for _, alg := range []Algorithm{BKPivot, Tomita, Eppstein, XPivot} {
+			c := Combo{Alg: alg, Struct: BitSetsParallel}
+			r, err := NewRunnerPar(g, c, Par{Workers: 2, MinCandidates: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got [][]int32
+			r.Subproblem(R, bitset.FromSlice(n, P), bitset.FromSlice(n, X), func(k []int32) {
+				got = append(got, slices.Clone(k))
+			})
+			assertSameCliques(t, fmt.Sprintf("n=%d %v", n, c), got, want)
+			sameOrder(c.String(), alg, got)
 		}
 	})
 }
 
 // nodesOf lists the nodes a fuzz mask stands for, ascending.
-func nodesOf(mask uint16) []int32 {
+func nodesOf(base int, mask uint16) []int32 {
 	out := make([]int32, 0, bits.OnesCount16(mask))
 	for ; mask != 0; mask &= mask - 1 {
-		out = append(out, int32(fuzzBase+bits.TrailingZeros16(mask)))
+		out = append(out, int32(base+bits.TrailingZeros16(mask)))
 	}
 	return out
 }

@@ -17,6 +17,7 @@ import (
 	"runtime"
 
 	"mce/internal/bitset"
+	"mce/internal/family"
 	"mce/internal/graph"
 )
 
@@ -206,7 +207,68 @@ func EnumerateSubproblem(g *graph.Graph, c Combo, R []int32, P, X *bitset.Set, e
 type Runner struct {
 	combo Combo
 	par   Par
-	e     enumerator
+	w     int
+	// k is the enumerator Reset picked for the graph: the array window of
+	// its width for a packed store of at most maxFixedWords words run
+	// sequentially, the slice window otherwise. Each is made on first use
+	// and keeps its own memory, so a runner moving between widths stays
+	// warm on all of them.
+	k  kernel
+	e1 *enumerator[[1]uint64]
+	e2 *enumerator[[2]uint64]
+	e3 *enumerator[[3]uint64]
+	e4 *enumerator[[4]uint64]
+	es *enumerator[[]uint64]
+}
+
+// use returns *e, made on first use.
+func use[W window](e **enumerator[W]) *enumerator[W] {
+	if *e == nil {
+		*e = new(enumerator[W])
+	}
+	return *e
+}
+
+// kernel is what a Runner asks of its enumerator, whatever the window.
+type kernel interface {
+	reset(g *graph.Graph, packed bool)
+	run(alg Algorithm, R []int32, P, X []uint64, s Sink)
+	counts() (nodes, pivots int64)
+}
+
+func (e *enumerator[W]) counts() (nodes, pivots int64) { return e.nodes, e.pivots }
+
+// Sink is where a subproblem's cliques go, each with its members in
+// ascending order. With Out set, a clique is appended to Out, translated
+// through Orig when Orig is set, in the one pass that copies it into the
+// arena. Otherwise Emit receives it — translated into a buffer the runner
+// reuses, when Orig is set — and must copy it to retain it. Orig maps the
+// graph's node IDs to the caller's, ascending, as a block's Orig does, so a
+// translated clique is still ascending.
+type Sink struct {
+	Out  *family.Family
+	Orig []int32
+	Emit func(clique []int32)
+}
+
+// room returns the empty slice a clique of k members is appended to: a
+// slot of Out's arena, which holds exactly k, or buf for Emit.
+func (s *Sink) room(k int, buf []int32) []int32 {
+	if s.Out != nil {
+		return s.Out.Extend(k)[:0]
+	}
+	return buf[:0]
+}
+
+// deliver hands Emit the clique appended to room's slice, and returns what
+// buf is to be: the clique, when it was built there. One in Out's arena is
+// already where it goes.
+func (s *Sink) deliver(clique, buf []int32) []int32 {
+	if s.Out != nil {
+		return buf
+	}
+	s.Emit(clique)
+	return clique
 }
 
 // NewRunner prepares the combo's adjacency structure for g. A
@@ -232,6 +294,10 @@ func NewRunnerPar(g *graph.Graph, c Combo, par Par) (*Runner, error) {
 // callers that pick combos go through Combo.Bounded and never see that.
 // On an error the runner must be Reset again before use.
 //
+// The enumerator is picked here by the graph's width: a packed store of 1
+// to maxFixedWords words that runs sequentially gets the recursion stenciled
+// for that array window, anything else the slice window's.
+//
 //mce:coldpath per-block adjacency construction
 func (r *Runner) Reset(g *graph.Graph, c Combo, par Par) error {
 	switch c.Alg {
@@ -251,8 +317,23 @@ func (r *Runner) Reset(g *graph.Graph, c Combo, par Par) error {
 	if par.Workers == 0 && c.Struct == BitSetsParallel {
 		par.Workers = runtime.GOMAXPROCS(0)
 	}
-	r.combo, r.par = c, par
-	r.e.reset(g, c.Struct != Lists)
+	r.combo, r.par, r.w = c, par, (g.N()+63)/64
+	packed := c.Struct != Lists
+	switch {
+	case !packed || par.Workers > 1 || r.w > maxFixedWords:
+		r.k = use(&r.es)
+	case r.w == 1:
+		r.k = use(&r.e1)
+	case r.w == 2:
+		r.k = use(&r.e2)
+	case r.w == 3:
+		r.k = use(&r.e3)
+	case r.w == 4:
+		r.k = use(&r.e4)
+	default: // the empty graph
+		r.k = use(&r.es)
+	}
+	r.k.reset(g, packed)
 	return nil
 }
 
@@ -269,16 +350,19 @@ func (r *Runner) Subproblem(R []int32, P, X *bitset.Set, emit func(clique []int3
 // subproblem fans out over the work-stealing pool; the emitted cliques and
 // their order are identical to the sequential path either way.
 func (r *Runner) SubproblemWindows(R []int32, P, X []uint64, emit func(clique []int32)) {
-	if len(P) != r.e.w || len(X) != r.e.w {
-		badWindows(len(P), len(X), r.e.w)
+	r.SubproblemTo(R, P, X, Sink{Emit: emit})
+}
+
+// SubproblemTo is SubproblemWindows into a Sink.
+func (r *Runner) SubproblemTo(R []int32, P, X []uint64, s Sink) {
+	if len(P) != r.w || len(X) != r.w {
+		badWindows(len(P), len(X), r.w)
 	}
 	if r.par.Workers > 1 && count(P) >= r.par.minCandidates() {
-		r.parallelSubproblem(R, P, X, emit)
+		r.parallelSubproblem(R, P, X, s)
 		return
 	}
-	r.e.emit = emit
-	r.e.run(r.combo.Alg, R, P, X)
-	r.e.emit = nil
+	r.k.run(r.combo.Alg, R, P, X, s)
 }
 
 // badWindows reports a caller bug: candidate sets sized for another graph
@@ -296,7 +380,10 @@ func badWindows(p, x, w int) {
 // layer aggregates (the load-imbalance signal of the shared-memory parallel
 // MCE literature).
 func (r *Runner) Counts() (recursionNodes, pivotSelections int64) {
-	return r.e.nodes, r.e.pivots
+	if r.k == nil {
+		return 0, 0
+	}
+	return r.k.counts()
 }
 
 // Collect runs Enumerate and gathers the cliques into a slice of ascending

@@ -162,7 +162,7 @@ type parPool struct {
 type parWorker struct {
 	id   int
 	pool *parPool
-	e    *enumerator
+	e    *enumerator[[]uint64]
 	task *parTask // the running task: its path and len(R) anchor leafPath
 	out  family.Family
 	runs []cliqueRun
@@ -176,22 +176,24 @@ type parWorker struct {
 // seam for panic-propagation coverage. Always nil in production.
 var testHookTaskStart func()
 
-// parallelSubproblem fans MCE(R, P, X) out over a fresh pool and emits the
-// merged cliques in sequential order.
-func (r *Runner) parallelSubproblem(R []int32, P, X []uint64, emit func([]int32)) {
+// parallelSubproblem fans MCE(R, P, X) out over a fresh pool and hands the
+// merged cliques to s in sequential order. It runs on the slice window:
+// Reset gives a runner with Par.Workers > 1 no other.
+func (r *Runner) parallelSubproblem(R []int32, P, X []uint64, s Sink) {
 	p := &parPool{gate: r.par.SplitGate}
 	p.cond = sync.NewCond(&p.mu)
 	p.deques = make([]workDeque, r.par.Workers)
 	p.workers = make([]*parWorker, r.par.Workers)
 	for i := range p.workers {
 		w := &parWorker{id: i, pool: p}
-		w.e = &enumerator{g: r.e.g, w: r.e.w, packed: r.e.packed, rows: r.e.rows, emit: w.record, par: w}
+		w.e = &enumerator[[]uint64]{rows: r.es.rows, sink: Sink{Emit: w.record}, par: w}
+		w.e.target(r.es.g, r.es.w, r.es.packed)
 		p.workers[i] = w
 	}
 
-	px := make([]uint64, 2*r.e.w)
+	px := make([]uint64, 2*r.w)
 	copy(px, P)
-	copy(px[r.e.w:], X)
+	copy(px[r.w:], X)
 	root := &parTask{alg: r.combo.Alg, R: R, px: px}
 	p.pending.Store(1)
 	p.deques[0].push(root)
@@ -213,8 +215,8 @@ func (r *Runner) parallelSubproblem(R []int32, P, X []uint64, emit func([]int32)
 	total := 0
 	for _, w := range p.workers {
 		total += len(w.runs)
-		r.e.nodes += w.e.nodes
-		r.e.pivots += w.e.pivots
+		r.es.nodes += w.e.nodes
+		r.es.pivots += w.e.pivots
 	}
 	all := make([]cliqueRun, 0, total)
 	for _, w := range p.workers {
@@ -223,7 +225,15 @@ func (r *Runner) parallelSubproblem(R []int32, P, X []uint64, emit func([]int32)
 	slices.SortFunc(all, func(a, b cliqueRun) int { return slices.Compare(a.key, b.key) })
 	for _, run := range all {
 		for i := 0; i < run.Count; i++ {
-			emit(run.At(i))
+			c := run.At(i)
+			clique := s.room(len(c), r.es.buf)
+			for _, v := range c {
+				if s.Orig != nil {
+					v = s.Orig[v]
+				}
+				clique = append(clique, v)
+			}
+			r.es.buf = s.deliver(clique, r.es.buf)
 		}
 	}
 }
@@ -323,7 +333,7 @@ func (w *parWorker) runTask(t *parTask) {
 	w.task = t
 	w.newRun = true
 	half := len(t.px) / 2
-	w.e.run(t.alg, t.R, t.px[:half], t.px[half:])
+	w.e.solve(t.alg, t.R, t.px[:half], t.px[half:])
 }
 
 // leafPath is the child-index route from the subproblem root to the node
@@ -336,7 +346,7 @@ func (w *parWorker) leafPath() []uint32 {
 	path := make([]uint32, len(w.task.path), len(w.task.path)+d+1)
 	copy(path, w.task.path)
 	for j := 0; j < d; j++ {
-		cand, _, _ := w.e.frame(j * 3 * w.e.w)
+		cand := w.e.stack[j].cand
 		v := w.e.R[len(w.task.R)+j]
 		idx := bits.OnesCount64(cand[v>>6] & (1<<(uint(v)&63) - 1))
 		path = append(path, uint32(idx+count(cand[:v>>6])))
@@ -344,12 +354,12 @@ func (w *parWorker) leafPath() []uint32 {
 	return path
 }
 
-// split decides whether the children of the node at frame base become tasks,
+// split decides whether the children of the node at frame d become tasks,
 // and hands them to splitOrdered if so. The root always fans out (the
 // per-vertex top-level decomposition); deeper nodes donate only when some
 // worker is hungry, the subtree is shallow enough to be worth sharing, and
 // the memory gate allows more buffered work.
-func (w *parWorker) split(alg Algorithm, base int, cand []uint64) bool {
+func (w *parWorker) split(alg Algorithm, d int) bool {
 	p := w.pool
 	if depth := len(w.task.path) + len(w.e.R) - len(w.task.R); depth > 0 {
 		if p.hungry.Load() == 0 || depth >= maxSplitDepth {
@@ -359,6 +369,7 @@ func (w *parWorker) split(alg Algorithm, base int, cand []uint64) bool {
 			return false
 		}
 	}
+	cand := w.e.stack[d].cand
 	n := count(cand)
 	if n < 2 {
 		return false
@@ -369,26 +380,27 @@ func (w *parWorker) split(alg Algorithm, base int, cand []uint64) bool {
 			order = append(order, int32(i<<6+bits.TrailingZeros64(word)))
 		}
 	}
-	w.splitOrdered(alg, base, order)
+	w.splitOrdered(alg, d, order)
 	return true
 }
 
-// splitOrdered snapshots the child of frame base through each node of order
+// splitOrdered snapshots the child of frame d through each node of order
 // as an independent task — same iteration, same P/X mutations as the
 // sequential loop, so the recursion tree is unchanged — and pushes them in
 // reverse onto the worker's own deque (pop order = depth-first order;
 // thieves take from the other end, grabbing the widest subtrees).
-func (w *parWorker) splitOrdered(alg Algorithm, base int, order []int32) {
+func (w *parWorker) splitOrdered(alg Algorithm, d int, order []int32) {
 	p, e := w.pool, w.e
-	e.reserve(base + 6*e.w)
-	_, P, X := e.frame(base)
-	next := e.stack[base+4*e.w : base+6*e.w] // the child's P | X
+	e.reserve(d + 2)
+	f, next := &e.stack[d], &e.stack[d+1]
+	P, X := f.P, f.X
 	path := w.leafPath()
 	kids := make([]*parTask, 0, len(order))
 	for i, v := range order {
-		e.child(base, v)
-		px := make([]uint64, len(next))
-		copy(px, next)
+		e.child(d, v)
+		px := make([]uint64, 2*e.w)
+		copy(px, next.P)
+		copy(px[e.w:], next.X)
 		kids = append(kids, &parTask{
 			path: append(path[:len(path):len(path)], uint32(i)),
 			alg:  alg,

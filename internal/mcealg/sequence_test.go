@@ -40,7 +40,8 @@ var seqModes = []struct {
 
 // seqGraphs are the fixed inputs: a dense block-sized G(n, p), a
 // Holme–Kim graph of block size, planted cliques over a sparse background,
-// and the Theorem 1 chain H_n.
+// the Theorem 1 chain H_n, and two G(n, p) whose windows are 4 and 5 words
+// wide.
 var seqGraphs = []struct {
 	name  string
 	build func() *graph.Graph
@@ -51,6 +52,8 @@ var seqGraphs = []struct {
 		return gen.PlantCliques(gen.ErdosRenyi(120, 0.08, 11), 6, 6, 14, 11)
 	}},
 	{"chain", func() *graph.Graph { return gen.HardChain(90, 8, 0) }},
+	{"gnp240", func() *graph.Graph { return gen.ErdosRenyi(240, 0.3, 13) }},
+	{"gnp300", func() *graph.Graph { return gen.ErdosRenyi(300, 0.2, 19) }},
 }
 
 // Golden values recorded from the commit before the word-window kernel
@@ -81,6 +84,21 @@ var seqWholeGraph = map[string][4]seqGolden{
 		{0x8fd719e0, 123, 688, 556},
 		{0x46b44aa8, 123, 755, 621},
 		{0x825ffcde, 123, 746, 611},
+	},
+	// The 4- and 5-word windows, pinned from the commit before the kernel
+	// went generic over its window type: the last fixed-width shape and
+	// the first graph on the slice body.
+	"gnp240": {
+		{0xbcd8ef4e, 38278, 138933, 60754},
+		{0xa4447f3e, 38278, 89224, 43313},
+		{0xeca2381b, 38278, 89414, 43966},
+		{0x2352499c, 38278, 97418, 49716},
+	},
+	"gnp300": {
+		{0x7fbeabb1, 18562, 54675, 21216},
+		{0x79f31ffa, 18562, 40782, 17261},
+		{0x9c04051d, 18562, 40617, 17426},
+		{0x21398c33, 18562, 43641, 19352},
 	},
 }
 
