@@ -62,28 +62,29 @@ func chaosOptions(dir string) []Option {
 }
 
 // throttledExecutor runs blocks one at a time through a single-threaded
-// LocalExecutor with a sleep in front of each, preserving the per-block
-// checkpoint observer so done records land as they would in production.
+// LocalExecutor with a sleep in front of each block it runs, keeping the
+// per-block checkpoint observer so done records land as they would in
+// production. A block served from the checkpoint is not slowed.
 type throttledExecutor struct {
 	inner core.LocalExecutor
 	delay time.Duration
 }
 
-func (e *throttledExecutor) Analyze(ctx context.Context, g *graph.Graph, plan *decomp.Plan, rule dtree.Rule, ids []runlog.BlockID, obs runlog.BatchObserver) ([]family.Window, error) {
-	var out []family.Window
-	for i := 0; plan.Block(i) != nil; i++ {
-		time.Sleep(e.delay)
-		var id []runlog.BlockID
-		if ids != nil {
-			id = ids[i : i+1]
-		}
-		res, err := e.inner.Analyze(ctx, g, decomp.SealedPlan([]decomp.Block{*plan.Block(i)}), rule, id, obs)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, res[0])
+func (e *throttledExecutor) Analyze(ctx context.Context, g *graph.Graph, plan *decomp.Plan, rule dtree.Rule, level int, obs runlog.BatchObserver) ([]family.Window, error) {
+	return e.inner.Analyze(ctx, g, plan, rule, level, throttled{obs, e.delay})
+}
+
+type throttled struct {
+	runlog.BatchObserver
+	delay time.Duration
+}
+
+func (t throttled) BlockDispatched(id runlog.BlockID, member uint64) (family.Window, bool) {
+	w, served := t.BatchObserver.BlockDispatched(id, member)
+	if !served {
+		time.Sleep(t.delay)
 	}
-	return out, nil
+	return w, served
 }
 
 // withChaosExecutor and withChaosLatency are test-only options: the public
@@ -91,7 +92,7 @@ func (e *throttledExecutor) Analyze(ctx context.Context, g *graph.Graph, plan *d
 // down without changing its plan identity.
 func withChaosExecutor(delay time.Duration) Option {
 	return func(c *config) error {
-		c.core.Executor = &throttledExecutor{delay: delay}
+		c.core.Executor = &throttledExecutor{inner: core.LocalExecutor{Parallelism: 1}, delay: delay}
 		return nil
 	}
 }
@@ -167,11 +168,43 @@ func countLoggedBlocks(dir string) int {
 	return n
 }
 
-// runChaosChild forks a coordinator session and SIGKILLs it once it has
-// logged killAfterBlocks new block results (plus a randomized extra delay,
-// so the kill lands at arbitrary points in the log/journal commit
-// sequence). Returns true if the session finished before the kill landed.
-func runChaosChild(t *testing.T, dir string, workers []string, killAfterBlocks int, extraDelay time.Duration) bool {
+// journalState reads the checkpoint's journal from outside: how many done
+// records it holds, and whether some level has done records but no seal
+// record — a level killed while its blocks were still being planned and
+// analysed. It decodes only the record kind (3 a level's seal, 5 a block's
+// done record) and the level that follows it; a torn tail ends the walk.
+func journalState(dir string) (done int, unsealed bool) {
+	data, err := os.ReadFile(runlog.JournalPath(dir))
+	if err != nil || len(data) < 5 {
+		return 0, false
+	}
+	sealed, running := map[uint64]bool{}, map[uint64]bool{}
+	frames := durable.NewFrameReader(bytes.NewReader(data[5:]), 1<<20)
+	for {
+		payload, err := frames.Next()
+		if err != nil || len(payload) < 2 {
+			break
+		}
+		level, _ := binary.Uvarint(payload[1:])
+		switch payload[0] {
+		case 3:
+			sealed[level] = true
+		case 5:
+			running[level] = true
+			done++
+		}
+	}
+	for level := range running {
+		unsealed = unsealed || !sealed[level]
+	}
+	return done, unsealed
+}
+
+// runChaosChild forks a coordinator session and SIGKILLs it once kill
+// reports true (plus extraDelay, so the kill lands at arbitrary points in
+// the log/journal commit sequence). Returns true if the session finished
+// before the kill landed.
+func runChaosChild(t *testing.T, dir string, workers []string, kill func() bool, extraDelay time.Duration) bool {
 	t.Helper()
 	cmd := exec.Command(os.Args[0], "-test.run=^$")
 	cmd.Env = append(os.Environ(),
@@ -187,7 +220,6 @@ func runChaosChild(t *testing.T, dir string, workers []string, killAfterBlocks i
 	done := make(chan error, 1)
 	go func() { done <- cmd.Wait() }()
 
-	base := countLoggedBlocks(dir) // frames left by previous sessions
 	ticker := time.NewTicker(2 * time.Millisecond)
 	defer ticker.Stop()
 	deadline := time.After(60 * time.Second)
@@ -203,7 +235,7 @@ func runChaosChild(t *testing.T, dir string, workers []string, killAfterBlocks i
 			<-done
 			t.Fatalf("chaos child ran past the 60s deadline\n%s", errBuf.String())
 		case <-ticker.C:
-			if countLoggedBlocks(dir)-base < killAfterBlocks {
+			if !kill() {
 				continue
 			}
 			time.Sleep(extraDelay)
@@ -253,8 +285,10 @@ func saveChaosArtifacts(t *testing.T, dir string) {
 // runChaosScenario kills coordinator sessions at randomized points until one
 // finishes (or the kill budget is spent), then resumes in-process and holds
 // the result to the uninterrupted digest. Satisfies the chaos acceptance
-// criteria for one executor flavour.
-func runChaosScenario(t *testing.T, workers []string) {
+// criteria for one executor flavour. insideLevel kills each session as soon
+// as it has journaled a done record of a level it has not sealed, instead
+// of after a random number of logged blocks.
+func runChaosScenario(t *testing.T, workers []string, insideLevel bool) {
 	if os.Getenv("MCE_CHAOS") == "" {
 		t.Skip("kill-based chaos harness; run via `make chaos` (MCE_CHAOS=1)")
 	}
@@ -280,7 +314,16 @@ func runChaosScenario(t *testing.T, workers []string) {
 	for attempt := 0; attempt < 8; attempt++ {
 		target := 2 + rnd.Intn(4)
 		extra := time.Duration(rnd.Intn(20)) * time.Millisecond
-		if runChaosChild(t, dir, workers, target, extra) {
+		base := countLoggedBlocks(dir) // frames left by previous sessions
+		kill := func() bool { return countLoggedBlocks(dir)-base >= target }
+		if insideLevel {
+			before, _ := journalState(dir)
+			extra, kill = 0, func() bool {
+				done, unsealed := journalState(dir)
+				return done > before && unsealed
+			}
+		}
+		if runChaosChild(t, dir, workers, kill, extra) {
 			break
 		}
 		kills++
@@ -289,6 +332,9 @@ func runChaosScenario(t *testing.T, workers []string) {
 		t.Fatal("every child session finished before a kill landed; the chaos run exercised nothing")
 	}
 	t.Logf("killed %d coordinator sessions (seed %d)", kills, seed)
+	if _, unsealed := journalState(dir); insideLevel && kills == 8 && !unsealed {
+		t.Fatal("the last session was killed inside a level, but the journal has no unsealed level")
+	}
 
 	met := NewTelemetryEngine()
 	resumeOpts := append(chaosOptions(dir), WithTelemetryEngine(met))
@@ -316,7 +362,7 @@ func runChaosScenario(t *testing.T, workers []string) {
 // TestChaosKillResumeLocal: coordinator SIGKILLed mid-run with the local
 // executor; resume must reproduce the uninterrupted clique digest.
 func TestChaosKillResumeLocal(t *testing.T) {
-	runChaosScenario(t, nil)
+	runChaosScenario(t, nil, false)
 }
 
 // TestChaosKillResumeDistributed: same scenario with the work on out-of-
@@ -330,5 +376,24 @@ func TestChaosKillResumeDistributed(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer stop()
-	runChaosScenario(t, addrs)
+	runChaosScenario(t, addrs, false)
+}
+
+// TestChaosKillInsideLevelLocal: the coordinator is SIGKILLed while a level
+// is running — some of its blocks done, the level not sealed — so the resume
+// grows that level again and serves the done blocks by their membership
+// digests.
+func TestChaosKillInsideLevelLocal(t *testing.T) {
+	runChaosScenario(t, nil, true)
+}
+
+// TestChaosKillInsideLevelDistributed is the same kill point with the work
+// on out-of-process cluster workers.
+func TestChaosKillInsideLevelDistributed(t *testing.T) {
+	addrs, stop, err := cluster.StartLocal(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+	runChaosScenario(t, addrs, true)
 }

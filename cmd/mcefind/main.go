@@ -379,10 +379,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		for i, lvl := range s.Levels {
 			// decomp is cut + grow. Grow runs beside the analysis, which
-			// starts on the first planned block, so decomp + analysis
-			// exceeds the level's wall by their overlap; a checkpointed
-			// level and a -workers run take no block before the seal and
-			// say nothing. Σinduce and Σselect are
+			// starts on the first planned block on every executor,
+			// checkpointed or not, so decomp + analysis exceeds the
+			// level's wall by their overlap; a level grown before its
+			// executor took block 0 says nothing. Σinduce and Σselect are
 			// summed over the workers inside analysis; with -workers they
 			// happen on the remote workers and read 0 here. members, arena and
 			// arenas say how the level's family was held. A level served

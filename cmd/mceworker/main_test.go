@@ -50,14 +50,19 @@ func TestWorkerServesTasksAndDebugVars(t *testing.T) {
 	g := gen.ErdosRenyi(50, 0.25, 3)
 	m := g.MaxDegree() + 1
 	feasible, _ := decomp.Cut(g, m)
-	blocks := decomp.Grow(g, feasible, m, decomp.Options{})
+	plan := decomp.NewPlan(len(feasible))
+	decomp.GrowSeq(g, feasible, m, decomp.Options{})(func(b decomp.Block) bool {
+		plan.Append(b)
+		return true
+	})
+	plan.Seal()
 	rule := dtree.Rule{Mode: dtree.RuleFixed, Combo: mcealg.Combo{Alg: mcealg.Tomita, Struct: mcealg.BitSets}}
-	out, err := client.Analyze(context.Background(), g, decomp.SealedPlan(blocks), rule, nil, nil)
+	out, err := client.Analyze(context.Background(), g, plan, rule, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != len(blocks) {
-		t.Fatalf("got %d results for %d blocks", len(out), len(blocks))
+	if len(out) != plan.Len() {
+		t.Fatalf("got %d results for %d blocks", len(out), plan.Len())
 	}
 	client.Close()
 
@@ -81,8 +86,8 @@ func TestWorkerServesTasksAndDebugVars(t *testing.T) {
 	if err := json.Unmarshal(body, &doc); err != nil {
 		t.Fatalf("vars not JSON: %v\n%s", err, body)
 	}
-	if doc.Telemetry.TasksServed != int64(len(blocks)) {
-		t.Fatalf("tasks_served = %d, want %d", doc.Telemetry.TasksServed, len(blocks))
+	if doc.Telemetry.TasksServed != int64(plan.Len()) {
+		t.Fatalf("tasks_served = %d, want %d", doc.Telemetry.TasksServed, plan.Len())
 	}
 	if doc.Telemetry.BlocksAnalyzed == 0 || doc.Telemetry.RecursionNodes == 0 {
 		t.Fatalf("algorithm counters empty: %+v", doc.Telemetry)

@@ -489,12 +489,51 @@ type attempt struct {
 	hedge bool
 }
 
+// queue is a batch's dispatch queue: each block as it is planned, and each
+// retry or hedge as it is due, in arrival order. It grows with the blocks
+// planned but not yet taken, never with the plan's bound.
+type queue struct {
+	mu    sync.Mutex
+	items []attempt
+	wake  chan struct{} // an item arrived, or an attempt took off: idle runners look again
+}
+
+// put queues a and wakes an idle runner.
+func (q *queue) put(a attempt) {
+	q.mu.Lock()
+	q.items = append(q.items, a)
+	q.mu.Unlock()
+	q.poke()
+}
+
+// take dequeues the oldest item; ok is false when there is none. Taking one
+// of several wakes the next idle runner for the rest.
+func (q *queue) take() (a attempt, ok bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if len(q.items) == 0 {
+		return a, false
+	}
+	a, q.items = q.items[0], q.items[1:]
+	if len(q.items) > 0 {
+		q.poke()
+	}
+	return a, true
+}
+
+func (q *queue) poke() {
+	select {
+	case q.wake <- struct{}{}:
+	default:
+	}
+}
+
 // hedger finds a hedged batch's stragglers from its attempts in flight (at
 // most one per connection) and its round trips.
 type hedger struct {
 	rtt     *telemetry.Histogram
 	claimed []atomic.Bool
-	wake    chan struct{} // an attempt took off: idle runners re-aim their timers
+	q       *queue // poked when an attempt takes off: idle runners re-aim their timers
 
 	mu      sync.Mutex
 	flying  map[*workerConn]flight
@@ -514,10 +553,7 @@ func (h *hedger) fly(wc *workerConn, block int) {
 	h.mu.Lock()
 	h.flying[wc] = flight{block: block, start: time.Now()}
 	h.mu.Unlock()
-	select {
-	case h.wake <- struct{}{}:
-	default:
-	}
+	h.q.poke()
 }
 
 // land ends wc's attempt; a successful round trip joins the statistics.
@@ -562,16 +598,16 @@ func (h *hedger) due(now time.Time) (block int, at time.Time) {
 
 // Analyze ships every block to some worker and gathers the cliques,
 // indexed by plan position, each the window over the family its answer was
-// decoded into. It implements core.Executor: it waits for the plan's seal —
-// the hedger and the retry bookkeeping are sized by the block count — and
-// then takes the blocks as decomp.GrowSeq planned them over g. A task
-// carries a block's membership, g's content address and rule; the worker
-// induces the block from its own copy of g, picks the combo by rule and
-// analyses it. g crosses the wire only to a worker that answers that it
-// does not hold it, once per worker while the worker keeps it, within the
-// same attempt and without spending a retry. The answer that wins a
-// block's claim brings the worker's combo pick and kernel counts into the
-// client's telemetry.
+// decoded into. It implements core.Executor: a feeder takes each block the
+// moment decomp.GrowSeq plans it over g and queues it for whichever
+// connection is free, and the batch is complete once every block of the
+// sealed plan has its answer. A task carries a block's membership, g's
+// content address and rule; the worker induces the block from its own copy
+// of g, picks the combo by rule and analyses it. g crosses the wire only to
+// a worker that answers that it does not hold it, once per worker while the
+// worker keeps it, within the same attempt and without spending a retry.
+// The answer that wins a block's claim brings the worker's combo pick and
+// kernel counts into the client's telemetry.
 //
 // A retry and a hedge are the same act: the block goes back on the batch's
 // queue for whichever connection is free — after a failed attempt, within
@@ -583,27 +619,21 @@ func (h *hedger) due(now time.Time) (block int, at time.Time) {
 // retires connections with a round trip in flight: the wire protocol cannot
 // abandon a pending response.
 //
-// ids and obs are nil for plain batches. With them, every block carries its
-// checkpoint identity on the wire, and obs hears of each block's dispatch
-// and, the moment its cliques are back, its completion — so a coordinator
-// killed mid-batch resumes with every completed block durable. ids must
-// index like the plan.
+// Every block carries its identity runlog.BlockID{Level: depth, Plan: i} on
+// the wire. With obs, the feeder offers each block to obs first — a block an
+// earlier session finished is served from there and never shipped — and obs
+// hears of each completion the moment its cliques are back, so a
+// coordinator killed mid-batch resumes with every completed block durable.
 //
-// The batch returns once every block has an answer; a straggling round trip
-// keeps its connection leased until it resolves. Duplicate answers lose a
-// compare-and-swap per block and are dropped, which Lemma 1 makes sound:
-// every copy's answer is identical.
-func (c *Client) Analyze(ctx context.Context, g *graph.Graph, plan *decomp.Plan, rule dtree.Rule, ids []runlog.BlockID, obs runlog.BatchObserver) ([]family.Window, error) {
-	nBlocks := plan.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err // the grower stopped early: the plan is not the level's
-	}
-	if (ids != nil || obs != nil) && len(ids) != nBlocks {
-		return nil, fmt.Errorf("cluster: %d blocks but %d block IDs", nBlocks, len(ids))
-	}
-	out := make([]family.Window, nBlocks)
-	if nBlocks == 0 {
-		return out, nil
+// Per block the batch holds one claim byte (and under Hedge one twin flag),
+// sized by the plan's bound; it holds the rest — queue entries, failure
+// causes, answers — only for blocks planned, failed or answered. A straggling round trip keeps its connection
+// leased until it resolves. Duplicate answers lose a compare-and-swap per
+// block and are dropped, which Lemma 1 makes sound: every copy's answer is
+// identical.
+func (c *Client) Analyze(ctx context.Context, g *graph.Graph, plan *decomp.Plan, rule dtree.Rule, depth int, obs runlog.BatchObserver) ([]family.Window, error) {
+	if plan.Sealed() && plan.Len() == 0 {
+		return nil, nil
 	}
 	if g == nil {
 		return nil, errors.New("cluster: no level graph: workers induce blocks from the graph they were planned over")
@@ -628,41 +658,35 @@ func (c *Client) Analyze(ctx context.Context, g *graph.Graph, plan *decomp.Plan,
 		return nil, errors.New("cluster: all workers are dead")
 	}
 
+	type answer struct {
+		i int
+		w family.Window
+	}
 	var (
 		completed  atomic.Int64
+		total      atomic.Int64 // the sealed plan's length; −1 before the seal
 		aliveCount atomic.Int64
 		done       = make(chan struct{})
 		closeOnce  sync.Once
 		errMu      sync.Mutex
 		fatal      error
 		lastDeath  error
-		attempts   = make([]int, nBlocks)
-		causes     = make([][]string, nBlocks)
+		failed     = make(map[int][]string) // the causes of each block's failed attempts
+		answers    []answer
 		budget     = c.opts.retryBudget()
 		drained    = make(chan struct{}, 1)
 		fresh      = make(chan *workerConn, 16)
-		claimed    = make([]atomic.Bool, nBlocks) // first-wins dedup
+		claimed    = make([]atomic.Bool, plan.Bound()) // first-wins dedup
+		q          = &queue{wake: make(chan struct{}, 1)}
 		hedge      *hedger
-		wake       <-chan struct{}
 	)
+	total.Store(-1)
 	aliveCount.Store(int64(len(alive)))
-	// A block occupies at most one primary/retry slot plus its one twin,
-	// so the queue can never block a sender.
-	queueCap := nBlocks
 	if c.opts.Hedge {
-		hedge = &hedger{rtt: telemetry.NewDurationHistogram(), claimed: claimed, wake: make(chan struct{}, 1),
-			flying: make(map[*workerConn]flight), twinned: make([]bool, nBlocks)}
-		wake = hedge.wake
-		queueCap *= 2
-	}
-	tasks := make(chan attempt, queueCap)
-	for i := range nBlocks {
-		tasks <- attempt{block: i}
+		hedge = &hedger{rtt: telemetry.NewDurationHistogram(), claimed: claimed, q: q,
+			flying: make(map[*workerConn]flight), twinned: make([]bool, plan.Bound())}
 	}
 	met := c.opts.Metrics
-	if met != nil {
-		met.QueueDepth.Add(int64(nBlocks))
-	}
 	fail := func(err error) {
 		errMu.Lock()
 		if fatal == nil {
@@ -671,10 +695,19 @@ func (c *Client) Analyze(ctx context.Context, g *graph.Graph, plan *decomp.Plan,
 		errMu.Unlock()
 		closeOnce.Do(func() { close(done) })
 	}
+	// finish counts one block resolved; the last of a sealed plan ends the
+	// batch. The feeder stores the total after the seal and then looks at
+	// the count, so one of the two sees the other's store.
 	finish := func() {
-		if completed.Add(1) == int64(nBlocks) {
+		if completed.Add(1) == total.Load() {
 			closeOnce.Do(func() { close(done) })
 		}
+	}
+	resolve := func(i int, w family.Window) {
+		errMu.Lock()
+		answers = append(answers, answer{i, w})
+		errMu.Unlock()
+		finish()
 	}
 	// requeue dispatches a block again — a retry after a failed attempt or
 	// a hedge past the threshold — unless its answer is already claimed.
@@ -690,17 +723,16 @@ func (c *Client) Analyze(ctx context.Context, g *graph.Graph, plan *decomp.Plan,
 			}
 			met.QueueDepth.Add(1)
 		}
-		tasks <- a
+		q.put(a)
 	}
 	// chargeAttempt spends one of block i's retries on err and either
 	// requeues the block or declares it poison. A poison verdict claims the
 	// block first, so a hedged twin still in flight cannot also resolve it.
 	chargeAttempt := func(wc *workerConn, i int, err error) {
 		errMu.Lock()
-		attempts[i]++
-		causes[i] = append(causes[i], fmt.Sprintf("%s: %v", wc.addr, err))
-		poisoned := budget >= 0 && attempts[i] >= budget
-		n, cs := attempts[i], causes[i]
+		failed[i] = append(failed[i], fmt.Sprintf("%s: %v", wc.addr, err))
+		cs := failed[i]
+		poisoned := budget >= 0 && len(cs) >= budget
 		lastDeath = err
 		errMu.Unlock()
 		if !poisoned {
@@ -714,12 +746,12 @@ func (c *Client) Analyze(ctx context.Context, g *graph.Graph, plan *decomp.Plan,
 			met.PoisonTasks.Inc()
 		}
 		if c.opts.SkipPoisonTasks {
-			// Recorded skip: the block's slot stays nil and the batch
+			// Recorded skip: the block's slot stays empty and the batch
 			// carries on; callers surface the verdicts.
-			c.recordPoison(PoisonTaskError{Block: i, Attempts: n, Causes: cs})
+			c.recordPoison(PoisonTaskError{Block: i, Attempts: len(cs), Causes: cs})
 			finish()
 		} else {
-			fail(&PoisonTaskError{Block: i, Attempts: n, Causes: cs})
+			fail(&PoisonTaskError{Block: i, Attempts: len(cs), Causes: cs})
 		}
 	}
 
@@ -732,26 +764,55 @@ func (c *Client) Analyze(ctx context.Context, g *graph.Graph, plan *decomp.Plan,
 		c.recruitMu.Unlock()
 	}()
 
+	// The feeder takes each block as it is planned: served from obs when an
+	// earlier session finished it, queued otherwise. It stops at the seal,
+	// or at the first block after the batch has failed. Nothing waits for
+	// it: on a failed batch the plan's writer seals only once Analyze has
+	// returned, and the seal, which the writer always makes, lets it exit.
+	go func() {
+		for i := 0; ; i++ {
+			b := plan.Block(i) // waits while the grower is behind
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if b == nil {
+				break
+			}
+			if obs != nil {
+				if served, ok := obs.BlockDispatched(runlog.BlockID{Level: depth, Plan: i}, b.Digest()); ok {
+					claimed[i].Store(true)
+					resolve(i, served)
+					continue
+				}
+			}
+			if met != nil {
+				met.QueueDepth.Add(1)
+			}
+			q.put(attempt{block: i})
+		}
+		n := int64(plan.Len())
+		total.Store(n)
+		if completed.Load() == n {
+			closeOnce.Do(func() { close(done) })
+		}
+	}()
+
 	// process runs one attempt on one connection and reports whether the
 	// connection is still usable. Every answer is decoded into a family of
 	// its own, so one that loses the claim — possibly after the batch has
 	// returned — is dropped without touching what the caller reads.
 	process := func(wc *workerConn, a attempt) bool {
 		i := a.block
+		id, b := runlog.BlockID{Level: depth, Plan: i}, plan.Block(i)
 		hedge.fly(wc, i)
 		if met != nil {
 			met.TasksInFlight.Add(1)
 		}
-		var id runlog.BlockID
-		if ids != nil {
-			id = ids[i]
-		}
-		if obs != nil {
-			obs.BlockDispatched(id)
-		}
 		t0 := time.Now()
 		reply := new(family.Family)
-		counts, err := c.roundTrip(ctx, wc, i, id, lv, plan.Block(i), reply)
+		counts, err := c.roundTrip(ctx, wc, i, id, lv, b, reply)
 		rtt := time.Since(t0)
 		hedge.land(wc, rtt, err == nil)
 		if met != nil {
@@ -785,13 +846,12 @@ func (c *Client) Analyze(ctx context.Context, g *graph.Graph, plan *decomp.Plan,
 			if obs != nil {
 				// Durability before acknowledgement: the block only counts
 				// as completed once its cliques are on disk.
-				if oerr := obs.BlockDone(id, cliques); oerr != nil {
+				if oerr := obs.BlockDone(id, b.Digest(), cliques); oerr != nil {
 					fail(fmt.Errorf("cluster: checkpointing block result: %w", oerr))
 					return true
 				}
 			}
-			out[i] = cliques
-			finish()
+			resolve(i, cliques)
 			return true
 		case errors.As(err, &appErr):
 			if !claimed[i].Load() {
@@ -835,42 +895,50 @@ func (c *Client) Analyze(ctx context.Context, g *graph.Graph, plan *decomp.Plan,
 		defer timer.Stop()
 		for {
 			if d := c.hold(wc.addr, time.Now()); d > 0 {
+				q.poke() // a wake this runner took is another runner's to use
 				select {
 				case <-done:
 					return
 				case <-arm(timer, d):
 				}
 			}
-			var due <-chan time.Time
-			if len(tasks) == 0 {
-				// Hedging absorbs the tail only: it never competes with
-				// queued work for a connection.
-				if i, at := hedge.due(time.Now()); i >= 0 {
-					requeue(attempt{block: i, hedge: true})
-				} else if !at.IsZero() {
-					due = arm(timer, time.Until(at))
-				}
-			}
 			select {
 			case <-done:
 				return
-			case <-due:
-			case <-wake:
-			case a := <-tasks:
-				if met != nil {
-					met.QueueDepth.Add(-1)
+			default:
+			}
+			a, ok := q.take()
+			if !ok {
+				// Hedging absorbs the tail only: it never competes with
+				// queued work for a connection.
+				var due <-chan time.Time
+				if i, at := hedge.due(time.Now()); i >= 0 {
+					requeue(attempt{block: i, hedge: true})
+					continue
+				} else if !at.IsZero() {
+					due = arm(timer, time.Until(at))
 				}
-				if claimed[a.block].Load() {
-					continue // stale entry: the block already has its answer
-				}
-				// Memory guard: over budget, dispatch pauses here; one
-				// runner is always admitted, so the batch never deadlocks.
-				c.guard.Enter(done)
-				ok := process(wc, a)
-				c.guard.Exit()
-				if !ok {
+				select {
+				case <-done:
 					return
+				case <-due:
+				case <-q.wake:
 				}
+				continue
+			}
+			if met != nil {
+				met.QueueDepth.Add(-1)
+			}
+			if claimed[a.block].Load() {
+				continue // stale entry: the block already has its answer
+			}
+			// Memory guard: over budget, dispatch pauses here; one
+			// runner is always admitted, so the batch never deadlocks.
+			c.guard.Enter(done)
+			ok = process(wc, a)
+			c.guard.Exit()
+			if !ok {
+				return
 			}
 		}
 	}
@@ -939,21 +1007,22 @@ func (c *Client) Analyze(ctx context.Context, g *graph.Graph, plan *decomp.Plan,
 	if met != nil {
 		// Entries stranded in the queue by a fatal error, or twins whose
 		// primary won, are no longer pending work.
-		for {
-			select {
-			case <-tasks:
-				met.QueueDepth.Add(-1)
-				continue
-			default:
-			}
-			break
-		}
+		q.mu.Lock()
+		met.QueueDepth.Add(-int64(len(q.items)))
+		q.items = nil
+		q.mu.Unlock()
 	}
-
+	if err := ctx.Err(); err != nil {
+		return nil, err // the grower stopped early: the plan is not the level's
+	}
 	errMu.Lock()
 	defer errMu.Unlock()
 	if fatal != nil {
 		return nil, fatal
+	}
+	out := make([]family.Window, plan.Len())
+	for _, a := range answers {
+		out[a.i] = a.w
 	}
 	return out, nil
 }

@@ -15,7 +15,6 @@ import (
 	"mce/internal/gen"
 	"mce/internal/graph"
 	"mce/internal/mcealg"
-	"mce/internal/runlog"
 )
 
 func key(c []int32) string {
@@ -34,9 +33,19 @@ func makeBlocks(g *graph.Graph, m int) ([]decomp.Block, dtree.Rule) {
 }
 
 // analyzeBlocks runs blocks, planned over g, on e under rule as a plain
-// batch.
+// batch of level 0.
 func analyzeBlocks(ctx context.Context, e core.Executor, g *graph.Graph, blocks []decomp.Block, rule dtree.Rule) ([]family.Window, error) {
-	return e.Analyze(ctx, g, decomp.SealedPlan(blocks), rule, nil, nil)
+	return e.Analyze(ctx, g, sealedPlan(blocks), rule, 0, nil)
+}
+
+// sealedPlan is a plan already complete over blocks.
+func sealedPlan(blocks []decomp.Block) *decomp.Plan {
+	p := decomp.NewPlan(len(blocks))
+	for _, b := range blocks {
+		p.Append(b)
+	}
+	p.Seal()
+	return p
 }
 
 func TestClusterAnalyzeMatchesLocal(t *testing.T) {
@@ -292,20 +301,43 @@ func TestSimulatedLatencySlowsBatch(t *testing.T) {
 }
 
 // A batch with block identities must carry one per block.
+// TestIDMismatchRejected: every task carries its block's identity — the
+// level and the plan index — and an answer naming another block is refused,
+// not taken as this one's.
 func TestIDMismatchRejected(t *testing.T) {
-	addrs, stop, err := StartLocal(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stop()
-	client, err := Dial(addrs, ClientOptions{})
+	addr := fakeWorker(t, func(conn net.Conn) {
+		defer conn.Close()
+		p := newPeer(conn)
+		if !p.acceptHello(protocolVersion) {
+			return
+		}
+		for {
+			task, err := p.in.Next()
+			if err != nil {
+				return
+			}
+			id, _, err := parseTaskID(task, kindTask)
+			if err != nil {
+				return
+			}
+			id.Plan++ // the neighbouring block's answer
+			res, _ := encodeResult(blockResult{taskID: id, blockCounts: blockCounts{Combo: comboNone}})
+			p.payload = append(p.payload[:0], res...)
+			if p.send() != nil {
+				return
+			}
+		}
+	})
+	client, err := Dial([]string{addr}, ClientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	g := graph.Complete(3)
-	if _, err := client.Analyze(context.Background(), g, decomp.SealedPlan(make([]decomp.Block, 2)), dtree.Rule{}, make([]runlog.BlockID, 1), nil); err == nil {
-		t.Fatal("mismatched lengths accepted")
+	g := gen.ErdosRenyi(40, 0.2, 23)
+	blocks, rule := makeBlocks(g, g.MaxDegree()+1)
+	_, err = client.Analyze(context.Background(), g, sealedPlan(blocks), rule, 2, nil)
+	if err == nil || !strings.Contains(err.Error(), "answered task 0 (block L2/B1), want 0 (L2/B0)") {
+		t.Fatalf("an answer for another block: err %v, want it refused by its block ID", err)
 	}
 }
 

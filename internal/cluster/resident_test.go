@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"mce/internal/core"
-	"mce/internal/decomp"
 	"mce/internal/durable"
 	"mce/internal/family"
 	"mce/internal/gen"
@@ -53,9 +52,11 @@ type evictingObserver struct {
 	done  int
 }
 
-func (o *evictingObserver) BlockDispatched(runlog.BlockID) {}
+func (o *evictingObserver) BlockDispatched(runlog.BlockID, uint64) (family.Window, bool) {
+	return family.Window{}, false
+}
 
-func (o *evictingObserver) BlockDone(runlog.BlockID, family.Window) error {
+func (o *evictingObserver) BlockDone(runlog.BlockID, uint64, family.Window) error {
 	if o.done++; o.done == o.after {
 		o.w.graphs.mu.Lock()
 		o.w.graphs.graphs, o.w.graphs.held = nil, 0
@@ -88,12 +89,8 @@ func TestWorkerLosesGraphMidBatch(t *testing.T) {
 	if len(blocks) < 4 {
 		t.Fatalf("%d blocks: too few to lose the graph mid-batch", len(blocks))
 	}
-	ids := make([]runlog.BlockID, len(blocks))
-	for i := range ids {
-		ids[i].Plan = i
-	}
 	obs := &evictingObserver{w: w, after: len(blocks) / 2}
-	remote, err := client.Analyze(context.Background(), g, decomp.SealedPlan(blocks), rule, ids, obs)
+	remote, err := client.Analyze(context.Background(), g, sealedPlan(blocks), rule, 0, obs)
 	if err != nil {
 		t.Fatalf("batch with the graph lost midway failed: %v", err)
 	}

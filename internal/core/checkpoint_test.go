@@ -211,26 +211,145 @@ func TestResumeInsideStalledLevel(t *testing.T) {
 	}
 }
 
-// recordingExecutor runs blocks on a LocalExecutor and records every block
-// ID it was handed.
+// TestResumeLevelWithoutSeal: a run killed inside level 0 leaves done
+// records and no seal record for it. The resume grows the level again,
+// serves exactly the blocks the journal has done — matched by membership
+// digest, with no seal to vouch for the plan — runs the rest, and yields the
+// uninterrupted family in its order.
+func TestResumeLevelWithoutSeal(t *testing.T) {
+	g := gen.HolmeKim(400, 5, 0.7, 29)
+	opts := Options{BlockSize: 24}
+	want, err := FindMaxCliques(g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const done = 5
+	if want.Stats.Levels[0].Blocks <= 2*done {
+		t.Fatalf("level 0 has %d blocks, want more than %d", want.Stats.Levels[0].Blocks, 2*done)
+	}
+	dir := t.TempDir()
+	cp := openCheckpoint(t, dir, g, opts)
+	runOpts := opts
+	runOpts.Checkpoint = cp
+	runOpts.Executor = &flakyExecutor{inner: &LocalExecutor{Parallelism: 1}, budget: done}
+	if _, err := FindMaxCliques(g, runOpts); !errors.Is(err, errInjected) {
+		cp.Close()
+		t.Fatalf("interrupted session: err %v, want injected failure", err)
+	}
+	cp.Close()
+
+	cp = openCheckpoint(t, dir, g, opts)
+	defer cp.Close()
+	if served, ok := cp.ServedLevel(0); ok {
+		t.Fatalf("level 0, never sealed, is served whole: %d blocks", len(served))
+	}
+	exec := &recordingExecutor{inner: LocalExecutor{Parallelism: 2}}
+	runOpts = opts
+	runOpts.Checkpoint, runOpts.Executor = cp, exec
+	got, err := FindMaxCliques(g, runOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Stats.ResumedBlocks != done {
+		t.Fatalf("ResumedBlocks = %d, want the %d blocks the journal has done", got.Stats.ResumedBlocks, done)
+	}
+	total := 0
+	for _, lvl := range want.Stats.Levels {
+		total += lvl.Blocks
+	}
+	if len(exec.ids) != total-done {
+		t.Fatalf("the resume ran %d blocks, want the %d not done", len(exec.ids), total-done)
+	}
+	if !reflect.DeepEqual(want.Cliques, got.Cliques) {
+		t.Fatalf("the resume changed the cliques or their order: %d vs %d", len(got.Cliques), len(want.Cliques))
+	}
+}
+
+// TestResumeRerunsBlockWithOtherMembership: a done record whose membership
+// digest is not the re-grown block's is another block's result, whatever
+// its plan index says. That block runs again rather than being served from
+// the record.
+func TestResumeRerunsBlockWithOtherMembership(t *testing.T) {
+	g := gen.HolmeKim(400, 5, 0.7, 29)
+	opts := Options{BlockSize: 24}
+	want, err := FindMaxCliques(g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	cp := openCheckpoint(t, dir, g, opts)
+	runOpts := opts
+	runOpts.Checkpoint = cp
+	runOpts.Executor = &flakyExecutor{inner: &LocalExecutor{Parallelism: 1}, budget: 3}
+	if _, err := FindMaxCliques(g, runOpts); !errors.Is(err, errInjected) {
+		cp.Close()
+		t.Fatalf("interrupted session: err %v, want injected failure", err)
+	}
+	cp.Close()
+
+	// Block 1's record is superseded by one for other members, whose
+	// cliques are not this graph's.
+	cp = openCheckpoint(t, dir, g, opts)
+	id, other := runlog.BlockID{Level: 0, Plan: 1}, uint64(0xbad)
+	if _, served := cp.BlockDispatched(id, other); served {
+		t.Fatal("a done record was served to other members")
+	}
+	bogus := family.Of([][]int32{{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}}).Window()
+	if err := cp.BlockDone(id, other, bogus); err != nil {
+		t.Fatal(err)
+	}
+	cp.Close()
+
+	cp = openCheckpoint(t, dir, g, opts)
+	defer cp.Close()
+	exec := &recordingExecutor{inner: LocalExecutor{Parallelism: 2}}
+	runOpts = opts
+	runOpts.Checkpoint, runOpts.Executor = cp, exec
+	got, err := FindMaxCliques(g, runOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want.Cliques, got.Cliques) {
+		t.Fatalf("the resume served another block's record: %d cliques, want %d", len(got.Cliques), len(want.Cliques))
+	}
+	if got.Stats.ResumedBlocks != 2 || !slices.Contains(exec.ids, id) {
+		t.Fatalf("ResumedBlocks = %d with block 1 run %v, want blocks 0 and 2 served and block 1 run", got.Stats.ResumedBlocks, slices.Contains(exec.ids, id))
+	}
+}
+
+// recordingExecutor runs blocks on a LocalExecutor and records the ID of
+// every block it ran rather than served from the checkpoint.
 type recordingExecutor struct {
 	inner LocalExecutor
 	mu    sync.Mutex
 	ids   []runlog.BlockID
 }
 
-func (e *recordingExecutor) Analyze(ctx context.Context, g *graph.Graph, plan *decomp.Plan, rule dtree.Rule, ids []runlog.BlockID, obs runlog.BatchObserver) ([]family.Window, error) {
-	e.mu.Lock()
-	e.ids = append(e.ids, ids...)
-	e.mu.Unlock()
-	return e.inner.Analyze(ctx, g, plan, rule, ids, obs)
+func (e *recordingExecutor) Analyze(ctx context.Context, g *graph.Graph, plan *decomp.Plan, rule dtree.Rule, level int, obs runlog.BatchObserver) ([]family.Window, error) {
+	return e.inner.Analyze(ctx, g, plan, rule, level, recorder{obs, e})
+}
+
+type recorder struct {
+	runlog.BatchObserver
+	e *recordingExecutor
+}
+
+func (r recorder) BlockDispatched(id runlog.BlockID, member uint64) (family.Window, bool) {
+	w, served := r.BatchObserver.BlockDispatched(id, member)
+	if !served {
+		r.e.mu.Lock()
+		r.e.ids = append(r.e.ids, id)
+		r.e.mu.Unlock()
+	}
+	return w, served
 }
 
 // TestResumeRegrowsLevelWithCorruptFrame: with one frame of level 0's log
 // corrupted, that level is no longer served whole — it is planned again,
-// the plan checked against the journal's count and digest, and exactly the
-// block whose frame no longer verifies runs again; the levels above are
-// still served without planning.
+// each block served by its membership digest but the one whose frame no
+// longer verifies, which runs again, and the plan checked at the seal
+// against the journal's count and digest; the levels above are still served
+// without planning.
 func TestResumeRegrowsLevelWithCorruptFrame(t *testing.T) {
 	g := gen.HolmeKim(400, 5, 0.7, 29)
 	opts := Options{BlockSize: 24}
@@ -291,9 +410,10 @@ func TestResumeRegrowsLevelWithCorruptFrame(t *testing.T) {
 	}
 }
 
-// TestResumeRefusesFlippedPlan: a journal whose level 0 plan has the same
-// block count as this run's but one node in another role is refused by its
-// plan digest rather than merged.
+// TestResumeRefusesFlippedPlan: a journal that sealed level 0 with a plan
+// of the same block count as this run's but one node in another role is
+// refused by its plan digest at the re-grown level's seal rather than
+// merged.
 func TestResumeRefusesFlippedPlan(t *testing.T) {
 	g := gen.HolmeKim(300, 5, 0.7, 31)
 	opts := Options{BlockSize: 24}
@@ -317,7 +437,7 @@ func TestResumeRefusesFlippedPlan(t *testing.T) {
 
 	dir := t.TempDir()
 	cp := openCheckpoint(t, dir, g, opts)
-	if err := cp.BeginLevel(0, len(blocks), decomp.SealedPlan(blocks).Digest()); err != nil {
+	if err := cp.SealLevel(0, len(blocks), sealedPlan(blocks).Digest()); err != nil {
 		t.Fatal(err)
 	}
 	cp.Close()
@@ -334,14 +454,14 @@ func TestResumeRefusesFlippedPlan(t *testing.T) {
 // forbiddenExecutor fails the test if a resumed run dispatches anything.
 type forbiddenExecutor struct{}
 
-func (forbiddenExecutor) Analyze(context.Context, *graph.Graph, *decomp.Plan, dtree.Rule, []runlog.BlockID, runlog.BatchObserver) ([]family.Window, error) {
+func (forbiddenExecutor) Analyze(context.Context, *graph.Graph, *decomp.Plan, dtree.Rule, int, runlog.BatchObserver) ([]family.Window, error) {
 	return nil, errors.New("executor invoked on a fully-journaled resume")
 }
 
 // flakyExecutor wraps a LocalExecutor and injects a deterministic crash
 // after a budget of block completions — the stand-in for a coordinator
-// dying mid-run. It processes blocks one at a time so the failure point is
-// exact.
+// dying mid-run: the block past the budget fails before the checkpoint
+// hears of it. With one worker the failure point is exact.
 type flakyExecutor struct {
 	inner  *LocalExecutor
 	mu     sync.Mutex
@@ -360,19 +480,20 @@ func (f *flakyExecutor) take() bool {
 	return true
 }
 
-func (f *flakyExecutor) Analyze(ctx context.Context, g *graph.Graph, plan *decomp.Plan, rule dtree.Rule, ids []runlog.BlockID, obs runlog.BatchObserver) ([]family.Window, error) {
-	var out []family.Window
-	for i := 0; plan.Block(i) != nil; i++ {
-		if !f.take() {
-			return nil, errInjected
-		}
-		res, err := f.inner.Analyze(ctx, g, decomp.SealedPlan([]decomp.Block{*plan.Block(i)}), rule, ids[i:i+1], obs)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, res[0])
+func (f *flakyExecutor) Analyze(ctx context.Context, g *graph.Graph, plan *decomp.Plan, rule dtree.Rule, level int, obs runlog.BatchObserver) ([]family.Window, error) {
+	return f.inner.Analyze(ctx, g, plan, rule, level, flakyObserver{obs, f})
+}
+
+type flakyObserver struct {
+	runlog.BatchObserver
+	f *flakyExecutor
+}
+
+func (o flakyObserver) BlockDone(id runlog.BlockID, member uint64, cliques family.Window) error {
+	if !o.f.take() {
+		return errInjected
 	}
-	return out, nil
+	return o.BatchObserver.BlockDone(id, member, cliques)
 }
 
 // TestResumeAfterResume drives a run through two injected crashes and a

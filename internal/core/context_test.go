@@ -47,36 +47,8 @@ func TestLocalExecutorContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	exec := &LocalExecutor{}
-	if _, err := exec.AnalyzeBlocksContext(ctx, blocks, combo); !errors.Is(err, context.Canceled) {
+	if _, err := exec.Analyze(ctx, nil, sealedPlan(blocks), dtree.Rule{Mode: dtree.RuleAsIs, Combo: combo}, 0, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-}
-
-// TestAnalyzeBlocksDelegatesToContext pins the non-ctx → ctx delegation:
-// AnalyzeBlocks must be exactly AnalyzeBlocksContext(Background), so both
-// return the same clique family for the same block list.
-func TestAnalyzeBlocksDelegatesToContext(t *testing.T) {
-	g := gen.HolmeKim(120, 4, 0.6, 47)
-	feasible, _ := decomp.Cut(g, g.MaxDegree()+1)
-	blocks := decomp.Blocks(g, feasible, g.MaxDegree()+1, decomp.Options{})
-	combo := mcealg.Combo{Alg: mcealg.Tomita, Struct: mcealg.BitSets}
-	exec := &LocalExecutor{}
-	plain, err := exec.AnalyzeBlocks(blocks, combo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctxed, err := exec.AnalyzeBlocksContext(context.Background(), blocks, combo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plain) != len(ctxed) {
-		t.Fatalf("AnalyzeBlocks returned %d block results, AnalyzeBlocksContext %d", len(plain), len(ctxed))
-	}
-	for i := range plain {
-		if plain[i].Count != ctxed[i].Count {
-			t.Fatalf("block %d: %d cliques without context, %d with background context",
-				i, plain[i].Count, ctxed[i].Count)
-		}
 	}
 }
 
@@ -93,7 +65,7 @@ type stoppingExecutor struct {
 
 var errBadCombo = mcealg.Combo{Alg: 99}
 
-func (e *stoppingExecutor) Analyze(ctx context.Context, g *graph.Graph, plan *decomp.Plan, rule dtree.Rule, ids []runlog.BlockID, obs runlog.BatchObserver) ([]family.Window, error) {
+func (e *stoppingExecutor) Analyze(ctx context.Context, g *graph.Graph, plan *decomp.Plan, rule dtree.Rule, level int, obs runlog.BatchObserver) ([]family.Window, error) {
 	if e.plan == nil {
 		e.plan = plan
 	}
@@ -103,7 +75,7 @@ func (e *stoppingExecutor) Analyze(ctx context.Context, g *graph.Graph, plan *de
 	} else {
 		rule = dtree.Rule{Mode: dtree.RuleAsIs, Combo: errBadCombo}
 	}
-	return e.inner.Analyze(ctx, g, plan, rule, ids, obs)
+	return e.inner.Analyze(ctx, g, plan, rule, level, obs)
 }
 
 // TestGrowerStopsWithTheLevel: a level whose analysis stops in the middle —
@@ -150,9 +122,10 @@ func TestGrowerStopsWithTheLevel(t *testing.T) {
 // sealedFirstExecutor hands a LocalExecutor each plan only once it is sealed.
 type sealedFirstExecutor struct{ inner LocalExecutor }
 
-func (e *sealedFirstExecutor) Analyze(ctx context.Context, g *graph.Graph, plan *decomp.Plan, rule dtree.Rule, ids []runlog.BlockID, obs runlog.BatchObserver) ([]family.Window, error) {
-	plan.Wait()
-	return e.inner.Analyze(ctx, g, plan, rule, ids, obs)
+func (e *sealedFirstExecutor) Analyze(ctx context.Context, g *graph.Graph, plan *decomp.Plan, rule dtree.Rule, level int, obs runlog.BatchObserver) ([]family.Window, error) {
+	for i := 1; plan.Block(i) != nil; i++ { // walk to the seal; taking block 0 would start the analysis
+	}
+	return e.inner.Analyze(ctx, g, plan, rule, level, obs)
 }
 
 // TestOverlappedLevelMatchesSealed: a level grown beside its analysis
@@ -201,7 +174,7 @@ func TestLocalExecutorPlanSealedDuringCall(t *testing.T) {
 	blocks := decomp.Grow(g, feasible, m, decomp.Options{})
 	exec := &LocalExecutor{Parallelism: 2}
 	sel := dtree.Rule{Mode: dtree.RuleAsIs, Combo: mcealg.Combo{Alg: mcealg.Tomita, Struct: mcealg.BitSets}}
-	want, err := exec.Analyze(context.Background(), g, decomp.SealedPlan(blocks), sel, nil, nil)
+	want, err := exec.Analyze(context.Background(), g, sealedPlan(blocks), sel, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +186,7 @@ func TestLocalExecutorPlanSealedDuringCall(t *testing.T) {
 				plan.Append(b)
 			}
 		}()
-		got, err := exec.Analyze(context.Background(), g, plan, sel, nil, nil)
+		got, err := exec.Analyze(context.Background(), g, plan, sel, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

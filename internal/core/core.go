@@ -25,7 +25,6 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -61,16 +60,18 @@ import (
 // stops the batch — work already shipped to remote workers included — and
 // fails the call with ctx.Err().
 //
-// ids and obs are nil for plain batches. On a checkpointing run
-// (Options.Checkpoint) the plan is sealed before the call, ids[i] is block
-// i's stable identity in the run plan and obs is told the moment each block
-// is dispatched and the moment its result is complete, so a coordinator
-// killed mid-batch loses at most the blocks still in flight.
-// Implementations: LocalExecutor (in-process pool, which analyses each
-// block as soon as it is planned) and cluster.Client (TCP workers, which
-// waits for the seal).
+// level is the recursion depth of the plan: block i's stable identity in
+// the run is runlog.BlockID{Level: level, Plan: i}. obs is nil for plain
+// batches. On a checkpointing run (Options.Checkpoint) each block is offered
+// to obs as it is taken, with its membership digest (decomp.Block.Digest):
+// a block an earlier session finished is served from the checkpoint and not
+// run; any other is journaled as dispatched, and obs is told the moment its
+// result is complete, so a coordinator killed mid-batch loses at most the
+// blocks still in flight. Implementations: LocalExecutor (in-process pool)
+// and cluster.Client (TCP workers); both take each block as soon as it is
+// planned.
 type Executor interface {
-	Analyze(ctx context.Context, g *graph.Graph, plan *decomp.Plan, rule dtree.Rule, ids []runlog.BlockID, obs runlog.BatchObserver) ([]family.Window, error)
+	Analyze(ctx context.Context, g *graph.Graph, plan *decomp.Plan, rule dtree.Rule, level int, obs runlog.BatchObserver) ([]family.Window, error)
 }
 
 // Options configures FindMaxCliques.
@@ -166,11 +167,9 @@ type LevelStats struct {
 	// the whole level's (its hub recursion excluded). Decomp is CutTime +
 	// BlocksTime. Analysis runs from the executor's first take of a block
 	// to its return, and includes inducing and selecting on the workers.
-	// Grow and analysis overlap: a LocalExecutor takes each block the
-	// moment the grower publishes it, so Decomp + Analysis exceeds Wall by
-	// the overlap. A checkpointed level, whose plan is journaled before any
-	// block runs, and a cluster.Client, which sizes its batch by the block
-	// count, take no block before the seal; there the two fit in Wall.
+	// Grow and analysis overlap: every executor takes each block the moment
+	// the grower publishes it, checkpointed or not, so Decomp + Analysis
+	// exceeds Wall by the overlap.
 	Decomp, Analysis, Wall time.Duration
 	// CutTime is CUT (Algorithm 2); BlocksTime is the serial grow of BLOCKS
 	// (Algorithm 3: membership only, no induced subgraph), timed on the
@@ -265,17 +264,6 @@ type LocalExecutor struct {
 	IntraBlockParallelism int
 }
 
-// AnalyzeBlocks is AnalyzeBlocksContext without cancellation.
-func (e *LocalExecutor) AnalyzeBlocks(blocks []decomp.Block, combo mcealg.Combo) ([]family.Window, error) {
-	return e.AnalyzeBlocksContext(context.Background(), blocks, combo)
-}
-
-// AnalyzeBlocksContext is Analyze for a plain batch of induced blocks under
-// one combo, as it is (no level graph, no block IDs, no observer).
-func (e *LocalExecutor) AnalyzeBlocksContext(ctx context.Context, blocks []decomp.Block, combo mcealg.Combo) ([]family.Window, error) {
-	return e.Analyze(ctx, nil, decomp.SealedPlan(blocks), dtree.Rule{Mode: dtree.RuleAsIs, Combo: combo}, nil, nil)
-}
-
 // Analyze implements Executor. Workers claim the next block index from a
 // shared counter — the order of claims is the order of the plan — wait for
 // that block if the grower has not published it yet, and each runs
@@ -285,15 +273,13 @@ func (e *LocalExecutor) AnalyzeBlocksContext(ctx context.Context, blocks []decom
 // sealed plan is done. Cancellation, or one block's failure, stops the pool from
 // starting new blocks (blocks already being analysed run to completion —
 // block analysis has no preemption points) and the call returns ctx.Err()
-// or the first failure. With an observer, each block's completion is
-// reported as it happens, so a checkpointing run can make it durable before
-// the batch finishes.
+// or the first failure. With an observer, a worker offers each block it
+// claims to the observer first and serves it from there when an earlier
+// session finished it, and reports each completion as it happens, so a
+// checkpointing run can make it durable before the batch finishes.
 //
 //mce:hotpath block-analysis worker pool
-func (e *LocalExecutor) Analyze(ctx context.Context, g *graph.Graph, plan *decomp.Plan, rule dtree.Rule, ids []runlog.BlockID, obs runlog.BatchObserver) ([]family.Window, error) {
-	if obs != nil && len(ids) != plan.Wait() {
-		return nil, arityMismatch(plan.Len(), len(ids))
-	}
+func (e *LocalExecutor) Analyze(ctx context.Context, g *graph.Graph, plan *decomp.Plan, rule dtree.Rule, level int, obs runlog.BatchObserver) ([]family.Window, error) {
 	workers := e.Parallelism
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -351,6 +337,14 @@ func (e *LocalExecutor) Analyze(ctx context.Context, g *graph.Graph, plan *decom
 				if stop.Load() || ctx.Err() != nil {
 					return
 				}
+				id, member := runlog.BlockID{Level: level, Plan: i}, uint64(0)
+				if obs != nil {
+					member = b.Digest()
+					if served, ok := obs.BlockDispatched(id, member); ok {
+						mine = append(mine, placed{i, served})
+						continue
+					}
+				}
 				// Memory guard: over budget, workers pause here instead of
 				// piling more clique sets into the heap. ctx cancellation
 				// releases the wait.
@@ -358,9 +352,6 @@ func (e *LocalExecutor) Analyze(ctx context.Context, g *graph.Graph, plan *decom
 				if ctx.Err() != nil {
 					guard.Exit()
 					return
-				}
-				if obs != nil {
-					obs.BlockDispatched(ids[i])
 				}
 				var t0 time.Time
 				if met != nil {
@@ -387,7 +378,7 @@ func (e *LocalExecutor) Analyze(ctx context.Context, g *graph.Graph, plan *decom
 				if err == nil && obs != nil {
 					// Durability before acknowledgement: the block only
 					// counts once its cliques are journaled.
-					err = obs.BlockDone(ids[i], cliques)
+					err = obs.BlockDone(id, member, cliques)
 				}
 				guard.Exit()
 				if err != nil {
@@ -469,17 +460,6 @@ func lap(c *telemetry.Counter, t0 time.Time) time.Time {
 	now := time.Now()
 	c.Add(int64(now.Sub(t0)))
 	return now
-}
-
-// arityMismatch formats the length errors of Analyze. It is a separate,
-// never-inlined function so the fmt machinery and its boxed arguments stay
-// off the hot path: Analyze is a hot-path root and a mismatch fires at most
-// once per batch.
-//
-//mce:coldpath error formatting, at most once per batch
-//go:noinline
-func arityMismatch(blocks, ids int) error {
-	return fmt.Errorf("core: %d blocks but %d block IDs", blocks, ids)
 }
 
 // ErrNoNodes is returned for a graph with no nodes at all; the empty graph
@@ -692,18 +672,16 @@ func (r *run) level(ctx context.Context, g *graph.Graph, depth int, out sink) er
 		induceNs, selectNs = met.InduceNs.Load(), met.SelectNs.Load()
 	}
 	var perBlock []family.Window
-	var err error
-	cp, served, isServed := opts.Checkpoint, 0, false
+	served, err := false, error(nil)
 	began := time.Now() // the analysis' start
-	if cp != nil {
-		served, isServed = cp.ServedLevel(depth)
+	if cp := opts.Checkpoint; cp != nil {
+		perBlock, served = cp.ServedLevel(depth)
 	}
-	if isServed {
-		// An earlier session finished this level: its cliques are served
-		// from the level's log, and the plan is not grown again only to be
+	if served {
+		// An earlier session sealed this level: its cliques are served from
+		// the level's log, and the plan is not grown again only to be
 		// counted. Every feasible node was a kernel of one of its blocks.
-		ls.Blocks, ls.Kernel = served, len(feasible)
-		perBlock, err = serveLevel(cp, depth, served)
+		ls.Blocks, ls.Kernel = len(perBlock), len(feasible)
 	} else {
 		perBlock, began, err = r.growAndAnalyze(ctx, g, feasible, m, depth, &ls)
 	}
@@ -784,34 +762,22 @@ func (r *run) levelDone(ls LevelStats) {
 	}
 }
 
-// serveLevel takes every block of a served level from the checkpoint's log,
-// indexed like the plan it was journaled under, and closes the level.
-func serveLevel(cp *runlog.Checkpoint, level, blocks int) ([]family.Window, error) {
-	perBlock := make([]family.Window, blocks)
-	for i := range perBlock {
-		cliques, ok := cp.DoneCliques(runlog.BlockID{Level: level, Plan: i})
-		if !ok {
-			return nil, fmt.Errorf("core: block %d of served level %d is not in the checkpoint's log", i, level)
-		}
-		perBlock[i] = cliques
-	}
-	return perBlock, cp.EndLevel(level)
-}
-
 // growAndAnalyze runs BLOCKS and BLOCK-ANALYSIS of one level. BLOCKS'
 // serial half — which nodes each block holds and in which role — runs on a
 // goroutine of its own and publishes each block into the level's plan the
 // moment it is planned; everything after it — induce, select, analyse — is
 // a function of (g, one block) and runs on the executor's goroutines, which
-// start on the first block while the rest are still being grown. A
-// checkpointed level waits for the seal instead — BeginLevel journals the
-// block count and the plan digest before any block runs. The grower stops
-// early when ctx is cancelled or the executor returns first (a failed
-// block), and is joined before this returns. began is when the analysis
-// started: when the executor first took a block, which is at the seal or
-// later for an executor that waits for it, or now if it took none.
+// start on the first block while the rest are still being grown. That is
+// the one path of every level, checkpointed or not, local or distributed: on
+// a checkpointing run the executor offers each block to the checkpoint as
+// it takes it, and the level is sealed — its block count and plan digest
+// journaled, or checked against the journal's — once every block is done,
+// before any of its cliques is emitted. The grower stops early when ctx is
+// cancelled or the executor returns first (a failed block), and is joined
+// before this returns. began is when the executor first took a block, or
+// now if it took none.
 func (r *run) growAndAnalyze(ctx context.Context, g *graph.Graph, feasible []int32, m, depth int, ls *LevelStats) (perBlock []family.Window, began time.Time, err error) {
-	met := r.opts.Metrics
+	met, cp := r.opts.Metrics, r.opts.Checkpoint
 	plan := decomp.NewPlan(len(feasible))
 	growCtx, stopGrow := context.WithCancel(ctx)
 	var grew sync.WaitGroup
@@ -835,17 +801,19 @@ func (r *run) growAndAnalyze(ctx context.Context, g *graph.Graph, feasible []int
 		})
 		ls.BlocksTime = time.Since(growStart)
 	}()
-	if cp := r.opts.Checkpoint; cp != nil {
-		grew.Wait()
-		// A grower stopped by ctx sealed a plan that is not the level's.
-		if err = ctx.Err(); err == nil {
-			perBlock, err = r.analyzeCheckpointed(ctx, cp, g, plan, depth)
-		}
-	} else {
-		perBlock, err = r.exec.Analyze(ctx, g, plan, r.rule, nil, nil)
+	var obs runlog.BatchObserver
+	if cp != nil {
+		obs = cp
 	}
+	perBlock, err = r.exec.Analyze(ctx, g, plan, r.rule, depth, obs)
 	stopGrow()
 	grew.Wait()
+	if err == nil {
+		err = ctx.Err() // a grower stopped by ctx sealed a plan that is not the level's
+	}
+	if err == nil && cp != nil {
+		err = cp.SealLevel(depth, plan.Len(), plan.Digest())
+	}
 	began, ok := plan.Taken()
 	if !ok { // no block was taken: the analysis had nothing to wait for
 		began = time.Now()
@@ -860,48 +828,4 @@ func (r *run) growAndAnalyze(ctx context.Context, g *graph.Graph, feasible []int
 		met.BlocksNs.Add(int64(ls.BlocksTime))
 	}
 	return perBlock, began, err
-}
-
-// analyzeCheckpointed runs one level's batch against the checkpoint once its
-// plan is sealed: the level's block plan is journaled (and validated, count
-// and digest, against a resumed journal), blocks the journal records as done
-// are served from the level's result log, and only the remainder is
-// dispatched, each block handed to the checkpoint by the executor the moment
-// it completes and durable by EndLevel. Results come back indexed by plan
-// position, so resumed and fresh runs produce identical output; a block
-// served from the log is never induced, and the checkpoint reads a level's
-// log once, into one family.
-func (r *run) analyzeCheckpointed(ctx context.Context, cp *runlog.Checkpoint, g *graph.Graph, plan *decomp.Plan, level int) ([]family.Window, error) {
-	n := plan.Wait()
-	if err := cp.BeginLevel(level, n, plan.Digest()); err != nil {
-		return nil, err
-	}
-	perBlock := make([]family.Window, n)
-	var pend []decomp.Block
-	var ids []runlog.BlockID
-	for i := 0; i < n; i++ {
-		id := runlog.BlockID{Level: level, Plan: i}
-		if cliques, ok := cp.DoneCliques(id); ok {
-			perBlock[i] = cliques
-			continue
-		}
-		if pend == nil { // sized on the first pending block: a full resume allocates neither
-			pend = make([]decomp.Block, 0, n-i)
-			ids = make([]runlog.BlockID, 0, n-i)
-		}
-		pend, ids = append(pend, *plan.Block(i)), append(ids, id)
-	}
-	if len(pend) > 0 {
-		results, err := r.exec.Analyze(ctx, g, decomp.SealedPlan(pend), r.rule, ids, cp)
-		if err != nil {
-			return nil, err
-		}
-		for pos, id := range ids {
-			perBlock[id.Plan] = results[pos]
-		}
-	}
-	if err := cp.EndLevel(level); err != nil {
-		return nil, err
-	}
-	return perBlock, nil
 }

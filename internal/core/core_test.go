@@ -313,30 +313,27 @@ func TestLocalExecutorErrorPropagates(t *testing.T) {
 	// Force an error by requesting Matrix on an oversized block via a
 	// malicious selector bypassing SafePredict.
 	blocks := []decomp.Block{{Graph: graph.Empty(mcealg.MatrixMaxNodes + 1)}}
-	_, err := (&LocalExecutor{}).AnalyzeBlocks(blocks, mcealg.Combo{Alg: mcealg.Tomita, Struct: mcealg.Matrix})
+	_, err := (&LocalExecutor{}).Analyze(context.Background(), nil, sealedPlan(blocks), dtree.Rule{Mode: dtree.RuleAsIs, Combo: mcealg.Combo{Alg: mcealg.Tomita, Struct: mcealg.Matrix}}, 0, nil)
 	if err == nil {
 		t.Fatalf("oversized matrix block did not error")
 	}
 }
 
-// An observed batch must carry one identity per block.
-func TestLocalExecutorIDMismatch(t *testing.T) {
-	g := gen.ErdosRenyi(50, 0.2, 3)
-	feasible, _ := decomp.Cut(g, g.MaxDegree()+1)
-	blocks := decomp.Grow(g, feasible, g.MaxDegree()+1, decomp.Options{})
-	cp := openCheckpoint(t, t.TempDir(), g, Options{})
-	defer cp.Close()
-	_, err := (&LocalExecutor{}).Analyze(context.Background(), g, decomp.SealedPlan(blocks), dtree.Rule{Mode: dtree.RuleAsIs, Combo: mcealg.Combo{}}, make([]runlog.BlockID, len(blocks)+1), cp)
-	if err == nil {
-		t.Fatalf("mismatched lengths accepted")
-	}
-}
-
 func TestLocalExecutorEmpty(t *testing.T) {
-	out, err := (&LocalExecutor{}).AnalyzeBlocks(nil, mcealg.Combo{})
+	out, err := (&LocalExecutor{}).Analyze(context.Background(), nil, sealedPlan(nil), dtree.Rule{Mode: dtree.RuleAsIs}, 0, nil)
 	if err != nil || len(out) != 0 {
 		t.Fatalf("empty batch: %v, %v", out, err)
 	}
+}
+
+// sealedPlan is a plan already complete over blocks.
+func sealedPlan(blocks []decomp.Block) *decomp.Plan {
+	p := decomp.NewPlan(len(blocks))
+	for _, b := range blocks {
+		p.Append(b)
+	}
+	p.Seal()
+	return p
 }
 
 // Property: FindMaxCliques equals the reference enumeration for random
@@ -443,7 +440,7 @@ func BenchmarkLocalExecutor(b *testing.B) {
 			exec := &LocalExecutor{Parallelism: width}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := exec.Analyze(context.Background(), g, decomp.SealedPlan(blocks), sel, nil, nil); err != nil {
+				if _, err := exec.Analyze(context.Background(), g, sealedPlan(blocks), sel, 0, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -489,7 +486,7 @@ func TestStatsLevelsShrink(t *testing.T) {
 // failingExecutor returns an error on every batch.
 type failingExecutor struct{}
 
-func (failingExecutor) Analyze(context.Context, *graph.Graph, *decomp.Plan, dtree.Rule, []runlog.BlockID, runlog.BatchObserver) ([]family.Window, error) {
+func (failingExecutor) Analyze(context.Context, *graph.Graph, *decomp.Plan, dtree.Rule, int, runlog.BatchObserver) ([]family.Window, error) {
 	return nil, fmt.Errorf("synthetic executor failure")
 }
 

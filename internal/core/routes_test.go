@@ -55,15 +55,15 @@ type countingExecutor struct {
 	planned atomic.Int64
 }
 
-func (e *countingExecutor) Analyze(ctx context.Context, g *graph.Graph, plan *decomp.Plan, rule dtree.Rule, ids []runlog.BlockID, obs runlog.BatchObserver) ([]family.Window, error) {
-	n := plan.Wait()
-	for i := 0; i < n; i++ {
-		if plan.Block(i).Graph != nil {
+func (e *countingExecutor) Analyze(ctx context.Context, g *graph.Graph, plan *decomp.Plan, rule dtree.Rule, level int, obs runlog.BatchObserver) ([]family.Window, error) {
+	n := 0
+	for ; plan.Block(n) != nil; n++ {
+		if plan.Block(n).Graph != nil {
 			return nil, errors.New("the engine induced a block before its executor saw it")
 		}
 	}
 	e.planned.Add(int64(n))
-	return e.inner.Analyze(ctx, g, plan, rule, ids, obs)
+	return e.inner.Analyze(ctx, g, plan, rule, level, obs)
 }
 
 // startFaultyWorker serves one worker behind a fault-injecting listener.

@@ -224,7 +224,7 @@ func BenchmarkAnalyzeBlocksTelemetry(b *testing.B) {
 		exec := &LocalExecutor{Parallelism: 1, Metrics: eng}
 		b.ReportAllocs()
 		for n := 0; n < b.N; n++ {
-			if _, err := exec.Analyze(context.Background(), g, decomp.SealedPlan(blocks), sel, nil, nil); err != nil {
+			if _, err := exec.Analyze(context.Background(), g, sealedPlan(blocks), sel, 0, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -260,8 +260,8 @@ func TestPlanDigestSeesOneFlip(t *testing.T) {
 	m := 24
 	feasible, _ := Cut(g, m)
 	plan := func() []Block { return Grow(g, feasible, m, Options{}) }
-	base := SealedPlan(plan()).Digest()
-	if SealedPlan(plan()).Digest() != base {
+	base := sealedPlan(plan()).Digest()
+	if sealedPlan(plan()).Digest() != base {
 		t.Fatal("the same plan digests differently")
 	}
 	flips := map[string]func([]Block){
@@ -287,7 +287,7 @@ func TestPlanDigestSeesOneFlip(t *testing.T) {
 	for name, flip := range flips {
 		bs := plan()
 		flip(bs)
-		if SealedPlan(bs).Digest() == base {
+		if sealedPlan(bs).Digest() == base {
 			t.Errorf("%s: plan digest unchanged", name)
 		}
 	}

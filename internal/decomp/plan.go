@@ -1,7 +1,6 @@
 package decomp
 
 import (
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -37,20 +36,6 @@ const planChunk = 512
 func NewPlan(maxBlocks int) *Plan {
 	p := &Plan{chunks: make([][]Block, (maxBlocks+planChunk-1)/planChunk), max: maxBlocks, born: time.Now()}
 	p.cond.L = &p.mu
-	return p
-}
-
-// SealedPlan wraps blocks as a plan that is already complete. The plan
-// reads blocks in place; the caller must not change them afterwards.
-func SealedPlan(blocks []Block) *Plan {
-	p := &Plan{chunks: make([][]Block, 0, (len(blocks)+planChunk-1)/planChunk), born: time.Now()}
-	p.cond.L = &p.mu
-	p.n.Store(int64(len(blocks)))
-	for len(blocks) > 0 {
-		k := min(len(blocks), planChunk)
-		p.chunks, blocks = append(p.chunks, blocks[:k:k]), blocks[k:]
-	}
-	p.sealed.Store(true)
 	return p
 }
 
@@ -117,12 +102,6 @@ func (p *Plan) Len() int { return int(p.n.Load()) }
 // Sealed reports whether the writer is done: Len is then final.
 func (p *Plan) Sealed() bool { return p.sealed.Load() }
 
-// Wait blocks until the plan is sealed and returns its length.
-func (p *Plan) Wait() int {
-	p.wait(math.MaxInt)
-	return p.Len()
-}
-
 // wait parks the caller until block i is published or the plan is sealed,
 // and reports whether block i exists. A reader counts itself in waiters
 // before it looks at the count again, and the writer looks at waiters after
@@ -138,20 +117,36 @@ func (p *Plan) wait(i int) bool {
 	return i < int(p.n.Load())
 }
 
-// Digest fingerprints the plan once it is sealed: FNV-1a over every block's
-// Orig, Kernel, Border and Visited, each list prefixed by its length, folded
-// a 32-bit word at a time. A checkpoint journals it beside the level's block
-// count, so a resume refuses a plan that changed but kept its count.
+// Bound returns the most blocks the plan may hold, NewPlan's maxBlocks.
+func (p *Plan) Bound() int { return p.max }
+
+// Digest fingerprints the plan once it is sealed: its blocks' digests
+// (Block.Digest) folded in plan order. A checkpoint journals it beside the
+// level's block count at the level's seal, so a resume refuses a plan that
+// changed but kept its count.
 func (p *Plan) Digest() uint64 {
-	const offset64, prime64 = 14695981039346656037, 1099511628211
 	h := uint64(offset64)
-	for i, n := 0, p.Wait(); i < n; i++ {
-		b := p.Block(i)
-		for _, list := range [4][]int32{b.Orig, b.Kernel, b.Border, b.Visited} {
-			h = (h ^ uint64(len(list))) * prime64
-			for _, v := range list {
-				h = (h ^ uint64(uint32(v))) * prime64
-			}
+	for i, n := 0, p.Len(); i < n; i++ {
+		d := p.Block(i).Digest()
+		h = (h ^ d&0xffffffff) * prime64
+		h = (h ^ d>>32) * prime64
+	}
+	return h
+}
+
+// FNV-1a's 64-bit parameters, folded a 32-bit word at a time.
+const offset64, prime64 = 14695981039346656037, 1099511628211
+
+// Digest fingerprints the block's membership: FNV-1a over its Orig, Kernel,
+// Border and Visited, each list prefixed by its length. A checkpoint's done
+// record carries it, so a block is served from the log only when the block
+// re-grown at its plan index has the same members in the same roles.
+func (b *Block) Digest() uint64 {
+	h := uint64(offset64)
+	for _, list := range [4][]int32{b.Orig, b.Kernel, b.Border, b.Visited} {
+		h = (h ^ uint64(len(list))) * prime64
+		for _, v := range list {
+			h = (h ^ uint64(uint32(v))) * prime64
 		}
 	}
 	return h

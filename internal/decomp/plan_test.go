@@ -30,10 +30,20 @@ func pushed(t testing.TB, maxBlocks int, grow func(yield func(Block) bool)) []Bl
 		}
 		blocks = append(blocks, *b)
 	}
-	if n := p.Wait(); n != len(blocks) {
-		t.Fatalf("sealed plan holds %d blocks, read %d", n, len(blocks))
+	if n := p.Len(); !p.Sealed() || n != len(blocks) {
+		t.Fatalf("plan of %d blocks (sealed %v), read %d", n, p.Sealed(), len(blocks))
 	}
 	return blocks
+}
+
+// sealedPlan is a plan already complete over blocks.
+func sealedPlan(blocks []Block) *Plan {
+	p := NewPlan(len(blocks))
+	for _, b := range blocks {
+		p.Append(b)
+	}
+	p.Seal()
+	return p
 }
 
 // TestPlanOneWriterManyReaders: readers that claim indices from a shared
@@ -97,7 +107,7 @@ func TestPlanOneWriterManyReaders(t *testing.T) {
 		}
 		p.Seal()
 		wg.Wait()
-		if p.Wait() != n || p.Len() != n || !p.Sealed() {
+		if p.Len() != n || !p.Sealed() {
 			t.Fatalf("n=%d: sealed plan reports %d blocks", n, p.Len())
 		}
 		for i, c := range seen {
@@ -161,28 +171,6 @@ func TestPlanTaken(t *testing.T) {
 	p.Block(0)
 	if again, _ := p.Taken(); !again.Equal(first) {
 		t.Fatalf("a second take moved the time from %v to %v", first, again)
-	}
-}
-
-// TestSealedPlan: a wrapped slice is a complete plan over the same blocks.
-func TestSealedPlan(t *testing.T) {
-	g := gen.HolmeKim(300, 5, 0.7, 13)
-	feasible, _ := Cut(g, 24)
-	blocks := Grow(g, feasible, 24, Options{})
-	p := SealedPlan(blocks)
-	if !p.Sealed() || p.Wait() != len(blocks) || p.Block(len(blocks)) != nil {
-		t.Fatalf("sealed plan of %d blocks: sealed=%v len=%d", len(blocks), p.Sealed(), p.Len())
-	}
-	for i := range blocks {
-		if p.Block(i) != &blocks[i] {
-			t.Fatalf("block %d is not read in place", i)
-		}
-	}
-	if pushed := pushed(t, len(feasible), GrowSeq(g, feasible, 24, Options{})); SealedPlan(pushed).Digest() != p.Digest() {
-		t.Fatal("a plan grown into a Plan digests differently from the collected one")
-	}
-	if SealedPlan(nil).Wait() != 0 || SealedPlan(nil).Block(0) != nil {
-		t.Fatal("the empty sealed plan is not empty")
 	}
 }
 

@@ -78,11 +78,16 @@ type BlockID struct {
 
 // BatchObserver receives per-block lifecycle callbacks from an executor as
 // a batch runs, so completions are handed to the checkpoint the moment they
-// happen rather than when the whole batch returns. Implementations must
-// tolerate concurrent calls. BlockDone returning an error aborts the batch.
+// happen rather than when the whole batch returns. member is the block's
+// membership digest (decomp.Block.Digest). BlockDispatched is asked as the
+// executor takes each block: it returns the block's cliques when an earlier
+// session finished this very block — the executor then serves them and
+// never runs it — or records the dispatch and returns ok false.
+// Implementations must tolerate concurrent calls. BlockDone returning an
+// error aborts the batch.
 type BatchObserver interface {
-	BlockDispatched(id BlockID)
-	BlockDone(id BlockID, cliques family.Window) error
+	BlockDispatched(id BlockID, member uint64) (served family.Window, ok bool)
+	BlockDone(id BlockID, member uint64, cliques family.Window) error
 }
 
 // ErrIdentityMismatch reports a checkpoint directory that belongs to a
@@ -115,11 +120,12 @@ type doneInfo struct {
 	off, length int // the frame's place in its level's log
 	count       int
 	digest      uint32
+	member      uint64 // the block's membership digest
 	verified    bool
 	cliques     family.Window
 }
 
-// levelPlan is what the journal knows of one level's block plan.
+// levelPlan is what a level's seal record says of its block plan.
 type levelPlan struct {
 	blocks int
 	digest uint64
@@ -140,7 +146,7 @@ type commitItem struct {
 // directly to a checkpoint-aware executor.
 //
 // All methods are safe for concurrent use. Observer calls only hand records
-// to the committer goroutine, which alone writes the files; EndLevel,
+// to the committer goroutine, which alone writes the files; SealLevel,
 // FinishRun and Close wait for it to drain, and Close for it to exit.
 type Checkpoint struct {
 	dir       string
@@ -166,8 +172,7 @@ type Checkpoint struct {
 	degradeErr error // the failure that disabled it
 	resumed    bool
 	runEnded   bool
-	levels     map[int]levelPlan // level → its journaled plan
-	levelEnded map[int]bool      // level → every block done
+	levels     map[int]levelPlan // level → its plan, as its seal record has it
 	levelRead  map[int]bool      // level → its log has been read back
 	dispatched map[BlockID]bool
 	done       map[BlockID]doneInfo
@@ -223,8 +228,9 @@ func InsideCheckpoint(dir string) bool {
 // identity checked against id — ErrIdentityMismatch (wrapped) refuses a
 // resume across a changed graph or changed plan-affecting options, and a
 // version-1 checkpoint (a version-1 journal, or a segments directory) or a
-// version-2 journal is refused by name. On success the checkpoint is ready to journal a run:
-// fresh directories get a run-begin record, resumed ones a resume record.
+// version-2 or version-3 journal is refused by name. On success the
+// checkpoint is ready to journal a run: fresh directories get a run-begin
+// record, resumed ones a resume record.
 func Open(dir string, id Identity, opts Options) (*Checkpoint, error) {
 	fs := opts.FS
 	if fs == nil {
@@ -253,7 +259,6 @@ func Open(dir string, id Identity, opts Options) (*Checkpoint, error) {
 		stopped:    make(chan struct{}),
 		logEnd:     make(map[int]int),
 		levels:     make(map[int]levelPlan),
-		levelEnded: make(map[int]bool),
 		levelRead:  make(map[int]bool),
 		dispatched: make(map[BlockID]bool),
 		done:       make(map[BlockID]doneInfo),
@@ -289,14 +294,12 @@ func (c *Checkpoint) restore(recs []rec, id Identity) error {
 		switch r.kind {
 		case recRunBegin, recResume:
 			if r.graph != id.Graph || r.opts != id.Options {
-				what := "options"
+				what, was, is := "options", r.opts, id.Options
 				if r.graph != id.Graph {
-					what = "graph"
+					what, was, is = "graph", r.graph, id.Graph
 				}
 				return fmt.Errorf("%w: journaled %s digest %#x, this run has %#x — pass a fresh -checkpoint directory to start over",
-					ErrIdentityMismatch, what,
-					pick(r.graph != id.Graph, r.graph, r.opts),
-					pick(r.graph != id.Graph, id.Graph, id.Options))
+					ErrIdentityMismatch, what, was, is)
 			}
 			if i > 0 || r.kind == recResume {
 				c.resumed = true
@@ -308,10 +311,8 @@ func (c *Checkpoint) restore(recs []rec, id Identity) error {
 		case recDone:
 			// The last record of a block wins: a later one is the
 			// re-execution of a frame that no longer verified.
-			c.done[BlockID{r.level, r.plan}] = doneInfo{off: r.off, length: r.length, count: r.count, digest: r.digest}
+			c.done[BlockID{r.level, r.plan}] = doneInfo{off: r.off, length: r.length, count: r.count, digest: r.digest, member: r.member}
 			c.logEnd[r.level] = max(c.logEnd[r.level], r.off+r.length)
-		case recLevelEnd:
-			c.levelEnded[r.level] = true
 		case recRunEnd:
 			c.runEnded = true
 		}
@@ -320,14 +321,6 @@ func (c *Checkpoint) restore(recs []rec, id Identity) error {
 		c.resumed = true
 	}
 	return nil
-}
-
-// pick is a tiny ternary for the mismatch error message.
-func pick(cond bool, a, b uint64) uint64 {
-	if cond {
-		return a
-	}
-	return b
 }
 
 // degrade permanently disables checkpointing for this session after a
@@ -352,7 +345,7 @@ func (c *Checkpoint) degrade(err error) {
 
 // Degraded reports whether a write failure disabled checkpointing mid-run.
 // The committer finds such a failure, so the answer is current as of the
-// last barrier (EndLevel, FinishRun, Close).
+// last barrier (SealLevel, FinishRun, Close).
 func (c *Checkpoint) Degraded() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -563,89 +556,75 @@ func (c *Checkpoint) openLog(level int) error {
 	return nil
 }
 
-// BeginLevel journals one recursion level's block plan: its block count and
-// a digest of its members and roles (decomp.Plan.Digest). A resumed journal
-// that planned the same level differently — another count, or the same count
-// over other members — is refused: the plan is deterministic in (graph,
-// options), so a mismatch means the checkpoint does not belong to this run
-// despite its identity record.
-func (c *Checkpoint) BeginLevel(level, blocks int, digest uint64) error {
+// SealLevel journals that a recursion level is done: every block of its
+// plan is, and the plan holds blocks blocks digesting to digest
+// (decomp.Plan.Digest). It returns once every block handed over so far is
+// durable. A journal that sealed the same level with another plan — another
+// count, or the same count over other members — is refused: the plan is
+// deterministic in (graph, options), so a mismatch means the checkpoint does
+// not belong to this run despite its identity record.
+func (c *Checkpoint) SealLevel(level, blocks int, digest uint64) error {
 	c.mu.Lock()
-	prev, planned := c.levels[level]
-	if !planned {
+	prev, sealed := c.levels[level]
+	if !sealed {
 		c.levels[level] = levelPlan{blocks, digest}
 	}
-	skip := planned || c.disabled()
+	skip := sealed || c.disabled()
 	c.mu.Unlock()
-	if planned && prev != (levelPlan{blocks, digest}) {
+	if sealed && prev != (levelPlan{blocks, digest}) {
 		return fmt.Errorf("%w: level %d planned %d blocks with plan digest %#x, journal recorded %d with %#x",
 			ErrIdentityMismatch, level, blocks, digest, prev.blocks, prev.digest)
 	}
 	if !skip {
-		c.hand(commitItem{rec: rec{kind: recLevel, level: level, blocks: blocks, planDigest: digest}})
+		c.drain(rec{kind: recLevel, level: level, blocks: blocks, planDigest: digest})
 	}
 	return nil
 }
 
-// ServedLevel reports whether an earlier session finished level whole: the
-// journal planned it, and every block of the plan is done with a frame that
-// verifies against the level's log (read here, once, as DoneCliques reads
-// it). Such a level is served from the log by DoneCliques without planning
-// it again — the caller takes blocks from here instead of from BLOCKS. When
-// ok is false, the caller plans the level and goes through BeginLevel.
-func (c *Checkpoint) ServedLevel(level int) (blocks int, ok bool) {
+// ServedLevel returns the cliques of every block of a level an earlier
+// session sealed, indexed by plan position, when each block's frame
+// verifies against the level's log: such a level is not planned again. ok is
+// false for a level the journal never sealed or one with a block missing;
+// the caller then plans it, and BlockDispatched serves what is done.
+func (c *Checkpoint) ServedLevel(level int) (cliques []family.Window, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	plan, planned := c.levels[level]
-	if !planned {
-		return 0, false
+	plan, sealed := c.levels[level]
+	if !sealed {
+		return nil, false
 	}
-	if !c.levelRead[level] {
-		c.levelRead[level] = true
-		c.readLevel(level)
-	}
+	c.readLevel(level)
 	for p := 0; p < plan.blocks; p++ {
 		if !c.done[BlockID{level, p}].verified {
-			return 0, false
+			return nil, false
 		}
 	}
-	return plan.blocks, true
+	cliques = make([]family.Window, plan.blocks)
+	for p := range cliques {
+		cliques[p] = c.done[BlockID{level, p}].cliques
+	}
+	c.served(int64(plan.blocks))
+	return cliques, true
 }
 
-// DoneCliques returns the cliques of a block an earlier session completed,
-// read back from its level's log and verified against the journal; every
-// block of a level is a window of one family, filled by the first call for
-// the level. ok is false when the block is not done, or when its frame is
-// missing, cut short, or disagrees with the journal's length, count or
-// digest — then the done claim is dropped so the caller re-executes the
-// block, whose frame is appended again and whose new record supersedes the
-// old.
-func (c *Checkpoint) DoneCliques(id BlockID) (cliques family.Window, ok bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.levelRead[id.Level] {
-		c.levelRead[id.Level] = true
-		c.readLevel(id.Level)
-	}
-	info, isDone := c.done[id]
-	if !isDone && c.dispatched[id] {
-		c.restored++
-	}
-	if !info.verified {
-		return family.Window{}, false
-	}
-	c.skipped++
+// served counts blocks served from the logs. Callers hold c.mu.
+func (c *Checkpoint) served(n int64) {
+	c.skipped += n
 	if c.met != nil {
-		c.met.CheckpointBlocksSkipped.Inc()
+		c.met.CheckpointBlocksSkipped.Add(n)
 	}
-	return info.cliques, true
 }
 
-// readLevel reads level's log, once and whole, and decodes every frame a
-// done record claims into one family. A claim is dropped unless the bytes it
-// points at are one intact frame of the claimed length whose payload is the
-// claimed digest and count of ascending runs. Callers hold c.mu.
+// readLevel reads level's log the first time the level is asked for, whole,
+// and decodes every frame a done record claims into one family. A claim is
+// dropped unless the bytes it points at are one intact frame of the claimed
+// length whose payload is the claimed digest and count of ascending runs.
+// Callers hold c.mu.
 func (c *Checkpoint) readLevel(level int) {
+	if c.levelRead[level] {
+		return
+	}
+	c.levelRead[level] = true
 	var log []byte
 	if f, err := c.fs.Open(c.logPath(level)); err == nil {
 		log, _ = io.ReadAll(f) // a log cut short by a read error verifies as far as it goes
@@ -702,18 +681,40 @@ func encodeFrame(cliques family.Window) (frame []byte, digest uint32, err error)
 	return frame, crc32.ChecksumIEEE(payload), nil
 }
 
-// BlockDispatched journals that a block was handed to an executor. It
-// implements BatchObserver. The record rides the next commit: it tells a
-// later session only what was in flight, so it is worth no fsync of its own.
-func (c *Checkpoint) BlockDispatched(id BlockID) {
+// BlockDispatched serves a block an earlier session completed, or journals
+// that the block was handed to an executor. It implements BatchObserver. A
+// block is served when the journal has it done with a frame that verifies
+// against its level's log (read on the level's first call, once, into one
+// family) and with the membership digest member, the block re-grown at its
+// plan index. Otherwise the done claim, if any, is dropped — its frame is
+// missing, cut short or disagrees with the record's length, count or
+// digest, or the record is another block's — and the caller runs the block,
+// whose frame is appended again and whose new record supersedes the old.
+// The dispatch record rides the next commit: it tells a later session only
+// what was in flight, so it is worth no fsync of its own.
+func (c *Checkpoint) BlockDispatched(id BlockID, member uint64) (served family.Window, ok bool) {
 	c.mu.Lock()
-	_, isDone := c.done[id]
+	c.readLevel(id.Level)
+	info, isDone := c.done[id]
+	if info.verified && info.member == member {
+		c.served(1)
+		c.mu.Unlock()
+		return info.cliques, true
+	}
+	if info.verified { // another block's record: this one runs, and its record supersedes
+		delete(c.done, id)
+		isDone = false
+	}
+	if !isDone && c.dispatched[id] {
+		c.restored++
+	}
 	skip := isDone || c.dispatched[id] || c.disabled()
 	c.dispatched[id] = true
 	c.mu.Unlock()
 	if !skip {
 		c.hand(commitItem{rec: rec{kind: recDispatch, level: id.Level, plan: id.Plan}})
 	}
+	return family.Window{}, false
 }
 
 // BlockDone hands one block's result to the committer: the cliques are
@@ -729,7 +730,7 @@ func (c *Checkpoint) BlockDispatched(id BlockID) {
 // session and the run continues on its in-memory results. The journal's
 // durable prefix stays intact, so a later resume replays to the last block
 // that actually hit the disk.
-func (c *Checkpoint) BlockDone(id BlockID, cliques family.Window) error {
+func (c *Checkpoint) BlockDone(id BlockID, member uint64, cliques family.Window) error {
 	c.mu.Lock()
 	_, skip := c.done[id]
 	if skip = skip || c.disabled(); !skip {
@@ -744,20 +745,7 @@ func (c *Checkpoint) BlockDone(id BlockID, cliques family.Window) error {
 		c.degrade(err)
 		return nil
 	}
-	c.hand(commitItem{frame: frame, rec: rec{kind: recDone, level: id.Level, plan: id.Plan, count: cliques.Count, digest: digest}})
-	return nil
-}
-
-// EndLevel journals that every block of a level is done, and returns once
-// every block handed over so far is durable.
-func (c *Checkpoint) EndLevel(level int) error {
-	c.mu.Lock()
-	skip := c.levelEnded[level] || c.disabled()
-	c.levelEnded[level] = true
-	c.mu.Unlock()
-	if !skip {
-		c.drain(rec{kind: recLevelEnd, level: level})
-	}
+	c.hand(commitItem{frame: frame, rec: rec{kind: recDone, level: id.Level, plan: id.Plan, count: cliques.Count, digest: digest, member: member}})
 	return nil
 }
 

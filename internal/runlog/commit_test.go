@@ -50,13 +50,12 @@ func TestCommitsAreGrouped(t *testing.T) {
 		t.Fatal(err)
 	}
 	for level := 0; level < levels; level++ {
-		c.BeginLevel(level, blocks, 0)
 		for plan := 0; plan < blocks; plan++ {
 			if err := blockDone(c, runlog.BlockID{Level: level, Plan: plan}, [][]int32{{int32(plan), int32(plan + level + 1)}}); err != nil {
 				t.Fatal(err)
 			}
 		}
-		c.EndLevel(level)
+		c.SealLevel(level, blocks, 0)
 	}
 	c.FinishRun()
 	if err := c.Close(); err != nil {
@@ -70,21 +69,20 @@ func TestCommitsAreGrouped(t *testing.T) {
 		t.Errorf("commits=%d carried %d blocks in %d log bytes, want all %d blocks", snap.CheckpointCommits, snap.CheckpointCommitBlocks, snap.CheckpointLogBytes, levels*blocks)
 	}
 	// Two fsyncs per commit that carried blocks; one for Open's first
-	// record, each level's end and the run's; one more per level should its
-	// plan record have been committed before any block arrived.
-	if got, most := fs.syncs.Load(), 2*snap.CheckpointCommits+2*levels+2; got > most {
+	// record, each level's seal and the run's end.
+	if got, most := fs.syncs.Load(), 2*snap.CheckpointCommits+levels+2; got > most {
 		t.Errorf("%d fsyncs for %d commits, want at most %d", got, snap.CheckpointCommits, most)
 	}
 	if snap.CheckpointCommits*4 > levels*blocks {
 		t.Errorf("%d commits for %d blocks handed over back to back: nothing was batched", snap.CheckpointCommits, levels*blocks)
 	}
-	if snap.CheckpointRecords != 1+levels*(blocks+2)+1 {
-		t.Errorf("CheckpointRecords = %d, want one per record (%d), however they were grouped", snap.CheckpointRecords, 1+levels*(blocks+2)+1)
+	if snap.CheckpointRecords != 1+levels*(blocks+1)+1 {
+		t.Errorf("CheckpointRecords = %d, want one per record (%d), however they were grouped", snap.CheckpointRecords, 1+levels*(blocks+1)+1)
 	}
 }
 
 // TestConcurrentBlockDone hands blocks over from many goroutines at once
-// (run it with -race): EndLevel is the barrier after which every one of
+// (run it with -race): SealLevel is the barrier after which every one of
 // them is durable, in whatever order they reached the log.
 func TestConcurrentBlockDone(t *testing.T) {
 	const levels, workers, perWorker = 2, 8, 50
@@ -97,7 +95,6 @@ func TestConcurrentBlockDone(t *testing.T) {
 		t.Fatal(err)
 	}
 	for level := 0; level < levels; level++ {
-		c.BeginLevel(level, workers*perWorker, 0)
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
@@ -105,7 +102,7 @@ func TestConcurrentBlockDone(t *testing.T) {
 				defer wg.Done()
 				for i := 0; i < perWorker; i++ {
 					id := runlog.BlockID{Level: level, Plan: w*perWorker + i}
-					c.BlockDispatched(id)
+					c.BlockDispatched(id, member(id))
 					if err := blockDone(c, id, cliquesOf(level, id.Plan)); err != nil {
 						t.Error(err)
 					}
@@ -113,7 +110,7 @@ func TestConcurrentBlockDone(t *testing.T) {
 			}()
 		}
 		wg.Wait()
-		c.EndLevel(level)
+		c.SealLevel(level, workers*perWorker, 0)
 		// The barrier has returned: every block of the level has its record
 		// in the journal file, not in a buffer.
 		journal, err := os.ReadFile(runlog.JournalPath(dir))
@@ -121,7 +118,7 @@ func TestConcurrentBlockDone(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got, want := len(recordOffsets(journal, recDone)), (level+1)*workers*perWorker; got != want {
-			t.Fatalf("%d done records in the journal after EndLevel(%d), want %d", got, level, want)
+			t.Fatalf("%d done records in the journal after SealLevel(%d), want %d", got, level, want)
 		}
 	}
 	if err := c.Close(); err != nil {
@@ -141,8 +138,8 @@ func TestConcurrentBlockDone(t *testing.T) {
 	}
 }
 
-// recDone is the journal's record kind for a completed block.
-const recDone = 5
+// The journal's record kinds for a level's seal and a completed block.
+const recLevel, recDone = 3, 5
 
 // recordOffsets returns where each record of the given kind starts in a
 // journal file.

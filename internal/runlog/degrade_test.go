@@ -2,6 +2,7 @@ package runlog_test
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -20,7 +21,7 @@ import (
 var degradeID = runlog.Identity{Graph: 0xabad1dea, Options: 0x5eed}
 
 // driveToFirstDone opens a checkpoint over fs and runs the fixed prefix of
-// a small run: plan 3 blocks, dispatch all, complete block {0,0}. The same
+// a small run: dispatch 3 blocks, complete block {0,0}. The same
 // prefix always writes the same bytes, however the committer batches them,
 // which is what lets the tests place a byte budget at a chosen frame — once
 // committed has seen the whole prefix land.
@@ -31,11 +32,9 @@ func driveToFirstDone(t *testing.T, dir string, fs runlog.FS, onDegrade func(err
 		t.Fatal(err)
 	}
 	cl0 := [][]int32{{1, 2, 3}, {4, 7}}
-	if err := c.BeginLevel(0, 3, 0); err != nil {
-		t.Fatal(err)
-	}
 	for p := 0; p < 3; p++ {
-		c.BlockDispatched(runlog.BlockID{Level: 0, Plan: p})
+		id := runlog.BlockID{Level: 0, Plan: p}
+		c.BlockDispatched(id, member(id))
 	}
 	if err := blockDone(c, runlog.BlockID{Level: 0, Plan: 0}, cl0); err != nil {
 		t.Fatal(err)
@@ -87,8 +86,8 @@ func TestENOSPCMidCheckpointDegrades(t *testing.T) {
 	if err := blockDone(c, runlog.BlockID{Level: 0, Plan: 1}, [][]int32{{8, 9}}); err != nil {
 		t.Fatalf("BlockDone on a full disk must degrade, not fail: %v", err)
 	}
-	if err := c.EndLevel(0); err != nil {
-		t.Fatalf("EndLevel on a full disk must degrade, not fail: %v", err)
+	if err := c.SealLevel(0, 3, 0); err != nil {
+		t.Fatalf("SealLevel on a full disk must degrade, not fail: %v", err)
 	}
 	if !c.Degraded() {
 		t.Fatal("checkpoint not degraded after ENOSPC")
@@ -152,7 +151,7 @@ func TestResumeAfterTornFrame(t *testing.T) {
 			c, cl0 := driveToFirstDone(t, dir, fs, nil, nil)
 			committed(t, fs, prefix)
 			// The next pure-journal append tears mid-frame.
-			if err := c.EndLevel(0); err != nil {
+			if err := c.SealLevel(0, 3, 0); err != nil {
 				t.Fatal(err)
 			}
 			if !c.Degraded() {
@@ -180,7 +179,7 @@ func TestResumeAfterTornFrame(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if err := r.EndLevel(0); err != nil {
+			if err := r.SealLevel(0, 3, 0); err != nil {
 				t.Fatal(err)
 			}
 			if err := r.FinishRun(); err != nil {
@@ -205,15 +204,19 @@ func TestResumeAfterTornFrame(t *testing.T) {
 }
 
 // blockDone and doneCliques put the tests' [][]int32 literals through the
-// checkpoint's window API.
+// checkpoint's window API, each block with the membership digest member
+// gives it; doneCliques is an executor taking the block.
 func blockDone(c *runlog.Checkpoint, id runlog.BlockID, cliques [][]int32) error {
-	return c.BlockDone(id, family.Of(cliques).Window())
+	return c.BlockDone(id, member(id), family.Of(cliques).Window())
 }
 
 func doneCliques(c *runlog.Checkpoint, id runlog.BlockID) ([][]int32, bool) {
-	w, ok := c.DoneCliques(id)
+	w, ok := c.BlockDispatched(id, member(id))
 	return w.Views(nil), ok
 }
+
+// member stands in for a block's membership digest.
+func member(id runlog.BlockID) uint64 { return uint64(id.Level)<<32 | uint64(id.Plan) + 0x9e37 }
 
 // matrixRun is the fixed run the crash matrix drives: three blocks on level
 // 0, one of them empty, then a one-block level 1.
@@ -232,19 +235,16 @@ var matrixRun = []struct {
 func driveMatrixRun(t *testing.T, c *runlog.Checkpoint, done map[runlog.BlockID]bool) {
 	t.Helper()
 	for level, blocks := range []int{3, 1} {
-		if err := c.BeginLevel(level, blocks, 0); err != nil {
-			t.Fatal(err)
-		}
 		for _, b := range matrixRun {
 			if b.id.Level != level || done[b.id] {
 				continue
 			}
-			c.BlockDispatched(b.id)
+			c.BlockDispatched(b.id, member(b.id))
 			if err := blockDone(c, b.id, b.cliques); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if err := c.EndLevel(level); err != nil {
+		if err := c.SealLevel(level, blocks, uint64(level)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -359,7 +359,7 @@ func TestCrashMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The journal's tail is: done {1,0}, level-end 1, run-end.
+		// The journal's tail is: done {1,0}, level 1's seal, run-end.
 		if err := os.WriteFile(runlog.JournalPath(dir), journal[:slices.Max(recordOffsets(journal, recDone))], 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -371,22 +371,51 @@ func TestCrashMatrix(t *testing.T) {
 		}
 	})
 
-	// A checkpoint in the version-1 layout is refused by name, journal or
-	// segment directory, and left as it was; so is a version-2 journal.
-	t.Run("version-2-refused", func(t *testing.T) {
-		dir := t.TempDir()
-		v2 := []byte("MCEJ\x02")
-		if err := os.WriteFile(runlog.JournalPath(dir), v2, 0o644); err != nil {
+	// Every done record of level 0 is durable, its seal record is not: the
+	// crash landed while the level was still running. The level is grown
+	// again, its three blocks are served by their membership digests, and
+	// it is sealed this time.
+	t.Run("done-durable-seal-missing", func(t *testing.T) {
+		dir := clean(t, nil)
+		journal, err := os.ReadFile(runlog.JournalPath(dir))
+		if err != nil {
 			t.Fatal(err)
 		}
-		_, err := runlog.Open(dir, degradeID, runlog.Options{FS: faultfs.Unsynced(nil)})
-		if err == nil || !strings.Contains(err.Error(), "version-2") || !strings.Contains(err.Error(), "fresh -checkpoint") {
-			t.Fatalf("err %v, want a refusal naming version 2 and the way out", err)
+		if err := os.WriteFile(runlog.JournalPath(dir), journal[:recordOffsets(journal, recLevel)[0]], 0o644); err != nil {
+			t.Fatal(err)
 		}
-		if got, _ := os.ReadFile(runlog.JournalPath(dir)); !reflect.DeepEqual(got, v2) {
-			t.Fatalf("the refused journal became %q", got)
+		r, err := runlog.Open(dir, degradeID, runlog.Options{FS: faultfs.Unsynced(nil)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := r.ServedLevel(0); ok {
+			t.Fatal("a level without its seal record is served without being grown")
+		}
+		r.Close()
+		if served := recoverMatrixRun(t, dir); served != 3 {
+			t.Fatalf("%d blocks served with level 0's seal cut from the journal, want its three", served)
 		}
 	})
+
+	// A checkpoint in the version-1 layout is refused by name, journal or
+	// segment directory, and left as it was; so is a version-2 or version-3
+	// journal.
+	for _, v := range []byte{2, 3} {
+		t.Run(fmt.Sprintf("version-%d-refused", v), func(t *testing.T) {
+			dir := t.TempDir()
+			old := []byte{'M', 'C', 'E', 'J', v}
+			if err := os.WriteFile(runlog.JournalPath(dir), old, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, err := runlog.Open(dir, degradeID, runlog.Options{FS: faultfs.Unsynced(nil)})
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version-%d", v)) || !strings.Contains(err.Error(), "fresh -checkpoint") {
+				t.Fatalf("err %v, want a refusal naming version %d and the way out", err, v)
+			}
+			if got, _ := os.ReadFile(runlog.JournalPath(dir)); !reflect.DeepEqual(got, old) {
+				t.Fatalf("the refused journal became %q", got)
+			}
+		})
+	}
 	t.Run("version-1-refused", func(t *testing.T) {
 		for name, lay := range map[string]func(dir string) error{
 			"journal":  func(dir string) error { return os.WriteFile(runlog.JournalPath(dir), []byte("MCEJ\x01"), 0o644) },

@@ -12,12 +12,14 @@ import (
 	"mce/internal/runlog/faultfs"
 )
 
-// TestCheckpointBytesUnchanged pins the on-disk checkpoint — the version-3
+// TestCheckpointBytesUnchanged pins the on-disk checkpoint — the version-4
 // journal and both level logs — for a fixed run across a close and a resume.
 // The bytes do not depend on how the committer batched them: frames and
 // records land in hand-over order whatever the grouping. (Version 1, one
 // segment file per block, wrote 6 files digesting to a520bd49…7dba43;
-// version 2, whose level records carried no plan digest, 8326e6fc…2685c3.)
+// version 2, whose level records carried no plan digest, 8326e6fc…2685c3;
+// version 3, whose level records came ahead of the level's blocks and whose
+// done records carried no membership digest, c48b20fa…ae38e4.)
 func TestCheckpointBytesUnchanged(t *testing.T) {
 	dir := t.TempDir()
 	id := runlog.Identity{Graph: 0x1234567890abcdef, Options: 0xfeedface}
@@ -36,9 +38,9 @@ func TestCheckpointBytesUnchanged(t *testing.T) {
 		return out
 	}
 	c := open()
-	c.BeginLevel(0, 4, 0x0123456789abcdef)
 	for p := 0; p < 4; p++ {
-		c.BlockDispatched(runlog.BlockID{Level: 0, Plan: p})
+		id := runlog.BlockID{Level: 0, Plan: p}
+		c.BlockDispatched(id, member(id))
 	}
 	for _, p := range []int{2, 0} {
 		if err := blockDone(c, runlog.BlockID{Level: 0, Plan: p}, block(0, p)); err != nil {
@@ -53,13 +55,12 @@ func TestCheckpointBytesUnchanged(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c.EndLevel(0)
-	c.BeginLevel(1, 1, 0xcbf29ce484222325)
-	c.BlockDispatched(runlog.BlockID{Level: 1, Plan: 0})
+	c.SealLevel(0, 4, 0x0123456789abcdef)
+	c.BlockDispatched(runlog.BlockID{Level: 1, Plan: 0}, member(runlog.BlockID{Level: 1, Plan: 0}))
 	if err := blockDone(c, runlog.BlockID{Level: 1, Plan: 0}, nil); err != nil {
 		t.Fatal(err)
 	}
-	c.EndLevel(1)
+	c.SealLevel(1, 1, 0xcbf29ce484222325)
 	c.FinishRun()
 	c.Close()
 
@@ -82,7 +83,7 @@ func TestCheckpointBytesUnchanged(t *testing.T) {
 		h.Write([]byte{0})
 		h.Write(data)
 	}
-	const want = "c48b20fa17b0b95e7a2210c6192a6a80e28a59a437e603a69904d8592eae38e4"
+	const want = "55cafb894b0ef6138a5c4eff9c7afa4dc0a783f2f5ac67b268ab2391b0810c5f"
 	if got := hex.EncodeToString(h.Sum(nil)); got != want || len(files) != 3 {
 		t.Fatalf("checkpoint of %d files digests to %s, want the journal and two level logs digesting to %s", len(files), got, want)
 	}

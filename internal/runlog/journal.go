@@ -1,6 +1,6 @@
 // Package runlog makes long enumeration runs crash-safe: a coordinator
 // writes a durable write-ahead journal of its run identity and per-block
-// lifecycle (planned → dispatched → done), appends every block's cliques as
+// lifecycle (dispatched → done, then the level's seal), appends every block's cliques as
 // one frame of its recursion level's result log, and on restart replays the
 // journal to skip completed work — so a run killed hours in resumes instead
 // of re-enumerating, and resumed blocks are exactly-once in the merged
@@ -32,27 +32,31 @@ import (
 // journalMagic heads every journal file; the trailing byte is the format
 // version. Version 1 journaled one segment file per block and a graph digest
 // this build does not compute; version 2 journaled a level's block count
-// without its plan digest. Both are refused by name.
-var journalMagic = [5]byte{'M', 'C', 'E', 'J', 3}
+// without its plan digest; version 3 journaled the level's plan before any
+// block ran, and done records without their block's membership digest. All
+// three are refused by name.
+var journalMagic = [5]byte{'M', 'C', 'E', 'J', 4}
 
 // version1Refusal is what a version-1 checkpoint is told, whether it is
 // recognised by its journal or by its segments directory.
 const version1Refusal = "a version-1 checkpoint (one segment file per block), which this build cannot resume; restart the run in a fresh -checkpoint directory"
+
+// olderRefusal is what a version-2 or version-3 journal is told.
+const olderRefusal = "this build cannot resume it; restart the run in a fresh -checkpoint directory"
 
 // maxRecordLen bounds one record's payload; anything larger in a frame
 // header is treated as corruption (a torn or overwritten length field), not
 // an allocation request.
 const maxRecordLen = 1 << 20
 
-// record types. The lifecycle of one block is recLevel (planned, as part of
-// its level's plan) → recDispatch → recDone.
+// record types. The lifecycle of one block is recDispatch → recDone; its
+// level's recLevel follows the level's last done record.
 const (
 	recRunBegin byte = iota + 1 // identity of a fresh run
 	recResume                   // a new coordinator session attached
-	recLevel                    // one recursion level's block plan
+	recLevel                    // one recursion level sealed: its plan, every block done
 	recDispatch                 // block handed to an executor
 	recDone                     // block's cliques durably in its level's log
-	recLevelEnd                 // every block of the level is done
 	recRunEnd                   // the run completed
 )
 
@@ -60,13 +64,14 @@ const (
 type rec struct {
 	kind        byte
 	graph, opts uint64 // recRunBegin / recResume
-	level       int    // recLevel / recDispatch / recDone / recLevelEnd
+	level       int    // recLevel / recDispatch / recDone
 	blocks      int    // recLevel: planned block count
 	planDigest  uint64 // recLevel: digest of the block plan (decomp.Plan.Digest)
 	plan        int    // recDispatch / recDone: stable block index within the level
 	off, length int    // recDone: where the block's frame lies in its level's log
 	count       int    // recDone: clique count
 	digest      uint32 // recDone: CRC-32 of the frame's payload
+	member      uint64 // recDone: digest of the block's membership (decomp.Block.Digest)
 }
 
 // encode appends the record's payload (type byte + uvarint fields).
@@ -91,8 +96,7 @@ func (r *rec) encode(buf []byte) []byte {
 		put(uint64(r.length))
 		put(uint64(r.count))
 		put(uint64(r.digest))
-	case recLevelEnd:
-		put(uint64(r.level))
+		put(r.member)
 	case recRunEnd:
 	}
 	return buf
@@ -154,8 +158,7 @@ func decodeRec(p []byte) (rec, error) {
 			return r, err
 		}
 		r.digest = uint32(dig)
-	case recLevelEnd:
-		if err = getInt(&r.level); err != nil {
+		if r.member, err = get(); err != nil {
 			return r, err
 		}
 	case recRunEnd:
@@ -251,7 +254,9 @@ func replayJournal(fs FS, path string) (recs []rec, validOff int64, err error) {
 		case [5]byte{'M', 'C', 'E', 'J', 1}:
 			return nil, 0, fmt.Errorf("runlog: %s is a version-1 journal: %s", path, version1Refusal)
 		case [5]byte{'M', 'C', 'E', 'J', 2}:
-			return nil, 0, fmt.Errorf("runlog: %s is a version-2 journal (level records without a plan digest), which this build cannot resume; restart the run in a fresh -checkpoint directory", path)
+			return nil, 0, fmt.Errorf("runlog: %s is a version-2 journal (level records without a plan digest): %s", path, olderRefusal)
+		case [5]byte{'M', 'C', 'E', 'J', 3}:
+			return nil, 0, fmt.Errorf("runlog: %s is a version-3 journal (done records without a membership digest): %s", path, olderRefusal)
 		}
 		return nil, 0, fmt.Errorf("runlog: %s is not a run journal (bad magic)", path)
 	}

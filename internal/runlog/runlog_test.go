@@ -66,12 +66,9 @@ func TestResumeRoundTrip(t *testing.T) {
 	c := openTest(t, dir, testID)
 	cl0 := [][]int32{{1, 2, 3}, {4, 7}}
 	cl1 := [][]int32{{0, 9}}
-	if err := c.BeginLevel(0, 3, 0); err != nil {
-		t.Fatal(err)
+	for p := 0; p < 3; p++ {
+		c.BlockDispatched(BlockID{0, p}, member(BlockID{0, p}))
 	}
-	c.BlockDispatched(BlockID{0, 0})
-	c.BlockDispatched(BlockID{0, 1})
-	c.BlockDispatched(BlockID{0, 2})
 	if err := blockDone(c, BlockID{0, 0}, cl0); err != nil {
 		t.Fatal(err)
 	}
@@ -91,9 +88,6 @@ func TestResumeRoundTrip(t *testing.T) {
 	defer r.Close()
 	if !r.Resumed() {
 		t.Fatal("reopened checkpoint not reported as resumed")
-	}
-	if err := r.BeginLevel(0, 3, 0); err != nil {
-		t.Fatal(err)
 	}
 	got, ok := doneCliques(r, BlockID{0, 0})
 	if !ok || !reflect.DeepEqual(got, cl0) {
@@ -122,7 +116,6 @@ func TestResumeRoundTrip(t *testing.T) {
 func TestResumeAfterResume(t *testing.T) {
 	dir := t.TempDir()
 	c := openTest(t, dir, testID)
-	c.BeginLevel(0, 2, 0)
 	if err := blockDone(c, BlockID{0, 0}, [][]int32{{1, 2}}); err != nil {
 		t.Fatal(err)
 	}
@@ -167,32 +160,32 @@ func TestIdentityMismatch(t *testing.T) {
 }
 
 // TestBlockPlanMismatch pins the second identity guard: a resumed level
-// whose deterministic plan changed is refused even though the identity
-// digests matched — whether its size changed, or only its plan digest (one
-// membership flipped, same block count).
+// whose deterministic plan changed is refused at its seal even though the
+// identity digests matched — whether its size changed, or only its plan
+// digest (one membership flipped, same block count).
 func TestBlockPlanMismatch(t *testing.T) {
 	dir := t.TempDir()
 	c := openTest(t, dir, testID)
-	c.BeginLevel(0, 4, 0xabc)
+	c.SealLevel(0, 4, 0xabc)
 	c.Close()
 
 	r := openTest(t, dir, testID)
 	defer r.Close()
-	if err := r.BeginLevel(0, 5, 0xabc); !errors.Is(err, ErrIdentityMismatch) {
-		t.Fatalf("BeginLevel with changed plan size: err %v, want ErrIdentityMismatch", err)
+	if err := r.SealLevel(0, 5, 0xabc); !errors.Is(err, ErrIdentityMismatch) {
+		t.Fatalf("SealLevel with changed plan size: err %v, want ErrIdentityMismatch", err)
 	}
-	if err := r.BeginLevel(0, 4, 0xabd); !errors.Is(err, ErrIdentityMismatch) {
-		t.Fatalf("BeginLevel with changed plan digest: err %v, want ErrIdentityMismatch", err)
+	if err := r.SealLevel(0, 4, 0xabd); !errors.Is(err, ErrIdentityMismatch) {
+		t.Fatalf("SealLevel with changed plan digest: err %v, want ErrIdentityMismatch", err)
 	}
-	if err := r.BeginLevel(0, 4, 0xabc); err != nil {
-		t.Fatalf("BeginLevel with the journaled plan: %v", err)
+	if err := r.SealLevel(0, 4, 0xabc); err != nil {
+		t.Fatalf("SealLevel with the journaled plan: %v", err)
 	}
 }
 
 // TestServedLevel pins when a resume may skip planning a level: only when
-// the journal planned it and every block of the plan is done with a frame
-// that verifies — not for an unplanned level, a level with a block still
-// missing, or one whose frame was damaged, and never for a level planned in
+// the journal sealed it and every block of the plan is done with a frame
+// that verifies — not for an unsealed level, a level with a block still
+// missing, or one whose frame was damaged, and never for a level sealed in
 // this session.
 func TestServedLevel(t *testing.T) {
 	dir := t.TempDir()
@@ -200,9 +193,6 @@ func TestServedLevel(t *testing.T) {
 	if _, ok := c.ServedLevel(0); ok {
 		t.Fatal("a fresh checkpoint serves level 0")
 	}
-	c.BeginLevel(0, 2, 7)
-	c.BeginLevel(1, 2, 8)
-	c.BeginLevel(2, 1, 9)
 	for _, b := range []struct {
 		id      BlockID
 		cliques [][]int32
@@ -210,14 +200,17 @@ func TestServedLevel(t *testing.T) {
 		{BlockID{0, 0}, [][]int32{{1, 2}}}, {BlockID{0, 1}, nil},
 		{BlockID{1, 1}, [][]int32{{3, 4}}},
 		{BlockID{2, 0}, [][]int32{{5, 6, 7}}},
+		{BlockID{3, 0}, [][]int32{{8, 9}}},
 	} {
 		if err := blockDone(c, b.id, b.cliques); err != nil {
 			t.Fatal(err)
 		}
 	}
-	c.EndLevel(2)
+	c.SealLevel(0, 2, 7)
+	c.SealLevel(1, 2, 8)
+	c.SealLevel(2, 1, 9)
 	if _, ok := c.ServedLevel(0); ok {
-		t.Fatal("a level planned and done in this session is served")
+		t.Fatal("a level done and sealed in this session is served")
 	}
 	c.Close()
 
@@ -234,8 +227,17 @@ func TestServedLevel(t *testing.T) {
 
 	r := openTest(t, dir, testID)
 	defer r.Close()
-	if blocks, ok := r.ServedLevel(0); !ok || blocks != 2 {
-		t.Fatalf("level 0, done whole: ServedLevel = %d, %v; want 2, true", blocks, ok)
+	served, ok := r.ServedLevel(0)
+	if !ok || len(served) != 2 {
+		t.Fatalf("level 0, sealed whole: ServedLevel = %d blocks, %v; want 2, true", len(served), ok)
+	}
+	for p, want := range [][][]int32{{{1, 2}}, nil} {
+		if got := served[p].Views(nil); !reflect.DeepEqual(got, want) {
+			t.Fatalf("served block {0,%d}: %v; want %v", p, got, want)
+		}
+	}
+	if n := r.SkippedBlocks(); n != 2 {
+		t.Fatalf("SkippedBlocks = %d after serving level 0, want 2", n)
 	}
 	if _, ok := r.ServedLevel(1); ok {
 		t.Fatal("level 1, block 0 never done, is served")
@@ -244,16 +246,47 @@ func TestServedLevel(t *testing.T) {
 		t.Fatal("level 2, its frame damaged, is served")
 	}
 	if _, ok := r.ServedLevel(3); ok {
-		t.Fatal("level 3, never planned, is served")
+		t.Fatal("level 3, done but never sealed, is served")
 	}
-	for p, want := range [][][]int32{{{1, 2}}, nil} {
-		if got, ok := doneCliques(r, BlockID{0, p}); !ok || !reflect.DeepEqual(got, want) {
-			t.Fatalf("served block {0,%d}: %v, %v; want %v", p, got, ok, want)
-		}
+	if _, ok := doneCliques(r, BlockID{3, 0}); !ok {
+		t.Fatal("level 3's done block is not served to the executor that takes it")
 	}
-	// The damaged level is planned again under its journaled plan.
-	if err := r.BeginLevel(2, 1, 9); err != nil {
+	// The damaged level is sealed again under its journaled plan.
+	if err := r.SealLevel(2, 1, 9); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestServedOnlyToItsOwnMembers: a done record is served only to the block
+// whose membership digest it carries. A block re-grown at the same plan
+// index with other members runs again, and its record supersedes the old
+// one for the next session.
+func TestServedOnlyToItsOwnMembers(t *testing.T) {
+	dir := t.TempDir()
+	id := BlockID{0, 0}
+	c := openTest(t, dir, testID)
+	if err := c.BlockDone(id, 0xaaaa, family.Of([][]int32{{1, 2}}).Window()); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+
+	r := openTest(t, dir, testID)
+	if _, ok := r.BlockDispatched(id, 0xbbbb); ok {
+		t.Fatal("a done record was served to a block with other members")
+	}
+	if err := r.BlockDone(id, 0xbbbb, family.Of([][]int32{{3, 4}}).Window()); err != nil {
+		t.Fatal(err)
+	}
+	if n := r.SkippedBlocks(); n != 0 {
+		t.Fatalf("SkippedBlocks = %d, want 0", n)
+	}
+	r.Close()
+
+	again := openTest(t, dir, testID)
+	defer again.Close()
+	w, ok := again.BlockDispatched(id, 0xbbbb)
+	if got := w.Views(nil); !ok || !reflect.DeepEqual(got, [][]int32{{3, 4}}) {
+		t.Fatalf("the re-run block: ok=%v got %v", ok, got)
 	}
 }
 
@@ -263,7 +296,6 @@ func TestServedLevel(t *testing.T) {
 func TestTornTailTruncated(t *testing.T) {
 	dir := t.TempDir()
 	c := openTest(t, dir, testID)
-	c.BeginLevel(0, 2, 0)
 	blockDone(c, BlockID{0, 0}, [][]int32{{1, 2, 3}})
 	blockDone(c, BlockID{0, 1}, [][]int32{{5, 6}})
 	c.Close()
@@ -314,7 +346,6 @@ func TestLogCorruptionSelfHeals(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
 			c := openTest(t, dir, testID)
-			c.BeginLevel(0, 2, 0)
 			if err := blockDone(c, BlockID{0, 0}, [][]int32{{4, 5}}); err != nil {
 				t.Fatal(err)
 			}
@@ -380,10 +411,9 @@ func TestJournalRecordRoundTrip(t *testing.T) {
 	recs := []rec{
 		{kind: recRunBegin, graph: 1, opts: 2},
 		{kind: recResume, graph: 1, opts: 2},
-		{kind: recLevel, level: 3, blocks: 17},
+		{kind: recLevel, level: 3, blocks: 17, planDigest: 0xfedcba9876543210},
 		{kind: recDispatch, level: 3, plan: 9},
-		{kind: recDone, level: 3, plan: 9, off: 1 << 33, length: 4096, count: 12345, digest: 0xdeadbeef},
-		{kind: recLevelEnd, level: 3},
+		{kind: recDone, level: 3, plan: 9, off: 1 << 33, length: 4096, count: 12345, digest: 0xdeadbeef, member: 1<<64 - 1},
 		{kind: recRunEnd},
 	}
 	for _, r := range recs {
@@ -399,8 +429,9 @@ func TestJournalRecordRoundTrip(t *testing.T) {
 		"empty":               {},
 		"unknown kind":        {99},
 		"short":               {recDone, 3, 9},
-		"trailing bytes":      append((&rec{kind: recLevelEnd, level: 3}).encode(nil), 0),
-		"implausible level":   binary.AppendUvarint([]byte{recLevelEnd}, 1<<41),
+		"trailing bytes":      append((&rec{kind: recDispatch, level: 3}).encode(nil), 0),
+		"implausible level":   binary.AppendUvarint([]byte{recDispatch}, 1<<41),
+		"no member digest":    v3DoneRecord(),
 		"digest over 32 bits": wideDigestRecord(),
 	} {
 		if _, err := decodeRec(p); err == nil {
@@ -412,12 +443,19 @@ func TestJournalRecordRoundTrip(t *testing.T) {
 	}
 }
 
+// v3DoneRecord is a recDone as journal version 3 wrote it, without the
+// block's membership digest.
+func v3DoneRecord() []byte {
+	p := (&rec{kind: recDone, level: 3}).encode(nil)
+	return p[:len(p)-1] // member 0 is its last byte
+}
+
 // wideDigestRecord is a recDone whose digest field holds 2^32 + 0xbeef: the
 // version-1 decoder read it through the 2^40 bound and truncated it to
 // 0xbeef, so a corrupt record aliased a valid claim.
 func wideDigestRecord() []byte {
 	p := []byte{recDone}
-	for _, v := range []uint64{3, 9, 0, 16, 1, 1<<32 + 0xbeef} {
+	for _, v := range []uint64{3, 9, 0, 16, 1, 1<<32 + 0xbeef, 7} {
 		p = binary.AppendUvarint(p, v)
 	}
 	return p
@@ -430,11 +468,10 @@ func TestDoneBeforeDispatchIdempotent(t *testing.T) {
 	dir := t.TempDir()
 	c := openTest(t, dir, testID)
 	defer c.Close()
-	c.BeginLevel(0, 1, 0)
 	if err := blockDone(c, BlockID{0, 0}, [][]int32{{1, 2}}); err != nil {
 		t.Fatal(err)
 	}
-	c.BlockDispatched(BlockID{0, 0}) // late dispatch: ignored
+	c.BlockDispatched(BlockID{0, 0}, member(BlockID{0, 0})) // late dispatch: ignored
 	if err := blockDone(c, BlockID{0, 0}, [][]int32{{1, 2}}); err != nil {
 		t.Fatal(err)
 	}
@@ -452,8 +489,9 @@ func FuzzJournalReplay(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	c.BeginLevel(0, 2, 0)
 	blockDone(c, BlockID{0, 0}, [][]int32{{1, 2, 3}})
+	c.SealLevel(0, 1, 0xabc)
+	c.FinishRun()
 	c.Close()
 	seedData, err := os.ReadFile(JournalPath(dir))
 	if err != nil {
@@ -464,6 +502,7 @@ func FuzzJournalReplay(f *testing.F) {
 	f.Add(journalMagic[:])
 	f.Add([]byte{})
 	f.Add(durable.AppendFrame(journalMagic[:len(journalMagic):len(journalMagic)], wideDigestRecord()))
+	f.Add(durable.AppendFrame(journalMagic[:len(journalMagic):len(journalMagic)], v3DoneRecord()))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "journal.mcej")
@@ -497,10 +536,10 @@ func FuzzLevelLog(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	c.BeginLevel(0, 3, 0)
 	blockDone(c, BlockID{0, 1}, [][]int32{{1, 2, 3}, {4, 7, 70000}})
 	blockDone(c, BlockID{0, 0}, nil)
 	blockDone(c, BlockID{0, 2}, [][]int32{{0, 5}})
+	c.SealLevel(0, 3, 0xabc)
 	c.Close()
 	journal, err := os.ReadFile(JournalPath(dir))
 	if err != nil {
@@ -542,7 +581,7 @@ func FuzzLevelLog(f *testing.F) {
 			claims[id] = info
 		}
 		for id, claim := range claims {
-			w, ok := c.DoneCliques(id)
+			w, ok := c.BlockDispatched(id, claim.member)
 			if !ok {
 				continue
 			}
@@ -563,12 +602,16 @@ func FuzzLevelLog(f *testing.F) {
 }
 
 // blockDone and doneCliques put the tests' [][]int32 literals through the
-// checkpoint's window API.
+// checkpoint's window API, each block with the membership digest member
+// gives it; doneCliques is an executor taking the block.
 func blockDone(c *Checkpoint, id BlockID, cliques [][]int32) error {
-	return c.BlockDone(id, family.Of(cliques).Window())
+	return c.BlockDone(id, member(id), family.Of(cliques).Window())
 }
 
 func doneCliques(c *Checkpoint, id BlockID) ([][]int32, bool) {
-	w, ok := c.DoneCliques(id)
+	w, ok := c.BlockDispatched(id, member(id))
 	return w.Views(nil), ok
 }
+
+// member stands in for a block's membership digest.
+func member(id BlockID) uint64 { return uint64(id.Level)<<32 | uint64(id.Plan) + 0x9e37 }

@@ -79,7 +79,7 @@ type Engine struct {
 	CheckpointCommits       Counter // group commits that made at least one block durable
 	CheckpointCommitBlocks  Counter // blocks those commits carried (÷ commits = mean batch)
 	CheckpointLogBytes      Counter // frame bytes appended to the level logs this session
-	CheckpointBarrierWaitNs Counter // time EndLevel/FinishRun waited for the committer to drain
+	CheckpointBarrierWaitNs Counter // time SealLevel/FinishRun waited for the committer to drain
 
 	// Query serving (cmd/mced, internal/cliqdb).
 	QueriesAdmitted    Counter // requests past admission control
