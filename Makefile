@@ -51,7 +51,8 @@ vulncheck:
 	fi
 
 # Short pass over each fuzz target (go test -fuzz accepts one target at a
-# time, so they are spelled out).
+# time, so they are spelled out). CI runs this recipe; the root package's
+# TestFuzzSmokeListsEveryTarget fails when a func Fuzz* is missing here.
 fuzz-smoke:
 	$(GO) test -run=Fuzz -fuzz=FuzzReader -fuzztime=10s ./internal/cliqstore
 	$(GO) test -run=Fuzz -fuzz=FuzzReadEdgeList -fuzztime=10s ./internal/gio

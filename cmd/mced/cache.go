@@ -56,9 +56,7 @@ func (c *resultCache) get(key string) (result, bool) {
 		return result{}, false
 	}
 	c.ll.MoveToFront(el)
-	if c.met != nil {
-		c.met.CacheHits.Inc()
-	}
+	c.met.Inc(telemetry.CacheHits)
 	return el.Value.(*cacheEntry).res, true
 }
 
@@ -70,18 +68,14 @@ func (c *resultCache) do(key string, fn func() result) result {
 	// A racing caller may have finished while we waited for admission.
 	if el, ok := c.items[key]; ok {
 		c.ll.MoveToFront(el)
-		if c.met != nil {
-			c.met.CacheHits.Inc()
-		}
+		c.met.Inc(telemetry.CacheHits)
 		res := el.Value.(*cacheEntry).res
 		c.mu.Unlock()
 		return res
 	}
 	if cl, ok := c.calls[key]; ok {
 		c.mu.Unlock()
-		if c.met != nil {
-			c.met.SingleflightShared.Inc()
-		}
+		c.met.Inc(telemetry.SingleflightShared)
 		<-cl.done
 		return cl.res
 	}
@@ -90,9 +84,7 @@ func (c *resultCache) do(key string, fn func() result) result {
 	gen := c.gen
 	c.mu.Unlock()
 
-	if c.met != nil {
-		c.met.CacheMisses.Inc()
-	}
+	c.met.Inc(telemetry.CacheMisses)
 	cl.res = fn()
 
 	c.mu.Lock()

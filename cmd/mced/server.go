@@ -116,11 +116,10 @@ type result struct {
 // slot, so -max-inflight bounds actual work, not just waiting clients.
 func (s *server) query(slot int, name string, h func(ctx context.Context, db queryDB, r *http.Request) result) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		t0 := time.Now()
+		met := s.cfg.met
+		t0 := met.Now()
 		status := s.serveQuery(w, r, h)
-		if s.cfg.met != nil {
-			s.cfg.met.EndpointObserved(slot, name, time.Since(t0), status)
-		}
+		met.EndpointObserved(slot, name, met.Since(t0), status)
 	}
 }
 
@@ -146,11 +145,9 @@ func (s *server) serveQuery(w http.ResponseWriter, r *http.Request, h func(ctx c
 	default:
 		return s.shed(w, met)
 	}
-	if met != nil {
-		met.QueriesAdmitted.Inc()
-		if s.rebuilding.Load() {
-			met.DegradedServes.Inc()
-		}
+	met.Inc(telemetry.QueriesAdmitted)
+	if s.rebuilding.Load() {
+		met.Inc(telemetry.DegradedServes)
 	}
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.deadline)
@@ -166,18 +163,14 @@ func (s *server) serveQuery(w http.ResponseWriter, r *http.Request, h func(ctx c
 	case res := <-done:
 		return writeResult(w, res)
 	case <-ctx.Done():
-		if met != nil {
-			met.QueriesTimedOut.Inc()
-		}
+		met.Inc(telemetry.QueriesTimedOut)
 		http.Error(w, "deadline exceeded", http.StatusGatewayTimeout)
 		return http.StatusGatewayTimeout
 	}
 }
 
 func (s *server) shed(w http.ResponseWriter, met *telemetry.Engine) int {
-	if met != nil {
-		met.QueriesShed.Inc()
-	}
+	met.Inc(telemetry.QueriesShed)
 	w.Header().Set("Retry-After", "1")
 	http.Error(w, "overloaded, retry later", http.StatusTooManyRequests)
 	return http.StatusTooManyRequests
@@ -390,11 +383,10 @@ func (s *server) communities(ctx context.Context, db queryDB, r *http.Request) r
 // slot pool — it is an operator action, not a query, and must not be
 // shedable by the load it is trying to fix.
 func (s *server) rebuild(w http.ResponseWriter, r *http.Request) {
-	t0 := time.Now()
+	met := s.cfg.met
+	t0 := met.Now()
 	status := s.serveRebuild(w, r)
-	if s.cfg.met != nil {
-		s.cfg.met.EndpointObserved(slotRebuild, "rebuild", time.Since(t0), status)
-	}
+	met.EndpointObserved(slotRebuild, "rebuild", met.Since(t0), status)
 }
 
 func (s *server) serveRebuild(w http.ResponseWriter, r *http.Request) int {
@@ -425,9 +417,7 @@ func (s *server) serveRebuild(w http.ResponseWriter, r *http.Request) int {
 	var q queryDB = db
 	s.db.Store(&q)
 	s.cache.purge()
-	if s.cfg.met != nil {
-		s.cfg.met.IndexRebuilds.Inc()
-	}
+	s.cfg.met.Inc(telemetry.IndexRebuilds)
 	res := jsonResult(map[string]any{
 		"cliques": st.Cliques, "vertices": st.Vertices, "bytes": st.Bytes,
 		"digest": fmt.Sprintf("%08x", st.Digest),

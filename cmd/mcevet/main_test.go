@@ -48,7 +48,7 @@ func TestListExitsZero(t *testing.T) {
 	for _, line := range strings.Split(strings.TrimSpace(out.String()), "\n") {
 		got = append(got, strings.Fields(line)[0])
 	}
-	want := "sortedadj maporder telemetryguard golifecycle lockbalance hotalloc staleignore"
+	want := "sortedadj maporder golifecycle lockbalance hotalloc staleignore"
 	if strings.Join(got, " ") != want {
 		t.Errorf("-list names %v, want exactly %s", got, want)
 	}

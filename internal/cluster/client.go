@@ -366,9 +366,7 @@ func (c *Client) redial(force bool) (next time.Time, errs []error) {
 		}
 		c.mu.Unlock()
 		if fresh != nil {
-			if met := c.opts.Metrics; met != nil {
-				met.Reconnects.Inc()
-			}
+			c.opts.Metrics.Inc(telemetry.Reconnects)
 			c.offer(fresh)
 		}
 	}
@@ -715,14 +713,12 @@ func (c *Client) Analyze(ctx context.Context, g *graph.Graph, plan *decomp.Plan,
 		if claimed[a.block].Load() {
 			return
 		}
-		if met != nil {
-			if a.hedge {
-				met.HedgedDispatches.Inc()
-			} else {
-				met.TaskRetries.Inc()
-			}
-			met.QueueDepth.Add(1)
+		if a.hedge {
+			met.Inc(telemetry.HedgedDispatches)
+		} else {
+			met.Inc(telemetry.TaskRetries)
 		}
+		met.Move(telemetry.QueueDepth, 1)
 		q.put(a)
 	}
 	// chargeAttempt spends one of block i's retries on err and either
@@ -742,9 +738,7 @@ func (c *Client) Analyze(ctx context.Context, g *graph.Graph, plan *decomp.Plan,
 		if !claimed[i].CompareAndSwap(false, true) {
 			return // a twin already delivered the block
 		}
-		if met != nil {
-			met.PoisonTasks.Inc()
-		}
+		met.Inc(telemetry.PoisonTasks)
 		if c.opts.SkipPoisonTasks {
 			// Recorded skip: the block's slot stays empty and the batch
 			// carries on; callers surface the verdicts.
@@ -787,9 +781,7 @@ func (c *Client) Analyze(ctx context.Context, g *graph.Graph, plan *decomp.Plan,
 					continue
 				}
 			}
-			if met != nil {
-				met.QueueDepth.Add(1)
-			}
+			met.Move(telemetry.QueueDepth, 1)
 			q.put(attempt{block: i})
 		}
 		n := int64(plan.Len())
@@ -807,41 +799,31 @@ func (c *Client) Analyze(ctx context.Context, g *graph.Graph, plan *decomp.Plan,
 		i := a.block
 		id, b := runlog.BlockID{Level: depth, Plan: i}, plan.Block(i)
 		hedge.fly(wc, i)
-		if met != nil {
-			met.TasksInFlight.Add(1)
-		}
+		met.Move(telemetry.TasksInFlight, 1)
 		t0 := time.Now()
 		reply := new(family.Family)
 		counts, err := c.roundTrip(ctx, wc, i, id, lv, b, reply)
 		rtt := time.Since(t0)
 		hedge.land(wc, rtt, err == nil)
-		if met != nil {
-			met.TasksInFlight.Add(-1)
-		}
+		met.Move(telemetry.TasksInFlight, -1)
 		var appErr *applicationError
 		var corrupt *corruptResultError
 		switch {
 		case err == nil:
 			c.credit(wc.addr, rtt)
-			if met != nil {
-				met.RoundTripNs.Observe(int64(rtt))
-			}
+			met.Observe(telemetry.RoundTripNs, rtt)
 			if !claimed[i].CompareAndSwap(false, true) {
 				// A twin already delivered this identical answer.
-				if met != nil {
-					met.HedgeWasted.Inc()
-				}
+				met.Inc(telemetry.HedgeWasted)
 				return true
 			}
-			if met != nil {
-				if a.hedge {
-					met.HedgeWins.Inc()
-				}
-				met.ComboPicked(int(counts.Combo))
-				met.ComboAnalyzed(int(counts.Combo), time.Duration(counts.KernelNs))
-				met.RecursionNodes.Add(counts.Nodes)
-				met.PivotSelections.Add(counts.Pivots)
+			if a.hedge {
+				met.Inc(telemetry.HedgeWins)
 			}
+			met.ComboPicked(int(counts.Combo))
+			met.ComboAnalyzed(int(counts.Combo), time.Duration(counts.KernelNs))
+			met.Add(telemetry.RecursionNodes, counts.Nodes)
+			met.Add(telemetry.PivotSelections, counts.Pivots)
 			cliques := reply.Window()
 			if obs != nil {
 				// Durability before acknowledgement: the block only counts
@@ -926,9 +908,7 @@ func (c *Client) Analyze(ctx context.Context, g *graph.Graph, plan *decomp.Plan,
 				}
 				continue
 			}
-			if met != nil {
-				met.QueueDepth.Add(-1)
-			}
+			met.Move(telemetry.QueueDepth, -1)
 			if claimed[a.block].Load() {
 				continue // stale entry: the block already has its answer
 			}
@@ -1004,14 +984,12 @@ func (c *Client) Analyze(ctx context.Context, g *graph.Graph, plan *decomp.Plan,
 		go runner(wc)
 	}
 	<-done
-	if met != nil {
-		// Entries stranded in the queue by a fatal error, or twins whose
-		// primary won, are no longer pending work.
-		q.mu.Lock()
-		met.QueueDepth.Add(-int64(len(q.items)))
-		q.items = nil
-		q.mu.Unlock()
-	}
+	// Entries stranded in the queue by a fatal error, or twins whose
+	// primary won, are no longer pending work.
+	q.mu.Lock()
+	met.Move(telemetry.QueueDepth, -int64(len(q.items)))
+	q.items = nil
+	q.mu.Unlock()
 	if err := ctx.Err(); err != nil {
 		return nil, err // the grower stopped early: the plan is not the level's
 	}
@@ -1132,20 +1110,14 @@ func (c *Client) exchange(ctx context.Context, wc *workerConn, task *blockTask, 
 	if err := l.sendWith(level); err != nil {
 		return blockResult{}, fmt.Errorf("cluster: send to %s: %w", wc.addr, err)
 	}
-	if met != nil {
-		met.BytesSent.Add(frameLen(l.payload) + int64(len(level)))
-	}
+	met.Add(telemetry.BytesSent, frameLen(l.payload)+int64(len(level)))
 	p, err := l.in.Next()
 	if err != nil && !errors.Is(err, durable.ErrChecksum) {
 		return blockResult{}, fmt.Errorf("cluster: receive from %s: %w", wc.addr, err)
 	}
-	if met != nil {
-		met.BytesReceived.Add(frameLen(p))
-	}
+	met.Add(telemetry.BytesReceived, frameLen(p))
 	corrupt := func(format string) error {
-		if met != nil {
-			met.CorruptResults.Inc()
-		}
+		met.Inc(telemetry.CorruptResults)
 		return &corruptResultError{msg: fmt.Sprintf("cluster: "+format+" (checksum mismatch)", task.ID, wc.addr)}
 	}
 	if err != nil {

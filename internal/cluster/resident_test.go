@@ -147,7 +147,6 @@ func TestDistributedCountsMatchLocal(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", tc.name, err)
 			}
-			//lint:ignore telemetryguard every caller passes an engine from telemetry.NewEngine
 			return res, met.Snapshot()
 		}
 		want, local := run(nil, telemetry.NewEngine())

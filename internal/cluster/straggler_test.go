@@ -122,10 +122,10 @@ func TestChaosStragglerHedging(t *testing.T) {
 		t.Fatalf("hedged run digest %s differs from uninterrupted digest %s", got, want)
 	}
 
-	if met.HedgedDispatches.Load() == 0 {
+	if met.Load(telemetry.HedgedDispatches) == 0 {
 		t.Fatal("no hedged dispatches issued against a 100× straggler")
 	}
-	if met.HedgeWins.Load() == 0 {
+	if met.Load(telemetry.HedgeWins) == 0 {
 		t.Fatal("no hedge wins recorded: the straggler's blocks were not rescued")
 	}
 }
@@ -165,7 +165,7 @@ func TestChaosStragglerHedgeDedup(t *testing.T) {
 	if len(set) == 0 {
 		t.Fatal("empty result")
 	}
-	if met.HedgedDispatches.Load() == 0 {
+	if met.Load(telemetry.HedgedDispatches) == 0 {
 		t.Fatal("hedging never fired against the slow worker")
 	}
 	// Give the straggler's in-flight duplicates a moment to land, then
@@ -173,10 +173,10 @@ func TestChaosStragglerHedgeDedup(t *testing.T) {
 	time.Sleep(150 * time.Millisecond)
 	// Every hedge win leaves the straggler's original attempt in flight, and
 	// when it lands the claim must turn it away as wasted.
-	for deadline := time.Now().Add(5 * time.Second); met.HedgeWins.Load() > 0 && met.HedgeWasted.Load() == 0 && time.Now().Before(deadline); {
+	for deadline := time.Now().Add(5 * time.Second); met.Load(telemetry.HedgeWins) > 0 && met.Load(telemetry.HedgeWasted) == 0 && time.Now().Before(deadline); {
 		time.Sleep(10 * time.Millisecond)
 	}
-	wins, wasted, issued := met.HedgeWins.Load(), met.HedgeWasted.Load(), met.HedgedDispatches.Load()
+	wins, wasted, issued := met.Load(telemetry.HedgeWins), met.Load(telemetry.HedgeWasted), met.Load(telemetry.HedgedDispatches)
 	if wins > 0 && wasted == 0 {
 		t.Fatalf("%d hedge win(s) but no losing duplicate was discarded: the first-wins claim did not dedup", wins)
 	}

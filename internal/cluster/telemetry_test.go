@@ -61,7 +61,6 @@ func TestClientAndWorkerTelemetry(t *testing.T) {
 		t.Fatalf("spurious failures recorded: %+v", cs)
 	}
 
-	//lint:ignore telemetryguard startMeteredWorker always builds the engine with telemetry.NewEngine, so the helper never returns nil
 	ws := workerEng.Snapshot()
 	if ws.TasksServed != int64(len(blocks)) {
 		t.Fatalf("worker served %d tasks, want %d", ws.TasksServed, len(blocks))

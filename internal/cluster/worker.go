@@ -246,14 +246,10 @@ func (w *Worker) serveConn(conn net.Conn) error {
 		if !w.beginTask() {
 			return nil
 		}
-		if met != nil {
-			met.BytesReceived.Add(frameLen(p))
-			met.TasksInFlight.Add(1)
-		}
+		met.Add(telemetry.BytesReceived, frameLen(p))
+		met.Move(telemetry.TasksInFlight, 1)
 		l.payload, err = w.runTask(l.payload[:0], p, corrupt, &s)
-		if met != nil {
-			met.TasksInFlight.Add(-1)
-		}
+		met.Move(telemetry.TasksInFlight, -1)
 		if len(p) > bigFrame {
 			// The frame carried a level graph, now decoded: a new reader
 			// lets its buffer go instead of holding it for the connection's
@@ -264,11 +260,9 @@ func (w *Worker) serveConn(conn net.Conn) error {
 		// encodes; if it ever does not, hanging up makes the coordinator
 		// retry and then name the block.
 		if err == nil {
-			if met != nil {
-				// Counted before the write: once the coordinator holds the
-				// result, its bytes are already on this side's books.
-				met.BytesSent.Add(frameLen(l.payload))
-			}
+			// Counted before the write: once the coordinator holds the
+			// result, its bytes are already on this side's books.
+			met.Add(telemetry.BytesSent, frameLen(l.payload))
 			err = l.send()
 		}
 		w.endTask()
@@ -279,15 +273,14 @@ func (w *Worker) serveConn(conn net.Conn) error {
 }
 
 // session is one connection's analysis scratch: the materialiser over the
-// level graph its latest task named, the analyzer, the block being analysed
-// and its recursion counts. It runs the loop a LocalExecutor worker runs —
+// level graph its latest task named, the analyzer and the block being
+// analysed. It runs the loop a LocalExecutor worker runs —
 // materialise, select, analyse — on blocks that arrive as membership.
 type session struct {
 	level *graph.Graph
 	mat   *decomp.Materialiser
 	an    decomp.Analyzer
 	blk   decomp.Block
-	ins   telemetry.BlockInstr
 }
 
 // runTask decodes one task and executes BLOCK-ANALYSIS for it, the kernel's
@@ -306,25 +299,19 @@ func (w *Worker) runTask(dst, payload []byte, corrupt bool, s *session) (out []b
 	var t blockTask
 	verdict := verdictDone
 	failed := func(msg string) ([]byte, error) { // an answer is cliques or an error, never both
-		if met != nil {
-			met.TasksServed.Inc()
-			met.TaskErrors.Inc()
-		}
+		met.Inc(telemetry.TasksServed)
+		met.Inc(telemetry.TaskErrors)
 		return append(appendResultHead(dst, t.taskID, verdict, comboNone), msg...), nil
 	}
 	defer func() {
 		if r := recover(); r != nil {
 			out, err = failed(fmt.Sprintf("panic in BLOCK-ANALYSIS: %v", r))
 			*s = session{}
-			if met != nil {
-				met.TaskPanics.Inc()
-			}
+			met.Inc(telemetry.TaskPanics)
 		}
 	}()
 	if corrupt {
-		if met != nil {
-			met.CorruptResults.Inc()
-		}
+		met.Inc(telemetry.CorruptResults)
 		verdict = verdictCorrupt
 		return failed("")
 	}
@@ -365,23 +352,20 @@ func (w *Worker) runTask(dst, payload []byte, corrupt bool, s *session) (out []b
 			out, err = durable.AppendAscending(out, clique)
 			cliques++
 		}
-	}, &s.ins, mcealg.Par{})
+	}, mcealg.Par{})
 	kernel := time.Since(t2)
-	c.Nodes, c.Pivots, c.KernelNs = s.ins.RecursionNodes, s.ins.PivotSelections, int64(kernel)
-	if met != nil {
-		met.InduceNs.Add(int64(t1.Sub(t0)))
-		met.SelectNs.Add(int64(t2.Sub(t1)))
-		met.ComboAnalyzed(combo.Index(), kernel)
-		met.MergeBlockInstr(&s.ins)
-		met.CliquesFound.Add(int64(cliques))
-	}
-	s.ins = telemetry.BlockInstr{}
+	c.Nodes, c.Pivots = s.an.Counts()
+	c.KernelNs = int64(kernel)
+	met.Add(telemetry.InduceNs, int64(t1.Sub(t0)))
+	met.Add(telemetry.SelectNs, int64(t2.Sub(t1)))
+	met.ComboAnalyzed(combo.Index(), kernel)
+	met.Add(telemetry.RecursionNodes, c.Nodes)
+	met.Add(telemetry.PivotSelections, c.Pivots)
+	met.Add(telemetry.CliquesFound, int64(cliques))
 	if aerr != nil {
 		return failed(aerr.Error())
 	}
-	if met != nil {
-		met.TasksServed.Inc()
-	}
+	met.Inc(telemetry.TasksServed)
 	setResultCounts(out, c, cliques)
 	return out, err
 }

@@ -114,8 +114,9 @@ type Options struct {
 	// Metrics, when non-nil, receives live telemetry from every phase of
 	// the run (blocks, combo picks, per-block timings, filter time, and —
 	// through the executor — queue depth and algorithm counters). Nil
-	// disables telemetry entirely: every instrumentation site is behind a
-	// nil-check and the block-analysis hot loop allocates nothing extra.
+	// disables telemetry entirely: every engine method is a no-op on nil,
+	// so the block-analysis hot loop reads no clock and allocates nothing
+	// extra.
 	Metrics *telemetry.Engine
 	// Checkpoint, when non-nil, makes the run crash-safe: every level's
 	// block plan and every block completion is journaled, block results are
@@ -247,9 +248,9 @@ type LocalExecutor struct {
 	// Parallelism is the worker count; 0 means GOMAXPROCS.
 	Parallelism int
 	// Metrics, when non-nil, receives per-block telemetry: queue depth,
-	// induce and select time, combo picks, per-combo timings and the merged
-	// mcealg recursion counters. Nil keeps the worker loop allocation-free
-	// and clock-free.
+	// induce and select time, combo picks, per-combo timings and the
+	// analyzer's mcealg recursion counts. Nil keeps the worker loop
+	// allocation-free and clock-free.
 	Metrics *telemetry.Engine
 	// MemoryBudget is a heap budget in bytes: while the process heap is
 	// above it, workers pause before starting the next block instead of
@@ -314,19 +315,15 @@ func (e *LocalExecutor) Analyze(ctx context.Context, g *graph.Graph, plan *decom
 			defer wg.Done()
 			var mine []placed
 			defer func() { done[w] = mine }()
-			// The materialiser, the analyzer and ins are per-worker scratch:
-			// the induced subgraph, adjacency rows and recursion frames are
-			// reused from block to block, and the recursion counts
-			// accumulate without atomics and merge into the engine once per
-			// block. fam is the worker's output: every block it analyses
-			// appends there and is handed back as a window.
+			// The materialiser and the analyzer are per-worker scratch: the
+			// induced subgraph, adjacency rows and recursion frames are
+			// reused from block to block, and the analyzer keeps the block's
+			// recursion counts, added to the engine once per block. fam is
+			// the worker's output: every block it analyses appends there and
+			// is handed back as a window.
 			mat := decomp.NewMaterialiser(g)
 			an := new(decomp.Analyzer)
 			fam := new(family.Family)
-			var ins *telemetry.BlockInstr
-			if met != nil {
-				ins = &telemetry.BlockInstr{}
-			}
 			for {
 				i := int(next.Add(1)) - 1 // claim the next block
 				b := plan.Block(i)        // waits while the grower is behind
@@ -353,28 +350,21 @@ func (e *LocalExecutor) Analyze(ctx context.Context, g *graph.Graph, plan *decom
 					guard.Exit()
 					return
 				}
-				var t0 time.Time
-				if met != nil {
-					met.TasksInFlight.Add(1)
-					t0 = time.Now()
-				}
+				met.Move(telemetry.TasksInFlight, 1)
+				t0 := met.Now()
 				blk := mat.Materialise(b)
-				if met != nil {
-					t0 = lap(&met.InduceNs, t0)
-				}
+				t0 = met.Lap(telemetry.InduceNs, t0)
 				combo := rule.Pick(blk.Graph, &mat.Features)
-				if met != nil {
-					t0 = lap(&met.SelectNs, t0)
-					met.ComboPicked(combo.Index())
-				}
+				t0 = met.Lap(telemetry.SelectNs, t0)
+				met.ComboPicked(combo.Index())
 				first := fam.Len()
-				err := an.AnalyzeInto(blk, combo, fam, ins, par)
+				err := an.AnalyzeInto(blk, combo, fam, par)
 				cliques := family.Window{F: fam, First: first, Count: fam.Len() - first}
-				if met != nil {
-					met.ComboAnalyzed(combo.Index(), time.Since(t0))
-					met.MergeBlockInstr(ins)
-					met.TasksInFlight.Add(-1)
-				}
+				met.ComboAnalyzed(combo.Index(), met.Since(t0))
+				nodes, pivots := an.Counts()
+				met.Add(telemetry.RecursionNodes, nodes)
+				met.Add(telemetry.PivotSelections, pivots)
+				met.Move(telemetry.TasksInFlight, -1)
 				if err == nil && obs != nil {
 					// Durability before acknowledgement: the block only
 					// counts once its cliques are journaled.
@@ -428,7 +418,8 @@ type queueGauge struct {
 
 // claimed records one claimed block; published is the plan's length as the
 // claiming worker saw it, so the gauge first takes in any block published
-// since the last claim.
+// since the last claim. With telemetry off it returns at once: the
+// bookkeeping is shared by the workers, and off costs no atomics.
 func (q *queueGauge) claimed(published int) {
 	if q.met == nil {
 		return
@@ -439,27 +430,18 @@ func (q *queueGauge) claimed(published int) {
 			break
 		}
 		if q.counted.CompareAndSwap(c, int64(published)) {
-			q.met.QueueDepth.Add(int64(published) - c)
+			q.met.Move(telemetry.QueueDepth, int64(published)-c)
 			break
 		}
 	}
-	q.met.QueueDepth.Add(-1)
+	q.met.Move(telemetry.QueueDepth, -1)
 }
 
 // drain takes back what the batch added and did not claim, so the gauge
 // reads the same after the batch as before it; claims is the number of
 // blocks claimed.
 func (q *queueGauge) drain(claims int) {
-	if q.met != nil {
-		q.met.QueueDepth.Add(int64(claims) - q.counted.Load())
-	}
-}
-
-// lap adds the time since t0 to c and returns the new lap's start.
-func lap(c *telemetry.Counter, t0 time.Time) time.Time {
-	now := time.Now()
-	c.Add(int64(now.Sub(t0)))
-	return now
+	q.met.Move(telemetry.QueueDepth, int64(claims)-q.counted.Load())
 }
 
 // ErrNoNodes is returned for a graph with no nodes at all; the empty graph
@@ -658,19 +640,14 @@ func (r *run) level(ctx context.Context, g *graph.Graph, depth int, out sink) er
 		r.stats.CoreFallback = true
 	}
 	cutTime := time.Since(levelStart)
-	if met != nil {
-		met.CutNs.Add(int64(cutTime))
-	}
+	met.Add(telemetry.CutNs, int64(cutTime))
 
 	ls := LevelStats{
 		Nodes: g.N(), Edges: g.M(),
 		Feasible: len(feasible), Hubs: len(hubs),
 		Decomp: cutTime, CutTime: cutTime,
 	}
-	var induceNs, selectNs int64
-	if met != nil {
-		induceNs, selectNs = met.InduceNs.Load(), met.SelectNs.Load()
-	}
+	induceNs, selectNs := met.Load(telemetry.InduceNs), met.Load(telemetry.SelectNs)
 	var perBlock []family.Window
 	served, err := false, error(nil)
 	began := time.Now() // the analysis' start
@@ -702,10 +679,8 @@ func (r *run) level(ctx context.Context, g *graph.Graph, depth int, out sink) er
 	}
 	ls.Analysis = time.Since(began)
 	ls.Wall = time.Since(levelStart)
-	if met != nil {
-		ls.InduceTime = time.Duration(met.InduceNs.Load() - induceNs)
-		ls.SelectTime = time.Duration(met.SelectNs.Load() - selectNs)
-	}
+	ls.InduceTime = time.Duration(met.Load(telemetry.InduceNs) - induceNs)
+	ls.SelectTime = time.Duration(met.Load(telemetry.SelectNs) - selectNs)
 	r.levelDone(ls)
 
 	if len(hubs) == 0 {
@@ -732,13 +707,11 @@ func (r *run) level(ctx context.Context, g *graph.Graph, depth int, out sink) er
 			drop := filter.Extensible(g, c, isFeasible)
 			elapsed := time.Since(start)
 			r.stats.FilterTime += elapsed
-			if met != nil {
-				met.FilterNs.Add(int64(elapsed))
-			}
+			met.Add(telemetry.FilterNs, int64(elapsed))
 			if !drop {
 				out(family.Window{F: w.F, First: w.First + i, Count: 1}, level)
-			} else if met != nil {
-				met.HubCliquesFiltered.Inc()
+			} else {
+				met.Inc(telemetry.HubCliquesFiltered)
 			}
 		}
 	})
@@ -754,12 +727,11 @@ func (ls *LevelStats) held(f *family.Family) {
 // levelDone records one completed recursion level.
 func (r *run) levelDone(ls LevelStats) {
 	r.stats.Levels = append(r.stats.Levels, ls)
-	if met := r.opts.Metrics; met != nil {
-		met.CliquesFound.Add(int64(ls.Cliques))
-		met.FamilyMembers.Add(int64(ls.Members))
-		met.FamilyArenaBytes.Add(ls.ArenaBytes)
-		met.LevelsCompleted.Inc()
-	}
+	met := r.opts.Metrics
+	met.Add(telemetry.CliquesFound, int64(ls.Cliques))
+	met.Add(telemetry.FamilyMembers, int64(ls.Members))
+	met.Add(telemetry.FamilyArenaBytes, ls.ArenaBytes)
+	met.Inc(telemetry.LevelsCompleted)
 }
 
 // growAndAnalyze runs BLOCKS and BLOCK-ANALYSIS of one level. BLOCKS'
@@ -820,12 +792,10 @@ func (r *run) growAndAnalyze(ctx context.Context, g *graph.Graph, feasible []int
 	}
 	ls.Blocks = plan.Len()
 	ls.Decomp = ls.CutTime + ls.BlocksTime
-	if met != nil {
-		met.BlocksBuilt.Add(int64(ls.Blocks))
-		met.KernelNodes.Add(int64(ls.Kernel))
-		met.BorderNodes.Add(int64(ls.Border))
-		met.VisitedNodes.Add(int64(ls.Visited))
-		met.BlocksNs.Add(int64(ls.BlocksTime))
-	}
+	met.Add(telemetry.BlocksBuilt, int64(ls.Blocks))
+	met.Add(telemetry.KernelNodes, int64(ls.Kernel))
+	met.Add(telemetry.BorderNodes, int64(ls.Border))
+	met.Add(telemetry.VisitedNodes, int64(ls.Visited))
+	met.Add(telemetry.BlocksNs, int64(ls.BlocksTime))
 	return perBlock, began, err
 }

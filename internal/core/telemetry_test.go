@@ -179,11 +179,11 @@ func TestLevelStatsAggregation(t *testing.T) {
 	}
 }
 
-// TestAnalyzeBlockInstrNilAllocsMatch proves the acceptance criterion that
-// disabled telemetry adds zero allocations to the block-analysis hot loop:
-// AnalyzeBlockInstr with a nil receiver allocates exactly as much as the
-// pre-telemetry AnalyzeBlock entry point.
-func TestAnalyzeBlockInstrNilAllocsMatch(t *testing.T) {
+// TestWarmAnalyzerZeroAllocs proves that telemetry adds no allocation to
+// the block-analysis hot loop, off or on: a warm analyzer allocates nothing
+// per block, and adding each block's timing and recursion counts to the
+// engine allocates nothing either, on a nil engine and on a live one.
+func TestWarmAnalyzerZeroAllocs(t *testing.T) {
 	g := gen.HolmeKim(200, 5, 0.5, 3)
 	feasible, _ := decomp.Cut(g, 40)
 	blocks := decomp.Blocks(g, feasible, 40, decomp.Options{})
@@ -192,22 +192,27 @@ func TestAnalyzeBlockInstrNilAllocsMatch(t *testing.T) {
 	}
 	combo := mcealg.Combo{Alg: mcealg.Tomita, Struct: mcealg.BitSets}
 	emit := func([]int32) {}
-	base := testing.AllocsPerRun(20, func() {
-		for i := range blocks {
-			if err := decomp.AnalyzeBlock(&blocks[i], combo, emit); err != nil {
-				t.Fatal(err)
+	for _, met := range []*telemetry.Engine{nil, telemetry.NewEngine()} {
+		var an decomp.Analyzer
+		run := func() {
+			for i := range blocks {
+				t0 := met.Now()
+				if err := an.Analyze(&blocks[i], combo, emit, mcealg.Par{}); err != nil {
+					t.Fatal(err)
+				}
+				met.ComboAnalyzed(combo.Index(), met.Since(t0))
+				nodes, pivots := an.Counts()
+				met.Add(telemetry.RecursionNodes, nodes)
+				met.Add(telemetry.PivotSelections, pivots)
 			}
 		}
-	})
-	instr := testing.AllocsPerRun(20, func() {
-		for i := range blocks {
-			if err := decomp.AnalyzeBlockInstr(&blocks[i], combo, emit, nil); err != nil {
-				t.Fatal(err)
-			}
+		run() // warm the analyzer's scratch
+		if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
+			t.Fatalf("engine %p: a warm analyzer allocates %v/run, want 0", met, allocs)
 		}
-	})
-	if instr > base {
-		t.Fatalf("AnalyzeBlockInstr(nil) allocates %v/run, AnalyzeBlock %v/run", instr, base)
+		if met != nil && met.Load(telemetry.RecursionNodes) == 0 {
+			t.Fatal("the live engine counted no recursion nodes")
+		}
 	}
 }
 

@@ -20,7 +20,6 @@ import (
 	"mce/internal/graph"
 	"mce/internal/kcore"
 	"mce/internal/mcealg"
-	"mce/internal/telemetry"
 )
 
 // Cut performs the first-level decomposition: it splits the nodes of g into
@@ -465,23 +464,10 @@ func (m *Materialiser) Materialise(b *Block) *Block {
 // are emitted exactly once per block; across blocks, the visited mechanism
 // guarantees global uniqueness. The slice passed to emit is reused.
 //
-// AnalyzeBlock and its two variants are one-shot: each call builds and
-// drops an Analyzer. A caller with many blocks keeps one Analyzer per
-// goroutine instead.
+// AnalyzeBlock is one-shot: each call builds and drops an Analyzer. A
+// caller with many blocks keeps one Analyzer per goroutine instead.
 func AnalyzeBlock(b *Block, combo mcealg.Combo, emit func(clique []int32)) error {
-	return AnalyzeBlockInstr(b, combo, emit, nil)
-}
-
-// AnalyzeBlockInstr is AnalyzeBlock with optional instrumentation; see
-// Analyzer.Analyze.
-func AnalyzeBlockInstr(b *Block, combo mcealg.Combo, emit func(clique []int32), ins *telemetry.BlockInstr) error {
-	return AnalyzeBlockPar(b, combo, emit, ins, mcealg.Par{})
-}
-
-// AnalyzeBlockPar is AnalyzeBlockInstr with explicit intra-block
-// parallelism; see Analyzer.Analyze.
-func AnalyzeBlockPar(b *Block, combo mcealg.Combo, emit func(clique []int32), ins *telemetry.BlockInstr, par mcealg.Par) error {
-	return new(Analyzer).Analyze(b, combo, emit, ins, par)
+	return new(Analyzer).Analyze(b, combo, emit, mcealg.Par{})
 }
 
 // Analyzer runs BLOCK-ANALYSIS over many blocks from one set of scratch
@@ -497,32 +483,32 @@ type Analyzer struct {
 	kernel  [1]int32
 }
 
-// Analyze is AnalyzeBlock on the analyzer's scratch. When ins is non-nil,
-// the block's MCE recursion-node and pivot-selection counts are added to it
-// after the analysis; a nil ins takes the identical code path — the
-// instrumented executors pass nil when telemetry is disabled, keeping the
-// hot loop paper-faithful. A BitSetsParallel combo (or par.Workers > 1)
-// runs each kernel subproblem on mcealg's work-stealing pool; emission
-// order, and therefore the downstream checkpoint digests and Lemma-1 filter
-// input, is identical to the sequential path — the pool merges per-worker
-// cliques back into depth-first order before emitting (see
-// mcealg/parallel.go).
-func (a *Analyzer) Analyze(b *Block, combo mcealg.Combo, emit func(clique []int32), ins *telemetry.BlockInstr, par mcealg.Par) error {
-	return a.analyze(b, combo, mcealg.Sink{Orig: b.Orig, Emit: emit}, ins, par)
+// Analyze is AnalyzeBlock on the analyzer's scratch. A BitSetsParallel
+// combo (or par.Workers > 1) runs each kernel subproblem on mcealg's
+// work-stealing pool; emission order, and therefore the downstream
+// checkpoint digests and Lemma-1 filter input, is identical to the
+// sequential path — the pool merges per-worker cliques back into
+// depth-first order before emitting (see mcealg/parallel.go).
+func (a *Analyzer) Analyze(b *Block, combo mcealg.Combo, emit func(clique []int32), par mcealg.Par) error {
+	return a.analyze(b, combo, mcealg.Sink{Orig: b.Orig, Emit: emit}, par)
 }
 
 // AnalyzeInto is Analyze appending the block's cliques to out, each
 // translated to the original graph's IDs as it is copied into the arena.
-func (a *Analyzer) AnalyzeInto(b *Block, combo mcealg.Combo, out *family.Family, ins *telemetry.BlockInstr, par mcealg.Par) error {
-	return a.analyze(b, combo, mcealg.Sink{Out: out, Orig: b.Orig}, ins, par)
+func (a *Analyzer) AnalyzeInto(b *Block, combo mcealg.Combo, out *family.Family, par mcealg.Par) error {
+	return a.analyze(b, combo, mcealg.Sink{Out: out, Orig: b.Orig}, par)
 }
+
+// Counts returns the MCE recursion-node and pivot-selection counts of the
+// block analysed last, zero when its combo was refused.
+func (a *Analyzer) Counts() (nodes, pivots int64) { return a.runner.Counts() }
 
 // analyze runs Algorithm 4 on b into s. The runner emits local IDs
 // ascending and Orig is ascending, so the cliques s receives, translated
 // through Orig, are ascending too.
 //
 //mce:hotpath per-block Algorithm 4 kernel loop
-func (a *Analyzer) analyze(b *Block, combo mcealg.Combo, s mcealg.Sink, ins *telemetry.BlockInstr, par mcealg.Par) error {
+func (a *Analyzer) analyze(b *Block, combo mcealg.Combo, s mcealg.Sink, par mcealg.Par) error {
 	if err := a.runner.Reset(b.Graph, combo, par); err != nil {
 		return err
 	}
@@ -557,11 +543,6 @@ func (a *Analyzer) analyze(b *Block, combo mcealg.Combo, s mcealg.Sink, ins *tel
 		// k is done: all cliques through it are found (lines 7–8).
 		P[k>>6] &^= 1 << (uint(k) & 63)
 		vbar[k>>6] |= 1 << (uint(k) & 63)
-	}
-	if ins != nil {
-		nodes, pivots := a.runner.Counts()
-		ins.RecursionNodes += nodes
-		ins.PivotSelections += pivots
 	}
 	return nil
 }

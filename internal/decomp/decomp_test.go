@@ -748,7 +748,7 @@ func TestAnalyzerWarmAllocs(t *testing.T) {
 		cliques := 0
 		emit := func([]int32) { cliques++ }
 		analyze := func(b *Block) {
-			if err := an.Analyze(b, combo, emit, nil, mcealg.Par{}); err != nil {
+			if err := an.Analyze(b, combo, emit, mcealg.Par{}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -796,7 +796,7 @@ func TestMaterialiseWarmAllocs(t *testing.T) {
 		work := func(b *Block) {
 			blk := mat.Materialise(b)
 			combo := dtree.SafePredictGraph(tree, blk.Graph, &mat.Features)
-			if err := an.Analyze(blk, combo, emit, nil, mcealg.Par{}); err != nil {
+			if err := an.Analyze(blk, combo, emit, mcealg.Par{}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -836,7 +836,7 @@ func BenchmarkAnalyzeBlocks(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j := range blocks {
-			if err := an.Analyze(&blocks[j], combos[j], emit, nil, mcealg.Par{}); err != nil {
+			if err := an.Analyze(&blocks[j], combos[j], emit, mcealg.Par{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -882,7 +882,7 @@ func TestAnalyzeEmitsAscending(t *testing.T) {
 				}
 			}
 			for i := range blocks {
-				if err := an.Analyze(&blocks[i], combo.Bounded(blocks[i].Graph.N()), emit, nil, par); err != nil {
+				if err := an.Analyze(&blocks[i], combo.Bounded(blocks[i].Graph.N()), emit, par); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -1,7 +1,7 @@
 // Package lint is a repo-specific static-analysis suite: a small, dependency
 // free re-implementation of the golang.org/x/tools/go/analysis model (the
 // module has no external dependencies, so the real one cannot be vendored)
-// plus seven analyzers that machine-check invariants the engine's
+// plus six analyzers that machine-check invariants the engine's
 // correctness and performance arguments lean on:
 //
 //   - sortedadj: adjacency slices returned by graph.Neighbors are read-only
@@ -10,9 +10,6 @@
 //   - maporder: map-iteration-ordered values must not flow into seeded
 //     rand draws, wire frames or ordered output without an intervening
 //     sort (deterministic plans and digests across processes);
-//   - telemetryguard: every instrumentation site on a possibly-nil
-//     *telemetry.Engine or *telemetry.BlockInstr must be nil-guarded (the
-//     zero-overhead-when-disabled contract);
 //   - golifecycle: every `go` statement whose goroutine blocks on channels
 //     must reach a cancellation path through its own package's call graph;
 //   - lockbalance: every manual mu.Lock() is released on every return path,
@@ -88,7 +85,7 @@ func (d Diagnostic) String() string {
 // staleignore meta-pass last.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		SortedAdj, MapOrder, TelemetryGuard,
+		SortedAdj, MapOrder,
 		GoLifecycle, LockBalance, HotAlloc,
 		StaleIgnore,
 	}

@@ -292,7 +292,8 @@ func NewRunnerPar(g *graph.Graph, c Combo, par Par) (*Runner, error) {
 // Counts. It refuses a quadratic store — Matrix, BitSets or BitSetsParallel
 // — on more than MatrixMaxNodes nodes rather than allocate n²/8 bytes;
 // callers that pick combos go through Combo.Bounded and never see that.
-// On an error the runner must be Reset again before use.
+// On an error Counts reads zero and the runner must be Reset again before
+// use.
 //
 // The enumerator is picked here by the graph's width: a packed store of 1
 // to maxFixedWords words that runs sequentially gets the recursion stenciled
@@ -300,6 +301,7 @@ func NewRunnerPar(g *graph.Graph, c Combo, par Par) (*Runner, error) {
 //
 //mce:coldpath per-block adjacency construction
 func (r *Runner) Reset(g *graph.Graph, c Combo, par Par) error {
+	r.k = nil
 	switch c.Alg {
 	case BKPivot, Tomita, Eppstein, XPivot:
 	default:

@@ -10,7 +10,6 @@ import (
 	"mce/internal/gen"
 	"mce/internal/graph"
 	"mce/internal/mcealg"
-	"mce/internal/telemetry"
 )
 
 // seqGolden is one pinned run: the order-sensitive digest of the emitted
@@ -171,19 +170,21 @@ func sequenceOnBlockPlan(t *testing.T) {
 		want := seqBlockPlan[ai]
 		for _, mode := range seqModes {
 			var d cliqstore.Digester
-			var ins telemetry.BlockInstr
+			var an decomp.Analyzer
 			got := seqGolden{}
 			for i := range blocks {
-				err := decomp.AnalyzeBlockPar(&blocks[i], mcealg.Combo{Alg: alg, Struct: mode.s}, func(c []int32) {
+				err := an.Analyze(&blocks[i], mcealg.Combo{Alg: alg, Struct: mode.s}, func(c []int32) {
 					d.Add(c)
 					got.cliques++
-				}, &ins, mode.par)
+				}, mode.par)
 				if err != nil {
 					t.Fatal(err)
 				}
+				nodes, pivots := an.Counts()
+				got.nodes += nodes
+				got.pivots += pivots
 			}
 			got.digest = d.Sum32()
-			got.nodes, got.pivots = ins.RecursionNodes, ins.PivotSelections
 			if got != want {
 				t.Errorf("block plan %v %s: got %v, pinned %v", alg, mode.name, got, want)
 			}

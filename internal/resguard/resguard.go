@@ -98,15 +98,8 @@ func (g *Guard) Enter(done <-chan struct{}) {
 	// Over budget with other work in flight: pause until the heap drains
 	// below the release watermark, the other holders finish, or the batch
 	// is done with us.
-	if g.met != nil {
-		g.met.BackpressurePauses.Inc()
-	}
-	t0 := time.Now()
-	defer func() {
-		if g.met != nil {
-			g.met.BackpressureNs.Add(int64(time.Since(t0)))
-		}
-	}()
+	g.met.Inc(telemetry.BackpressurePauses)
+	defer g.met.Lap(telemetry.BackpressureNs, g.met.Now())
 	ticker := time.NewTicker(pollInterval)
 	defer ticker.Stop()
 	for {

@@ -244,7 +244,7 @@ func Open(dir string, id Identity, opts Options) (*Checkpoint, error) {
 		return nil, fmt.Errorf("runlog: create checkpoint dir: %w", err)
 	}
 	path := JournalPath(dir)
-	start := time.Now()
+	start := opts.Metrics.Now()
 	recs, validOff, err := replayJournal(fs, path)
 	if err != nil {
 		return nil, err
@@ -266,9 +266,7 @@ func Open(dir string, id Identity, opts Options) (*Checkpoint, error) {
 	if err := c.restore(recs, id); err != nil {
 		return nil, err
 	}
-	if c.met != nil {
-		c.met.CheckpointReplayNs.Add(int64(time.Since(start)))
-	}
+	c.met.Lap(telemetry.CheckpointReplayNs, start)
 	j, err := openJournalForAppend(fs, path, validOff, opts.Metrics)
 	if err != nil {
 		return nil, err
@@ -335,9 +333,7 @@ func (c *Checkpoint) degrade(err error) {
 	}
 	c.degraded = true
 	c.degradeErr = err
-	if c.met != nil {
-		c.met.CheckpointDegraded.Set(1)
-	}
+	c.met.Set(telemetry.CheckpointDegraded, 1)
 	if c.onDegrade != nil {
 		c.onDegrade(err)
 	}
@@ -409,16 +405,14 @@ func (c *Checkpoint) hand(it commitItem) {
 // drain hands r over as a barrier: it returns once r and everything handed
 // over before it is durable — or was dropped, by a degrade or by Close.
 func (c *Checkpoint) drain(r rec) {
-	start := time.Now()
+	start := c.met.Now()
 	it := commitItem{rec: r, ack: make(chan struct{})}
 	c.hand(it)
 	select {
 	case <-it.ack:
 	case <-c.stopped:
 	}
-	if c.met != nil {
-		c.met.CheckpointBarrierWaitNs.Add(int64(time.Since(start)))
-	}
+	c.met.Lap(telemetry.CheckpointBarrierWaitNs, start)
 }
 
 // commitLoop is the committer: it gathers what is handed over into a batch
@@ -496,10 +490,10 @@ func (c *Checkpoint) commit(items []commitItem) error {
 	if err := c.j.flush(); err != nil {
 		return err
 	}
-	if c.met != nil && blocks > 0 {
-		c.met.CheckpointCommits.Inc()
-		c.met.CheckpointCommitBlocks.Add(blocks)
-		c.met.CheckpointLogBytes.Add(logged)
+	if blocks > 0 {
+		c.met.Inc(telemetry.CheckpointCommits)
+		c.met.Add(telemetry.CheckpointCommitBlocks, blocks)
+		c.met.Add(telemetry.CheckpointLogBytes, logged)
 	}
 	return nil
 }
@@ -610,9 +604,7 @@ func (c *Checkpoint) ServedLevel(level int) (cliques []family.Window, ok bool) {
 // served counts blocks served from the logs. Callers hold c.mu.
 func (c *Checkpoint) served(n int64) {
 	c.skipped += n
-	if c.met != nil {
-		c.met.CheckpointBlocksSkipped.Add(n)
-	}
+	c.met.Add(telemetry.CheckpointBlocksSkipped, n)
 }
 
 // readLevel reads level's log the first time the level is asked for, whole,

@@ -98,7 +98,7 @@ func TestENOSPCMidCheckpointDegrades(t *testing.T) {
 	if !errors.Is(c.DegradeError(), syscall.ENOSPC) {
 		t.Fatalf("DegradeError = %v, want ENOSPC", c.DegradeError())
 	}
-	if met.CheckpointDegraded.Load() != 1 {
+	if met.Snapshot().CheckpointDegraded != 1 {
 		t.Fatal("CheckpointDegraded gauge not set")
 	}
 	// The rest of the run keeps going as no-ops.

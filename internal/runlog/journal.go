@@ -204,10 +204,8 @@ func (j *journal) flush() error {
 		j.err = fmt.Errorf("runlog: journal sync: %w", err)
 		return j.err
 	}
-	if j.met != nil {
-		j.met.CheckpointRecords.Add(j.added)
-		j.met.CheckpointBytes.Add(int64(len(j.frames)))
-	}
+	j.met.Add(telemetry.CheckpointRecords, j.added)
+	j.met.Add(telemetry.CheckpointBytes, int64(len(j.frames)))
 	j.frames, j.added = j.frames[:0], 0
 	return nil
 }

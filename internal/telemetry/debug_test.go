@@ -10,8 +10,8 @@ import (
 
 func TestServeDebugVarsAndPprof(t *testing.T) {
 	e := NewEngine()
-	e.BlocksBuilt.Add(3)
-	e.TasksServed.Add(9)
+	e.Add(BlocksBuilt, 3)
+	e.Add(TasksServed, 9)
 
 	addr, stop, err := ServeDebug("127.0.0.1:0", e.Snapshot)
 	if err != nil {
@@ -54,7 +54,7 @@ func TestServeDebugVarsAndPprof(t *testing.T) {
 	}
 
 	// Live updates show up on the next poll.
-	e.BlocksBuilt.Inc()
+	e.Inc(BlocksBuilt)
 	_, body = get("/debug/vars")
 	if err := json.Unmarshal(body, &doc); err != nil {
 		t.Fatal(err)

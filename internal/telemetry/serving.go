@@ -19,9 +19,9 @@ const NumEndpoints = 8
 // endpointCell is one slot of the per-endpoint request/latency distribution.
 type endpointCell struct {
 	label    atomic.Pointer[string]
-	requests Counter // requests that reached the handler (admitted)
-	errors   Counter // responses with a 5xx status
-	ns       Counter // total handler time, nanoseconds
+	requests atomic.Int64 // requests that reached the handler (admitted)
+	errors   atomic.Int64 // responses with a 5xx status
+	ns       atomic.Int64 // total handler time, nanoseconds
 }
 
 // EndpointObserved records one completed request on endpoint slot i: the
@@ -31,7 +31,13 @@ type endpointCell struct {
 //
 //mce:hotpath per-request serving accounting
 func (e *Engine) EndpointObserved(i int, label string, d time.Duration, status int) {
-	e.QueryNs.Observe(int64(d))
+	if e != nil {
+		e.endpointObserved(i, label, d, status)
+	}
+}
+
+func (e *Engine) endpointObserved(i int, label string, d time.Duration, status int) {
+	e.latencies[QueryNs].Observe(int64(d))
 	if i < 0 || i >= NumEndpoints {
 		return
 	}
@@ -40,9 +46,9 @@ func (e *Engine) EndpointObserved(i int, label string, d time.Duration, status i
 		l := label
 		c.label.Store(&l)
 	}
-	c.requests.Inc()
+	c.requests.Add(1)
 	if status >= 500 {
-		c.errors.Inc()
+		c.errors.Add(1)
 	}
 	c.ns.Add(int64(d))
 }

@@ -11,21 +11,23 @@ import (
 )
 
 func TestCounterAndGauge(t *testing.T) {
-	var c Counter
-	c.Inc()
-	c.Add(41)
-	if got := c.Load(); got != 42 {
+	e := NewEngine()
+	e.Inc(BytesSent)
+	e.Add(BytesSent, 41)
+	if got := e.Load(BytesSent); got != 42 {
 		t.Fatalf("counter = %d, want 42", got)
 	}
-	var g Gauge
-	g.Add(5)
-	g.Add(-2)
-	if got := g.Load(); got != 3 {
+	e.Move(QueueDepth, 5)
+	e.Move(QueueDepth, -2)
+	if got := e.Snapshot().QueueDepth; got != 3 {
 		t.Fatalf("gauge = %d, want 3", got)
 	}
-	g.Set(-7)
-	if got := g.Load(); got != -7 {
+	e.Set(QueueDepth, -7)
+	if got := e.Snapshot().QueueDepth; got != -7 {
 		t.Fatalf("gauge = %d, want -7", got)
+	}
+	if got := e.Load(BytesReceived); got != 0 {
+		t.Fatalf("untouched counter = %d, want 0", got)
 	}
 }
 
@@ -131,29 +133,25 @@ func TestDurationHistogramCoversTypicalLatencies(t *testing.T) {
 
 func TestEngineSnapshotAndJSON(t *testing.T) {
 	e := NewEngine()
-	e.BlocksBuilt.Add(4)
-	e.KernelNodes.Add(10)
-	e.QueueDepth.Set(2)
+	e.Add(BlocksBuilt, 4)
+	e.Add(KernelNodes, 10)
+	e.Set(QueueDepth, 2)
 	e.ComboPicked(5)
 	e.ComboPicked(5)
 	e.ComboAnalyzed(5, 3*time.Millisecond)
-	e.RoundTripNs.Observe(int64(time.Millisecond))
-	ins := &BlockInstr{RecursionNodes: 7, PivotSelections: 3}
-	e.MergeBlockInstr(ins)
-	if ins.RecursionNodes != 0 || ins.PivotSelections != 0 {
-		t.Fatalf("instr not reset: %+v", ins)
-	}
-	e.MergeBlockInstr(nil) // nil-safe
+	e.Observe(RoundTripNs, time.Millisecond)
+	e.Add(RecursionNodes, 7)
+	e.Add(PivotSelections, 3)
 
 	s := e.Snapshot()
 	if s.BlocksBuilt != 4 || s.KernelNodes != 10 || s.QueueDepth != 2 {
 		t.Fatalf("snapshot core fields wrong: %+v", s)
 	}
 	if s.RecursionNodes != 7 || s.PivotSelections != 3 {
-		t.Fatalf("instr not merged: %+v", s)
+		t.Fatalf("recursion counts not added: %+v", s)
 	}
-	if s.BlocksAnalyzed != 1 || s.BlockNs.Count != 1 {
-		t.Fatalf("ComboAnalyzed not reflected: %+v", s)
+	if s.BlocksAnalyzed != 1 || s.BlockNs.Count != 1 || s.RoundTripNs.Count != 1 {
+		t.Fatalf("ComboAnalyzed or Observe not reflected: %+v", s)
 	}
 	if len(s.Combos) != 1 || s.Combos[0].Combo != "[Lists/Tomita]" ||
 		s.Combos[0].Picks != 2 || s.Combos[0].Blocks != 1 || s.Combos[0].TotalNs != int64(3*time.Millisecond) {
@@ -200,17 +198,15 @@ func TestConcurrentUpdates(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			ins := &BlockInstr{}
 			for i := 0; i < perWorker; i++ {
-				e.BlocksBuilt.Inc()
-				e.QueueDepth.Add(1)
+				e.Inc(BlocksBuilt)
+				e.Move(QueueDepth, 1)
 				e.ComboPicked(w % mcealg.NumCombos)
 				e.ComboAnalyzed(w%mcealg.NumCombos, time.Duration(i)*time.Microsecond)
-				e.RoundTripNs.Observe(int64(i))
-				ins.RecursionNodes += 2
-				ins.PivotSelections++
-				e.MergeBlockInstr(ins)
-				e.QueueDepth.Add(-1)
+				e.Observe(RoundTripNs, time.Duration(i))
+				e.Add(RecursionNodes, 2)
+				e.Add(PivotSelections, 1)
+				e.Move(QueueDepth, -1)
 				if i%500 == 0 {
 					_ = e.Snapshot() // snapshots race the updates by design
 				}
@@ -227,7 +223,7 @@ func TestConcurrentUpdates(t *testing.T) {
 		t.Fatalf("queue depth = %d, want 0", s.QueueDepth)
 	}
 	if s.RecursionNodes != 2*total || s.PivotSelections != total {
-		t.Fatalf("instr merge lost updates: %d/%d", s.RecursionNodes, s.PivotSelections)
+		t.Fatalf("recursion counts lost updates: %d/%d", s.RecursionNodes, s.PivotSelections)
 	}
 	if s.RoundTripNs.Count != total || s.BlockNs.Count != total {
 		t.Fatalf("histogram lost updates: %d/%d", s.RoundTripNs.Count, s.BlockNs.Count)
@@ -245,35 +241,34 @@ func TestConcurrentUpdates(t *testing.T) {
 }
 
 // TestHotPathZeroAllocs is the dynamic half of the hotalloc gate for the
-// instrumentation fast paths: the //mce:hotpath-annotated Counter.Inc/Add,
-// Gauge.Add, Histogram.Observe, the per-block MergeBlockInstr — both the
-// telemetry-disabled nil path and the enabled two-atomic-add merge — and
-// what a worker records per block since induce and select moved onto it
-// (InduceNs, SelectNs, ComboPicked, ComboAnalyzed) have no entry in
-// .mcevet/allocbudget.json, so a run must observe zero allocations too.
+// instrumentation fast paths: the //mce:hotpath-annotated engine methods
+// (Inc, Add, Move, Observe, Lap, ComboPicked, ComboAnalyzed) and what a
+// worker or a level records per block have no entry in
+// .mcevet/allocbudget.json, so a run must observe zero allocations too —
+// on a nil engine (telemetry off) and on a live one.
 func TestHotPathZeroAllocs(t *testing.T) {
-	e := NewEngine()
 	h := NewDurationHistogram()
-	var c Counter
-	var g Gauge
-	ins := &BlockInstr{}
-	allocs := testing.AllocsPerRun(100, func() {
-		c.Inc()
-		c.Add(3)
-		g.Add(-1)
-		h.Observe(17)
-		ins.RecursionNodes = 5
-		ins.PivotSelections = 2
-		e.MergeBlockInstr(ins)
-		e.MergeBlockInstr(nil) // the telemetry-disabled path
-		e.InduceNs.Add(5)
-		e.SelectNs.Add(7)
-		e.ComboPicked(3)
-		e.ComboAnalyzed(3, time.Microsecond)
-		e.FamilyMembers.Add(40) // what a level records of its arenas
-		e.FamilyArenaBytes.Add(1 << 18)
-	})
-	if allocs != 0 {
-		t.Fatalf("telemetry fast paths allocate %v/run, want 0", allocs)
+	for _, e := range []*Engine{nil, NewEngine()} {
+		allocs := testing.AllocsPerRun(100, func() {
+			h.Observe(17)
+			e.Inc(TasksServed)
+			e.Add(RecursionNodes, 5)
+			e.Add(PivotSelections, 2)
+			e.Move(TasksInFlight, 1)
+			t0 := e.Now()
+			t0 = e.Lap(InduceNs, t0)
+			t0 = e.Lap(SelectNs, t0)
+			e.ComboPicked(3)
+			e.ComboAnalyzed(3, e.Since(t0))
+			e.Observe(RoundTripNs, time.Microsecond)
+			e.Move(TasksInFlight, -1)
+			e.Set(CheckpointDegraded, 0)
+			e.Add(FamilyMembers, 40) // what a level records of its arenas
+			e.Add(FamilyArenaBytes, 1<<18)
+			_ = e.Load(InduceNs)
+		})
+		if allocs != 0 {
+			t.Fatalf("engine %p: telemetry fast paths allocate %v/run, want 0", e, allocs)
+		}
 	}
 }
